@@ -1,32 +1,15 @@
-"""Scale-out drill: a 100-rack x 10-node rack-loss storm, both schedulers.
+"""Scale-out drill: a 100-rack x 10-node rack-loss storm.
 
-Not a paper figure — this is the simulator-kernel scale demonstration,
-in two phases:
-
-1. **Storm** — the full 1000-node rack-loss drill under both schedulers,
-   asserting byte-identical fingerprints.  Its pending-event set is
-   modest (bounded by in-flight repairs) and its walls are ~0.1s, so
-   the recorded ratio there is noise-dominated; the phase exists to
-   prove the calendar queue is *correct* and *tractable* at 100 racks,
-   not to race it.
-2. **Saturated churn** — the regime a 1000-rack, 10^7-file run actually
-   lives in: a pending set of 10^6 scheduled occurrences under
-   steady-state pop/push churn.  Past ~7x10^5 pending entries the
-   heap's C log(n) sift work (over one giant, cache-hostile array)
-   overtakes the calendar's constant per-op cost (over ~2-entry bucket
-   heaps), and the calendar queue pulls ahead — measured 1.2-1.4x here.
-   An untimed twin pass folds every popped ``seq`` into a checksum that
-   pins both schedulers to the same sequence, so the speed comparison
-   can never silently trade correctness for wall-clock.
+Not a paper figure — the simulator-kernel scale demonstration: the full
+1000-node rack-loss drill must stay clean, re-protect every stripe and
+reproduce its fingerprint on a second run.  Its pending-event set peaks
+at 248 entries, which is why one binary heap is all the kernel needs.
 """
 
-import gc
-import random
 import time
 
 from repro.experiments.runner import format_table
 from repro.recovery.storm import run_storm
-from repro.sim.scheduler import CalendarScheduler, HeapScheduler
 
 from .conftest import emit, run_once
 
@@ -35,12 +18,8 @@ NODES_PER_RACK = 10
 NUM_STRIPES = 64
 SEED = 0
 
-#: Pending-set size for the saturated-churn phase — past the measured
-#: heap/calendar crossover (~7x10^5 on CPython).
-CHURN_PENDING = 1_000_000
 
-
-def _storm(scheduler: str):
+def _storm():
     start = time.perf_counter()
     report = run_storm(
         "rack_loss",
@@ -48,121 +27,34 @@ def _storm(scheduler: str):
         num_racks=NUM_RACKS,
         nodes_per_rack=NODES_PER_RACK,
         num_stripes=NUM_STRIPES,
-        scheduler=scheduler,
     )
     return report, time.perf_counter() - start
 
 
-def _churn_ops(scheduler_cls, pending: int, seed: int) -> None:
-    """One steady-state pop/push churn: pure scheduler operations.
-
-    This is the timed body — nothing but scheduler calls and the seeded
-    workload generator in the loops, so the measured ratio is the
-    schedulers', not the instrumentation's.
-    """
-    rng = random.Random(seed)
-    sched = scheduler_cls()
-    seq = 0
-    for __ in range(pending):
-        sched.push(rng.random() * 1000.0, seq, seq)
-        seq += 1
-    for __ in range(pending):
-        entry = sched.pop_until(None)
-        sched.push(entry[0] + rng.random() * 10.0, seq, seq)
-        seq += 1
-    while sched.pop_until(None) is not None:
-        pass
-
-
-def _churn_checksum(scheduler_cls, pending: int, seed: int) -> int:
-    """The same churn, folding every popped ``seq`` into a checksum.
-
-    ``seq`` uniquely identifies an entry, so equal checksums mean the
-    two schedulers popped the exact same sequence.  Runs untimed.
-    """
-    rng = random.Random(seed)
-    sched = scheduler_cls()
-    seq = 0
-    checksum = 0
-    for __ in range(pending):
-        sched.push(rng.random() * 1000.0, seq, seq)
-        seq += 1
-    for __ in range(pending):
-        entry = sched.pop_until(None)
-        checksum = hash((checksum, entry[1]))
-        sched.push(entry[0] + rng.random() * 10.0, seq, seq)
-        seq += 1
-    while True:
-        entry = sched.pop_until(None)
-        if entry is None:
-            break
-        checksum = hash((checksum, entry[1]))
-    return checksum
-
-
-def _churn(scheduler_cls, pending: int, seed: int):
-    """Identity checksum plus a clean wall-clock for one scheduler.
-
-    The checksum pass doubles as warmup; the timed pass then runs with
-    the collector off so allocation bursts from earlier scenarios can't
-    land a collection inside one scheduler's window but not the other's.
-    """
-    checksum = _churn_checksum(scheduler_cls, pending, seed)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        _churn_ops(scheduler_cls, pending, seed)
-        wall = time.perf_counter() - start
-    finally:
-        gc.enable()
-    return checksum, wall
-
-
 def test_scale_storm(benchmark):
-    def phases():
-        storms = {name: _storm(name) for name in ("heap", "calendar")}
-        churns = {
-            cls.name: _churn(cls, CHURN_PENDING, SEED)
-            for cls in (HeapScheduler, CalendarScheduler)
-        }
-        return storms, churns
-
-    storms, churns = run_once(benchmark, phases)
-    heap_report, wall_heap = storms["heap"]
-    calendar_report, wall_calendar = storms["calendar"]
-    heap_sum, churn_heap = churns["heap"]
-    calendar_sum, churn_calendar = churns["calendar"]
-
-    rows = [
-        [name, f"{wall:.2f}s", report.fingerprint[:16]]
-        for name, (report, wall) in sorted(storms.items())
-    ] + [
-        [f"{name} (churn 10^6)", f"{wall:.2f}s", f"checksum {csum & 0xFFFF:04x}"]
-        for name, (csum, wall) in sorted(churns.items())
-    ]
-    emit(
-        f"Scale storm: rack loss at {NUM_RACKS} racks x {NODES_PER_RACK} "
-        f"nodes plus {CHURN_PENDING:,}-pending churn, heap vs calendar "
-        "(fingerprints and checksums must match)",
-        format_table(["scheduler / phase", "wall", "identity"], rows),
+    (first, wall_first), (second, wall_second) = run_once(
+        benchmark, lambda: (_storm(), _storm())
     )
 
-    assert heap_report.fingerprint == calendar_report.fingerprint
-    assert heap_report.clean and calendar_report.clean
-    assert heap_report.stripes_encoded == NUM_STRIPES
-    assert heap_sum == calendar_sum
+    emit(
+        f"Scale storm: rack loss at {NUM_RACKS} racks x {NODES_PER_RACK} "
+        "nodes, run twice (fingerprints must match)",
+        format_table(
+            ["run", "wall", "fingerprint"],
+            [
+                ["first", f"{wall_first:.2f}s", first.fingerprint[:16]],
+                ["second", f"{wall_second:.2f}s", second.fingerprint[:16]],
+            ],
+        ),
+    )
+
+    assert first.fingerprint == second.fingerprint
+    assert first.clean and second.clean
+    assert first.stripes_encoded == NUM_STRIPES
     # Returned metrics land in the BENCH json ("wall_" = machine noise,
     # stripped from differential comparisons).
     return {
         "racks": float(NUM_RACKS),
         "nodes": float(NUM_RACKS * NODES_PER_RACK),
-        "churn_pending_events": float(CHURN_PENDING),
-        "wall_heap_s": wall_heap,
-        "wall_calendar_s": wall_calendar,
-        "wall_speedup_calendar_vs_heap": wall_heap / max(wall_calendar, 1e-9),
-        "wall_churn_heap_s": churn_heap,
-        "wall_churn_calendar_s": churn_calendar,
-        "wall_churn_speedup_calendar_vs_heap": churn_heap
-        / max(churn_calendar, 1e-9),
+        "wall_storm_s": min(wall_first, wall_second),
     }

@@ -700,54 +700,6 @@ def _sim_event_churn(events: int, processes: int, timeouts: int):
     return run
 
 
-def _sim_calendar_vs_heap(processes: int, timeouts: int):
-    def run(rng: random.Random) -> Dict[str, float]:
-        import time
-
-        from repro.sim.engine import Simulator
-        from repro.sim.metrics import measure_ops as measure
-
-        seed = rng.randrange(2**31)
-
-        def workload(scheduler: str):
-            """One seeded run; returns (trace tail, events, wall seconds)."""
-            sim = Simulator(scheduler=scheduler)
-            local = random.Random(seed)
-            trace: List[float] = []
-            delays = [
-                local.choice((0.25, 0.5, 1.0)) * local.randrange(1, 40)
-                for __ in range(processes)
-            ]
-
-            def ticker(delay: float):
-                for __ in range(timeouts):
-                    yield sim.timeout(delay)
-                    trace.append(sim.now)
-
-            for delay in delays:
-                sim.process(ticker(delay))
-            start = time.perf_counter()
-            with measure() as measured:
-                sim.run()
-            wall = time.perf_counter() - start
-            return trace, float(measured.get("sim.events")), wall
-
-        heap_trace, heap_events, wall_heap = workload("heap")
-        cal_trace, cal_events, wall_cal = workload("calendar")
-        if heap_trace != cal_trace or heap_events != cal_events:
-            raise AssertionError(
-                "calendar scheduler diverged from the heap oracle"
-            )
-        return {
-            "events": heap_events,
-            "wall_heap_s": wall_heap,
-            "wall_calendar_s": wall_cal,
-            "wall_speedup_calendar_vs_heap": wall_heap / max(wall_cal, 1e-9),
-        }
-
-    return run
-
-
 def _parallel_sweep_speedup(trials: int, blocks: int, workers: int):
     def run(rng: random.Random) -> Dict[str, float]:
         import time
@@ -1141,11 +1093,6 @@ def builtin_scenarios(smoke: bool = False) -> List[Scenario]:
                 "timeouts": timeouts,
             },
             _sim_event_churn(processes * timeouts, processes, timeouts),
-        ),
-        scenario(
-            "sim_calendar_vs_heap",
-            {"processes": processes, "timeouts": timeouts},
-            _sim_calendar_vs_heap(processes, timeouts),
         ),
         scenario(
             "parallel_sweep_speedup",

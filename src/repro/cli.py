@@ -187,10 +187,6 @@ def _report_sweep(executor) -> None:
 
 def _largescale_sweep(sweep, args, header: str, formatter) -> None:
     base = LargeScaleConfig().scaled(args.stripes_per_process)
-    if getattr(args, "scheduler", None):
-        from dataclasses import replace
-
-        base = replace(base, scheduler=args.scheduler)
     executor = _executor_from_args(args)
     points = sweep(base=base, seeds=range(args.seeds), executor=executor)
     rows = [
@@ -267,7 +263,6 @@ def cmd_recovery(args) -> int:
     """Recovery storms: degraded reads and correlated-failure drills."""
     from repro.recovery import head_to_head, head_to_head_rows, run_storm
 
-    _apply_scheduler_env(args)
     if args.head_to_head:
         cache_dir = None
         if args.workers is not None and not getattr(args, "no_cache", False):
@@ -290,7 +285,7 @@ def cmd_recovery(args) -> int:
 
     report = run_storm(
         args.scenario, seed=args.seed, policy=args.policy,
-        num_stripes=args.stripes, scheduler=args.scheduler,
+        num_stripes=args.stripes,
     )
     rows = [[key, str(value)] for key, value in report.summary().items()]
     print(format_table(["metric", "value"], rows))
@@ -307,7 +302,6 @@ def cmd_pipeline(args) -> int:
 
     from repro.pipeline import head_to_head, head_to_head_rows, pipeline_trial
 
-    _apply_scheduler_env(args)
     if args.head_to_head:
         cache_dir = None
         if args.workers is not None and not getattr(args, "no_cache", False):
@@ -417,35 +411,6 @@ def cmd_cache(args) -> int:
 # ----------------------------------------------------------------------
 # Parser assembly
 # ----------------------------------------------------------------------
-def _apply_scheduler_env(args) -> None:
-    """Export ``--scheduler`` to ``$REPRO_SIM_SCHEDULER`` for this run.
-
-    Head-to-head grids run through the sweep executor, whose worker
-    processes inherit the environment — exporting reaches every
-    ``Simulator`` the command constructs (directly or in workers)
-    without widening the picklable trial configs.
-    """
-    if getattr(args, "scheduler", None):
-        import os
-
-        from repro.sim.scheduler import SCHEDULER_ENV
-
-        os.environ[SCHEDULER_ENV] = args.scheduler
-
-
-def _add_scheduler_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.scheduler import SCHEDULER_NAMES
-
-    parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULER_NAMES,
-        default=None,
-        help="simulation-kernel event scheduler (default: "
-        "$REPRO_SIM_SCHEDULER, else heap); heap and calendar produce "
-        "byte-identical results — calendar wins past ~10^6 pending events",
-    )
-
-
 def _add_workers_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
@@ -508,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("--stripes-per-process", type=int, default=10)
         p.add_argument("--seeds", type=int, default=2)
-        _add_scheduler_argument(p)
         _add_workers_arguments(p)
         p.set_defaults(func=func)
 
@@ -547,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=1,
         help="with --head-to-head: seeds per grid cell",
     )
-    _add_scheduler_argument(p)
     _add_workers_arguments(p)
     p.set_defaults(func=cmd_recovery)
 
@@ -581,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit raw trial results as JSON instead of a table",
     )
-    _add_scheduler_argument(p)
     _add_workers_arguments(p)
     p.set_defaults(func=cmd_pipeline)
 

@@ -85,10 +85,6 @@ class TestbedConfig:
     num_map_tasks: int = 12
     slots_per_node: int = 4
     disk: Optional[DiskModel] = field(default_factory=DiskModel)
-    #: Simulation-kernel event scheduler ("heap" or "calendar"); ``None``
-    #: defers to ``$REPRO_SIM_SCHEDULER``.  Results are
-    #: scheduler-independent by construction.
-    scheduler: Optional[str] = None
 
     def scheme(self) -> ReplicationScheme:
         """The replication scheme implied by the replica settings."""
@@ -140,10 +136,6 @@ class LargeScaleConfig:
     background_rate: float = 1.0
     background_cross_fraction: float = 0.5
     block_size: int = DEFAULT_BLOCK_SIZE
-    #: Simulation-kernel event scheduler ("heap" or "calendar"); ``None``
-    #: defers to ``$REPRO_SIM_SCHEDULER``.  Results are
-    #: scheduler-independent by construction.
-    scheduler: Optional[str] = None
 
     def scheme(self) -> ReplicationScheme:
         """The replication scheme implied by the replica settings."""

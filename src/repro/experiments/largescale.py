@@ -126,7 +126,6 @@ def run_largescale(
         block_size=config.block_size,
         ear_c=config.ear_c,
         ear_target_racks=config.ear_target_racks,
-        scheduler=config.scheduler,
     )
     populate_until_sealed(setup, config.total_stripes)
     sealed = setup.namenode.sealed_stripes()[: config.total_stripes]

@@ -110,15 +110,8 @@ def build_cluster(
     journal=None,
     strategy: str = StrategyName.DOWNLOAD,
     pipeline_chunks: int = 4,
-    scheduler=None,
 ) -> ClusterSetup:
     """Assemble a ready-to-run simulated cluster for one policy and seed.
-
-    ``scheduler`` picks the kernel's event scheduler (``"heap"``,
-    ``"calendar"``, or a :mod:`repro.sim.scheduler` instance); ``None``
-    defers to ``$REPRO_SIM_SCHEDULER``.  Both built-in schedulers keep
-    the exact ``(time, seq)`` event order, so results never depend on
-    the choice — only wall-clock does.
 
     With a ``retry`` policy the stack becomes fault-tolerant end to end:
     the encoder and RaidNode retry aborted transfers under it, and the
@@ -139,7 +132,7 @@ def build_cluster(
     exhausts.
     """
     rng = random.Random(seed)
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     network = Network(sim, topology, disk=disk)
     policy = make_policy(
         policy_name, topology, code, scheme, rng,

@@ -65,7 +65,6 @@ def _testbed_setup(
         disk=config.disk,
         block_size=config.block_size,
         slots_per_node=config.slots_per_node,
-        scheduler=config.scheduler,
     )
 
 

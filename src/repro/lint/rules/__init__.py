@@ -12,7 +12,6 @@ from repro.lint.rules import (
     hygiene,
     journal,
     resources,
-    simkernel,
 )
 from repro.lint.project import (
     rules_jrn,
@@ -27,7 +26,6 @@ __all__ = [
     "hygiene",
     "journal",
     "resources",
-    "simkernel",
     "rules_jrn",
     "rules_par",
     "rules_sim",

@@ -108,7 +108,6 @@ def build_storm_cluster(
     journal=None,
     strategy: str = "download",
     pipeline_chunks: int = 4,
-    scheduler=None,
 ) -> StormCluster:
     """Assemble a cluster with the full recovery stack, from one seed.
 
@@ -146,7 +145,6 @@ def build_storm_cluster(
         block_size=block_size, ear_c=ear_c,
         retry=STORM_RETRY, resilience=resilience, journal=journal,
         strategy=strategy, pipeline_chunks=pipeline_chunks,
-        scheduler=scheduler,
     )
     populate_until_sealed(setup, num_stripes)
     stripes = setup.namenode.sealed_stripes()[:num_stripes]

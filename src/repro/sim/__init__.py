@@ -25,21 +25,12 @@ from repro.sim.metrics import (
 )
 from repro.sim.netsim import DiskModel, Network, TransferStats
 from repro.sim.resources import MultiResource, Resource
-from repro.sim.scheduler import (
-    SCHEDULER_ENV,
-    SCHEDULER_NAMES,
-    CalendarScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
 from repro.sim.sources import exponential_sizes, poisson_arrivals
 from repro.sim.trace import Tracer, TransferTrace
 
 __all__ = [
-    "CalendarScheduler",
     "Counter",
     "DiskModel",
-    "HeapScheduler",
     "Histogram",
     "Interrupt",
     "MultiResource",
@@ -47,8 +38,6 @@ __all__ = [
     "Process",
     "Resource",
     "ResponseTimeStats",
-    "SCHEDULER_ENV",
-    "SCHEDULER_NAMES",
     "SimulationError",
     "Simulator",
     "ThroughputMeter",
@@ -57,6 +46,5 @@ __all__ = [
     "TransferStats",
     "TransferTrace",
     "exponential_sizes",
-    "make_scheduler",
     "poisson_arrivals",
 ]

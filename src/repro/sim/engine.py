@@ -19,12 +19,12 @@ Example:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.metrics import PERF
-from repro.sim.scheduler import make_scheduler
 
 
 class SimulationError(RuntimeError):
@@ -155,8 +155,8 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         super().__init__(sim)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
+            raise SimulationError(f"negative or NaN timeout delay {delay}")
         self._triggered = True
         self.value = value
         sim._schedule(delay, self)
@@ -320,13 +320,10 @@ class Process(Event):
 class Simulator:
     """The event queue and clock.
 
-    Args:
-        scheduler: ``None`` (consult ``$REPRO_SIM_SCHEDULER``, default the
-            binary heap), a name from
-            :data:`~repro.sim.scheduler.SCHEDULER_NAMES`, or a scheduler
-            instance.  Both built-in schedulers honour the exact
-            ``(time, seq)`` total order, so the choice changes wall-clock
-            behaviour only — never results.
+    Pending events sit in one binary heap of ``(time, seq, event)``
+    triples; ``seq`` is a per-simulator counter, so the total order is
+    ``(time, seq)`` and events scheduled for the same instant fire in
+    the order they were scheduled.
 
     Example:
         >>> sim = Simulator()
@@ -345,9 +342,9 @@ class Simulator:
     #: small enough that a burst can never pin memory afterwards.
     POOL_CAP = 4096
 
-    def __init__(self, scheduler=None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._scheduler = make_scheduler(scheduler)
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         # Free lists for the kernel's dominant allocation sites.  Events
         # flagged _recycle return here right after their callbacks run;
@@ -365,11 +362,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time, in seconds."""
         return self._now
-
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the active scheduler ("heap", "calendar", ...)."""
-        return getattr(self._scheduler, "name", type(self._scheduler).__name__)
 
     # ------------------------------------------------------------------
     # Factories
@@ -394,8 +386,8 @@ class Simulator:
             timeout = Timeout(self, delay, value)
             timeout._recycle = True
             return timeout
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN timeout delay {delay}")
         timeout = pool.pop()
         self._recycled += 1
         if self._pool_debug:
@@ -429,18 +421,15 @@ class Simulator:
         Events scheduled exactly at ``until`` still run; the clock never
         exceeds ``until`` when it is given.
         """
-        # Hot loop: hoist the scheduler pop, the counter bump and the
-        # pool release out of the attribute-lookup path — this loop runs
-        # once per simulated event across every experiment.
-        pop_until = self._scheduler.pop_until
+        # Hot loop: hoist the queue, the heap pop, the counter bump and
+        # the pool release out of the attribute-lookup path — this loop
+        # runs once per simulated event across every experiment.
+        queue = self._queue
+        pop = heapq.heappop
         bump = PERF.bump
         release = self._release_event
-        while True:
-            entry = pop_until(until)
-            if entry is None:
-                break
-            time, __, event = entry
-            self._now = time
+        while queue and (until is None or queue[0][0] <= until):
+            self._now, __, event = pop(queue)
             bump("sim.events")
             event._process()  # noqa: SLF001 - kernel internal
             if event._recycle:
@@ -450,11 +439,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event; returns False when the queue is empty."""
-        entry = self._scheduler.pop_until(None)
-        if entry is None:
+        if not self._queue:
             return False
-        time, __, event = entry
-        self._now = time
+        self._now, __, event = heapq.heappop(self._queue)
         PERF.bump("sim.events")
         event._process()  # noqa: SLF001 - kernel internal
         if event._recycle:
@@ -463,7 +450,7 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or ``None`` when idle."""
-        return self._scheduler.peek_time()
+        return self._queue[0][0] if self._queue else None
 
     # ------------------------------------------------------------------
     # Event pools
@@ -530,4 +517,4 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _schedule(self, delay: float, event: Event) -> None:
-        self._scheduler.push(self._now + delay, next(self._seq), event)
+        heapq.heappush(self._queue, (self._now + delay, next(self._seq), event))

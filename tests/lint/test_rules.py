@@ -129,22 +129,6 @@ CASES = {
             "        return 'x'\n"
         ),
     ),
-    "SIM105": Case(
-        bad=(
-            "import heapq\n"
-            "\n"
-            "def push(queue, time, seq, event):\n"
-            "    heapq.heappush(queue, (time, seq, event))\n"
-        ),
-        bad_line=1,
-        good=(
-            "from repro.sim.scheduler import make_scheduler\n"
-            "\n"
-            "def push(scheduler, time, seq, event):\n"
-            "    scheduler.push(time, seq, event)\n"
-        ),
-        path="src/repro/sim/x.py",
-    ),
     "JRN001": Case(
         bad=(
             "from dataclasses import dataclass\n"
@@ -263,24 +247,6 @@ class TestDet002Details:
     def test_aliased_import(self):
         src = "import time as clock\nt = clock.monotonic()\n"
         assert findings_for("DET002", src, "src/repro/faults/x.py")
-
-
-class TestSim105Details:
-    def test_scheduler_module_is_exempt(self):
-        src = "import heapq\nheapq.heapify([])\n"
-        assert not findings_for("SIM105", src, "src/repro/sim/scheduler.py")
-
-    def test_from_import_flagged(self):
-        src = "from heapq import heappush\n"
-        assert findings_for("SIM105", src, "src/repro/sim/engine.py")
-
-    def test_outside_sim_paths_ignored(self):
-        src = "import heapq\nheapq.heapify([])\n"
-        assert not findings_for("SIM105", src, "src/repro/erasure/codec.py")
-
-    def test_tests_under_sim_are_covered(self):
-        src = "import heapq\n"
-        assert findings_for("SIM105", src, "tests/sim/test_engine.py")
 
 
 class TestDet003Details:
