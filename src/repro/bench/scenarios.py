@@ -43,15 +43,11 @@ class Scenario:
 
 
 def _random_blocks(rng: random.Random, count: int, size: int) -> List[bytes]:
-    return [
-        bytes(rng.randrange(256) for __ in range(size)) for __ in range(count)
-    ]
+    return [rng.randbytes(size) for __ in range(count)]
 
 
 def _random_array(rng: random.Random, size: int) -> np.ndarray:
-    return np.frombuffer(
-        bytes(rng.randrange(256) for __ in range(size)), dtype=np.uint8
-    ).copy()
+    return np.frombuffer(rng.randbytes(size), dtype=np.uint8).copy()
 
 
 # ----------------------------------------------------------------------
@@ -123,9 +119,7 @@ def _rs_encode_vs_scalar(n: int, k: int, block: int):
             parity = codec.encode(data)
         shards = codec._stack(data, expected=k)
         with measure_ops() as scalar:
-            reference = gfm.apply_to_shards_scalar(
-                codec._generator[k:, :], shards
-            )
+            reference = gfm.apply_to_shards_scalar(codec.parity_rows, shards)
         if [row.tobytes() for row in reference] != parity:
             raise AssertionError("batched encode diverged from scalar oracle")
         calls_batched = batched.get("gf.kernel_calls")
@@ -209,16 +203,11 @@ def _lrc_local_repair(k: int, groups: int, global_parities: int, block: int):
 # Streaming data plane
 # ----------------------------------------------------------------------
 def _stream_encode_throughput(
-    payload_bytes: int, chunk_sizes: List[int], speedup_chunk: int,
-    n: int, k: int,
+    payload_bytes: int, chunk_sizes: List[int], n: int, k: int
 ):
-    """Streaming encode MB/s per chunk size, plus the numpy-vs-scalar gap.
+    """Streaming encode MB/s per chunk size.
 
-    Throughput over the payload is measured with the numpy backend at each
-    chunk size; the backend comparison encodes one full stripe of
-    ``k * speedup_chunk`` bytes with both backends, asserts byte-identity
-    (the scalar path is the oracle), and reports the wall-clock speedup.
-    Non-``wall_`` metrics (chunk/stripe counts) are exact.
+    Non-``wall_`` metrics (stripe counts) are exact.
     """
 
     def run(rng: random.Random) -> Dict[str, float]:
@@ -230,9 +219,7 @@ def _stream_encode_throughput(
         metrics: Dict[str, float] = {"payload_bytes": float(payload_bytes)}
         for chunk_size in chunk_sizes:
             start = time.perf_counter()
-            encoded = stream_encode(
-                payload, n=n, k=k, chunk_size=chunk_size, backend="numpy"
-            )
+            encoded = stream_encode(payload, n=n, k=k, chunk_size=chunk_size)
             elapsed = time.perf_counter() - start
             mb = payload_bytes / float(1 << 20)
             metrics[f"wall_mb_per_s_numpy_c{chunk_size}"] = mb / max(
@@ -241,29 +228,6 @@ def _stream_encode_throughput(
             metrics[f"stripes_c{chunk_size}"] = float(
                 encoded.meta.num_stripes
             )
-        stripe_payload = rng.randbytes(k * speedup_chunk)
-        start = time.perf_counter()
-        fast = stream_encode(
-            stripe_payload, n=n, k=k, chunk_size=speedup_chunk,
-            backend="numpy",
-        )
-        wall_numpy = time.perf_counter() - start
-        start = time.perf_counter()
-        oracle = stream_encode(
-            stripe_payload, n=n, k=k, chunk_size=speedup_chunk,
-            backend="scalar",
-        )
-        wall_scalar = time.perf_counter() - start
-        if fast.shards != oracle.shards:
-            raise AssertionError(
-                "numpy streaming encode diverged from the scalar oracle"
-            )
-        metrics["speedup_chunk_bytes"] = float(speedup_chunk)
-        metrics["wall_numpy_s"] = wall_numpy
-        metrics["wall_scalar_s"] = wall_scalar
-        metrics["wall_speedup_numpy_vs_scalar"] = wall_scalar / max(
-            wall_numpy, 1e-9
-        )
         return metrics
 
     return run
@@ -277,8 +241,7 @@ def _stream_decode_throughput(
     Each pass encodes the payload, discards the ``n - k`` lowest-index
     shards (the worst case: every survivor row needs the inverted decode
     matrix), stream-decodes from the survivors, and asserts the payload
-    round-trips.  A scalar-backend decode of the smallest-chunk stream
-    double-checks backend identity on the decode path.
+    round-trips.
     """
 
     def run(rng: random.Random) -> Dict[str, float]:
@@ -290,29 +253,16 @@ def _stream_decode_throughput(
         lost = list(range(n - k))
         metrics: Dict[str, float] = {"payload_bytes": float(payload_bytes)}
         for chunk_size in chunk_sizes:
-            encoded = stream_encode(
-                payload, n=n, k=k, chunk_size=chunk_size, backend="numpy"
-            )
+            encoded = stream_encode(payload, n=n, k=k, chunk_size=chunk_size)
             survivors = encoded.available(exclude=lost)
             start = time.perf_counter()
-            decoded = stream_decode(survivors, encoded.meta, backend="numpy")
+            decoded = stream_decode(survivors, encoded.meta)
             elapsed = time.perf_counter() - start
             if decoded != payload:
                 raise AssertionError("stream decode did not round-trip")
             mb = payload_bytes / float(1 << 20)
             metrics[f"wall_mb_per_s_numpy_c{chunk_size}"] = mb / max(
                 elapsed, 1e-9
-            )
-        small = payload[: k * min(chunk_sizes)]
-        encoded = stream_encode(
-            small, n=n, k=k, chunk_size=min(chunk_sizes), backend="numpy"
-        )
-        survivors = encoded.available(exclude=lost)
-        if stream_decode(
-            survivors, encoded.meta, backend="scalar"
-        ) != small:
-            raise AssertionError(
-                "scalar streaming decode diverged from the numpy path"
             )
         metrics["shards_lost"] = float(len(lost))
         return metrics
@@ -338,9 +288,7 @@ def _stream_repair_throughput(
         metrics: Dict[str, float] = {"payload_bytes": float(payload_bytes)}
         repaired_chunks = 0
         for chunk_size in chunk_sizes:
-            encoded = stream_encode(
-                payload, n=n, k=k, chunk_size=chunk_size, backend="numpy"
-            )
+            encoded = stream_encode(payload, n=n, k=k, chunk_size=chunk_size)
             repaired_bytes = 0
             start = time.perf_counter()
             for target in (0, n - 1):
@@ -348,7 +296,6 @@ def _stream_repair_throughput(
                     target,
                     encoded.available(exclude=[target]),
                     encoded.meta,
-                    backend="numpy",
                 )
                 if rebuilt != encoded.shards[target]:
                     raise AssertionError(
@@ -808,14 +755,13 @@ def _lint_whole_program(files: int, funcs: int):
 def _pipeline_encode_throughput(
     block_bytes: int, chunk_sizes: List[int], n: int, k: int,
 ):
-    """Hop-ordered pipelined parity MB/s per chunk size, plus oracles.
+    """Hop-ordered pipelined parity MB/s per chunk size.
 
     Every measured pass folds the ``k`` blocks in a shuffled hop order
     and asserts byte-identity against the whole-stripe
     ``codec.encode`` — the invariant the pipelined transition strategy
-    rests on.  At the smallest chunk size the scalar backend is run as a
-    second oracle.  Non-``wall_`` metrics (hop counts, GF kernel calls)
-    are exact.
+    rests on.  Non-``wall_`` metrics (hop counts, GF kernel calls) are
+    exact.
     """
 
     def run(rng: random.Random) -> Dict[str, float]:
@@ -835,8 +781,7 @@ def _pipeline_encode_throughput(
             with measure_ops() as measured:
                 start = time.perf_counter()
                 parity = pipelined_parity(
-                    blocks, codec, hop_order=order,
-                    chunk_size=chunk_size, backend="numpy",
+                    blocks, codec, hop_order=order, chunk_size=chunk_size
                 )
                 elapsed = time.perf_counter() - start
             if [bytes(p) for p in parity] != expected:
@@ -852,19 +797,6 @@ def _pipeline_encode_throughput(
             metrics[f"hops_c{chunk_size}"] = float(
                 measured.get("pipeline.hops")
             )
-        order = list(range(k))
-        rng.shuffle(order)
-        start = time.perf_counter()
-        oracle = pipelined_parity(
-            blocks, codec, hop_order=order,
-            chunk_size=min(chunk_sizes), backend="scalar",
-        )
-        wall_scalar = time.perf_counter() - start
-        if [bytes(p) for p in oracle] != expected:
-            raise AssertionError(
-                "scalar pipelined parity diverged from whole-stripe encode"
-            )
-        metrics["wall_scalar_s"] = wall_scalar
         return metrics
 
     return run
@@ -951,9 +883,6 @@ def builtin_scenarios(smoke: bool = False) -> List[Scenario]:
     journal_records = 200 if smoke else 2000
     stream_payload = 1 << 18 if smoke else 1 << 22
     stream_chunks = [1 << 14, 1 << 16] if smoke else [1 << 16, 1 << 18, 1 << 20]
-    # The backend shoot-out encodes one full (6, 4) stripe at this chunk
-    # size with both backends; the pure-Python oracle bounds the budget.
-    speedup_chunk = 1 << 16 if smoke else 1 << 20
 
     def scenario(name: str, params: Dict[str, object], fn) -> Scenario:
         return Scenario(name=f"micro.{name}", group="micro", params=params, fn=fn)
@@ -1017,11 +946,8 @@ def builtin_scenarios(smoke: bool = False) -> List[Scenario]:
                 "k": 4,
                 "payload_bytes": stream_payload,
                 "chunk_sizes": list(stream_chunks),
-                "speedup_chunk_bytes": speedup_chunk,
             },
-            _stream_encode_throughput(
-                stream_payload, stream_chunks, speedup_chunk, 6, 4
-            ),
+            _stream_encode_throughput(stream_payload, stream_chunks, 6, 4),
         ),
         scenario(
             "stream_decode",

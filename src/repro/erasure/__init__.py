@@ -8,14 +8,18 @@ byte-level implementations built from scratch:
   tables, vectorised over numpy arrays.
 * :mod:`repro.erasure.matrix` — matrix algebra (multiply, invert) over the
   field.
-* :mod:`repro.erasure.reed_solomon` — systematic Vandermonde-derived RS.
-* :mod:`repro.erasure.cauchy` — systematic Cauchy Reed-Solomon.
-* :mod:`repro.erasure.codec` — the ``ErasureCodec`` interface plus stripe
-  helpers (encode k data blocks -> n-k parity blocks; reconstruct from any k).
+* :mod:`repro.erasure.reed_solomon` — the systematic Vandermonde-derived RS
+  generator matrix.
+* :mod:`repro.erasure.cauchy` — the systematic Cauchy RS generator matrix.
+* :mod:`repro.erasure.codec` — the ``ErasureCodec`` interface (encode k data
+  blocks -> n-k parity blocks; reconstruct from any k) and the one place
+  that plans a decode or repair: which survivors, which coefficient matrix,
+  one LRU of inverted decode matrices for RS, Cauchy and LRC alike.
 * :mod:`repro.erasure.stream` — the chunked streaming data plane: fixed-size
   chunk iterators, fused multiply-XOR accumulation into preallocated parity
-  buffers, numpy/scalar backends (``REPRO_GF_BACKEND``), multi-process
-  stripe sharding, and the cluster :class:`StreamingDataPlane`.
+  buffers (one numpy path, pinned against the per-coefficient reference
+  :func:`repro.erasure.matrix.apply_to_shards_scalar`), one block-view
+  encoder taking a fold order, and the cluster :class:`StreamingDataPlane`.
 """
 
 from repro.erasure.codec import (
@@ -33,9 +37,7 @@ from repro.erasure.stream import (
     EncodedStream,
     StreamingDataPlane,
     StreamMeta,
-    encode_blocks_streaming,
-    resolve_backend,
-    sharded_stream_encode,
+    encode_blocks,
     stream_decode,
     stream_encode,
     stream_repair,
@@ -43,7 +45,7 @@ from repro.erasure.stream import (
 
 
 def reset_memo_caches() -> None:
-    """Clear the process-local generator/decode matrix memo caches.
+    """Clear the process-local generator matrix memo caches.
 
     Matrix construction is counted work (``gf.kernel_calls`` etc.), so a
     measured region's op counts depend on whether an *earlier* computation
@@ -56,9 +58,7 @@ def reset_memo_caches() -> None:
     from repro.erasure import cauchy, reed_solomon
 
     reed_solomon.generator_matrix.cache_clear()
-    reed_solomon.decode_matrix.cache_clear()
     cauchy.generator_matrix.cache_clear()
-    cauchy.decode_matrix.cache_clear()
 
 
 __all__ = [
@@ -72,11 +72,9 @@ __all__ = [
     "StreamMeta",
     "StreamTrailer",
     "StreamingDataPlane",
-    "encode_blocks_streaming",
+    "encode_blocks",
     "make_codec",
     "reset_memo_caches",
-    "resolve_backend",
-    "sharded_stream_encode",
     "stream_decode",
     "stream_encode",
     "stream_repair",

@@ -11,7 +11,7 @@ needed.  The paper cites Cauchy RS [3] as one of the erasure codes CFSes use.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -52,49 +52,6 @@ def generator_matrix(n: int, k: int) -> np.ndarray:
     return generator
 
 
-def build_generator_matrix(n: int, k: int) -> np.ndarray:
-    """A fresh, writable ``n x k`` generator: identity on a Cauchy matrix."""
-    return generator_matrix(n, k).copy()
-
-
-@lru_cache(maxsize=256)
-def decode_matrix(n: int, k: int, indices: Tuple[int, ...]) -> np.ndarray:
-    """Cached, read-only decode matrix keyed by (n, k, erasure pattern)."""
-    matrix = gfm.invert(generator_matrix(n, k)[list(indices), :])
-    matrix.setflags(write=False)
-    return matrix
-
-
 def parity_matrix(n: int, k: int) -> np.ndarray:
     """The ``(n - k) x k`` Cauchy parity matrix."""
     return generator_matrix(n, k)[k:, :]
-
-
-def encode(data_shards: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Compute ``n - k`` Cauchy RS parity shards for ``k`` data shards."""
-    data_shards = np.asarray(data_shards, dtype=np.uint8)
-    if data_shards.ndim != 2 or data_shards.shape[0] != k:
-        raise ValueError(f"expected {k} data shards, got shape {data_shards.shape}")
-    return gfm.apply_to_shards(parity_matrix(n, k), data_shards)
-
-
-def decode(
-    available_shards: np.ndarray,
-    available_indices: Sequence[int],
-    n: int,
-    k: int,
-) -> np.ndarray:
-    """Reconstruct the ``k`` data shards from any ``k`` surviving shards."""
-    indices = list(available_indices)
-    if len(indices) != k or len(set(indices)) != k:
-        raise ValueError(f"need exactly k={k} distinct shard indices, got {indices}")
-    if not all(0 <= i < n for i in indices):
-        raise ValueError(f"shard indices must lie in [0, {n}), got {indices}")
-    available_shards = np.asarray(available_shards, dtype=np.uint8)
-    if available_shards.shape[0] != k:
-        raise ValueError(
-            f"expected {k} shard rows, got shape {available_shards.shape}"
-        )
-    return gfm.apply_to_shards(
-        decode_matrix(n, k, tuple(indices)), available_shards
-    )

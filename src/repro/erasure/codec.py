@@ -11,11 +11,12 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.erasure import cauchy, reed_solomon
+from repro.erasure import matrix as gfm
 from repro.sim.metrics import PERF
 
 #: Decode matrices retained per codec instance, keyed by erasure pattern.
@@ -197,11 +198,14 @@ class CodeParams:
 class ErasureCodec:
     """A systematic (n, k) erasure codec operating on lists of byte blocks.
 
-    Subclasses supply the parity matrix; this base class handles padding,
-    shard stacking, and the encode/decode/repair workflows.
+    Subclasses supply the generator matrix; this base class handles padding,
+    shard stacking, the encode/decode/repair workflows, and the one decision
+    every decode path shares — which survivors, and which coefficient
+    matrix, rebuild the data (:meth:`decode_plan`) or a single shard
+    (:meth:`repair_plan`).
 
     Args:
-        params: The ``(n, k)`` code parameters.
+        params: The code parameters (anything with ``n`` and ``k``).
     """
 
     #: Human-readable scheme name, overridden by subclasses.
@@ -210,7 +214,7 @@ class ErasureCodec:
     def __init__(self, params: CodeParams) -> None:
         self.params = params
         self._generator = self._build_generator(params.n, params.k)
-        # LRU of decode matrices keyed by the surviving-shard pattern: a
+        # LRU of decode matrices keyed by the chosen survivor rows: a
         # burst of repairs after a node/rack failure hits the same pattern
         # for every affected stripe and inverts the k x k system once.
         self._decode_cache: "OrderedDict[Tuple[int, ...], np.ndarray]" = (
@@ -221,7 +225,22 @@ class ErasureCodec:
     def _build_generator(self, n: int, k: int) -> np.ndarray:
         raise NotImplementedError
 
-    # -- caching --------------------------------------------------------
+    # -- coefficients and planning ----------------------------------------
+    @property
+    def parity_rows(self) -> np.ndarray:
+        """The ``(n - k, k)`` parity coefficients (generator below the
+        identity)."""
+        return self._generator[self.params.k :, :]
+
+    def _survivors(self, indices: Collection[int]) -> Tuple[int, ...]:
+        """Sorted survivor indices, each checked to lie inside the stripe."""
+        ordered = tuple(sorted(indices))
+        n = self.params.n
+        for index in ordered:
+            if not 0 <= index < n:
+                raise ValueError(f"shard index {index} outside [0, {n})")
+        return ordered
+
     def _decode_matrix(self, chosen: Tuple[int, ...]) -> np.ndarray:
         """The (cached) inverse of the chosen survivors' generator rows."""
         cached = self._decode_cache.get(chosen)
@@ -230,14 +249,53 @@ class ErasureCodec:
             PERF.bump("codec.decode_matrix_hits")
             return cached
         PERF.bump("codec.decode_matrix_misses")
-        from repro.erasure import matrix as gfm
-
         matrix = gfm.invert(self._generator[list(chosen), :])
         matrix.setflags(write=False)
         self._decode_cache[chosen] = matrix
         if len(self._decode_cache) > DECODE_CACHE_SIZE:
             self._decode_cache.popitem(last=False)
         return matrix
+
+    def decode_plan(
+        self, indices: Collection[int]
+    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """Which survivors rebuild the data, and with which matrix.
+
+        Args:
+            indices: Stripe indices of the surviving shards (at least ``k``).
+
+        Returns:
+            ``(chosen, matrix)``: the ``k`` survivors to read, and the
+            read-only ``(k, k)`` matrix that maps their shards — stacked in
+            that order — back to the data shards.
+
+        Raises:
+            ValueError: On an index outside ``[0, n)`` or fewer than ``k``
+                survivors.
+        """
+        k = self.params.k
+        survivors = self._survivors(indices)
+        if len(survivors) < k:
+            raise ValueError(
+                f"need at least k={k} blocks, got {len(survivors)}"
+            )
+        chosen = survivors[:k]
+        return chosen, self._decode_matrix(chosen)
+
+    def repair_plan(
+        self, target: int, indices: Collection[int]
+    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """Which survivors rebuild shard ``target``, and with which row.
+
+        Returns:
+            ``(sources, row)``: the survivors to read and the
+            ``(1, len(sources))`` coefficient row over them.
+        """
+        if not 0 <= target < self.params.n:
+            raise ValueError(f"target index {target} outside the stripe")
+        chosen, decode_matrix = self.decode_plan(indices)
+        generator_row = self._generator[target : target + 1, :]
+        return chosen, gfm.matmul(generator_row, decode_matrix)
 
     # -- public API -----------------------------------------------------
     def encode(
@@ -262,14 +320,13 @@ class ErasureCodec:
             the longest data block when ``length`` is omitted).
         """
         shards = self._stack(data_blocks, expected=self.params.k, length=length)
-        parity_rows = self._generator[self.params.k :, :]
-        parity = self._apply(parity_rows, shards)
+        parity = gfm.apply_to_shards(self.parity_rows, shards)
         return [row.tobytes() for row in parity]
 
     def decode(
         self, available: Dict[int, bytes], original_lengths: Optional[Sequence[int]] = None
     ) -> List[bytes]:
-        """Reconstruct all ``k`` data blocks from any ``k`` surviving blocks.
+        """Reconstruct all ``k`` data blocks from a decodable survivor set.
 
         Args:
             available: Mapping stripe-index -> block bytes; must contain at
@@ -280,13 +337,9 @@ class ErasureCodec:
         Returns:
             The ``k`` data blocks in stripe order.
         """
-        if len(available) < self.params.k:
-            raise ValueError(
-                f"need at least k={self.params.k} blocks, got {len(available)}"
-            )
-        chosen = sorted(available)[: self.params.k]
+        chosen, decode_matrix = self.decode_plan(available)
         shards = self._stack([available[i] for i in chosen], expected=self.params.k)
-        data = self._apply(self._decode_matrix(tuple(chosen)), shards)
+        data = gfm.apply_to_shards(decode_matrix, shards)
         blocks = [row.tobytes() for row in data]
         if original_lengths is not None:
             if len(original_lengths) != self.params.k:
@@ -295,7 +348,7 @@ class ErasureCodec:
         return blocks
 
     def reconstruct(self, target_index: int, available: Dict[int, bytes]) -> bytes:
-        """Repair one lost block (data or parity) from any ``k`` survivors."""
+        """Repair one lost block (data or parity) by a full decode."""
         if not 0 <= target_index < self.params.n:
             raise ValueError(f"target index {target_index} outside stripe")
         data = self.decode(available)
@@ -303,7 +356,7 @@ class ErasureCodec:
             return data[target_index]
         shards = self._stack(data, expected=self.params.k)
         row = self._generator[target_index : target_index + 1, :]
-        return self._apply(row, shards)[0].tobytes()
+        return gfm.apply_to_shards(row, shards)[0].tobytes()
 
     def verify(self, blocks: Dict[int, bytes]) -> bool:
         """Check that a full stripe is internally consistent.
@@ -352,12 +405,6 @@ class ErasureCodec:
         for i, b in enumerate(blocks):
             out[i, : len(b)] = np.frombuffer(bytes(b), dtype=np.uint8)
         return out
-
-    @staticmethod
-    def _apply(coeffs: np.ndarray, shards: np.ndarray) -> np.ndarray:
-        from repro.erasure import matrix as gfm
-
-        return gfm.apply_to_shards(coeffs, shards)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(params={self.params})"

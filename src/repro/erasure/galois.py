@@ -66,12 +66,6 @@ def _build_mul_table() -> np.ndarray:
 
 _MUL_TABLE = _build_mul_table()
 
-#: Rows of the multiplication table as immutable ``bytes`` — the pure-Python
-#: streaming backend indexes ``row[byte]`` in a tight loop, and a ``bytes``
-#: row avoids a numpy scalar boxing per byte.
-_MUL_ROWS = tuple(bytes(_MUL_TABLE[value]) for value in range(256))
-
-
 class GF256:
     """Arithmetic in GF(2^8).
 
@@ -148,19 +142,6 @@ class GF256:
         the log/antilog pair.
         """
         return _MUL_TABLE
-
-    @staticmethod
-    def mul_row(scalar: int) -> bytes:
-        """Row ``scalar`` of the multiplication table as read-only ``bytes``.
-
-        ``mul_row(a)[b] == mul(a, b)`` for every field element ``b``.  The
-        scalar streaming backend (:mod:`repro.erasure.stream`) walks this row
-        byte-by-byte; keeping it as ``bytes`` means each lookup is a plain
-        ``list``-style index with no numpy scalar round-trip.
-        """
-        if not 0 <= scalar < 256:
-            raise ValueError(f"scalar {scalar} outside GF(2^8)")
-        return _MUL_ROWS[scalar]
 
     @staticmethod
     def mul_array(scalar: int, data: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,11 +95,15 @@ class LRCParams:
         return f"LRC({self.k},{self.local_groups},{self.global_parities})"
 
 
-class LocalReconstructionCodec:
+class LocalReconstructionCodec(ErasureCodec):
     """Azure-style LRC over GF(2^8) with byte-level encode/decode/repair.
 
     Block layout within a stripe: indices ``0..k-1`` are data, ``k..k+l-1``
     the local parities (one per group), ``k+l..n-1`` the global parities.
+    Encode, decode and verify are the base codec's; what differs is the
+    planning — an LRC is not MDS, so :meth:`decode_plan` searches for a
+    full-rank survivor subset, and :meth:`repair_plan` prefers the local
+    group's all-ones XOR row.
 
     Example:
         >>> codec = LocalReconstructionCodec(LRCParams(4, 2, 2))
@@ -108,30 +112,28 @@ class LocalReconstructionCodec:
         4
     """
 
+    scheme = "lrc"
+
     def __init__(self, params: LRCParams) -> None:
-        self.params = params
-        self._generator = self._build_generator()
-        # Caches keyed by the survivor pattern: the invertible-subset search
-        # is combinatorial in the worst case and the k x k inversion is the
-        # decode hot spot, so both are LRU-memoised per erasure pattern.
+        super().__init__(params)
+        # The invertible-subset search is combinatorial in the worst case,
+        # so it is LRU-memoised per survivor pattern (the k x k inversion
+        # is memoised by the base class).
         self._subset_cache: "OrderedDict[Tuple[int, ...], Optional[Tuple[int, ...]]]" = (
             OrderedDict()
         )
-        self._decode_cache: "OrderedDict[Tuple[int, ...], np.ndarray]" = (
-            OrderedDict()
-        )
 
-    def _build_generator(self) -> np.ndarray:
+    def _build_generator(self, n: int, k: int) -> np.ndarray:
         p = self.params
-        rows: List[np.ndarray] = [gfm.identity(p.k)]
-        local = np.zeros((p.local_groups, p.k), dtype=np.uint8)
+        rows: List[np.ndarray] = [gfm.identity(k)]
+        local = np.zeros((p.local_groups, k), dtype=np.uint8)
         for group in range(p.local_groups):
             for index in p.group_members(group):
                 local[group, index] = 1  # XOR of the group
         rows.append(local)
         # Global parities: the parity rows of a systematic RS code over the
         # k data blocks (any g of them are independent combinations).
-        rs_parity = reed_solomon.parity_matrix(p.k + p.global_parities, p.k)
+        rs_parity = reed_solomon.parity_matrix(k + p.global_parities, k)
         rows.append(rs_parity)
         return np.concatenate(rows, axis=0)
 
@@ -141,39 +143,34 @@ class LocalReconstructionCodec:
         return self._generator.copy()
 
     # ------------------------------------------------------------------
-    def encode(self, data_blocks: Sequence[bytes]) -> List[bytes]:
-        """Compute the ``l + g`` parity blocks for ``k`` data blocks."""
-        shards = ErasureCodec._stack(data_blocks, expected=self.params.k)
-        parity = gfm.apply_to_shards(self._generator[self.params.k :], shards)
-        return [row.tobytes() for row in parity]
-
-    def decode(self, available: Dict[int, bytes]) -> List[bytes]:
-        """Reconstruct all data blocks from any decodable survivor set.
+    def decode_plan(
+        self, indices: Collection[int]
+    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """A full-rank ``k``-subset of the survivors and its inverse.
 
         Raises:
-            ValueError: If fewer than ``k`` blocks are available, or the
-                available rows are not full rank (the failure pattern is
+            ValueError: If no ``k`` surviving rows are full rank (too few
+                survivors, or a failure pattern that is
                 information-theoretically unrecoverable for this LRC).
         """
-        if len(available) < self.params.k:
-            raise ValueError(
-                f"need at least k={self.params.k} blocks, got {len(available)}"
-            )
-        # Try subsets greedily: the lowest-index k rows usually suffice;
-        # fall back to widening until an invertible subset appears.
-        indices = sorted(available)
-        shards = ErasureCodec._stack(
-            [available[i] for i in indices], expected=len(indices)
-        )
-        subset = self._invertible_subset_cached(tuple(indices))
+        ordered = self._survivors(indices)
+        subset = self._invertible_subset_cached(ordered)
         if subset is None:
             raise ValueError(
                 "failure pattern is unrecoverable for this LRC "
-                f"(survivors: {indices})"
+                f"(survivors: {list(ordered)})"
             )
-        rows = [indices.index(i) for i in subset]
-        data = gfm.apply_to_shards(self._decode_matrix(subset), shards[rows, :])
-        return [row.tobytes() for row in data]
+        return subset, self._decode_matrix(subset)
+
+    def repair_plan(
+        self, target: int, indices: Collection[int]
+    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """The local group and its all-ones XOR row when the whole group
+        survives; the global decode row otherwise."""
+        local = self._local_sources(target, indices)
+        if local is not None:
+            return tuple(local), np.ones((1, len(local)), dtype=np.uint8)
+        return super().repair_plan(target, indices)
 
     def repair(
         self, lost_index: int, available: Dict[int, bytes]
@@ -187,8 +184,8 @@ class LocalReconstructionCodec:
             decode.
         """
         p = self.params
-        local = self._local_repair_set(lost_index)
-        if local is not None and all(i in available for i in local):
+        local = self._local_sources(lost_index, available)
+        if local is not None:
             length = max(len(available[i]) for i in local)
             acc = np.zeros(length, dtype=np.uint8)
             for i in local:
@@ -199,23 +196,11 @@ class LocalReconstructionCodec:
             return acc.tobytes(), sorted(local)
 
         data = self.decode(available)
-        shards = ErasureCodec._stack(data, expected=p.k)
+        shards = self._stack(data, expected=p.k)
         row = self._generator[lost_index : lost_index + 1, :]
         rebuilt = gfm.apply_to_shards(row, shards)[0].tobytes()
         used = sorted(available)[: p.k]
         return rebuilt, used
-
-    def verify(self, blocks: Dict[int, bytes]) -> bool:
-        """Check a full stripe's parities against its data blocks."""
-        p = self.params
-        if sorted(blocks) != list(range(p.n)):
-            raise ValueError("verify requires all n blocks of the stripe")
-        expected = self.encode([blocks[i] for i in range(p.k)])
-        length = max(len(b) for b in blocks.values())
-        return all(
-            blocks[p.k + offset].ljust(length, b"\0") == parity
-            for offset, parity in enumerate(expected)
-        )
 
     # ------------------------------------------------------------------
     def repair_cost(self, lost_index: int) -> int:
@@ -230,7 +215,7 @@ class LocalReconstructionCodec:
     def _local_repair_set(self, lost_index: int) -> Optional[List[int]]:
         p = self.params
         if not 0 <= lost_index < p.n:
-            raise ValueError(f"index {lost_index} outside the stripe")
+            raise ValueError(f"target index {lost_index} outside the stripe")
         if lost_index < p.k:
             group = p.group_of(lost_index)
         elif lost_index < p.k + p.local_groups:
@@ -239,6 +224,16 @@ class LocalReconstructionCodec:
             return None  # global parity: needs a global decode
         members = p.group_members(group) + [p.local_parity_index(group)]
         return [i for i in members if i != lost_index]
+
+    def _local_sources(
+        self, target: int, indices: Collection[int]
+    ) -> Optional[List[int]]:
+        """The target's local repair set when every member survives."""
+        survivors = self._survivors(indices)
+        local = self._local_repair_set(target)
+        if local is not None and set(survivors).issuperset(local):
+            return local
+        return None
 
     def _invertible_subset_cached(
         self, indices: Tuple[int, ...]
@@ -255,21 +250,6 @@ class LocalReconstructionCodec:
         if len(self._subset_cache) > DECODE_CACHE_SIZE:
             self._subset_cache.popitem(last=False)
         return result
-
-    def _decode_matrix(self, subset: Tuple[int, ...]) -> np.ndarray:
-        """LRU-cached inverse of the chosen survivors' generator rows."""
-        cached = self._decode_cache.get(subset)
-        if cached is not None:
-            self._decode_cache.move_to_end(subset)
-            PERF.bump("lrc.decode_matrix_hits")
-            return cached
-        PERF.bump("lrc.decode_matrix_misses")
-        matrix = gfm.invert(self._generator[list(subset), :])
-        matrix.setflags(write=False)
-        self._decode_cache[subset] = matrix
-        if len(self._decode_cache) > DECODE_CACHE_SIZE:
-            self._decode_cache.popitem(last=False)
-        return matrix
 
     def _invertible_subset(self, indices: List[int]) -> Optional[List[int]]:
         """Find k available rows forming an invertible matrix."""

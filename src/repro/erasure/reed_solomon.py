@@ -12,7 +12,6 @@ blocks intact.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +24,7 @@ def generator_matrix(n: int, k: int) -> np.ndarray:
 
     Building a generator costs a Vandermonde construction plus a ``k x k``
     inversion, so the result is memoised per ``(n, k)`` and shared; callers
-    that need to mutate it must copy (:func:`build_generator_matrix` does).
+    that need to mutate it must copy.
 
     The first ``k`` rows form the identity; the remaining ``n - k`` rows are
     the parity coefficients.
@@ -47,100 +46,6 @@ def generator_matrix(n: int, k: int) -> np.ndarray:
     return generator
 
 
-def build_generator_matrix(n: int, k: int) -> np.ndarray:
-    """A fresh, writable copy of the ``n x k`` systematic generator matrix."""
-    return generator_matrix(n, k).copy()
-
-
-@lru_cache(maxsize=256)
-def decode_matrix(n: int, k: int, indices: Tuple[int, ...]) -> np.ndarray:
-    """Cached, read-only inverse of the survivors' generator rows.
-
-    Keyed by ``(n, k, erasure pattern)``: repairing many stripes that lost
-    the same shard set (the common case during a rack outage) inverts the
-    ``k x k`` system once.
-    """
-    return _freeze(gfm.invert(generator_matrix(n, k)[list(indices), :]))
-
-
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    matrix.setflags(write=False)
-    return matrix
-
-
 def parity_matrix(n: int, k: int) -> np.ndarray:
     """Just the ``(n - k) x k`` parity rows of the generator matrix."""
     return generator_matrix(n, k)[k:, :]
-
-
-def encode(data_shards: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Compute the ``n - k`` parity shards for ``k`` data shards.
-
-    Args:
-        data_shards: ``(k, L)`` uint8 array, one row per data block.
-        n: Total shards per stripe.
-        k: Data shards per stripe.
-
-    Returns:
-        ``(n - k, L)`` uint8 array of parity shards.
-    """
-    data_shards = np.asarray(data_shards, dtype=np.uint8)
-    if data_shards.ndim != 2 or data_shards.shape[0] != k:
-        raise ValueError(f"expected {k} data shards, got shape {data_shards.shape}")
-    return gfm.apply_to_shards(parity_matrix(n, k), data_shards)
-
-
-def decode(
-    available_shards: np.ndarray,
-    available_indices: Sequence[int],
-    n: int,
-    k: int,
-) -> np.ndarray:
-    """Reconstruct the ``k`` original data shards from any ``k`` survivors.
-
-    Args:
-        available_shards: ``(k, L)`` array of surviving shards (data or
-            parity), one row per shard.
-        available_indices: Stripe index (0..n-1) of each surviving shard;
-            indices < k are data shards, >= k parity shards.
-        n: Total shards per stripe.
-        k: Data shards per stripe.
-
-    Returns:
-        ``(k, L)`` array holding the original data shards in order.
-
-    Raises:
-        ValueError: If fewer/more than ``k`` distinct shard indices are given.
-    """
-    indices = list(available_indices)
-    if len(indices) != k or len(set(indices)) != k:
-        raise ValueError(f"need exactly k={k} distinct shard indices, got {indices}")
-    if not all(0 <= i < n for i in indices):
-        raise ValueError(f"shard indices must lie in [0, {n}), got {indices}")
-    available_shards = np.asarray(available_shards, dtype=np.uint8)
-    if available_shards.shape[0] != k:
-        raise ValueError(
-            f"expected {k} shard rows, got shape {available_shards.shape}"
-        )
-    return gfm.apply_to_shards(
-        decode_matrix(n, k, tuple(indices)), available_shards
-    )
-
-
-def reconstruct_shard(
-    target_index: int,
-    available_shards: np.ndarray,
-    available_indices: Sequence[int],
-    n: int,
-    k: int,
-) -> np.ndarray:
-    """Repair a single lost shard (data or parity) from any ``k`` survivors.
-
-    This is the degraded-read / recovery path discussed in Section III-D: the
-    repairing node downloads ``k`` blocks and re-derives the missing one.
-    """
-    data = decode(available_shards, available_indices, n, k)
-    if target_index < k:
-        return data[target_index].copy()
-    generator = generator_matrix(n, k)
-    return gfm.apply_to_shards(generator[target_index : target_index + 1, :], data)[0]

@@ -8,15 +8,11 @@ round-robined across the ``k`` data shards, and parity is accumulated one
 chunk at a time into preallocated buffers — a fused multiply-XOR per chunk,
 no per-coefficient temporaries and no ``(k, L)`` stripe matrix.
 
-Two interchangeable inner-loop backends exist, selected by the
-``REPRO_GF_BACKEND`` environment variable (or an explicit ``backend=``
-argument):
-
-* ``numpy`` (default) — one 256x256-table gather plus one in-place XOR per
-  chunk (:func:`repro.erasure.matrix.accumulate_products`).
-* ``scalar`` — a pure-Python ``bytearray`` loop indexing
-  :meth:`GF256.mul_row`; orders of magnitude slower, retained as the
-  byte-identity oracle the differential tests pin the numpy path against.
+The inner loop is one 256x256-table gather plus one in-place XOR per chunk
+(:func:`repro.erasure.matrix.accumulate_products`); the differential tests
+pin it byte-for-byte against the per-coefficient reference
+:func:`repro.erasure.matrix.apply_to_shards_scalar` applied to the whole
+zero-padded stripe.
 
 The streaming chunk contract (see :class:`~repro.erasure.codec.StreamTrailer`):
 every stored chunk is exactly ``chunk_size`` bytes, the short final source
@@ -25,11 +21,14 @@ chunks, and the true payload length travels in the stream metadata so decode
 can strip the padding — including the empty-source (zero stripes) and
 exactly-one-chunk (no padding) edge cases.
 
-Large payloads shard across processes at stripe boundaries through the
-PR5 :class:`~repro.parallel.executor.SweepExecutor`
-(:func:`sharded_stream_encode`); stripes are independent, so the sharded
-result is byte-identical to the sequential one and op attribution stays
-hermetic (the executor resets the GF memo caches per trial).
+Two views share the accumulator: the *file* view (:func:`stream_encode`,
+:func:`stream_decode`, :func:`stream_repair`) stripes one byte source
+across the shards, and the *block* view (:func:`encode_blocks`) folds ``k``
+whole blocks into parity in any order.  Which survivors and which
+coefficients rebuild data or a shard is the codec's decision
+(:meth:`~repro.erasure.codec.ErasureCodec.decode_plan` /
+:meth:`~repro.erasure.codec.ErasureCodec.repair_plan`), so RS, Cauchy and
+LRC streams share every line here.
 
 :class:`StreamingDataPlane` carries real bytes through the simulated
 cluster's archival path: the :class:`~repro.hdfs.encoder.StripeEncoder`
@@ -39,11 +38,11 @@ the block ids minted by ``NameNode.record_encoding``.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -65,15 +64,8 @@ from repro.erasure.codec import (
     make_codec,
     zero_pad,
 )
-from repro.erasure.galois import GF256
 from repro.erasure.lrc import LocalReconstructionCodec, LRCParams
-from repro.sim.metrics import PERF
-
-#: Environment variable choosing the GF inner-loop backend.
-BACKEND_ENV = "REPRO_GF_BACKEND"
-
-#: Recognised backend names.
-BACKENDS = ("numpy", "scalar")
+from repro.sim.metrics import PERF, OpsDelta, measure_ops
 
 #: Default streaming chunk size (64 KiB — the HDFS checksum-chunk scale).
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -84,20 +76,9 @@ STREAM_SCHEMES = ("reed-solomon", "cauchy-rs", "lrc")
 ByteSource = Union[bytes, bytearray, memoryview, Iterable[bytes], Any]
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """The effective GF backend: explicit argument, else ``REPRO_GF_BACKEND``.
-
-    Raises:
-        ValueError: On an unrecognised backend name (argument or env var).
-    """
-    chosen = backend if backend is not None else os.environ.get(BACKEND_ENV, "")
-    if not chosen:
-        chosen = "numpy"
-    if chosen not in BACKENDS:
-        raise ValueError(
-            f"unknown GF backend {chosen!r}; choose from {list(BACKENDS)}"
-        )
-    return chosen
+#: Callback fired after each block's fold in :func:`encode_blocks`:
+#: (position in the fold order, column, bytes folded, GF ops counted).
+BlockCallback = Callable[[int, int, int, OpsDelta], None]
 
 
 class ChunkReader:
@@ -233,7 +214,7 @@ class StreamMeta:
         """Stored bytes per shard: ``num_stripes * chunk_size``."""
         return self.num_stripes * self.chunk_size
 
-    def codec(self) -> Union[ErasureCodec, LocalReconstructionCodec]:
+    def codec(self) -> ErasureCodec:
         """A fresh codec instance matching this stream's parameters."""
         if self.scheme == "lrc":
             assert self.lrc is not None
@@ -302,59 +283,30 @@ class EncodedStream:
 
 
 # ---------------------------------------------------------------------------
-# Backend inner loops
+# Inner loop
 # ---------------------------------------------------------------------------
-
-
-def _scalar_addmul(
-    acc: bytearray, offset: int, coeff: int, chunk: memoryview
-) -> None:
-    """Pure-Python ``acc[offset:] ^= coeff * chunk`` — the oracle inner loop."""
-    if coeff == 0:
-        return
-    PERF.bump("gf.kernel_calls")
-    PERF.bump("gf.symbol_mults", len(chunk))
-    position = offset
-    if coeff == 1:
-        for value in chunk:
-            acc[position] ^= value
-            position += 1
-        return
-    row = GF256.mul_row(coeff)
-    for value in chunk:
-        acc[position] ^= row[value]
-        position += 1
 
 
 class _Accumulator:
     """Preallocated output buffers accepting fused multiply-XOR of chunks.
 
     Given an ``(r, m)`` coefficient matrix, ``accumulate(column, chunk)``
-    folds one input shard's chunk into all ``r`` output buffers:
-    ``out[i, offset:offset+len] ^= coeffs[i, column] * chunk``.  The numpy
-    backend does it with one table gather; the scalar backend walks the
-    bytes in Python.  Both bump the same PERF counter names, and both are
-    byte-identical to :func:`repro.erasure.matrix.apply_to_shards_scalar`
+    folds one input shard's chunk into all ``r`` output buffers with one
+    table gather: ``out[i, offset:offset+len] ^= coeffs[i, column] * chunk``
+    — byte-identical to :func:`repro.erasure.matrix.apply_to_shards_scalar`
     applied to the full stripe.
     """
 
-    def __init__(self, coeffs: np.ndarray, length: int, backend: str) -> None:
+    def __init__(self, coeffs: np.ndarray, length: int) -> None:
         coeffs = np.asarray(coeffs, dtype=np.uint8)
         if coeffs.ndim != 2:
             raise ValueError(f"coeffs must be 2-D, got shape {coeffs.shape}")
         if length < 0:
             raise ValueError(f"length must be non-negative, got {length}")
-        self.backend = backend
         self.length = length
-        self.rows_count, self.columns = coeffs.shape
-        if backend == "numpy":
-            self._coeffs = coeffs
-            self._buffers = np.zeros((self.rows_count, length), dtype=np.uint8)
-        else:
-            self._coeff_rows = [[int(c) for c in row] for row in coeffs]
-            self._scalar_buffers = [
-                bytearray(length) for _ in range(self.rows_count)
-            ]
+        self.columns = coeffs.shape[1]
+        self._coeffs = coeffs
+        self._buffers = np.zeros((coeffs.shape[0], length), dtype=np.uint8)
 
     def accumulate(
         self, column: int, chunk: memoryview, offset: int = 0
@@ -368,22 +320,13 @@ class _Accumulator:
             )
         if len(chunk) == 0:
             return
-        if self.backend == "numpy":
-            data = np.frombuffer(chunk, dtype=np.uint8)
-            window = self._buffers[:, offset : offset + data.size]
-            gfm.accumulate_products(window, self._coeffs[:, column], data)
-            return
-        for i in range(self.rows_count):
-            _scalar_addmul(
-                self._scalar_buffers[i], offset, self._coeff_rows[i][column],
-                chunk,
-            )
+        data = np.frombuffer(chunk, dtype=np.uint8)
+        window = self._buffers[:, offset : offset + data.size]
+        gfm.accumulate_products(window, self._coeffs[:, column], data)
 
     def rows(self) -> List[bytes]:
         """The accumulated output buffers as immutable byte strings."""
-        if self.backend == "numpy":
-            return [row.tobytes() for row in self._buffers]
-        return [bytes(buffer) for buffer in self._scalar_buffers]
+        return [row.tobytes() for row in self._buffers]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +339,7 @@ def _resolve_code(
     n: Optional[int],
     k: Optional[int],
     lrc: Optional[Sequence[int]],
-) -> Tuple[Any, str, int, int, Optional[Tuple[int, int, int]]]:
+) -> Tuple[ErasureCodec, str, int, int, Optional[Tuple[int, int, int]]]:
     """Normalise (scheme, n, k, lrc) and build the matching codec."""
     if scheme == "lrc":
         if lrc is None:
@@ -419,44 +362,6 @@ def _resolve_code(
     return codec, codec.scheme, n, k, None
 
 
-def _decode_plan(
-    codec: Any, indices: Sequence[int]
-) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """Choose survivor rows and build the decode matrix (computed once per
-    call, reused across every stripe of the stream)."""
-    ordered = tuple(sorted(indices))
-    k = codec.params.k
-    if len(ordered) < k:
-        raise ValueError(f"need at least k={k} shards, got {len(ordered)}")
-    if isinstance(codec, LocalReconstructionCodec):
-        subset = codec._invertible_subset_cached(ordered)
-        if subset is None:
-            raise ValueError(
-                "failure pattern is unrecoverable for this LRC "
-                f"(survivors: {list(ordered)})"
-            )
-        return subset, codec._decode_matrix(subset)
-    chosen = ordered[:k]
-    return chosen, codec._decode_matrix(chosen)
-
-
-def _repair_plan(
-    codec: Any, target: int, indices: Sequence[int]
-) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """Survivor shards and the ``(1, len(survivors))`` coefficient row that
-    rebuilds shard ``target`` — the LRC local-XOR path when available."""
-    if not 0 <= target < codec.params.n:
-        raise ValueError(f"target index {target} outside the stripe")
-    if isinstance(codec, LocalReconstructionCodec):
-        local = codec._local_repair_set(target)
-        if local is not None and all(i in indices for i in local):
-            coeffs = np.ones((1, len(local)), dtype=np.uint8)
-            return tuple(local), coeffs
-    subset, decode_matrix = _decode_plan(codec, indices)
-    generator_row = codec._generator[target : target + 1, :]
-    return subset, gfm.matmul(generator_row, decode_matrix)
-
-
 # ---------------------------------------------------------------------------
 # Streaming encode / decode / repair (file view)
 # ---------------------------------------------------------------------------
@@ -470,7 +375,6 @@ def stream_encode(
     k: Optional[int] = None,
     lrc: Optional[Sequence[int]] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    backend: Optional[str] = None,
 ) -> EncodedStream:
     """Encode a byte source of any length into an :class:`EncodedStream`.
 
@@ -482,10 +386,9 @@ def stream_encode(
     byte-identical to whole-stripe encoding of the zero-padded source.
     """
     codec, scheme, n, k, lrc_tuple = _resolve_code(scheme, n, k, lrc)
-    chosen_backend = resolve_backend(backend)
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    parity_coeffs = codec._generator[k:, :]
+    parity_coeffs = codec.parity_rows
     zero_chunk = b"\0" * chunk_size
 
     data_shards: List[List[bytes]] = [[] for _ in range(k)]
@@ -512,9 +415,7 @@ def stream_encode(
         PERF.bump("stream.chunks_in")
         PERF.bump("stream.bytes_in", len(chunk))
         if accumulator is None:
-            accumulator = _Accumulator(
-                parity_coeffs, chunk_size, chosen_backend
-            )
+            accumulator = _Accumulator(parity_coeffs, chunk_size)
         # A short final chunk is accumulated as-is: the untouched buffer
         # tail already equals the zero-padded contribution.
         accumulator.accumulate(len(stripe_data), chunk)
@@ -557,10 +458,7 @@ def _validate_shard_streams(
 
 
 def stream_decode(
-    shards: Mapping[int, Sequence[bytes]],
-    meta: StreamMeta,
-    *,
-    backend: Optional[str] = None,
+    shards: Mapping[int, Sequence[bytes]], meta: StreamMeta
 ) -> bytes:
     """Reconstruct the original payload from any decodable survivor set.
 
@@ -569,18 +467,14 @@ def stream_decode(
     accumulate kernel the encoder uses.  Returns the payload with the zero
     padding stripped per the trailer.
     """
-    chosen_backend = resolve_backend(backend)
     _validate_shard_streams(shards, meta)
     if meta.num_stripes == 0:
         return b""
-    codec = meta.codec()
-    subset, decode_matrix = _decode_plan(codec, list(shards))
+    subset, decode_matrix = meta.codec().decode_plan(shards)
     out = bytearray(meta.trailer.padded_length(meta.k))
     stripe_bytes = meta.k * meta.chunk_size
     for stripe in range(meta.num_stripes):
-        accumulator = _Accumulator(
-            decode_matrix, meta.chunk_size, chosen_backend
-        )
+        accumulator = _Accumulator(decode_matrix, meta.chunk_size)
         for column, index in enumerate(subset):
             accumulator.accumulate(
                 column, memoryview(shards[index][stripe])
@@ -597,8 +491,6 @@ def stream_repair(
     target: int,
     shards: Mapping[int, Sequence[bytes]],
     meta: StreamMeta,
-    *,
-    backend: Optional[str] = None,
 ) -> Tuple[bytes, ...]:
     """Rebuild one lost shard's chunk stream from the survivors.
 
@@ -607,13 +499,11 @@ def stream_repair(
     stripe.  Returns ``num_stripes`` chunks of exactly ``chunk_size`` bytes
     — the shape :class:`EncodedStream` stores.
     """
-    chosen_backend = resolve_backend(backend)
     _validate_shard_streams(shards, meta)
-    codec = meta.codec()
-    sources, coeffs = _repair_plan(codec, target, list(shards))
+    sources, coeffs = meta.codec().repair_plan(target, shards)
     rebuilt: List[bytes] = []
     for stripe in range(meta.num_stripes):
-        accumulator = _Accumulator(coeffs, meta.chunk_size, chosen_backend)
+        accumulator = _Accumulator(coeffs, meta.chunk_size)
         for column, index in enumerate(sources):
             accumulator.accumulate(
                 column, memoryview(shards[index][stripe])
@@ -628,30 +518,37 @@ def stream_repair(
 # ---------------------------------------------------------------------------
 
 
-def encode_blocks_streaming(
+def encode_blocks(
     sources: Sequence[ByteSource],
-    codec: Union[ErasureCodec, LocalReconstructionCodec],
+    codec: ErasureCodec,
     *,
+    order: Optional[Sequence[int]] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    backend: Optional[str] = None,
     length: Optional[int] = None,
+    on_block: Optional[BlockCallback] = None,
 ) -> List[bytes]:
-    """Parity payloads for ``k`` block streams, one chunk at a time.
+    """Parity payloads for ``k`` block sources, one chunk at a time.
 
     The block-oriented twin of :func:`stream_encode`: each source is a whole
     data block (the archival encode path's unit), parity is accumulated into
     ``n - k`` preallocated ``length``-byte buffers, and blocks shorter than
-    ``length`` implicitly contribute zeros — byte-identical to
-    ``codec.encode(blocks, length=length)`` without ever stacking the
-    ``(k, length)`` stripe matrix.
+    ``length`` implicitly contribute zeros.  GF addition is XOR, so the
+    blocks may be folded in any ``order`` — stripe order for a single
+    encoder node, hop order along a RapidRAID-style pipeline — and the
+    result is byte-identical to ``codec.encode(blocks, length=length)``
+    without ever stacking the ``(k, length)`` stripe matrix.
 
     Args:
-        sources: Exactly ``k`` byte sources (blocks in stripe order).
+        sources: Exactly ``k`` byte sources, indexed by stripe column.
         codec: The stripe's codec (RS/Cauchy/LRC).
+        order: Permutation of ``range(k)`` giving the fold order (stripe
+            order when omitted).
         chunk_size: Read granularity.
-        backend: GF backend override (defaults to ``REPRO_GF_BACKEND``).
         length: Padded block length.  Required when any source is unsized
             (file-like/iterable); defaults to the longest sized source.
+        on_block: Optional callback fired after each block's fold with the
+            position in ``order``, the column, the bytes folded and the GF
+            ops that fold counted — how a caller bills work per hop.
 
     Returns:
         ``n - k`` parity payloads of exactly ``length`` bytes each.
@@ -659,156 +556,34 @@ def encode_blocks_streaming(
     k = codec.params.k
     if len(sources) != k:
         raise ValueError(f"expected {k} block sources, got {len(sources)}")
-    chosen_backend = resolve_backend(backend)
+    order = list(range(k)) if order is None else list(order)
+    if sorted(order) != list(range(k)):
+        raise ValueError(
+            f"order must be a permutation of range({k}), got {order}"
+        )
     if length is None:
-        sized = [s for s in sources if isinstance(s, (bytes, bytearray, memoryview))]
-        if len(sized) != len(sources):
+        if not all(
+            isinstance(s, (bytes, bytearray, memoryview)) for s in sources
+        ):
             raise ValueError(
                 "length= is required when sources are not all sized "
                 "bytes-like objects"
             )
-        length = max((len(s) for s in sized), default=0)
-    parity_coeffs = codec._generator[k:, :]
-    accumulator = _Accumulator(parity_coeffs, length, chosen_backend)
-    for column, source in enumerate(sources):
-        offset = 0
-        for chunk in ChunkReader(source, chunk_size):
-            if offset + len(chunk) > length:
-                raise ValueError(
-                    f"block {column} longer than padded length {length}"
-                )
-            accumulator.accumulate(column, chunk, offset=offset)
-            offset += len(chunk)
-            PERF.bump("stream.chunks_in")
-            PERF.bump("stream.bytes_in", len(chunk))
-    PERF.bump("stream.stripes_encoded")
+        length = max((len(s) for s in sources), default=0)
+    accumulator = _Accumulator(codec.parity_rows, length)
+    for position, column in enumerate(order):
+        with measure_ops() as measured:
+            offset = 0
+            for chunk in ChunkReader(sources[column], chunk_size):
+                if offset + len(chunk) > length:
+                    raise ValueError(
+                        f"block {column} longer than padded length {length}"
+                    )
+                accumulator.accumulate(column, chunk, offset=offset)
+                offset += len(chunk)
+        if on_block is not None:
+            on_block(position, column, offset, measured)
     return accumulator.rows()
-
-
-# ---------------------------------------------------------------------------
-# Multi-process stripe sharding
-# ---------------------------------------------------------------------------
-
-
-def _shard_parity_trial(
-    seed: int,
-    payload: bytes,
-    scheme: str,
-    n: Optional[int],
-    k: Optional[int],
-    lrc: Optional[Tuple[int, int, int]],
-    chunk_size: int,
-    backend: str,
-) -> Tuple[Tuple[bytes, ...], ...]:
-    """SweepExecutor worker: parity chunk streams for one stripe range.
-
-    Stripes are independent, so encoding a stripe-aligned payload slice in
-    a worker process yields exactly the parity chunks the sequential pass
-    produces for those stripes.  The trial's identity (and cache key) is
-    the payload slice plus code parameters; ``seed`` is unused.
-    """
-    del seed
-    encoded = stream_encode(
-        payload, scheme=scheme, n=n, k=k, lrc=lrc,
-        chunk_size=chunk_size, backend=backend,
-    )
-    return tuple(encoded.shards[encoded.meta.k :])
-
-
-def _data_shard_chunks(
-    payload: bytes, meta: StreamMeta
-) -> List[Tuple[bytes, ...]]:
-    """The striped data-shard chunk streams of a payload (padding applied)."""
-    view = memoryview(payload)
-    shards: List[List[bytes]] = [[] for _ in range(meta.k)]
-    for chunk_index in range(meta.num_stripes * meta.k):
-        start = chunk_index * meta.chunk_size
-        piece = bytes(view[start : start + meta.chunk_size])
-        shards[chunk_index % meta.k].append(
-            piece if len(piece) == meta.chunk_size
-            else zero_pad(piece, meta.chunk_size)
-        )
-    return [tuple(chunks) for chunks in shards]
-
-
-def sharded_stream_encode(
-    source: ByteSource,
-    *,
-    scheme: str = "reed-solomon",
-    n: Optional[int] = None,
-    k: Optional[int] = None,
-    lrc: Optional[Sequence[int]] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    backend: Optional[str] = None,
-    executor: Optional[Any] = None,
-    stripes_per_shard: int = 4,
-    seed: int = 0,
-) -> EncodedStream:
-    """Encode a large payload with stripe ranges fanned out across processes.
-
-    The payload is sliced at stripe boundaries (``k * chunk_size`` bytes);
-    each slice becomes one :class:`~repro.parallel.spec.TrialSpec` running
-    :func:`_shard_parity_trial` in a worker.  Because stripes are
-    independent and the executor reassembles results in spec order, the
-    result is byte-identical to :func:`stream_encode` for any worker count
-    — ``REPRO_PARALLEL_CHECK=1`` (or ``SweepExecutor(check=True)``) asserts
-    exactly that inline.  Data shards are striped locally; only the GF
-    parity work is distributed.
-    """
-    from repro.parallel.executor import SweepExecutor
-    from repro.parallel.spec import TrialSpec
-
-    if stripes_per_shard <= 0:
-        raise ValueError(
-            f"stripes_per_shard must be positive, got {stripes_per_shard}"
-        )
-    payload = (
-        bytes(source)
-        if isinstance(source, (bytes, bytearray, memoryview))
-        else b"".join(bytes(c) for c in ChunkReader(source, chunk_size))
-    )
-    _, scheme, n, k, lrc_tuple = _resolve_code(scheme, n, k, lrc)
-    chosen_backend = resolve_backend(backend)
-    meta = StreamMeta(
-        scheme=scheme, n=n, k=k, chunk_size=chunk_size,
-        length=len(payload), lrc=lrc_tuple,
-    )
-    if executor is None:
-        executor = SweepExecutor(workers=0)
-    total_stripes = meta.num_stripes
-    if total_stripes == 0:
-        return EncodedStream(
-            meta=meta, shards=tuple(() for _ in range(n))
-        )
-    stripe_bytes = k * chunk_size
-    specs = []
-    for low in range(0, total_stripes, stripes_per_shard):
-        high = min(low + stripes_per_shard, total_stripes)
-        specs.append(
-            TrialSpec(
-                fn=_shard_parity_trial,
-                config={
-                    "payload": payload[low * stripe_bytes : high * stripe_bytes],
-                    "scheme": scheme,
-                    "n": None if scheme == "lrc" else n,
-                    "k": None if scheme == "lrc" else k,
-                    "lrc": lrc_tuple,
-                    "chunk_size": chunk_size,
-                    "backend": chosen_backend,
-                },
-                seed=seed,
-                tag=f"stream.encode_shard[{low}:{high}]",
-            )
-        )
-    results = executor.map_trials(specs)
-    parity_shards: List[List[bytes]] = [[] for _ in range(meta.num_parity)]
-    for shard_result in results:
-        for j, chunks in enumerate(shard_result):
-            parity_shards[j].extend(chunks)
-    shards = tuple(_data_shard_chunks(payload, meta)) + tuple(
-        tuple(chunks) for chunks in parity_shards
-    )
-    return EncodedStream(meta=meta, shards=shards)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +597,7 @@ class StreamingDataPlane:
     The DES layer models *timing*; this plane carries the actual payloads:
     per-block byte strings (deterministically synthesised on demand, or
     supplied via :meth:`put`), streamed through
-    :func:`encode_blocks_streaming` when a stripe is encoded, with the
+    :func:`encode_blocks` when a stripe is encoded, with the
     parity payloads committed against the block ids
     ``NameNode.record_encoding`` mints.  Synthesised payloads are capped at
     ``bytes_per_block`` so simulated 64 MB blocks don't cost 64 MB of
@@ -832,7 +607,6 @@ class StreamingDataPlane:
         code: The ``(n, k)`` stripe geometry (must match the NameNode's).
         scheme: Codec scheme (``"reed-solomon"``/``"cauchy-rs"``).
         chunk_size: Streaming read granularity.
-        backend: GF backend override (defaults to ``REPRO_GF_BACKEND``).
         bytes_per_block: Cap on synthesised payload bytes per block.
         seed: Seed for deterministic payload synthesis.
     """
@@ -842,7 +616,6 @@ class StreamingDataPlane:
         code: CodeParams,
         scheme: str = "reed-solomon",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        backend: Optional[str] = None,
         bytes_per_block: int = 1 << 16,
         seed: int = 0,
     ) -> None:
@@ -853,7 +626,6 @@ class StreamingDataPlane:
         self.code = code
         self.codec = make_codec(code.n, code.k, scheme)
         self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
         self.bytes_per_block = bytes_per_block
         self.seed = seed
         self.payloads: Dict[int, bytes] = {}
@@ -882,16 +654,18 @@ class StreamingDataPlane:
             self.payload_for(block_id, store.block(block_id).size)
             for block_id in stripe.block_ids
         ]
-        length = max((len(s) for s in sources), default=0)
-        parity = encode_blocks_streaming(
-            sources,
-            self.codec,
-            chunk_size=self.chunk_size,
-            backend=self.backend,
-            length=length,
+        parity = encode_blocks(
+            sources, self.codec, chunk_size=self.chunk_size
         )
+        data_bytes = sum(len(s) for s in sources)
+        PERF.bump(
+            "stream.chunks_in",
+            sum(-(-len(s) // self.chunk_size) for s in sources),
+        )
+        PERF.bump("stream.bytes_in", data_bytes)
+        PERF.bump("stream.stripes_encoded")
         PERF.bump("stream.plane_stripes")
-        PERF.bump("stream.plane_bytes", sum(len(s) for s in sources))
+        PERF.bump("stream.plane_bytes", data_bytes)
         return parity
 
     def commit_parity(

@@ -11,9 +11,10 @@ pipeline collapses into the core rack and crosses the core zero times.
 
 Layers (each importable on its own):
 
-* :mod:`repro.pipeline.gfstream` — :func:`pipelined_parity`, the chunked
-  hop-by-hop GF fold over the PR8 streaming kernels, byte-identical to
-  :meth:`~repro.erasure.codec.ErasureCodec.encode` by construction.
+* :mod:`repro.pipeline.gfstream` — :func:`pipelined_parity`, the streaming
+  plane's block-view encoder run in hop order with per-hop billing,
+  byte-identical to :meth:`~repro.erasure.codec.ErasureCodec.encode` by
+  construction.
 * :mod:`repro.pipeline.planner` — :func:`plan_pipeline`, the
   topology-aware hop ordering over the replica placement.
 * :mod:`repro.pipeline.encoder` — :class:`PipelinedEncoder`, the

@@ -383,7 +383,6 @@ class PipelinedEncoder:
             self.data_plane.codec,
             hop_order=[hop.column for hop in plan.hops],
             chunk_size=self.data_plane.chunk_size,
-            backend=self.data_plane.backend,
             length=length,
             on_hop=bill,
         )

@@ -8,32 +8,24 @@ network pipeline.  Each hop contributes its own block's columns
 (``parity[j] ^= G[k+j][column] * block``) and forwards the partial
 combination; the final hop holds the finished parity.
 
-:func:`pipelined_parity` is the data-plane half of that protocol: it
-folds the ``k`` sources in an explicit ``hop_order`` using the same
-:class:`~repro.erasure.stream._Accumulator` fused multiply-XOR kernels
-as the whole-stripe streaming encoder (both ``REPRO_GF_BACKEND``
-backends), so the result is byte-identical to
-``codec.encode(blocks, length=length)`` for every permutation — the
-property the differential tests pin.
-
-The ``on_hop`` callback receives the :class:`~repro.sim.metrics.OpsDelta`
-measured around each hop's fold, which is how the simulation bills
-``gf.kernel_calls`` to the node that actually performed the work
-(per-hop attribution instead of a single encoder node).
+The fold itself is the streaming plane's one block-view encoder,
+:func:`repro.erasure.stream.encode_blocks`, run with the hop order as
+its fold order — so the result is byte-identical to
+``codec.encode(blocks, length=length)`` for every permutation, the
+property the differential tests pin.  :func:`pipelined_parity` adds only
+what makes a fold a *pipeline*: the ``pipeline.*`` counters and the
+per-hop :class:`~repro.sim.metrics.OpsDelta`, which is how the
+simulation bills ``gf.kernel_calls`` to the node that actually performed
+the work (per-hop attribution instead of a single encoder node).
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.erasure.stream import (
-    DEFAULT_CHUNK_SIZE,
-    ByteSource,
-    ChunkReader,
-    _Accumulator,
-    resolve_backend,
-)
-from repro.sim.metrics import PERF, OpsDelta, measure_ops
+from repro.erasure.codec import ErasureCodec
+from repro.erasure.stream import DEFAULT_CHUNK_SIZE, ByteSource, encode_blocks
+from repro.sim.metrics import PERF, OpsDelta
 
 #: Callback fired after each hop's fold: (hop_index, column, ops_delta).
 HopCallback = Callable[[int, int, OpsDelta], None]
@@ -41,22 +33,14 @@ HopCallback = Callable[[int, int, OpsDelta], None]
 
 def pipelined_parity(
     sources: Sequence[ByteSource],
-    codec,
+    codec: ErasureCodec,
     *,
     hop_order: Optional[Sequence[int]] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    backend: Optional[str] = None,
     length: Optional[int] = None,
     on_hop: Optional[HopCallback] = None,
 ) -> List[bytes]:
     """Parity payloads for ``k`` block sources folded in pipeline order.
-
-    The hop-ordered twin of
-    :func:`~repro.erasure.stream.encode_blocks_streaming`: one
-    accumulator holds the ``n - k`` running parity buffers, and each hop
-    folds its block's chunks in turn.  Because GF addition is XOR, the
-    rows are independent of ``hop_order`` — byte-identical to
-    ``codec.encode(blocks, length=length)``.
 
     Args:
         sources: Exactly ``k`` byte sources, indexed by stripe column.
@@ -64,7 +48,6 @@ def pipelined_parity(
         hop_order: Permutation of ``range(k)`` giving the fold order
             (stripe order when omitted).
         chunk_size: Read granularity.
-        backend: GF backend override (defaults to ``REPRO_GF_BACKEND``).
         length: Padded block length.  Required when any source is
             unsized; defaults to the longest sized source.
         on_hop: Optional per-hop attribution callback; receives the hop
@@ -73,42 +56,19 @@ def pipelined_parity(
     Returns:
         ``n - k`` parity payloads of exactly ``length`` bytes each.
     """
-    k = codec.params.k
-    if len(sources) != k:
-        raise ValueError(f"expected {k} block sources, got {len(sources)}")
-    order = list(range(k)) if hop_order is None else list(hop_order)
-    if sorted(order) != list(range(k)):
-        raise ValueError(
-            f"hop_order must be a permutation of range({k}), got {order}"
-        )
-    chosen_backend = resolve_backend(backend)
-    if length is None:
-        sized = [
-            s for s in sources
-            if isinstance(s, (bytes, bytearray, memoryview))
-        ]
-        if len(sized) != len(sources):
-            raise ValueError(
-                "length= is required when sources are not all sized "
-                "bytes-like objects"
-            )
-        length = max((len(s) for s in sized), default=0)
-    parity_coeffs = codec._generator[k:, :]
-    accumulator = _Accumulator(parity_coeffs, length, chosen_backend)
-    for hop_index, column in enumerate(order):
-        with measure_ops() as measured:
-            offset = 0
-            for chunk in ChunkReader(sources[column], chunk_size):
-                if offset + len(chunk) > length:
-                    raise ValueError(
-                        f"block {column} longer than padded length {length}"
-                    )
-                accumulator.accumulate(column, chunk, offset=offset)
-                offset += len(chunk)
-                PERF.bump("pipeline.chunks_in")
-                PERF.bump("pipeline.bytes_in", len(chunk))
+
+    def hop_folded(
+        hop_index: int, column: int, folded: int, ops: OpsDelta
+    ) -> None:
+        PERF.bump("pipeline.chunks_in", -(-folded // chunk_size))
+        PERF.bump("pipeline.bytes_in", folded)
         PERF.bump("pipeline.hops")
         if on_hop is not None:
-            on_hop(hop_index, column, measured)
+            on_hop(hop_index, column, ops)
+
+    parity = encode_blocks(
+        sources, codec, order=hop_order, chunk_size=chunk_size,
+        length=length, on_block=hop_folded,
+    )
     PERF.bump("pipeline.stripes_encoded")
-    return accumulator.rows()
+    return parity

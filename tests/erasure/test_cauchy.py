@@ -7,14 +7,14 @@ import pytest
 
 from repro.erasure import cauchy
 from repro.erasure import matrix as gfm
+from repro.erasure.codec import make_codec
 from repro.erasure.galois import GF256
 
 
-def random_shards(rng, k, length):
-    return np.array(
-        [[rng.randrange(256) for __ in range(length)] for __ in range(k)],
-        dtype=np.uint8,
-    )
+def random_stripe(rng, n, k, length):
+    """All ``n`` blocks of one random Cauchy stripe, keyed by stripe index."""
+    data = [rng.randbytes(length) for __ in range(k)]
+    return dict(enumerate(data + make_codec(n, k, "cauchy").encode(data)))
 
 
 class TestCauchyMatrix:
@@ -45,17 +45,23 @@ class TestCauchyMatrix:
 
 class TestGenerator:
     def test_systematic(self):
-        g = cauchy.build_generator_matrix(6, 4)
+        g = cauchy.generator_matrix(6, 4)
         assert np.array_equal(g[:4, :], gfm.identity(4))
+
+    def test_cached_and_read_only(self):
+        g = cauchy.generator_matrix(6, 4)
+        assert cauchy.generator_matrix(6, 4) is g
+        with pytest.raises(ValueError):
+            g[0, 0] = 7
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
-            cauchy.build_generator_matrix(4, 4)
+            cauchy.generator_matrix(4, 4)
         with pytest.raises(ValueError):
-            cauchy.build_generator_matrix(270, 4)
+            cauchy.generator_matrix(270, 4)
 
     def test_every_k_subset_invertible(self):
-        g = cauchy.build_generator_matrix(6, 3)
+        g = cauchy.generator_matrix(6, 3)
         for rows in itertools.combinations(range(6), 3):
             gfm.invert(g[list(rows), :])
 
@@ -63,40 +69,22 @@ class TestGenerator:
 class TestEncodeDecode:
     def test_roundtrip_all_subsets(self, rng):
         n, k = 6, 3
-        data = random_shards(rng, k, 18)
-        parity = cauchy.encode(data, n, k)
-        all_shards = np.concatenate([data, parity], axis=0)
+        stripe = random_stripe(rng, n, k, 18)
+        codec = make_codec(n, k, "cauchy")
         for subset in itertools.combinations(range(n), k):
-            out = cauchy.decode(
-                all_shards[list(subset), :], list(subset), n, k
-            )
-            assert np.array_equal(out, data)
+            out = codec.decode({i: stripe[i] for i in subset})
+            assert out == [stripe[i] for i in range(k)], subset
 
     def test_facebook_params(self, rng):
         n, k = 14, 10
-        data = random_shards(rng, k, 8)
-        parity = cauchy.encode(data, n, k)
-        all_shards = np.concatenate([data, parity], axis=0)
-        subset = sorted(rng.sample(range(n), k))
-        out = cauchy.decode(all_shards[subset, :], subset, n, k)
-        assert np.array_equal(out, data)
+        stripe = random_stripe(rng, n, k, 8)
+        subset = rng.sample(range(n), k)
+        out = make_codec(n, k, "cauchy").decode({i: stripe[i] for i in subset})
+        assert out == [stripe[i] for i in range(k)]
 
     def test_differs_from_vandermonde_rs(self, rng):
         # Same data, different code construction -> different parity bytes.
-        from repro.erasure import reed_solomon as rs
-
-        data = random_shards(rng, 4, 16)
-        assert not np.array_equal(
-            cauchy.encode(data, 6, 4), rs.encode(data, 6, 4)
+        data = [rng.randbytes(16) for __ in range(4)]
+        assert make_codec(6, 4, "cauchy").encode(data) != (
+            make_codec(6, 4, "rs").encode(data)
         )
-
-    def test_validation_errors(self, rng):
-        data = random_shards(rng, 3, 4)
-        with pytest.raises(ValueError):
-            cauchy.encode(data, 6, 4)
-        with pytest.raises(ValueError):
-            cauchy.decode(data, [0, 1], 6, 3)
-        with pytest.raises(ValueError):
-            cauchy.decode(data, [0, 0, 1], 6, 3)
-        with pytest.raises(ValueError):
-            cauchy.decode(data, [0, 1, 7], 6, 3)

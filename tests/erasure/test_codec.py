@@ -104,6 +104,33 @@ class TestEncodeDecode:
             codec.decode(available, original_lengths=[4, 4])
 
 
+class TestSurvivorIndices:
+    """Caller-supplied stripe indices are range-checked, not numpy-wrapped."""
+
+    @pytest.fixture
+    def blocks(self, codec):
+        data = [bytes([i + 1]) * 8 for i in range(4)]
+        return dict(enumerate(data + codec.encode(data)))
+
+    @pytest.mark.parametrize("bad", [-1, 6, 9])
+    def test_out_of_range_index_rejected(self, codec, blocks, bad):
+        survivors = {bad: blocks[5], 0: blocks[0], 1: blocks[1], 2: blocks[2]}
+        with pytest.raises(ValueError, match=f"index {bad} outside"):
+            codec.decode(survivors)
+        with pytest.raises(ValueError, match=f"index {bad} outside"):
+            codec.reconstruct(3, survivors)
+        with pytest.raises(ValueError, match=f"index {bad} outside"):
+            codec.decode_plan(survivors)
+        with pytest.raises(ValueError, match=f"index {bad} outside"):
+            codec.repair_plan(3, survivors)
+
+    def test_aliased_duplicate_rejected(self, codec, blocks):
+        # -1 used to wrap to row 5: the same row twice, a singular system.
+        survivors = {-1: blocks[5], 5: blocks[5], 0: blocks[0], 1: blocks[1]}
+        with pytest.raises(ValueError, match="index -1 outside"):
+            codec.decode(survivors)
+
+
 class TestReconstruct:
     def test_reconstruct_each_position(self, codec):
         data = [bytes(range(i, i + 32)) for i in range(4)]
@@ -158,8 +185,8 @@ class TestFactory:
 
 @given(
     seed=st.integers(0, 2**20),
-    k=st.integers(2, 5),
-    m=st.integers(1, 3),
+    k=st.integers(2, 10),
+    m=st.integers(1, 4),
     length=st.integers(1, 64),
 )
 @settings(max_examples=25, deadline=None)

@@ -171,6 +171,30 @@ class TestGlobalDecode:
         with pytest.raises(ValueError):
             codec.decode({0: b"x"})
 
+    @pytest.mark.parametrize("bad", [-1, 10, 99])
+    def test_out_of_range_index_rejected(self, codec, rng, bad):
+        data, blocks = stripe_blocks(codec, rng)
+        survivors = {i: b for i, b in blocks.items() if i != 9}
+        survivors[bad] = blocks[9]
+        with pytest.raises(ValueError, match=f"index {bad} outside"):
+            codec.decode(survivors)
+        # Both repair routes: the local group (0) and a global decode (8).
+        for lost in (0, 8):
+            del survivors[lost]
+            with pytest.raises(ValueError, match=f"index {bad} outside"):
+                codec.repair(lost, survivors)
+            with pytest.raises(ValueError, match=f"index {bad} outside"):
+                codec.repair_plan(lost, survivors)
+            survivors[lost] = blocks[lost]
+
+    def test_aliased_duplicate_rejected(self, codec, rng):
+        # -1 used to wrap to row 9: the same row under two keys.
+        data, blocks = stripe_blocks(codec, rng)
+        survivors = {i: blocks[i] for i in (0, 1, 2, 3, 4, 9)}
+        survivors[-1] = blocks[9]
+        with pytest.raises(ValueError, match="index -1 outside"):
+            codec.decode(survivors)
+
 
 @given(seed=st.integers(0, 2**16))
 @settings(max_examples=15, deadline=None)

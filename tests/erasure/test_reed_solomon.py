@@ -1,142 +1,71 @@
-"""Systematic Reed-Solomon: MDS property, decode, single-shard repair."""
+"""Systematic Reed-Solomon: the generator's MDS property, seen both as
+matrix rank and as byte-level decodes through the codec built on it."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.erasure import matrix as gfm
 from repro.erasure import reed_solomon as rs
+from repro.erasure.codec import make_codec
 
 
-def random_shards(rng, k, length):
-    return np.array(
-        [[rng.randrange(256) for __ in range(length)] for __ in range(k)],
-        dtype=np.uint8,
-    )
+def random_stripe(rng, n, k, length):
+    """All ``n`` blocks of one random RS stripe, keyed by stripe index."""
+    data = [rng.randbytes(length) for __ in range(k)]
+    return dict(enumerate(data + make_codec(n, k).encode(data)))
 
 
 class TestGeneratorMatrix:
     def test_systematic_top(self):
-        g = rs.build_generator_matrix(6, 4)
+        g = rs.generator_matrix(6, 4)
         assert np.array_equal(g[:4, :], gfm.identity(4))
 
     def test_shape(self):
-        assert rs.build_generator_matrix(14, 10).shape == (14, 10)
+        assert rs.generator_matrix(14, 10).shape == (14, 10)
+
+    def test_cached_and_read_only(self):
+        g = rs.generator_matrix(6, 4)
+        assert rs.generator_matrix(6, 4) is g
+        with pytest.raises(ValueError):
+            g[0, 0] = 7
 
     def test_every_k_subset_invertible_small(self):
         # Exhaustive MDS check for (6, 3): all C(6,3) row subsets invert.
-        g = rs.build_generator_matrix(6, 3)
+        g = rs.generator_matrix(6, 3)
         for rows in itertools.combinations(range(6), 3):
             gfm.invert(g[list(rows), :])
 
     def test_every_k_subset_invertible_facebook(self, rng):
-        g = rs.build_generator_matrix(14, 10)
+        g = rs.generator_matrix(14, 10)
         for __ in range(25):
             rows = rng.sample(range(14), 10)
             gfm.invert(g[rows, :])
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
-            rs.build_generator_matrix(4, 4)
+            rs.generator_matrix(4, 4)
         with pytest.raises(ValueError):
-            rs.build_generator_matrix(3, 0)
+            rs.generator_matrix(3, 0)
         with pytest.raises(ValueError):
-            rs.build_generator_matrix(300, 10)
+            rs.generator_matrix(300, 10)
 
     def test_parity_matrix_is_bottom_rows(self):
-        g = rs.build_generator_matrix(8, 6)
+        g = rs.generator_matrix(8, 6)
         assert np.array_equal(rs.parity_matrix(8, 6), g[6:, :])
 
 
 class TestEncodeDecode:
-    def test_decode_from_data_only(self, rng):
-        data = random_shards(rng, 4, 32)
-        out = rs.decode(data, [0, 1, 2, 3], 6, 4)
-        assert np.array_equal(out, data)
-
     def test_decode_from_parity_only(self, rng):
-        data = random_shards(rng, 2, 16)
-        parity = rs.encode(data, 5, 2)
-        out = rs.decode(parity[:2], [2, 3], 5, 2)
-        assert np.array_equal(out, data)
+        stripe = random_stripe(rng, 5, 2, 16)
+        out = make_codec(5, 2).decode({2: stripe[2], 3: stripe[3]})
+        assert out == [stripe[0], stripe[1]]
 
     def test_decode_every_k_subset(self, rng):
         n, k = 6, 3
-        data = random_shards(rng, k, 20)
-        parity = rs.encode(data, n, k)
-        all_shards = np.concatenate([data, parity], axis=0)
+        stripe = random_stripe(rng, n, k, 20)
+        codec = make_codec(n, k)
         for subset in itertools.combinations(range(n), k):
-            out = rs.decode(all_shards[list(subset), :], list(subset), n, k)
-            assert np.array_equal(out, data), f"failed for subset {subset}"
-
-    def test_encode_shape(self, rng):
-        data = random_shards(rng, 10, 8)
-        assert rs.encode(data, 14, 10).shape == (4, 8)
-
-    def test_encode_wrong_shard_count(self, rng):
-        with pytest.raises(ValueError):
-            rs.encode(random_shards(rng, 3, 8), 6, 4)
-
-    def test_decode_duplicate_indices_rejected(self, rng):
-        data = random_shards(rng, 2, 4)
-        with pytest.raises(ValueError):
-            rs.decode(data, [1, 1], 4, 2)
-
-    def test_decode_out_of_range_indices_rejected(self, rng):
-        data = random_shards(rng, 2, 4)
-        with pytest.raises(ValueError):
-            rs.decode(data, [0, 9], 4, 2)
-
-    def test_decode_wrong_row_count(self, rng):
-        data = random_shards(rng, 3, 4)
-        with pytest.raises(ValueError):
-            rs.decode(data, [0, 1], 4, 2)
-
-    @given(seed=st.integers(0, 2**20), k=st.integers(2, 6), m=st.integers(1, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_mds_property_random(self, seed, k, m):
-        import random
-
-        r = random.Random(seed)
-        n = k + m
-        data = random_shards(r, k, 12)
-        parity = rs.encode(data, n, k)
-        all_shards = np.concatenate([data, parity], axis=0)
-        subset = sorted(r.sample(range(n), k))
-        out = rs.decode(all_shards[subset, :], subset, n, k)
-        assert np.array_equal(out, data)
-
-
-class TestReconstructShard:
-    def test_repair_data_shard(self, rng):
-        n, k = 6, 4
-        data = random_shards(rng, k, 10)
-        parity = rs.encode(data, n, k)
-        all_shards = np.concatenate([data, parity], axis=0)
-        survivors = [0, 2, 3, 4]  # shard 1 lost
-        out = rs.reconstruct_shard(1, all_shards[survivors, :], survivors, n, k)
-        assert np.array_equal(out, data[1])
-
-    def test_repair_parity_shard(self, rng):
-        n, k = 6, 4
-        data = random_shards(rng, k, 10)
-        parity = rs.encode(data, n, k)
-        all_shards = np.concatenate([data, parity], axis=0)
-        survivors = [0, 1, 2, 3]
-        out = rs.reconstruct_shard(5, all_shards[survivors, :], survivors, n, k)
-        assert np.array_equal(out, parity[1])
-
-    def test_repair_every_position(self, rng):
-        n, k = 5, 3
-        data = random_shards(rng, k, 6)
-        parity = rs.encode(data, n, k)
-        all_shards = np.concatenate([data, parity], axis=0)
-        for lost in range(n):
-            survivors = [i for i in range(n) if i != lost][:k]
-            out = rs.reconstruct_shard(
-                lost, all_shards[survivors, :], survivors, n, k
-            )
-            assert np.array_equal(out, all_shards[lost])
+            out = codec.decode({i: stripe[i] for i in subset})
+            assert out == [stripe[i] for i in range(k)], subset

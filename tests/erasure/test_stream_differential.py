@@ -1,10 +1,10 @@
 """Differential suite for the streaming data plane.
 
-Every streamed result is pinned against the retained whole-stripe scalar
-oracle (``apply_to_shards_scalar`` over the zero-padded stripe matrix), and
-the numpy backend is pinned byte-for-byte against the pure-Python scalar
-streaming backend — across random codes (RS/Cauchy/LRC), random chunk
-sizes, and payload lengths that straddle every chunk/stripe boundary.
+Every streamed result is pinned against the one retained reference — the
+whole-stripe per-coefficient ``apply_to_shards_scalar`` over the zero-padded
+stripe matrix, which shares no chunking or offset logic with the streaming
+code — across random codes (RS/Cauchy/LRC), random chunk sizes, and payload
+lengths that straddle every chunk/stripe boundary.
 """
 
 import io
@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 from repro.erasure.codec import make_codec, zero_pad
 from repro.erasure.lrc import LocalReconstructionCodec, LRCParams
 from repro.erasure.stream import (
-    BACKEND_ENV,
     ChunkReader,
-    encode_blocks_streaming,
-    resolve_backend,
+    encode_blocks,
     stream_decode,
     stream_encode,
     stream_repair,
@@ -41,7 +39,7 @@ def oracle_shards(payload, meta, codec):
     for s in range(len(chunks) // k):
         stripe = chunks[s * k : (s + 1) * k]
         stacked = np.stack([np.frombuffer(c, np.uint8) for c in stripe])
-        parity = gfm.apply_to_shards_scalar(codec._generator[k:], stacked)
+        parity = gfm.apply_to_shards_scalar(codec.parity_rows, stacked)
         for i in range(k):
             shards[i].append(stripe[i])
         for j in range(meta.n - k):
@@ -93,8 +91,7 @@ class TestStreamingVsWholeStripeOracle:
         )
         payload = r.randbytes(length)
         encoded = stream_encode(
-            payload, scheme=scheme, n=n, k=k, lrc=lrc,
-            chunk_size=chunk_size, backend="numpy",
+            payload, scheme=scheme, n=n, k=k, lrc=lrc, chunk_size=chunk_size
         )
         expected = oracle_shards(payload, encoded.meta, encoded.meta.codec())
         assert encoded.shards == expected
@@ -107,33 +104,24 @@ class TestStreamingVsWholeStripeOracle:
         scheme, n, k, lrc = random_code(r)
         chunk_size = r.randrange(1, 25)
         payload = r.randbytes(r.randrange(0, 160))
-        fast = stream_encode(
-            payload, scheme=scheme, n=n, k=k, lrc=lrc,
-            chunk_size=chunk_size, backend="numpy",
+        encoded = stream_encode(
+            payload, scheme=scheme, n=n, k=k, lrc=lrc, chunk_size=chunk_size
         )
-        oracle = stream_encode(
-            payload, scheme=scheme, n=n, k=k, lrc=lrc,
-            chunk_size=chunk_size, backend="scalar",
-        )
-        assert fast == oracle
-        # Decode and repair agree between backends too.
-        lost = sorted(r.sample(range(fast.meta.n), fast.meta.num_parity))
-        survivors = fast.available(exclude=lost)
+        meta = encoded.meta
+        assert encoded.shards == oracle_shards(payload, meta, meta.codec())
+        # Decode returns the payload, repair the reference's shard.
+        lost = sorted(r.sample(range(meta.n), meta.num_parity))
+        survivors = encoded.available(exclude=lost)
         try:
-            via_numpy = stream_decode(survivors, fast.meta, backend="numpy")
+            decoded = stream_decode(survivors, meta)
         except ValueError:
-            # Non-MDS LRC pattern: both backends must refuse identically.
-            with pytest.raises(ValueError):
-                stream_decode(survivors, fast.meta, backend="scalar")
+            assert scheme == "lrc"  # non-MDS pattern: only an LRC may refuse
             return
-        via_scalar = stream_decode(survivors, fast.meta, backend="scalar")
-        assert via_numpy == via_scalar == payload
+        assert decoded == payload
         for target in lost:
-            assert stream_repair(
-                target, survivors, fast.meta, backend="numpy"
-            ) == stream_repair(
-                target, survivors, fast.meta, backend="scalar"
-            ) == fast.shards[target]
+            assert stream_repair(target, survivors, meta) == (
+                encoded.shards[target]
+            )
 
 
 class TestBoundaryLengths:
@@ -142,8 +130,7 @@ class TestBoundaryLengths:
         ("cauchy-rs", 5, 3, None),
         ("lrc", None, None, (4, 2, 2)),
     ])
-    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
-    def test_every_boundary_length(self, scheme, n, k, lrc, backend):
+    def test_every_boundary_length(self, scheme, n, k, lrc):
         r = random.Random(1234)
         chunk_size = 16
         kk = k if k is not None else lrc[0]
@@ -151,7 +138,7 @@ class TestBoundaryLengths:
             payload = r.randbytes(length)
             encoded = stream_encode(
                 payload, scheme=scheme, n=n, k=k, lrc=lrc,
-                chunk_size=chunk_size, backend=backend,
+                chunk_size=chunk_size,
             )
             expected = oracle_shards(
                 payload, encoded.meta, encoded.meta.codec()
@@ -187,9 +174,8 @@ class TestBlockViewDifferential:
         length = r.randrange(0, 120)
         blocks = [r.randbytes(r.randrange(0, length + 1)) for __ in range(k)]
         chunk_size = r.randrange(1, 40)
-        streamed = encode_blocks_streaming(
-            blocks, codec, chunk_size=chunk_size, length=length,
-            backend=r.choice(["numpy", "scalar"]),
+        streamed = encode_blocks(
+            blocks, codec, chunk_size=chunk_size, length=length
         )
         assert streamed == codec.encode(blocks, length=length)
 
@@ -197,14 +183,14 @@ class TestBlockViewDifferential:
         codec = LocalReconstructionCodec(LRCParams(4, 2, 2))
         r = random.Random(5)
         blocks = [r.randbytes(33) for __ in range(4)]
-        streamed = encode_blocks_streaming(blocks, codec, chunk_size=8)
+        streamed = encode_blocks(blocks, codec, chunk_size=8)
         assert streamed == codec.encode(blocks)
 
     def test_file_like_sources(self):
         codec = make_codec(6, 4)
         r = random.Random(6)
         blocks = [r.randbytes(50) for __ in range(4)]
-        streamed = encode_blocks_streaming(
+        streamed = encode_blocks(
             [io.BytesIO(b) for b in blocks], codec, chunk_size=16, length=50
         )
         assert streamed == codec.encode(blocks)
@@ -212,7 +198,7 @@ class TestBlockViewDifferential:
     def test_unsized_sources_require_length(self):
         codec = make_codec(6, 4)
         with pytest.raises(ValueError, match="length"):
-            encode_blocks_streaming(
+            encode_blocks(
                 [io.BytesIO(b"x")] * 4, codec, chunk_size=4
             )
 
@@ -258,28 +244,3 @@ class TestChunkReader:
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ValueError):
             ChunkReader(b"x", 0)
-
-
-class TestBackendSelection:
-    def test_explicit_argument_wins(self):
-        assert resolve_backend("scalar") == "scalar"
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert resolve_backend() == "scalar"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_backend("simd")
-        monkeypatch.setenv(BACKEND_ENV, "cuda")
-        with pytest.raises(ValueError):
-            resolve_backend()
-
-    def test_env_var_switches_encode_path(self, monkeypatch):
-        payload = random.Random(9).randbytes(200)
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        via_env = stream_encode(payload, n=6, k=4, chunk_size=32)
-        monkeypatch.delenv(BACKEND_ENV)
-        assert via_env == stream_encode(payload, n=6, k=4, chunk_size=32)

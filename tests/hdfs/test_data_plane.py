@@ -93,5 +93,3 @@ class TestDataPlaneUnit:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             StreamingDataPlane(CodeParams(6, 4), bytes_per_block=0)
-        with pytest.raises(ValueError):
-            StreamingDataPlane(CodeParams(6, 4), backend="simd")
