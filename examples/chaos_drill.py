@@ -20,12 +20,12 @@ Run:  python examples/chaos_drill.py [seed]
 
 import sys
 
-from repro.faults.drill import run_chaos_drill
+from repro.recovery import run_storm
 
 
 def main(seed: int = 0):
     print(f"running chaos drill with seed {seed}...\n")
-    report = run_chaos_drill(seed=seed)
+    report = run_storm("chaos", seed=seed)
 
     width = max(len(k) for k in report.summary())
     for key, value in report.summary().items():
@@ -37,7 +37,7 @@ def main(seed: int = 0):
         return 1
 
     # Same seed, same world: replay and compare fingerprints.
-    replay = run_chaos_drill(seed=seed)
+    replay = run_storm("chaos", seed=seed)
     assert replay.fingerprint == report.fingerprint, "drill is nondeterministic!"
     print("drill clean: no data loss, all stripes encoded, "
           "replay fingerprint matches.")

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Recovery storm drill: correlated failures against encoded stripes.
 
-Runs the four storm scenarios — single node loss under MapReduce load,
-whole-rack loss, a scrub storm over latent corruption, and rolling
-failures during an in-progress encoding wave — for one placement policy
-and seed, then a rack-loss head-to-head of EAR versus recovery-aware
-placement.  Every run is a pure function of its seed: the fingerprint
-printed per scenario is reproducible across machines and worker counts.
+Runs every scenario of the harness — single node loss under MapReduce
+load, whole-rack loss, a scrub storm over latent corruption, rolling
+failures during an in-progress encoding wave, and the transient-fault
+chaos drill — for one placement policy and seed, then a rack-loss
+head-to-head of EAR versus recovery-aware placement.  Every run is a
+pure function of its seed: the fingerprint printed per scenario is
+reproducible across machines and worker counts.
 
 A drill passes when every scenario ends clean (no unrecoverable blocks,
 every stripe re-protected) and the recovery-aware policy repairs the
@@ -18,12 +19,12 @@ Run:  python examples/recovery_storm_drill.py [seed] [--policy ear]
 import argparse
 import sys
 
-from repro.recovery import SCENARIOS, run_storm
+from repro.recovery import SCENARIO_RUNNERS, run_storm
 
 
 def run_scenarios(seed, policy):
     reports = []
-    for scenario in SCENARIOS:
+    for scenario in SCENARIO_RUNNERS:
         print(f"=== {scenario} (policy={policy}, seed={seed}) ===")
         report = run_storm(scenario, seed=seed, policy=policy, num_stripes=4)
         summary = report.summary()

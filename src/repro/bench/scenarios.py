@@ -805,7 +805,7 @@ def _pipeline_encode_throughput(
 def _pipeline_headtohead(stripes: int):
     """RR vs EAR vs pipelined encoding wave on one seeded cluster.
 
-    Sequential (workers=None) so the scenario is self-contained; all
+    In-process (no workers) so the scenario is self-contained; all
     metrics come off the simulated clock and network counters, hence
     exact and seed-stable.  The deltas are the tentpole's headline:
     encoding-window and core-link-byte savings of the pipelined strategy
@@ -820,7 +820,7 @@ def _pipeline_headtohead(stripes: int):
             r["contender"]: r
             for r in head_to_head(
                 seeds=(seed,), num_racks=6, nodes_per_rack=4,
-                num_stripes=stripes, disturb=False, workers=None,
+                num_stripes=stripes, disturb=False,
             )
         }
         if not all(r["clean"] for r in results.values()):

@@ -15,12 +15,14 @@ Every command prints the same table the corresponding benchmark emits; the
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional, Sequence
 
 from repro.erasure.codec import CodeParams
 from repro.experiments.config import LargeScaleConfig, TestbedConfig
 from repro.experiments.runner import format_table, mean
+from repro.parallel import DEFAULT_CACHE_DIR, make_executor
 
 
 def _pct(x: float) -> str:
@@ -167,22 +169,48 @@ def cmd_fig12(args) -> None:
     ))
 
 
+def _cache_dir_from_args(args) -> Optional[str]:
+    """Where ``--workers`` runs cache results (flagless runs never do)."""
+    return None if args.no_cache else DEFAULT_CACHE_DIR
+
+
 def _executor_from_args(args):
-    """Build a SweepExecutor from ``--workers``/``--no-cache`` (or None)."""
-    from repro.parallel.executor import make_executor
-
-    workers = getattr(args, "workers", None)
-    cache_dir = None
-    if workers is not None and not getattr(args, "no_cache", False):
-        from repro.parallel.cache import DEFAULT_CACHE_DIR
-
-        cache_dir = DEFAULT_CACHE_DIR
-    return make_executor(workers, cache_dir=cache_dir)
+    """Build the SweepExecutor that ``--workers``/``--no-cache`` ask for."""
+    return make_executor(args.workers, _cache_dir_from_args(args))
 
 
-def _report_sweep(executor) -> None:
-    if executor is not None and executor.last_report is not None:
+def _report_sweep(args, executor) -> None:
+    if args.workers is not None:
         print(f"[sweep] {executor.last_report.summary()}")
+
+
+def _print_grid(results, rows_of, as_json: bool = False) -> int:
+    """Print a head-to-head grid; exit status 1 unless every cell is clean."""
+    if as_json:
+        print(json.dumps(results, indent=2, sort_keys=True))
+    else:
+        rows = rows_of(results)
+        headers = list(rows[0].keys())
+        print(format_table(
+            headers, [[str(row[h]) for h in headers] for row in rows]
+        ))
+    return 0 if all(r["clean"] for r in results) else 1
+
+
+def _print_run(summary, clean: bool, noun: str, as_json: bool = False) -> int:
+    """Print one scenario run; exit status 1 unless it was clean."""
+    if as_json:
+        print(json.dumps(summary, indent=2, sort_keys=True))
+    else:
+        rows = [[key, str(value)] for key, value in summary.items()]
+        print(format_table(["metric", "value"], rows))
+        print(
+            f"\n{noun} clean: no data loss, every stripe encoded"
+            if clean else
+            f"\n{noun.upper()} FAILED: data was lost or encoding did not "
+            "finish"
+        )
+    return 0 if clean else 1
 
 
 def _largescale_sweep(sweep, args, header: str, formatter) -> None:
@@ -194,7 +222,7 @@ def _largescale_sweep(sweep, args, header: str, formatter) -> None:
         for p in points
     ]
     print(format_table([header, "encode gain", "write gain"], rows))
-    _report_sweep(executor)
+    _report_sweep(args, executor)
 
 
 def cmd_fig13a(args) -> None:
@@ -239,11 +267,12 @@ def cmd_fig13f(args) -> None:
     _largescale_sweep(sweep_replicas, args, "replicas", lambda v: int(v))
 
 
-def cmd_chaos(args) -> None:
+def cmd_chaos(args) -> int:
     """Chaos drill: transient faults + corruption during background encoding."""
-    from repro.faults.drill import run_chaos_drill
+    from repro.recovery import run_storm
 
-    report = run_chaos_drill(
+    report = run_storm(
+        "chaos",
         seed=args.seed,
         num_stripes=args.stripes,
         num_flaps=args.flaps,
@@ -251,12 +280,7 @@ def cmd_chaos(args) -> None:
         num_corruptions=args.corruptions,
         horizon=args.horizon,
     )
-    rows = [[key, str(value)] for key, value in report.summary().items()]
-    print(format_table(["metric", "value"], rows))
-    if not report.clean:
-        print("\nDRILL FAILED: data was lost or encoding did not finish")
-        raise SystemExit(1)
-    print("\ndrill clean: no data loss, all stripes encoded")
+    return _print_run(report.summary(), report.clean, "drill")
 
 
 def cmd_recovery(args) -> int:
@@ -264,67 +288,36 @@ def cmd_recovery(args) -> int:
     from repro.recovery import head_to_head, head_to_head_rows, run_storm
 
     if args.head_to_head:
-        cache_dir = None
-        if args.workers is not None and not getattr(args, "no_cache", False):
-            from repro.parallel.cache import DEFAULT_CACHE_DIR
-
-            cache_dir = DEFAULT_CACHE_DIR
         results = head_to_head(
             scenario=args.scenario,
             seeds=tuple(range(args.seeds)),
             num_stripes=args.stripes,
             workers=args.workers,
-            cache_dir=cache_dir,
+            cache_dir=_cache_dir_from_args(args),
         )
-        rows = head_to_head_rows(results)
-        headers = list(rows[0].keys())
-        print(format_table(
-            headers, [[str(row[h]) for h in headers] for row in rows]
-        ))
-        return 0
+        return _print_grid(results, head_to_head_rows)
 
     report = run_storm(
         args.scenario, seed=args.seed, policy=args.policy,
         num_stripes=args.stripes,
     )
-    rows = [[key, str(value)] for key, value in report.summary().items()]
-    print(format_table(["metric", "value"], rows))
-    if not report.clean:
-        print("\nSTORM FAILED: data was lost or encoding did not finish")
-        return 1
-    print("\nstorm clean: no data loss, every stripe re-protected")
-    return 0
+    return _print_run(report.summary(), report.clean, "storm")
 
 
 def cmd_pipeline(args) -> int:
     """Pipelined archival encoding: strategy drills and head-to-heads."""
-    import json
-
     from repro.pipeline import head_to_head, head_to_head_rows, pipeline_trial
 
     if args.head_to_head:
-        cache_dir = None
-        if args.workers is not None and not getattr(args, "no_cache", False):
-            from repro.parallel.cache import DEFAULT_CACHE_DIR
-
-            cache_dir = DEFAULT_CACHE_DIR
         results = head_to_head(
             seeds=tuple(range(args.seeds)),
             num_stripes=args.stripes,
             chunk_count=args.chunks,
             disturb=not args.no_disturb,
             workers=args.workers,
-            cache_dir=cache_dir,
+            cache_dir=_cache_dir_from_args(args),
         )
-        if args.json:
-            print(json.dumps(results, indent=2, sort_keys=True))
-        else:
-            rows = head_to_head_rows(results)
-            headers = list(rows[0].keys())
-            print(format_table(
-                headers, [[str(row[h]) for h in headers] for row in rows]
-            ))
-        return 0 if all(r["clean"] for r in results) else 1
+        return _print_grid(results, head_to_head_rows, as_json=args.json)
 
     result = pipeline_trial(
         seed=args.seed,
@@ -333,19 +326,10 @@ def cmd_pipeline(args) -> int:
         chunk_count=args.chunks,
         disturb=not args.no_disturb,
     )
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        rows = [[key, str(value)] for key, value in sorted(result.items())]
-        print(format_table(["metric", "value"], rows))
-    if not result["clean"]:
-        if not args.json:
-            print("\nPIPELINE RUN FAILED: data was lost or encoding did "
-                  "not finish")
-        return 1
-    if not args.json:
-        print("\npipeline run clean: every stripe encoded, parity verified")
-    return 0
+    return _print_run(
+        dict(sorted(result.items())), result["clean"], "pipeline run",
+        as_json=args.json,
+    )
 
 
 def cmd_lint(args) -> int:
@@ -383,7 +367,7 @@ def cmd_fig14(args) -> None:
         for p in ("rr", "ear")
     ]
     print(format_table(["policy"] + [f"rank {r + 1}" for r in ranks], rows))
-    _report_sweep(executor)
+    _report_sweep(args, executor)
 
 
 def cmd_fig15(args) -> None:
@@ -398,7 +382,7 @@ def cmd_fig15(args) -> None:
         for p in ("rr", "ear")
     ]
     print(format_table(["policy"] + [f"F={s}" for s in sizes], rows))
-    _report_sweep(executor)
+    _report_sweep(args, executor)
 
 
 def cmd_cache(args) -> int:
@@ -411,13 +395,35 @@ def cmd_cache(args) -> int:
 # ----------------------------------------------------------------------
 # Parser assembly
 # ----------------------------------------------------------------------
-def _add_workers_arguments(parser: argparse.ArgumentParser) -> None:
+def _at_least(minimum: int):
+    """argparse ``type``: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
+def _add_sweep_arguments(
+    parser: argparse.ArgumentParser,
+    seeds: Optional[int] = None,
+    seeds_help: Optional[str] = None,
+) -> None:
+    """The options every sweep command shares, validated in one place."""
+    if seeds is not None:
+        parser.add_argument(
+            "--seeds", type=_at_least(1), default=seeds, help=seeds_help
+        )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(0),
         default=None,
-        help="run sweep trials through the parallel executor with N worker "
-        "processes (0 = in-process executor; results are identical)",
+        help="fan sweep trials out to N worker processes and cache results "
+        "on disk (0 = in-process, cached; results are identical)",
     )
     parser.add_argument(
         "--no-cache",
@@ -452,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("fig9", cmd_fig9)):
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("--stripes", type=int, default=96)
-        p.add_argument("--seeds", type=int, default=3)
+        p.add_argument("--seeds", type=_at_least(1), default=3)
         p.set_defaults(func=func)
 
     p = sub.add_parser("fig10", help=cmd_fig10.__doc__)
@@ -472,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("--stripes-per-process", type=int, default=10)
-        p.add_argument("--seeds", type=int, default=2)
-        _add_workers_arguments(p)
+        _add_sweep_arguments(p, seeds=2)
         p.set_defaults(func=func)
 
     p = sub.add_parser("chaos", help=cmd_chaos.__doc__)
@@ -492,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="single_node_loss",
         choices=[
             "single_node_loss", "rack_loss", "scrub_storm",
-            "rolling_failures",
+            "rolling_failures", "chaos",
         ],
         help="which storm to run (default: single_node_loss)",
     )
@@ -507,11 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the rr/ear/recovery x code comparison grid instead of "
         "one policy",
     )
-    p.add_argument(
-        "--seeds", type=int, default=1,
-        help="with --head-to-head: seeds per grid cell",
+    _add_sweep_arguments(
+        p, seeds=1, seeds_help="with --head-to-head: seeds per grid cell"
     )
-    _add_workers_arguments(p)
     p.set_defaults(func=cmd_recovery)
 
     p = sub.add_parser("pipeline", help=cmd_pipeline.__doc__)
@@ -537,14 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
         "strategy",
     )
     p.add_argument(
-        "--seeds", type=int, default=1,
-        help="with --head-to-head: seeds per contender",
-    )
-    p.add_argument(
         "--json", action="store_true",
         help="emit raw trial results as JSON instead of a table",
     )
-    _add_workers_arguments(p)
+    _add_sweep_arguments(
+        p, seeds=1, seeds_help="with --head-to-head: seeds per contender"
+    )
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("bench", help=cmd_bench.__doc__)
@@ -568,12 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig14", help=cmd_fig14.__doc__)
     p.add_argument("--blocks", type=int, default=10_000)
     p.add_argument("--runs", type=int, default=10)
-    _add_workers_arguments(p)
+    _add_sweep_arguments(p)
     p.set_defaults(func=cmd_fig14)
 
     p = sub.add_parser("fig15", help=cmd_fig15.__doc__)
     p.add_argument("--runs", type=int, default=10)
-    _add_workers_arguments(p)
+    _add_sweep_arguments(p)
     p.set_defaults(func=cmd_fig15)
 
     p = sub.add_parser("cache", help=cmd_cache.__doc__)

@@ -19,21 +19,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # avoid importing the executor machinery at module load
-    from repro.parallel.executor import SweepExecutor
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.stripe import Stripe
 from repro.erasure.codec import CodeParams
 from repro.experiments.config import LargeScaleConfig, PolicyName
 from repro.experiments.runner import (
-    ClusterSetup,
     build_cluster,
     mean,
     populate_until_sealed,
 )
+from repro.parallel.executor import SweepExecutor, run_grid
 from repro.workloads.background import BackgroundTraffic
 from repro.workloads.writes import WriteStream
 
@@ -235,47 +232,26 @@ def _normalised_sweep(
     parameters: Sequence[float],
     make_config,
     seeds: Sequence[int],
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Run ``compare_policies`` over the ``parameters x seeds`` grid.
 
-    With an executor, every (parameter, seed) cell becomes one
-    :class:`~repro.parallel.spec.TrialSpec`; specs are built in the exact
-    sequential iteration order and the executor reassembles results in
-    spec order, so the regrouped points are identical to the plain loop.
+    Every (parameter, seed) cell is one trial of
+    :func:`~repro.parallel.executor.run_grid`, which hands results back
+    in grid order whatever the executor, so the regrouped points do not
+    depend on where the trials ran.
     """
-    if executor is not None:
-        from repro.parallel.spec import TrialSpec
-
-        seed_list = list(seeds)
-        configs = [make_config(value) for value in parameters]
-        specs = [
-            TrialSpec(
-                fn=compare_policies,
-                config={"config": config},
-                seed=seed,
-                tag="largescale.compare",
-            )
-            for config in configs
-            for seed in seed_list
-        ]
-        flat = executor.map_trials(specs)
-        per_value = [
-            flat[i * len(seed_list) : (i + 1) * len(seed_list)]
-            for i in range(len(configs))
-        ]
-        return [
-            NormalisedPoint(
-                parameter=value,
-                encode_ratios=tuple(r[0] for r in ratios),
-                write_ratios=tuple(r[1] for r in ratios),
-            )
-            for value, ratios in zip(parameters, per_value)
-        ]
+    seeds = list(seeds)
+    flat = run_grid(
+        compare_policies,
+        axes={"config": [make_config(value) for value in parameters]},
+        seeds=seeds,
+        tag="largescale.compare",
+        executor=executor,
+    )
     points = []
-    for value in parameters:
-        config = make_config(value)
-        ratios = [compare_policies(config, seed) for seed in seeds]
+    for index, value in enumerate(parameters):
+        ratios = flat[index * len(seeds) : (index + 1) * len(seeds)]
         points.append(
             NormalisedPoint(
                 parameter=value,
@@ -294,7 +270,7 @@ def sweep_k(
     parity: int = 4,
     base: Optional[LargeScaleConfig] = None,
     seeds: Sequence[int] = range(3),
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Figure 13(a): vary ``k`` with ``n - k`` fixed at 4."""
     base = base if base is not None else LargeScaleConfig()
@@ -311,7 +287,7 @@ def sweep_m(
     k: int = 10,
     base: Optional[LargeScaleConfig] = None,
     seeds: Sequence[int] = range(3),
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Figure 13(b): vary ``n - k`` with ``k`` fixed at 10."""
     base = base if base is not None else LargeScaleConfig()
@@ -327,7 +303,7 @@ def sweep_bandwidth(
     gbps: Sequence[float] = (0.2, 0.5, 1.0, 2.0),
     base: Optional[LargeScaleConfig] = None,
     seeds: Sequence[int] = range(3),
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Figure 13(c): vary the top-of-rack and core link bandwidth."""
     base = base if base is not None else LargeScaleConfig()
@@ -343,7 +319,7 @@ def sweep_write_rate(
     rates: Sequence[float] = (1.0, 2.0, 3.0, 4.0),
     base: Optional[LargeScaleConfig] = None,
     seeds: Sequence[int] = range(3),
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Figure 13(d): vary the write request arrival rate."""
     base = base if base is not None else LargeScaleConfig()
@@ -359,7 +335,7 @@ def sweep_rack_tolerance(
     tolerances: Sequence[int] = (1, 2, 3, 4),
     base: Optional[LargeScaleConfig] = None,
     seeds: Sequence[int] = range(3),
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Figure 13(e): vary EAR's tolerable rack failures (via ``c``).
 
@@ -383,7 +359,7 @@ def sweep_oversubscription(
     ratios: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
     base: Optional[LargeScaleConfig] = None,
     seeds: Sequence[int] = range(3),
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Extension sweep: vary the rack uplink over-subscription ratio.
 
@@ -407,7 +383,7 @@ def sweep_replicas(
     replica_counts: Sequence[int] = (2, 3, 4, 6, 8),
     base: Optional[LargeScaleConfig] = None,
     seeds: Sequence[int] = range(3),
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[NormalisedPoint]:
     """Figure 13(f): vary the replication factor, one rack per replica."""
     base = base if base is not None else LargeScaleConfig()

@@ -9,22 +9,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.load_balance import (
-    hotness_index,
-    rack_replica_shares,
-    read_balance_study,
-    storage_balance_study,
-)
-
-if TYPE_CHECKING:  # avoid importing the executor machinery at module load
-    from repro.parallel.executor import SweepExecutor
+from repro.analysis.load_balance import hotness_index, rack_replica_shares
 from repro.cluster.topology import ClusterTopology
 from repro.core.policy import PlacementPolicy, ReplicationScheme
 from repro.erasure.codec import CodeParams
 from repro.experiments.config import PolicyName
 from repro.experiments.runner import make_policy
+from repro.parallel.executor import SweepExecutor, run_grid
 
 
 @dataclass(frozen=True)
@@ -42,17 +35,15 @@ class LoadBalanceConfig:
         return ReplicationScheme(self.replicas, self.replica_racks)
 
 
-def _factory(policy_name: str, config: LoadBalanceConfig):
+def _policy(
+    policy_name: str, config: LoadBalanceConfig, rng: random.Random
+) -> PlacementPolicy:
     topology = ClusterTopology.large_scale(
         num_racks=config.num_racks, nodes_per_rack=config.nodes_per_rack
     )
-
-    def make(rng: random.Random) -> PlacementPolicy:
-        return make_policy(
-            policy_name, topology, config.code, config.scheme(), rng
-        )
-
-    return make
+    return make_policy(
+        policy_name, topology, config.code, config.scheme(), rng
+    )
 
 
 def _storage_trial(
@@ -62,7 +53,7 @@ def _storage_trial(
     seed: int,
 ) -> List[float]:
     """One Monte-Carlo storage run — the parallel unit of Figure 14."""
-    policy = _factory(policy_name, config)(random.Random(seed))
+    policy = _policy(policy_name, config, random.Random(seed))
     return rack_replica_shares(policy, num_blocks)
 
 
@@ -72,9 +63,13 @@ def _read_trial(
     file_blocks: int,
     seed: int,
 ) -> float:
-    """One hotness-index run — the parallel unit of Figure 15."""
-    policy = _factory(policy_name, config)(random.Random(seed))
-    return hotness_index(policy, file_blocks)
+    """One hotness-index run — the parallel unit of Figure 15.
+
+    ``seed`` is the study seed plus the run index; the file size is
+    folded in here so every (size, run) cell draws its own stream.
+    """
+    rng = random.Random(seed + 1000 * file_blocks)
+    return hotness_index(_policy(policy_name, config, rng), file_blocks)
 
 
 def storage_balance(
@@ -82,7 +77,7 @@ def storage_balance(
     runs: int = 20,
     config: Optional[LoadBalanceConfig] = None,
     seed: int = 0,
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> Dict[str, List[float]]:
     """Figure 14: mean sorted per-rack replica shares per policy.
 
@@ -90,48 +85,29 @@ def storage_balance(
     and 5.1% for both policies on 20 racks.  ``runs`` trades precision for
     wall-clock and is recorded in EXPERIMENTS.md.
 
-    With an ``executor`` each (policy, run) pair becomes one trial; the
-    per-run shares are then averaged in the same run order and with the
-    same float arithmetic as the sequential study, so the result is
-    byte-identical.
+    Each (policy, run) pair is one trial; the per-run shares are averaged
+    in run order with the same float arithmetic as
+    :func:`repro.analysis.load_balance.storage_balance_study`, so the
+    result is byte-identical to that single-loop reference.
     """
+    if runs < 1:
+        raise ValueError("runs must be positive")
     config = config if config is not None else LoadBalanceConfig()
-    if executor is not None:
-        from repro.parallel.spec import TrialSpec
-
-        specs = [
-            TrialSpec(
-                fn=_storage_trial,
-                config={
-                    "policy_name": policy,
-                    "config": config,
-                    "num_blocks": num_blocks,
-                },
-                seed=seed + run,
-                tag=f"loadbalance.storage.{policy}",
-            )
-            for policy in PolicyName.ALL
-            for run in range(runs)
-        ]
-        flat = iter(executor.map_trials(specs))
-        out: Dict[str, List[float]] = {}
-        for policy in PolicyName.ALL:
-            accumulated: Optional[List[float]] = None
-            for __ in range(runs):
-                shares = next(flat)
-                if accumulated is None:
-                    accumulated = shares
-                else:
-                    accumulated = [a + s for a, s in zip(accumulated, shares)]
-            assert accumulated is not None
-            out[policy] = [a / runs for a in accumulated]
-        return out
-    return {
-        policy: storage_balance_study(
-            _factory(policy, config), num_blocks, runs, seed=seed
-        )
-        for policy in PolicyName.ALL
-    }
+    flat = iter(run_grid(
+        _storage_trial,
+        axes={"policy_name": PolicyName.ALL},
+        seeds=range(seed, seed + runs),
+        fixed={"config": config, "num_blocks": num_blocks},
+        tag="loadbalance.storage.{policy_name}",
+        executor=executor,
+    ))
+    out: Dict[str, List[float]] = {}
+    for policy in PolicyName.ALL:
+        accumulated = next(flat)
+        for __ in range(runs - 1):
+            accumulated = [a + s for a, s in zip(accumulated, next(flat))]
+        out[policy] = [a / runs for a in accumulated]
+    return out
 
 
 def read_balance(
@@ -139,47 +115,33 @@ def read_balance(
     runs: int = 20,
     config: Optional[LoadBalanceConfig] = None,
     seed: int = 0,
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> Dict[str, Dict[int, float]]:
     """Figure 15: mean hotness index H per file size per policy.
 
-    With an ``executor`` each (policy, size, run) cell becomes one trial,
-    seeded exactly as the sequential study seeds it; per-size means are
-    re-accumulated in run order so the result is byte-identical.
+    Each (policy, size, run) cell is one trial, seeded exactly as
+    :func:`repro.analysis.load_balance.read_balance_study` seeds it;
+    per-size means are accumulated in run order so the result is
+    byte-identical to that single-loop reference.
     """
+    if runs < 1:
+        raise ValueError("runs must be positive")
     config = config if config is not None else LoadBalanceConfig()
-    if executor is not None:
-        from repro.parallel.spec import TrialSpec
-
-        specs = [
-            TrialSpec(
-                fn=_read_trial,
-                config={
-                    "policy_name": policy,
-                    "config": config,
-                    "file_blocks": size,
-                },
-                seed=seed + 1000 * size + run,
-                tag=f"loadbalance.read.{policy}",
-            )
-            for policy in PolicyName.ALL
-            for size in file_sizes
-            for run in range(runs)
-        ]
-        flat = iter(executor.map_trials(specs))
-        result: Dict[str, Dict[int, float]] = {}
-        for policy in PolicyName.ALL:
-            means: Dict[int, float] = {}
-            for size in file_sizes:
-                total = 0.0
-                for __ in range(runs):
-                    total += next(flat)
-                means[size] = total / runs
-            result[policy] = means
-        return result
-    return {
-        policy: read_balance_study(
-            _factory(policy, config), file_sizes, runs, seed=seed
-        )
-        for policy in PolicyName.ALL
-    }
+    flat = iter(run_grid(
+        _read_trial,
+        axes={"policy_name": PolicyName.ALL, "file_blocks": file_sizes},
+        seeds=range(seed, seed + runs),
+        fixed={"config": config},
+        tag="loadbalance.read.{policy_name}",
+        executor=executor,
+    ))
+    result: Dict[str, Dict[int, float]] = {}
+    for policy in PolicyName.ALL:
+        means: Dict[int, float] = {}
+        for size in file_sizes:
+            total = 0.0
+            for __ in range(runs):
+                total += next(flat)
+            means[size] = total / runs
+        result[policy] = means
+    return result

@@ -12,8 +12,8 @@ that degrades gracefully:
 * :mod:`repro.faults.scrubber` — periodic checksum verification feeding
   detected corruption into the queue.
 
-:mod:`repro.faults.drill` wires them all into one deterministic chaos
-drill (also reachable as ``repro chaos`` from the CLI).
+:mod:`repro.recovery.storm` wires them all to a cluster; its ``chaos``
+scenario (``repro chaos`` on the CLI) drills every piece in one run.
 """
 
 from repro.faults.chaos import (
@@ -34,23 +34,8 @@ from repro.faults.retry import (
 )
 from repro.faults.scrubber import Scrubber
 
-_DRILL_EXPORTS = ("ChaosDrillReport", "cluster_fingerprint", "run_chaos_drill")
-
-
-def __getattr__(name):
-    # The drill pulls in the whole hdfs/experiments stack, which itself
-    # imports repro.faults.retry — importing it eagerly here would be
-    # circular, so it loads on first access instead.
-    if name in _DRILL_EXPORTS:
-        from repro.faults import drill
-
-        return getattr(drill, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AttemptTimeout",
-    "ChaosDrillReport",
     "ChaosEvent",
     "ChaosInjector",
     "ChaosSchedule",
@@ -62,7 +47,5 @@ __all__ = [
     "RetryExhausted",
     "RetryPolicy",
     "Scrubber",
-    "cluster_fingerprint",
-    "run_chaos_drill",
     "with_retries",
 ]

@@ -5,6 +5,7 @@ Public surface::
     TrialSpec       one picklable, content-addressed trial
     SweepExecutor   maps trials across a pool; spec-order reassembly
     ResultCache     on-disk CRC-checked cache keyed by fingerprint
+    run_grid        trial fn x named axes x seeds -> specs -> map_trials
     make_executor   CLI helper turning a --workers value into an executor
 
 The package-wide invariant: ``map_trials`` output is byte-identical for
@@ -21,6 +22,7 @@ from repro.parallel.executor import (
     SweepReport,
     TrialError,
     make_executor,
+    run_grid,
 )
 from repro.parallel.fingerprint import (
     FingerprintError,
@@ -54,4 +56,5 @@ __all__ = [
     "fingerprint_document",
     "make_executor",
     "merge_ops",
+    "run_grid",
 ]

@@ -22,11 +22,12 @@ check covers the cached path too).
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.spec import TrialSpec
@@ -267,11 +268,7 @@ class SweepExecutor:
     def _fallback(self, spec: TrialSpec, report: SweepReport) -> Any:
         """A worker exceeded the timeout: degrade to in-process execution."""
         report.fallbacks += 1
-        outcome = execute_trial(spec)  # bumps PERF directly
-        if not outcome.ok:
-            raise TrialError(spec, outcome.error or "unknown error")
-        report.executed += 1
-        return outcome.value
+        return self._map_sequential([spec], report)[0]
 
     # ------------------------------------------------------------------
     # Differential mode
@@ -283,12 +280,7 @@ class SweepExecutor:
         report: SweepReport,
     ) -> None:
         with measure_ops() as measured:
-            oracle: List[Any] = []
-            for spec in specs:
-                outcome = execute_trial(spec)
-                if not outcome.ok:
-                    raise TrialError(spec, outcome.error or "unknown error")
-                oracle.append(outcome.value)
+            oracle = self._map_sequential(specs, SweepReport())
         # The oracle re-run is a shadow computation: cancel its counted
         # work so op accounting matches a plain parallel run.
         for name in sorted(measured.ops):
@@ -307,17 +299,52 @@ class SweepExecutor:
 
 
 def make_executor(
-    workers: Optional[int],
-    cache_dir: Optional[str] = None,
-    timeout_s: Optional[float] = None,
-) -> Optional[SweepExecutor]:
+    workers: Optional[int], cache_dir: Optional[str] = None
+) -> SweepExecutor:
     """CLI helper: build an executor from a ``--workers`` value.
 
-    ``None`` (flag absent) returns ``None`` — callers keep their legacy
-    sequential path.  ``0`` returns an in-process executor (cache still
-    active), larger values a pooled one.
+    ``None`` (flag absent) runs in-process and never touches the disk,
+    whatever ``cache_dir`` says; ``0`` runs in-process with the cache
+    active; larger values fan out to a pool.
     """
-    if workers is None:
-        return None
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    return SweepExecutor(workers=workers, cache=cache, timeout_s=timeout_s)
+    cached = workers is not None and cache_dir is not None
+    return SweepExecutor(
+        workers=workers or 0, cache=ResultCache(cache_dir) if cached else None
+    )
+
+
+def run_grid(
+    fn: Callable[..., Any],
+    axes: Mapping[Any, Sequence[Any]],
+    seeds: Sequence[int],
+    fixed: Optional[Mapping[str, Any]] = None,
+    tag: str = "",
+    executor: Optional[SweepExecutor] = None,
+) -> List[Any]:
+    """Run ``fn`` over the grid ``axes x seeds``; the one way a sweep runs.
+
+    ``axes`` maps a config key to the values it sweeps; cells run in
+    row-major order (first axis outermost, seeds innermost) and the flat
+    result list comes back in that order.  A tuple key sweeps several
+    config keys together — ``("code_n", "code_k"): [(6, 4), (14, 10)]``.
+    ``fixed`` is config shared by every cell; ``tag`` is formatted with
+    each cell's config (``"storm.{policy}"``).  Without an ``executor``
+    the grid runs in-process and uncached — the oracle path.
+    """
+    seeds = list(seeds)
+    specs: List[TrialSpec] = []
+    for cell in itertools.product(*axes.values()):
+        config = dict(fixed or {})
+        for key, value in zip(axes, cell):
+            if isinstance(key, tuple):
+                config.update(zip(key, value))
+            else:
+                config[key] = value
+        label = tag.format(**config)
+        specs.extend(
+            TrialSpec(fn=fn, config=config, seed=seed, tag=label)
+            for seed in seeds
+        )
+    if executor is None:
+        executor = SweepExecutor()
+    return executor.map_trials(specs)

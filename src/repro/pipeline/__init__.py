@@ -33,7 +33,6 @@ from repro.pipeline.headtohead import (
     CONTENDERS,
     head_to_head,
     head_to_head_rows,
-    head_to_head_specs,
     pipeline_trial,
 )
 from repro.pipeline.metrics import PipelineMetrics
@@ -53,7 +52,6 @@ __all__ = [
     "PipelinedStripe",
     "head_to_head",
     "head_to_head_rows",
-    "head_to_head_specs",
     "pipeline_trial",
     "pipelined_parity",
     "plan_pipeline",

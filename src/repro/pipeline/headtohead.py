@@ -18,10 +18,10 @@ window exposure, and the pipeline's re-plan/fallback counts.  For the
 pipeline contender every encoded stripe's parity payloads are re-checked
 against the whole-stripe codec (the byte-identity oracle).
 
-``pipeline_trial`` is module-level and all-scalar so the grid rides the
-PR5 :class:`~repro.parallel.executor.SweepExecutor`: parallel across
-processes, fingerprint-cached, byte-identical to the sequential pass
-under ``REPRO_PARALLEL_CHECK=1``.
+``pipeline_trial`` is module-level and all-scalar so the grid rides
+:func:`~repro.parallel.executor.run_grid`: parallel across processes,
+fingerprint-cached, byte-identical to the in-process pass under
+``REPRO_PARALLEL_CHECK=1``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
-from repro.parallel.executor import make_executor
-from repro.parallel.spec import TrialSpec
+from repro.parallel.executor import make_executor, run_grid
 from repro.recovery.storm import (
-    StormCluster,
     build_storm_cluster,
+    busiest_node,
+    drain,
     encode_all,
-    storm_fingerprint,
+    finish_report,
 )
 
 #: Contender name -> (placement policy, transition strategy).
@@ -48,23 +48,6 @@ CONTENDER_CONFIGS: Dict[str, Tuple[str, str]] = {
 
 #: Contenders compared by default, in canonical order.
 CONTENDERS: Tuple[str, ...] = ("rr", "ear", "pipeline")
-
-
-def _loaded_node(sc: StormCluster) -> int:
-    """The node holding the most replicas (deterministic tie-break)."""
-    counts = sc.store.replica_count_per_node()
-    return min(sorted(counts), key=lambda n: (-counts[n], n))
-
-
-def _settle(sc: StormCluster, rounds: int = 8,
-            round_time: float = 300.0) -> None:
-    """Keep scrubbing until no damage or queued repair work remains."""
-    sc.sim.run(until=sc.sim.now + 600.0)
-    for __ in range(rounds):
-        caught = sc.scrubber.scan_once()
-        if not caught and sc.repair_queue.pending_count == 0:
-            break
-        sc.sim.run(until=sc.sim.now + round_time)
 
 
 def pipeline_trial(
@@ -113,7 +96,7 @@ def pipeline_trial(
     cross0 = stats.bytes_cross_rack
 
     if disturb:
-        victim = _loaded_node(sc)
+        victim = busiest_node(sc)
         sc.sim.process(sc.injector.fail_node_at(t0 + 1.0, victim))
         sc.recovery.record_storm_event("pipeline_disturb")
 
@@ -131,7 +114,7 @@ def pipeline_trial(
     core_bytes = stats.bytes_cross_rack - cross0
 
     if disturb:
-        _settle(sc)
+        drain(sc, horizon=600.0)
 
     parity_verified = 0
     if strategy == "pipeline":
@@ -147,21 +130,15 @@ def pipeline_trial(
             parity_verified += 1
 
     pipeline_metrics = getattr(sc.setup.encoder, "metrics", None)
-    unrecoverable = tuple(sc.repair_queue.unrecoverable) + tuple(
-        block_id
-        for rep in sc.injector.reports
-        for block_id in rep.unrecoverable
-    )
-    stripes_encoded = len(finish_times)
-    recovery = sc.recovery.summary(now=sc.sim.now)
+    report = finish_report(sc, contender, policy, seed)
     return {
         "contender": contender,
         "policy": policy,
         "strategy": strategy,
         "seed": seed,
         "disturbed": disturb,
-        "stripes_encoded": stripes_encoded,
-        "stripes_total": len(sc.stripes),
+        "stripes_encoded": report.stripes_encoded,
+        "stripes_total": report.stripes_total,
         "encode_window": repr(encode_window),
         "encode_mb_per_s": repr(throughput / 1e6),
         "total_bytes": repr(float(total_bytes)),
@@ -173,86 +150,38 @@ def pipeline_trial(
         "pipeline_replans": (
             pipeline_metrics.replans if pipeline_metrics else 0
         ),
-        "time_at_margin_zero": repr(
-            float(recovery.get("time_at_margin_zero", 0.0))
-        ),
-        "unrecoverable": sorted(unrecoverable),
-        "clean": (
-            not unrecoverable
-            and not sc.encode_errors
-            and stripes_encoded == len(sc.stripes)
-        ),
-        "fingerprint": storm_fingerprint(sc),
+        "time_at_margin_zero": repr(float(
+            report.recovery_summary.get("time_at_margin_zero", 0.0)
+        )),
+        "unrecoverable": sorted(report.unrecoverable),
+        "clean": report.clean,
+        "fingerprint": report.fingerprint,
     }
-
-
-def head_to_head_specs(
-    contenders: Sequence[str] = CONTENDERS,
-    seeds: Sequence[int] = (0,),
-    code_n: int = 6,
-    code_k: int = 4,
-    num_racks: int = 8,
-    nodes_per_rack: int = 4,
-    num_stripes: int = 6,
-    ear_c: int = 2,
-    chunk_count: int = 4,
-    disturb: bool = True,
-) -> List[TrialSpec]:
-    """The trial grid: contenders × seeds."""
-    specs: List[TrialSpec] = []
-    for contender in contenders:
-        for seed in seeds:
-            specs.append(TrialSpec(
-                fn=pipeline_trial,
-                config={
-                    "contender": contender,
-                    "code_n": code_n,
-                    "code_k": code_k,
-                    "num_racks": num_racks,
-                    "nodes_per_rack": nodes_per_rack,
-                    "num_stripes": num_stripes,
-                    "ear_c": ear_c,
-                    "chunk_count": chunk_count,
-                    "disturb": disturb,
-                },
-                seed=seed,
-                tag=f"pipeline.headtohead.{contender}",
-            ))
-    return specs
 
 
 def head_to_head(
     contenders: Sequence[str] = CONTENDERS,
     seeds: Sequence[int] = (0,),
-    code_n: int = 6,
-    code_k: int = 4,
-    num_racks: int = 8,
-    nodes_per_rack: int = 4,
-    num_stripes: int = 6,
-    ear_c: int = 2,
-    chunk_count: int = 4,
-    disturb: bool = True,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
+    **trial,
 ) -> List[Dict[str, object]]:
-    """Run the grid, through the sweep executor when ``workers`` is given.
+    """Run the contenders × seeds grid.
 
-    ``workers=None`` runs sequentially in-process (no executor at all);
-    ``workers=0`` uses the executor's in-process path (cache active);
-    larger values fan trials out to worker processes.  Results always
-    come back in spec order, so the two paths are comparable element by
-    element.
+    ``trial`` overrides :func:`pipeline_trial`'s other keywords (cluster
+    sizing, ``chunk_count``, ``disturb``) for every cell.  ``workers`` of
+    ``None`` or ``0`` runs in-process, larger values fan trials out to
+    worker processes; results come back in grid order either way, so any
+    two runs are comparable element by element.
     """
-    specs = head_to_head_specs(
-        contenders, seeds, code_n=code_n, code_k=code_k,
-        num_racks=num_racks, nodes_per_rack=nodes_per_rack,
-        num_stripes=num_stripes, ear_c=ear_c, chunk_count=chunk_count,
-        disturb=disturb,
+    return run_grid(
+        pipeline_trial,
+        axes={"contender": contenders},
+        seeds=seeds,
+        fixed=trial,
+        tag="pipeline.headtohead.{contender}",
+        executor=make_executor(workers, cache_dir),
     )
-    executor = make_executor(workers, cache_dir)
-    if executor is None:
-        return [spec.run() for spec in specs]
-    return executor.map_trials(specs)
 
 
 def head_to_head_rows(

@@ -10,10 +10,12 @@ Layers (each importable on its own):
   the spread-for-repair EAR variant (policy name ``"recovery"``).
 * :mod:`repro.recovery.degraded` — :class:`DegradedReadPath`, the client
   read ladder (normal → inline decode → repair-queue escalation).
-* :mod:`repro.recovery.storm` — the four seeded storm scenarios and
-  their fingerprinted reports.
-* :mod:`repro.recovery.headtohead` — policy × code comparison grids over
-  the sweep executor.
+* :mod:`repro.recovery.storm` — the fault-scenario harness: the one
+  cluster + recovery-stack assembly, drain loop and fingerprinted
+  report, and the five seeded scenarios built on them (four storms and
+  the chaos drill).
+* :mod:`repro.recovery.headtohead` — the storm trial and its policy ×
+  code grid over :func:`repro.parallel.run_grid`.
 """
 
 from repro.recovery.degraded import (
@@ -28,14 +30,12 @@ from repro.recovery.headtohead import (
     DEFAULT_POLICIES,
     head_to_head,
     head_to_head_rows,
-    head_to_head_specs,
     storm_trial,
 )
 from repro.recovery.metrics import RecoveryMetrics
 from repro.recovery.placement import RecoveryAwareReplication
 from repro.recovery.storm import (
     SCENARIO_RUNNERS,
-    SCENARIOS,
     StormCluster,
     StormReport,
     build_storm_cluster,
@@ -58,13 +58,11 @@ __all__ = [
     "RecoveryAwareReplication",
     "RecoveryMetrics",
     "SCENARIO_RUNNERS",
-    "SCENARIOS",
     "StormCluster",
     "StormReport",
     "build_storm_cluster",
     "head_to_head",
     "head_to_head_rows",
-    "head_to_head_specs",
     "rack_loss",
     "rolling_failures",
     "run_storm",

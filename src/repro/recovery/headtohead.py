@@ -3,10 +3,10 @@
 The question the recovery engine exists to answer: *how much repair
 speed does EAR's encoding-friendly concentration cost, and what does the
 recovery-aware spread buy back?*  This module runs one storm scenario
-across a policy × code grid as independent
-:class:`~repro.parallel.spec.TrialSpec` trials, so the comparison rides
-the PR5 sweep executor — parallel across processes, fingerprint-cached,
-and differentially checked against the sequential oracle under
+across a code × policy × seed grid through
+:func:`~repro.parallel.executor.run_grid`, so the comparison rides the
+sweep executor — parallel across processes, fingerprint-cached, and
+differentially checked against the in-process oracle under
 ``REPRO_PARALLEL_CHECK=1``.
 
 ``storm_trial`` is the module-level trial callable (workers must be able
@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.erasure.codec import CodeParams
-from repro.parallel.executor import make_executor
-from repro.parallel.spec import TrialSpec
+from repro.parallel.executor import make_executor, run_grid
 from repro.recovery.storm import run_storm
 
 #: (label, n, k) rows of the default head-to-head code grid: the paper's
@@ -44,16 +43,15 @@ def storm_trial(
     code_n: int = 14,
     code_k: int = 10,
     num_racks: int = 18,
-    nodes_per_rack: int = 4,
     num_stripes: int = 4,
-    block_size: int = 256_000,
-    ear_c: int = 2,
+    **cluster,
 ) -> Dict[str, object]:
     """One storm run as a sweep trial (module-level, picklable).
 
     The code is passed as ``(code_n, code_k)`` integers so the trial
     config stays canonically JSON-encodable; ``code_label`` carries the
     human name into the result (and the trial's cache identity).
+    ``cluster`` goes on to the scenario and its cluster build.
     """
     report = run_storm(
         scenario,
@@ -61,48 +59,12 @@ def storm_trial(
         policy=policy,
         code=CodeParams(code_n, code_k),
         num_racks=num_racks,
-        nodes_per_rack=nodes_per_rack,
         num_stripes=num_stripes,
-        block_size=block_size,
-        ear_c=ear_c,
+        **cluster,
     )
     result = report.as_trial_result()
     result["code"] = code_label
     return result
-
-
-def head_to_head_specs(
-    scenario: str = "rack_loss",
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    codes: Sequence[Tuple[str, int, int]] = DEFAULT_CODES,
-    seeds: Sequence[int] = (0,),
-    num_racks: int = 18,
-    nodes_per_rack: int = 4,
-    num_stripes: int = 4,
-    ear_c: int = 2,
-) -> List[TrialSpec]:
-    """The trial grid for one scenario: policies × codes × seeds."""
-    specs: List[TrialSpec] = []
-    for label, n, k in codes:
-        for policy in policies:
-            for seed in seeds:
-                specs.append(TrialSpec(
-                    fn=storm_trial,
-                    config={
-                        "scenario": scenario,
-                        "policy": policy,
-                        "code_label": label,
-                        "code_n": n,
-                        "code_k": k,
-                        "num_racks": num_racks,
-                        "nodes_per_rack": nodes_per_rack,
-                        "num_stripes": num_stripes,
-                        "ear_c": ear_c,
-                    },
-                    seed=seed,
-                    tag=f"storm.{scenario}.{label}.{policy}",
-                ))
-    return specs
 
 
 def head_to_head(
@@ -110,30 +72,29 @@ def head_to_head(
     policies: Sequence[str] = DEFAULT_POLICIES,
     codes: Sequence[Tuple[str, int, int]] = DEFAULT_CODES,
     seeds: Sequence[int] = (0,),
-    num_racks: int = 18,
-    nodes_per_rack: int = 4,
-    num_stripes: int = 4,
-    ear_c: int = 2,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
+    **cluster,
 ) -> List[Dict[str, object]]:
-    """Run the grid, through the sweep executor when ``workers`` is given.
+    """Run one scenario over the codes × policies × seeds grid.
 
-    ``workers=None`` runs sequentially in-process (no executor at all);
-    ``workers=0`` uses the executor's in-process path (cache active);
-    larger values fan trials out to worker processes.  Results always
-    come back in spec order, so the two paths are comparable element
-    by element.
+    ``cluster`` overrides :func:`storm_trial`'s sizing (``num_racks``,
+    ``num_stripes``, ``nodes_per_rack``, ``block_size``, ``ear_c``, ...)
+    for every cell.  ``workers`` of ``None`` or ``0`` runs in-process, larger
+    values fan trials out to worker processes; results come back in grid
+    order either way, so any two runs are comparable element by element.
     """
-    specs = head_to_head_specs(
-        scenario, policies, codes, seeds,
-        num_racks=num_racks, nodes_per_rack=nodes_per_rack,
-        num_stripes=num_stripes, ear_c=ear_c,
+    return run_grid(
+        storm_trial,
+        axes={
+            ("code_label", "code_n", "code_k"): codes,
+            "policy": policies,
+        },
+        seeds=seeds,
+        fixed={"scenario": scenario, **cluster},
+        tag="storm.{scenario}.{code_label}.{policy}",
+        executor=make_executor(workers, cache_dir),
     )
-    executor = make_executor(workers, cache_dir)
-    if executor is None:
-        return [spec.run() for spec in specs]
-    return executor.map_trials(specs)
 
 
 def head_to_head_rows(

@@ -1,12 +1,14 @@
-"""Recovery storms: correlated-failure drills over encoded stripes.
+"""The fault-scenario harness: seeded failure drills over encoded stripes.
 
 A *recovery storm* is what a cluster lives through after correlated
 damage: the repair queue floods, reconstruction traffic fights client
 load for rack uplinks, and reads land on blocks whose only copy is gone.
-This module packages four such storms as seeded, fingerprint-
-deterministic scenarios, each runnable under any placement policy
-("rr", "ear", "recovery") so their recovery behaviour can be compared
-head-to-head:
+This module is the one place a cluster is wired to the recovery stack
+(:func:`build_storm_cluster`), drained (:func:`drain`) and reported
+(:func:`finish_report`); on top of that it packages five seeded,
+fingerprint-deterministic scenarios, each runnable under any placement
+policy ("rr", "ear", "recovery") so their recovery behaviour can be
+compared head-to-head:
 
 * :func:`single_node_loss` — one node dies under a concurrent MapReduce
   read load; clients ride the degraded-read path while the prioritized
@@ -18,10 +20,13 @@ head-to-head:
   in one scrub pass, flooding the queue with decode work.
 * :func:`rolling_failures` — nodes keep dying *during* an in-progress
   encoding wave; encoding, re-replication and decode repairs interleave.
+* :func:`chaos` — the transient-fault menu (node flaps, a rack outage,
+  NIC degradations, bit-rot) plus one permanent node failure, all
+  against a live encoding wave (also ``repro chaos`` on the CLI).
 
 All randomness in a scenario derives from its single ``seed``; the
 returned :class:`StormReport` carries a sha256 fingerprint over final
-placements, repair outcomes, read results and recovery metrics, so two
+placements, repair outcomes, read results and both metrics families, so two
 runs with the same arguments must match bit-for-bit — including across
 a mid-storm crash/recovery cycle when a journal is attached.
 """
@@ -40,6 +45,12 @@ from repro.core.relocation import BlockMover
 from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
+from repro.faults.chaos import (
+    NODE_FLAP,
+    RACK_OUTAGE,
+    ChaosInjector,
+    ChaosSchedule,
+)
 from repro.faults.repair import RepairQueue
 from repro.faults.retry import DEGRADED_READ_RETRY, RetryPolicy
 from repro.faults.scrubber import Scrubber
@@ -48,14 +59,6 @@ from repro.hdfs.mapreduce import MapReduceJob, MapTask
 from repro.recovery.degraded import DegradedReadPath
 from repro.recovery.metrics import RecoveryMetrics
 from repro.sim.metrics import ResilienceMetrics
-
-#: The scenario pack, in canonical order.
-SCENARIOS = (
-    "single_node_loss",
-    "rack_loss",
-    "scrub_storm",
-    "rolling_failures",
-)
 
 #: Pipeline-grade retry policy used by every storm's repair machinery.
 STORM_RETRY = RetryPolicy(
@@ -204,7 +207,7 @@ def _drive_encoding(sc: StormCluster, num_map_tasks: int):
 # ----------------------------------------------------------------------
 # Storm building blocks
 # ----------------------------------------------------------------------
-def _busiest_node(sc: StormCluster) -> NodeId:
+def busiest_node(sc: StormCluster) -> NodeId:
     """The node holding the most replicas (deterministic tie-break)."""
     counts = sc.store.replica_count_per_node()
     return min(sorted(counts), key=lambda n: (-counts[n], n))
@@ -282,9 +285,13 @@ def _load_task_body(sc: StormCluster, block_id: int):
     return body
 
 
-def _drain(sc: StormCluster, horizon: float, rounds: int = 8,
-           round_time: float = 300.0) -> None:
-    """Run past ``horizon`` then keep scrubbing until no damage is left."""
+def drain(sc: StormCluster, horizon: float, rounds: int = 8,
+          round_time: float = 300.0) -> None:
+    """Run past ``horizon`` then keep scrubbing until no damage is left.
+
+    Corruption injected late, or on a node that was down during earlier
+    scans, surfaces in these final passes.
+    """
     sc.sim.run(until=sc.sim.now + horizon)
     for __ in range(rounds):
         caught = sc.scrubber.scan_once()
@@ -314,6 +321,7 @@ class StormReport:
     relocation_requests: int
     encode_errors: Tuple[str, ...]
     recovery_summary: Dict[str, float] = field(default_factory=dict)
+    resilience_summary: Dict[str, float] = field(default_factory=dict)
     fingerprint: str = ""
 
     @property
@@ -344,7 +352,8 @@ class StormReport:
             out[f"reads_{mode}"] = count
         for key, value in sorted(self.repair_outcomes.items()):
             out[f"repairs_{key}"] = value
-        for key, value in sorted(self.recovery_summary.items()):
+        metrics = {**self.recovery_summary, **self.resilience_summary}
+        for key, value in sorted(metrics.items()):
             out[key] = round(value, 4) if isinstance(value, float) else value
         return out
 
@@ -425,6 +434,7 @@ def finish_report(sc: StormCluster, scenario: str, policy: str,
         relocation_requests=len(sc.repair_queue.relocation_requests),
         encode_errors=tuple(sc.encode_errors),
         recovery_summary=sc.recovery.summary(now=sc.sim.now),
+        resilience_summary=sc.resilience.summary(),
     )
     report.fingerprint = storm_fingerprint(sc)
     return report
@@ -438,7 +448,6 @@ def single_node_loss(
     policy: str = "ear",
     num_reads: int = 4,
     num_load_tasks: int = 6,
-    journal=None,
     **build_kwargs,
 ) -> StormReport:
     """One node dies under MapReduce load; clients read through the hole.
@@ -448,10 +457,9 @@ def single_node_loss(
     only copy died are served by inline decode; the prioritized queue
     rebuilds everything in the background.
     """
-    sc = build_storm_cluster(policy=policy, seed=seed, journal=journal,
-                             **build_kwargs)
+    sc = build_storm_cluster(policy=policy, seed=seed, **build_kwargs)
     encode_all(sc)
-    victim = _busiest_node(sc)
+    victim = busiest_node(sc)
     lost = _encoded_blocks_on(sc, [victim])
     t0 = sc.sim.now + 5.0
 
@@ -462,7 +470,7 @@ def single_node_loss(
     _schedule_reads(sc, t0 + 1.0, lost[:num_reads], avoid_nodes=[victim])
     sc.recovery.record_storm_event("node_loss")
 
-    _drain(sc, horizon=600.0)
+    drain(sc, horizon=600.0)
     return finish_report(sc, "single_node_loss", policy, seed)
 
 
@@ -470,7 +478,6 @@ def rack_loss(
     seed: int = 0,
     policy: str = "ear",
     num_reads: int = 4,
-    journal=None,
     **build_kwargs,
 ) -> StormReport:
     """Correlated whole-rack loss: every stripe decodes at once.
@@ -480,8 +487,7 @@ def rack_loss(
     (c=2) makes survivor fetches contend for shared rack uplinks, the
     recovery-aware spread decodes with one fetch per uplink.
     """
-    sc = build_storm_cluster(policy=policy, seed=seed, journal=journal,
-                             **build_kwargs)
+    sc = build_storm_cluster(policy=policy, seed=seed, **build_kwargs)
     encode_all(sc)
     victim_rack = _busiest_rack(sc)
     doomed = sorted(sc.setup.topology.nodes_in_rack(victim_rack))
@@ -492,7 +498,7 @@ def rack_loss(
     _schedule_reads(sc, t0 + 1.0, lost[:num_reads], avoid_nodes=doomed)
     sc.recovery.record_storm_event("rack_loss")
 
-    _drain(sc, horizon=1200.0)
+    drain(sc, horizon=1200.0)
     return finish_report(sc, "rack_loss", policy, seed)
 
 
@@ -501,7 +507,6 @@ def scrub_storm(
     policy: str = "ear",
     corrupt_per_stripe: int = 1,
     num_reads: int = 3,
-    journal=None,
     **build_kwargs,
 ) -> StormReport:
     """Latent bit-rot across many stripes surfaces in one scrub pass.
@@ -511,9 +516,7 @@ def scrub_storm(
     with decode work.  A few client reads land on still-undetected
     corrupted blocks and decode around them inline.
     """
-    build_kwargs.setdefault("scrub_interval", 10.0)
-    sc = build_storm_cluster(policy=policy, seed=seed, journal=journal,
-                             **build_kwargs)
+    sc = build_storm_cluster(policy=policy, seed=seed, **build_kwargs)
     encode_all(sc)
 
     rot_rng = random.Random(seed + 13)
@@ -534,7 +537,7 @@ def scrub_storm(
     # A few reads race the scrubber to the rotten blocks.
     _schedule_reads(sc, sc.sim.now + 1.0, sorted(corrupted)[:num_reads])
     sc.scrubber.start()
-    _drain(sc, horizon=600.0)
+    drain(sc, horizon=600.0)
     return finish_report(sc, "scrub_storm", policy, seed)
 
 
@@ -544,7 +547,6 @@ def rolling_failures(
     num_failures: int = 3,
     failure_spacing: float = 15.0,
     num_reads: int = 3,
-    journal=None,
     **build_kwargs,
 ) -> StormReport:
     """Nodes keep dying *during* the encoding wave.
@@ -554,8 +556,7 @@ def rolling_failures(
     repairs of already-encoded stripes, and the wave itself interleave
     on the same links.  Victims are drawn from distinct racks.
     """
-    sc = build_storm_cluster(policy=policy, seed=seed, journal=journal,
-                             **build_kwargs)
+    sc = build_storm_cluster(policy=policy, seed=seed, **build_kwargs)
     victim_rng = random.Random(seed + 21)
     racks = sorted(sc.setup.topology.rack_ids())
     victim_racks = victim_rng.sample(racks, min(num_failures, len(racks)))
@@ -582,26 +583,91 @@ def rolling_failures(
         )
     _schedule_reads(sc, sc.sim.now + 1.0, lost[:num_reads],
                     avoid_nodes=victims)
-    _drain(sc, horizon=600.0)
+    drain(sc, horizon=600.0)
     return finish_report(sc, "rolling_failures", policy, seed)
 
 
-#: Scenario name -> runner, for the CLI and the sweep trials.
+def chaos(
+    seed: int = 0,
+    policy: str = "ear",
+    horizon: float = 40.0,
+    num_flaps: int = 4,
+    num_rack_outages: int = 1,
+    num_degradations: int = 2,
+    num_corruptions: int = 3,
+    **build_kwargs,
+) -> StormReport:
+    """Every transient fault path against one live encoding wave.
+
+    Nodes flap, a whole rack drops off the core, NICs degrade into
+    stragglers and blocks rot silently while the stripes encode; at
+    half-horizon one node dies *permanently* and the prioritized queue
+    rebuilds what it held.  Clean means nothing was lost and retries
+    stayed bounded.
+    """
+    build_kwargs.setdefault("num_stripes", 12)
+    sc = build_storm_cluster(policy=policy, seed=seed, **build_kwargs)
+    topology = sc.setup.topology
+    sc.scrubber.start()
+
+    # One data block from each of the first few stripes rots, so
+    # corruption plus the permanent failure can never push one stripe
+    # past its n - k loss budget.
+    chaos_rng = random.Random(seed + 31)
+    corrupt_blocks = [
+        chaos_rng.choice(sorted(stripe.block_ids))
+        for stripe in sc.stripes[:num_corruptions]
+    ]
+    schedule = ChaosSchedule.random_schedule(
+        topology, chaos_rng, horizon,
+        num_flaps=num_flaps,
+        num_rack_outages=num_rack_outages,
+        num_degradations=num_degradations,
+        corrupt_blocks=corrupt_blocks,
+    )
+    # The permanent victim is a node no transient fault touches, so the
+    # chaos layer's restorations can never resurrect a dead endpoint.
+    touched = {e.target for e in schedule if e.kind == NODE_FLAP}
+    for event in schedule:
+        if event.kind == RACK_OUTAGE:
+            touched.update(topology.nodes_in_rack(event.target))
+    untouched = [n for n in sorted(topology.node_ids()) if n not in touched]
+    if untouched:
+        sc.sim.process(sc.injector.fail_node_at(
+            horizon * 0.5, chaos_rng.choice(untouched)
+        ))
+    ChaosInjector(
+        sc.sim, sc.setup.network, schedule, namenode=sc.setup.namenode,
+        rng=chaos_rng, resilience=sc.resilience, recovery=sc.recovery,
+    ).start()
+
+    sc.sim.process(_drive_encoding(sc, num_map_tasks=6))
+    drain(sc, horizon=horizon + 300.0)
+    return finish_report(sc, "chaos", policy, seed)
+
+
+#: The scenario pack in canonical order: name -> runner.
 SCENARIO_RUNNERS = {
     "single_node_loss": single_node_loss,
     "rack_loss": rack_loss,
     "scrub_storm": scrub_storm,
     "rolling_failures": rolling_failures,
+    "chaos": chaos,
 }
 
 
 def run_storm(scenario: str, seed: int = 0, policy: str = "ear",
               **kwargs) -> StormReport:
-    """Dispatch one storm scenario by name."""
+    """Dispatch one scenario by name.
+
+    Keywords the scenario does not take itself (``num_stripes``,
+    ``code``, ``journal``, ...) go on to :func:`build_storm_cluster`.
+    """
     try:
         runner = SCENARIO_RUNNERS[scenario]
     except KeyError:
         raise ValueError(
-            f"unknown scenario {scenario!r}; choose from {SCENARIOS}"
+            f"unknown scenario {scenario!r}; choose from "
+            f"{list(SCENARIO_RUNNERS)}"
         ) from None
     return runner(seed=seed, policy=policy, **kwargs)

@@ -54,3 +54,8 @@ def pid_trial(seed: int) -> int:
 
 def drop_pid(value: int) -> str:
     return "pid elided"
+
+
+def echo_trial(seed: int, **config) -> dict:
+    """Returns exactly what it was called with."""
+    return {"seed": seed, **config}

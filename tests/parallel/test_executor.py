@@ -211,8 +211,10 @@ class TestDifferentialMode:
 
 
 class TestMakeExecutor:
-    def test_none_means_legacy_sequential_path(self):
-        assert make_executor(None) is None
+    def test_none_means_in_process_and_never_cached(self, tmp_path):
+        executor = make_executor(None, cache_dir=str(tmp_path / "c"))
+        assert executor.workers == 0
+        assert executor.cache is None
 
     def test_zero_workers_in_process(self, tmp_path):
         executor = make_executor(0, cache_dir=str(tmp_path / "c"))

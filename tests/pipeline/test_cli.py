@@ -54,11 +54,11 @@ class TestRuns:
             assert contender in out
         assert "encode_window" in out
 
-    def test_head_to_head_workers_zero_matches_sequential(self, capsys):
+    def test_head_to_head_workers_two_matches_in_process(self, capsys):
         argv = ["pipeline", "--head-to-head", "--stripes", "4",
                 "--no-disturb", "--json"]
         assert main(argv) == 0
-        sequential = capsys.readouterr().out
-        assert main(argv + ["--workers", "0", "--no-cache"]) == 0
-        via_executor = capsys.readouterr().out
-        assert json.loads(sequential) == json.loads(via_executor)
+        in_process = capsys.readouterr().out
+        assert main(argv + ["--workers", "2", "--no-cache"]) == 0
+        pooled = capsys.readouterr().out
+        assert json.loads(in_process) == json.loads(pooled)

@@ -1,7 +1,7 @@
 """Head-to-head grid: determinism across executor paths, field contract.
 
 The acceptance property from the parallel engine carries over: the
-sequential in-process pass and the worker-process pass must produce
+in-process pass and the worker-process pass must produce
 byte-identical JSON, and every trial's fingerprint must be stable across
 re-runs of the same seed.
 """
@@ -12,7 +12,6 @@ from repro.pipeline.headtohead import (
     CONTENDERS,
     head_to_head,
     head_to_head_rows,
-    head_to_head_specs,
     pipeline_trial,
 )
 
@@ -56,22 +55,20 @@ class TestTrial:
 
 
 class TestGrid:
-    def test_specs_cover_contenders_times_seeds(self):
-        specs = head_to_head_specs(seeds=(0, 1), **SMALL)
-        assert len(specs) == len(CONTENDERS) * 2
-        tags = {spec.tag for spec in specs}
-        assert tags == {
-            f"pipeline.headtohead.{c}" for c in CONTENDERS
-        }
+    def test_grid_covers_contenders_times_seeds(self):
+        results = head_to_head(seeds=(0, 1), disturb=False, **SMALL)
+        assert [(r["contender"], r["seed"]) for r in results] == [
+            (contender, seed) for contender in CONTENDERS for seed in (0, 1)
+        ]
 
-    def test_workers_none_and_zero_byte_identical(self, tmp_path):
-        seq = head_to_head(seeds=(0,), workers=None, **SMALL)
-        via_executor = head_to_head(
-            seeds=(0,), workers=0, cache_dir=str(tmp_path / "cache"),
+    def test_workers_zero_and_two_byte_identical(self, tmp_path):
+        in_process = head_to_head(seeds=(0,), workers=0, **SMALL)
+        pooled = head_to_head(
+            seeds=(0,), workers=2, cache_dir=str(tmp_path / "cache"),
             **SMALL,
         )
-        assert json.dumps(seq, sort_keys=True) == json.dumps(
-            via_executor, sort_keys=True
+        assert json.dumps(in_process, sort_keys=True) == json.dumps(
+            pooled, sort_keys=True
         )
 
     def test_rows_flatten_every_result(self):

@@ -1,17 +1,17 @@
-"""Storm scenarios: clean outcomes, seeded determinism, honest reports."""
+"""Fault scenarios: clean outcomes, seeded determinism, honest reports."""
 
 import json
 
 import pytest
 
-from repro.recovery import SCENARIOS, run_storm
+from repro.recovery import SCENARIO_RUNNERS, run_storm
 
 #: Small-but-real sizing shared by every test in this module.
 KW = {"num_stripes": 2}
 
 
 class TestScenarios:
-    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("scenario", SCENARIO_RUNNERS)
     def test_runs_clean_under_ear(self, scenario):
         report = run_storm(scenario, seed=3, policy="ear", **KW)
         assert report.scenario == scenario
@@ -20,7 +20,7 @@ class TestScenarios:
         assert report.encode_errors == ()
         assert report.stripes_encoded == report.stripes_total
 
-    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("scenario", SCENARIO_RUNNERS)
     def test_runs_clean_under_recovery_placement(self, scenario):
         report = run_storm(scenario, seed=3, policy="recovery", **KW)
         assert report.clean, report.summary()
@@ -31,13 +31,16 @@ class TestScenarios:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_same_seed_same_fingerprint(self, scenario):
-        first = run_storm(scenario, seed=7, policy="ear", **KW)
-        second = run_storm(scenario, seed=7, policy="ear", **KW)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("scenario", SCENARIO_RUNNERS)
+    def test_clean_and_replays(self, scenario, seed):
+        first = run_storm(scenario, seed=seed, policy="ear", **KW)
+        second = run_storm(scenario, seed=seed, policy="ear", **KW)
+        assert first.clean, first.summary()
         assert first.fingerprint == second.fingerprint
         assert first.sim_time == second.sim_time
         assert first.recovery_summary == second.recovery_summary
+        assert first.resilience_summary == second.resilience_summary
 
     def test_different_seeds_diverge(self):
         a = run_storm("single_node_loss", seed=7, policy="ear", **KW)
@@ -76,6 +79,50 @@ class TestReport:
             + report.read_modes.get("degraded", 0)
         )
         assert served >= 1
+
+
+class TestChaosScenario:
+    """The chaos drill at its default scale (12 stripes, seed 0)."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_storm("chaos", seed=0)
+
+    def test_drill_is_clean(self, report):
+        """Flaps + a rack outage + bit-rot during a live encode lose
+        nothing: every stripe ends encoded and no block is unrecoverable."""
+        assert report.unrecoverable == ()
+        assert report.encode_errors == ()
+        assert report.stripes_encoded == report.stripes_total == 12
+        assert report.clean
+
+    def test_chaos_actually_bit(self, report):
+        """The faults were real: transfers aborted, retries fired, rot was
+        injected and caught, and repairs ran."""
+        metrics = report.resilience_summary
+        assert metrics["aborts"] >= 1
+        assert metrics["retries"] >= 1
+        assert metrics["corruption_injected"] == 3
+        assert metrics["corruption_detected"] == 3
+        assert metrics["repairs"] >= 1
+        assert metrics["outages"] >= 1
+        assert "data_loss" not in metrics
+        assert report.repair_outcomes["unrecoverable"] == 0
+
+    def test_retries_are_bounded(self, report):
+        """Retries converge instead of thrashing: well under the budget of
+        max_attempts per repaired/re-encoded block."""
+        assert report.resilience_summary["retries"] <= 8 * report.blocks_total
+
+    def test_same_seed_is_bit_identical(self, report):
+        replay = run_storm("chaos", seed=0)
+        assert replay.fingerprint == report.fingerprint
+        assert replay.summary() == report.summary()
+
+    def test_different_seed_diverges(self, report):
+        other = run_storm("chaos", seed=3)
+        assert other.clean
+        assert other.fingerprint != report.fingerprint
 
 
 class TestHeadToHeadPremise:

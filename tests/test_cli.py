@@ -68,3 +68,78 @@ class TestCheapCommands:
         assert main(["fig12", "--stripes", "6"]) == 0
         out = capsys.readouterr().out
         assert "write-response-idle" in out
+
+
+def unclean_storm_trial(seed, **config):
+    """Module-level (TrialSpec rejects closures): one grid cell, not clean."""
+    return {
+        "scenario": config["scenario"], "policy": config["policy"],
+        "code": config["code_label"], "seed": seed, "clean": False,
+        "sim_time": "0.0", "recovery": {}, "fingerprint": "0" * 64,
+    }
+
+
+class TestSweepArguments:
+    """--seeds / --workers are validated once, for every sweep command."""
+
+    SWEEPS = (
+        ["fig13a"], ["fig13f"],
+        ["recovery", "--head-to-head"], ["pipeline", "--head-to-head"],
+    )
+
+    @pytest.mark.parametrize("command", SWEEPS, ids=" ".join)
+    def test_zero_seeds_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--seeds", "0"])
+        assert excinfo.value.code == 2
+        assert "--seeds: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", SWEEPS + (["fig14"], ["fig15"]), ids=" ".join
+    )
+    def test_negative_workers_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--workers", "-1"])
+        assert excinfo.value.code == 2
+        assert "--workers: must be at least 0" in capsys.readouterr().err
+
+    def test_flagless_sweep_stays_in_process_and_off_disk(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig14", "--blocks", "200", "--runs", "1"]) == 0
+        assert "[sweep]" not in capsys.readouterr().out
+        assert not (tmp_path / ".repro-cache").exists()
+        assert main(
+            ["fig14", "--blocks", "200", "--runs", "1", "--workers", "0"]
+        ) == 0
+        assert "[sweep]" in capsys.readouterr().out
+        assert (tmp_path / ".repro-cache").exists()
+
+
+class TestGridExitStatus:
+    def test_unclean_cell_fails_the_recovery_grid(self, monkeypatch, capsys):
+        from repro.recovery import headtohead
+
+        monkeypatch.setattr(headtohead, "storm_trial", unclean_storm_trial)
+        assert main(["recovery", "rack_loss", "--head-to-head"]) == 1
+        assert "False" in capsys.readouterr().out
+
+    def test_unclean_cell_fails_the_json_grid_too(self, capsys):
+        from repro.cli import _print_grid
+
+        cells = [{"clean": True}, {"clean": False}]
+        assert _print_grid(cells, rows_of=None, as_json=True) == 1
+        assert _print_grid(cells[:1], rows_of=None, as_json=True) == 0
+
+    def test_clean_grids_exit_zero(self, capsys):
+        assert main(
+            ["recovery", "rack_loss", "--head-to-head", "--stripes", "2"]
+        ) == 0
+        assert "rs_14_10" in capsys.readouterr().out
+
+    def test_chaos_is_a_storm_scenario(self, capsys):
+        assert main(["chaos", "--stripes", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario" in out and "chaos" in out
+        assert "drill clean" in out
