@@ -53,18 +53,6 @@ def _random_array(rng: random.Random, size: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # GF(2^8) kernels
 # ----------------------------------------------------------------------
-def _gf_mul_bulk(size: int):
-    def run(rng: random.Random) -> Dict[str, float]:
-        from repro.erasure.galois import GF256
-
-        a = _random_array(rng, size)
-        b = _random_array(rng, size)
-        out = GF256.mul_bulk(a, b)
-        return {"checksum": float(int(np.bitwise_xor.reduce(out)))}
-
-    return run
-
-
 def _gf_mul_array(size: int, scalars: int):
     def run(rng: random.Random) -> Dict[str, float]:
         from repro.erasure.galois import GF256
@@ -207,6 +195,8 @@ def _stream_encode_throughput(
 ):
     """Streaming encode MB/s per chunk size.
 
+    Asserts the data shards are the payload, striped (the parity is
+    checked by ``stream_decode``, which can only round-trip through it).
     Non-``wall_`` metrics (stripe counts) are exact.
     """
 
@@ -221,6 +211,8 @@ def _stream_encode_throughput(
             start = time.perf_counter()
             encoded = stream_encode(payload, n=n, k=k, chunk_size=chunk_size)
             elapsed = time.perf_counter() - start
+            if encoded.payload() != payload:
+                raise AssertionError("stream encode mis-striped the payload")
             mb = payload_bytes / float(1 << 20)
             metrics[f"wall_mb_per_s_numpy_c{chunk_size}"] = mb / max(
                 elapsed, 1e-9
@@ -888,9 +880,6 @@ def builtin_scenarios(smoke: bool = False) -> List[Scenario]:
         return Scenario(name=f"micro.{name}", group="micro", params=params, fn=fn)
 
     return [
-        scenario(
-            "gf_mul_bulk", {"bytes": array}, _gf_mul_bulk(array)
-        ),
         scenario(
             "gf_mul_array",
             {"bytes": array // 16, "scalars": 64},

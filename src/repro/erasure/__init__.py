@@ -7,17 +7,17 @@ byte-level implementations built from scratch:
 * :mod:`repro.erasure.galois` — GF(2^8) field arithmetic with log/antilog
   tables, vectorised over numpy arrays.
 * :mod:`repro.erasure.matrix` — matrix algebra (multiply, invert) over the
-  field.
+  field and the one production byte kernel: packed-word lookup tables
+  (``PackedMatrix``) folded into word accumulators (``Accumulator``).
 * :mod:`repro.erasure.reed_solomon` — the systematic Vandermonde-derived RS
   generator matrix.
 * :mod:`repro.erasure.cauchy` — the systematic Cauchy RS generator matrix.
 * :mod:`repro.erasure.codec` — the ``ErasureCodec`` interface (encode k data
   blocks -> n-k parity blocks; reconstruct from any k) and the one place
   that plans a decode or repair: which survivors, which coefficient matrix,
-  one LRU of inverted decode matrices for RS, Cauchy and LRC alike.
+  one LRU of inverted, compiled decode matrices for RS, Cauchy and LRC.
 * :mod:`repro.erasure.stream` — the chunked streaming data plane: fixed-size
-  chunk iterators, fused multiply-XOR accumulation into preallocated parity
-  buffers (one numpy path, pinned against the per-coefficient reference
+  chunk iterators, chunk-at-a-time folds through that kernel (pinned against
   :func:`repro.erasure.matrix.apply_to_shards_scalar`), one block-view
   encoder taking a fold order, and the cluster :class:`StreamingDataPlane`.
 """

@@ -47,8 +47,6 @@ def zero_pad(chunk: bytes, size: int) -> bytes:
     """
     if len(chunk) > size:
         raise ValueError(f"chunk of {len(chunk)} bytes exceeds size {size}")
-    if len(chunk) == size:
-        return bytes(chunk)
     return bytes(chunk) + b"\0" * (size - len(chunk))
 
 
@@ -214,10 +212,13 @@ class ErasureCodec:
     def __init__(self, params: CodeParams) -> None:
         self.params = params
         self._generator = self._build_generator(params.n, params.k)
-        # LRU of decode matrices keyed by the chosen survivor rows: a
-        # burst of repairs after a node/rack failure hits the same pattern
-        # for every affected stripe and inverts the k x k system once.
-        self._decode_cache: "OrderedDict[Tuple[int, ...], np.ndarray]" = (
+        #: The parity rows compiled for the packed-word kernel, once.
+        self.packed_parity = gfm.PackedMatrix(self.parity_rows)
+        # LRU of compiled decode matrices keyed by the chosen survivor
+        # rows: a burst of repairs after a node/rack failure hits the same
+        # pattern for every affected stripe and inverts the k x k system
+        # (and packs its lookup tables) once.
+        self._decode_cache: "OrderedDict[Tuple[int, ...], gfm.PackedMatrix]" = (
             OrderedDict()
         )
 
@@ -241,7 +242,7 @@ class ErasureCodec:
                 raise ValueError(f"shard index {index} outside [0, {n})")
         return ordered
 
-    def _decode_matrix(self, chosen: Tuple[int, ...]) -> np.ndarray:
+    def _decode_matrix(self, chosen: Tuple[int, ...]) -> gfm.PackedMatrix:
         """The (cached) inverse of the chosen survivors' generator rows."""
         cached = self._decode_cache.get(chosen)
         if cached is not None:
@@ -249,8 +250,7 @@ class ErasureCodec:
             PERF.bump("codec.decode_matrix_hits")
             return cached
         PERF.bump("codec.decode_matrix_misses")
-        matrix = gfm.invert(self._generator[list(chosen), :])
-        matrix.setflags(write=False)
+        matrix = gfm.PackedMatrix(gfm.invert(self._generator[list(chosen), :]))
         self._decode_cache[chosen] = matrix
         if len(self._decode_cache) > DECODE_CACHE_SIZE:
             self._decode_cache.popitem(last=False)
@@ -258,7 +258,7 @@ class ErasureCodec:
 
     def decode_plan(
         self, indices: Collection[int]
-    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+    ) -> Tuple[Tuple[int, ...], gfm.PackedMatrix]:
         """Which survivors rebuild the data, and with which matrix.
 
         Args:
@@ -266,7 +266,7 @@ class ErasureCodec:
 
         Returns:
             ``(chosen, matrix)``: the ``k`` survivors to read, and the
-            read-only ``(k, k)`` matrix that maps their shards — stacked in
+            compiled ``(k, k)`` matrix that maps their shards — stacked in
             that order — back to the data shards.
 
         Raises:
@@ -284,18 +284,20 @@ class ErasureCodec:
 
     def repair_plan(
         self, target: int, indices: Collection[int]
-    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+    ) -> Tuple[Tuple[int, ...], gfm.PackedMatrix]:
         """Which survivors rebuild shard ``target``, and with which row.
 
         Returns:
-            ``(sources, row)``: the survivors to read and the
+            ``(sources, row)``: the survivors to read and the compiled
             ``(1, len(sources))`` coefficient row over them.
         """
         if not 0 <= target < self.params.n:
             raise ValueError(f"target index {target} outside the stripe")
         chosen, decode_matrix = self.decode_plan(indices)
         generator_row = self._generator[target : target + 1, :]
-        return chosen, gfm.matmul(generator_row, decode_matrix)
+        return chosen, gfm.PackedMatrix(
+            gfm.matmul(generator_row, decode_matrix.coeffs)
+        )
 
     # -- public API -----------------------------------------------------
     def encode(
@@ -320,7 +322,7 @@ class ErasureCodec:
             the longest data block when ``length`` is omitted).
         """
         shards = self._stack(data_blocks, expected=self.params.k, length=length)
-        parity = gfm.apply_to_shards(self.parity_rows, shards)
+        parity = gfm.apply_to_shards(self.packed_parity, shards)
         return [row.tobytes() for row in parity]
 
     def decode(
@@ -347,16 +349,24 @@ class ErasureCodec:
             blocks = [b[:length] for b, length in zip(blocks, original_lengths)]
         return blocks
 
+    def repair(
+        self, target_index: int, available: Dict[int, bytes]
+    ) -> Tuple[bytes, List[int]]:
+        """Rebuild one lost block (data or parity) in one pass of the
+        :meth:`repair_plan` row over the survivors it names.
+
+        Returns:
+            ``(rebuilt_bytes, indices_read)``.
+        """
+        sources, row = self.repair_plan(target_index, available)
+        shards = self._stack(
+            [available[i] for i in sources], expected=len(sources)
+        )
+        return gfm.apply_to_shards(row, shards)[0].tobytes(), sorted(sources)
+
     def reconstruct(self, target_index: int, available: Dict[int, bytes]) -> bytes:
-        """Repair one lost block (data or parity) by a full decode."""
-        if not 0 <= target_index < self.params.n:
-            raise ValueError(f"target index {target_index} outside stripe")
-        data = self.decode(available)
-        if target_index < self.params.k:
-            return data[target_index]
-        shards = self._stack(data, expected=self.params.k)
-        row = self._generator[target_index : target_index + 1, :]
-        return gfm.apply_to_shards(row, shards)[0].tobytes()
+        """The rebuilt bytes of :meth:`repair`."""
+        return self.repair(target_index, available)[0]
 
     def verify(self, blocks: Dict[int, bytes]) -> bool:
         """Check that a full stripe is internally consistent.
@@ -366,17 +376,18 @@ class ErasureCodec:
 
         Returns:
             True iff re-encoding the data blocks reproduces every parity
-            block (the RaidNode's periodic corruption check).
+            block byte for byte and length for length (the RaidNode's
+            periodic corruption check) — a parity block that lost its tail
+            fails even when the lost bytes were zeros.
         """
+        k = self.params.k
         if sorted(blocks) != list(range(self.params.n)):
             raise ValueError("verify requires all n blocks of the stripe")
-        expected = self.encode([blocks[i] for i in range(self.params.k)])
-        length = max(len(b) for b in blocks.values())
-        for offset, parity in enumerate(expected):
-            actual = blocks[self.params.k + offset]
-            if actual.ljust(length, b"\0") != parity:
-                return False
-        return True
+        expected = self.encode([blocks[i] for i in range(k)])
+        return all(
+            blocks[k + offset] == parity
+            for offset, parity in enumerate(expected)
+        )
 
     # -- helpers --------------------------------------------------------
     @staticmethod

@@ -6,14 +6,14 @@ erasure-coding libraries (e.g. Jerasure, ISA-L).  Single-element operations
 work on Python ints; bulk operations accept numpy ``uint8`` arrays and use
 precomputed log/antilog tables.
 
-Bulk kernels come in two generations.  The log/antilog path
-(:meth:`GF256.addmul_array`) masks out zeros and gathers through two tables;
-the full 256x256 multiplication table (:meth:`GF256.mul_table`,
-:meth:`GF256.mul_bulk`) trades 64 KiB of memory for a single ``np.take``
-gather per operation — the same trade Jerasure's "big table" variant makes —
-and is what the fused matrix kernels in :mod:`repro.erasure.matrix` build
-on.  Bulk calls report counted work ("gf.kernel_calls", "gf.symbol_mults")
-into :data:`repro.sim.metrics.PERF` for the benchmark harness.
+The full 256x256 multiplication table (:meth:`GF256.mul_table`) trades
+64 KiB of memory for a single gather per operation — the same trade
+Jerasure's "big table" variant makes.  The production kernel in
+:mod:`repro.erasure.matrix` packs rows of it into word-wide lookup tables;
+:meth:`GF256.mul_array`/:meth:`GF256.addmul_array` are the per-coefficient
+path the reference ``apply_to_shards_scalar`` is built from.  Bulk calls
+report counted work ("gf.kernel_calls", "gf.symbol_mults") into
+:data:`repro.sim.metrics.PERF` for the benchmark harness.
 """
 
 from __future__ import annotations
@@ -138,8 +138,7 @@ class GF256:
         """The full 256x256 multiplication table (read-only).
 
         ``mul_table()[a, b] == mul(a, b)`` for every pair of field elements;
-        batched kernels gather rows of this table instead of masking through
-        the log/antilog pair.
+        the packed-word kernel's lookup tables are built from its rows.
         """
         return _MUL_TABLE
 
@@ -148,7 +147,7 @@ class GF256:
         """Multiply every byte of ``data`` by ``scalar`` (vectorised).
 
         One ``np.take`` gather through the scalar's row of the 256x256
-        table; zero rows make the old zero-masking unnecessary.
+        table (row 0 is all zeros, row 1 the identity).
 
         Args:
             scalar: Field element in [0, 255].
@@ -162,41 +161,13 @@ class GF256:
         data = np.asarray(data, dtype=np.uint8)
         PERF.bump("gf.kernel_calls")
         PERF.bump("gf.symbol_mults", data.size)
-        if scalar == 0:
-            return np.zeros_like(data)
-        if scalar == 1:
-            return data.copy()
         return np.take(_MUL_TABLE[scalar], data)
-
-    @staticmethod
-    def mul_bulk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Element-wise product of two byte arrays in one table gather.
-
-        Args:
-            a: ``uint8`` array (or scalar) of field elements.
-            b: ``uint8`` array (or scalar); broadcast against ``a``.
-
-        Returns:
-            ``uint8`` array of the broadcast shape with ``out = a * b``.
-        """
-        a = np.asarray(a, dtype=np.uint8)
-        b = np.asarray(b, dtype=np.uint8)
-        out = _MUL_TABLE[a, b]
-        PERF.bump("gf.kernel_calls")
-        PERF.bump("gf.symbol_mults", out.size)
-        return out
 
     @staticmethod
     def addmul_array(acc: np.ndarray, scalar: int, data: np.ndarray) -> None:
         """In-place ``acc ^= scalar * data`` — the scalar-path inner loop."""
-        if scalar == 0:
-            return
-        if scalar == 1:
-            PERF.bump("gf.kernel_calls")
-            PERF.bump("gf.symbol_mults", np.asarray(data).size)
-            np.bitwise_xor(acc, data, out=acc)
-            return
-        np.bitwise_xor(acc, GF256.mul_array(scalar, data), out=acc)
+        if scalar != 0:
+            np.bitwise_xor(acc, GF256.mul_array(scalar, data), out=acc)
 
     @staticmethod
     def elements() -> Iterable[int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,10 +100,11 @@ class LocalReconstructionCodec(ErasureCodec):
 
     Block layout within a stripe: indices ``0..k-1`` are data, ``k..k+l-1``
     the local parities (one per group), ``k+l..n-1`` the global parities.
-    Encode, decode and verify are the base codec's; what differs is the
-    planning — an LRC is not MDS, so :meth:`decode_plan` searches for a
+    Encode, decode, repair and verify are the base codec's; what differs is
+    the planning — an LRC is not MDS, so :meth:`decode_plan` searches for a
     full-rank survivor subset, and :meth:`repair_plan` prefers the local
-    group's all-ones XOR row.
+    group's all-ones XOR row, so a single data or local-parity loss reads
+    just its group (the LRC selling point).
 
     Example:
         >>> codec = LocalReconstructionCodec(LRCParams(4, 2, 2))
@@ -145,7 +146,7 @@ class LocalReconstructionCodec(ErasureCodec):
     # ------------------------------------------------------------------
     def decode_plan(
         self, indices: Collection[int]
-    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+    ) -> Tuple[Tuple[int, ...], gfm.PackedMatrix]:
         """A full-rank ``k``-subset of the survivors and its inverse.
 
         Raises:
@@ -164,43 +165,15 @@ class LocalReconstructionCodec(ErasureCodec):
 
     def repair_plan(
         self, target: int, indices: Collection[int]
-    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+    ) -> Tuple[Tuple[int, ...], gfm.PackedMatrix]:
         """The local group and its all-ones XOR row when the whole group
         survives; the global decode row otherwise."""
         local = self._local_sources(target, indices)
         if local is not None:
-            return tuple(local), np.ones((1, len(local)), dtype=np.uint8)
+            return tuple(local), gfm.PackedMatrix(
+                np.ones((1, len(local)), dtype=np.uint8)
+            )
         return super().repair_plan(target, indices)
-
-    def repair(
-        self, lost_index: int, available: Dict[int, bytes]
-    ) -> Tuple[bytes, List[int]]:
-        """Repair one lost block, preferring the cheap local path.
-
-        Returns:
-            ``(rebuilt_bytes, indices_read)`` — for a single data or local
-            parity loss the indices read are just the local group (the LRC
-            selling point); otherwise the repair falls back to a global
-            decode.
-        """
-        p = self.params
-        local = self._local_sources(lost_index, available)
-        if local is not None:
-            length = max(len(available[i]) for i in local)
-            acc = np.zeros(length, dtype=np.uint8)
-            for i in local:
-                block = np.frombuffer(
-                    available[i].ljust(length, b"\0"), dtype=np.uint8
-                )
-                np.bitwise_xor(acc, block, out=acc)
-            return acc.tobytes(), sorted(local)
-
-        data = self.decode(available)
-        shards = self._stack(data, expected=p.k)
-        row = self._generator[lost_index : lost_index + 1, :]
-        rebuilt = gfm.apply_to_shards(row, shards)[0].tobytes()
-        used = sorted(available)[: p.k]
-        return rebuilt, used
 
     # ------------------------------------------------------------------
     def repair_cost(self, lost_index: int) -> int:

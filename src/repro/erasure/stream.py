@@ -5,14 +5,14 @@ whole blocks in memory; this module streams instead.  A byte source of any
 length is cut into fixed-size chunks by :class:`ChunkReader` (the
 ``FileEncoder``/``ChunkReader`` idiom of real chunk-server file systems),
 round-robined across the ``k`` data shards, and parity is accumulated one
-chunk at a time into preallocated buffers — a fused multiply-XOR per chunk,
-no per-coefficient temporaries and no ``(k, L)`` stripe matrix.
+chunk at a time into preallocated buffers — no per-coefficient temporaries
+and no ``(k, L)`` stripe matrix.
 
-The inner loop is one 256x256-table gather plus one in-place XOR per chunk
-(:func:`repro.erasure.matrix.accumulate_products`); the differential tests
-pin it byte-for-byte against the per-coefficient reference
-:func:`repro.erasure.matrix.apply_to_shards_scalar` applied to the whole
-zero-padded stripe.
+The inner loop is the packed-word kernel of
+:class:`repro.erasure.matrix.Accumulator` — one gather through a
+precompiled word table plus one in-place XOR per chunk; the differential
+tests pin it byte-for-byte against the per-coefficient reference
+:func:`repro.erasure.matrix.apply_to_shards_scalar` over the whole stripe.
 
 The streaming chunk contract (see :class:`~repro.erasure.codec.StreamTrailer`):
 every stored chunk is exactly ``chunk_size`` bytes, the short final source
@@ -105,6 +105,11 @@ class ChunkReader:
         source = self._source
         if isinstance(source, (bytes, bytearray, memoryview)):
             view = memoryview(source)
+            if not view.c_contiguous:
+                raise ValueError(
+                    "byte source is a non-contiguous memoryview (a strided "
+                    "slice?); pass a C-contiguous buffer"
+                )
             if view.ndim != 1 or view.itemsize != 1:
                 view = view.cast("B")
             view = view.toreadonly()
@@ -240,21 +245,7 @@ class EncodedStream:
             raise ValueError(
                 f"expected {self.meta.n} shards, got {len(self.shards)}"
             )
-        stripes = self.meta.num_stripes
-        for index, chunks in enumerate(self.shards):
-            if len(chunks) != stripes:
-                raise ValueError(
-                    f"shard {index} holds {len(chunks)} chunks, "
-                    f"expected {stripes}"
-                )
-            bad = next(
-                (c for c in chunks if len(c) != self.meta.chunk_size), None
-            )
-            if bad is not None:
-                raise ValueError(
-                    f"shard {index} violates the chunk contract: chunk of "
-                    f"{len(bad)} bytes, expected {self.meta.chunk_size}"
-                )
+        _validate_shard_streams(dict(enumerate(self.shards)), self.meta)
 
     def shard(self, index: int) -> bytes:
         """One shard's chunks joined into a single byte string."""
@@ -274,59 +265,15 @@ class EncodedStream:
 
     def payload(self) -> bytes:
         """The original source bytes (padding stripped via the trailer)."""
-        meta = self.meta
-        parts: List[bytes] = []
-        for stripe in range(meta.num_stripes):
-            for i in range(meta.k):
-                parts.append(self.shards[i][stripe])
-        return meta.trailer.strip(b"".join(parts))
-
-
-# ---------------------------------------------------------------------------
-# Inner loop
-# ---------------------------------------------------------------------------
-
-
-class _Accumulator:
-    """Preallocated output buffers accepting fused multiply-XOR of chunks.
-
-    Given an ``(r, m)`` coefficient matrix, ``accumulate(column, chunk)``
-    folds one input shard's chunk into all ``r`` output buffers with one
-    table gather: ``out[i, offset:offset+len] ^= coeffs[i, column] * chunk``
-    — byte-identical to :func:`repro.erasure.matrix.apply_to_shards_scalar`
-    applied to the full stripe.
-    """
-
-    def __init__(self, coeffs: np.ndarray, length: int) -> None:
-        coeffs = np.asarray(coeffs, dtype=np.uint8)
-        if coeffs.ndim != 2:
-            raise ValueError(f"coeffs must be 2-D, got shape {coeffs.shape}")
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        self.length = length
-        self.columns = coeffs.shape[1]
-        self._coeffs = coeffs
-        self._buffers = np.zeros((coeffs.shape[0], length), dtype=np.uint8)
-
-    def accumulate(
-        self, column: int, chunk: memoryview, offset: int = 0
-    ) -> None:
-        if not 0 <= column < self.columns:
-            raise ValueError(f"column {column} outside [0, {self.columns})")
-        if offset + len(chunk) > self.length:
-            raise ValueError(
-                f"chunk of {len(chunk)} bytes at offset {offset} overruns "
-                f"buffer of {self.length}"
-            )
-        if len(chunk) == 0:
-            return
-        data = np.frombuffer(chunk, dtype=np.uint8)
-        window = self._buffers[:, offset : offset + data.size]
-        gfm.accumulate_products(window, self._coeffs[:, column], data)
-
-    def rows(self) -> List[bytes]:
-        """The accumulated output buffers as immutable byte strings."""
-        return [row.tobytes() for row in self._buffers]
+        meta, trailer = self.meta, self.meta.trailer
+        parts = [
+            self.shards[i][stripe]
+            for stripe in range(meta.num_stripes)
+            for i in range(meta.k)
+        ][: trailer.num_chunks]
+        if trailer.padding:  # cut the last chunk, so the join is the one copy
+            parts[-1] = parts[-1][: meta.chunk_size - trailer.padding]
+        return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +335,32 @@ def stream_encode(
     codec, scheme, n, k, lrc_tuple = _resolve_code(scheme, n, k, lrc)
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    parity_coeffs = codec.parity_rows
     zero_chunk = b"\0" * chunk_size
 
     data_shards: List[List[bytes]] = [[] for _ in range(k)]
     parity_shards: List[List[bytes]] = [[] for _ in range(n - k)]
     stripe_data: List[bytes] = []
-    accumulator: Optional[_Accumulator] = None
+    accumulator = gfm.Accumulator(codec.packed_parity, chunk_size)
     length = 0
 
     def flush_stripe() -> None:
-        nonlocal accumulator
-        assert accumulator is not None
         while len(stripe_data) < k:  # virtual zero tail chunks
             stripe_data.append(zero_chunk)
         for i in range(k):
             data_shards[i].append(stripe_data[i])
         for j, row in enumerate(accumulator.rows()):
-            parity_shards[j].append(row)
+            parity_shards[j].append(row.tobytes())
         PERF.bump("stream.stripes_encoded")
         stripe_data.clear()
-        accumulator = None
+        accumulator.reset()
 
     for chunk in ChunkReader(source, chunk_size):
         length += len(chunk)
         PERF.bump("stream.chunks_in")
         PERF.bump("stream.bytes_in", len(chunk))
-        if accumulator is None:
-            accumulator = _Accumulator(parity_coeffs, chunk_size)
         # A short final chunk is accumulated as-is: the untouched buffer
         # tail already equals the zero-padded contribution.
-        accumulator.accumulate(len(stripe_data), chunk)
+        accumulator.fold(len(stripe_data), chunk)
         stripe_data.append(
             bytes(chunk) if len(chunk) == chunk_size
             else zero_pad(bytes(chunk), chunk_size)
@@ -462,29 +404,25 @@ def stream_decode(
 ) -> bytes:
     """Reconstruct the original payload from any decodable survivor set.
 
-    The decode matrix is inverted once per call and reused across every
-    stripe; each stripe is then rebuilt chunk-at-a-time with the same fused
-    accumulate kernel the encoder uses.  Returns the payload with the zero
-    padding stripped per the trailer.
+    The decode matrix is inverted (and compiled) once per call and one
+    accumulator is reused across every stripe; each stripe is rebuilt
+    chunk-at-a-time with the same kernel the encoder uses, a surviving
+    data shard's chunks passing straight through.  Returns the payload
+    with the zero padding stripped per the trailer.
     """
     _validate_shard_streams(shards, meta)
     if meta.num_stripes == 0:
         return b""
     subset, decode_matrix = meta.codec().decode_plan(shards)
-    out = bytearray(meta.trailer.padded_length(meta.k))
-    stripe_bytes = meta.k * meta.chunk_size
+    out = np.empty((meta.num_stripes, meta.k, meta.chunk_size), np.uint8)
+    accumulator = gfm.Accumulator(decode_matrix, meta.chunk_size)
     for stripe in range(meta.num_stripes):
-        accumulator = _Accumulator(decode_matrix, meta.chunk_size)
+        accumulator.reset()
         for column, index in enumerate(subset):
-            accumulator.accumulate(
-                column, memoryview(shards[index][stripe])
-            )
-        base = stripe * stripe_bytes
-        for i, row in enumerate(accumulator.rows()):
-            start = base + i * meta.chunk_size
-            out[start : start + meta.chunk_size] = row
+            accumulator.fold(column, shards[index][stripe])
+        np.stack(accumulator.rows(), out=out[stripe])
         PERF.bump("stream.stripes_decoded")
-    return meta.trailer.strip(bytes(out))
+    return bytes(meta.trailer.strip(memoryview(out.reshape(-1))))
 
 
 def stream_repair(
@@ -502,13 +440,12 @@ def stream_repair(
     _validate_shard_streams(shards, meta)
     sources, coeffs = meta.codec().repair_plan(target, shards)
     rebuilt: List[bytes] = []
+    accumulator = gfm.Accumulator(coeffs, meta.chunk_size)
     for stripe in range(meta.num_stripes):
-        accumulator = _Accumulator(coeffs, meta.chunk_size)
+        accumulator.reset()
         for column, index in enumerate(sources):
-            accumulator.accumulate(
-                column, memoryview(shards[index][stripe])
-            )
-        rebuilt.append(accumulator.rows()[0])
+            accumulator.fold(column, shards[index][stripe])
+        rebuilt.append(accumulator.rows()[0].tobytes())
         PERF.bump("stream.chunks_repaired")
     return tuple(rebuilt)
 
@@ -569,8 +506,8 @@ def encode_blocks(
                 "length= is required when sources are not all sized "
                 "bytes-like objects"
             )
-        length = max((len(s) for s in sources), default=0)
-    accumulator = _Accumulator(codec.parity_rows, length)
+        length = max((memoryview(s).nbytes for s in sources), default=0)
+    accumulator = gfm.Accumulator(codec.packed_parity, length)
     for position, column in enumerate(order):
         with measure_ops() as measured:
             offset = 0
@@ -579,11 +516,11 @@ def encode_blocks(
                     raise ValueError(
                         f"block {column} longer than padded length {length}"
                     )
-                accumulator.accumulate(column, chunk, offset=offset)
+                accumulator.fold(column, chunk, offset)
                 offset += len(chunk)
         if on_block is not None:
             on_block(position, column, offset, measured)
-    return accumulator.rows()
+    return [row.tobytes() for row in accumulator.rows()]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ re-solve from scratch again, these fail on any machine, deterministically.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.erasure import matrix as gfm
 from repro.erasure.codec import CodeParams, make_codec
+from repro.erasure.stream import stream_decode, stream_encode
 from repro.sim.engine import Simulator
 from repro.sim.metrics import measure_ops
 
@@ -65,6 +67,35 @@ class TestGaloisBudgets:
                 assert codec.decode({i: stripe[i] for i in alive}) == data
         assert measured.get("codec.decode_matrix_misses") == 1
         assert measured.get("codec.decode_matrix_hits") == repeats - 1
+
+
+class TestPackedKernelBudgets:
+    @pytest.mark.parametrize("rows", range(1, 13))
+    def test_one_table_gather_per_lane_group_per_fold(self, rows):
+        # r output rows cost ceil-by-binary-decomposition gathers per
+        # chunk, not r: 1 for r in {1, 2, 4, 8}, 3 for r in {7, 11}.
+        lane_groups = bin(rows % 8).count("1") + rows // 8
+        coeffs = np.full((rows, 5), 3, dtype=np.uint8)
+        accumulator = gfm.Accumulator(gfm.PackedMatrix(coeffs), 4096)
+        with measure_ops() as measured:
+            accumulator.fold(2, bytes(4096))
+        assert measured.get("gf.kernel_calls") == lane_groups
+        assert measured.get("gf.symbol_mults") == rows * 4096
+
+    def test_four_erasure_decode_multiplies_only_the_lost_rows(self):
+        n, k, chunk, stripes = 14, 10, 512, 3
+        payload = random.Random(3).randbytes(k * chunk * stripes)
+        encoded = stream_encode(payload, n=n, k=k, chunk_size=chunk)
+        survivors = encoded.available(exclude=(0, 1, 2, 3))
+        with measure_ops() as measured:
+            assert stream_decode(survivors, encoded.meta) == payload
+        # Six of the ten decode rows are surviving data shards — unit rows,
+        # copied through.  Only the four lost rows are multiplied: 4*k*chunk
+        # per stripe, not k*k*chunk, in one uint32 gather per chunk.  (The
+        # generator is memoised since the encode; inverting counts nothing.)
+        assert measured.get("gf.symbol_mults") == 4 * k * chunk * stripes
+        assert measured.get("gf.kernel_calls") == k * stripes
+        assert measured.get("stream.stripes_decoded") == stripes
 
 
 class TestMaxflowBudgets:

@@ -117,16 +117,6 @@ class TestBatchedVsScalarKernels:
         scalar = gfm.apply_to_shards_scalar(coeffs, shards)
         assert fused.tobytes() == scalar.tobytes()
 
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=30, deadline=None)
-    def test_property_mul_bulk_matches_scalar_mul(self, seed):
-        r = np.random.default_rng(seed)
-        a = r.integers(0, 256, size=64, dtype=np.uint8)
-        b = r.integers(0, 256, size=64, dtype=np.uint8)
-        bulk = GF256.mul_bulk(a, b)
-        for i in range(a.size):
-            assert int(bulk[i]) == GF256.mul(int(a[i]), int(b[i]))
-
     def test_mul_array_matches_table_row(self):
         table = GF256.mul_table()
         data = np.arange(256, dtype=np.uint8)
