@@ -15,6 +15,7 @@ schedule.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Sequence, Tuple
@@ -167,7 +168,9 @@ class ChaosInjector:
     Faults overlap freely: a rack outage may cover an already-flapping
     node.  Liveness restoration is reference-counted per node, so a node
     downed by both a flap and a rack outage only returns once *both*
-    lift.
+    lift.  Overlapping degradations of one node multiply: its bandwidth
+    is the nominal value times every active factor, and returns to
+    nominal when the last window lifts.
     """
 
     def __init__(
@@ -190,6 +193,8 @@ class ChaosInjector:
         self.applied: List[ChaosEvent] = []
         self.skipped: List[ChaosEvent] = []
         self._down_refs: dict = {}
+        #: node -> (nominal up, nominal down, factors of the open windows)
+        self._degraded: dict = {}
 
     def start(self):
         """Launch the script runner; returns its process."""
@@ -241,19 +246,32 @@ class ChaosInjector:
 
     def _degrade(self, event: ChaosEvent) -> None:
         node = event.target
-        up = self.network.node_up_bandwidth(node)
-        down = self.network.node_down_bandwidth(node)
-        self.network.set_node_bandwidth(
-            node, up=up * event.factor, down=down * event.factor
-        )
+        if node not in self._degraded:
+            self._degraded[node] = (
+                self.network.node_up_bandwidth(node),
+                self.network.node_down_bandwidth(node),
+                [],
+            )
+        self._degraded[node][2].append(event.factor)
+        self._apply_degradation(node)
         self.applied.append(event)
-        self.sim.process(self._undegrade_later(node, up, down, event.duration))
+        self.sim.process(
+            self._undegrade_later(node, event.factor, event.duration)
+        )
 
     def _undegrade_later(
-        self, node: NodeId, up: float, down: float, duration: float
+        self, node: NodeId, factor: float, duration: float
     ) -> Generator:
         yield self.sim.timeout(duration)
-        self.network.set_node_bandwidth(node, up=up, down=down)
+        self._degraded[node][2].remove(factor)
+        self._apply_degradation(node)
+
+    def _apply_degradation(self, node: NodeId) -> None:
+        up, down, factors = self._degraded[node]
+        scale = math.prod(factors)
+        self.network.set_node_bandwidth(node, up=up * scale, down=down * scale)
+        if not factors:
+            del self._degraded[node]
 
     def _corrupt(self, event: ChaosEvent) -> None:
         """Rot one replica of the target block on a live node."""

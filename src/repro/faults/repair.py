@@ -1,8 +1,9 @@
-"""Prioritized, retrying repair pipeline.
+"""Prioritized, retrying repair pipeline — the one block-repair engine.
 
-Replaces the FailureInjector's inline discovery-order repair loop: damage
-is *enqueued*, and a background worker always repairs the most-at-risk
-stripe first — the one with the fewest surviving blocks above its decode
+Every damage source (a permanent node or rack loss, a scrubber
+detection, a degraded read that gave up waiting) *enqueues* the block
+here, and a background dispatcher always starts the most-at-risk stripe
+first — the one with the fewest surviving blocks above its decode
 threshold (``k`` for encoded stripes, one replica for replicated blocks).
 Under compound failures this ordering is what separates "a window of
 reduced durability" from actual data loss, which is why production RAID
@@ -56,15 +57,15 @@ class RepairQueue:
             present, each repair feeds the repair-time distribution,
             per-rack reconstruction traffic, and margin-0 vulnerability
             windows.
-        concurrency: Simultaneous repairs the queue may run.  The default
-            (1) keeps the historical strictly-serial worker.  Higher
-            values model a production repair fleet — and are where
-            placement matters: concurrent reconstructions whose survivor
-            fetches share a rack uplink serialize on it, so concentrated
-            (EAR-style) layouts drain a storm slower than spread ones.
-            Dispatch order stays most-at-risk-first either way.
+        concurrency: Simultaneous repairs the queue may run (default 1:
+            strictly one at a time).  Higher values model a production
+            repair fleet — and are where placement matters: concurrent
+            reconstructions whose survivor fetches share a rack uplink
+            serialize on it, so concentrated (EAR-style) layouts drain a
+            storm slower than spread ones.  Dispatch order is
+            most-at-risk-first at every width.
 
-    The worker process starts on construction and runs forever; it sleeps
+    The dispatcher process starts on construction and runs forever; it sleeps
     on an internal wakeup event while idle, so an empty queue costs
     nothing.
     """
@@ -181,32 +182,11 @@ class RepairQueue:
             self._wakeup.succeed()
 
     def _run(self) -> Generator:
-        if self.concurrency == 1:
-            yield from self._run_serial()
-        else:
-            yield from self._run_parallel()
-
-    def _run_serial(self) -> Generator:
-        while True:
-            if self._pending:
-                block_id = self._pop_most_at_risk()
-                start = self.sim.now
-                outcome = yield from self._repair_one(block_id)
-                self._finish_repair(block_id, start, outcome)
-            elif self._reloc_pending and self.mover is not None:
-                stripe = self._reloc_pending.pop(0)
-                yield from self._relocate(stripe)
-            else:
-                self._wakeup = self.sim.event()
-                yield self._wakeup
-                self._wakeup = None
-
-    def _run_parallel(self) -> Generator:
         """Dispatcher: up to ``concurrency`` repairs in flight at once.
 
-        Repairs are still *started* most-at-risk-first; relocations are
-        only served while the damage queue is completely drained, exactly
-        as in the serial worker.
+        Repairs are *started* most-at-risk-first (see :meth:`_risk_key`);
+        relocations are only served while the damage queue is completely
+        drained.
         """
         while True:
             waiting = sorted(
@@ -259,33 +239,30 @@ class RepairQueue:
         done = self._pending.pop(block_id)
         done.succeed(outcome)
 
-    def _pop_most_at_risk(self) -> BlockId:
-        """The pending block whose stripe has the smallest failure margin.
+    def _risk_key(self, block_id: BlockId) -> Tuple[int, int, BlockId]:
+        """Dispatch order: smallest failure margin first.
 
         Margin = surviving copies above the decode threshold (``k``
         members for an encoded stripe, one replica otherwise); ties break
         in deterministic ``(stripe_id, block_id)`` order — *not* arrival
         order, so the repair sequence is a pure function of cluster state
         regardless of how the damage was discovered.  Recomputed at each
-        pop so repairs and further failures re-rank the queue
+        dispatch so repairs and further failures re-rank the queue
         continuously.
         """
-        return min(self._pending, key=self._risk_key)
-
-    def _risk_key(self, block_id: BlockId) -> Tuple[int, int, BlockId]:
-        stripe = self._stripe_of(block_id)
+        stripe = self.namenode.stripe_of(block_id)
         stripe_rank = -1 if stripe is None else stripe.stripe_id
         return (self._margin(block_id), stripe_rank, block_id)
 
     def _vulnerability_key(self, block_id: BlockId) -> str:
-        stripe = self._stripe_of(block_id)
+        stripe = self.namenode.stripe_of(block_id)
         if stripe is not None:
             return f"stripe:{stripe.stripe_id}"
         return f"block:{block_id}"
 
     def _margin(self, block_id: BlockId) -> int:
         store = self.namenode.block_store
-        stripe = self._stripe_of(block_id)
+        stripe = self.namenode.stripe_of(block_id)
         if stripe is not None and stripe.state == StripeState.ENCODED:
             survivors = sum(
                 1 for member in stripe.all_block_ids()
@@ -300,14 +277,14 @@ class RepairQueue:
     def _repair_one(self, block_id: BlockId) -> Generator:
         store = self.namenode.block_store
         survivors = store.replica_nodes(block_id)
-        stripe = self._stripe_of(block_id)
+        stripe = self.namenode.stripe_of(block_id)
         if survivors:
             if stripe is not None and stripe.state == StripeState.ENCODED:
                 # The retained single copy is the steady state: no repair.
                 return NOOP
             try:
                 yield from self._with_queue_retries(
-                    lambda: self._rereplicate_once(block_id)
+                    lambda __: self._rereplicate_once(block_id)
                 )
                 return REREPLICATED
             except RuntimeError:
@@ -316,7 +293,7 @@ class RepairQueue:
             return UNRECOVERABLE
         try:
             yield from self._with_queue_retries(
-                lambda: self._decode_once(stripe, block_id)
+                lambda __: self._decode_once(stripe, block_id)
             )
             return DECODED
         except RuntimeError:
@@ -330,12 +307,9 @@ class RepairQueue:
         chosen target node failed mid-repair, a fresh outer attempt picks
         a new live target.
         """
-        if self.retry is None:
-            result = yield from attempt_factory()
-            return result
         result = yield from with_retries(
             self.sim,
-            lambda __: attempt_factory(),
+            attempt_factory,
             self.retry,
             self.rng,
             retry_on=(TransferAborted, RetryExhausted),
@@ -371,7 +345,7 @@ class RepairQueue:
         # A concurrent encode may have trimmed the block to its retained
         # copy while ours was in flight; committing a second replica would
         # over-replicate an encoded stripe.  Drop the copy instead.
-        stripe = self._stripe_of(block_id)
+        stripe = self.namenode.stripe_of(block_id)
         if (
             stripe is not None
             and stripe.state == StripeState.ENCODED
@@ -404,15 +378,17 @@ class RepairQueue:
     def _replacement_node(self, block_id: BlockId) -> Optional[NodeId]:
         """A live node for the repaired copy, honouring the rack cap.
 
-        Mirrors the FailureInjector's placement rule: encoded stripes keep
-        the hard ``<= c`` blocks-per-rack constraint when possible; when
-        every live candidate sits in a saturated rack the violation is
-        committed *and* a relocation is self-enqueued so the placement
-        monitor's invariant is eventually restored.
+        Encoded stripes keep the hard ``<= c`` blocks-per-rack constraint
+        when possible; when every live candidate sits in a saturated rack
+        the violation is committed *and* recorded as a relocation request,
+        so the placement monitor's invariant is eventually restored.
+        Replicated blocks keep the softer rack-diversity preference.
+        "Live" is the network's view: a failed node is down there by
+        construction (:class:`~repro.hdfs.failures.FailureInjector`).
         """
         store = self.namenode.block_store
         topology = self.namenode.topology
-        stripe = self._stripe_of(block_id)
+        stripe = self.namenode.stripe_of(block_id)
         rack_usage: Dict[RackId, int] = {}
         if stripe is not None:
             for member in stripe.all_block_ids():
@@ -442,21 +418,6 @@ class RepairQueue:
             n for n in candidates if topology.rack_of(n) not in rack_usage
         ]
         return self.rng.choice(diverse or candidates)
-
-    def _stripe_of(self, block_id: BlockId) -> Optional[Stripe]:
-        pre_store = self.namenode.pre_encoding_store
-        if pre_store is None:
-            return None
-        stripe = pre_store.stripe_of_block(block_id)
-        if stripe is not None:
-            return stripe
-        stripe_id = self.namenode.block_store.block(block_id).stripe_id
-        if stripe_id is None:
-            return None
-        try:
-            return pre_store.stripe(stripe_id)
-        except KeyError:
-            return None
 
     # ------------------------------------------------------------------
     # Relocation service

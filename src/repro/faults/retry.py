@@ -114,7 +114,7 @@ AttemptFactory = Callable[[int], Generator]
 def with_retries(
     sim: Simulator,
     attempt_factory: AttemptFactory,
-    policy: RetryPolicy,
+    policy: Optional[RetryPolicy],
     rng: random.Random,
     retry_on: Tuple[Type[BaseException], ...] = (TransferAborted,),
     metrics: Optional[ResilienceMetrics] = None,
@@ -127,12 +127,18 @@ def with_retries(
     (transfers release their links) and the next attempt re-plans from
     scratch.  Exceptions not listed in ``retry_on`` propagate immediately.
 
+    With ``policy=None`` nothing is retried: the one attempt runs inline
+    in the caller's process and whatever it raises propagates unwrapped.
+
     Returns:
         The successful attempt's return value (generator return value).
 
     Raises:
         RetryExhausted: After ``policy.max_attempts`` failed attempts.
     """
+    if policy is None:
+        result = yield from attempt_factory(0)
+        return result
     last_error: Optional[BaseException] = None
     for attempt in range(policy.max_attempts):
         proc = sim.process(attempt_factory(attempt))

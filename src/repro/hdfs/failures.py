@@ -1,31 +1,31 @@
-"""Time-driven failure injection and automatic recovery.
+"""Time-driven permanent failure injection.
 
-Drives the full fault loop inside the simulation: at a scheduled time a
-node (or a whole rack) fails, its replicas vanish from the metadata, and
-the RaidNode rebuilds every block that became singly-lost from an encoded
-stripe — with real recovery traffic competing on the links.  Blocks that
-still have surviving replicas (pre-encoding data) are re-replicated from a
-survivor instead.
-
-This is the machinery behind failure-injection tests and the recovery
-ablations; production HDFS spreads the same work over re-replication and
-RaidNode repair queues.
+At a scheduled time a node (or a whole rack) fails for good: its
+endpoints go down in the network model, its replicas vanish from the
+metadata, and every block it held is handed to the
+:class:`~repro.faults.repair.RepairQueue` — the one engine that decides
+how a lost block is rebuilt (decode from the stripe, or re-replicate
+from a survivor) and where the new copy lands.  The injector only
+causes the damage, waits for the queue, and reports what it cost.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Set
+from typing import Generator, List
 
-from repro.cluster.block import BlockId, BlockStore
-from repro.cluster.topology import ClusterTopology, NodeId, RackId
-from repro.core.stripe import PreEncodingStore, Stripe, StripeState
-from repro.faults.retry import RetryPolicy, with_retries
+from repro.cluster.block import BlockId
+from repro.cluster.topology import NodeId, RackId
+from repro.faults.repair import (
+    DECODED,
+    REREPLICATED,
+    UNRECOVERABLE,
+    RepairQueue,
+)
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.raidnode import RaidNode
 from repro.sim.engine import Simulator
-from repro.sim.netsim import Network, SourceUnavailable
+from repro.sim.netsim import Network
 
 
 @dataclass(frozen=True)
@@ -40,40 +40,21 @@ class FailureReport:
     repair_time: float
 
 
-@dataclass(frozen=True)
-class PlacementViolation:
-    """A repair forced a block into a rack already at the stripe's cap.
-
-    Recorded instead of silently violating the ``<= c`` blocks-per-rack
-    constraint; with a repair queue attached, a relocation is also
-    enqueued so the violation is temporary.
-    """
-
-    block_id: BlockId
-    node_id: NodeId
-    rack_id: RackId
-    time: float
-
-
 class FailureInjector:
-    """Schedules node/rack failures and repairs their damage.
+    """Schedules permanent node/rack failures and waits out their repair.
+
+    A failed node is always down on the network too, so in-flight
+    transfers touching it raise ``TransferAborted`` and the repair queue
+    (which picks replacement nodes by network liveness) never lands a
+    rebuilt block back on it.
 
     Args:
         sim: Simulation kernel.
-        network: Link model (recovery traffic flows through it).
+        network: Link model (failed endpoints go down in it).
         namenode: Metadata server.
-        raidnode: Provides erasure-coded block reconstruction.
-        rng: Random source for replacement-node choices (deterministic
-            default — injection is the only sanctioned randomness source).
-        retry: When given, re-replication transfers survive transient
-            faults by backing off and re-planning source and target.
-        repair_queue: When given, lost blocks are enqueued on this
-            prioritized queue (most-at-risk stripes first) instead of
-            being repaired inline in discovery order; the injector waits
-            for the queue to finish before emitting its report.
-        fail_endpoints: When True, failed nodes are also taken down in the
-            network model, so in-flight transfers touching them raise
-            ``TransferAborted`` instead of silently completing.
+        raidnode: The cluster's RaidNode (the queue's decode engine).
+        repair_queue: Where every lost block is enqueued; the injector
+            waits for the queue to finish them before emitting its report.
     """
 
     def __init__(
@@ -82,21 +63,14 @@ class FailureInjector:
         network: Network,
         namenode: NameNode,
         raidnode: RaidNode,
-        rng: Optional[random.Random] = None,
-        retry: Optional[RetryPolicy] = None,
-        repair_queue=None,
-        fail_endpoints: bool = False,
+        repair_queue: RepairQueue,
     ) -> None:
         self.sim = sim
         self.network = network
         self.namenode = namenode
         self.raidnode = raidnode
-        self.rng = rng if rng is not None else random.Random(0)
-        self.retry = retry
         self.repair_queue = repair_queue
-        self.fail_endpoints = fail_endpoints
         self.reports: List[FailureReport] = []
-        self.violations: List[PlacementViolation] = []
 
     # ------------------------------------------------------------------
     def fail_node_at(self, when: float, node_id: NodeId) -> Generator:
@@ -119,12 +93,10 @@ class FailureInjector:
     # ------------------------------------------------------------------
     def _fail_and_repair(self, failed: List[NodeId]) -> Generator:
         store = self.namenode.block_store
-        failed_set = set(failed)
         start = self.sim.now
 
-        if self.fail_endpoints:
-            for node_id in failed:
-                self.network.fail_endpoint(node_id)
+        for node_id in failed:
+            self.network.fail_endpoint(node_id)
 
         lost: List[BlockId] = []
         for node_id in failed:
@@ -132,215 +104,24 @@ class FailureInjector:
                 store.remove_replica(block_id, node_id)
                 lost.append(block_id)
 
-        if self.repair_queue is not None:
-            outcome = yield from self._repair_via_queue(lost)
-            recovered, rereplicated, unrecoverable = outcome
-        else:
-            outcome = yield from self._repair_inline(lost, failed_set)
-            recovered, rereplicated, unrecoverable = outcome
+        # A rack failure can take several replicas of one block.
+        ordered = list(dict.fromkeys(lost))
+        completions = [self.repair_queue.enqueue(b) for b in ordered]
+        outcomes = []
+        if completions:
+            outcomes = yield self.sim.all_of(completions)
 
         report = FailureReport(
             failed_nodes=tuple(failed),
             blocks_lost=len(lost),
-            blocks_recovered=recovered,
-            blocks_rereplicated=rereplicated,
-            unrecoverable=tuple(unrecoverable),
+            blocks_recovered=outcomes.count(DECODED),
+            blocks_rereplicated=outcomes.count(REREPLICATED),
+            unrecoverable=tuple(
+                block_id
+                for block_id, outcome in zip(ordered, outcomes)
+                if outcome == UNRECOVERABLE
+            ),
             repair_time=self.sim.now - start,
         )
         self.reports.append(report)
         return report
-
-    # ------------------------------------------------------------------
-    # Repair strategies
-    # ------------------------------------------------------------------
-    def _repair_inline(
-        self, lost: List[BlockId], failed_set: Set[NodeId]
-    ) -> Generator:
-        """Repair lost blocks sequentially, in discovery order."""
-        store = self.namenode.block_store
-        recovered = 0
-        rereplicated = 0
-        unrecoverable: List[BlockId] = []
-        for block_id in lost:
-            # State is re-read at execution time: a concurrent encoding may
-            # have trimmed or re-homed this block while earlier repairs ran.
-            survivors = store.replica_nodes(block_id)
-            if survivors:
-                stripe = self._stripe_of(block_id)
-                if stripe is not None and stripe.state == StripeState.ENCODED:
-                    # The encode retained a surviving copy: one copy is the
-                    # target for erasure-coded blocks, nothing to repair.
-                    continue
-                # Replicated block: copy from a survivor (re-replication).
-                try:
-                    yield from self._rereplicate(block_id, failed_set)
-                    rereplicated += 1
-                except RuntimeError:
-                    unrecoverable.append(block_id)
-                continue
-            stripe = self._stripe_of(block_id)
-            if stripe is None or stripe.state != StripeState.ENCODED:
-                unrecoverable.append(block_id)
-                continue
-            target = self._replacement_node(store, block_id, failed_set)
-            if target is None:
-                unrecoverable.append(block_id)
-                continue
-            try:
-                yield from self.raidnode.recover_block(stripe, block_id, target)
-                recovered += 1
-            except RuntimeError:
-                unrecoverable.append(block_id)
-        return recovered, rereplicated, unrecoverable
-
-    def _rereplicate(
-        self, block_id: BlockId, failed_set: Set[NodeId]
-    ) -> Generator:
-        """Copy a replicated block from a survivor onto a fresh node.
-
-        With a retry policy, each attempt re-picks both the source and the
-        target against current liveness, so a transient flap mid-transfer
-        costs a backoff instead of the block.
-        """
-        if self.retry is None:
-            yield from self._rereplicate_once(block_id, failed_set)
-            return
-        yield from with_retries(
-            self.sim,
-            lambda __: self._rereplicate_once(block_id, failed_set),
-            self.retry,
-            self.rng,
-            label=f"re-replicate block {block_id}",
-        )
-
-    def _rereplicate_once(
-        self, block_id: BlockId, failed_set: Set[NodeId]
-    ) -> Generator:
-        store = self.namenode.block_store
-        survivors = [
-            n
-            for n in store.healthy_replica_nodes(block_id)
-            if self.network.is_up(n)
-        ]
-        if not survivors:
-            all_replicas = store.replica_nodes(block_id)
-            if all_replicas:
-                # Copies exist but are transiently down/corrupted: retryable.
-                raise SourceUnavailable(
-                    all_replicas[0], all_replicas[0], all_replicas[0]
-                )
-            raise RuntimeError(f"block {block_id} has no surviving replica")
-        target = self._replacement_node(store, block_id, failed_set)
-        if target is None:
-            raise RuntimeError(f"no replacement node for block {block_id}")
-        size = store.block(block_id).size
-        yield from self.network.transfer(survivors[0], target, size)
-        # The stripe may have finished encoding while the copy was in
-        # flight, trimming the block to its single retained replica —
-        # committing ours now would leave an over-replicated block the
-        # PlacementMonitor cannot reason about.  Drop the copy instead.
-        stripe = self._stripe_of(block_id)
-        if (
-            stripe is not None
-            and stripe.state == StripeState.ENCODED
-            and store.replica_nodes(block_id)
-        ):
-            return
-        store.add_replica(block_id, target)
-
-    def _repair_via_queue(self, lost: List[BlockId]) -> Generator:
-        """Hand the lost blocks to the prioritized repair queue and wait."""
-        seen: Set[BlockId] = set()
-        ordered: List[BlockId] = []
-        completions = []
-        for block_id in lost:
-            if block_id in seen:
-                continue
-            seen.add(block_id)
-            ordered.append(block_id)
-            completions.append(self.repair_queue.enqueue(block_id))
-        recovered = 0
-        rereplicated = 0
-        unrecoverable: List[BlockId] = []
-        if completions:
-            outcomes = yield self.sim.all_of(completions)
-        else:
-            outcomes = []
-        for block_id, outcome in zip(ordered, outcomes):
-            if outcome == "decoded":
-                recovered += 1
-            elif outcome == "rereplicated":
-                rereplicated += 1
-            elif outcome == "unrecoverable":
-                unrecoverable.append(block_id)
-            # "noop": encoded stripe already holds its retained copy.
-        return recovered, rereplicated, unrecoverable
-
-    def _stripe_of(self, block_id: BlockId) -> Optional[Stripe]:
-        pre_store = self.namenode.pre_encoding_store
-        if pre_store is None:
-            return None
-        stripe = pre_store.stripe_of_block(block_id)
-        if stripe is not None:
-            return stripe
-        stripe_id = self.namenode.block_store.block(block_id).stripe_id
-        if stripe_id is None:
-            return None
-        try:
-            return pre_store.stripe(stripe_id)
-        except KeyError:
-            return None
-
-    def _rack_cap(self) -> int:
-        """The stripe's ``c`` blocks-per-rack fault-tolerance cap."""
-        return getattr(self.namenode.policy, "c", 1)
-
-    def _replacement_node(
-        self, store: BlockStore, block_id: BlockId, failed: Set[NodeId]
-    ) -> Optional[NodeId]:
-        """A live node not already holding the block, preserving diversity.
-
-        For ENCODED stripes the choice honours the ``<= c`` blocks-per-rack
-        constraint; when no compliant candidate exists the violation is
-        *recorded* (and a relocation enqueued when a repair queue is
-        attached) rather than silently committed.  Replicated blocks keep
-        the softer rack-diversity preference.
-        """
-        topology = self.namenode.topology
-        stripe = self._stripe_of(block_id)
-        rack_usage: Dict[RackId, int] = {}
-        if stripe is not None:
-            for member in stripe.all_block_ids():
-                for node in store.replica_nodes(member):
-                    rack = topology.rack_of(node)
-                    rack_usage[rack] = rack_usage.get(rack, 0) + 1
-        candidates = [
-            n
-            for n in topology.node_ids()
-            if n not in failed
-            and block_id not in store.blocks_on_node(n)
-            and self.network.is_up(n)
-        ]
-        if not candidates:
-            return None
-        if stripe is not None and stripe.state == StripeState.ENCODED:
-            cap = self._rack_cap()
-            compliant = [
-                n for n in candidates if rack_usage.get(topology.rack_of(n), 0) < cap
-            ]
-            if compliant:
-                return self.rng.choice(compliant)
-            choice = self.rng.choice(candidates)
-            self.violations.append(
-                PlacementViolation(
-                    block_id=block_id,
-                    node_id=choice,
-                    rack_id=topology.rack_of(choice),
-                    time=self.sim.now,
-                )
-            )
-            if self.repair_queue is not None:
-                self.repair_queue.request_relocation(stripe)
-            return choice
-        diverse = [n for n in candidates if topology.rack_of(n) not in rack_usage]
-        return self.rng.choice(diverse or candidates)

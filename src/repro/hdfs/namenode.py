@@ -100,6 +100,27 @@ class NameNode:
             return []
         return store.sealed_stripes()
 
+    def stripe_of(self, block_id: BlockId) -> Optional[Stripe]:
+        """The stripe a data or parity block belongs to, if any.
+
+        Data blocks resolve through the pre-encoding store's membership
+        index; parity blocks (created at encode time, never registered
+        there) through the ``stripe_id`` stamped on the block itself.
+        """
+        store = self.pre_encoding_store
+        if store is None:
+            return None
+        stripe = store.stripe_of_block(block_id)
+        if stripe is not None:
+            return stripe
+        stripe_id = self.block_store.block(block_id).stripe_id
+        if stripe_id is None:
+            return None
+        try:
+            return store.stripe(stripe_id)
+        except KeyError:
+            return None
+
     # ------------------------------------------------------------------
     # Encoding support
     # ------------------------------------------------------------------

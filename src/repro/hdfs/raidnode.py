@@ -347,18 +347,12 @@ class RaidNode:
         a source dying mid-download re-plans from an alternate replica.
         ``retry`` overrides the node-level policy for this call.
         """
-        policy = retry if retry is not None else self.retry
-        if policy is None:
-            cross = yield from self._download_k_survivors(
-                stripe, lost_block_id, target_node
-            )
-            return cross
         cross = yield from with_retries(
             self.sim,
             lambda __: self._download_k_survivors(
                 stripe, lost_block_id, target_node
             ),
-            policy,
+            retry if retry is not None else self.retry,
             self.rng,
             metrics=self.resilience,
             label=f"reconstruct block {lost_block_id}",

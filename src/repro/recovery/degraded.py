@@ -33,7 +33,7 @@ from typing import Generator, List, Optional, Tuple
 
 from repro.cluster.block import BlockId
 from repro.cluster.topology import NodeId
-from repro.core.stripe import Stripe, StripeState
+from repro.core.stripe import StripeState
 from repro.faults.retry import DEGRADED_READ_RETRY, RetryPolicy
 from repro.sim.engine import Simulator
 from repro.sim.netsim import Network, TransferAborted
@@ -199,7 +199,7 @@ class DegradedReadPath:
     def _read_degraded(
         self, block_id: BlockId, reader_node: NodeId, start: float
     ) -> Generator:
-        stripe = self._stripe_of(block_id)
+        stripe = self.namenode.stripe_of(block_id)
         if stripe is None or stripe.state != StripeState.ENCODED:
             # Not decodable: a replicated block with every copy gone is
             # the repair pipeline's problem, not the client's.
@@ -254,20 +254,3 @@ class DegradedReadPath:
             bytes_read=0.0,
             cross_rack_bytes=0.0,
         )
-
-    # ------------------------------------------------------------------
-    def _stripe_of(self, block_id: BlockId) -> Optional[Stripe]:
-        """Resolve a block to its stripe (mirrors the repair queue)."""
-        pre_store = self.namenode.pre_encoding_store
-        if pre_store is None:
-            return None
-        stripe = pre_store.stripe_of_block(block_id)
-        if stripe is not None:
-            return stripe
-        stripe_id = self.namenode.block_store.block(block_id).stripe_id
-        if stripe_id is None:
-            return None
-        try:
-            return pre_store.stripe(stripe_id)
-        except KeyError:
-            return None

@@ -132,7 +132,9 @@ def build_storm_cluster(
     master = random.Random(seed)
     repair_seed = master.randrange(2**32)
     mover_seed = master.randrange(2**32)
-    injector_seed = master.randrange(2**32)
+    # The injector's former rng draw: kept so reader_seed — and with it
+    # every storm fingerprint — stays where it was.
+    master.randrange(2**32)
     reader_seed = master.randrange(2**32)
 
     topology = ClusterTopology(
@@ -166,8 +168,7 @@ def build_storm_cluster(
     )
     injector = FailureInjector(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
-        rng=random.Random(injector_seed), retry=STORM_RETRY,
-        repair_queue=repair_queue, fail_endpoints=True,
+        repair_queue,
     )
     read_path = DegradedReadPath(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
@@ -317,7 +318,6 @@ class StormReport:
     repair_outcomes: Dict[str, int]
     unrecoverable: Tuple[int, ...]
     read_modes: Dict[str, int]
-    placement_violations: int
     relocation_requests: int
     encode_errors: Tuple[str, ...]
     recovery_summary: Dict[str, float] = field(default_factory=dict)
@@ -343,7 +343,6 @@ class StormReport:
             "stripes_encoded": f"{self.stripes_encoded}/{self.stripes_total}",
             "blocks_total": self.blocks_total,
             "unrecoverable": len(self.unrecoverable),
-            "placement_violations": self.placement_violations,
             "relocation_requests": self.relocation_requests,
             "clean": self.clean,
             "fingerprint": self.fingerprint[:16],
@@ -423,14 +422,8 @@ def finish_report(sc: StormCluster, scenario: str, policy: str,
         ),
         blocks_total=sc.blocks_total,
         repair_outcomes=dict(sc.repair_queue.outcomes),
-        unrecoverable=tuple(sc.repair_queue.unrecoverable)
-        + tuple(
-            block_id
-            for rep in sc.injector.reports
-            for block_id in rep.unrecoverable
-        ),
+        unrecoverable=tuple(sc.repair_queue.unrecoverable),
         read_modes=read_modes,
-        placement_violations=len(sc.injector.violations),
         relocation_requests=len(sc.repair_queue.relocation_requests),
         encode_errors=tuple(sc.encode_errors),
         recovery_summary=sc.recovery.summary(now=sc.sim.now),

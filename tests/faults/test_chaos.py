@@ -192,6 +192,34 @@ class TestChaosInjector:
         sim.run()
         assert observed == [base * 0.5, base]
 
+    def test_overlapping_degradations_multiply_then_restore_nominal(self):
+        sim = Simulator()
+        network = Network(sim, TOPO)
+        schedule = ChaosSchedule(events=[
+            ChaosEvent(time=0.0, kind=DEGRADE_NODE, target=3,
+                       duration=10.0, factor=0.5),
+            ChaosEvent(time=5.0, kind=DEGRADE_NODE, target=3,
+                       duration=10.0, factor=0.5),
+        ])
+        ChaosInjector(sim, network, schedule).start()
+        base = TOPO.intra_rack_bandwidth
+        observed = []
+
+        def probe():
+            for __ in range(4):  # t = 1, 6, 11, 16
+                yield sim.timeout(1.0 if not observed else 5.0)
+                observed.append(
+                    (network.node_up_bandwidth(3),
+                     network.node_down_bandwidth(3))
+                )
+
+        sim.process(probe())
+        sim.run()
+        assert observed == [
+            (base * 0.5,) * 2, (base * 0.25,) * 2, (base * 0.5,) * 2,
+            (base,) * 2,
+        ]
+
     def test_corruption_marks_a_live_replica(self):
         code = CodeParams(6, 4)
         setup = build_cluster(

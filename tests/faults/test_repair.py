@@ -177,6 +177,52 @@ class TestConcurrency:
         assert outcomes[1] == outcomes[3]
 
 
+    def test_every_width_drains_the_same_damage_then_relocates(self):
+        """One dispatcher at every width: a lost rack's worth of encoded
+        blocks decodes to the same outcome counts at concurrency 1 and 4,
+        and the forced-violation relocations wait for the damage queue."""
+        drained = {}
+        for concurrency in (1, 4):
+            setup, sealed, __ = build(topology=TOPO_TIGHT, stripes=2)
+            queue = RepairQueue(
+                setup.sim, setup.network, setup.namenode, setup.raidnode,
+                rng=random.Random(91), concurrency=concurrency,
+                mover=BlockMover(TOPO_TIGHT, CODE, rng=random.Random(9)),
+            )
+            pending_at_relocation = []
+            relocate = setup.raidnode.relocate_if_violating
+
+            def watched(stripe, mover, relocate=relocate, queue=queue,
+                        seen=pending_at_relocation):
+                seen.append(queue.pending_count)
+                return relocate(stripe, mover)
+
+            setup.raidnode.relocate_if_violating = watched
+            store = setup.namenode.block_store
+            # Six racks, 6-block stripes, c=1: with this rack dark every
+            # replacement breaks the cap and asks for a relocation.
+            rack = TOPO_TIGHT.rack_of(
+                store.replica_nodes(sealed[0].block_ids[0])[0]
+            )
+            events = []
+            for node in TOPO_TIGHT.nodes_in_rack(rack):
+                setup.network.fail_endpoint(node)
+                for block in list(store.blocks_on_node(node)):
+                    store.remove_replica(block, node)
+                    events.append(queue.enqueue(block))
+            setup.sim.run()
+            assert queue.pending_count == 0
+            assert queue.relocation_requests
+            assert pending_at_relocation == [0] * len(
+                queue.relocation_requests
+            )
+            drained[concurrency] = (
+                sorted(e.value for e in events), dict(queue.outcomes)
+            )
+        assert drained[1] == drained[4]
+        assert drained[1][1]["decoded"] >= 2
+
+
 class TestOutcomes:
     def test_encoded_block_with_surviving_copy_is_noop(self):
         setup, sealed, queue = build()

@@ -254,3 +254,61 @@ class TestWithRetries:
         __, result, __e = self.run(flaky, policy, retry_on=(OSError,))
         assert result == ["ok"]
         assert calls == [0, 1]
+
+
+class TestWithoutPolicy:
+    """``policy=None``: exactly one attempt, inline in the caller."""
+
+    def drive(self, make_attempt):
+        sim = Simulator()
+        spawned = []
+        spawn = sim.process
+        sim.process = lambda gen: spawned.append(gen) or spawn(gen)
+        result, error = [], []
+
+        def driver():
+            try:
+                value = yield from with_retries(
+                    sim, make_attempt(sim), None, random.Random(0)
+                )
+                result.append(value)
+            except Exception as exc:  # noqa: BLE001
+                error.append(exc)
+
+        sim.process(driver())
+        sim.run()
+        # The driver is the only process: the attempt ran inside it.
+        assert len(spawned) == 1
+        return sim, result, error
+
+    def test_return_value_passes_through(self):
+        calls = []
+
+        def make_attempt(sim):
+            def attempt(index):
+                calls.append(index)
+                yield sim.timeout(3.0)
+                return "done"
+            return attempt
+
+        sim, result, error = self.drive(make_attempt)
+        assert calls == [0]
+        assert (result, error) == (["done"], [])
+        assert sim.now == 3.0
+
+    def test_exception_propagates_unwrapped_after_one_attempt(self):
+        calls = []
+        boom = TransferAborted(1, 2, 2)
+
+        def make_attempt(sim):
+            def attempt(index):
+                calls.append(index)
+                raise boom
+                yield  # makes it a generator
+            return attempt
+
+        sim, result, error = self.drive(make_attempt)
+        assert calls == [0]
+        assert result == []
+        assert error == [boom]  # the very object, not RetryExhausted
+        assert sim.now == 0.0

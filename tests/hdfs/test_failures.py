@@ -1,4 +1,8 @@
-"""Failure injection: node/rack failures repaired inside the simulation."""
+"""Failure injection: node/rack failures repaired inside the simulation.
+
+The injector only causes the damage; every lost block is rebuilt by the
+``RepairQueue`` it is handed.
+"""
 
 import random
 
@@ -8,6 +12,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.policy import ReplicationScheme
 from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
+from repro.faults.repair import RepairQueue
 from repro.hdfs.failures import FailureInjector
 
 CODE = CodeParams(6, 4)
@@ -29,11 +34,17 @@ def build(policy="ear", seed=1, stripes=4, encode=True):
 
         setup.sim.process(encode_all())
         setup.sim.run()
-    injector = FailureInjector(
+    return setup, sealed, make_injector(setup, seed + 50)
+
+
+def make_injector(setup, rng_seed):
+    queue = RepairQueue(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
-        rng=random.Random(seed + 50),
+        rng=random.Random(rng_seed),
     )
-    return setup, sealed, injector
+    return FailureInjector(
+        setup.sim, setup.network, setup.namenode, setup.raidnode, queue
+    )
 
 
 class TestNodeFailure:
@@ -118,8 +129,6 @@ class TestRackFailure:
     def test_forced_rack_cap_violation_recorded_not_silent(self):
         """When every live candidate sits in a saturated rack, the repair
         still lands — but the <= c violation is recorded, not swallowed."""
-        from repro.hdfs.failures import PlacementViolation
-
         topo = ClusterTopology(
             nodes_per_rack=4, num_racks=6,
             intra_rack_bandwidth=1e6, cross_rack_bandwidth=1e6,
@@ -133,10 +142,7 @@ class TestRackFailure:
 
         setup.sim.process(encode())
         setup.sim.run()
-        injector = FailureInjector(
-            setup.sim, setup.network, setup.namenode, setup.raidnode,
-            rng=random.Random(11),
-        )
+        injector = make_injector(setup, 11)
         store = setup.namenode.block_store
         block = stripe.block_ids[0]
         home_rack = topo.rack_of(store.replica_nodes(block)[0])
@@ -145,12 +151,17 @@ class TestRackFailure:
         setup.sim.process(injector.fail_rack_at(1.0, home_rack))
         setup.sim.run()
         assert injector.reports[-1].unrecoverable == ()
-        violated = [v for v in injector.violations if v.block_id == block]
-        assert len(violated) == 1
-        violation = violated[0]
-        assert isinstance(violation, PlacementViolation)
-        assert violation.rack_id != home_rack
-        assert tuple(store.replica_nodes(block)) == (violation.node_id,)
+        # One relocation request per forced violation, naming the stripe.
+        assert injector.repair_queue.relocation_requests == [stripe]
+        (landed,) = store.replica_nodes(block)
+        landed_rack = topo.rack_of(landed)
+        assert landed_rack != home_rack
+        sharing = [
+            member for member in stripe.all_block_ids()
+            if member != block
+            and topo.rack_of(store.replica_nodes(member)[0]) == landed_rack
+        ]
+        assert sharing, "the repair landed in a rack already at the cap"
 
     def test_no_violations_recorded_when_compliant_racks_exist(self):
         setup, stripes, injector = build(seed=6)
@@ -160,7 +171,7 @@ class TestRackFailure:
         setup.sim.run()
         # Eight racks leave spare racks for every 6-block stripe: the
         # repair never needs to break the cap.
-        assert injector.violations == []
+        assert injector.repair_queue.relocation_requests == []
 
     def test_excess_failures_reported_unrecoverable(self):
         setup, stripes, injector = build(seed=5)
@@ -177,3 +188,33 @@ class TestRackFailure:
         setup.sim.run()
         report = injector.reports[-1]
         assert survivor_block in report.unrecoverable
+
+
+class TestFailedNodeStaysEmpty:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_repairs_never_land_on_the_failed_node(self, seed):
+        """With only 12 nodes to choose from, a repair engine that did not
+        see the victim as down would routinely hand it its own blocks
+        back."""
+        topo = ClusterTopology(
+            nodes_per_rack=2, num_racks=6,
+            intra_rack_bandwidth=1e6, cross_rack_bandwidth=1e6,
+        )
+        setup = build_cluster("ear", topo, CODE, SCHEME, seed, block_size=1000)
+        populate_until_sealed(setup, 4)
+
+        def encode_all():
+            for stripe in setup.namenode.sealed_stripes()[:4]:
+                yield from setup.encoder.encode_stripe(stripe)
+
+        setup.sim.process(encode_all())
+        setup.sim.run()
+        injector = make_injector(setup, seed)
+        store = setup.namenode.block_store
+        counts = store.replica_count_per_node()
+        victim = max(sorted(counts), key=lambda n: counts[n])
+        setup.sim.process(injector.fail_node_at(1.0, victim))
+        setup.sim.run()
+        assert injector.reports[-1].blocks_lost > 0
+        assert not store.blocks_on_node(victim)
+        assert not setup.network.is_up(victim)

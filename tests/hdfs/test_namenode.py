@@ -64,6 +64,41 @@ class TestStripeVisibility:
         assert rr_namenode.pre_encoding_store is rr_namenode.policy.store
 
 
+class TestStripeOf:
+    def test_data_and_parity_members_of_an_encoded_stripe(
+        self, ear_namenode, facebook_code
+    ):
+        for __ in range(facebook_code.k * 3):
+            ear_namenode.allocate_block(writer_node=0)
+        stripe = ear_namenode.sealed_stripes()[0]
+        assert ear_namenode.stripe_of(stripe.block_ids[0]) is stripe
+        planner = ear_namenode.make_planner(
+            facebook_code, rng=random.Random(2)
+        )
+        parity = ear_namenode.record_encoding(stripe, planner.plan(stripe))
+        # Parity blocks are not in the membership index: they resolve
+        # through the stripe id stamped on the block.
+        store = ear_namenode.pre_encoding_store
+        assert store.stripe_of_block(parity[0].block_id) is None
+        assert ear_namenode.stripe_of(parity[0].block_id) is stripe
+        assert ear_namenode.stripe_of(stripe.block_ids[-1]) is stripe
+
+    def test_none_without_a_pre_encoding_store(self, large_topology):
+        namenode = NameNode(
+            large_topology,
+            RandomReplication(large_topology, rng=random.Random(1)),
+        )
+        block, __ = namenode.allocate_block()
+        assert namenode.pre_encoding_store is None
+        assert namenode.stripe_of(block.block_id) is None
+
+    def test_none_for_unstriped_and_unknown_stripe_ids(self, rr_namenode):
+        loose = rr_namenode.block_store.create_block(1000)
+        assert rr_namenode.stripe_of(loose.block_id) is None
+        rr_namenode.block_store.assign_stripe(loose.block_id, 10_000)
+        assert rr_namenode.stripe_of(loose.block_id) is None
+
+
 class TestPlannerSelection:
     def test_ear_gets_ear_planner(self, ear_namenode, facebook_code):
         planner = ear_namenode.make_planner(facebook_code)

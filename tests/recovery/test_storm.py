@@ -1,10 +1,17 @@
 """Fault scenarios: clean outcomes, seeded determinism, honest reports."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.recovery import SCENARIO_RUNNERS, run_storm
+from repro.recovery.storm import (
+    build_storm_cluster,
+    drain,
+    encode_all,
+    finish_report,
+)
 
 #: Small-but-real sizing shared by every test in this module.
 KW = {"num_stripes": 2}
@@ -79,6 +86,35 @@ class TestReport:
             + report.read_modes.get("degraded", 0)
         )
         assert served >= 1
+
+
+class TestLostBlocksCountedOnce:
+    def test_three_racks_lost_at_once(self):
+        """Past the stripe's budget blocks are truly lost — and each one
+        is a single failed repair, listed once."""
+        sc = build_storm_cluster(
+            "ear", seed=3, num_racks=6, nodes_per_rack=2, num_stripes=4,
+            ear_c=1,
+        )
+        encode_all(sc)
+        t0 = sc.sim.now + 5.0
+        for rack in (0, 1, 2):
+            sc.sim.process(sc.injector.fail_rack_at(t0, rack))
+        drain(sc, horizon=600.0)
+        report = finish_report(sc, "three_rack_loss", "ear", 3)
+
+        assert not report.clean
+        assert len(report.unrecoverable) == report.repair_outcomes[
+            "unrecoverable"
+        ] > 0
+        assert max(Counter(report.unrecoverable).values()) == 1
+        # Two racks failing at once can each report a block they shared;
+        # the queue repaired (and lost) it once.
+        from_injector = {
+            block for rep in sc.injector.reports for block in rep.unrecoverable
+        }
+        assert set(report.unrecoverable) == from_injector
+        assert "placement_violations" not in report.summary()
 
 
 class TestChaosScenario:
