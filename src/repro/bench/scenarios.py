@@ -384,7 +384,7 @@ def _maxflow_incremental_vs_fresh(stripes: int, blocks: int):
     return run
 
 
-def _ear_place(stripes: int, use_incremental: bool):
+def _ear_place(stripes: int):
     def run(rng: random.Random) -> Dict[str, float]:
         from repro.cluster.topology import ClusterTopology
         from repro.core.ear import EncodingAwareReplication
@@ -393,10 +393,7 @@ def _ear_place(stripes: int, use_incremental: bool):
         topology = ClusterTopology.large_scale()
         code = CodeParams(14, 10)
         ear = EncodingAwareReplication(
-            topology,
-            code,
-            rng=random.Random(rng.randrange(2**31)),
-            use_incremental=use_incremental,
+            topology, code, rng=random.Random(rng.randrange(2**31))
         )
         with measure_ops() as measured:
             for block_id in range(stripes * code.k):
@@ -410,34 +407,71 @@ def _ear_place(stripes: int, use_incremental: bool):
     return run
 
 
+def ear_redraws_vs_fresh(seed: int, num_blocks: int, writers: int = 1):
+    """Place (14,10) blocks with EAR on the 20x20 cluster, then replay every
+    candidate layout it drew against the from-scratch reference.
+
+    The reference is the public ``StripeFlowGraph.max_matching_size``: a
+    candidate for the i-th block of a stripe must be accepted iff the
+    accepted layout plus the candidate has max flow i.  Block ``b`` is
+    written from node ``b % writers``.
+
+    Returns:
+        ``(decisions, ops_incremental, ops_fresh)`` — the placement
+        decisions and the counted work of the placement and of the replay.
+
+    Raises:
+        AssertionError: On the first accept/reject decision that differs.
+    """
+    from repro.cluster.topology import ClusterTopology
+    from repro.core.ear import EncodingAwareReplication
+    from repro.erasure.codec import CodeParams
+
+    drawn: List[List[int]] = []
+
+    class RecordingEar(EncodingAwareReplication):
+        """EAR that remembers every candidate layout it drew."""
+
+        def _draw_candidate(self, core_rack, stripe):
+            nodes = super()._draw_candidate(core_rack, stripe)
+            drawn.append(nodes)
+            return nodes
+
+    ear = RecordingEar(
+        ClusterTopology.large_scale(), CodeParams(14, 10),
+        rng=random.Random(seed),
+    )
+    with measure_ops() as incremental:
+        decisions = [
+            ear.place_block(block_id, writer_node=block_id % writers)
+            for block_id in range(num_blocks)
+        ]
+    draws = iter(drawn)
+    kept: Dict[int, Dict[int, List[int]]] = {}
+    with measure_ops() as fresh:
+        for decision in decisions:
+            graph = ear.flow_graph_for(ear.store.stripe(decision.stripe_id))
+            layout = kept.setdefault(decision.stripe_id, {})
+            for attempt in range(1, decision.attempts + 1):
+                candidate = {**layout, decision.block_id: next(draws)}
+                feasible = graph.max_matching_size(candidate) == len(candidate)
+                if feasible != (attempt == decision.attempts):
+                    raise AssertionError(
+                        "incremental EAR redraw loop diverged from the "
+                        "fresh solver"
+                    )
+            layout[decision.block_id] = list(decision.node_ids)
+    return decisions, incremental, fresh
+
+
 def _ear_identity(stripes: int):
     def run(rng: random.Random) -> Dict[str, float]:
-        from repro.cluster.topology import ClusterTopology
-        from repro.core.ear import EncodingAwareReplication
-        from repro.erasure.codec import CodeParams
-
-        topology = ClusterTopology.large_scale()
-        code = CodeParams(14, 10)
-        seed = rng.randrange(2**31)
-        decisions = {}
-        ops = {}
-        for mode in (True, False):
-            ear = EncodingAwareReplication(
-                topology, code, rng=random.Random(seed), use_incremental=mode
-            )
-            with measure_ops() as measured:
-                decisions[mode] = [
-                    ear.place_block(block_id, writer_node=0)
-                    for block_id in range(stripes * code.k)
-                ]
-            ops[mode] = measured.get("maxflow.bfs_builds")
-        if decisions[True] != decisions[False]:
-            raise AssertionError(
-                "incremental EAR placements diverged from the fresh solver"
-            )
+        __, incremental, fresh = ear_redraws_vs_fresh(
+            rng.randrange(2**31), stripes * 10
+        )
         return {
-            "bfs_incremental": float(ops[True]),
-            "bfs_fresh": float(ops[False]),
+            "bfs_incremental": float(incremental.get("maxflow.bfs_builds")),
+            "bfs_fresh": float(fresh.get("maxflow.bfs_builds")),
         }
 
     return run
@@ -988,7 +1022,7 @@ def builtin_scenarios(smoke: bool = False) -> List[Scenario]:
         scenario(
             "ear_place_incremental",
             {"stripes": ear_stripes, "code": "(14,10)"},
-            _ear_place(ear_stripes, True),
+            _ear_place(ear_stripes),
         ),
         scenario(
             "ear_incremental_vs_fresh_identity",

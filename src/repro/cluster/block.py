@@ -211,7 +211,7 @@ class BlockStore:
         """
         self._get_block(block_id)
         self.topology.node(node_id)
-        if node_id in self.replica_nodes(block_id):
+        if block_id in self._node_blocks[node_id]:
             raise ValueError(
                 f"node {node_id} already stores a replica of block {block_id}"
             )
@@ -256,9 +256,10 @@ class BlockStore:
         This is step (iii) of the encoding operation: after parity blocks are
         written, the redundant replicas of each data block are removed.
         """
-        if node_id not in self.replica_nodes(block_id):
+        nodes = self.replica_nodes(block_id)
+        if node_id not in nodes:
             raise KeyError(f"node {node_id} stores no replica of block {block_id}")
-        for other in list(self.replica_nodes(block_id)):
+        for other in nodes:
             if other != node_id:
                 self.remove_replica(block_id, other)
 
@@ -353,7 +354,10 @@ class BlockStore:
 
     def replica_nodes(self, block_id: BlockId) -> Tuple[NodeId, ...]:
         """Node ids currently holding a copy of ``block_id``."""
-        return tuple(r.node_id for r in self._replicas[self._get_block(block_id).block_id])
+        try:
+            return tuple([r.node_id for r in self._replicas[block_id]])
+        except KeyError:
+            raise KeyError(f"unknown block id {block_id}") from None
 
     def replica_racks(self, block_id: BlockId) -> Tuple[RackId, ...]:
         """Rack ids currently holding a copy (duplicates preserved)."""

@@ -11,7 +11,7 @@ policies (:mod:`repro.core`) and by the network simulator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 NodeId = int
 RackId = int
@@ -119,6 +119,14 @@ class ClusterTopology:
                 ids.append(next_node)
                 next_node += 1
             self._racks.append(Rack(rack_id, tuple(ids)))
+        # The cluster is immutable, so the two lookups the placement loop
+        # makes per drawn replica are tables built once: node id -> rack id,
+        # and rack id -> node count.
+        self._rack_of: Tuple[RackId, ...] = tuple(
+            node.rack_id for node in self._nodes
+        )
+        #: Number of nodes in each rack, indexed by rack id.
+        self.rack_sizes: Tuple[int, ...] = tuple(sizes)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -153,7 +161,11 @@ class ClusterTopology:
 
     def rack_of(self, node_id: NodeId) -> RackId:
         """Return the id of the rack that houses ``node_id``."""
-        return self._nodes[self._check_node(node_id)].rack_id
+        # Bounds-checked on both sides: a bare index would wrap -1 to the
+        # last node.
+        if 0 <= node_id < len(self._rack_of):
+            return self._rack_of[node_id]
+        raise KeyError(f"unknown node id {node_id}")
 
     def nodes_in_rack(self, rack_id: RackId) -> Sequence[NodeId]:
         """Return the node ids living in ``rack_id``."""

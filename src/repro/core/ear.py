@@ -67,14 +67,13 @@ class EncodingAwareReplication(PlacementPolicy):
             time.  Keeping parity in the core rack turns those uploads
             intra-rack — the "keep more data/parity blocks in one rack"
             behaviour behind Figure 13(e).  No effect at ``c = 1``.
-        use_incremental: When True (the default) each stripe keeps one
-            incremental :class:`StripeFlowSession` alive across every
-            redraw, augmenting the previous max-flow solution instead of
-            rebuilding and re-solving the whole graph per attempt.  The
-            accept/reject decisions — and therefore the placements for a
-            given seed — are identical either way; only the counted work
-            differs.  False restores the from-scratch solve (kept as the
-            differential-test oracle).
+
+    Each open stripe keeps one incremental :class:`StripeFlowSession` alive
+    across every redraw, augmenting the previous max-flow solution instead
+    of rebuilding and re-solving the whole graph per attempt.  The
+    accept/reject decisions are those of the from-scratch test
+    ``StripeFlowGraph.max_matching_size(layout) == len(layout)``, which
+    stays public as the reference.
 
     Example:
         >>> topo = ClusterTopology.large_scale()
@@ -99,7 +98,6 @@ class EncodingAwareReplication(PlacementPolicy):
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         bias_target_racks: bool = False,
         reserve_core_for_parity: bool = True,
-        use_incremental: bool = True,
     ) -> None:
         super().__init__(topology, scheme, rng)
         if c <= 0:
@@ -145,10 +143,9 @@ class EncodingAwareReplication(PlacementPolicy):
         if self.store.k != code.k:
             raise ValueError("store's k disagrees with the code's k")
 
-        self.use_incremental = use_incremental
         self._open_by_rack: Dict[RackId, int] = {}
         self._sessions: Dict[int, StripeFlowSession] = {}
-        self._layouts: Dict[int, Dict[BlockId, List[NodeId]]] = defaultdict(dict)
+        self._layouts: Dict[int, Dict[BlockId, List[NodeId]]] = {}
         # attempts[i] collects the redraw counts observed for the i-th block
         # of a stripe (1-indexed), for validating Theorem 1.
         self._attempts_by_index: Dict[int, List[int]] = defaultdict(list)
@@ -171,29 +168,17 @@ class EncodingAwareReplication(PlacementPolicy):
         else:
             core_rack = self._random_rack()
         stripe = self._open_stripe_for(core_rack)
-        layout = self._layouts[stripe.stripe_id]
         index = len(stripe.block_ids) + 1  # this block is the i-th of its stripe
-        session: Optional[StripeFlowSession] = None
-        flow_graph: Optional[StripeFlowGraph] = None
-        if self.use_incremental:
-            session = self._sessions.get(stripe.stripe_id)
-            if session is None:
-                session = self.flow_graph_for(stripe).session()
-                self._sessions[stripe.stripe_id] = session
-        else:
-            flow_graph = self.flow_graph_for(stripe)
+        session = self._sessions.get(stripe.stripe_id)
+        if session is None:
+            session = self.flow_graph_for(stripe).session()
+            self._sessions[stripe.stripe_id] = session
 
         for attempt in range(1, self.max_attempts + 1):
             node_ids = self._draw_candidate(core_rack, stripe)
             PERF.bump("ear.redraw_attempts")
-            if session is not None:
-                if session.try_place(block_id, node_ids):
-                    break
-            else:
-                candidate = dict(layout)
-                candidate[block_id] = node_ids
-                if flow_graph.max_matching_size(candidate) == index:
-                    break
+            if session.try_place(block_id, node_ids):
+                break
         else:
             raise PlacementError(
                 f"no qualifying layout for block {block_id} (stripe "
@@ -201,7 +186,7 @@ class EncodingAwareReplication(PlacementPolicy):
                 f"{self.max_attempts} attempts"
             )
 
-        layout[block_id] = node_ids
+        self._layouts.setdefault(stripe.stripe_id, {})[block_id] = node_ids
         self._attempts_by_index[index].append(attempt)
         self.store.add_block(stripe.stripe_id, block_id)
         if stripe.is_full():
@@ -219,11 +204,17 @@ class EncodingAwareReplication(PlacementPolicy):
     # Introspection used by the encoding pipeline and analyses
     # ------------------------------------------------------------------
     def stripe_layout(self, stripe: Stripe) -> Dict[BlockId, List[NodeId]]:
-        """Replica layout (block -> nodes) recorded for a stripe."""
-        return {
-            bid: list(nodes)
-            for bid, nodes in self._layouts[stripe.stripe_id].items()
-        }
+        """Replica layout (block -> nodes) recorded for a stripe.
+
+        Raises:
+            PlacementError: If this policy placed no block of the stripe.
+        """
+        layout = self._layouts.get(stripe.stripe_id)
+        if layout is None:
+            raise PlacementError(
+                f"this policy placed no block of stripe {stripe.stripe_id}"
+            )
+        return {bid: list(nodes) for bid, nodes in layout.items()}
 
     def flow_graph_for(self, stripe: Stripe) -> StripeFlowGraph:
         """The flow graph (with this policy's ``c``, the stripe's targets,
@@ -243,9 +234,13 @@ class EncodingAwareReplication(PlacementPolicy):
 
         The plan always exists for EAR-placed stripes because every accepted
         layout kept the max flow equal to the block count.
+
+        Raises:
+            PlacementError: If this policy placed no block of the stripe,
+                or its recorded layout admits no plan.
         """
         matching = self.flow_graph_for(stripe).find_matching(
-            self._layouts[stripe.stripe_id]
+            self.stripe_layout(stripe)
         )
         if matching is None:
             raise PlacementError(

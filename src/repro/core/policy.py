@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.cluster.block import BlockId, BlockStore
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
@@ -145,7 +145,7 @@ class PlacementPolicy(ABC):
     # Shared random-selection helpers
     # ------------------------------------------------------------------
     def _random_rack(
-        self, exclude: Sequence[RackId] = (), min_nodes: int = 1
+        self, exclude: Iterable[RackId] = (), min_nodes: int = 1
     ) -> RackId:
         """A uniformly random rack outside ``exclude`` with enough nodes.
 
@@ -154,9 +154,9 @@ class PlacementPolicy(ABC):
         """
         excluded = set(exclude)
         candidates = [
-            r
-            for r in self.topology.rack_ids()
-            if r not in excluded and len(self.topology.rack(r)) >= min_nodes
+            rack_id
+            for rack_id, size in enumerate(self.topology.rack_sizes)
+            if size >= min_nodes and rack_id not in excluded
         ]
         if not candidates:
             raise PlacementError(
@@ -164,14 +164,9 @@ class PlacementPolicy(ABC):
             )
         return self.rng.choice(candidates)
 
-    def _random_nodes_in_rack(
-        self, rack_id: RackId, count: int, exclude: Sequence[NodeId] = ()
-    ) -> List[NodeId]:
-        """``count`` distinct random nodes of one rack, outside ``exclude``."""
-        excluded = set(exclude)
-        candidates = [
-            n for n in self.topology.nodes_in_rack(rack_id) if n not in excluded
-        ]
+    def _random_nodes_in_rack(self, rack_id: RackId, count: int) -> List[NodeId]:
+        """``count`` distinct random nodes of one rack."""
+        candidates = self.topology.nodes_in_rack(rack_id)
         if len(candidates) < count:
             raise PlacementError(
                 f"rack {rack_id} has only {len(candidates)} eligible nodes, "

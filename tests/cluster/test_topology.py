@@ -73,6 +73,26 @@ class TestLookups:
         with pytest.raises(KeyError):
             medium_topology.rack(8)
 
+    @pytest.mark.parametrize("sizes", [[5] * 8, [1, 4, 2]])
+    def test_lookup_tables_never_wrap_around(self, sizes):
+        # rack_of reads a precomputed tuple; a bare index would answer -1
+        # with the last node's rack (the wrap-around PR 13 found in decode).
+        topology = ClusterTopology(nodes_per_rack=sizes)
+        for node_id in (-1, -topology.num_nodes, topology.num_nodes):
+            with pytest.raises(KeyError):
+                topology.rack_of(node_id)
+        for rack_id in (-1, -topology.num_racks, topology.num_racks):
+            with pytest.raises(KeyError):
+                topology.nodes_in_rack(rack_id)
+
+    def test_lookup_tables_agree_with_the_node_and_rack_objects(self):
+        topology = ClusterTopology(nodes_per_rack=[3, 1, 4])
+        assert topology.rack_sizes == (3, 1, 4)
+        for node in topology.nodes:
+            assert topology.rack_of(node.node_id) == node.rack_id
+        for rack in topology.racks:
+            assert topology.rack_sizes[rack.rack_id] == len(rack)
+
     def test_same_rack(self, medium_topology):
         assert medium_topology.same_rack(5, 9)
         assert not medium_topology.same_rack(4, 5)

@@ -1,0 +1,142 @@
+"""Label-keyed reference for the Figure 4 flow graph (test oracle only).
+
+This is the solver the placement core ran before it became id-addressed:
+Dinic over hashable vertex labels, rebuilt from scratch for every query,
+with no checkpoint, no direct path and no greedy phase.  The production
+solver must return the *same matching* (not merely one of the same size),
+so the reference keeps the production edge-insertion order — S->B, then
+per replica B->N, N->R if the node is new, R->T if the rack is new — and
+visits edges in that order.
+"""
+
+from collections import deque
+
+_SOURCE = ("S",)
+_SINK = ("T",)
+
+
+class LabelDinic:
+    """Textbook Dinic keyed by vertex labels."""
+
+    def __init__(self):
+        self.index = {}
+        self.adj = []
+        self.to = []
+        self.cap = []
+        self.orig = []
+        self.edge_ids = {}
+
+    def vertex(self, label):
+        if label not in self.index:
+            self.index[label] = len(self.adj)
+            self.adj.append([])
+        return self.index[label]
+
+    def add_edge(self, u, v, capacity):
+        ui, vi = self.vertex(u), self.vertex(v)
+        self.edge_ids.setdefault((u, v), []).append(len(self.to))
+        for src, dst, cap in ((ui, vi, capacity), (vi, ui, 0)):
+            self.adj[src].append(len(self.to))
+            self.to.append(dst)
+            self.cap.append(cap)
+            self.orig.append(cap)
+
+    def flow_on(self, u, v):
+        return sum(self.orig[e] - self.cap[e] for e in self.edge_ids[(u, v)])
+
+    def max_flow(self, source, sink):
+        if source not in self.index or sink not in self.index:
+            return 0
+        s, t = self.index[source], self.index[sink]
+        total = 0
+        while True:
+            level = [-1] * len(self.adj)
+            level[s] = 0
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for edge in self.adj[u]:
+                    v = self.to[edge]
+                    if self.cap[edge] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return total
+            iters = [0] * len(self.adj)
+            while True:
+                pushed = self._dfs(s, t, sum(self.orig) + 1, level, iters)
+                if pushed == 0:
+                    break
+                total += pushed
+
+    def _dfs(self, u, t, limit, level, iters):
+        if u == t:
+            return limit
+        while iters[u] < len(self.adj[u]):
+            edge = self.adj[u][iters[u]]
+            v = self.to[edge]
+            if self.cap[edge] > 0 and level[v] == level[u] + 1:
+                pushed = self._dfs(
+                    v, t, min(limit, self.cap[edge]), level, iters
+                )
+                if pushed > 0:
+                    self.cap[edge] -= pushed
+                    self.cap[edge ^ 1] += pushed
+                    return pushed
+            iters[u] += 1
+        return 0
+
+
+class ReferenceFlowGraph:
+    """From-scratch feasibility, matching and partial matching."""
+
+    def __init__(self, topology, c=1, target_racks=None, capacity_overrides=None):
+        self.topology = topology
+        self.c = c
+        self.target_racks = None if target_racks is None else set(target_racks)
+        self.capacity_overrides = dict(capacity_overrides or {})
+
+    def _admissible(self, rack_id):
+        return self.target_racks is None or rack_id in self.target_racks
+
+    def _solved(self, layout):
+        graph = LabelDinic()
+        nodes_added, racks_added = set(), set()
+        for block, node_ids in layout.items():
+            graph.add_edge(_SOURCE, ("B", block), 1)
+            for node_id in node_ids:
+                rack_id = self.topology.rack_of(node_id)
+                if not self._admissible(rack_id):
+                    continue
+                graph.add_edge(("B", block), ("N", node_id), 1)
+                if node_id not in nodes_added:
+                    nodes_added.add(node_id)
+                    graph.add_edge(("N", node_id), ("R", rack_id), 1)
+                if rack_id not in racks_added:
+                    racks_added.add(rack_id)
+                    graph.add_edge(
+                        ("R", rack_id), _SINK,
+                        self.capacity_overrides.get(rack_id, self.c),
+                    )
+        return graph, graph.max_flow(_SOURCE, _SINK)
+
+    def max_matching_size(self, layout):
+        return self._solved(layout)[1] if layout else 0
+
+    def find_partial_matching(self, layout):
+        if not layout:
+            return {}
+        graph, __ = self._solved(layout)
+        matching = {}
+        for block, node_ids in layout.items():
+            for node_id in node_ids:
+                if not self._admissible(self.topology.rack_of(node_id)):
+                    continue
+                if graph.flow_on(("B", block), ("N", node_id)) > 0:
+                    matching[block] = node_id
+                    break
+        return matching
+
+    def find_matching(self, layout):
+        matching = self.find_partial_matching(layout)
+        return matching if len(matching) == len(layout) else None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.policy import PlacementError, ReplicationScheme
-from repro.core.stripe import PreEncodingStore
+from repro.core.stripe import PreEncodingStore, Stripe
 from repro.erasure.codec import CodeParams
 
 
@@ -101,6 +101,21 @@ class TestValidationBehaviour:
         policy = EncodingAwareReplication(large_topology, facebook_code, rng=rng)
         with pytest.raises(KeyError):
             policy.mean_attempts(1)
+
+    def test_stripe_this_policy_never_placed_has_no_layout_or_plan(
+        self, large_topology, facebook_code, rng
+    ):
+        # Regression: the layouts used to live in a defaultdict, so asking
+        # about a foreign stripe inserted an empty layout and returned {}.
+        policy = EncodingAwareReplication(large_topology, facebook_code, rng=rng)
+        place_stripes(policy, facebook_code.k, writer=0)
+        foreign = Stripe(stripe_id=999, k=facebook_code.k, core_rack=0)
+        for query in (policy.stripe_layout, policy.retention_plan):
+            with pytest.raises(PlacementError):
+                query(foreign)
+        assert 999 not in policy._layouts
+        mine = policy.store.sealed_stripes()[0]
+        assert sorted(policy.retention_plan(mine)) == sorted(mine.block_ids)
 
     def test_max_attempts_cap(self, facebook_code):
         # One rack cannot host a (14,10) stripe at c=1 -> constructor error.

@@ -1,0 +1,68 @@
+"""The id-addressed flow graph versus the label-keyed reference.
+
+Accept/reject decisions of the incremental session and the exact
+matchings of ``find_matching`` / ``find_partial_matching`` are compared
+with :mod:`tests.core.reference_flow` over random small clusters: every
+``c``, target racks, per-rack capacity overrides (zero included), replicas
+sharing a rack and duplicate node ids inside one block's layout.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.topology import ClusterTopology
+from repro.core.flowgraph import StripeFlowGraph
+
+from tests.core.reference_flow import ReferenceFlowGraph
+
+
+@st.composite
+def flow_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    topology = ClusterTopology(nodes_per_rack=sizes)
+    racks = list(topology.rack_ids())
+    c = draw(st.integers(1, 3))
+    target_racks = draw(
+        st.none()
+        | st.lists(st.sampled_from(racks), min_size=1, unique=True)
+    )
+    capacity_overrides = draw(
+        st.none()
+        | st.dictionaries(st.sampled_from(racks), st.integers(0, 3), max_size=3)
+    )
+    node = st.integers(0, topology.num_nodes - 1)
+    # Plain lists: replicas may share a rack and may repeat a node id.
+    replicas = st.lists(node, min_size=1, max_size=4)
+    blocks = draw(st.lists(replicas, min_size=1, max_size=10))
+    return topology, (c, target_racks, capacity_overrides), blocks
+
+
+@given(case=flow_cases())
+@settings(max_examples=200, deadline=None)
+def test_session_accepts_exactly_what_the_reference_accepts(case):
+    topology, args, blocks = case
+    session = StripeFlowGraph(topology, *args).session()
+    reference = ReferenceFlowGraph(topology, *args)
+    kept = {}
+    for block, nodes in enumerate(blocks):
+        candidate = {**kept, block: nodes}
+        oracle = reference.max_matching_size(candidate) == len(candidate)
+        assert session.try_place(block, nodes) == oracle
+        if oracle:
+            kept = candidate
+        assert session.num_placed == len(kept)
+    assert session.layout() == kept
+
+
+@given(case=flow_cases())
+@settings(max_examples=200, deadline=None)
+def test_matchings_equal_the_reference_matchings(case):
+    topology, args, blocks = case
+    graph = StripeFlowGraph(topology, *args)
+    reference = ReferenceFlowGraph(topology, *args)
+    layout = dict(enumerate(blocks))
+    assert graph.max_matching_size(layout) == reference.max_matching_size(layout)
+    assert graph.find_matching(layout) == reference.find_matching(layout)
+    assert graph.find_partial_matching(layout) == (
+        reference.find_partial_matching(layout)
+    )

@@ -1,10 +1,10 @@
 """Incremental Dinic (checkpoint / rollback / limited augmentation) versus
 the from-scratch solver, and end-to-end EAR placement identity.
 
-The differential oracle in every test is the *old* code path, kept alive
-exactly for this purpose: ``Dinic`` rebuilt per attempt,
-``StripeFlowGraph.max_matching_size`` re-solved per candidate, and
-``EncodingAwareReplication(use_incremental=False)``.
+The differential oracle in every test is the from-scratch path: ``Dinic``
+rebuilt per attempt and the public ``StripeFlowGraph.max_matching_size``
+re-solved per candidate — for EAR itself by replaying every candidate the
+redraw loop drew (``repro.bench.scenarios.ear_redraws_vs_fresh``).
 """
 
 import random
@@ -13,24 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.scenarios import ear_redraws_vs_fresh
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.flowgraph import StripeFlowGraph
 from repro.core.maxflow import Dinic
 from repro.erasure.codec import CodeParams
-from repro.sim.metrics import measure_ops
 
 
 def _graph_fingerprint(g: Dinic):
     return (
         g.num_vertices,
-        list(g._labels),
+        dict(g._index),
         [list(a) for a in g._adj],
         list(g._to),
         list(g._cap),
-        list(g._orig_cap),
-        dict(g._edge_ids),
-        list(g._edge_keys),
     )
 
 
@@ -159,34 +156,61 @@ class TestSessionVsFreshFlowGraph:
         assert session.layout() == kept
 
 
+class TestSessionRollback:
+    def test_rejected_candidate_leaves_no_trace(self):
+        topology = ClusterTopology(nodes_per_rack=3, num_racks=4)
+        session = StripeFlowGraph(topology, c=1).session()
+        assert session.try_place(0, (0, 3))
+        assert session.try_place(1, (1, 4))
+
+        def state():
+            return (
+                _graph_fingerprint(session._solver),
+                list(session._nodes.items()),
+                list(session._racks.items()),
+                session.layout(),
+                session.num_placed,
+            )
+
+        before = state()
+        # Racks 0 and 1 are full at c=1; the candidate adds a new node in
+        # each (2, 5), reuses a known one (0) and repeats itself (5).
+        assert not session.try_place(2, (2, 5, 0, 5))
+        assert state() == before
+        # ...and the session still works: rack 2 is free.
+        assert session.try_place(2, (2, 6))
+        assert session.num_placed == 3
+
+    def test_rejected_candidate_with_a_new_rack_forgets_the_rack(self):
+        topology = ClusterTopology(nodes_per_rack=3, num_racks=4)
+        graph = StripeFlowGraph(topology, c=1, capacity_overrides={2: 0})
+        session = graph.session()
+        assert session.try_place(0, (0,))
+        racks_before = dict(session._racks)
+        assert not session.try_place(1, (6,))  # rack 2 holds nothing
+        assert session._racks == racks_before
+        assert 6 not in session._nodes
+
+
 class TestEndToEndEarIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_placements_identical_and_cheaper(self, seed):
-        topology = ClusterTopology.large_scale()
-        code = CodeParams(14, 10)
-        decisions = {}
-        bfs = {}
-        for mode in (True, False):
-            ear = EncodingAwareReplication(
-                topology, code, rng=random.Random(seed), use_incremental=mode
-            )
-            with measure_ops() as measured:
-                decisions[mode] = [
-                    ear.place_block(block_id, writer_node=block_id % 40)
-                    for block_id in range(3 * code.k)
-                ]
-            bfs[mode] = measured.get("maxflow.bfs_builds")
-        # Byte-identical placements for a given seed...
-        assert decisions[True] == decisions[False]
+        # Raises on the first accept/reject decision the from-scratch
+        # reference disagrees with...
+        decisions, incremental, fresh = ear_redraws_vs_fresh(
+            seed, num_blocks=30, writers=40
+        )
+        assert len(decisions) == 30
         # ...with strictly fewer level-graph builds.
-        assert bfs[True] < bfs[False]
+        assert (
+            incremental.get("maxflow.bfs_builds")
+            < fresh.get("maxflow.bfs_builds")
+        )
 
     def test_retention_plan_still_exists(self):
         topology = ClusterTopology.large_scale()
         code = CodeParams(14, 10)
-        ear = EncodingAwareReplication(
-            topology, code, rng=random.Random(3), use_incremental=True
-        )
+        ear = EncodingAwareReplication(topology, code, rng=random.Random(3))
         for block_id in range(code.k):
             ear.place_block(block_id, writer_node=0)
         stripe = ear.store.sealed_stripes()[0]

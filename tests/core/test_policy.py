@@ -1,7 +1,10 @@
 """ReplicationScheme layouts and the shared PlacementPolicy helpers."""
 
+import random
+
 import pytest
 
+from repro.cluster.topology import ClusterTopology
 from repro.core.policy import (
     DISTINCT_RACKS,
     PlacementError,
@@ -80,6 +83,26 @@ class TestSharedHelpers:
         for __ in range(20):
             rack = policy._random_rack(exclude=[0, 1, 2])
             assert rack == 3
+
+    def test_random_rack_accepts_any_iterable_exclude(self, small_topology):
+        draws = []
+        for exclude in ([0, 2], (0, 2), {0, 2}, iter([0, 2]), range(0, 3, 2)):
+            policy = RandomReplication(small_topology, rng=random.Random(9))
+            draws.append([policy._random_rack(exclude=exclude)] + [
+                policy._random_rack(exclude={0, 2}) for __ in range(10)
+            ])
+            assert set(draws[-1]) <= {1, 3}
+        assert all(d == draws[0] for d in draws)
+
+    def test_random_rack_min_nodes_filters_small_racks(self):
+        topology = ClusterTopology(nodes_per_rack=[1, 3, 1, 2])
+        policy = RandomReplication(topology, rng=random.Random(4))
+        assert {policy._random_rack(min_nodes=2) for __ in range(40)} == {1, 3}
+        assert {
+            policy._random_rack(exclude=[1], min_nodes=2) for __ in range(10)
+        } == {3}
+        with pytest.raises(PlacementError):
+            policy._random_rack(min_nodes=4)
 
     def test_random_rack_exhausted(self, small_topology, rng):
         policy = RandomReplication(small_topology, rng=rng)
