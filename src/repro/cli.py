@@ -339,13 +339,6 @@ def cmd_lint(args) -> int:
     return run(args)
 
 
-def cmd_bench(args) -> int:
-    """Seeded benchmark suite; writes a schema-versioned BENCH_<tag>.json."""
-    from repro.bench.cli import cmd_bench as run
-
-    return run(args)
-
-
 def cmd_journal(args) -> int:
     """Inspect and verify write-ahead metadata journals."""
     from repro.journal.cli import cmd_journal as run
@@ -547,12 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         p, seeds=1, seeds_help="with --head-to-head: seeds per contender"
     )
     p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("bench", help=cmd_bench.__doc__)
-    from repro.bench.cli import add_bench_arguments
-
-    add_bench_arguments(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("lint", help=cmd_lint.__doc__)
     from repro.lint.cli import add_lint_arguments

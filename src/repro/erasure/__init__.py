@@ -50,10 +50,10 @@ def reset_memo_caches() -> None:
     Matrix construction is counted work (``gf.kernel_calls`` etc.), so a
     measured region's op counts depend on whether an *earlier* computation
     in the same process already built the matrices it needs.  Harnesses
-    that promise location-independent op accounting (the bench runner, the
-    parallel sweep executor) call this before each measured trial so every
-    trial sees the same cold-cache state regardless of the process — or
-    the order — it runs in.
+    that promise location-independent op accounting (``benchmarks/e2e``,
+    the parallel sweep executor) call this before each measured trial so
+    every trial sees the same cold-cache state regardless of the process —
+    or the order — it runs in.
     """
     from repro.erasure import cauchy, reed_solomon
 

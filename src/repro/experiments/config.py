@@ -35,6 +35,9 @@ class PolicyName:
     RECOVERY = "recovery"
 
     ALL = (RR, EAR, RECOVERY)
+    #: The two policies the paper compares; every paper-figure driver
+    #: iterates these, so a new policy never moves a paper number.
+    PAPER = (RR, EAR)
 
 
 class StrategyName:

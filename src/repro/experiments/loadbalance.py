@@ -95,14 +95,14 @@ def storage_balance(
     config = config if config is not None else LoadBalanceConfig()
     flat = iter(run_grid(
         _storage_trial,
-        axes={"policy_name": PolicyName.ALL},
+        axes={"policy_name": PolicyName.PAPER},
         seeds=range(seed, seed + runs),
         fixed={"config": config, "num_blocks": num_blocks},
         tag="loadbalance.storage.{policy_name}",
         executor=executor,
     ))
     out: Dict[str, List[float]] = {}
-    for policy in PolicyName.ALL:
+    for policy in PolicyName.PAPER:
         accumulated = next(flat)
         for __ in range(runs - 1):
             accumulated = [a + s for a, s in zip(accumulated, next(flat))]
@@ -129,14 +129,14 @@ def read_balance(
     config = config if config is not None else LoadBalanceConfig()
     flat = iter(run_grid(
         _read_trial,
-        axes={"policy_name": PolicyName.ALL, "file_blocks": file_sizes},
+        axes={"policy_name": PolicyName.PAPER, "file_blocks": file_sizes},
         seeds=range(seed, seed + runs),
         fixed={"config": config},
         tag="loadbalance.read.{policy_name}",
         executor=executor,
     ))
     result: Dict[str, Dict[int, float]] = {}
-    for policy in PolicyName.ALL:
+    for policy in PolicyName.PAPER:
         means: Dict[int, float] = {}
         for size in file_sizes:
             total = 0.0

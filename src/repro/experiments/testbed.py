@@ -155,7 +155,7 @@ def sweep_nk(
                 run_raw_encoding(policy, code, config, seed).throughput_mb_s
                 for seed in seeds
             )
-            for policy in PolicyName.ALL
+            for policy in PolicyName.PAPER
         }
         per_policy["gain"] = per_policy["ear"] / per_policy["rr"] - 1.0
         results[k] = per_policy
@@ -187,7 +187,7 @@ def sweep_udp(
                 ).throughput_mb_s
                 for seed in seeds
             )
-            for policy in PolicyName.ALL
+            for policy in PolicyName.PAPER
         }
         per_policy["gain"] = per_policy["ear"] / per_policy["rr"] - 1.0
         results[rate] = per_policy

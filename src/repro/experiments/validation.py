@@ -140,7 +140,7 @@ def table1_rows(
     encoding window.
     """
     rows: List[ConsistencyCheck] = []
-    for policy in PolicyName.ALL:
+    for policy in PolicyName.PAPER:
         results = [
             run_write_during_encoding(policy, code, config, seed)
             for seed in seeds
@@ -169,7 +169,7 @@ def encoded_stripes_curves(
     from repro.experiments.testbed import run_raw_encoding
 
     curves: Dict[str, List[Tuple[float, int]]] = {}
-    for policy in PolicyName.ALL:
+    for policy in PolicyName.PAPER:
         result = run_raw_encoding(
             policy, code if code is not None else CodeParams(10, 8), config, seed
         )

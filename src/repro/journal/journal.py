@@ -43,9 +43,6 @@ class MetadataJournal:
             writer starts a fresh segment and sequence numbers continue
             from the durable tail).
         segment_records: Records per segment before rotation.
-        flush_each: Flush (make durable) after every append.  On by
-            default; bench scenarios turn it off to measure batched
-            throughput.
         fsync: Also fsync on flush (off by default — tests model
             durability at the flush boundary).
         crash_at: Optional armed crash point; the journal raises
@@ -58,7 +55,6 @@ class MetadataJournal:
         self,
         directory: str,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
-        flush_each: bool = True,
         fsync: bool = False,
         crash_at: Optional[CrashPoint] = None,
         track_fingerprints: bool = False,
@@ -69,7 +65,6 @@ class MetadataJournal:
         self.writer = JournalWriter(
             directory, segment_records=segment_records, fsync=fsync
         )
-        self.flush_each = flush_each
         self.crash_at = crash_at
         self.track_fingerprints = track_fingerprints
         self.fingerprints: Dict[int, str] = {}
@@ -146,8 +141,7 @@ class MetadataJournal:
         self.records_appended += 1
         PERF.bump("journal.records_appended")
         PERF.bump("journal.bytes_appended", len(line.encode("utf-8")) + 1)
-        if self.flush_each:
-            self.flush()
+        self.flush()
         return seq
 
     def flush(self) -> None:
@@ -279,7 +273,7 @@ class MetadataJournal:
         return scan_journal(self.directory)
 
     def stats(self) -> Dict[str, int]:
-        """Counters for ``repro journal stats`` and the bench layer."""
+        """In-memory counters of this journal handle."""
         return {
             "last_seq": self._seq,
             "flushed_seq": self.flushed_seq,

@@ -8,8 +8,8 @@ One run does, in order:
    :class:`~repro.lint.project.cache.LintCache` when the fingerprint
    matches, else parse once, run the per-file rules, extract facts, and
    store the entry.  Counted work lands in ``lint.files_analyzed`` /
-   ``lint.files_cached`` / ``lint.functions_analyzed`` so the
-   ``lint_whole_program`` bench scenario can assert cache behaviour
+   ``lint.files_cached`` / ``lint.functions_analyzed`` so
+   ``tests/lint/test_project_cache.py`` can assert cache behaviour
    without wall-clock flakiness;
 3. build the :class:`~repro.lint.project.model.ProjectModel` and run
    every registered project rule, filtering each finding through the

@@ -8,9 +8,9 @@ closures over locks, open files or live journaled stores deserialize
 into nonsense, and mutations of module globals fork-diverge silently —
 the parent never sees them, and two workers disagree.
 
-Worker entry points are the ``fn=`` / ``normalize=`` arguments of
-``TrialSpec(...)`` constructions; everything reachable from an entry
-point is "worker-executed".
+Worker entry points are the ``fn=`` arguments of ``TrialSpec(...)``
+constructions; everything reachable from an entry point is
+"worker-executed".
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.lint.project.model import (
 )
 
 #: Keyword arguments of ``TrialSpec`` that must hold worker-safe callables.
-CALLABLE_KEYS = ("fn", "normalize")
+CALLABLE_KEYS = ("fn",)
 
 #: Module-global constructor chains that never survive a fork boundary.
 UNPICKLABLE_FACTORIES = frozenset({
@@ -50,7 +50,7 @@ def submission_sites(
     """Callable arguments of every ``TrialSpec(...)`` construction.
 
     Returns sorted ``(submitting node, call, key, arg kind, ref)``
-    tuples, one per ``fn=`` / ``normalize=`` argument.
+    tuples, one per ``fn=`` argument.
     """
     sites: List[Tuple[str, CallSite, str, str, str]] = []
     for node in sorted(model.functions):

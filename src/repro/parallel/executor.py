@@ -286,8 +286,6 @@ class SweepExecutor:
         for name in sorted(measured.ops):
             PERF.bump(name, -measured.ops[name])
         for spec, got, want in zip(specs, results, oracle):
-            if spec.normalize is not None:
-                got, want = spec.normalize(got), spec.normalize(want)
             if not _values_equal(got, want):
                 report.check_passed = False
                 raise ParallelMismatch(

@@ -10,7 +10,7 @@ that keys the on-disk result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Tuple
 
 from repro.parallel.fingerprint import (
     canonical,
@@ -37,10 +37,6 @@ class TrialSpec:
             — conservative: any source change there dirties the trial.
         cacheable: When False the executor never consults or fills the
             result cache for this trial (e.g. wall-clock benchmarks).
-        normalize: Optional module-level callable applied to results
-            before the differential check compares them (used to strip
-            machine-dependent fields such as wall times).  Never applied
-            to the returned results themselves.
     """
 
     fn: Callable[..., Any]
@@ -49,18 +45,14 @@ class TrialSpec:
     tag: str = ""
     salt_modules: Tuple[str, ...] = ()
     cacheable: bool = True
-    normalize: Optional[Callable[[Any], Any]] = None
 
     def __post_init__(self) -> None:
-        for target in (self.fn, self.normalize):
-            if target is None:
-                continue
-            qualname = getattr(target, "__qualname__", None)
-            if qualname is None or "<locals>" in qualname or "<lambda>" in qualname:
-                raise ValueError(
-                    f"trial callable {target!r} is not module-level; "
-                    "workers cannot unpickle lambdas or nested functions"
-                )
+        qualname = getattr(self.fn, "__qualname__", None)
+        if qualname is None or "<locals>" in qualname or "<lambda>" in qualname:
+            raise ValueError(
+                f"trial callable {self.fn!r} is not module-level; "
+                "workers cannot unpickle lambdas or nested functions"
+            )
 
     # ------------------------------------------------------------------
     @property

@@ -3,11 +3,11 @@
 :class:`PipelineMetrics` tracks what the head-to-heads compare — hop
 traffic split into intra- and cross-rack bytes, re-plans forced by
 failures, fallbacks to the download-and-encode path — plus the per-node
-GF attribution the bench layer needs: each hop's fused multiply-XOR work
-(``gf.kernel_calls`` / ``gf.symbol_mults``) is billed to the node that
-performed the fold, not to a single encoder node.  Integer totals are
+GF attribution: each hop's fused multiply-XOR work (``gf.kernel_calls`` /
+``gf.symbol_mults``) is billed to the node that performed the fold, not to
+a single encoder node.  Integer totals are
 mirrored into the process-wide :data:`~repro.sim.metrics.PERF` registry
-under ``pipeline.*`` so bench op counts stay hermetic.
+under ``pipeline.*``.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ class RecoveryMetrics:
     One instance is shared by every component of a drill; all methods are
     cheap enough to leave permanently enabled.  Counted events also feed
     the process-wide :data:`~repro.sim.metrics.PERF` registry under the
-    ``recovery.*`` prefix so bench scenarios can gate on them.
+    ``recovery.*`` prefix so ``benchmarks/e2e`` can report them.
     """
 
     def __init__(self) -> None:

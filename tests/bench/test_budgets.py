@@ -11,15 +11,16 @@ import random
 import numpy as np
 import pytest
 
-from repro.bench.scenarios import ear_redraws_vs_fresh
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.flowgraph import StripeFlowGraph
 from repro.erasure import matrix as gfm
 from repro.erasure.codec import CodeParams, make_codec
-from repro.erasure.stream import stream_decode, stream_encode
+from repro.erasure.stream import stream_decode, stream_encode, stream_repair
+from repro.pipeline.gfstream import pipelined_parity
 from repro.sim.engine import Simulator
 from repro.sim.metrics import measure_ops
+from tests.core.reference_flow import ear_redraws_vs_fresh
 
 
 class TestGaloisBudgets:
@@ -98,6 +99,45 @@ class TestPackedKernelBudgets:
         assert measured.get("gf.symbol_mults") == 4 * k * chunk * stripes
         assert measured.get("gf.kernel_calls") == k * stripes
         assert measured.get("stream.stripes_decoded") == stripes
+
+    @pytest.mark.parametrize("target,row_mults", [(0, 0), (13, 100)])
+    def test_one_shard_repair_multiplies_one_row(self, target, row_mults):
+        n, k, chunk, stripes = 14, 10, 512, 3
+        payload = random.Random(4).randbytes(k * chunk * stripes)
+        encoded = stream_encode(payload, n=n, k=k, chunk_size=chunk)
+        survivors = encoded.available(exclude=(target,))
+        with measure_ops() as measured:
+            rebuilt = stream_repair(target, survivors, encoded.meta)
+        assert rebuilt == encoded.shards[target]
+        # One repair row over k sources per stripe.  A data shard's row is
+        # a row of the decode matrix; a parity shard's is its generator row
+        # times that matrix, k*k multiplies once per repair.
+        assert (
+            measured.get("gf.symbol_mults")
+            == k * chunk * stripes + row_mults
+        )
+        assert measured.get("stream.chunks_repaired") == stripes
+
+    def test_permuted_hop_order_folds_the_same_work_as_encode(self):
+        n, k, size = 14, 10, 4096
+        codec = make_codec(n, k)
+        r = random.Random(5)
+        blocks = [r.randbytes(size) for __ in range(k)]
+        with measure_ops() as whole:
+            expected = codec.encode(blocks)
+        order = list(range(k))
+        r.shuffle(order)
+        with measure_ops() as hopped:
+            parity = pipelined_parity(
+                blocks, codec, hop_order=order, chunk_size=1024
+            )
+        assert parity == expected
+        assert (
+            hopped.get("gf.symbol_mults")
+            == whole.get("gf.symbol_mults")
+            == (n - k) * k * size
+        )
+        assert hopped.get("pipeline.hops") == k
 
 
 class TestMaxflowBudgets:

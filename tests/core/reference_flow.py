@@ -7,9 +7,19 @@ solver must return the *same matching* (not merely one of the same size),
 so the reference keeps the production edge-insertion order — S->B, then
 per replica B->N, N->R if the node is new, R->T if the rack is new — and
 visits edges in that order.
+
+:func:`ear_redraws_vs_fresh` is the end-to-end counterpart: it replays
+every candidate the EAR redraw loop drew against the public from-scratch
+``StripeFlowGraph.max_matching_size``.
 """
 
+import random
 from collections import deque
+
+from repro.cluster.topology import ClusterTopology
+from repro.core.ear import EncodingAwareReplication
+from repro.erasure.codec import CodeParams
+from repro.sim.metrics import measure_ops
 
 _SOURCE = ("S",)
 _SINK = ("T",)
@@ -140,3 +150,56 @@ class ReferenceFlowGraph:
     def find_matching(self, layout):
         matching = self.find_partial_matching(layout)
         return matching if len(matching) == len(layout) else None
+
+
+def ear_redraws_vs_fresh(seed, num_blocks, writers=1):
+    """Place (14,10) blocks with EAR on the 20x20 cluster, then replay every
+    candidate layout it drew against the from-scratch reference.
+
+    The reference is the public ``StripeFlowGraph.max_matching_size``: a
+    candidate for the i-th block of a stripe must be accepted iff the
+    accepted layout plus the candidate has max flow i.  Block ``b`` is
+    written from node ``b % writers``.
+
+    Returns:
+        ``(decisions, ops_incremental, ops_fresh)`` — the placement
+        decisions and the counted work of the placement and of the replay.
+
+    Raises:
+        AssertionError: On the first accept/reject decision that differs.
+    """
+    drawn = []
+
+    class RecordingEar(EncodingAwareReplication):
+        """EAR that remembers every candidate layout it drew."""
+
+        def _draw_candidate(self, core_rack, stripe):
+            nodes = super()._draw_candidate(core_rack, stripe)
+            drawn.append(nodes)
+            return nodes
+
+    ear = RecordingEar(
+        ClusterTopology.large_scale(), CodeParams(14, 10),
+        rng=random.Random(seed),
+    )
+    with measure_ops() as incremental:
+        decisions = [
+            ear.place_block(block_id, writer_node=block_id % writers)
+            for block_id in range(num_blocks)
+        ]
+    draws = iter(drawn)
+    kept = {}
+    with measure_ops() as fresh:
+        for decision in decisions:
+            graph = ear.flow_graph_for(ear.store.stripe(decision.stripe_id))
+            layout = kept.setdefault(decision.stripe_id, {})
+            for attempt in range(1, decision.attempts + 1):
+                candidate = {**layout, decision.block_id: next(draws)}
+                feasible = graph.max_matching_size(candidate) == len(candidate)
+                if feasible != (attempt == decision.attempts):
+                    raise AssertionError(
+                        "incremental EAR redraw loop diverged from the "
+                        "fresh solver"
+                    )
+            layout[decision.block_id] = list(decision.node_ids)
+    return decisions, incremental, fresh

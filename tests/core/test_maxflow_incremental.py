@@ -4,7 +4,7 @@ the from-scratch solver, and end-to-end EAR placement identity.
 The differential oracle in every test is the from-scratch path: ``Dinic``
 rebuilt per attempt and the public ``StripeFlowGraph.max_matching_size``
 re-solved per candidate — for EAR itself by replaying every candidate the
-redraw loop drew (``repro.bench.scenarios.ear_redraws_vs_fresh``).
+redraw loop drew (``tests.core.reference_flow.ear_redraws_vs_fresh``).
 """
 
 import random
@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.scenarios import ear_redraws_vs_fresh
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.flowgraph import StripeFlowGraph
 from repro.core.maxflow import Dinic
 from repro.erasure.codec import CodeParams
+from tests.core.reference_flow import ear_redraws_vs_fresh
 
 
 def _graph_fingerprint(g: Dinic):

@@ -51,3 +51,6 @@ class TestLargeScaleConfig:
 class TestPolicyName:
     def test_all(self):
         assert PolicyName.ALL == ("rr", "ear", "recovery")
+
+    def test_paper_figures_compare_exactly_rr_and_ear(self):
+        assert PolicyName.PAPER == ("rr", "ear")

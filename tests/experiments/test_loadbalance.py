@@ -20,7 +20,7 @@ from repro.experiments.loadbalance import (
 class TestStorageBalance:
     def test_both_policies_balanced(self):
         shares = storage_balance(num_blocks=1500, runs=3)
-        assert set(shares) == {"rr", "ear", "recovery"}
+        assert list(shares) == ["rr", "ear"]
         for policy, curve in shares.items():
             assert len(curve) == 20
             assert sum(curve) == pytest.approx(1.0)

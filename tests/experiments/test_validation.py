@@ -36,7 +36,7 @@ class TestTableOne:
     def test_rows_structure_and_direction(self):
         rows = table1_rows(seeds=(0,), config=SMALL)
         by_policy = {row.policy: row for row in rows}
-        assert set(by_policy) == {"rr", "ear", "recovery"}
+        assert list(by_policy) == ["rr", "ear"]
         for row in rows:
             # Encoding load inflates write response times (Table I).
             assert row.rt_with_encoding > row.rt_without_encoding

@@ -52,10 +52,6 @@ def pid_trial(seed: int) -> int:
     return os.getpid()
 
 
-def drop_pid(value: int) -> str:
-    return "pid elided"
-
-
 def echo_trial(seed: int, **config) -> dict:
     """Returns exactly what it was called with."""
     return {"seed": seed, **config}

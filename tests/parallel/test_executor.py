@@ -18,7 +18,6 @@ from repro.sim.metrics import measure_ops
 from tests.parallel._trials import (
     add_trial,
     counted_trial,
-    drop_pid,
     fail_once_trial,
     failing_trial,
     pid_trial,
@@ -186,16 +185,6 @@ class TestDifferentialMode:
         specs = [TrialSpec(fn=pid_trial, seed=0, cacheable=False)]
         with pytest.raises(ParallelMismatch):
             SweepExecutor(workers=1, check=True).map_trials(specs)
-
-    def test_normalize_hook_excuses_known_volatility(self):
-        specs = [
-            TrialSpec(
-                fn=pid_trial, seed=0, cacheable=False, normalize=drop_pid
-            )
-        ]
-        executor = SweepExecutor(workers=1, check=True)
-        executor.map_trials(specs)
-        assert executor.last_report.check_passed is True
 
     def test_env_var_enables_the_check(self, monkeypatch):
         monkeypatch.setenv(CHECK_ENV, "1")

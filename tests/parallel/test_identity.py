@@ -1,14 +1,11 @@
 """Acceptance: parallel sweeps are byte-identical to sequential runs.
 
 Covers two figure sweeps (Figure 13's ``sweep_k``, Figures 14/15's
-load-balance studies), the bench runner, and the warm-cache skip rate.
+load-balance studies) and the warm-cache skip rate.
 """
-
-import json
 
 import pytest
 
-from repro.bench.runner import _strip_wall, run_bench
 from repro.erasure.codec import CodeParams
 from repro.experiments.config import LargeScaleConfig
 from repro.experiments.largescale import sweep_k
@@ -67,24 +64,6 @@ class TestFigureSweepIdentity:
             executor=SweepExecutor(workers=4, check=True),
         )
         assert parallel == sequential
-
-
-class TestBenchRunnerIdentity:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_workers_4_equals_workers_0(self, tmp_path, seed):
-        pooled = run_bench(
-            "w4", smoke=True, seed=seed, out_dir=tmp_path, workers=4
-        )
-        oracle = run_bench(
-            "w0", smoke=True, seed=seed, out_dir=tmp_path, workers=0
-        )
-        assert not pooled.failures and not oracle.failures
-        got = [_strip_wall(e) for e in pooled.report["scenarios"]]
-        want = [_strip_wall(e) for e in oracle.report["scenarios"]]
-        # Byte-for-byte: compare the serialised form, not just equality.
-        assert json.dumps(got, sort_keys=True) == json.dumps(
-            want, sort_keys=True
-        )
 
 
 class TestWarmCacheSkipRate:

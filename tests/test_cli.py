@@ -21,6 +21,14 @@ class TestParser:
         out = capsys.readouterr().out
         for name in ("fig3", "fig13a", "fig15"):
             assert name in out
+        assert "bench" not in out
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # Wall time is benchmarks/e2e, the figure suites run under pytest.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestCheapCommands:
