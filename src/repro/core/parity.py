@@ -37,7 +37,7 @@ from repro.erasure.codec import CodeParams
 from repro.sim.netsim import SourceUnavailable
 
 #: Filter deciding whether one replica may serve as a download source
-#: (used by retrying pipelines to skip down or corrupted copies).
+#: (an encode attempt's veto on down or corrupted copies).
 SourceFilter = Callable[[BlockId, NodeId], bool]
 
 
@@ -50,7 +50,9 @@ class EncodingPlan:
         encoder_node: Node performing the encoding map task.
         retained: Data block -> node of its surviving replica.
         parity_nodes: One node per parity block, in stripe order.
-        cross_rack_downloads: Data blocks fetched across racks (step 1).
+        sources: Data block -> node it is downloaded from (step 1),
+            chosen under the planning attempt's replica veto.
+        cross_rack_downloads: ``sources`` outside the encoder's rack.
         cross_rack_uploads: Parity blocks written across racks (step 2).
     """
 
@@ -58,6 +60,7 @@ class EncodingPlan:
     encoder_node: NodeId
     retained: Dict[BlockId, NodeId]
     parity_nodes: Tuple[NodeId, ...]
+    sources: Dict[BlockId, NodeId]
     cross_rack_downloads: int
     cross_rack_uploads: int
 
@@ -66,7 +69,31 @@ class EncodingPlan:
         return list(self.retained.values()) + list(self.parity_nodes)
 
 
-def _download_sources(
+def usable_replicas(
+    block_store: BlockStore,
+    block_id: BlockId,
+    source_ok: Optional[SourceFilter] = None,
+) -> Tuple[NodeId, ...]:
+    """Replica holders of ``block_id`` that ``source_ok`` does not veto.
+
+    Raises:
+        PlacementError: When the block has no replicas at all (data loss).
+        SourceUnavailable: When replicas exist but every one is vetoed —
+            a transient condition retry loops are expected to outwait.
+    """
+    nodes = block_store.replica_nodes(block_id)
+    if not nodes:
+        raise PlacementError(f"block {block_id} has no replicas to encode from")
+    if source_ok is None:
+        return nodes
+    usable = tuple(n for n in nodes if source_ok(block_id, n))
+    if not usable:
+        first = min(nodes)
+        raise SourceUnavailable(first, first, first)
+    return usable
+
+
+def download_plan(
     topology: ClusterTopology,
     block_store: BlockStore,
     stripe: Stripe,
@@ -77,41 +104,17 @@ def _download_sources(
 
     Prefers a copy on the encoder itself, then one in the encoder's rack,
     then any copy (a cross-rack download).  ``source_ok`` vetoes individual
-    replicas (down endpoints, corrupted copies).
-
-    Raises:
-        PlacementError: When a block has no replicas at all (data loss).
-        SourceUnavailable: When replicas exist but every one is vetoed —
-            a transient condition retry loops are expected to outwait.
+    replicas (down endpoints, corrupted copies); see
+    :func:`usable_replicas` for what a fully vetoed block raises.
     """
     encoder_rack = topology.rack_of(encoder_node)
     sources: Dict[BlockId, NodeId] = {}
     for block_id in stripe.block_ids:
-        nodes = block_store.replica_nodes(block_id)
-        if not nodes:
-            raise PlacementError(f"block {block_id} has no replicas to encode from")
-        if source_ok is not None:
-            usable = [n for n in nodes if source_ok(block_id, n)]
-            if not usable:
-                raise SourceUnavailable(nodes[0], encoder_node, nodes[0])
-            nodes = tuple(usable)
+        nodes = usable_replicas(block_store, block_id, source_ok)
         local = [n for n in nodes if n == encoder_node]
         same_rack = [n for n in nodes if topology.rack_of(n) == encoder_rack]
         sources[block_id] = (local or same_rack or list(nodes))[0]
     return sources
-
-
-def download_plan(
-    topology: ClusterTopology,
-    block_store: BlockStore,
-    stripe: Stripe,
-    encoder_node: NodeId,
-    source_ok: Optional[SourceFilter] = None,
-) -> Dict[BlockId, NodeId]:
-    """Public wrapper: block -> node the encoder downloads it from."""
-    return _download_sources(
-        topology, block_store, stripe, encoder_node, source_ok=source_ok
-    )
 
 
 def count_cross_rack_downloads(
@@ -121,6 +124,41 @@ def count_cross_rack_downloads(
     encoder_rack = topology.rack_of(encoder_node)
     return sum(
         1 for node in sources.values() if topology.rack_of(node) != encoder_rack
+    )
+
+
+def _finish_plan(
+    topology: ClusterTopology,
+    block_store: BlockStore,
+    stripe: Stripe,
+    encoder_node: NodeId,
+    retained: Dict[BlockId, NodeId],
+    parity_nodes: List[NodeId],
+    source_ok: Optional[SourceFilter],
+) -> EncodingPlan:
+    """Choose the download sources and count the cross-rack traffic.
+
+    Runs *last*: a fully vetoed block raises ``SourceUnavailable`` from
+    here, and the retry must find the shared rng stream where a successful
+    plan leaves it — after the retention and parity draws.
+    """
+    sources = download_plan(
+        topology, block_store, stripe, encoder_node, source_ok
+    )
+    encoder_rack = topology.rack_of(encoder_node)
+    return EncodingPlan(
+        stripe_id=stripe.stripe_id,
+        encoder_node=encoder_node,
+        retained=retained,
+        parity_nodes=tuple(parity_nodes),
+        sources=sources,
+        cross_rack_downloads=count_cross_rack_downloads(
+            topology, sources, encoder_node
+        ),
+        cross_rack_uploads=sum(
+            1 for node in parity_nodes
+            if topology.rack_of(node) != encoder_rack
+        ),
     )
 
 
@@ -137,6 +175,7 @@ def plan_ear_encoding(
     reserve_core_for_parity: bool = True,
     encoder_node: Optional[NodeId] = None,
     allow_foreign_encoder: bool = False,
+    source_ok: Optional[SourceFilter] = None,
 ) -> EncodingPlan:
     """Plan encoding for an EAR-placed stripe.
 
@@ -158,10 +197,11 @@ def plan_ear_encoding(
         allow_foreign_encoder: Permit an encoder outside the core rack (it
             then pays cross-rack downloads).  Exists for the pinning
             ablation; the paper's EAR never does this.
+        source_ok: Veto on individual replicas as download sources.
 
     Returns:
-        The encoding plan.  ``cross_rack_downloads`` is always 0 by
-        construction (the EAR guarantee).
+        The encoding plan.  With a core-rack encoder and nothing vetoed
+        ``cross_rack_downloads`` is 0 by construction (the EAR guarantee).
 
     Raises:
         PlacementError: If no retention plan exists even with no
@@ -213,9 +253,6 @@ def plan_ear_encoding(
             f"encoder node {encoder_node} is outside core rack "
             f"{stripe.core_rack}"
         )
-    sources = _download_sources(topology, block_store, stripe, encoder_node)
-    downloads = count_cross_rack_downloads(topology, sources, encoder_node)
-
     parity_nodes = _place_parity(
         topology=topology,
         stripe=stripe,
@@ -227,17 +264,9 @@ def plan_ear_encoding(
         admissible_racks=stripe.target_racks if not degraded else None,
         allow_overflow=degraded,
     )
-    encoder_rack = topology.rack_of(encoder_node)
-    uploads = sum(
-        1 for node in parity_nodes if topology.rack_of(node) != encoder_rack
-    )
-    return EncodingPlan(
-        stripe_id=stripe.stripe_id,
-        encoder_node=encoder_node,
-        retained=matching,
-        parity_nodes=tuple(parity_nodes),
-        cross_rack_downloads=downloads,
-        cross_rack_uploads=uploads,
+    return _finish_plan(
+        topology, block_store, stripe, encoder_node, matching, parity_nodes,
+        source_ok,
     )
 
 
@@ -251,6 +280,7 @@ def plan_rr_encoding(
     code: CodeParams,
     rng: Optional[random.Random] = None,
     encoder_node: Optional[NodeId] = None,
+    source_ok: Optional[SourceFilter] = None,
 ) -> EncodingPlan:
     """Plan encoding for an RR-placed stripe.
 
@@ -292,9 +322,6 @@ def plan_rr_encoding(
                 )
             matching[block_id] = rng.choice(list(nodes))
 
-    sources = _download_sources(topology, block_store, stripe, encoder_node)
-    downloads = count_cross_rack_downloads(topology, sources, encoder_node)
-
     parity_nodes = _place_parity(
         topology=topology,
         stripe=stripe,
@@ -306,17 +333,9 @@ def plan_rr_encoding(
         admissible_racks=None,
         allow_overflow=True,
     )
-    encoder_rack = topology.rack_of(encoder_node)
-    uploads = sum(
-        1 for node in parity_nodes if topology.rack_of(node) != encoder_rack
-    )
-    return EncodingPlan(
-        stripe_id=stripe.stripe_id,
-        encoder_node=encoder_node,
-        retained=matching,
-        parity_nodes=tuple(parity_nodes),
-        cross_rack_downloads=downloads,
-        cross_rack_uploads=uploads,
+    return _finish_plan(
+        topology, block_store, stripe, encoder_node, matching, parity_nodes,
+        source_ok,
     )
 
 
@@ -390,17 +409,16 @@ class EncodingPlanner:
         stripe: Stripe,
         encoder_node: Optional[NodeId] = None,
         allow_foreign_encoder: Optional[bool] = None,
+        source_ok: Optional[SourceFilter] = None,
     ) -> EncodingPlan:
         """Plan one sealed stripe; ``encoder_node`` pins the map's node.
 
         ``allow_foreign_encoder`` overrides the planner's default for this
         one stripe — graceful degradation uses it to accept a cross-rack
         encoder when an EAR stripe's core rack is entirely down.
+        ``source_ok`` is the calling attempt's replica veto; the plan's
+        ``sources`` are chosen under it and the encoder downloads those.
         """
-        raise NotImplementedError
-
-    def pick_encoder_node(self, stripe: Stripe) -> NodeId:
-        """Choose the node that should encode the stripe."""
         raise NotImplementedError
 
     def eligible_encoder_nodes(self, stripe: Stripe) -> List[NodeId]:
@@ -434,6 +452,7 @@ class EARPlanner(EncodingPlanner):
         stripe: Stripe,
         encoder_node: Optional[NodeId] = None,
         allow_foreign_encoder: Optional[bool] = None,
+        source_ok: Optional[SourceFilter] = None,
     ) -> EncodingPlan:
         if allow_foreign_encoder is None:
             allow_foreign_encoder = self.allow_foreign_encoder
@@ -447,12 +466,8 @@ class EARPlanner(EncodingPlanner):
             reserve_core_for_parity=self.reserve_core_for_parity,
             encoder_node=encoder_node,
             allow_foreign_encoder=allow_foreign_encoder,
+            source_ok=source_ok,
         )
-
-    def pick_encoder_node(self, stripe: Stripe) -> NodeId:
-        if stripe.core_rack is None:
-            raise PlacementError("EAR stripes carry a core rack")
-        return self.rng.choice(list(self.topology.nodes_in_rack(stripe.core_rack)))
 
     def eligible_encoder_nodes(self, stripe: Stripe) -> List[NodeId]:
         if stripe.core_rack is None:
@@ -480,6 +495,7 @@ class RRPlanner(EncodingPlanner):
         stripe: Stripe,
         encoder_node: Optional[NodeId] = None,
         allow_foreign_encoder: Optional[bool] = None,
+        source_ok: Optional[SourceFilter] = None,
     ) -> EncodingPlan:
         # RR encoders are random nodes already; "foreign" is meaningless.
         return plan_rr_encoding(
@@ -489,10 +505,8 @@ class RRPlanner(EncodingPlanner):
             self.code,
             rng=self.rng,
             encoder_node=encoder_node,
+            source_ok=source_ok,
         )
-
-    def pick_encoder_node(self, stripe: Stripe) -> NodeId:
-        return self.rng.randrange(self.topology.num_nodes)
 
     def eligible_encoder_nodes(self, stripe: Stripe) -> List[NodeId]:
         return list(self.topology.node_ids())

@@ -117,19 +117,25 @@ def build_cluster(
     the encoder and RaidNode retry aborted transfers under it, and the
     JobTracker schedules health-aware (skipping down endpoints, retrying
     crashed maps — 3 attempts unless ``max_task_attempts`` overrides).
-    Without it the stack behaves exactly as before — fail-fast.
+    Without it the stack is fail-fast: an encode is exactly one attempt —
+    planned against liveness like any other (a down pinned node is
+    replaced, a down or corrupted replica is not a source) — and a
+    transfer that aborts mid-flight propagates ``TransferAborted`` with
+    nothing committed.
 
     With a ``journal`` (a :class:`~repro.journal.journal.MetadataJournal`)
     every NameNode-side metadata mutation is write-ahead logged and the
     cluster can be rebuilt crash-consistently via
     :func:`repro.journal.recovery.recover`.
 
-    ``strategy`` selects how encoding moves bytes: ``"download"`` is the
-    paper's single-encoder operation, ``"pipeline"`` wraps the encoder in
-    a :class:`~repro.pipeline.encoder.PipelinedEncoder` that streams
+    ``strategy`` selects how encoding moves bytes — exactly one encoder
+    object is built either way: ``"download"`` is the paper's
+    single-encoder operation (:class:`~repro.hdfs.encoder.StripeEncoder`),
+    ``"pipeline"`` its subclass
+    :class:`~repro.pipeline.encoder.PipelinedEncoder`, which streams
     partial GF combinations hop-to-hop (``pipeline_chunks`` chunks per
-    block) and falls back to download-and-encode when its retry ladder
-    exhausts.
+    block) over real bytes and falls back to the inherited
+    download-and-encode when its retry ladder exhausts.
     """
     rng = random.Random(seed)
     sim = Simulator()
@@ -144,44 +150,28 @@ def build_cluster(
     encode_meter = ThroughputMeter()
     encode_timeline = TimeSeries()
     planner = namenode.make_planner(code, rng=rng)
-    encoder = StripeEncoder(
-        sim,
-        network,
-        namenode,
-        planner,
+    engine = dict(
         throughput=encode_meter,
         timeline=encode_timeline,
         retry=retry,
         resilience=resilience,
-        rng=rng if retry is not None else None,
+        rng=rng,
     )
-    if strategy == StrategyName.PIPELINE:
+    if strategy == StrategyName.DOWNLOAD:
+        encoder = StripeEncoder(sim, network, namenode, planner, **engine)
+    elif strategy == StrategyName.PIPELINE:
         # Imported here: repro.pipeline sits above the experiments layer.
         from repro.erasure.stream import StreamingDataPlane
         from repro.pipeline.encoder import PipelinedEncoder
-        from repro.pipeline.metrics import PipelineMetrics
 
-        # One shared data plane: stripes that fall back to download-and-
-        # encode commit byte-identical parity through the same payloads.
-        data_plane = StreamingDataPlane(code, seed=seed)
-        encoder.data_plane = data_plane
         encoder = PipelinedEncoder(
-            sim,
-            network,
-            namenode,
-            planner,
+            sim, network, namenode, planner,
             code=code,
-            fallback=encoder,
-            rng=rng,
-            retry=retry,
-            resilience=resilience,
-            metrics=PipelineMetrics(),
-            data_plane=data_plane,
             chunk_count=pipeline_chunks,
-            throughput=encode_meter,
-            timeline=encode_timeline,
+            data_plane=StreamingDataPlane(code, seed=seed),
+            **engine,
         )
-    elif strategy != StrategyName.DOWNLOAD:
+    else:
         raise ValueError(
             f"unknown strategy {strategy!r}; choose from {StrategyName.ALL}"
         )

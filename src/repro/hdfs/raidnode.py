@@ -21,7 +21,7 @@ from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.core.relocation import BlockMover, PlacementMonitor, RelocationPlan
 from repro.core.stripe import Stripe, StripeState
 from repro.faults.retry import RetryPolicy, with_retries
-from repro.hdfs.encoder import StripeEncoder
+from repro.hdfs.encoder import StripeEncoder, download_star
 from repro.hdfs.mapreduce import JobTracker, MapReduceJob, MapTask
 from repro.hdfs.namenode import NameNode
 from repro.sim.engine import Simulator
@@ -403,19 +403,8 @@ class RaidNode:
             else 1
         )
         chosen = survivors[:k]
-
-        transfers = []
-        cross = 0
-        for block_id, source in chosen:
-            size = store.block(block_id).size
-            if self.network.is_cross_rack(source, target_node):
-                cross += 1
-            transfers.append(
-                self.sim.process(
-                    self.network.transfer(
-                        source, target_node, size, write_disk=False
-                    )
-                )
-            )
-        yield self.sim.all_of(transfers)
-        return cross
+        yield from download_star(self.network, store, chosen, target_node)
+        return sum(
+            1 for __, source in chosen
+            if self.network.is_cross_rack(source, target_node)
+        )

@@ -13,7 +13,7 @@ Stripe commits are bracketed in the log as an intent/commit pair
 :class:`~repro.journal.records.EndStripeCommit`).  A bracket still open
 at the end of the log is **rolled forward** from its intent record:
 parity bytes are uploaded *before* the metadata commit begins (see
-``StripeEncoder._encode_once`` step ordering), so completing the commit
+``StripeEncoder._star_attempt`` step ordering), so completing the commit
 is always safe, and it is the only resolution that leaves no stripe
 observably half-committed.
 """

@@ -17,9 +17,11 @@ Layers (each importable on its own):
   construction.
 * :mod:`repro.pipeline.planner` — :func:`plan_pipeline`, the
   topology-aware hop ordering over the replica placement.
-* :mod:`repro.pipeline.encoder` — :class:`PipelinedEncoder`, the
-  simulated data plane: chunked hop transfers, abort → retry → re-plan →
-  fallback ladder, journalled parity commit.
+* :mod:`repro.pipeline.encoder` — :class:`PipelinedEncoder`, a
+  :class:`~repro.hdfs.encoder.StripeEncoder` whose attempts stream
+  chunked hop transfers; the abort → retry → re-plan ladder and the
+  journalled parity commit are the inherited ones, the last rung falls
+  back to the inherited download-and-encode.
 * :mod:`repro.pipeline.metrics` — :class:`PipelineMetrics`, per-hop
   traffic and GF-work attribution.
 * :mod:`repro.pipeline.headtohead` — RR vs EAR vs pipelined comparison

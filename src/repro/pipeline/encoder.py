@@ -6,37 +6,37 @@ RapidRAID-style chain: each replica holder folds its block into the
 running GF(2^8) partial combination and forwards it to the next hop in
 chunks, so consecutive chunks of one stripe stream through different
 stages concurrently.  The tail hop ends with the finished parity and
-delivers it to the planned parity nodes; the commit — replica retention,
-parity block minting, journal bracket — goes through exactly the same
-``NameNode.record_encoding`` path the download encoder uses.
+delivers it to the planned parity nodes.
 
-Failure ladder (when a :class:`~repro.faults.retry.RetryPolicy` is
-attached):
+:class:`PipelinedEncoder` *is a* :class:`~repro.hdfs.encoder.StripeEncoder`
+and contributes only what is genuinely the chain's: the route plan (and
+the signature that tells a re-plan changed course), the chunked
+hop/delivery schedule, parity payloads folded in hop order and billed per
+hop, and ``pipeline_records``.  The attempt ladder, the source veto and
+the commit bracket (replica retention, parity minting, journal bracket,
+``records``, meters) are the inherited ones.
+
+Failure ladder:
 
 1. any aborted hop or delivery transfer kills the in-flight attempt
    (partial work unwinds; nothing was committed);
-2. the retry loop re-plans the pipeline against current liveness, so the
-   next attempt routes around the dead node (a re-plan that changed the
-   route is counted in :class:`~repro.pipeline.metrics.PipelineMetrics`);
-3. when every attempt dies, the stripe falls back to the paper-style
-   download-and-encode :class:`~repro.hdfs.encoder.StripeEncoder` —
-   which carries its own retry loop — and the fallback is recorded.
+2. under a :class:`~repro.faults.retry.RetryPolicy` the next attempt
+   re-plans the pipeline against current liveness and routes around the
+   dead node (a re-plan that changed the route is counted in
+   :class:`~repro.pipeline.metrics.PipelineMetrics`);
+3. when every attempt dies, the stripe falls back to the inherited
+   download-and-encode operation — ``super().encode_stripe``: the same
+   object, so the same planner, rng, data plane, meters and ``records``
+   list, under its own retry ladder — and the fallback is recorded.
 
 Parity is only ever committed after every transfer of an attempt
 succeeded, and payload synthesis is deterministic per block, so a
 retried or fallen-back stripe commits byte-identical parity: the chaos
 tests pin "never wrong, never partial".
-
-The encoder is duck-type compatible with :class:`StripeEncoder` where
-the RaidNode needs it (``encode_stripes`` / ``encode_stripe`` /
-``records``) and *shares* the fallback's ``records`` list, so existing
-throughput meters, fingerprints and reports see pipelined and fallback
-stripes uniformly.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
@@ -44,20 +44,14 @@ from repro.cluster.topology import NodeId
 from repro.core.parity import EncodingPlanner
 from repro.core.stripe import Stripe
 from repro.erasure.codec import CodeParams
-from repro.erasure.stream import StreamingDataPlane
-from repro.faults.retry import RetryExhausted, RetryPolicy, with_retries
-from repro.hdfs.encoder import EncodedStripe, StripeEncoder
+from repro.faults.retry import RetryExhausted
+from repro.hdfs.encoder import StripeEncoder
 from repro.hdfs.namenode import NameNode
 from repro.pipeline.gfstream import pipelined_parity
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.planner import PipelinePlan, plan_pipeline
 from repro.sim.engine import Simulator
-from repro.sim.metrics import (
-    OpsDelta,
-    ResilienceMetrics,
-    ThroughputMeter,
-    TimeSeries,
-)
+from repro.sim.metrics import OpsDelta
 from repro.sim.netsim import Network
 
 
@@ -81,36 +75,24 @@ class PipelinedStripe:
         return self.finish_time - self.start_time
 
 
-class PipelinedEncoder:
+class PipelinedEncoder(StripeEncoder):
     """Runs the pipelined encoding operation for stripes.
 
     Args:
-        sim: Simulation kernel.
-        network: Link/disk model (hop transfers ride the same links the
-            download encoder uses).
-        namenode: Metadata server; commits go through
-            ``record_encoding`` unchanged.
-        planner: The policy's encoding planner — produces the commit
-            half of each pipeline plan.
+        sim, network, namenode, planner: As for
+            :class:`~repro.hdfs.encoder.StripeEncoder` (hop transfers ride
+            the same links the download encoder uses; the planner produces
+            the commit half of each pipeline plan).
         code: The ``(n, k)`` stripe geometry.
-        fallback: The download-and-encode encoder used when the retry
-            ladder exhausts; its ``records`` list is shared so both
-            paths feed one timeline.
-        rng: Random source for retry jitter (deterministic default).
-        retry: Per-stripe retry policy; ``None`` means fail-fast.
-        resilience: Optional fault metrics fed by the retry loop.
         metrics: Pipeline metrics collector (created when omitted).
-        data_plane: Optional streaming data plane.  When given, parity
-            payloads are computed with :func:`pipelined_parity` in hop
-            order (byte-identical to the whole-stripe codec) and each
-            hop's GF work is billed to the hop's node.
         chunk_count: Chunks each block is pipelined as; higher values
             overlap more stages at more per-transfer events.
-        compute_bandwidth: Per-hop fold throughput in bytes/second;
-            ``None`` makes computation free (network-bound, the paper's
-            model).
-        throughput: Optional meter fed with each stripe's data volume.
-        timeline: Optional series receiving stripe completion times.
+        **engine: The remaining :class:`StripeEncoder` keywords, with two
+            readings of their own here: ``compute_bandwidth`` is the
+            *per-hop* fold throughput, and with a ``data_plane`` parity
+            payloads are computed by :func:`pipelined_parity` in hop
+            order (byte-identical to the whole-stripe codec), each hop's
+            GF work billed to the hop's node.
     """
 
     def __init__(
@@ -120,38 +102,16 @@ class PipelinedEncoder:
         namenode: NameNode,
         planner: EncodingPlanner,
         code: CodeParams,
-        fallback: StripeEncoder,
-        rng: Optional[random.Random] = None,
-        retry: Optional[RetryPolicy] = None,
-        resilience: Optional[ResilienceMetrics] = None,
         metrics: Optional[PipelineMetrics] = None,
-        data_plane: Optional[StreamingDataPlane] = None,
         chunk_count: int = 4,
-        compute_bandwidth: Optional[float] = None,
-        throughput: Optional[ThroughputMeter] = None,
-        timeline: Optional[TimeSeries] = None,
+        **engine,
     ) -> None:
         if chunk_count < 1:
             raise ValueError(f"chunk_count must be >= 1, got {chunk_count}")
-        if compute_bandwidth is not None and compute_bandwidth <= 0:
-            raise ValueError("compute bandwidth must be positive")
-        self.sim = sim
-        self.network = network
-        self.namenode = namenode
-        self.planner = planner
+        super().__init__(sim, network, namenode, planner, **engine)
         self.code = code
-        self.fallback = fallback
-        self.rng = rng if rng is not None else random.Random(0)
-        self.retry = retry
-        self.resilience = resilience
         self.metrics = metrics if metrics is not None else PipelineMetrics()
-        self.data_plane = data_plane
         self.chunk_count = chunk_count
-        self.compute_bandwidth = compute_bandwidth
-        self.throughput = throughput
-        self.timeline = timeline
-        #: Shared with the fallback encoder: one unified stripe timeline.
-        self.records: List[EncodedStripe] = fallback.records
         self.pipeline_records: List[PipelinedStripe] = []
 
     # ------------------------------------------------------------------
@@ -162,32 +122,23 @@ class PipelinedEncoder:
 
         ``encoder_node`` — the map task's node — is advisory only: the
         pipeline route follows the replicas.  It is forwarded to the
-        fallback encoder, which pins its download target with it.
+        download-and-encode fallback, which pins its download target
+        with it.
 
         Returns:
             The :class:`~repro.hdfs.encoder.EncodedStripe` record.
         """
-        if self.retry is None:
-            plan = self._plan(stripe)
-            record = yield from self._pipeline_once(stripe, plan)
-            return record
         state = {"signature": None}
         try:
-            record = yield from with_retries(
-                self.sim,
-                lambda __: self._pipeline_attempt(stripe, state),
-                self.retry,
-                self.rng,
-                metrics=self.resilience,
-                label=f"pipeline stripe {stripe.stripe_id}",
+            record = yield from self._retrying(
+                lambda __: self._chain_attempt(stripe, state),
+                f"pipeline stripe {stripe.stripe_id}",
             )
             return record
         except RetryExhausted:
             self.metrics.record_fallback()
             start = self.sim.now
-            record = yield from self.fallback.encode_stripe(
-                stripe, encoder_node
-            )
+            record = yield from super().encode_stripe(stripe, encoder_node)
             self.pipeline_records.append(PipelinedStripe(
                 stripe_id=stripe.stripe_id,
                 tail_node=record.encoder_node,
@@ -201,47 +152,53 @@ class PipelinedEncoder:
             ))
             return record
 
-    def encode_stripes(
-        self, stripes: List[Stripe], encoder_node: Optional[NodeId] = None
-    ) -> Generator:
-        """Encode several stripes back to back (one map task's work)."""
-        records = []
-        for stripe in stripes:
-            record = yield from self.encode_stripe(stripe, encoder_node)
-            records.append(record)
-        return records
-
     # ------------------------------------------------------------------
-    def _plan(self, stripe: Stripe, source_ok=None) -> PipelinePlan:
+    def _plan(self, stripe: Stripe) -> PipelinePlan:
+        """The route over currently usable replicas (the inherited veto)."""
         return plan_pipeline(
             self.namenode.topology,
             self.namenode.block_store,
             stripe,
             self.planner,
-            source_ok=source_ok,
+            source_ok=self._source_ok,
         )
 
-    def _pipeline_attempt(self, stripe: Stripe, state: dict) -> Generator:
-        """One fault-aware attempt: re-plan against current liveness."""
-        store = self.namenode.block_store
-
-        def source_ok(block_id: int, node: NodeId) -> bool:
-            return self.network.is_up(node) and not (
-                store.is_corrupted(block_id, node)
-            )
-
-        plan = self._plan(stripe, source_ok=source_ok)
+    def _chain_attempt(self, stripe: Stripe, state: dict) -> Generator:
+        """One pipeline attempt: re-plan against current liveness, stream
+        the chain, then commit through the inherited bracket."""
+        start = self.sim.now
+        plan = self._plan(stripe)
         signature = plan.signature()
         if state["signature"] is not None and signature != state["signature"]:
             self.metrics.record_replan()
         state["signature"] = signature
-        record = yield from self._pipeline_once(stripe, plan)
+        yield from self._stream_chain(plan)
+
+        # Every transfer succeeded: compute real parity bytes (billed per
+        # hop), then commit.  Payload synthesis is deterministic per
+        # block, so a retried attempt recomputes identical bytes.
+        parity_payloads = None
+        if self.data_plane is not None:
+            parity_payloads = self._pipelined_payloads(stripe, plan)
+        record = self._commit(
+            stripe, plan.commit, start, parity_payloads, plan.cross_rack_hops
+        )
+        self.pipeline_records.append(PipelinedStripe(
+            stripe_id=stripe.stripe_id,
+            tail_node=plan.tail_node,
+            hop_nodes=tuple(hop.node for hop in plan.hops),
+            start_time=start,
+            finish_time=self.sim.now,
+            cross_rack_hops=plan.cross_rack_hops,
+            cross_rack_deliveries=plan.cross_rack_deliveries,
+            chunks=self.chunk_count,
+            fallback=False,
+        ))
+        self.metrics.record_stripe()
         return record
 
-    def _pipeline_once(
-        self, stripe: Stripe, plan: PipelinePlan
-    ) -> Generator:
-        """Run one pipeline attempt to completion and commit the stripe.
+    def _stream_chain(self, plan: PipelinePlan) -> Generator:
+        """Move one attempt's bytes: every hop and delivery transfer.
 
         The chunked hop protocol: ``done[i][c]`` fires once hop ``i`` has
         folded chunk ``c``.  Hop ``i+1`` waits for it, pulls the partial
@@ -255,8 +212,6 @@ class PipelinedEncoder:
         """
         sim = self.sim
         network = self.network
-        start = sim.now
-        store = self.namenode.block_store
         hops = plan.hops
         chunks = self.chunk_count
         block_size = self.namenode.block_size
@@ -317,47 +272,6 @@ class PipelinedEncoder:
         except BaseException:
             cancelled[0] = True
             raise
-
-        # Every transfer succeeded: compute real parity bytes (billed per
-        # hop), then commit through the same journal bracket the download
-        # encoder uses.  Payload synthesis is deterministic per block, so
-        # a retried attempt recomputes identical bytes (idempotent).
-        parity_payloads = None
-        if self.data_plane is not None:
-            parity_payloads = self._pipelined_payloads(stripe, plan)
-        data_bytes = sum(
-            store.block(block_id).size for block_id in stripe.block_ids
-        )
-        parity_blocks = self.namenode.record_encoding(stripe, plan.commit)
-        if self.data_plane is not None and parity_payloads is not None:
-            self.data_plane.commit_parity(parity_blocks, parity_payloads)
-
-        record = EncodedStripe(
-            stripe_id=stripe.stripe_id,
-            encoder_node=plan.tail_node,
-            start_time=start,
-            finish_time=sim.now,
-            cross_rack_downloads=plan.cross_rack_hops,
-            cross_rack_uploads=plan.cross_rack_deliveries,
-        )
-        self.records.append(record)
-        self.pipeline_records.append(PipelinedStripe(
-            stripe_id=stripe.stripe_id,
-            tail_node=plan.tail_node,
-            hop_nodes=tuple(hop.node for hop in hops),
-            start_time=start,
-            finish_time=sim.now,
-            cross_rack_hops=plan.cross_rack_hops,
-            cross_rack_deliveries=plan.cross_rack_deliveries,
-            chunks=chunks,
-            fallback=False,
-        ))
-        self.metrics.record_stripe()
-        if self.throughput is not None:
-            self.throughput.record(sim.now, data_bytes)
-        if self.timeline is not None:
-            self.timeline.record(sim.now, record.stripe_id)
-        return record
 
     def _pipelined_payloads(
         self, stripe: Stripe, plan: PipelinePlan

@@ -36,10 +36,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.block import BlockId, BlockStore
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
-from repro.core.parity import EncodingPlan, EncodingPlanner, SourceFilter
-from repro.core.policy import PlacementError
+from repro.core.parity import (
+    EncodingPlan,
+    EncodingPlanner,
+    SourceFilter,
+    usable_replicas,
+)
 from repro.core.stripe import Stripe
-from repro.sim.netsim import SourceUnavailable
 
 
 @dataclass(frozen=True)
@@ -68,52 +71,26 @@ class PipelinePlan:
             pinned as encoder node (what ``record_encoding`` applies).
         cross_rack_hops: Consecutive hop pairs in different racks — the
             partial-combination transfers charged to core links.
-        cross_rack_deliveries: Parity nodes outside the tail's rack.
     """
 
     stripe_id: int
     hops: Tuple[PipelineHop, ...]
     commit: EncodingPlan
     cross_rack_hops: int
-    cross_rack_deliveries: int
 
     @property
     def tail_node(self) -> NodeId:
         """The last hop's node — holds the finished parity."""
         return self.hops[-1].node
 
+    @property
+    def cross_rack_deliveries(self) -> int:
+        """Parity nodes outside the tail's rack (the commit's uploads)."""
+        return self.commit.cross_rack_uploads
+
     def signature(self) -> Tuple[Tuple[int, NodeId], ...]:
         """Route identity, for detecting that a re-plan changed course."""
         return tuple((hop.column, hop.node) for hop in self.hops)
-
-
-def _candidate_sources(
-    store: BlockStore,
-    stripe: Stripe,
-    source_ok: Optional[SourceFilter],
-) -> Dict[int, List[NodeId]]:
-    """Usable replica holders per stripe column.
-
-    Raises:
-        PlacementError: When a block has no replicas at all (data loss).
-        SourceUnavailable: When replicas exist but every one is vetoed —
-            transient; retry loops outwait it.
-    """
-    candidates: Dict[int, List[NodeId]] = {}
-    for column, block_id in enumerate(stripe.block_ids):
-        nodes = store.replica_nodes(block_id)
-        if not nodes:
-            raise PlacementError(
-                f"block {block_id} has no replicas to pipeline from"
-            )
-        if source_ok is not None:
-            usable = [n for n in nodes if source_ok(block_id, n)]
-            if not usable:
-                first = sorted(nodes)[0]
-                raise SourceUnavailable(first, first, first)
-            nodes = usable
-        candidates[column] = sorted(nodes)
-    return candidates
 
 
 def _rack_groups(
@@ -202,7 +179,11 @@ def plan_pipeline(
         PlacementError: When a block has no replicas left (data loss).
         SourceUnavailable: When every replica of some block is vetoed.
     """
-    candidates = _candidate_sources(store, stripe, source_ok)
+    # Usable replica holders per stripe column, lowest node id first.
+    candidates = {
+        column: sorted(usable_replicas(store, block_id, source_ok))
+        for column, block_id in enumerate(stripe.block_ids)
+    }
     groups = _rack_groups(topology, candidates)
     hops = _assign_nodes(topology, candidates, groups, stripe)
     tail = hops[-1].node
@@ -213,15 +194,9 @@ def plan_pipeline(
         for previous, current in zip(hops, hops[1:])
         if topology.rack_of(previous.node) != topology.rack_of(current.node)
     )
-    tail_rack = topology.rack_of(tail)
-    cross_deliveries = sum(
-        1 for node in commit.parity_nodes
-        if topology.rack_of(node) != tail_rack
-    )
     return PipelinePlan(
         stripe_id=stripe.stripe_id,
         hops=tuple(hops),
         commit=commit,
         cross_rack_hops=cross_hops,
-        cross_rack_deliveries=cross_deliveries,
     )

@@ -10,19 +10,21 @@ from repro.core.policy import ReplicationScheme
 from repro.core.random_replication import RandomReplication
 from repro.core.stripe import PreEncodingStore, StripeState
 from repro.erasure.codec import CodeParams
+from repro.erasure.stream import StreamingDataPlane
+from repro.faults.retry import RetryPolicy
 from repro.hdfs.client import CFSClient
 from repro.hdfs.encoder import StripeEncoder
 from repro.hdfs.namenode import NameNode
 from repro.sim.engine import Simulator
 from repro.sim.metrics import ThroughputMeter, TimeSeries
-from repro.sim.netsim import DiskModel, Network
+from repro.sim.netsim import DiskModel, Network, TransferAborted
 
 
 CODE = CodeParams(6, 4)
 
 
 def build(policy_name, seed=1, disk=None, nodes_per_rack=3, num_racks=8,
-          bandwidth=100.0, block_size=100):
+          bandwidth=100.0, block_size=100, stripes=3, **encoder_kwargs):
     topo = ClusterTopology(
         nodes_per_rack=nodes_per_rack, num_racks=num_racks,
         intra_rack_bandwidth=bandwidth, cross_rack_bandwidth=bandwidth,
@@ -39,12 +41,13 @@ def build(policy_name, seed=1, disk=None, nodes_per_rack=3, num_racks=8,
     nn = NameNode(topo, policy, block_size=block_size)
     meter = ThroughputMeter()
     timeline = TimeSeries()
+    encoder_kwargs.setdefault("rng", rng)
     encoder = StripeEncoder(
         sim, net, nn, nn.make_planner(CODE, rng=rng),
-        throughput=meter, timeline=timeline,
+        throughput=meter, timeline=timeline, **encoder_kwargs,
     )
     # Pre-place blocks until stripes seal (metadata only).
-    while len(nn.sealed_stripes()) < 3:
+    while len(nn.sealed_stripes()) < stripes:
         nn.allocate_block(writer_node=rng.randrange(topo.num_nodes))
     return sim, net, nn, encoder, meter, timeline
 
@@ -144,6 +147,99 @@ class TestEncodeStripe:
         finishes = [r.finish_time for r in results]
         starts = [r.start_time for r in results]
         assert all(starts[i + 1] >= finishes[i] for i in range(2))
+
+
+class TestCrossRackCountMatchesTraffic:
+    """``EncodedStripe`` counts the sources the encoder really used."""
+
+    @pytest.mark.parametrize("dead_holder, downloads", [(None, 0), (15, 3)])
+    def test_record_sums_to_the_network_count(self, dead_holder, downloads):
+        sim, net, nn, encoder, __, __t = build(
+            "ear", seed=1, stripes=1, retry=RetryPolicy()
+        )
+        stripe = nn.sealed_stripes()[0]
+        assert stripe.core_rack == 5
+        if dead_holder is not None:
+            # Node 15 holds the core-rack copy of the stripe's first block.
+            assert dead_holder in nn.block_locations(stripe.block_ids[0])
+            net.fail_endpoint(dead_holder)
+        sim.process(encoder.encode_stripe(stripe, encoder_node=16))
+        sim.run()
+        (record,) = encoder.records
+        assert record.cross_rack_downloads == downloads
+        assert (
+            record.cross_rack_downloads + record.cross_rack_uploads
+            == net.stats.cross_rack_transfers
+        )
+
+
+class TestFailFast:
+    """``retry=None``: exactly one attempt, planned against liveness."""
+
+    def test_mid_flight_abort_propagates_bare_and_commits_nothing(self):
+        plane = StreamingDataPlane(CODE, seed=1)
+        jitter = random.Random(99)
+        sim, net, nn, encoder, __, __t = build(
+            "ear", data_plane=plane, rng=jitter
+        )
+        stripe = nn.sealed_stripes()[0]
+        node = nn.topology.nodes_in_rack(stripe.core_rack)[0]
+        failures = []
+
+        def run():
+            try:
+                yield from encoder.encode_stripe(stripe, encoder_node=node)
+            except Exception as exc:
+                failures.append((exc, sim.now))
+
+        def kill():
+            yield sim.timeout(0.5)
+            net.fail_endpoint(node)
+
+        sim.process(run())
+        sim.process(kill())
+        sim.run()
+        ((error, when),) = failures
+        assert type(error) is TransferAborted  # not RetryExhausted
+        assert when == 0.5  # no backoff ...
+        assert jitter.getstate() == random.Random(99).getstate()  # no draw
+        assert stripe.state == StripeState.SEALED
+        assert encoder.records == []
+        assert plane.payloads == {}
+
+    def test_down_pinned_node_is_replaced_by_a_live_eligible_one(self):
+        sim, net, nn, encoder, __, __t = build("ear")
+        stripe = nn.sealed_stripes()[0]
+        core = nn.topology.nodes_in_rack(stripe.core_rack)
+        net.fail_endpoint(core[0])
+        sim.process(encoder.encode_stripe(stripe, encoder_node=core[0]))
+        sim.run()
+        (record,) = encoder.records
+        assert record.encoder_node in core[1:]
+        assert stripe.state == StripeState.ENCODED
+
+    @pytest.mark.parametrize("damage", ["down", "corrupted"])
+    def test_unusable_replica_is_never_a_source(self, damage):
+        sim, net, nn, encoder, __, __t = build("rr")
+        stripe = nn.sealed_stripes()[0]
+        block_id = stripe.block_ids[0]
+        bad = nn.block_locations(block_id)[0]
+        encoder_node = next(
+            n for n in nn.topology.node_ids()
+            if n not in nn.block_locations(block_id)
+        )
+        if damage == "down":
+            net.fail_endpoint(bad)
+        else:
+            nn.block_store.mark_corrupted(block_id, bad)
+        plan = encoder.planner.plan(
+            stripe, encoder_node=encoder_node, source_ok=encoder._source_ok
+        )
+        assert plan.sources[block_id] != bad
+        sim.process(encoder.encode_stripe(stripe, encoder_node=encoder_node))
+        sim.run()
+        assert stripe.state == StripeState.ENCODED
+        assert net.stats.aborted == 0
 
 
 class TestDiskBoundTestbedBehaviour:

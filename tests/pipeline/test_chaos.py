@@ -13,8 +13,10 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.policy import ReplicationScheme
 from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
+from repro.erasure.stream import StreamingDataPlane
 from repro.experiments.runner import build_cluster, populate_until_sealed
 from repro.faults.retry import RetryPolicy
+from repro.hdfs.encoder import StripeEncoder
 from repro.sim.netsim import TransferAborted
 
 CODE = CodeParams(6, 4)
@@ -25,14 +27,15 @@ RETRY = RetryPolicy(
 )
 
 
-def make_setup(policy="ear", seed=0, num_stripes=2, retry=RETRY):
+def make_setup(policy="ear", seed=0, num_stripes=2, retry=RETRY,
+               strategy="pipeline"):
     topology = ClusterTopology(
         nodes_per_rack=4, num_racks=8,
         intra_rack_bandwidth=1e6, cross_rack_bandwidth=1e6,
     )
     setup = build_cluster(
         policy, topology, CODE, ReplicationScheme(3, 2), seed=seed,
-        block_size=256_000, ear_c=2, strategy="pipeline", retry=retry,
+        block_size=256_000, ear_c=2, strategy=strategy, retry=retry,
     )
     populate_until_sealed(setup, num_stripes)
     return setup
@@ -123,6 +126,25 @@ class TestMidFlightFailure:
         assert sorted(b.block_id for b in store.blocks()) == blocks_before
         assert setup.encoder.data_plane.payloads == {}
         assert setup.encoder.records == []
+        # One attempt: no re-plan, no fallback.
+        summary = setup.encoder.metrics.summary()
+        assert summary["replans"] == 0 and summary["stripes_fallback"] == 0
+
+    def test_failfast_mode_still_plans_against_liveness(self):
+        # retry=None is one attempt, not a liveness-blind one: a hop node
+        # that is already down is routed around instead of starting a
+        # doomed transfer.
+        setup = make_setup(seed=0, retry=None)
+        stripes = setup.namenode.sealed_stripes()
+        victim = setup.encoder._plan(stripes[0]).hops[0].node
+        setup.network.fail_endpoint(victim)
+        failures = drive(setup, stripes[:1])
+        assert not failures
+        assert stripes[0].state == StripeState.ENCODED
+        assert setup.encoder.data_plane.verify_stripe(stripes[0])
+        (record,) = setup.encoder.pipeline_records
+        assert victim not in record.hop_nodes and not record.fallback
+        assert setup.network.stats.aborted == 0
 
 
 class TestFallback:
@@ -134,7 +156,7 @@ class TestFallback:
             raise TransferAborted(0, 0, 0)
             yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(setup.encoder, "_pipeline_attempt", doomed)
+        monkeypatch.setattr(setup.encoder, "_chain_attempt", doomed)
         failures = drive(setup, stripes)
         assert not failures
         summary = setup.encoder.metrics.summary()
@@ -145,10 +167,41 @@ class TestFallback:
             assert stripe.state == StripeState.ENCODED
             # Fallback parity passes the same byte-identity oracle.
             assert setup.encoder.data_plane.verify_stripe(stripe)
-        # The shared records list sees the fallback stripes exactly once.
+        # The records list sees the fallback stripes exactly once.
         assert sorted(r.stripe_id for r in setup.encoder.records) == sorted(
             s.stripe_id for s in stripes
         )
+
+    def test_fallback_is_the_plain_download_encoder(self, monkeypatch):
+        # A forced-fallback stripe must be indistinguishable from the same
+        # stripe encoded by a plain StripeEncoder (with a data plane) over
+        # an identically seeded cluster: the fallback *is* that code.
+        def doomed(stripe, state):
+            raise TransferAborted(0, 0, 0)
+            yield  # pragma: no cover
+
+        no_backoff = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        piped = make_setup(seed=1, retry=no_backoff)
+        monkeypatch.setattr(piped.encoder, "_chain_attempt", doomed)
+        plain = make_setup(seed=1, retry=no_backoff, strategy="download")
+        assert type(plain.encoder) is StripeEncoder
+        plain.encoder.data_plane = StreamingDataPlane(CODE, seed=1)
+
+        def outcome(setup):
+            stripe = setup.namenode.sealed_stripes()[0]
+            assert not drive(setup, [stripe])
+            (record,) = setup.encoder.records
+            store = setup.namenode.block_store
+            return (
+                record,
+                [store.replica_nodes(b) for b in stripe.all_block_ids()],
+                [setup.encoder.data_plane.payloads[b]
+                 for b in stripe.parity_block_ids],
+            )
+
+        assert outcome(piped) == outcome(plain)
+        assert piped.encoder.pipeline_records[-1].fallback is True
+        assert len(piped.encoder.pipeline_records) == 1
 
     def test_fallback_parity_identical_to_pipeline_parity(self):
         # Encode the same placement twice — once pipelined, once via the
@@ -161,7 +214,7 @@ class TestFallback:
                     raise TransferAborted(0, 0, 0)
                     yield  # pragma: no cover
 
-                setup.encoder._pipeline_attempt = doomed
+                setup.encoder._chain_attempt = doomed
             failures = drive(setup, stripes)
             assert not failures
             plane = setup.encoder.data_plane

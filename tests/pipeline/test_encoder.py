@@ -139,5 +139,16 @@ class TestConfigErrors:
             PipelinedEncoder(
                 setup.sim, setup.network, setup.namenode,
                 setup.namenode.make_planner(CODE, rng=random.Random(0)),
-                code=CODE, fallback=setup.encoder.fallback, chunk_count=0,
+                code=CODE, chunk_count=0,
+            )
+
+    def test_compute_bandwidth_validated_by_the_inherited_constructor(self):
+        from repro.pipeline.encoder import PipelinedEncoder
+
+        setup = make_setup("ear")
+        with pytest.raises(ValueError, match="compute bandwidth"):
+            PipelinedEncoder(
+                setup.sim, setup.network, setup.namenode,
+                setup.namenode.make_planner(CODE, rng=random.Random(0)),
+                code=CODE, compute_bandwidth=0,
             )
