@@ -87,8 +87,11 @@ def empirical_attempts(
     core_rack = 0
     writer = topology.nodes_in_rack(core_rack)[0]
     block_id = 0
-    while len(ear.store.sealed_stripes()) < num_stripes:
+    sealed = 0
+    while sealed < num_stripes:
         ear.place_block(block_id, writer_node=writer)
+        if ear.store.in_sealed_stripe(block_id):
+            sealed += 1
         block_id += 1
     return {
         index: sum(values) / len(values)

@@ -359,6 +359,13 @@ class BlockStore:
         except KeyError:
             raise KeyError(f"unknown block id {block_id}") from None
 
+    def replica_count(self, block_id: BlockId) -> int:
+        """How many nodes currently hold a copy of ``block_id``."""
+        try:
+            return len(self._replicas[block_id])
+        except KeyError:
+            raise KeyError(f"unknown block id {block_id}") from None
+
     def replica_racks(self, block_id: BlockId) -> Tuple[RackId, ...]:
         """Rack ids currently holding a copy (duplicates preserved)."""
         return tuple(self.topology.rack_of(n) for n in self.replica_nodes(block_id))

@@ -225,6 +225,17 @@ class PreEncodingStore:
         stripe_id = self._block_to_stripe.get(block_id)
         return None if stripe_id is None else self._stripes[stripe_id]
 
+    def in_sealed_stripe(self, block_id: BlockId) -> bool:
+        """True when ``block_id`` belongs to a sealed stripe.
+
+        Asked right after a block is placed, this says whether that block
+        sealed its stripe, so a loop that places blocks "until n stripes
+        have sealed" counts seals as they happen instead of re-listing
+        :meth:`sealed_stripes` before every block.
+        """
+        stripe = self.stripe_of_block(block_id)
+        return stripe is not None and stripe.state == StripeState.SEALED
+
     # ------------------------------------------------------------------
     def stripes(self, state: Optional[str] = None) -> List[Stripe]:
         """All stripes, optionally filtered by state."""

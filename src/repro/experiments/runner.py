@@ -228,12 +228,15 @@ def populate_until_sealed(setup: ClusterSetup, num_stripes: int, max_blocks: int
     store = setup.namenode.pre_encoding_store
     if store is None:
         raise ValueError("the policy maintains no pre-encoding store")
-    while len(store.sealed_stripes()) < num_stripes:
+    sealed = len(store.sealed_stripes())
+    while sealed < num_stripes:
         if placed >= max_blocks:
             raise RuntimeError("placement did not seal enough stripes")
         writer = setup.rng.choice(writers)
-        setup.namenode.allocate_block(writer_node=writer)
+        block, __ = setup.namenode.allocate_block(writer_node=writer)
         placed += 1
+        if store.in_sealed_stripe(block.block_id):
+            sealed += 1
 
 
 def mean(values: Iterable[float]) -> float:

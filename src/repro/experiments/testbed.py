@@ -70,8 +70,12 @@ def _testbed_setup(
 
 def _write_stripes(setup: ClusterSetup, num_stripes: int, master: int) -> Generator:
     """Write blocks from the master until ``num_stripes`` stripes seal."""
-    while len(setup.namenode.sealed_stripes()) < num_stripes:
-        yield from setup.client.write_block(writer_node=master)
+    store = setup.namenode.pre_encoding_store
+    sealed = len(store.sealed_stripes())
+    while sealed < num_stripes:
+        written = yield from setup.client.write_block(writer_node=master)
+        if store.in_sealed_stripe(written.block.block_id):
+            sealed += 1
 
 
 # ----------------------------------------------------------------------

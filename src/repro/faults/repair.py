@@ -266,10 +266,10 @@ class RepairQueue:
         if stripe is not None and stripe.state == StripeState.ENCODED:
             survivors = sum(
                 1 for member in stripe.all_block_ids()
-                if store.replica_nodes(member)
+                if store.replica_count(member)
             )
             return survivors - stripe.k
-        return len(store.replica_nodes(block_id)) - 1
+        return store.replica_count(block_id) - 1
 
     # ------------------------------------------------------------------
     # One repair

@@ -140,6 +140,9 @@ class JobTracker:
             for node_id in topology.node_ids()
         }
         self._pending: List[Tuple[MapTask, Event, int]] = []
+        #: Free slots over all trackers, live or not: zero means no task
+        #: can start, so a dispatch has nothing to scan.
+        self._free_slots = slots_per_node * len(self.trackers)
         self._job_ids = itertools.count()
 
     # ------------------------------------------------------------------
@@ -184,45 +187,62 @@ class JobTracker:
     # Scheduling
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        scheduled_any = True
-        while scheduled_any:
-            scheduled_any = False
-            for index, (task, done, attempt) in enumerate(self._pending):
-                node = self._pick_node(task)
-                if node is None:
-                    continue
-                del self._pending[index]
+        """Start every queued task that fits, in queue order.
+
+        One pass is enough: placing a task only takes a slot away and
+        liveness cannot change inside a dispatch, so a task that found no
+        node earlier in the pass would find none on a rescan either (and
+        ``_pick_node`` draws from the rng only when it returns a node).
+        """
+        pending = self._pending
+        index = 0
+        while self._free_slots and index < len(pending):
+            task, done, attempt = pending[index]
+            node = self._pick_node(task)
+            if node is None:
+                index += 1
+            else:
+                del pending[index]
                 self._start(task, node, done, attempt)
-                scheduled_any = True
-                break  # restart the scan: slot state changed
 
     def _is_healthy(self, node: NodeId) -> bool:
         return self.health is None or self.health(node)
 
     def _pick_node(self, task: MapTask) -> Optional[NodeId]:
+        trackers = self.trackers
+        is_healthy = self._is_healthy
         for node in task.preferred_nodes:
-            if self._is_healthy(node) and self.trackers[node].free_slots > 0:
+            if is_healthy(node) and trackers[node].free_slots > 0:
                 return node
         if task.restrict_to_preferred:
             # Graceful degradation: only when every preferred node is DOWN
             # (not merely busy) may a restricted task drift off-rack.
-            if any(self._is_healthy(n) for n in task.preferred_nodes):
+            if any(is_healthy(n) for n in task.preferred_nodes):
                 return None
-        free = [
-            tracker.node_id
-            for tracker in self.trackers.values()
-            if tracker.free_slots > 0 and self._is_healthy(tracker.node_id)
-        ]
-        if not free:
+        # The live trackers with the most free slots, in tracker order
+        # (starting the bar at one slot skips the full ones).
+        most = 1
+        emptiest: List[NodeId] = []
+        for tracker in trackers.values():
+            free = tracker.free_slots
+            if free < most or not is_healthy(tracker.node_id):
+                continue
+            if free > most:
+                most = free
+                emptiest.clear()
+            emptiest.append(tracker.node_id)
+        if not emptiest:
             return None
-        most = max(self.trackers[n].free_slots for n in free)
-        return self.rng.choice(
-            [n for n in free if self.trackers[n].free_slots == most]
-        )
+        return self.rng.choice(emptiest)
 
     def _start(self, task: MapTask, node: NodeId, done: Event, attempt: int) -> None:
         self.trackers[node].busy += 1
+        self._free_slots -= 1
         self.sim.process(self._run(task, node, done, attempt))
+
+    def _finish(self, node: NodeId) -> None:
+        self.trackers[node].busy -= 1
+        self._free_slots += 1
 
     def _run(
         self, task: MapTask, node: NodeId, done: Event, attempt: int
@@ -230,7 +250,7 @@ class JobTracker:
         try:
             result = yield from task.work(node)
         except Exception as exc:  # the task crashed on this node
-            self.trackers[node].busy -= 1
+            self._finish(node)
             if attempt < self.max_task_attempts:
                 # Re-execute: back into the queue for a fresh placement.
                 self._pending.append((task, done, attempt + 1))
@@ -239,6 +259,6 @@ class JobTracker:
             self._dispatch()
             done.fail(TaskFailed(task.task_id, attempt, exc))
             return
-        self.trackers[node].busy -= 1
+        self._finish(node)
         self._dispatch()
         done.succeed(result)

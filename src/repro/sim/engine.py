@@ -19,9 +19,9 @@ Example:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.metrics import PERF
@@ -109,7 +109,11 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self.value = value
-        self.sim._schedule(0.0, self)
+        # _schedule(0.0, self) spelled out: most events in a run are
+        # triggered here.  ``+ 0.0`` keeps the queued time a float even
+        # if the clock was handed an int.
+        sim = self.sim
+        _heappush(sim._queue, (sim._now + 0.0, next(sim._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -138,6 +142,8 @@ class Event:
             self.callbacks.append(callback)
 
     def _process(self) -> None:
+        # Simulator.run carries its own copy of this body in its loop;
+        # keep the two in step (step() is the caller here).
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
         if self._exception is not None and not callbacks and not self.defused:
@@ -213,13 +219,14 @@ class AnyOf(Event):
         children = list(events)
         if not children:
             raise SimulationError("AnyOf requires at least one event")
+        on_child = self._on_child
         for event in children:
-            event.add_callback(self._on_child)
+            event.add_callback(on_child)
 
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
-        if event.failed:
+        if event._exception is not None:
             self.fail(event._exception)  # noqa: SLF001 - kernel internal
         else:
             self.succeed(event.value)
@@ -273,10 +280,12 @@ class Process(Event):
             return  # stale wake-up after an interrupt redirected the process
         self._waiting_on = None
         try:
-            if event is not None and event.failed:
-                target = self._generator.throw(event._exception)  # noqa: SLF001
+            if event is None:
+                target = self._generator.send(None)
+            elif event._exception is not None:
+                target = self._generator.throw(event._exception)
             else:
-                target = self._generator.send(event.value if event else None)
+                target = self._generator.send(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -314,7 +323,10 @@ class Process(Event):
         if target.sim is not self.sim:
             raise SimulationError("event belongs to a different simulator")
         self._waiting_on = target
-        target.add_callback(self._resume_callback)
+        if target._processed:
+            target.add_callback(self._resume_callback)  # the late path
+        else:
+            target.callbacks.append(self._resume_callback)
 
 
 class Simulator:
@@ -421,19 +433,32 @@ class Simulator:
         Events scheduled exactly at ``until`` still run; the clock never
         exceeds ``until`` when it is given.
         """
-        # Hot loop: hoist the queue, the heap pop, the counter bump and
-        # the pool release out of the attribute-lookup path — this loop
-        # runs once per simulated event across every experiment.
+        # Hot loop, once per simulated event across every experiment:
+        # Event._process is written out here (no call per event) and the
+        # processed-event counter is settled once, on the way out.
         queue = self._queue
-        pop = heapq.heappop
-        bump = PERF.bump
+        pop = _heappop
         release = self._release_event
-        while queue and (until is None or queue[0][0] <= until):
-            self._now, __, event = pop(queue)
-            bump("sim.events")
-            event._process()  # noqa: SLF001 - kernel internal
-            if event._recycle:
-                release(event)
+        processed = 0
+        try:
+            while queue and (until is None or queue[0][0] <= until):
+                self._now, __, event = pop(queue)
+                processed += 1
+                event._processed = True
+                callbacks = event.callbacks
+                event.callbacks = []
+                if callbacks:
+                    for callback in callbacks:
+                        callback(event)
+                elif event._exception is not None and not event.defused:
+                    # Nobody is waiting on this failure: surface it
+                    # instead of silently dropping a crashed process.
+                    raise event._exception
+                if event._recycle:
+                    release(event)
+        finally:
+            if processed:
+                PERF.bump("sim.events", processed)
         if until is not None:
             self._now = max(self._now, until)
 
@@ -441,7 +466,7 @@ class Simulator:
         """Process a single event; returns False when the queue is empty."""
         if not self._queue:
             return False
-        self._now, __, event = heapq.heappop(self._queue)
+        self._now, __, event = _heappop(self._queue)
         PERF.bump("sim.events")
         event._process()  # noqa: SLF001 - kernel internal
         if event._recycle:
@@ -517,4 +542,4 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _schedule(self, delay: float, event: Event) -> None:
-        heapq.heappush(self._queue, (self._now + delay, next(self._seq), event))
+        _heappush(self._queue, (self._now + delay, next(self._seq), event))

@@ -28,6 +28,7 @@ the slowest held resource.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
@@ -113,6 +114,26 @@ class TransferStats:
         self.aborted += 1
 
 
+class _Endpoint:
+    """One endpoint's rack and resource keys, built once per network.
+
+    ``Network.transfer`` names up to six resources per call; handing the
+    arbiter these interned keys instead of fresh ``("nup", node)`` tuples
+    keeps the per-transfer path allocation-light at O(nodes) memory.
+    """
+
+    __slots__ = ("rack", "up", "down", "rack_up", "rack_down", "disk")
+
+    def __init__(self, node_id: NodeId, rack: Optional[RackId]) -> None:
+        #: ``None`` for externals, which hang off the core.
+        self.rack = rack
+        self.up = ("nup", node_id)
+        self.down = ("ndown", node_id)
+        self.rack_up = ("rup", rack)
+        self.rack_down = ("rdown", rack)
+        self.disk = ("disk", node_id)
+
+
 class Network:
     """Timed data transfers over a cluster topology.
 
@@ -146,6 +167,10 @@ class Network:
         self._rack_down_bw: Dict[RackId, float] = {}
         self._externals: Dict[int, str] = {}
         self._next_external = -1
+        self._endpoints: Dict[NodeId, _Endpoint] = {
+            node_id: _Endpoint(node_id, topology.rack_of(node_id))
+            for node_id in topology.node_ids()
+        }
         self._down_nodes: Set[NodeId] = set()
         self._inflight: Dict[int, Tuple[NodeId, NodeId, Event]] = {}
         self._transfer_seq = itertools.count()
@@ -166,6 +191,7 @@ class Network:
         node_id = self._next_external
         self._next_external -= 1
         self._externals[node_id] = name
+        self._endpoints[node_id] = _Endpoint(node_id, None)
         bw = self.topology.intra_rack_bandwidth if bandwidth is None else bandwidth
         self._node_up_bw[node_id] = bw
         self._node_down_bw[node_id] = bw
@@ -281,18 +307,15 @@ class Network:
 
     def rack_of(self, node_id: NodeId) -> Optional[RackId]:
         """Rack of a node, or ``None`` for external endpoints."""
-        if node_id in self._externals:
-            return None
-        return self.topology.rack_of(node_id)
+        return self._endpoints[node_id].rack
 
     def is_cross_rack(self, src: NodeId, dst: NodeId) -> bool:
         """True when a transfer between the endpoints traverses the core."""
         if src == dst:
             return False
         src_rack, dst_rack = self.rack_of(src), self.rack_of(dst)
-        if src_rack is None or dst_rack is None:
-            return True  # externals hang off the core
-        return src_rack != dst_rack
+        # Externals (rack None) hang off the core.
+        return src_rack is None or dst_rack is None or src_rack != dst_rack
 
     # ------------------------------------------------------------------
     # Operations (generators for use inside processes)
@@ -325,39 +348,56 @@ class Network:
             if endpoint in self._down_nodes:
                 self.stats.record_abort()
                 raise TransferAborted(src, dst, endpoint)
-        use_read = self.disk is not None if read_disk is None else read_disk
-        use_write = self.disk is not None if write_disk is None else write_disk
-        if self.disk is None and (use_read or use_write):
+        disk = self.disk
+        use_read = disk is not None if read_disk is None else read_disk
+        use_write = disk is not None if write_disk is None else write_disk
+        if disk is None and (use_read or use_write):
             raise ValueError("disks are not modelled on this network")
 
+        # Every held resource's key, and the slowest one's bandwidth.
+        source, sink = self._endpoints[src], self._endpoints[dst]
         keys: List[Tuple] = []
-        bandwidths: List[float] = []
-        # Computed once: the rack lookup runs on every transfer, and the
-        # completion path below needs the same answer again.
-        cross_rack = self.is_cross_rack(src, dst)
+        bandwidth = math.inf
+        cross_rack = False
         if src != dst:
-            keys.append(("nup", src))
-            bandwidths.append(self.node_up_bandwidth(src))
-            keys.append(("ndown", dst))
-            bandwidths.append(self.node_down_bandwidth(dst))
+            topology = self.topology
+            keys = [source.up, sink.down]
+            bandwidth = self._node_up_bw.get(src, topology.intra_rack_bandwidth)
+            other = self._node_down_bw.get(dst, topology.intra_rack_bandwidth)
+            if other < bandwidth:
+                bandwidth = other
+            src_rack, dst_rack = source.rack, sink.rack
+            # Externals (rack None) hang off the core.
+            cross_rack = (
+                src_rack is None or dst_rack is None or src_rack != dst_rack
+            )
             if cross_rack:
-                src_rack, dst_rack = self.rack_of(src), self.rack_of(dst)
                 if src_rack is not None:
-                    keys.append(("rup", src_rack))
-                    bandwidths.append(self.rack_up_bandwidth(src_rack))
+                    keys.append(source.rack_up)
+                    other = self._rack_up_bw.get(
+                        src_rack, topology.cross_rack_bandwidth
+                    )
+                    if other < bandwidth:
+                        bandwidth = other
                 if dst_rack is not None:
-                    keys.append(("rdown", dst_rack))
-                    bandwidths.append(self.rack_down_bandwidth(dst_rack))
+                    keys.append(sink.rack_down)
+                    other = self._rack_down_bw.get(
+                        dst_rack, topology.cross_rack_bandwidth
+                    )
+                    if other < bandwidth:
+                        bandwidth = other
         if use_read and src not in self._externals:
-            keys.append(("disk", src))
-            bandwidths.append(self.disk.read_bandwidth)
+            keys.append(source.disk)
+            if disk.read_bandwidth < bandwidth:
+                bandwidth = disk.read_bandwidth
         if use_write and dst not in self._externals:
-            keys.append(("disk", dst))
-            bandwidths.append(self.disk.write_bandwidth)
+            keys.append(sink.disk)
+            if disk.write_bandwidth < bandwidth:
+                bandwidth = disk.write_bandwidth
         if not keys:
             return  # nothing to hold: an in-memory no-op
 
-        duration = size / min(bandwidths)
+        duration = size / bandwidth
         abort = self.sim.event()
         token = next(self._transfer_seq)
         self._inflight[token] = (src, dst, abort)
@@ -397,7 +437,7 @@ class Network:
         bandwidth = (
             self.disk.write_bandwidth if write else self.disk.read_bandwidth
         )
-        grant = self.links.acquire([("disk", node_id)])
+        grant = self.links.acquire((self._endpoints[node_id].disk,))
         yield grant
         try:
             yield self.sim.timeout(size / bandwidth)

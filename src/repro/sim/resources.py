@@ -5,15 +5,16 @@ queue FIFO and are granted as capacity frees up.
 
 ``MultiResource`` grants *sets* of unit-capacity resources atomically: a
 request proceeds only when every key it names is free, and requests are
-scanned in arrival order with first-fit granting.  The network model uses it
-to hold all links along a transfer's path simultaneously — acquiring links
-one at a time would either deadlock or block links while merely queueing.
+granted first-fit in arrival order.  The network model uses it to hold all
+links along a transfer's path simultaneously — acquiring links one at a
+time would either deadlock or block links while merely queueing.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Deque, FrozenSet, Iterable, List, Set
+from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -86,9 +87,18 @@ class Resource:
 class MultiRequest(Event):
     """A pending claim on a set of unit resources; triggers when granted."""
 
-    def __init__(self, sim: Simulator, keys: FrozenSet) -> None:
+    __slots__ = ("keys", "_arrival", "_parked_on", "_holding")
+
+    def __init__(self, sim: Simulator, keys: Tuple, arrival: int) -> None:
         super().__init__(sim)
+        #: The claimed keys, in the order the caller named them.
         self.keys = keys
+        self._arrival = arrival
+        #: While queued: the held key whose bucket the claim waits in.
+        self._parked_on: Any = None
+        #: True from the grant until the release — the claim's own record,
+        #: because "its keys are held" is also true of a later holder.
+        self._holding = False
 
 
 class MultiResource:
@@ -96,8 +106,19 @@ class MultiResource:
 
     Keys are arbitrary hashable labels (links, disks).  ``acquire`` enqueues
     a claim for a key set; a claim is granted once none of its keys is held.
-    The pending queue is scanned in FIFO order with first-fit granting, so a
-    blocked wide claim does not idle links that later narrow claims can use.
+    Granting is first-fit in arrival order, so a blocked wide claim does not
+    idle links that later narrow claims can use.
+
+    Waiters are indexed, not scanned.  Every queued claim is *parked* under
+    exactly one of its own keys that is held right now, so it is blocked for
+    as long as that key stays held and nothing but that key's release can
+    unblock it.  ``acquire`` therefore tests the new claim alone, and
+    ``release`` re-examines — in arrival order — only the claims parked
+    under a key it frees, granting those that fit and re-parking the rest
+    under another held key.  That is the grant sequence a front-to-back
+    rescan of one FIFO list produces (``tests/sim/reference_resources.py``
+    keeps that scan as the oracle), at a cost independent of how many
+    claims wait on unrelated keys.
 
     Example (inside a process):
         >>> # grant = links.acquire({"uplink:3", "nic:17"})
@@ -109,7 +130,10 @@ class MultiResource:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._held: Set = set()
-        self._queue: List[MultiRequest] = []
+        #: held key -> {arrival number: claim parked under it}; no empty
+        #: bucket is kept, so memory is O(queued claims).
+        self._parked: Dict[Any, Dict[int, MultiRequest]] = {}
+        self._arrivals = itertools.count()
 
     @property
     def held_keys(self) -> FrozenSet:
@@ -119,16 +143,18 @@ class MultiResource:
     @property
     def queue_length(self) -> int:
         """Claims waiting for a grant."""
-        return len(self._queue)
+        return sum(map(len, self._parked.values()))
 
     def acquire(self, keys: Iterable) -> MultiRequest:
         """Claim every key in ``keys``; yield the returned event to wait."""
-        key_set = frozenset(keys)
-        if not key_set:
+        keys = tuple(keys)
+        if not keys:
             raise ValueError("acquire requires at least one key")
-        req = MultiRequest(self.sim, key_set)
-        self._queue.append(req)
-        self._grant()
+        req = MultiRequest(self.sim, keys, next(self._arrivals))
+        if self._held.isdisjoint(keys):
+            self._grant(req)
+        else:
+            self._park(req)
         return req
 
     def release(self, request: MultiRequest) -> None:
@@ -138,35 +164,62 @@ class MultiResource:
             SimulationError: If the claim was never granted or already
                 released.
         """
-        if not request.triggered:
-            raise SimulationError("releasing a claim that was never granted")
-        if not request.keys <= self._held:
-            raise SimulationError("claim already released")
-        self._held -= request.keys
-        self._grant()
+        if not request._holding:
+            raise SimulationError(
+                "claim already released" if request.triggered
+                else "releasing a claim that was never granted"
+            )
+        request._holding = False
+        held = self._held
+        held.difference_update(request.keys)
+        parked = self._parked
+        if not parked:
+            return
+        woken: List[Tuple[int, MultiRequest]] = []
+        for key in request.keys:
+            bucket = parked.pop(key, None)
+            if bucket is not None:
+                woken.extend(bucket.items())
+        if len(woken) > 1:
+            woken.sort()  # arrival numbers are unique: claims never compare
+        for __, claim in woken:
+            if held.isdisjoint(claim.keys):
+                self._grant(claim)
+            else:
+                self._park(claim)
 
     def cancel(self, request: MultiRequest) -> None:
         """Withdraw a claim whether or not it was granted yet.
 
         An aborted transfer may still be queued for its links (never
         granted) or may have been granted between the abort and the
-        cleanup; both must end with the keys free for other claims.
+        cleanup; both must end with the keys free for other claims.  A
+        claim already released or withdrawn is left alone.
         """
-        if request.triggered:
-            if request.keys <= self._held:
-                self.release(request)
-            return
-        try:
-            self._queue.remove(request)
-        except ValueError:
-            pass  # already granted-and-released or never enqueued
+        if request._holding:
+            self.release(request)
+        elif not request.triggered:
+            key = request._parked_on
+            bucket = self._parked.get(key)
+            if bucket is not None:
+                bucket.pop(request._arrival, None)
+                if not bucket:
+                    del self._parked[key]
 
-    def _grant(self) -> None:
-        remaining: List[MultiRequest] = []
-        for req in self._queue:
-            if req.keys.isdisjoint(self._held):
-                self._held |= req.keys
-                req.succeed()
-            else:
-                remaining.append(req)
-        self._queue = remaining
+    def _grant(self, claim: MultiRequest) -> None:
+        self._held.update(claim.keys)
+        claim._holding = True
+        claim.succeed()
+
+    def _park(self, claim: MultiRequest) -> None:
+        """File a blocked claim under the first of its keys that is held."""
+        held = self._held
+        for key in claim.keys:
+            if key in held:
+                claim._parked_on = key
+                bucket = self._parked.get(key)
+                if bucket is None:
+                    self._parked[key] = {claim._arrival: claim}
+                else:
+                    bucket[claim._arrival] = claim
+                return

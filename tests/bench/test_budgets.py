@@ -20,6 +20,7 @@ from repro.erasure.stream import stream_decode, stream_encode, stream_repair
 from repro.pipeline.gfstream import pipelined_parity
 from repro.sim.engine import Simulator
 from repro.sim.metrics import measure_ops
+from repro.sim.resources import MultiResource
 from tests.core.reference_flow import ear_redraws_vs_fresh
 
 
@@ -205,3 +206,33 @@ class TestSimulatorBudget:
         # Per process: one start event, one event per timeout fired, and
         # one completion event when the generator is exhausted.
         assert measured.get("sim.events") == processes * (timeouts + 2)
+
+
+class TestLinkArbiterBudget:
+    def test_traffic_on_other_keys_examines_no_parked_claim(self):
+        # Examining a claim means testing its keys against the held set,
+        # which hashes them: parked claims carry keys that count hashes.
+        hashed = []
+
+        class CountedKey:
+            def __hash__(self):
+                hashed.append(self)
+                return 7
+
+        sim = Simulator()
+        links = MultiResource(sim)
+        busy = CountedKey()
+        holder = links.acquire((busy,))
+        parked = [links.acquire((busy, CountedKey())) for __ in range(500)]
+        assert links.queue_length == 500
+        hashed.clear()
+        for cycle in range(500):
+            grant = links.acquire((("nup", cycle), ("ndown", cycle + 1)))
+            assert grant.triggered
+            links.release(grant)
+        # The list scan tested every parked claim on each of the 1000
+        # operations (500 000 tests); the index tests none.
+        assert hashed == []
+        # And the parked claims are still served, in arrival order.
+        links.release(holder)
+        assert [claim.triggered for claim in parked] == [True] + [False] * 499

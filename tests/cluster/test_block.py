@@ -52,6 +52,15 @@ class TestReplicaManagement:
         assert store.replica_nodes(block.block_id) == (0, 5, 6)
         assert store.primary_node(block.block_id) == 0
 
+    def test_replica_count_tracks_adds_and_removes(self, store):
+        block = store.create_block(64)
+        assert store.replica_count(block.block_id) == 0
+        store.add_replicas(block.block_id, [0, 5, 6])
+        store.remove_replica(block.block_id, 5)
+        assert store.replica_count(block.block_id) == 2
+        with pytest.raises(KeyError):
+            store.replica_count(999)
+
     def test_replica_racks(self, store):
         block = store.create_block(64)
         store.add_replicas(block.block_id, [0, 5, 6])  # racks 0, 1, 1

@@ -73,6 +73,23 @@ class TestPopulation:
         populate_until_sealed(setup, 5)
         assert len(setup.namenode.sealed_stripes()) >= 5
 
+    @pytest.mark.parametrize("policy", ["rr", "ear"])
+    def test_populate_stops_on_the_block_that_seals_the_last_stripe(
+        self, policy
+    ):
+        # Seals are counted as they happen; the stop point must be the one
+        # a re-listing of sealed stripes before every block would pick.
+        setup = build_cluster(policy, TOPO, CODE, SCHEME, seed=3)
+        populate_until_sealed(setup, 2)
+        store = setup.namenode.pre_encoding_store
+        assert len(store.sealed_stripes()) == 2
+        last = max(b.block_id for b in setup.namenode.block_store.blocks())
+        assert store.in_sealed_stripe(last)
+        populate_until_sealed(setup, 2)  # already there: places nothing
+        assert max(
+            b.block_id for b in setup.namenode.block_store.blocks()
+        ) == last
+
     def test_populate_requires_store(self):
         policy = RandomReplication(TOPO)  # no pre-encoding store
         from repro.hdfs.namenode import NameNode

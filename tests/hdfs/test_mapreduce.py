@@ -315,3 +315,92 @@ class TestFaultTolerance:
         # Nothing could run until node 2 returned; the restore listener
         # re-triggered the dispatcher.
         assert ran == [(0, 2, pytest.approx(11.0))]
+
+
+class TestSlotTotal:
+    """The running free-slot total that lets a dispatch return at once."""
+
+    @staticmethod
+    def total_is_exact(jt):
+        return jt._free_slots == sum(
+            t.free_slots for t in jt.trackers.values()
+        )
+
+    def test_free_slots_only_on_down_nodes_dispatch_nothing_and_draw_nothing(
+        self, topo
+    ):
+        from repro.sim.netsim import Network
+
+        sim = Simulator()
+        network = Network(sim, topo)
+        rng = random.Random(1)
+        jt = JobTracker(
+            sim, topo, slots_per_node=1, rng=rng, health=network.is_up
+        )
+        jt.watch_network(network)
+        ran = []
+        # Nodes 0-3 busy until t=50; the only free slots (4, 5) are down.
+        blockers = [
+            make_task(sim, i, 50.0, ran, preferred_nodes=(i,))
+            for i in range(4)
+        ]
+        network.fail_endpoint(4)
+        network.fail_endpoint(5)
+        jt.submit(MapReduceJob(job_id=0, tasks=blockers))
+        sim.run(until=1.0)
+        drawn = rng.getstate()
+        jt.submit(MapReduceJob(job_id=1, tasks=[make_task(sim, 9, 1.0, ran)]))
+        sim.run(until=5.0)
+        # The total counts down nodes' slots too, so the scan does run —
+        # and finds no live node, without touching the rng.
+        assert jt._free_slots == 2 and self.total_is_exact(jt)
+        assert len(jt._pending) == 1
+        assert rng.getstate() == drawn
+        network.restore_endpoint(5)
+        sim.run()
+        assert (9, 5, pytest.approx(6.0)) in ran
+        assert self.total_is_exact(jt) and jt._free_slots == 6
+
+    def test_crashed_tasks_retry_finds_the_slot_it_gave_back(self):
+        # One slot in the whole cluster: the retry can only start if the
+        # crash returned the slot to the total before re-dispatching.
+        sim = Simulator()
+        jt = JobTracker(
+            sim, ClusterTopology(nodes_per_rack=1, num_racks=1),
+            slots_per_node=1, rng=random.Random(1), max_task_attempts=2,
+        )
+        attempts = []
+
+        def flaky(node):
+            attempts.append(sim.now)
+            assert jt._free_slots == 0
+            yield sim.timeout(1.0)
+            if len(attempts) == 1:
+                raise RuntimeError("crash")
+            return "ok"
+
+        done = jt.submit(
+            MapReduceJob(job_id=0, tasks=[MapTask(task_id=0, work=flaky)])
+        )
+        sim.run()
+        assert attempts == [0.0, 1.0]
+        assert done.value == ["ok"]
+        assert self.total_is_exact(jt) and jt._free_slots == 1
+
+    def test_dispatch_with_no_free_slot_looks_at_no_task(self, topo):
+        sim = Simulator()
+        jt = JobTracker(sim, topo, slots_per_node=1, rng=random.Random(1))
+        ran = []
+        looked = []
+        pick = jt._pick_node
+        jt._pick_node = lambda task: looked.append(task.task_id) or pick(task)
+        tasks = [make_task(sim, i, 1.0, ran) for i in range(10)]
+        sim.process(jt.run_job(MapReduceJob(job_id=0, tasks=tasks)))
+        sim.run(until=0.5)
+        # Six slots: six picks, then the scan stops — tasks 6-9 unseen.
+        assert looked == [0, 1, 2, 3, 4, 5]
+        sim.run()
+        # One pick per placement from then on: a freed slot goes to the
+        # head of the queue and the scan ends with the total back at zero.
+        assert looked == list(range(10))
+        assert len(ran) == 10 and self.total_is_exact(jt)

@@ -1,9 +1,12 @@
 """Resource and MultiResource: FCFS grants, capacity, atomic link sets."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import MultiResource, Resource
+from tests.sim.reference_resources import ListScanMultiResource
 
 
 class TestResource:
@@ -171,6 +174,62 @@ class TestMultiResource:
         with pytest.raises(SimulationError):
             links.release(grant)
 
+    def test_double_release_raises_even_when_another_claim_holds_the_keys(
+        self,
+    ):
+        # "Its keys are held" used to stand in for "not yet released": with
+        # a second holder of the same key the stale release went through,
+        # freed the key under the live holder and let a third claim in.
+        sim = Simulator()
+        links = MultiResource(sim)
+        stale = links.acquire({"x"})
+        links.release(stale)
+        live = links.acquire({"x"})
+        with pytest.raises(SimulationError, match="already released"):
+            links.release(stale)
+        assert links.held_keys == frozenset({"x"})
+        third = links.acquire({"x"})
+        assert live.triggered and not third.triggered
+        assert links.queue_length == 1
+
+    def test_cancel_after_release_leaves_the_next_holder_alone(self):
+        sim = Simulator()
+        links = MultiResource(sim)
+        stale = links.acquire({"x", "y"})
+        links.release(stale)
+        live = links.acquire({"y", "x"})
+        links.cancel(stale)  # granted-and-released: nothing left to undo
+        assert links.held_keys == frozenset({"x", "y"})
+        waiter = links.acquire({"x"})
+        assert not waiter.triggered
+        links.release(live)
+        assert waiter.triggered
+
+    def test_cancel_of_a_queued_claim_is_idempotent(self):
+        sim = Simulator()
+        links = MultiResource(sim)
+        holder = links.acquire({"x"})
+        first, second = links.acquire({"x"}), links.acquire({"x"})
+        links.cancel(first)
+        links.cancel(first)
+        assert links.queue_length == 1
+        links.release(holder)
+        assert second.triggered and not first.triggered
+        assert links.held_keys == frozenset({"x"})
+
+    def test_waiter_blocked_on_two_keys_survives_either_release(self):
+        # Parked under one held key, re-parked under the other when the
+        # first frees: granted only when both are free.
+        sim = Simulator()
+        links = MultiResource(sim)
+        a, b = links.acquire(("a",)), links.acquire(("b",))
+        wide = links.acquire(("a", "b"))
+        links.release(a)
+        assert not wide.triggered and links.queue_length == 1
+        links.release(b)
+        assert wide.triggered and links.queue_length == 0
+        assert links.held_keys == frozenset({"a", "b"})
+
     def test_held_keys_and_queue_length(self):
         sim = Simulator()
         links = MultiResource(sim)
@@ -205,3 +264,74 @@ class TestMultiResource:
         sim.process(wide())
         sim.run()
         assert ("wide", 3.0) in log
+
+
+# ----------------------------------------------------------------------
+# The indexed arbiter against the list scan it replaced
+# ----------------------------------------------------------------------
+KEYS = "abcdef"
+
+#: One step: ("acquire", keys) | ("release", pick) | ("cancel", pick);
+#: ``pick`` selects among the claims the step applies to, modulo their
+#: number, so every drawn sequence is a legal one.
+steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("acquire"),
+            st.lists(st.sampled_from(KEYS), min_size=1, max_size=4),
+        ),
+        st.tuples(st.just("release"), st.integers(0, 63)),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+    ),
+    max_size=60,
+)
+
+
+class _Pair:
+    """The same claim made on both arbiters."""
+
+    def __init__(self, name, indexed, reference):
+        self.name = name
+        self.indexed = indexed
+        self.reference = reference
+        self.closed = False  # released or cancelled: never touched again
+
+
+@given(steps=steps)
+@settings(max_examples=300, deadline=None)
+def test_indexed_arbiter_grants_exactly_what_the_list_scan_grants(steps):
+    sim_new, sim_old = Simulator(), Simulator()
+    indexed, reference = MultiResource(sim_new), ListScanMultiResource(sim_old)
+    granted_new, granted_old = [], []
+    pairs = []
+    for action, argument in steps:
+        if action == "acquire":
+            name = len(pairs)
+            pair = _Pair(
+                name, indexed.acquire(argument), reference.acquire(argument)
+            )
+            # Grant order is the order succeed() was called in, which is
+            # the order the kernel then processes the grants in.
+            pair.indexed.add_callback(lambda __, n=name: granted_new.append(n))
+            pair.reference.add_callback(
+                lambda __, n=name: granted_old.append(n)
+            )
+            pairs.append(pair)
+        else:
+            live = [p for p in pairs if not p.closed]
+            if action == "release":
+                live = [p for p in live if p.reference.triggered]
+            if not live:
+                continue
+            pair = live[argument % len(live)]
+            getattr(indexed, action)(pair.indexed)
+            getattr(reference, action)(pair.reference)
+            pair.closed = True
+        sim_new.run()
+        sim_old.run()
+        assert granted_new == granted_old
+        assert indexed.held_keys == reference.held_keys
+        assert indexed.queue_length == reference.queue_length
+        assert [p.indexed.triggered for p in pairs] == [
+            p.reference.triggered for p in pairs
+        ]
