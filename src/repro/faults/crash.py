@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
@@ -36,7 +36,7 @@ from repro.erasure.codec import CodeParams
 from repro.hdfs.files import FileNamespace
 from repro.hdfs.namenode import NameNode
 from repro.journal.crashpoints import CRASH_PHASES, CrashPoint, SimulatedCrash
-from repro.journal.journal import MetadataJournal
+from repro.journal.journal import DEFAULT_CHECKPOINT_RECORDS, MetadataJournal
 from repro.journal.recovery import recover, verify_stripe_consistency
 from repro.journal.verify import verify_journal
 from repro.journal.wal import scan_journal
@@ -80,6 +80,7 @@ def run_crash_workload(
     crash_at: Optional[CrashPoint] = None,
     track_fingerprints: bool = False,
     checkpoint_midway: bool = False,
+    checkpoint_records: Optional[int] = DEFAULT_CHECKPOINT_RECORDS,
 ) -> CrashWorkloadResult:
     """Drive the deterministic metadata workload against a journal.
 
@@ -97,6 +98,7 @@ def run_crash_workload(
     journal = MetadataJournal(
         directory,
         segment_records=DRILL_SEGMENT_RECORDS,
+        checkpoint_records=checkpoint_records,
         crash_at=crash_at,
         track_fingerprints=track_fingerprints,
     )
@@ -320,9 +322,14 @@ def run_crash_matrix(
     base_dir: str,
     phases: Tuple[str, ...] = CRASH_PHASES,
     checkpoint_midway: bool = False,
+    checkpoint_records: Optional[int] = DEFAULT_CHECKPOINT_RECORDS,
+    points: Optional[Sequence[CrashPoint]] = None,
 ) -> CrashMatrixReport:
-    """Golden run + one crashed run per commit-stage crash point.
+    """Golden run + one crashed run per crash point.
 
+    ``points`` defaults to the commit-stage points of the golden run;
+    a small ``checkpoint_records`` makes periodic checkpoints fall
+    between the drill's commit brackets (and be refused inside them).
     ``base_dir`` receives one journal directory per run (``golden`` plus
     ``case-NNN``), all of which ``repro journal verify`` must pass.
     """
@@ -331,6 +338,7 @@ def run_crash_matrix(
         seed,
         track_fingerprints=True,
         checkpoint_midway=checkpoint_midway,
+        checkpoint_records=checkpoint_records,
     )
     golden.journal.close()
     fps = golden_fingerprints(golden)
@@ -340,7 +348,9 @@ def run_crash_matrix(
         golden_records=golden.last_seq,
         brackets=list(golden.brackets),
     )
-    for index, point in enumerate(commit_stage_points(golden, phases)):
+    if points is None:
+        points = commit_stage_points(golden, phases)
+    for index, point in enumerate(points):
         case_dir = os.path.join(base_dir, f"case-{index:03d}")
         crashed = False
         try:
@@ -348,6 +358,7 @@ def run_crash_matrix(
                 case_dir, seed,
                 crash_at=point,
                 checkpoint_midway=checkpoint_midway,
+                checkpoint_records=checkpoint_records,
             )
             result.journal.close()
         except SimulatedCrash:

@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.journal.wal import decode_line, JournalFormatError, list_segments
+from repro.journal.wal import list_segments, uncovered_segments
 
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".json"
@@ -74,8 +74,8 @@ def write_checkpoint(
     tmp_path = path + ".tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump({"payload": payload, "crc": f"{crc:08x}"}, handle)
-            handle.write("\n")
+            # The canonical text is the payload: serialise it once.
+            handle.write(f'{{"payload": {text}, "crc": "{crc:08x}"}}\n')
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
@@ -146,35 +146,31 @@ def load_latest_checkpoint(
     return None, warnings
 
 
+def drop_old_checkpoints(directory: str) -> None:
+    """Keep the newest two checkpoints: a torn newest one then still
+    leaves recovery a recent one to fall back to."""
+    for _last_seq, path in list_checkpoints(directory)[:-2]:
+        os.remove(path)
+
+
 def prune_segments(
     directory: str, upto_seq: int, keep: Tuple[str, ...] = ()
 ) -> List[str]:
-    """Delete segments fully covered by a checkpoint at ``upto_seq``.
+    """Delete segments wholly covered by a checkpoint at ``upto_seq``.
 
-    A segment is removable only when *every* record in it has
-    ``seq <= upto_seq`` (undecodable lines make a segment unremovable)
-    and its path is not in ``keep`` (the writer's active segment).
-    Returns the paths removed.
+    Uses recovery's own coverage rule (:func:`uncovered_segments`), so a
+    segment is removed exactly when recovery from that checkpoint would
+    never open it, and its path is not in ``keep`` (the writer's active
+    segment).  Returns the paths removed.
     """
     removed: List[str] = []
     protected = {os.path.abspath(path) for path in keep}
+    protected.update(
+        os.path.abspath(path)
+        for _index, path in uncovered_segments(directory, upto_seq)
+    )
     for _index, path in list_segments(directory):
-        if os.path.abspath(path) in protected:
-            continue
-        covered = True
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    payload = decode_line(line)
-                except JournalFormatError:
-                    covered = False
-                    break
-                if int(payload["seq"]) > upto_seq:
-                    covered = False
-                    break
-        if covered:
+        if os.path.abspath(path) not in protected:
             os.remove(path)
             removed.append(path)
     return removed

@@ -19,7 +19,6 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.journal import records as rec
 from repro.journal.checkpoint import list_checkpoints
 from repro.journal.verify import verify_journal
 from repro.journal.wal import list_segments, scan_journal

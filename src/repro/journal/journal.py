@@ -19,20 +19,27 @@ per-prefix fingerprints the differential crash checks compare against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+import math
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.journal import records as rec
-from repro.journal.checkpoint import prune_segments, write_checkpoint
+from repro.journal.checkpoint import (
+    drop_old_checkpoints,
+    prune_segments,
+    write_checkpoint,
+)
 from repro.journal.crashpoints import CrashPoint, SimulatedCrash
-from repro.journal.state import capture_state, state_fingerprint
+from repro.journal.state import capture_state, fingerprint_of
 from repro.journal.wal import (
     DEFAULT_SEGMENT_RECORDS,
     JournalWriter,
-    ScanResult,
-    encode_line,
+    frame_line,
     scan_journal,
 )
 from repro.sim.metrics import PERF
+
+#: Records between periodic checkpoints: what a recovery replays at most.
+DEFAULT_CHECKPOINT_RECORDS = 8 * DEFAULT_SEGMENT_RECORDS
 
 
 class MetadataJournal:
@@ -43,6 +50,9 @@ class MetadataJournal:
             writer starts a fresh segment and sequence numbers continue
             from the durable tail).
         segment_records: Records per segment before rotation.
+        checkpoint_records: Write a checkpoint every this many appended
+            records, bounding what :func:`~repro.journal.recovery.recover`
+            replays (``None``: only on :meth:`checkpoint` calls).
         fsync: Also fsync on flush (off by default — tests model
             durability at the flush boundary).
         crash_at: Optional armed crash point; the journal raises
@@ -55,24 +65,29 @@ class MetadataJournal:
         self,
         directory: str,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
+        checkpoint_records: Optional[int] = DEFAULT_CHECKPOINT_RECORDS,
         fsync: bool = False,
         crash_at: Optional[CrashPoint] = None,
         track_fingerprints: bool = False,
     ) -> None:
+        if checkpoint_records is not None and checkpoint_records < 1:
+            raise ValueError("checkpoint_records must be positive or None")
         self.directory = directory
-        existing = scan_journal(directory)
-        self._seq = existing.last_seq
+        self._seq = scan_journal(directory).last_seq
+        self._cadence = checkpoint_records or math.inf
+        self._checkpointed_seq = self._seq
+        # Stripes inside their commit bracket: a checkpoint taken now
+        # would cover the intent record, so recovery could never roll
+        # the bracket forward.
+        self._open_brackets: Set[int] = set()
         self.writer = JournalWriter(
             directory, segment_records=segment_records, fsync=fsync
         )
         self.crash_at = crash_at
         self.track_fingerprints = track_fingerprints
         self.fingerprints: Dict[int, str] = {}
-        self.flushed_seq = self._seq
         self.dead_nodes: set = set()
         self.pending_relocations: list = []
-        self.records_appended = 0
-        self.checkpoints_written = 0
         self._block_store = None
         self._stripe_store = None
         self._namespace = None
@@ -119,35 +134,42 @@ class MetadataJournal:
         (``"after"``) the record becomes durable — the caller's
         in-memory mutation never happens in any of the three phases,
         matching a process that died inside the commit path.
+
+        The periodic checkpoint is taken here, on entry and as of the
+        previous record: the one point where every journaled record has
+        been applied by its caller (a snapshot after this record is
+        written would claim its sequence number without its effect).  It
+        waits while a commit bracket is open.
         """
+        if (
+            self._seq - self._checkpointed_seq >= self._cadence
+            and not self._open_brackets
+            and self._block_store is not None
+        ):
+            self.checkpoint()
         seq = self._seq + 1
         if self.track_fingerprints:
             self.fingerprints[seq] = self.current_fingerprint()
+        line = frame_line(rec.record_text(seq, record))
         point = self.crash_at
         if point is not None and seq == point.seq:
             self.crash_at = None
-            if point.phase == "before":
-                raise SimulatedCrash(point)
-            line = encode_line(seq, rec.encode_record(record))
             if point.phase == "torn":
                 self.writer.write_torn(line)
-            else:
+            elif point.phase == "after":
                 self.writer.append(line)
                 self.writer.flush()
             raise SimulatedCrash(point)
-        line = encode_line(seq, rec.encode_record(record))
         self.writer.append(line)
         self._seq = seq
-        self.records_appended += 1
         PERF.bump("journal.records_appended")
-        PERF.bump("journal.bytes_appended", len(line.encode("utf-8")) + 1)
+        PERF.bump("journal.bytes_appended", len(line) + 1)  # ASCII + "\n"
         self.flush()
         return seq
 
     def flush(self) -> None:
         """Make every appended record durable."""
         self.writer.flush()
-        self.flushed_seq = self._seq
 
     # ------------------------------------------------------------------
     # Journal-owned state: node liveness
@@ -197,21 +219,25 @@ class MetadataJournal:
         retained: Iterable[Tuple[int, int]],
     ) -> int:
         """Open the atomic intent/commit bracket for a stripe commit."""
-        return self.append(rec.BeginStripeCommit(
+        seq = self.append(rec.BeginStripeCommit(
             stripe_id=stripe_id,
             parity_nodes=tuple(parity_nodes),
             parity_size=parity_size,
             retained=tuple(tuple(pair) for pair in retained),
         ))
+        self._open_brackets.add(stripe_id)
+        return seq
 
     def end_stripe_commit(
         self, stripe_id: int, parity_block_ids: Iterable[int]
     ) -> int:
         """Close the bracket: the stripe commit is now atomic-visible."""
-        return self.append(rec.EndStripeCommit(
+        seq = self.append(rec.EndStripeCommit(
             stripe_id=stripe_id,
             parity_block_ids=tuple(parity_block_ids),
         ))
+        self._open_brackets.discard(stripe_id)
+        return seq
 
     # ------------------------------------------------------------------
     # Checkpoints and fingerprints
@@ -232,29 +258,30 @@ class MetadataJournal:
 
     def current_fingerprint(self) -> str:
         """``state_fingerprint()`` over every attached store."""
-        if self._block_store is None:
-            raise ValueError(
-                "no block store attached; call journal.attach(...) first"
-            )
-        return state_fingerprint(
-            self._block_store,
-            self._stripe_store,
-            self._namespace,
-            self.dead_nodes,
-            pending_relocations=self.pending_relocations,
-        )
+        return fingerprint_of(self.current_state())
 
     def checkpoint(self, prune: bool = False) -> str:
         """Write an fsimage-style snapshot as of the current sequence.
 
-        With ``prune=True``, segments fully covered by the checkpoint
-        are deleted (the writer's active segment is always kept).
+        Only the newest two checkpoints are kept.  With ``prune=True``,
+        segments fully covered by the checkpoint are deleted (the
+        writer's active segment is always kept).
+
+        Raises:
+            RuntimeError: Inside an open stripe-commit bracket, where the
+                snapshot would hide the intent record from recovery.
         """
+        if self._open_brackets:
+            raise RuntimeError(
+                f"checkpoint inside the open commit bracket of stripe(s) "
+                f"{sorted(self._open_brackets)} would lose the intent"
+            )
         self.flush()
         path = write_checkpoint(
             self.directory, self._seq, self.current_state()
         )
-        self.checkpoints_written += 1
+        drop_old_checkpoints(self.directory)
+        self._checkpointed_seq = self._seq
         PERF.bump("journal.checkpoints")
         if prune:
             prune_segments(
@@ -263,25 +290,6 @@ class MetadataJournal:
                 keep=(self.writer.current_segment_path,),
             )
         return path
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def scan(self) -> ScanResult:
-        """A full structural scan of the on-disk journal."""
-        self.flush()
-        return scan_journal(self.directory)
-
-    def stats(self) -> Dict[str, int]:
-        """In-memory counters of this journal handle."""
-        return {
-            "last_seq": self._seq,
-            "flushed_seq": self.flushed_seq,
-            "records_appended": self.records_appended,
-            "bytes_written": self.writer.bytes_written,
-            "checkpoints_written": self.checkpoints_written,
-            "dead_nodes": len(self.dead_nodes),
-        }
 
     def close(self) -> None:
         """Flush and release the underlying writer."""

@@ -18,7 +18,9 @@ observably half-committed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar, Dict, Optional, Tuple, Type
 
 
@@ -31,13 +33,6 @@ class JournalRecord:
     """
 
     record_type: ClassVar[str] = ""
-
-    def to_payload(self) -> Dict[str, object]:
-        """The record's fields as a JSON-ready dict."""
-        out: Dict[str, object] = {}
-        for spec in fields(self):
-            out[spec.name] = _jsonify(getattr(self, spec.name))
-        return out
 
 
 def _jsonify(value: object) -> object:
@@ -320,18 +315,67 @@ RECORD_TYPES: Dict[str, Type[JournalRecord]] = {
     )
 }
 
+#: type tag -> the field names every on-disk ``data`` object of it carries.
+RECORD_FIELDS: Dict[str, frozenset] = {
+    tag: frozenset(spec.name for spec in fields(cls))
+    for tag, cls in RECORD_TYPES.items()
+}
+
 
 class UnknownRecordError(ValueError):
     """Raised when decoding a record whose type tag is not registered."""
 
 
 def encode_record(record: JournalRecord) -> Dict[str, object]:
-    """``record`` as its on-disk envelope payload (type tag + fields)."""
-    if type(record).record_type not in RECORD_TYPES:
+    """``record`` as its on-disk envelope payload (type tag + fields); the
+    reference :func:`record_text` must match byte for byte."""
+    data = {
+        spec.name: _jsonify(getattr(record, spec.name))
+        for spec in fields(record)
+    }
+    return {"type": type(record).record_type, "data": data}
+
+
+def _text_template(tag: str) -> Tuple[str, Tuple[str, ...]]:
+    names = tuple(sorted(RECORD_FIELDS[tag]))
+    body = ",".join(f'"{name}":%s' for name in names)
+    return f'{{"data":{{{body}}},"seq":%d,"type":"{tag}"}}', names
+
+
+#: record class -> (``%``-template of its canonical sorted-keys envelope,
+#: its field names in template order).
+_TEXT_TEMPLATES: Dict[type, Tuple[str, Tuple[str, ...]]] = {
+    cls: _text_template(tag) for tag, cls in RECORD_TYPES.items()
+}
+
+
+def _json_value(value: object) -> str:
+    """One field value as canonical (tight-separator, ASCII-only) JSON."""
+    kind = value.__class__
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is tuple:
+        return "[" + ",".join(map(_json_value, value)) + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value, separators=(",", ":"))
+
+
+def record_text(seq: int, record: JournalRecord) -> str:
+    """The canonical sorted-keys JSON of ``record``'s envelope at ``seq``:
+    the append path's encoder, one ``%`` substitution per record."""
+    try:
+        template, names = _TEXT_TEMPLATES[record.__class__]
+    except KeyError:
         raise UnknownRecordError(
             f"record class {type(record).__name__} is not registered"
-        )
-    return {"type": type(record).record_type, "data": record.to_payload()}
+        ) from None
+    values = record.__dict__
+    return template % (*[_json_value(values[name]) for name in names], seq)
 
 
 def decode_record(payload: Dict[str, object]) -> JournalRecord:

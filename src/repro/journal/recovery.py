@@ -21,14 +21,19 @@ observably half-committed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cluster.block import Block, BlockKind
+from repro.core.stripe import PreEncodingStore, Stripe, StripeState
 from repro.journal import records as rec
 from repro.journal.checkpoint import load_latest_checkpoint
 from repro.journal.journal import MetadataJournal
 from repro.journal.state import restore_state, state_fingerprint
-from repro.journal.wal import scan_journal
+from repro.journal.wal import ScanResult, iter_journal
 from repro.sim.metrics import PERF
+
+#: One envelope's ``data`` object: field name -> JSON value.
+Data = Dict[str, Any]
 
 
 @dataclass
@@ -92,227 +97,204 @@ class RecoveredState:
         )
         journal.dead_nodes = set(self.dead_nodes)
         journal.pending_relocations = list(self.pending_relocations)
+        if self.stats.rolled_forward:
+            # The roll-forward is not in the log; replaying the log over
+            # later records would redo it in another order.
+            journal.checkpoint()
         return journal
 
 
-class _Replayer:
-    """Applies decoded records to the rebuilding stores, idempotently."""
+class Replayer:
+    """Applies journal envelopes to the rebuilding stores, idempotently.
 
-    def __init__(self, topology, block_store, stripe_store, namespace,
-                 dead_nodes: Set[int], stats: RecoveryStats,
-                 pending_relocations: Optional[List[int]] = None) -> None:
-        self.topology = topology
-        self.blocks = block_store
-        self.stripes = stripe_store
-        self.namespace = namespace
-        self.dead_nodes = dead_nodes
-        self.stats = stats
-        self.pending_relocations: List[int] = (
-            [] if pending_relocations is None else pending_relocations
-        )
-        # stripe_id -> (intent record, parity ids already replayed)
-        self.open_brackets: Dict[int, Tuple[rec.BeginStripeCommit, List[int]]] = {}
+    Handlers are picked by the envelope's type tag and read the fields
+    straight from its ``data`` object; no record instance is built.
+    """
 
-    # -- helpers -------------------------------------------------------
-    def _applied(self) -> None:
-        self.stats.replayed_ops += 1
-        PERF.bump("journal.replayed_ops")
-
-    def _skipped(self) -> None:
-        self.stats.skipped_ops += 1
+    def __init__(self, state: Optional[Dict[str, object]], topology,
+                 k: Optional[int] = None) -> None:
+        """Start from a checkpointed ``state`` (``None``: empty stores,
+        with a pre-encoding store only when ``k`` is given)."""
+        restored = restore_state(state or {}, topology)
+        self.blocks = restored.block_store
+        self.stripes = restored.stripe_store
+        if state is None and k is not None:
+            self.stripes = PreEncodingStore(k)
+        self.namespace = restored.namespace
+        self.dead_nodes = restored.dead_nodes
+        self.pending_relocations = restored.pending_relocations
+        self.stats = RecoveryStats()
+        # stripe_id -> (intent data, parity ids already replayed)
+        self.open_brackets: Dict[int, Tuple[Data, List[int]]] = {}
 
     def _error(self, seq: int, message: str) -> None:
         self.stats.errors.append(f"seq {seq}: {message}")
 
-    def _ensure_stripe_store(self, k: int):
-        if self.stripes is None:
-            from repro.core.stripe import PreEncodingStore
-
-            self.stripes = PreEncodingStore(k)
-        return self.stripes
-
     # -- dispatch ------------------------------------------------------
-    def apply(self, seq: int, record: rec.JournalRecord) -> None:
-        handler = getattr(self, "_on_" + type(record).record_type, None)
-        if handler is None:
-            self._error(seq, f"no replay handler for {type(record).__name__}")
-            return
-        handler(seq, record)
+    def apply(self, envelope: Dict[str, object]) -> None:
+        """Replay one envelope.  A handler returns ``True`` when it applied
+        the record, ``False`` when its effect was already present, and
+        ``None`` after reporting an error."""
+        seq = int(envelope["seq"])  # type: ignore[call-overload]
+        type_tag, data = envelope.get("type"), envelope.get("data")
+        names = rec.RECORD_FIELDS.get(type_tag)  # type: ignore[arg-type]
+        if names is None:
+            return self._error(seq, f"undecodable record: unknown journal "
+                                    f"record type {type_tag!r}")
+        if not isinstance(data, dict) or data.keys() != names:
+            return self._error(seq, f"undecodable record: {type_tag} data "
+                                    f"must carry exactly {sorted(names)}")
+        applied = getattr(self, f"_on_{type_tag}")(seq, data)
+        if applied:
+            self.stats.replayed_ops += 1
+        elif applied is False:
+            self.stats.skipped_ops += 1
 
     # -- block lifecycle ----------------------------------------------
-    def _on_add_block(self, seq: int, record: rec.AddBlock) -> None:
-        from repro.cluster.block import Block
-
-        if record.block_id in self.blocks:
-            self._skipped()
-            return
+    def _on_add_block(self, seq: int, data: Data) -> Optional[bool]:
+        if data["block_id"] in self.blocks:
+            return False
         self.blocks.restore_block(Block(
-            record.block_id, record.size, record.kind, record.stripe_id
+            data["block_id"], data["size"], data["kind"], data["stripe_id"]
         ))
-        self._applied()
+        return True
 
-    def _on_place_replica(self, seq: int, record: rec.PlaceReplica) -> None:
-        if record.block_id not in self.blocks:
-            self._error(seq, f"replica of unknown block {record.block_id}")
-            return
-        if record.node_id in self.blocks.replica_nodes(record.block_id):
-            self._skipped()
-            return
+    def _on_place_replica(self, seq: int, data: Data) -> Optional[bool]:
+        block_id, node_id = data["block_id"], data["node_id"]
+        if block_id not in self.blocks:
+            return self._error(seq, f"replica of unknown block {block_id}")
+        if node_id in self.blocks.replica_nodes(block_id):
+            return False
         self.blocks.add_replica(
-            record.block_id, record.node_id, is_primary=record.is_primary
+            block_id, node_id, is_primary=data["is_primary"]
         )
-        self._applied()
+        return True
 
-    def _on_delete_replica(self, seq: int, record: rec.DeleteReplica) -> None:
-        if (record.block_id not in self.blocks
-                or record.node_id
-                not in self.blocks.replica_nodes(record.block_id)):
-            self._skipped()
-            return
-        self.blocks.remove_replica(record.block_id, record.node_id)
-        self._applied()
+    def _on_delete_replica(self, seq: int, data: Data) -> Optional[bool]:
+        block_id, node_id = data["block_id"], data["node_id"]
+        if (block_id not in self.blocks
+                or node_id not in self.blocks.replica_nodes(block_id)):
+            return False
+        self.blocks.remove_replica(block_id, node_id)
+        return True
 
-    def _on_assign_stripe(self, seq: int, record: rec.AssignStripe) -> None:
-        if record.block_id not in self.blocks:
-            self._error(seq, f"stripe assignment for unknown block "
-                             f"{record.block_id}")
-            return
-        if self.blocks.block(record.block_id).stripe_id == record.stripe_id:
-            self._skipped()
-            return
-        self.blocks.assign_stripe(record.block_id, record.stripe_id)
-        self._applied()
+    def _on_assign_stripe(self, seq: int, data: Data) -> Optional[bool]:
+        block_id, stripe_id = data["block_id"], data["stripe_id"]
+        if block_id not in self.blocks:
+            return self._error(
+                seq, f"stripe assignment for unknown block {block_id}"
+            )
+        if self.blocks.block(block_id).stripe_id == stripe_id:
+            return False
+        self.blocks.assign_stripe(block_id, stripe_id)
+        return True
 
-    def _on_relocate(self, seq: int, record: rec.Relocate) -> None:
-        if record.block_id not in self.blocks:
-            self._error(seq, f"relocation of unknown block {record.block_id}")
-            return
-        nodes = self.blocks.replica_nodes(record.block_id)
-        if record.dst_node in nodes:
-            self._skipped()
-            return
-        if record.src_node not in nodes:
-            self._error(seq, f"relocation source {record.src_node} holds no "
-                             f"replica of block {record.block_id}")
-            return
-        self.blocks.move_replica(
-            record.block_id, record.src_node, record.dst_node
-        )
-        self._applied()
+    def _on_relocate(self, seq: int, data: Data) -> Optional[bool]:
+        block_id = data["block_id"]
+        src_node, dst_node = data["src_node"], data["dst_node"]
+        if block_id not in self.blocks:
+            return self._error(seq, f"relocation of unknown block {block_id}")
+        nodes = self.blocks.replica_nodes(block_id)
+        if dst_node in nodes:
+            return False
+        if src_node not in nodes:
+            return self._error(seq, f"relocation source {src_node} holds "
+                                    f"no replica of block {block_id}")
+        self.blocks.move_replica(block_id, src_node, dst_node)
+        return True
 
-    def _on_mark_corrupted(self, seq: int, record: rec.MarkCorrupted) -> None:
-        if (record.block_id not in self.blocks
-                or record.node_id
-                not in self.blocks.replica_nodes(record.block_id)):
-            self._error(seq, f"corruption mark for absent replica "
-                             f"({record.block_id}, {record.node_id})")
-            return
-        if self.blocks.is_corrupted(record.block_id, record.node_id):
-            self._skipped()
-            return
-        self.blocks.mark_corrupted(record.block_id, record.node_id)
-        self._applied()
+    def _on_mark_corrupted(self, seq: int, data: Data) -> Optional[bool]:
+        block_id, node_id = data["block_id"], data["node_id"]
+        if (block_id not in self.blocks
+                or node_id not in self.blocks.replica_nodes(block_id)):
+            return self._error(seq, f"corruption mark for absent replica "
+                                    f"({block_id}, {node_id})")
+        if self.blocks.is_corrupted(block_id, node_id):
+            return False
+        self.blocks.mark_corrupted(block_id, node_id)
+        return True
 
-    def _on_clear_corrupted(self, seq: int, record: rec.ClearCorrupted) -> None:
-        if (record.block_id not in self.blocks
-                or not self.blocks.is_corrupted(
-                    record.block_id, record.node_id)):
-            self._skipped()
-            return
-        self.blocks.clear_corrupted(record.block_id, record.node_id)
-        self._applied()
+    def _on_clear_corrupted(self, seq: int, data: Data) -> Optional[bool]:
+        block_id, node_id = data["block_id"], data["node_id"]
+        if (block_id not in self.blocks
+                or not self.blocks.is_corrupted(block_id, node_id)):
+            return False
+        self.blocks.clear_corrupted(block_id, node_id)
+        return True
 
     # -- stripe lifecycle ---------------------------------------------
-    def _on_new_stripe(self, seq: int, record: rec.NewStripe) -> None:
-        from repro.core.stripe import Stripe
-
-        store = self._ensure_stripe_store(record.k)
+    def _on_new_stripe(self, seq: int, data: Data) -> Optional[bool]:
+        if self.stripes is None:
+            self.stripes = PreEncodingStore(data["k"])
         try:
-            store.stripe(record.stripe_id)
-            self._skipped()
-            return
+            self.stripes.stripe(data["stripe_id"])
+            return False
         except KeyError:
             pass
-        store.restore_stripe(Stripe(
-            stripe_id=record.stripe_id,
-            k=record.k,
-            core_rack=record.core_rack,
-            target_racks=None if record.target_racks is None
-            else tuple(record.target_racks),
+        self.stripes.restore_stripe(Stripe(
+            stripe_id=data["stripe_id"],
+            k=data["k"],
+            core_rack=data["core_rack"],
+            target_racks=None if data["target_racks"] is None
+            else tuple(data["target_racks"]),
         ))
-        self._applied()
+        return True
 
-    def _on_stripe_add_block(self, seq: int, record: rec.StripeAddBlock) -> None:
+    def _on_stripe_add_block(self, seq: int, data: Data) -> Optional[bool]:
+        stripe_id, block_id = data["stripe_id"], data["block_id"]
         if self.stripes is None:
-            self._error(seq, f"stripe {record.stripe_id} unknown (no store)")
-            return
+            return self._error(seq, f"stripe {stripe_id} unknown (no store)")
         try:
-            stripe = self.stripes.stripe(record.stripe_id)
+            stripe = self.stripes.stripe(stripe_id)
         except KeyError:
-            self._error(seq, f"block added to unknown stripe "
-                             f"{record.stripe_id}")
-            return
-        if record.block_id in stripe.block_ids:
-            self._skipped()
-            return
+            return self._error(
+                seq, f"block added to unknown stripe {stripe_id}"
+            )
+        if block_id in stripe.block_ids:
+            return False
         self.stripes.add_block(
-            record.stripe_id, record.block_id,
-            seal_when_full=record.seal_when_full,
+            stripe_id, block_id, seal_when_full=data["seal_when_full"]
         )
-        self._applied()
+        return True
 
-    def _on_seal_stripe(self, seq: int, record: rec.SealStripe) -> None:
-        from repro.core.stripe import StripeState
-
+    def _on_seal_stripe(self, seq: int, data: Data) -> Optional[bool]:
+        stripe_id = data["stripe_id"]
         if self.stripes is None:
-            self._error(seq, f"seal of unknown stripe {record.stripe_id}")
-            return
-        stripe = self.stripes.stripe(record.stripe_id)
+            return self._error(seq, f"seal of unknown stripe {stripe_id}")
+        stripe = self.stripes.stripe(stripe_id)
         if stripe.state != StripeState.OPEN:
-            self._skipped()
-            return
+            return False
         stripe.seal()
-        self._applied()
+        return True
 
     # -- the commit bracket -------------------------------------------
-    def _on_begin_stripe_commit(
-        self, seq: int, record: rec.BeginStripeCommit
-    ) -> None:
-        self.open_brackets[record.stripe_id] = (record, [])
-        self._applied()
+    def _on_begin_stripe_commit(self, seq: int, data: Data) -> Optional[bool]:
+        self.open_brackets[data["stripe_id"]] = (data, [])
+        return True
 
-    def _on_parity_add(self, seq: int, record: rec.ParityAdd) -> None:
-        from repro.cluster.block import Block, BlockKind
-
-        bracket = self.open_brackets.get(record.stripe_id)
+    def _on_parity_add(self, seq: int, data: Data) -> Optional[bool]:
+        stripe_id, block_id = data["stripe_id"], data["block_id"]
+        bracket = self.open_brackets.get(stripe_id)
         if bracket is not None:
-            bracket[1].append(record.block_id)
-        if record.block_id in self.blocks:
-            self._skipped()
-            return
+            bracket[1].append(block_id)
+        if block_id in self.blocks:
+            return False
         self.blocks.restore_block(Block(
-            record.block_id, record.size, BlockKind.PARITY, record.stripe_id
+            block_id, data["size"], BlockKind.PARITY, stripe_id
         ))
-        self.blocks.add_replica(
-            record.block_id, record.node_id, is_primary=True
-        )
-        self._applied()
+        self.blocks.add_replica(block_id, data["node_id"], is_primary=True)
+        return True
 
-    def _on_end_stripe_commit(
-        self, seq: int, record: rec.EndStripeCommit
-    ) -> None:
-        from repro.core.stripe import StripeState
-
-        self.open_brackets.pop(record.stripe_id, None)
+    def _on_end_stripe_commit(self, seq: int, data: Data) -> Optional[bool]:
+        stripe_id = data["stripe_id"]
+        self.open_brackets.pop(stripe_id, None)
         if self.stripes is None:
-            self._error(seq, f"commit of unknown stripe {record.stripe_id}")
-            return
-        stripe = self.stripes.stripe(record.stripe_id)
+            return self._error(seq, f"commit of unknown stripe {stripe_id}")
+        stripe = self.stripes.stripe(stripe_id)
         if stripe.state == StripeState.ENCODED:
-            self._skipped()
-            return
-        stripe.mark_encoded(list(record.parity_block_ids))
-        self._applied()
+            return False
+        stripe.mark_encoded(list(data["parity_block_ids"]))
+        return True
 
     def roll_forward_open_brackets(self) -> None:
         """Complete every still-open commit bracket from its intent.
@@ -323,22 +305,19 @@ class _Replayer:
         allocated), then the retention pairs are applied with the same
         surviving-keeper fallback, then the stripe is marked encoded.
         """
-        from repro.cluster.block import BlockKind
-        from repro.core.stripe import StripeState
-
         for stripe_id in sorted(self.open_brackets):
             intent, parity_ids = self.open_brackets[stripe_id]
             parity_ids = list(parity_ids)
-            for node_id in intent.parity_nodes[len(parity_ids):]:
+            for node_id in intent["parity_nodes"][len(parity_ids):]:
                 parity = self.blocks.create_block(
-                    intent.parity_size, kind=BlockKind.PARITY,
+                    intent["parity_size"], kind=BlockKind.PARITY,
                     stripe_id=stripe_id,
                 )
                 self.blocks.add_replica(
                     parity.block_id, node_id, is_primary=True
                 )
                 parity_ids.append(parity.block_id)
-            for block_id, node_id in intent.retained:
+            for block_id, node_id in intent["retained"]:
                 survivors = self.blocks.replica_nodes(block_id)
                 if not survivors:
                     continue
@@ -352,65 +331,53 @@ class _Replayer:
         self.open_brackets.clear()
 
     # -- relocation backlog -------------------------------------------
-    def _on_relocation_requested(
-        self, seq: int, record: rec.RelocationRequested
-    ) -> None:
+    def _on_relocation_requested(self, seq: int, data: Data) -> Optional[bool]:
         # Duplicates are legal (the same stripe can be flagged twice),
         # so no idempotence check: every request record is one backlog
         # entry, matched by one relocation_served record.
-        self.pending_relocations.append(record.stripe_id)
-        self._applied()
+        self.pending_relocations.append(data["stripe_id"])
+        return True
 
-    def _on_relocation_served(
-        self, seq: int, record: rec.RelocationServed
-    ) -> None:
-        if record.stripe_id not in self.pending_relocations:
-            self._skipped()
-            return
-        self.pending_relocations.remove(record.stripe_id)
-        self._applied()
+    def _on_relocation_served(self, seq: int, data: Data) -> Optional[bool]:
+        if data["stripe_id"] not in self.pending_relocations:
+            return False
+        self.pending_relocations.remove(data["stripe_id"])
+        return True
 
     # -- node liveness -------------------------------------------------
-    def _on_node_dead(self, seq: int, record: rec.NodeDead) -> None:
-        if record.node_id in self.dead_nodes:
-            self._skipped()
-            return
-        self.dead_nodes.add(record.node_id)
-        self._applied()
+    def _on_node_dead(self, seq: int, data: Data) -> Optional[bool]:
+        if data["node_id"] in self.dead_nodes:
+            return False
+        self.dead_nodes.add(data["node_id"])
+        return True
 
-    def _on_node_alive(self, seq: int, record: rec.NodeAlive) -> None:
-        if record.node_id not in self.dead_nodes:
-            self._skipped()
-            return
-        self.dead_nodes.discard(record.node_id)
-        self._applied()
+    def _on_node_alive(self, seq: int, data: Data) -> Optional[bool]:
+        if data["node_id"] not in self.dead_nodes:
+            return False
+        self.dead_nodes.discard(data["node_id"])
+        return True
 
     # -- file namespace ------------------------------------------------
-    def _on_file_create(self, seq: int, record: rec.FileCreate) -> None:
-        if self.namespace.exists(record.name):
-            self._skipped()
-            return
-        self.namespace.create(record.name)
-        self._applied()
+    def _on_file_create(self, seq: int, data: Data) -> Optional[bool]:
+        if self.namespace.exists(data["name"]):
+            return False
+        self.namespace.create(data["name"])
+        return True
 
-    def _on_file_append_block(
-        self, seq: int, record: rec.FileAppendBlock
-    ) -> None:
-        if not self.namespace.exists(record.name):
-            self._error(seq, f"block appended to unknown file {record.name!r}")
-            return
-        if record.block_id in self.namespace.lookup(record.name).block_ids:
-            self._skipped()
-            return
-        self.namespace.append_block(record.name, record.block_id, record.size)
-        self._applied()
+    def _on_file_append_block(self, seq: int, data: Data) -> Optional[bool]:
+        name, block_id = data["name"], data["block_id"]
+        if not self.namespace.exists(name):
+            return self._error(seq, f"block appended to unknown file {name!r}")
+        if block_id in self.namespace.lookup(name).block_ids:
+            return False
+        self.namespace.append_block(name, block_id, data["size"])
+        return True
 
-    def _on_file_delete(self, seq: int, record: rec.FileDelete) -> None:
-        if not self.namespace.exists(record.name):
-            self._skipped()
-            return
-        self.namespace.delete(record.name)
-        self._applied()
+    def _on_file_delete(self, seq: int, data: Data) -> Optional[bool]:
+        if not self.namespace.exists(data["name"]):
+            return False
+        self.namespace.delete(data["name"])
+        return True
 
 
 def recover(
@@ -433,49 +400,25 @@ def recover(
         pass.  The stores come back *detached*; call
         :meth:`RecoveredState.reopen_journal` to resume journaling.
     """
-    stats = RecoveryStats()
     checkpoint, warnings = load_latest_checkpoint(directory)
+    replayer = Replayer(
+        None if checkpoint is None else checkpoint.state, topology, k
+    )
+    stats = replayer.stats
     stats.errors.extend(warnings)
-
     if checkpoint is not None:
-        restored = restore_state(checkpoint.state, topology)
-        block_store = restored.block_store
-        stripe_store = restored.stripe_store
-        namespace = restored.namespace
-        dead_nodes = restored.dead_nodes
-        pending_relocations = restored.pending_relocations
         stats.checkpoint_seq = checkpoint.last_seq
-    else:
-        from repro.cluster.block import BlockStore
-        from repro.core.stripe import PreEncodingStore
-        from repro.hdfs.files import FileNamespace
-
-        block_store = BlockStore(topology)
-        stripe_store = None if k is None else PreEncodingStore(k)
-        namespace = FileNamespace()
-        dead_nodes = set()
-        pending_relocations = []
-
-    scan = scan_journal(directory)
+    # Segments wholly covered by the checkpoint are never opened; the
+    # first scanned one may still start at or below it.
+    scan = ScanResult()
+    for envelope in iter_journal(directory, scan, stats.checkpoint_seq):
+        if envelope["seq"] > stats.checkpoint_seq:  # type: ignore[operator]
+            replayer.apply(envelope)
+    replayer.roll_forward_open_brackets()
     stats.torn_tail = scan.torn_tail
     stats.errors.extend(scan.errors)
     stats.last_seq = scan.last_seq
-
-    replayer = _Replayer(
-        topology, block_store, stripe_store, namespace, dead_nodes, stats,
-        pending_relocations=pending_relocations,
-    )
-    for envelope in scan.envelopes:
-        seq = int(envelope["seq"])  # type: ignore[arg-type]
-        if seq <= stats.checkpoint_seq:
-            continue
-        try:
-            record = rec.decode_record(envelope)
-        except (rec.UnknownRecordError, TypeError, ValueError) as exc:
-            replayer._error(seq, f"undecodable record: {exc}")
-            continue
-        replayer.apply(seq, record)
-    replayer.roll_forward_open_brackets()
+    PERF.bump("journal.replayed_ops", stats.replayed_ops)
 
     return RecoveredState(
         directory=directory,
@@ -496,8 +439,6 @@ def verify_stripe_consistency(block_store, stripe_store) -> List[str]:
     encoded stripe's registered parity set disagrees with the block
     store.  Returns human-readable problems (empty = consistent).
     """
-    from repro.core.stripe import StripeState
-
     problems: List[str] = []
     if stripe_store is None:
         return problems

@@ -78,11 +78,6 @@ def capture_state(
     return state
 
 
-def canonical_json(state: Dict[str, object]) -> str:
-    """The canonical (sorted-keys, tight-separator) encoding of a state."""
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
-
-
 def state_fingerprint(
     block_store,
     stripe_store=None,
@@ -95,12 +90,14 @@ def state_fingerprint(
     Deterministic for identical metadata regardless of host, hash seed,
     or the path (live mutation vs journal replay) that produced it.
     """
-    blob = canonical_json(
-        capture_state(
-            block_store, stripe_store, namespace, dead_nodes,
-            pending_relocations,
-        )
-    )
+    return fingerprint_of(capture_state(
+        block_store, stripe_store, namespace, dead_nodes, pending_relocations,
+    ))
+
+
+def fingerprint_of(state: Dict[str, object]) -> str:
+    """sha256 over the canonical encoding of a captured state dict."""
+    blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -12,17 +12,29 @@ Checks every layer an operator cares about before trusting a log:
   unmatched end is an error;
 * checkpoints — every checkpoint file must pass its CRC, and its
   ``last_seq`` must not exceed the log's durable tail… unless the log
-  was pruned beneath it, which the scan reveals.
+  was pruned beneath it, which the scan reveals;
+* checkpoint vs prefix — every checkpoint whose whole prefix (records
+  ``1..last_seq``) is still on disk must fingerprint-equal a replay of
+  exactly that prefix: one written after record *S* was journaled but
+  before its caller applied it claims *S* without *S*'s effect.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List
 
+from repro.cluster.topology import ClusterTopology
 from repro.journal import records as rec
-from repro.journal.checkpoint import CheckpointError, list_checkpoints, load_checkpoint
+from repro.journal.checkpoint import (
+    CheckpointData,
+    CheckpointError,
+    list_checkpoints,
+    load_checkpoint,
+)
+from repro.journal.recovery import Replayer
+from repro.journal.state import fingerprint_of, state_fingerprint
 from repro.journal.wal import scan_journal
 
 
@@ -106,6 +118,7 @@ def verify_journal(directory: str) -> VerifyReport:
         )
 
     last_seq = scan.last_seq
+    loaded: List[CheckpointData] = []
     for checkpoint_seq, path in list_checkpoints(directory):
         try:
             data = load_checkpoint(path)
@@ -118,4 +131,53 @@ def verify_journal(directory: str) -> VerifyReport:
                 f"{os.path.basename(path)}: checkpoint covers seq "
                 f"{data.last_seq} but the log's durable tail is {last_seq}"
             )
+        else:
+            loaded.append(data)
+    if (loaded and not report.errors and scan.envelopes
+            and scan.envelopes[0]["seq"] == 1):
+        try:
+            _check_checkpoints_against_prefix(report, scan.envelopes, loaded)
+        except (KeyError, TypeError, ValueError) as exc:
+            report.errors.append(
+                f"checkpoint check: the log does not replay: {exc!r}"
+            )
     return report
+
+
+def _check_checkpoints_against_prefix(
+    report: VerifyReport,
+    envelopes: List[Dict[str, Any]],
+    checkpoints: List[CheckpointData],
+) -> None:
+    """Replay the log from record 1, comparing at each checkpoint's seq."""
+    # The block store only asks its topology which node ids exist and the
+    # fingerprint holds no topology, so one rack wide enough for every
+    # node a replica was ever put on stands in.
+    widest = max(
+        max(envelope["data"].get("node_id", 0),
+            envelope["data"].get("dst_node", 0))
+        for envelope in envelopes
+    )
+    topology = ClusterTopology(nodes_per_rack=widest + 1, num_racks=1)
+    due = {data.last_seq: data for data in checkpoints}
+    replayer = Replayer(None, topology)
+    for envelope in envelopes:
+        replayer.apply(envelope)
+        data = due.pop(envelope["seq"], None)
+        if data is None:
+            continue
+        if replayer.open_brackets:
+            # checkpoint() refuses inside a bracket, so a recovery rolled
+            # this one forward without journaling it: from here on the
+            # log alone no longer replays the state.
+            return
+        if fingerprint_of(data.state) != state_fingerprint(
+            replayer.blocks, replayer.stripes, replayer.namespace,
+            replayer.dead_nodes, replayer.pending_relocations,
+        ):
+            report.errors.append(
+                f"{os.path.basename(data.path)}: state differs from a "
+                f"replay of records 1..{data.last_seq}"
+            )
+        if not due:
+            return

@@ -23,7 +23,7 @@ import os
 import re
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.metrics import PERF
 
@@ -39,16 +39,56 @@ class JournalFormatError(ValueError):
     """A structurally invalid line somewhere other than the log's tail."""
 
 
+def frame_line(text: str) -> str:
+    """``text`` (one canonical envelope) plus its CRC field, no newline."""
+    return f"{text}\t{zlib.crc32(text.encode('utf-8')):08x}"
+
+
 def encode_line(seq: int, envelope: Dict[str, object]) -> str:
-    """One record as its on-disk line (canonical JSON + CRC, no newline)."""
+    """One record as its on-disk line (canonical JSON + CRC, no newline);
+    the reference for the append path's ``frame_line(record_text(...))``."""
     payload = dict(envelope)
     payload["seq"] = seq
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
-    return f"{text}\t{crc:08x}"
+    return frame_line(
+        json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    )
 
 
-def decode_line(line: str) -> Dict[str, object]:
+def _checked_text(line: bytes) -> bytes:
+    """The JSON text of one line, once its CRC field checks out."""
+    text, sep, crc_hex = line.rpartition(b"\t")
+    if not sep:
+        raise JournalFormatError("record line has no CRC field")
+    try:
+        expected = int(crc_hex, 16)
+    except ValueError:
+        raise JournalFormatError(
+            f"record CRC {crc_hex.decode(errors='replace')!r} is not "
+            f"hexadecimal"
+        ) from None
+    actual = zlib.crc32(text)
+    if actual != expected:
+        raise JournalFormatError(
+            f"record CRC mismatch (stored {crc_hex.decode()}, "
+            f"computed {actual:08x})"
+        )
+    return text
+
+
+def _envelopes(texts: List[bytes]) -> List[Dict[str, object]]:
+    """Parse CRC-checked record texts with a single ``json.loads``."""
+    try:
+        payloads = json.loads(b"[" + b",".join(texts) + b"]")
+    except ValueError as exc:
+        raise JournalFormatError(f"record JSON undecodable: {exc}") from None
+    if len(payloads) != len(texts) or not all(
+        isinstance(payload, dict) and "seq" in payload for payload in payloads
+    ):
+        raise JournalFormatError("record envelope lacks a seq field")
+    return payloads
+
+
+def decode_line(line: Union[str, bytes]) -> Dict[str, object]:
     """Parse and CRC-check one line.
 
     Raises:
@@ -56,28 +96,9 @@ def decode_line(line: str) -> Dict[str, object]:
             undecodable JSON — the caller decides whether the position
             (tail or mid-log) makes that torn or corrupt.
     """
-    stripped = line.rstrip("\n")
-    text, sep, crc_hex = stripped.rpartition("\t")
-    if not sep:
-        raise JournalFormatError("record line has no CRC field")
-    try:
-        expected = int(crc_hex, 16)
-    except ValueError:
-        raise JournalFormatError(
-            f"record CRC {crc_hex!r} is not hexadecimal"
-        ) from None
-    actual = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
-    if actual != expected:
-        raise JournalFormatError(
-            f"record CRC mismatch (stored {crc_hex}, computed {actual:08x})"
-        )
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JournalFormatError(f"record JSON undecodable: {exc}") from None
-    if not isinstance(payload, dict) or "seq" not in payload:
-        raise JournalFormatError("record envelope lacks a seq field")
-    return payload
+    if isinstance(line, str):
+        line = line.encode("utf-8")
+    return _envelopes([_checked_text(line.rstrip(b"\n"))])[0]
 
 
 def segment_path(directory: str, index: int) -> str:
@@ -128,7 +149,6 @@ class JournalWriter:
         self._records_in_segment = 0
         self._buffer: List[str] = []
         self._handle = None
-        self.bytes_written = 0
 
     @property
     def current_segment_path(self) -> str:
@@ -153,7 +173,6 @@ class JournalWriter:
         for text in pending:
             handle = self._ensure_handle()
             handle.write(text)
-            self.bytes_written += len(text.encode("utf-8"))
             self._records_in_segment += 1
             if self._records_in_segment >= self.segment_records:
                 handle.flush()
@@ -165,20 +184,17 @@ class JournalWriter:
             if self.fsync:
                 os.fsync(self._handle.fileno())
 
-    def write_torn(self, line: str, keep_bytes: Optional[int] = None) -> None:
+    def write_torn(self, line: str) -> None:
         """Write a deliberately truncated record (crash-drill helper).
 
         Flushes any buffered records first, then writes only the first
-        ``keep_bytes`` bytes of ``line`` (half of it by default) with no
-        trailing newline — the exact artifact a crash mid-write leaves.
+        half of ``line`` with no trailing newline — the exact artifact a
+        crash mid-write leaves.
         """
         self.flush()
-        encoded = line.encode("utf-8")
-        cut = len(encoded) // 2 if keep_bytes is None else keep_bytes
         handle = self._ensure_handle()
-        handle.write(encoded[:cut].decode("utf-8", errors="ignore"))
+        handle.write(line[:len(line) // 2])
         handle.flush()
-        self.bytes_written += cut
 
     def close(self) -> None:
         """Flush and release the current segment handle."""
@@ -211,74 +227,109 @@ class JournalWriter:
 # ----------------------------------------------------------------------
 @dataclass
 class ScanResult:
-    """Everything a full journal scan found.
+    """Everything a journal scan found.
 
     Attributes:
         envelopes: Decoded record envelopes in log order (each carries
-            ``seq``, ``type`` and ``data``).
+            ``seq``, ``type`` and ``data``); :func:`scan_journal` keeps
+            them, :func:`iter_journal` only yields them.
         torn_tail: Description of a tolerated torn/truncated final
             record, or ``None`` when the log ends cleanly.
         errors: Mid-log structural problems (corrupt CRC, bad JSON,
             out-of-order sequence numbers).  A healthy journal has none.
         segments: ``(index, path, records)`` per scanned segment.
+        last_seq: Highest durable sequence number (0 for an empty log).
     """
 
     envelopes: List[Dict[str, object]] = field(default_factory=list)
     torn_tail: Optional[str] = None
     errors: List[str] = field(default_factory=list)
     segments: List[Tuple[int, str, int]] = field(default_factory=list)
+    last_seq: int = 0
 
-    @property
-    def last_seq(self) -> int:
-        """Highest durable sequence number (0 for an empty log)."""
-        return int(self.envelopes[-1]["seq"]) if self.envelopes else 0
+
+def _first_seq(path: str) -> Optional[int]:
+    """``seq`` of a segment's first record (``None`` when unreadable)."""
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    try:
+        return int(decode_line(first)["seq"])  # type: ignore[call-overload]
+    except (TypeError, ValueError):  # JournalFormatError is a ValueError
+        return None
+
+
+def uncovered_segments(
+    directory: str, covered_seq: int
+) -> List[Tuple[int, str]]:
+    """The segments that may hold a record with ``seq > covered_seq``.
+
+    A segment is wholly covered when the *next* segment's first record
+    has ``seq <= covered_seq + 1``, so recovery and pruning read one line
+    per segment, newest first, and never open the covered history (the
+    last segment is never provably covered).
+    """
+    segments = list_segments(directory)
+    for position in range(len(segments) - 1, 0, -1):
+        first = _first_seq(segments[position][1])
+        if first is not None and first <= covered_seq + 1:
+            return segments[position:]
+    return segments
+
+
+def iter_journal(
+    directory: str, result: ScanResult, after_seq: int = 0
+) -> Iterator[Dict[str, object]]:
+    """Yield the envelopes of every segment not covered by ``after_seq``
+    (the first of them may still start at or below it); ``result``
+    collects everything else.
+
+    Tolerates only a torn final record: a line that fails CRC or JSON
+    checks is a *torn tail* when it is the last line of the last segment
+    (a crash between write and flush); anywhere else it is an error.
+    Sequence numbers must strictly increase across the scanned segments.
+    """
+    segments = uncovered_segments(directory, after_seq)
+    for position, (index, path) in enumerate(segments):
+        name = os.path.basename(path)
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
+        numbered = [
+            (line_no, line)
+            for line_no, line in enumerate(lines, start=1) if line.strip()
+        ]
+        try:  # every CRC, then one parse for the whole segment
+            decoded = list(zip(
+                (line_no for line_no, _line in numbered),
+                _envelopes([_checked_text(line) for _no, line in numbered]),
+            ))
+        except JournalFormatError:  # line by line, to name the bad one
+            decoded = []
+            for line_no, line in numbered:
+                try:
+                    decoded.append((line_no, decode_line(line)))
+                except JournalFormatError as exc:
+                    problem = f"{name}:{line_no}: {exc}"
+                    if position == len(segments) - 1 and line_no == len(lines):
+                        result.torn_tail = problem
+                    else:
+                        result.errors.append(problem)
+        count = 0
+        for line_no, payload in decoded:
+            seq = int(payload["seq"])  # type: ignore[call-overload]
+            if seq <= result.last_seq:
+                result.errors.append(
+                    f"{name}:{line_no}: sequence number {seq} does not "
+                    f"increase (previous {result.last_seq})"
+                )
+                continue
+            result.last_seq = seq
+            count += 1
+            yield payload
+        result.segments.append((index, path, count))
 
 
 def scan_journal(directory: str) -> ScanResult:
-    """Read every segment, tolerating only a torn final record.
-
-    A line that fails CRC or JSON checks is a *torn tail* when it is the
-    last line of the last segment (a crash between write and flush);
-    anywhere else it is an error.  Sequence numbers must be strictly
-    increasing across the whole log.
-    """
+    """A full structural scan with every envelope kept (tools and tests)."""
     result = ScanResult()
-    segments = list_segments(directory)
-    last_seq: Optional[int] = None
-    for position, (index, path) in enumerate(segments):
-        is_last_segment = position == len(segments) - 1
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        count = 0
-        for line_no, line in enumerate(lines, start=1):
-            is_tail = is_last_segment and line_no == len(lines)
-            if not line.strip():
-                continue
-            try:
-                payload = decode_line(line)
-            except JournalFormatError as exc:
-                if is_tail:
-                    result.torn_tail = (
-                        f"{os.path.basename(path)}:{line_no}: {exc}"
-                    )
-                else:
-                    result.errors.append(
-                        f"{os.path.basename(path)}:{line_no}: {exc}"
-                    )
-                continue
-            if is_tail and not line.endswith("\n"):
-                # A record without its newline survived the crash whole;
-                # accept it — the CRC proves it is intact.
-                pass
-            seq = int(payload["seq"])  # type: ignore[arg-type]
-            if last_seq is not None and seq <= last_seq:
-                result.errors.append(
-                    f"{os.path.basename(path)}:{line_no}: sequence number "
-                    f"{seq} does not increase (previous {last_seq})"
-                )
-                continue
-            last_seq = seq
-            result.envelopes.append(payload)
-            count += 1
-        result.segments.append((index, path, count))
+    result.envelopes.extend(iter_journal(directory, result))
     return result

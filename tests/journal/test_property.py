@@ -22,7 +22,13 @@ except ImportError:  # pragma: no cover - image without hypothesis
 from repro.cluster.block import BlockStore
 from repro.cluster.topology import ClusterTopology
 from repro.hdfs.files import FileNamespace
-from repro.journal import CrashPoint, MetadataJournal, SimulatedCrash, recover
+from repro.journal import (
+    CrashPoint,
+    MetadataJournal,
+    SimulatedCrash,
+    recover,
+    verify_journal,
+)
 from repro.journal.crashpoints import CRASH_PHASES
 
 NUM_OPS = 24
@@ -32,13 +38,15 @@ def _topology():
     return ClusterTopology(nodes_per_rack=3, num_racks=2)
 
 
-def _drive(directory, seed, crash_at=None, track_fingerprints=False):
+def _drive(directory, seed, crash_at=None, track_fingerprints=False,
+           checkpoint_records=None):
     """Apply a seeded op sequence; identical for golden and crashed runs."""
     rng = random.Random(seed)
     topology = _topology()
     journal = MetadataJournal(
         directory, segment_records=8, crash_at=crash_at,
         track_fingerprints=track_fingerprints,
+        checkpoint_records=checkpoint_records,
     )
     store = BlockStore(topology)
     namespace = FileNamespace()
@@ -117,6 +125,41 @@ def test_crash_at_any_record_recovers_the_durable_prefix(seed, offset, phase):
         recovered = recover(crash_dir, _topology())
         assert recovered.stats.errors == []
         assert recovered.fingerprint() == fingerprints[point.durable_seq + 1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=9999),
+    offset=st.integers(min_value=0, max_value=9999),
+    phase=st.sampled_from(CRASH_PHASES),
+    cadence=st.integers(min_value=1, max_value=20),
+)
+def test_any_checkpoint_cadence_recovers_the_same_prefix(
+    seed, offset, phase, cadence
+):
+    """Periodic checkpoints at any cadence (below, at and above the
+    segment size) change neither the log nor what a crash recovers."""
+    with tempfile.TemporaryDirectory() as base:
+        golden_dir = os.path.join(base, "golden")
+        journal = _drive(golden_dir, seed, track_fingerprints=True)
+        fingerprints = dict(journal.fingerprints)
+        fingerprints[journal.last_seq + 1] = journal.current_fingerprint()
+        last_seq = journal.last_seq
+        journal.close()
+
+        point = CrashPoint(seq=1 + offset % last_seq, phase=phase)
+        crash_dir = os.path.join(base, "crashed")
+        with pytest.raises(SimulatedCrash):
+            _drive(crash_dir, seed, crash_at=point, checkpoint_records=cadence)
+
+        recovered = recover(crash_dir, _topology())
+        assert recovered.stats.errors == []
+        assert recovered.stats.checkpoint_seq == (
+            (point.seq - 1) // cadence * cadence
+        )
+        assert recovered.stats.replayed_ops <= cadence
+        assert recovered.fingerprint() == fingerprints[point.durable_seq + 1]
+        assert verify_journal(crash_dir).ok
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.journal import records as rec
+from repro.journal.wal import encode_line, frame_line
 
 #: One exemplar instance per record type; the registry-coverage test
 #: guarantees this table cannot silently fall behind new record types.
@@ -34,6 +35,19 @@ SAMPLES = [
     rec.FileDelete(name="/a/b"),
 ]
 
+#: Values the templated encoder must spell exactly like ``json.dumps``:
+#: ``false``/``null``, empty and nested tuples, a name needing escapes.
+EDGE_CASES = [
+    rec.PlaceReplica(block_id=3, node_id=5, is_primary=False),
+    rec.NewStripe(stripe_id=1, k=4, core_rack=None, target_racks=None),
+    rec.NewStripe(stripe_id=1, k=4, core_rack=0, target_racks=()),
+    rec.BeginStripeCommit(
+        stripe_id=0, parity_nodes=(), parity_size=1, retained=(),
+    ),
+    rec.FileCreate(name='/a "q"\\ \n\t\x7f \u00e9 \u2603 \U0001f600 %s %d'),
+    rec.FileAppendBlock(name="", block_id=-1, size=10**20),
+]
+
 
 def test_samples_cover_the_whole_registry():
     assert sorted({s.record_type for s in SAMPLES}) == sorted(rec.RECORD_TYPES)
@@ -48,6 +62,28 @@ def test_encode_decode_identity(record):
     decoded = rec.decode_record(envelope)
     assert decoded == record
     assert type(decoded) is type(record)
+
+
+@pytest.mark.parametrize(
+    "record", SAMPLES + EDGE_CASES, ids=lambda record: record.record_type
+)
+def test_templated_line_equals_the_reference_encoding(record):
+    """The append path's one-pass encoder writes the very bytes the
+    dict + sorted-keys ``json.dumps`` reference does."""
+    for seq in (1, 81194):
+        assert frame_line(rec.record_text(seq, record)) == encode_line(
+            seq, rec.encode_record(record)
+        )
+
+
+def test_unregistered_record_class_cannot_be_journaled():
+    @dataclasses.dataclass(frozen=True)
+    class Rogue(rec.JournalRecord):
+        record_type = "node_dead"  # a registered tag, the wrong class
+        node_id: int = 0
+
+    with pytest.raises(rec.UnknownRecordError):
+        rec.record_text(1, Rogue())
 
 
 @pytest.mark.parametrize(
