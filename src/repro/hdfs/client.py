@@ -95,7 +95,7 @@ class CFSClient:
                 )
             if self.network.disk is not None:
                 # The DataNode flushes asynchronously; the pipeline moves on.
-                self.sim.process(self.network.disk_write(node, block.size))
+                self.network.start_disk_write(node, block.size)
             previous = node
         response = self.sim.now - start
         if self.stats is not None:

@@ -71,9 +71,9 @@ def download_star(
     for block_id, source in sources:
         size = store.block(block_id).size
         total += size
-        transfers.append(network.sim.process(
-            network.transfer(source, sink, size, write_disk=False)
-        ))
+        transfers.append(
+            network.start_transfer(source, sink, size, write_disk=False)
+        )
     if transfers:
         yield network.sim.all_of(transfers)
     return total
@@ -255,10 +255,10 @@ class StripeEncoder:
         if self.compute_bandwidth is not None:
             yield self.sim.timeout(data_bytes / self.compute_bandwidth)
         uploads = [
-            self.sim.process(self.network.transfer(
+            self.network.start_transfer(
                 encoder_node, node_id, self.namenode.block_size,
                 read_disk=False,
-            ))
+            )
             for node_id in plan.parity_nodes
         ]
         if uploads:

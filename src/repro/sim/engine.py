@@ -135,9 +135,7 @@ class Event:
             # fact is common enough — every yield of an already-processed
             # event lands here — that a fresh allocation per callback was
             # one of the kernel's dominant allocation sites).
-            late = self.sim._acquire_event()
-            late.callbacks.append(lambda __: callback(self))
-            late.succeed()
+            self.sim.call_soon(lambda __: callback(self))
         else:
             self.callbacks.append(callback)
 
@@ -152,6 +150,10 @@ class Event:
             raise self._exception
         for callback in callbacks:
             callback(self)
+
+    def _abandon(self) -> None:
+        """The process waiting on this event was interrupted; an event that
+        runs work for that one waiter (an inline network flow) stops it."""
 
 
 class Timeout(Event):
@@ -253,9 +255,7 @@ class Process(Event):
         # was the kernel's busiest allocation site after events themselves.
         self._resume_callback = self._resume
         # Kick off on the next queue drain at the current time.
-        bootstrap = sim._acquire_event()
-        bootstrap.callbacks.append(self._resume_callback)
-        bootstrap.succeed()
+        sim.call_soon(self._resume_callback)
 
     @property
     def is_alive(self) -> bool:
@@ -266,11 +266,9 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             return
-        poke = self.sim._acquire_event()
-        poke.callbacks.append(
+        self.sim.call_soon(
             lambda __: self._resume_with_exception(Interrupt(cause))
         )
-        poke.succeed()
 
     # ------------------------------------------------------------------
     def _resume(self, event: Optional[Event]) -> None:
@@ -301,6 +299,8 @@ class Process(Event):
     def _resume_with_exception(self, exc: BaseException) -> None:
         if self._triggered:
             return
+        if self._waiting_on is not None:
+            self._waiting_on._abandon()
         self._waiting_on = None
         try:
             target = self._generator.throw(exc)
@@ -416,6 +416,27 @@ class Simulator:
         """Start a process; returns its completion event."""
         return Process(self, generator)
 
+    def call_soon(self, callback: Callable[[Event], None]) -> None:
+        """Run ``callback(event)`` at the current time, after every event
+        already queued for it: one hop through a pooled event (recycled
+        once its callbacks ran — do not keep it)."""
+        pool = self._event_pool
+        if pool:
+            hop = pool.pop()
+            self._recycled += 1
+            if self._pool_debug:
+                self._unpoison(hop)
+            hop.value = None
+            hop._exception = None
+            hop._processed = False
+            hop.defused = False
+        else:
+            hop = Event(self)
+            hop._recycle = True
+        hop._triggered = True
+        hop.callbacks.append(callback)
+        _heappush(self._queue, (self._now + 0.0, next(self._seq), hop))
+
     def all_of(self, events: Iterable[Event]) -> Condition:
         """An event triggering once every given event has triggered."""
         return Condition(self, events)
@@ -487,28 +508,6 @@ class Simulator:
             "timeout_pool": len(self._timeout_pool),
             "recycled": self._recycled,
         }
-
-    def _acquire_event(self) -> Event:
-        """A pending kernel-internal event, recycled when possible.
-
-        Only the kernel itself may call this: the returned event goes
-        back on the free list the moment its callbacks have run.
-        """
-        pool = self._event_pool
-        if not pool:
-            event = Event(self)
-            event._recycle = True
-            return event
-        event = pool.pop()
-        self._recycled += 1
-        if self._pool_debug:
-            self._unpoison(event)
-        event.value = None
-        event._exception = None
-        event._triggered = False
-        event._processed = False
-        event.defused = False
-        return event
 
     def _release_event(self, event: Event) -> None:
         cls = type(event)

@@ -27,10 +27,11 @@ the slowest held resource.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Generator, Iterator, List, Optional, Set, Tuple,
+)
 
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.sim.engine import Event, Simulator
@@ -144,8 +145,9 @@ class Network:
             local reads/writes are possible; when ``None`` disks are not
             modelled (the paper's large-scale simulator mode).
 
-    All public operations are generators meant to run inside simulation
-    processes via ``yield from``:
+    ``transfer``, ``disk_read`` and ``disk_write`` are generators for use
+    inside simulation processes via ``yield from``; ``start_transfer`` and
+    ``start_disk_write`` begin the same work without a process:
 
         >>> # yield from network.transfer(src=3, dst=17, size=64 * 2**20)
     """
@@ -172,8 +174,10 @@ class Network:
             for node_id in topology.node_ids()
         }
         self._down_nodes: Set[NodeId] = set()
-        self._inflight: Dict[int, Tuple[NodeId, NodeId, Event]] = {}
-        self._transfer_seq = itertools.count()
+        #: Transfers queued for links or holding them, in start order.
+        self._inflight: Dict[Flow, None] = {}
+        #: Called with every transfer as it starts (see ``_open``).
+        self._watchers: List[Callable[[Flow], None]] = []
         self._state_listeners: List[Callable[[NodeId, bool], None]] = []
 
     # ------------------------------------------------------------------
@@ -270,9 +274,11 @@ class Network:
             return 0
         self._down_nodes.add(node_id)
         aborted = 0
-        for src, dst, abort in list(self._inflight.values()):
-            if node_id in (src, dst) and not abort.triggered:
-                abort.succeed(node_id)
+        for flow in list(self._inflight):
+            if flow._abort is None and node_id in (flow.src, flow.dst):
+                # The abort wakes the flow through one hop, like a grant.
+                flow._abort = node_id
+                self.sim.call_soon(flow._wake)
                 aborted += 1
         for listener in list(self._state_listeners):
             listener(node_id, False)
@@ -318,7 +324,7 @@ class Network:
         return src_rack is None or dst_rack is None or src_rack != dst_rack
 
     # ------------------------------------------------------------------
-    # Operations (generators for use inside processes)
+    # Operations: inline (generators for ``yield from``) and started
     # ------------------------------------------------------------------
     def transfer(
         self,
@@ -335,13 +341,78 @@ class Network:
         to whether disks are modelled at all.
 
         Yields:
-            Simulation events; completes after the transfer's duration.
+            The transfer's :class:`Flow`, once.
 
         Raises:
             TransferAborted: When an endpoint is down at start, or dies
                 (via :meth:`fail_endpoint`) while the transfer is queued
                 for links or in flight.
         """
+        flow = Flow(self, src, dst, size)
+        self._open(flow, read_disk, write_disk)
+        if not flow._over:  # else nothing to hold: an in-memory no-op
+            yield flow
+
+    def start_transfer(
+        self,
+        src: NodeId,
+        dst: NodeId,
+        size: float,
+        read_disk: Optional[bool] = None,
+        write_disk: Optional[bool] = None,
+    ) -> "Flow":
+        """:meth:`transfer` with no process waiting on it inline: returns
+        the flow, an event that succeeds when the transfer is done or
+        fails with what ``transfer`` would have raised."""
+        flow = Flow(self, src, dst, size)
+        self._start(flow, self._open, read_disk, write_disk)
+        return flow
+
+    def disk_read(self, node_id: NodeId, size: float) -> Generator:
+        """Read ``size`` bytes from a node's local disk."""
+        flow = _DiskHold(self, node_id, node_id, size)
+        self._open_disk(flow, write=False)
+        yield flow
+
+    def disk_write(self, node_id: NodeId, size: float) -> Generator:
+        """Write ``size`` bytes to a node's local disk."""
+        flow = _DiskHold(self, node_id, node_id, size)
+        self._open_disk(flow, write=True)
+        yield flow
+
+    def start_disk_write(self, node_id: NodeId, size: float) -> "Flow":
+        """:meth:`disk_write` with no process waiting on it inline."""
+        flow = _DiskHold(self, node_id, node_id, size)
+        self._start(flow, self._open_disk, True)
+        return flow
+
+    def inflight(self) -> Iterator[Tuple[NodeId, NodeId]]:
+        """``(src, dst)`` of each transfer queued for or holding links."""
+        return ((flow.src, flow.dst) for flow in list(self._inflight))
+
+    def _start(
+        self, flow: "Flow", open_flow: Callable, *args: Optional[bool]
+    ) -> None:
+        """``open_flow(flow, *args)`` one hop from now; errors fail it."""
+        flow._inline = False
+
+        def boot(__: Event) -> None:
+            try:
+                open_flow(flow, *args)
+            except Exception as exc:
+                flow.fail(exc)
+
+        self.sim.call_soon(boot)
+
+    def _open(
+        self,
+        flow: "Flow",
+        read_disk: Optional[bool],
+        write_disk: Optional[bool],
+    ) -> None:
+        """Check, route and claim one transfer: every transfer starts
+        here, which is where :class:`~repro.sim.trace.Tracer` watches."""
+        src, dst, size = flow.src, flow.dst, flow.size
         if size <= 0:
             raise ValueError("transfer size must be positive")
         for endpoint in (src, dst):
@@ -353,12 +424,13 @@ class Network:
         use_write = disk is not None if write_disk is None else write_disk
         if disk is None and (use_read or use_write):
             raise ValueError("disks are not modelled on this network")
+        for watch in self._watchers:
+            watch(flow)
 
         # Every held resource's key, and the slowest one's bandwidth.
         source, sink = self._endpoints[src], self._endpoints[dst]
         keys: List[Tuple] = []
         bandwidth = math.inf
-        cross_rack = False
         if src != dst:
             topology = self.topology
             keys = [source.up, sink.down]
@@ -368,10 +440,8 @@ class Network:
                 bandwidth = other
             src_rack, dst_rack = source.rack, sink.rack
             # Externals (rack None) hang off the core.
-            cross_rack = (
-                src_rack is None or dst_rack is None or src_rack != dst_rack
-            )
-            if cross_rack:
+            if src_rack is None or dst_rack is None or src_rack != dst_rack:
+                flow.cross_rack = True
                 if src_rack is not None:
                     keys.append(source.rack_up)
                     other = self._rack_up_bw.get(
@@ -395,51 +465,115 @@ class Network:
             if disk.write_bandwidth < bandwidth:
                 bandwidth = disk.write_bandwidth
         if not keys:
-            return  # nothing to hold: an in-memory no-op
+            flow._over = True
+            flow._finish(None)
+            return
+        self._inflight[flow] = None
+        flow._hold(keys, size / bandwidth)
 
-        duration = size / bandwidth
-        abort = self.sim.event()
-        token = next(self._transfer_seq)
-        self._inflight[token] = (src, dst, abort)
-        grant = self.links.acquire(keys)
-        granted = False
-        try:
-            yield self.sim.any_of([grant, abort])
-            if abort.triggered:
-                self.stats.record_abort()
-                raise TransferAborted(src, dst, abort.value)
-            granted = True
-            yield self.sim.any_of([self.sim.timeout(duration), abort])
-            if abort.triggered:
-                self.stats.record_abort()
-                raise TransferAborted(src, dst, abort.value)
-        finally:
-            del self._inflight[token]
-            if granted:
-                self.links.release(grant)
-            else:
-                self.links.cancel(grant)
-        self.stats.record(size, cross_rack)
-
-    def disk_read(self, node_id: NodeId, size: float) -> Generator:
-        """Read ``size`` bytes from a node's local disk."""
-        yield from self._disk_op(node_id, size, write=False)
-
-    def disk_write(self, node_id: NodeId, size: float) -> Generator:
-        """Write ``size`` bytes to a node's local disk."""
-        yield from self._disk_op(node_id, size, write=True)
-
-    def _disk_op(self, node_id: NodeId, size: float, write: bool) -> Generator:
+    def _open_disk(self, flow: "Flow", write: bool) -> None:
         if self.disk is None:
             raise ValueError("disks are not modelled on this network")
-        if size <= 0:
+        if flow.size <= 0:
             raise ValueError("size must be positive")
         bandwidth = (
             self.disk.write_bandwidth if write else self.disk.read_bandwidth
         )
-        grant = self.links.acquire((self._endpoints[node_id].disk,))
-        yield grant
-        try:
-            yield self.sim.timeout(size / bandwidth)
-        finally:
-            self.links.release(grant)
+        flow._hold([self._endpoints[flow.src].disk], flow.size / bandwidth)
+
+
+class Flow(Event):
+    """One transfer as a chain of kernel callbacks: grant -> relay ->
+    timeout -> relay -> release, then the completion fires (in place for
+    an inline waiter).  Each relay stands where an ``AnyOf`` over ``grant
+    | abort`` or ``timeout | abort`` did, so the ``(time, seq)`` of every
+    event is the generator engine's (``docs/architecture.md``, Network).
+    """
+
+    __slots__ = (
+        "network", "src", "dst", "size", "cross_rack", "_grant",
+        "_duration", "_inline", "_holding", "_relayed", "_over", "_abort",
+    )
+
+    #: Transfers relay each wake-up through one hop; disk holds do not.
+    _relays = True
+
+    def __init__(
+        self, network: Network, src: NodeId, dst: NodeId, size: float
+    ) -> None:
+        super().__init__(network.sim)
+        self.network = network
+        self.src, self.dst, self.size = src, dst, size
+        self.cross_rack = False
+        self._inline = True
+        self._holding = False  # past the first relay: granted, timing out
+        self._relayed = False  # this stage's relay is pushed, unprocessed
+        self._over = False  # completed, aborted or abandoned by its waiter
+        self._abort: Optional[NodeId] = None  # the endpoint that died
+
+    def _hold(self, keys: List[Tuple], duration: float) -> None:
+        self._duration = duration
+        self._grant = self.network.links.acquire(keys)
+        self._grant.callbacks.append(self._wake)
+
+    def _wake(self, __: Event) -> None:
+        """The grant, the timeout or an abort relay was processed."""
+        if not self._relays:
+            self._advance(None)
+        elif not self._relayed:
+            self._relayed = True
+            self.sim.call_soon(self._advance)
+
+    def _advance(self, __: Optional[Event]) -> None:
+        """A relay was processed (on a disk hold: the grant or timeout)."""
+        if self._over:
+            return  # abandoned: a relay it already scheduled is a no-op
+        if self._abort is not None:
+            self._end()
+            self.network.stats.record_abort()
+            self._finish(TransferAborted(self.src, self.dst, self._abort))
+        elif not self._holding:
+            self._holding = True
+            self._relayed = False
+            self.sim.timeout(self._duration).callbacks.append(self._wake)
+        else:
+            self._end()
+            if self._relays:
+                self.network.stats.record(self.size, self.cross_rack)
+            self._finish(None)
+
+    def _abandon(self) -> None:
+        """The waiting process was interrupted: an inline flow frees its
+        links (or withdraws its claim); relays already pushed no-op."""
+        if self._inline and not self._over:
+            self._end()
+
+    def _end(self) -> None:
+        """Free the links (or withdraw the claim) and stop the chain."""
+        self._over = True
+        network = self.network
+        if self._relays:
+            del network._inflight[self]
+        if self._holding:
+            network.links.release(self._grant)
+        else:
+            network.links.cancel(self._grant)
+
+    def _finish(self, exc: Optional[BaseException]) -> None:
+        if self._inline:  # fired in place: the waiter resumes here, no hop
+            self._triggered = self._processed = True
+            self._exception = exc
+            callbacks, self.callbacks = self.callbacks, []
+            for callback in callbacks:
+                callback(self)
+        elif exc is None:
+            self.succeed()
+        else:
+            self.fail(exc)
+
+
+class _DiskHold(Flow):
+    """A disk read or write: grant -> timeout, no abort, no relays."""
+
+    __slots__ = ()
+    _relays = False

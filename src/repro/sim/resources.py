@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -113,12 +114,13 @@ class MultiResource:
     exactly one of its own keys that is held right now, so it is blocked for
     as long as that key stays held and nothing but that key's release can
     unblock it.  ``acquire`` therefore tests the new claim alone, and
-    ``release`` re-examines — in arrival order — only the claims parked
-    under a key it frees, granting those that fit and re-parking the rest
-    under another held key.  That is the grant sequence a front-to-back
-    rescan of one FIFO list produces (``tests/sim/reference_resources.py``
-    keeps that scan as the oracle), at a cost independent of how many
-    claims wait on unrelated keys.
+    ``release`` examines — in arrival order — only the claims parked under
+    a key it frees, granting those that fit and re-parking the rest under
+    another held key, and leaves a bucket as soon as its key is held again
+    (every claim in it names the key).  That is the grant sequence a
+    front-to-back rescan of one FIFO list produces
+    (``tests/sim/reference_resources.py`` keeps that scan as the oracle),
+    at a cost independent of how many claims wait on other keys.
 
     Example (inside a process):
         >>> # grant = links.acquire({"uplink:3", "nic:17"})
@@ -130,9 +132,9 @@ class MultiResource:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._held: Set = set()
-        #: held key -> {arrival number: claim parked under it}; no empty
-        #: bucket is kept, so memory is O(queued claims).
-        self._parked: Dict[Any, Dict[int, MultiRequest]] = {}
+        #: held key -> heap of (arrival number, claim parked under it); no
+        #: empty bucket is kept, so memory is O(queued claims).
+        self._parked: Dict[Any, List[Tuple[int, MultiRequest]]] = {}
         self._arrivals = itertools.count()
 
     @property
@@ -175,18 +177,27 @@ class MultiResource:
         parked = self._parked
         if not parked:
             return
-        woken: List[Tuple[int, MultiRequest]] = []
-        for key in request.keys:
-            bucket = parked.pop(key, None)
-            if bucket is not None:
-                woken.extend(bucket.items())
-        if len(woken) > 1:
-            woken.sort()  # arrival numbers are unique: claims never compare
-        for __, claim in woken:
+        # Each freed bucket's oldest claim, merged by (unique) arrival.
+        heads = [
+            (parked[key][0][0], key) for key in request.keys if key in parked
+        ]
+        heapify(heads)
+        while heads:
+            arrival, key = heappop(heads)
+            if key in held:
+                continue  # re-granted: the rest of its bucket stays parked
+            bucket = parked.get(key)
+            if bucket is None or bucket[0][0] != arrival:
+                continue  # a stale head: ``request`` named ``key`` twice
+            claim = heappop(bucket)[1]
             if held.isdisjoint(claim.keys):
-                self._grant(claim)
+                self._grant(claim)  # holds ``key`` again
             else:
                 self._park(claim)
+                if bucket:
+                    heappush(heads, (bucket[0][0], key))
+            if not bucket:
+                del parked[key]
 
     def cancel(self, request: MultiRequest) -> None:
         """Withdraw a claim whether or not it was granted yet.
@@ -199,12 +210,13 @@ class MultiResource:
         if request._holding:
             self.release(request)
         elif not request.triggered:
-            key = request._parked_on
-            bucket = self._parked.get(key)
-            if bucket is not None:
-                bucket.pop(request._arrival, None)
+            bucket = self._parked.get(request._parked_on, ())
+            entry = (request._arrival, request)
+            if entry in bucket:
+                bucket.remove(entry)
+                heapify(bucket)
                 if not bucket:
-                    del self._parked[key]
+                    del self._parked[request._parked_on]
 
     def _grant(self, claim: MultiRequest) -> None:
         self._held.update(claim.keys)
@@ -219,7 +231,7 @@ class MultiResource:
                 claim._parked_on = key
                 bucket = self._parked.get(key)
                 if bucket is None:
-                    self._parked[key] = {claim._arrival: claim}
+                    self._parked[key] = [(claim._arrival, claim)]
                 else:
-                    bucket[claim._arrival] = claim
+                    heappush(bucket, (claim._arrival, claim))
                 return

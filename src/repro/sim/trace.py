@@ -1,19 +1,21 @@
 """Simulation tracing: a structured event log for debugging and analysis.
 
 Attach a :class:`Tracer` to a :class:`~repro.sim.netsim.Network` and every
-transfer/disk operation is recorded with start/end timestamps, endpoints,
-size, and whether it crossed the core.  Traces answer questions the
-aggregate counters cannot — "what was saturating rack 3's uplink at
-t=200?" — and can be filtered, summarised, or dumped as text.
+completed transfer, inline or started, is recorded with start/end
+timestamps, endpoints, size, and whether it crossed the core.  Traces
+answer questions the aggregate counters cannot — "what was saturating
+rack 3's uplink at t=200?" — and can be filtered, summarised, or dumped
+as text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.topology import NodeId
-from repro.sim.netsim import Network
+from repro.sim.engine import Event
+from repro.sim.netsim import Flow, Network
 
 
 @dataclass(frozen=True)
@@ -43,50 +45,51 @@ class TransferTrace:
 
 
 class Tracer:
-    """Records every transfer a network performs.
+    """Records every transfer a network completes.
 
-    Wraps ``network.transfer`` transparently:
+    Watches the network's one transfer start point, so inline
+    (``yield from network.transfer``) and started
+    (``network.start_transfer``) flows are both seen:
 
         >>> # tracer = Tracer.attach(network)
         >>> # ... run the simulation ...
         >>> # tracer.transfers_crossing_rack(3)
 
-    Detach by calling :meth:`detach` (restores the original method).
+    Detach by calling :meth:`detach`.
     """
 
     def __init__(self, network: Network) -> None:
         self.network = network
         self.records: List[TransferTrace] = []
-        self._original: Optional[Callable] = None
 
     @classmethod
     def attach(cls, network: Network) -> "Tracer":
         """Create a tracer and start recording the network's transfers."""
         tracer = cls(network)
-        tracer._original = network.transfer
-
-        def traced_transfer(src, dst, size, **kwargs):
-            start = network.sim.now
-            yield from tracer._original(src, dst, size, **kwargs)
-            tracer.records.append(
-                TransferTrace(
-                    src=src,
-                    dst=dst,
-                    size=size,
-                    start=start,
-                    end=network.sim.now,
-                    cross_rack=network.is_cross_rack(src, dst),
-                )
-            )
-
-        network.transfer = traced_transfer
+        network._watchers.append(tracer._watch)
         return tracer
 
     def detach(self) -> None:
-        """Stop recording and restore the network's original method."""
-        if self._original is not None:
-            self.network.transfer = self._original
-            self._original = None
+        """Stop recording.  Idempotent."""
+        watchers = self.network._watchers
+        if self._watch in watchers:
+            watchers.remove(self._watch)
+
+    def _watch(self, flow: Flow) -> None:
+        start = flow.sim.now
+        waiters = flow.callbacks  # the list the kernel runs at completion
+
+        def record(done: Event) -> None:
+            if not done.failed:
+                self.records.append(TransferTrace(
+                    flow.src, flow.dst, flow.size, start, done.sim.now,
+                    flow.cross_rack,
+                ))
+            elif len(waiters) == 1 and not done.defused:
+                # Nobody else waits: surface it, as an untraced run would.
+                raise done._exception  # noqa: SLF001
+
+        waiters.append(record)
 
     # ------------------------------------------------------------------
     # Queries

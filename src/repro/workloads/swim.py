@@ -281,10 +281,8 @@ def _reduce_body(
     def work(node: NodeId) -> Generator:
         if per_pair > 0:
             pulls = [
-                sim.process(
-                    network.transfer(
-                        src, node, per_pair, read_disk=False, write_disk=False
-                    )
+                network.start_transfer(
+                    src, node, per_pair, read_disk=False, write_disk=False
                 )
                 for src in map_nodes
                 if src != node

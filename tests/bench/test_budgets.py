@@ -7,6 +7,8 @@ re-solve from scratch again, these fail on any machine, deterministically.
 """
 
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from repro.core.flowgraph import StripeFlowGraph
 from repro.erasure import matrix as gfm
 from repro.erasure.codec import CodeParams, make_codec
 from repro.erasure.stream import stream_decode, stream_encode, stream_repair
+from repro.hdfs.encoder import download_star
 from repro.pipeline.gfstream import pipelined_parity
-from repro.sim.engine import Simulator
+from repro.sim.engine import AnyOf, Process, Simulator
 from repro.sim.metrics import measure_ops
+from repro.sim.netsim import Network
 from repro.sim.resources import MultiResource
 from tests.core.reference_flow import ear_redraws_vs_fresh
 
@@ -236,3 +240,77 @@ class TestLinkArbiterBudget:
         # And the parked claims are still served, in arrival order.
         links.release(holder)
         assert [claim.triggered for claim in parked] == [True] + [False] * 499
+
+    def test_release_examines_only_the_claim_the_key_goes_to(self):
+        # One resource, named by a distinct (equal) key object per claim,
+        # so the hashes tell which parked claims a release examined.
+        hashed = []
+
+        class Alias:
+            def __hash__(self):
+                hashed.append(id(self))
+                return 7
+
+            def __eq__(self, other):
+                return isinstance(other, Alias)
+
+        sim = Simulator()
+        links = MultiResource(sim)
+        holder = links.acquire((Alias(),))
+        parked = [links.acquire((Alias(),)) for __ in range(500)]
+        assert links.queue_length == 500
+        hashed.clear()
+        links.release(holder)
+        # The first claim gets the key; the other 499 name it too, so the
+        # bucket is left the moment it is held again.
+        examined = [c for c in parked if id(c.keys[0]) in set(hashed)]
+        assert len(examined) <= 2
+        assert [claim.triggered for claim in parked] == [True] + [False] * 499
+        assert links.queue_length == 499
+
+
+class TestTransferBudgets:
+    """A transfer is a callback chain on the generator engine's hops."""
+
+    FLOWS = 500
+    #: ``download_star`` reads block sizes from a store; a block id is its
+    #: size here.
+    SIZED = SimpleNamespace(block=lambda size: SimpleNamespace(size=size))
+
+    def test_transfers_build_no_process_or_anyof_and_keep_their_hops(
+        self, monkeypatch
+    ):
+        topology = ClusterTopology(
+            nodes_per_rack=4, num_racks=4,
+            intra_rack_bandwidth=100.0, cross_rack_bandwidth=100.0,
+        )
+        sim = Simulator()
+        network = Network(sim, topology)
+
+        def inline():
+            for index in range(self.FLOWS):
+                yield from network.transfer(index % 8, 8 + index % 8, 50.0)
+
+        def fanned_out():
+            sources = [(50.0, index % 15) for index in range(self.FLOWS)]
+            yield from download_star(network, self.SIZED, sources, 15)
+
+        sim.process(inline())
+        sim.process(fanned_out())
+        built = Counter()
+        for cls in (Process, AnyOf):
+            def counting(event, *args, _cls=cls, _init=cls.__init__):
+                built[_cls.__name__] += 1
+                _init(event, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        with measure_ops() as measured:
+            sim.run()
+        assert network.stats.transfers == 2 * self.FLOWS
+        assert built == Counter()
+        # Two waiting processes (start + done hop each) and one all_of hop
+        # around 4 events per inline transfer and 6 per started one: the
+        # counts the generator engine processed.
+        assert measured.get("sim.events") == (
+            4 * self.FLOWS + 6 * self.FLOWS + 2 * 2 + 1
+        )

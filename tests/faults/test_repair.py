@@ -501,10 +501,10 @@ class TestRetryingRepair:
         killed = []
 
         def killer():
-            while not setup.network._inflight:
+            while not any(setup.network.inflight()):
                 yield setup.sim.timeout(0.1)
             yield setup.sim.timeout(0.5)  # well into the 10 s transfer
-            src, dst, __ = next(iter(setup.network._inflight.values()))
+            src, dst = next(setup.network.inflight())
             victim = src if pick == "src" else dst
             assert setup.network.fail_endpoint(victim) == 1
             killed.append(victim)
