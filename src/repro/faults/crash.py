@@ -2,10 +2,13 @@
 
 Extends the chaos layer to the one fault class PR 1 could not model: the
 NameNode process itself dying mid-commit.  A deterministic, synchronous
-metadata workload (:func:`run_crash_workload`) drives every journal
-record type — file creation, block allocation, corruption marks, node
-death, relocation, and full stripe-commit brackets — against a real
-:class:`~repro.journal.journal.MetadataJournal`.  The crash matrix
+metadata workload (:func:`run_crash_workload`) drives file creation,
+block allocation, corruption marks, node death, relocation, and full
+stripe-commit brackets against a real
+:class:`~repro.journal.journal.MetadataJournal`.  It writes every journal
+record type except ``relocation_requested``, ``relocation_served`` and
+``seal_stripe``; ``tests/journal/test_write_ahead.py`` appends those
+three in its own tail.  The crash matrix
 (:func:`run_crash_matrix`) then re-runs that workload once per injected
 :class:`~repro.journal.crashpoints.CrashPoint` (each commit stage ×
 before/torn/after flush), recovers each crashed journal, and checks the

@@ -7,8 +7,7 @@ Three subcommands:
 * ``stats``  — record/segment/checkpoint counts, byte sizes, and a
   per-record-type histogram.
 
-Wired into the main ``repro`` CLI; also runnable standalone via
-``python -m repro.journal.cli``.
+Run via ``python -m repro.cli journal dump|verify|stats DIR``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.journal.checkpoint import list_checkpoints
 from repro.journal.verify import verify_journal
@@ -137,17 +136,3 @@ def _cmd_stats(directory: str, as_json: bool) -> int:
             print(f"  {type_tag:<20} {histogram[type_tag]}")
     return 1 if scan.errors else 0
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.journal.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-journal",
-        description="Inspect and verify metadata journal directories.",
-    )
-    add_journal_arguments(parser)
-    args = parser.parse_args(argv)
-    return cmd_journal(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,8 +13,9 @@ rule id   enforces
 ========  ==============================================================
 DET001    no module-level / unseeded ``random`` use — randomness must
           flow through an injected, seeded ``random.Random``
-DET002    no wall-clock reads (``time.time``, ``datetime.now``, …)
-          inside simulation code — simulated time is ``sim.now``
+DET002    no wall-clock reads or sleeps (``time.time``, ``time.sleep``,
+          ``datetime.now``, …) anywhere in the configured packages —
+          the whole ``repro`` package here; simulated time is ``sim.now``
 DET003    no iteration over ``set`` values feeding ordered decisions
           without an explicit ``sorted(...)``
 RES001    every ``acquire``/``request`` claim released under
@@ -25,7 +26,14 @@ EXC001    no ``except Exception``/bare ``except`` that swallows
 FLT001    no ``==``/``!=`` between simulated-time floats
 HYG001    no mutable default arguments
 HYG002    no shadowed builtins
+JRN001    journal records are frozen, JSON-serializable dataclasses
 ========  ==============================================================
+
+Whole-program properties are checked at run time instead: the
+write-ahead journal by ``tests/journal/test_write_ahead.py`` (replay
+equals live state at every record, every record type produced and
+handled), and fork safety of sweep trials by ``TrialSpec`` validation
+plus the ``workers=N ≡ workers=0`` identity checks.
 
 Findings are suppressible per line (``# reprolint: disable=RID``) or per
 file (``# reprolint: disable-file=RID``); configuration lives in

@@ -1,18 +1,10 @@
-"""The ``repro lint`` entry point (also runnable standalone).
+"""The ``repro lint`` subcommand.
 
 Usage::
 
     PYTHONPATH=src python -m repro.cli lint src/repro
     PYTHONPATH=src python -m repro.cli lint src/repro --format json
-    PYTHONPATH=src python -m repro.cli lint src/repro --project
-    PYTHONPATH=src python -m repro.cli lint src/repro --project --changed
-    PYTHONPATH=src python -m repro.lint.cli src/repro   # standalone
-
-``--project`` runs the whole-program analysis (per-file rules plus the
-interprocedural SIM1xx/PAR1xx/JRN1xx packs) with the incremental
-fingerprint cache; ``--changed`` additionally restricts the report to
-findings anchored in files whose fingerprint moved since the previous
-run.  ``--no-cache`` forces a cold analysis.
+    PYTHONPATH=src python -m repro.cli lint --fail-on warning src/repro
 
 Exit status is 1 when any finding meets the fail threshold (``error`` by
 default, override with ``--fail-on`` or ``fail-on`` in pyproject), else 0
@@ -23,24 +15,22 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 from dataclasses import replace
-from typing import Optional, Sequence
 
-from repro.lint.config import LintConfig, load_config
+from repro.lint.config import load_config
 from repro.lint.engine import lint_paths
 from repro.lint.model import Severity
-from repro.lint.reporters import json_report, sarif_report, text_report
+from repro.lint.reporters import json_report, text_report
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to a parser (shared with ``repro.cli``)."""
+    """Attach the lint options to the ``repro lint`` parser."""
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format",
     )
     parser.add_argument(
@@ -51,91 +41,18 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--config", default=None, metavar="PYPROJECT",
         help="explicit pyproject.toml (default: nearest to the first path)",
     )
-    parser.add_argument(
-        "--project", action="store_true",
-        help="whole-program analysis: per-file rules plus the "
-             "interprocedural SIM/PAR/JRN packs, with incremental caching",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="with --project: report only findings anchored in files "
-             "whose fingerprint changed since the previous run",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="with --project: skip the incremental cache (cold analysis)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="with --project: cache directory "
-             "(default: .repro-cache/lint)",
-    )
-
-
-def run_lint(
-    paths: Sequence[str],
-    fmt: str = "text",
-    fail_on: Optional[str] = None,
-    config_path: Optional[str] = None,
-    project: bool = False,
-    changed: bool = False,
-    no_cache: bool = False,
-    cache_dir: Optional[str] = None,
-) -> int:
-    """Run the linter and print a report; returns the process exit code."""
-    start_dir = None
-    if paths:
-        first = paths[0]
-        start_dir = first if os.path.isdir(first) else os.path.dirname(first) or "."
-    config = load_config(pyproject_path=config_path, start_dir=start_dir)
-    if fail_on is not None:
-        config = replace(config, fail_on=Severity.parse(fail_on))
-    if project:
-        from repro.lint.project.cache import DEFAULT_CACHE_DIR, LintCache
-        from repro.lint.project.engine import lint_project
-
-        cache = None
-        if not no_cache:
-            cache = LintCache(cache_dir if cache_dir else DEFAULT_CACHE_DIR)
-        result = lint_project(
-            paths, config, cache=cache, changed_only=changed
-        )
-    else:
-        result = lint_paths(paths, config)
-    if fmt == "json":
-        report = json_report(result)
-    elif fmt == "sarif":
-        report = sarif_report(result)
-    else:
-        report = text_report(result)
-    print(report)
-    return result.exit_code(config)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Adapter used by the top-level ``repro`` CLI."""
-    return run_lint(
-        paths=args.paths,
-        fmt=args.format,
-        fail_on=args.fail_on,
-        config_path=args.config,
-        project=args.project,
-        changed=args.changed,
-        no_cache=args.no_cache,
-        cache_dir=args.cache_dir,
-    )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.lint.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description="AST-based determinism & resource-safety linter.",
-    )
-    add_lint_arguments(parser)
-    args = parser.parse_args(argv)
-    return cmd_lint(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    """Run the linter and print a report; returns the process exit code."""
+    start_dir = None
+    if args.paths:
+        first = args.paths[0]
+        start_dir = first if os.path.isdir(first) else os.path.dirname(first) or "."
+    config = load_config(pyproject_path=args.config, start_dir=start_dir)
+    if args.fail_on is not None:
+        config = replace(config, fail_on=Severity.parse(args.fail_on))
+    result = lint_paths(args.paths, config)
+    report = json_report(result) if args.format == "json" else text_report(result)
+    print(report)
+    return result.exit_code(config)

@@ -126,8 +126,6 @@ def lint_source(
     per_line, per_file = parse_suppressions(source)
     findings: List[Finding] = []
     for rule_cls in all_rules():
-        if getattr(rule_cls, "is_project", False):
-            continue  # whole-program packs run under ``lint --project``
         if rule_cls.rule_id in config.disabled_rules:
             continue
         for finding in rule_cls().check(ctx):

@@ -1,18 +1,12 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0.
-
-The SARIF document is what the CI lint job uploads so findings render
-as GitHub code-scanning annotations; it carries the full rule metadata
-of every registered rule (sorted, so the report is byte-deterministic)
-and one result per finding.
-"""
+"""Finding reporters: human text and machine JSON."""
 
 from __future__ import annotations
 
 import json
 from typing import Dict, List
 
-from repro.lint.engine import PARSE_RULE_ID, LintResult
-from repro.lint.model import Severity, all_rules
+from repro.lint.engine import LintResult
+from repro.lint.model import Severity
 
 
 def text_report(result: LintResult) -> str:
@@ -49,77 +43,3 @@ def json_report(result: LintResult) -> str:
 def _severity_counts(result: LintResult) -> Dict[str, int]:
     return {sev.label: result.count(sev) for sev in Severity}
 
-
-#: Severity → SARIF result level.
-_SARIF_LEVELS = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.INFO: "note",
-}
-
-
-def sarif_report(result: LintResult) -> str:
-    """A SARIF 2.1.0 document (GitHub code-scanning ingestible)."""
-    rules = [
-        {
-            "id": rule_cls.rule_id,
-            "name": rule_cls.name,
-            "shortDescription": {"text": rule_cls.name},
-            "fullDescription": {"text": rule_cls.description},
-            "defaultConfiguration": {
-                "level": _SARIF_LEVELS[rule_cls.severity]
-            },
-        }
-        for rule_cls in all_rules()
-    ]
-    rules.append({
-        "id": PARSE_RULE_ID,
-        "name": "file-does-not-parse",
-        "shortDescription": {"text": "file-does-not-parse"},
-        "fullDescription": {
-            "text": "The file could not be parsed as Python source."
-        },
-        "defaultConfiguration": {"level": "error"},
-    })
-    rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    results = [
-        {
-            "ruleId": f.rule_id,
-            "ruleIndex": rule_index.get(f.rule_id, -1),
-            "level": _SARIF_LEVELS[f.severity],
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": f.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for f in result.findings
-    ]
-    document = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "informationUri": (
-                            "https://github.com/paper-repro/ear"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

@@ -139,25 +139,29 @@ class UnseededRandomRule(Rule):
 
 @register
 class WallClockRule(Rule):
-    """DET002: no wall-clock reads inside simulation code.
+    """DET002: no wall-clock reads or sleeps inside simulation code.
 
-    Simulated time is ``sim.now``; a ``time.time()`` or ``datetime.now()``
-    leaking into ``sim/``, ``core/`` or ``faults/`` couples results to the
-    host machine.  The banned-path list comes from configuration
-    (``[tool.reprolint.det002] paths``).
+    Simulated time is ``sim.now``; a ``time.time()``, ``datetime.now()``
+    or ``time.sleep()`` couples results to the host machine.  The
+    banned-path list comes from configuration
+    (``[tool.reprolint.det002] paths``); the repo sets it to the whole
+    ``repro`` package, so no clock read or sleep can be reached from a
+    sim process whatever the call graph.
     """
 
     rule_id = "DET002"
     name = "wall-clock"
     description = (
-        "Wall-clock reads inside simulation code couple experiment "
-        "results to host timing; use the simulation clock (sim.now)."
+        "Wall-clock reads and sleeps inside simulation code couple "
+        "experiment results to host timing; use the simulation clock "
+        "(sim.now)."
     )
     severity = Severity.ERROR
 
     _TIME_FUNCS = frozenset(
         {"time", "time_ns", "monotonic", "monotonic_ns",
-         "perf_counter", "perf_counter_ns", "process_time", "process_time_ns"}
+         "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
+         "sleep"}
     )
     _DATETIME_METHODS = frozenset({"now", "utcnow", "today"})
 
@@ -208,7 +212,7 @@ class WallClockRule(Rule):
         return self.finding(
             ctx,
             node,
-            f"wall-clock read ({what}()) inside simulation code; "
+            f"wall-clock call ({what}()) inside simulation code; "
             "simulated time must come from the simulation clock",
         )
 

@@ -1,11 +1,13 @@
 """Deferred sealing must reach the journal and survive replay.
 
-Regression test for the JRN103 gap the whole-program linter surfaced:
-``SealStripe`` had a replay handler but no producer — a stripe filled
-with ``seal_when_full=False`` could only be sealed by calling
+Regression test for a producer-less record type: ``SealStripe`` once
+had a replay handler but no producer — a stripe filled with
+``seal_when_full=False`` could only be sealed by calling
 ``Stripe.seal()`` directly on the dataclass, which bypasses the
 write-ahead journal and is invisible to recovery.
-:meth:`PreEncodingStore.seal` is the journaled path.
+:meth:`PreEncodingStore.seal` is the journaled path.  The general check,
+that every record type is produced, handled and journaled before its
+mutation, is ``tests/journal/test_write_ahead.py``.
 """
 
 import pytest

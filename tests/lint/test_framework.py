@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.lint import (
     LintConfig,
     Severity,
@@ -16,7 +17,6 @@ from repro.lint import (
     load_config,
     text_report,
 )
-from repro.lint.cli import main as lint_main
 from repro.lint.engine import PARSE_RULE_ID, LintResult, parse_suppressions
 from repro.lint.model import Rule, register
 
@@ -186,32 +186,30 @@ class TestCli:
     def test_exit_one_on_error_finding(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_DEFAULT)
-        assert lint_main([str(bad)]) == 1
+        assert repro_main(["lint", str(bad)]) == 1
         assert "HYG001" in capsys.readouterr().out
 
     def test_exit_zero_on_clean_file(self, tmp_path, capsys):
         ok = tmp_path / "ok.py"
         ok.write_text("x = 1\n")
-        assert lint_main([str(ok)]) == 0
+        assert repro_main(["lint", str(ok)]) == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_json_format_flag(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_DEFAULT)
-        assert lint_main([str(bad), "--format", "json"]) == 1
+        assert repro_main(["lint", str(bad), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["rule"] == "HYG001"
 
     def test_fail_on_flag_loosens_gate(self, tmp_path, capsys):
         warn = tmp_path / "warn.py"
         warn.write_text("def pick(list):\n    return list\n")
-        assert lint_main([str(warn)]) == 0
-        assert lint_main([str(warn), "--fail-on", "warning"]) == 1
+        assert repro_main(["lint", str(warn)]) == 0
+        assert repro_main(["lint", str(warn), "--fail-on", "warning"]) == 1
         capsys.readouterr()
 
     def test_repro_cli_has_lint_subcommand(self, tmp_path, capsys):
-        from repro.cli import main as repro_main
-
         ok = tmp_path / "ok.py"
         ok.write_text("x = 1\n")
         assert repro_main(["lint", str(ok)]) == 0

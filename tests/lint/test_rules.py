@@ -3,7 +3,7 @@ suppression-comment case for every registered rule."""
 
 import pytest
 
-from repro.lint import Severity, all_rules, lint_source
+from repro.lint import LintConfig, Severity, all_rules, lint_source
 
 
 class Case:
@@ -150,8 +150,10 @@ CASES = {
 }
 
 
-def findings_for(rule_id, source, path):
-    return [f for f in lint_source(source, path) if f.rule_id == rule_id]
+def findings_for(rule_id, source, path, config=None):
+    return [
+        f for f in lint_source(source, path, config) if f.rule_id == rule_id
+    ]
 
 
 def suppress(case, rule_id):
@@ -163,14 +165,7 @@ def suppress(case, rule_id):
 
 class TestEveryRule:
     def test_case_table_covers_the_whole_registry(self):
-        # Project (whole-program) rules are exercised by the seeded
-        # corpus in tests/lint/project_cases instead of snippet pairs.
-        per_file = [
-            r.rule_id
-            for r in all_rules()
-            if not getattr(r, "is_project", False)
-        ]
-        assert sorted(CASES) == per_file
+        assert sorted(CASES) == [r.rule_id for r in all_rules()]
 
     @pytest.mark.parametrize("rule_id", sorted(CASES))
     def test_triggers(self, rule_id):
@@ -236,9 +231,21 @@ class TestDet002Details:
         src = "import time\nt = time.time()\n"
         assert not findings_for("DET002", src, "src/repro/analysis/x.py")
 
-    def test_sleep_is_not_a_clock_read(self):
+    def test_sleep_is_flagged(self):
         src = "import time\ntime.sleep(1)\n"
-        assert not findings_for("DET002", src, "src/repro/sim/x.py")
+        assert findings_for("DET002", src, "src/repro/sim/x.py")
+
+    def test_from_imported_sleep_is_flagged(self):
+        src = "from time import sleep\nsleep(1)\n"
+        assert findings_for("DET002", src, "src/repro/sim/x.py")
+
+    def test_whole_package_scope(self):
+        # The repo scopes DET002 to "repro": every module of the package
+        # is covered, code outside it is not.
+        config = LintConfig(wall_clock_paths=("repro",))
+        src = "import time\nt = time.time()\n"
+        assert findings_for("DET002", src, "src/repro/hdfs/client.py", config)
+        assert not findings_for("DET002", src, "benchmarks/e2e/run.py", config)
 
     def test_datetime_now(self):
         src = "from datetime import datetime\nt = datetime.now()\n"

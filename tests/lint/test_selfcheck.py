@@ -1,4 +1,5 @@
-"""The linter's own gate: ``repro lint src/repro`` must land clean.
+"""The linter's own gate: ``repro lint --fail-on warning src/repro``
+must land clean.
 
 This is the same invocation CI runs; keeping it in the test suite means a
 regression shows up in ``pytest`` before it shows up in the lint job.
@@ -28,8 +29,8 @@ class TestSelfCheck:
     def test_cli_gate_exits_zero(self):
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", "src/repro",
-             "--format", "json"],
+            [sys.executable, "-m", "repro.cli", "lint", "--fail-on",
+             "warning", "src/repro", "--format", "json"],
             cwd=REPO,
             env=env,
             capture_output=True,
@@ -38,4 +39,4 @@ class TestSelfCheck:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
-        assert payload["counts"].get("error", 0) == 0
+        assert payload["findings"] == []
