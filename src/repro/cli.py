@@ -7,22 +7,64 @@ Usage::
     python -m repro fig8a --stripes 96 --seeds 3
     python -m repro fig13a --stripes-per-process 10 --seeds 2
     python -m repro fig14 --runs 10
+    python -m repro lint --fail-on warning src/repro
+    python -m repro journal verify DIR
 
 Every command prints the same table the corresponding benchmark emits; the
-``--stripes`` / ``--seeds`` style options trade precision for speed.
+``--stripes`` / ``--seeds`` style options trade precision for speed.  Each
+subcommand is one row of ``COMMANDS`` (name, handler, help, arguments),
+which ``build_parser``, ``list_experiments`` and ``main`` all read.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import random
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence
 
+from repro import pipeline, recovery
+from repro.analysis.iterations import empirical_attempts, theorem1_bound
+from repro.analysis.violation import figure3_table
 from repro.erasure.codec import CodeParams
+from repro.experiments.charts import bar_chart, line_chart
 from repro.experiments.config import LargeScaleConfig, TestbedConfig
+from repro.experiments.largescale import (
+    sweep_bandwidth,
+    sweep_k,
+    sweep_m,
+    sweep_rack_tolerance,
+    sweep_replicas,
+    sweep_write_rate,
+)
+from repro.experiments.loadbalance import read_balance, storage_balance
 from repro.experiments.runner import format_table, mean
-from repro.parallel import DEFAULT_CACHE_DIR, make_executor
+from repro.experiments.testbed import (
+    run_mapreduce_workload,
+    run_write_during_encoding,
+    sweep_nk,
+    sweep_udp,
+)
+from repro.experiments.validation import (
+    encoded_stripes_curves,
+    validate_single_stripe_encode,
+    validate_write_path,
+)
+from repro.journal.checkpoint import list_checkpoints
+from repro.journal.verify import verify_journal
+from repro.journal.wal import list_segments, scan_journal
+from repro.lint import (
+    Severity,
+    json_report,
+    lint_paths,
+    load_config,
+    text_report,
+)
+from repro.parallel import DEFAULT_CACHE_DIR, ResultCache, make_executor
 
 
 def _pct(x: float) -> str:
@@ -30,12 +72,10 @@ def _pct(x: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# Command implementations
+# Experiment handlers
 # ----------------------------------------------------------------------
 def cmd_fig3(args) -> None:
     """Figure 3: Equation (1) violation probability."""
-    from repro.analysis.violation import figure3_table
-
     racks = list(range(args.min_racks, args.max_racks + 1, 2))
     ks = (6, 8, 10, 12)
     table = figure3_table(racks, ks)
@@ -45,10 +85,6 @@ def cmd_fig3(args) -> None:
 
 def cmd_theorem1(args) -> None:
     """Theorem 1: measured redraws vs the bound."""
-    import random
-
-    from repro.analysis.iterations import empirical_attempts, theorem1_bound
-
     code = CodeParams(args.k + 4, args.k)
     measured = empirical_attempts(
         num_racks=args.racks,
@@ -66,10 +102,6 @@ def cmd_theorem1(args) -> None:
 
 def cmd_fig8a(args) -> None:
     """Figure 8(a): encoding throughput vs (n, k)."""
-    from repro.experiments.testbed import sweep_nk
-
-    from repro.experiments.charts import bar_chart
-
     config = TestbedConfig().scaled(args.stripes)
     results = sweep_nk(ks=(4, 6, 8, 10), seeds=range(args.seeds), config=config)
     rows = [
@@ -87,8 +119,6 @@ def cmd_fig8a(args) -> None:
 
 def cmd_fig8b(args) -> None:
     """Figure 8(b): encoding throughput vs UDP cross-traffic."""
-    from repro.experiments.testbed import sweep_udp
-
     config = TestbedConfig().scaled(args.stripes)
     results = sweep_udp(seeds=range(args.seeds), config=config)
     rows = [
@@ -100,8 +130,6 @@ def cmd_fig8b(args) -> None:
 
 def cmd_fig9(args) -> None:
     """Figure 9: write response times while encoding."""
-    from repro.experiments.testbed import run_write_during_encoding
-
     config = TestbedConfig().scaled(args.stripes)
     rows = []
     for policy in ("rr", "ear"):
@@ -122,8 +150,6 @@ def cmd_fig9(args) -> None:
 
 def cmd_fig10(args) -> None:
     """Figure 10: SWIM MapReduce jobs before encoding."""
-    from repro.experiments.testbed import run_mapreduce_workload
-
     config = TestbedConfig()
     rows = []
     for policy in ("rr", "ear"):
@@ -140,12 +166,6 @@ def cmd_fig10(args) -> None:
 
 def cmd_fig12(args) -> None:
     """Figure 12 / Table I: validation curves and write RTs."""
-    from repro.experiments.validation import (
-        encoded_stripes_curves,
-        validate_single_stripe_encode,
-        validate_write_path,
-    )
-
     config = TestbedConfig().scaled(args.stripes)
     for check in (
         validate_write_path(config),
@@ -160,8 +180,6 @@ def cmd_fig12(args) -> None:
         for policy, curve in curves.items()
     ]
     print(format_table(["policy", f"time to encode {config.num_stripes} stripes (s)"], rows))
-    from repro.experiments.charts import line_chart
-
     print()
     print(line_chart(
         {policy: curve for policy, curve in curves.items()},
@@ -213,7 +231,8 @@ def _print_run(summary, clean: bool, noun: str, as_json: bool = False) -> int:
     return 0 if clean else 1
 
 
-def _largescale_sweep(sweep, args, header: str, formatter) -> None:
+def cmd_fig13(sweep, header: str, formatter, args) -> None:
+    """Figure 13: encode and write gains along one large-scale sweep."""
     base = LargeScaleConfig().scaled(args.stripes_per_process)
     executor = _executor_from_args(args)
     points = sweep(base=base, seeds=range(args.seeds), executor=executor)
@@ -225,53 +244,9 @@ def _largescale_sweep(sweep, args, header: str, formatter) -> None:
     _report_sweep(args, executor)
 
 
-def cmd_fig13a(args) -> None:
-    """Figure 13(a): gains vs k."""
-    from repro.experiments.largescale import sweep_k
-
-    _largescale_sweep(sweep_k, args, "k", lambda v: int(v))
-
-
-def cmd_fig13b(args) -> None:
-    """Figure 13(b): gains vs n - k."""
-    from repro.experiments.largescale import sweep_m
-
-    _largescale_sweep(sweep_m, args, "n-k", lambda v: int(v))
-
-
-def cmd_fig13c(args) -> None:
-    """Figure 13(c): gains vs link bandwidth."""
-    from repro.experiments.largescale import sweep_bandwidth
-
-    _largescale_sweep(sweep_bandwidth, args, "Gb/s", lambda v: v)
-
-
-def cmd_fig13d(args) -> None:
-    """Figure 13(d): gains vs write request rate."""
-    from repro.experiments.largescale import sweep_write_rate
-
-    _largescale_sweep(sweep_write_rate, args, "req/s", lambda v: v)
-
-
-def cmd_fig13e(args) -> None:
-    """Figure 13(e): gains vs EAR's tolerable rack failures."""
-    from repro.experiments.largescale import sweep_rack_tolerance
-
-    _largescale_sweep(sweep_rack_tolerance, args, "t", lambda v: int(v))
-
-
-def cmd_fig13f(args) -> None:
-    """Figure 13(f): gains vs replication factor."""
-    from repro.experiments.largescale import sweep_replicas
-
-    _largescale_sweep(sweep_replicas, args, "replicas", lambda v: int(v))
-
-
 def cmd_chaos(args) -> int:
     """Chaos drill: transient faults + corruption during background encoding."""
-    from repro.recovery import run_storm
-
-    report = run_storm(
+    report = recovery.run_storm(
         "chaos",
         seed=args.seed,
         num_stripes=args.stripes,
@@ -285,19 +260,17 @@ def cmd_chaos(args) -> int:
 
 def cmd_recovery(args) -> int:
     """Recovery storms: degraded reads and correlated-failure drills."""
-    from repro.recovery import head_to_head, head_to_head_rows, run_storm
-
     if args.head_to_head:
-        results = head_to_head(
+        results = recovery.head_to_head(
             scenario=args.scenario,
             seeds=tuple(range(args.seeds)),
             num_stripes=args.stripes,
             workers=args.workers,
             cache_dir=_cache_dir_from_args(args),
         )
-        return _print_grid(results, head_to_head_rows)
+        return _print_grid(results, recovery.head_to_head_rows)
 
-    report = run_storm(
+    report = recovery.run_storm(
         args.scenario, seed=args.seed, policy=args.policy,
         num_stripes=args.stripes,
     )
@@ -306,10 +279,8 @@ def cmd_recovery(args) -> int:
 
 def cmd_pipeline(args) -> int:
     """Pipelined archival encoding: strategy drills and head-to-heads."""
-    from repro.pipeline import head_to_head, head_to_head_rows, pipeline_trial
-
     if args.head_to_head:
-        results = head_to_head(
+        results = pipeline.head_to_head(
             seeds=tuple(range(args.seeds)),
             num_stripes=args.stripes,
             chunk_count=args.chunks,
@@ -317,9 +288,11 @@ def cmd_pipeline(args) -> int:
             workers=args.workers,
             cache_dir=_cache_dir_from_args(args),
         )
-        return _print_grid(results, head_to_head_rows, as_json=args.json)
+        return _print_grid(
+            results, pipeline.head_to_head_rows, as_json=args.json
+        )
 
-    result = pipeline_trial(
+    result = pipeline.pipeline_trial(
         seed=args.seed,
         contender=args.strategy,
         num_stripes=args.stripes,
@@ -332,24 +305,8 @@ def cmd_pipeline(args) -> int:
     )
 
 
-def cmd_lint(args) -> int:
-    """reprolint: AST-based determinism & resource-safety checks."""
-    from repro.lint.cli import cmd_lint as run
-
-    return run(args)
-
-
-def cmd_journal(args) -> int:
-    """Inspect and verify write-ahead metadata journals."""
-    from repro.journal.cli import cmd_journal as run
-
-    return run(args)
-
-
 def cmd_fig14(args) -> None:
     """Figure 14: storage load balance."""
-    from repro.experiments.loadbalance import storage_balance
-
     executor = _executor_from_args(args)
     shares = storage_balance(
         num_blocks=args.blocks, runs=args.runs, executor=executor
@@ -365,8 +322,6 @@ def cmd_fig14(args) -> None:
 
 def cmd_fig15(args) -> None:
     """Figure 15: read load balance (hotness index)."""
-    from repro.experiments.loadbalance import read_balance
-
     executor = _executor_from_args(args)
     sizes = (1, 10, 100, 1000, 10_000)
     result = read_balance(file_sizes=sizes, runs=args.runs, executor=executor)
@@ -378,15 +333,144 @@ def cmd_fig15(args) -> None:
     _report_sweep(args, executor)
 
 
+# ----------------------------------------------------------------------
+# Tool handlers: list, lint, journal, cache
+# ----------------------------------------------------------------------
+def cmd_list(args) -> None:
+    """Print the experiment ids, one per line."""
+    for name in list_experiments():
+        print(name)
+
+
+def cmd_lint(args) -> int:
+    """reprolint: AST-based determinism & resource-safety checks."""
+    start_dir = None
+    if args.paths:
+        first = args.paths[0]
+        start_dir = first if os.path.isdir(first) else os.path.dirname(first) or "."
+    config = load_config(pyproject_path=args.config, start_dir=start_dir)
+    if args.fail_on is not None:
+        config = replace(config, fail_on=Severity.parse(args.fail_on))
+    result = lint_paths(args.paths, config)
+    report = json_report(result) if args.format == "json" else text_report(result)
+    print(report)
+    return result.exit_code(config)
+
+
+def _pager_safe(handler):
+    """Exit 0 quietly when a downstream pager or ``head`` closes stdout."""
+
+    @functools.wraps(handler)
+    def run(args) -> int:
+        try:
+            return handler(args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 0
+
+    return run
+
+
+def _journal_scan(directory: str):
+    """Scan a journal; a missing directory is an error, as verify reports."""
+    scan = scan_journal(directory)
+    if not os.path.isdir(directory):
+        scan.errors.append(f"not a directory: {directory}")
+    return scan
+
+
+@_pager_safe
+def cmd_journal_dump(args) -> int:
+    """Print every record (seq, type, fields) in log order."""
+    scan = _journal_scan(args.directory)
+    for envelope in scan.envelopes:
+        type_tag = envelope.get("type")
+        if args.type_filter is not None and type_tag != args.type_filter:
+            continue
+        if args.as_json:
+            print(json.dumps(envelope, sort_keys=True))
+        else:
+            data = envelope.get("data") or {}
+            fields = " ".join(
+                f"{key}={data[key]!r}" for key in sorted(data)
+            )
+            print(f"{envelope['seq']:>8}  {type_tag:<20}  {fields}")
+    if scan.torn_tail:
+        print(f"# torn tail (tolerated): {scan.torn_tail}", file=sys.stderr)
+    for error in scan.errors:
+        print(f"# ERROR: {error}", file=sys.stderr)
+    return 1 if scan.errors else 0
+
+
+@_pager_safe
+def cmd_journal_verify(args) -> int:
+    """Run the structural checks; exit status 1 on any error."""
+    report = verify_journal(args.directory)
+    print(report.summary())
+    return 0 if report.ok else 1
+
+
+@_pager_safe
+def cmd_journal_stats(args) -> int:
+    """Record/segment/checkpoint counts, byte sizes, type histogram."""
+    directory = args.directory
+    scan = _journal_scan(directory)
+    histogram: Dict[str, int] = {}
+    for envelope in scan.envelopes:
+        type_tag = str(envelope.get("type"))
+        histogram[type_tag] = histogram.get(type_tag, 0) + 1
+    segment_bytes = sum(
+        os.path.getsize(path) for _idx, path in list_segments(directory)
+    )
+    checkpoint_bytes = sum(
+        os.path.getsize(path) for _seq, path in list_checkpoints(directory)
+    )
+    payload = {
+        "directory": directory,
+        "records": len(scan.envelopes),
+        "last_seq": scan.last_seq,
+        "segments": len(scan.segments),
+        "segment_bytes": segment_bytes,
+        "checkpoints": len(list_checkpoints(directory)),
+        "checkpoint_bytes": checkpoint_bytes,
+        "torn_tail": scan.torn_tail,
+        "errors": scan.errors,
+        "record_types": {key: histogram[key] for key in sorted(histogram)},
+    }
+    if args.as_json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(f"journal: {directory}")
+        print(f"records: {payload['records']} (last seq {payload['last_seq']})")
+        print(f"segments: {payload['segments']} ({segment_bytes} bytes)")
+        print(
+            f"checkpoints: {payload['checkpoints']} "
+            f"({checkpoint_bytes} bytes)"
+        )
+        if scan.torn_tail:
+            print(f"torn tail (tolerated): {scan.torn_tail}")
+        for error in scan.errors:
+            print(f"ERROR: {error}")
+        for type_tag in sorted(histogram):
+            print(f"  {type_tag:<20} {histogram[type_tag]}")
+    return 1 if scan.errors else 0
+
+
 def cmd_cache(args) -> int:
     """Inspect or clear the parallel sweep result cache."""
-    from repro.parallel.cli import cmd_cache as run
-
-    return run(args)
+    cache = ResultCache(args.cache_dir)
+    if args.action == "clear":
+        removed = cache.clear()
+        print(f"removed {removed} cache entries from {cache.directory}")
+        return 0
+    for line in cache.stats().lines():
+        print(line)
+    return 0
 
 
 # ----------------------------------------------------------------------
-# Parser assembly
+# The command table
 # ----------------------------------------------------------------------
 def _at_least(minimum: int):
     """argparse ``type``: an integer no smaller than ``minimum``."""
@@ -401,185 +485,185 @@ def _at_least(minimum: int):
     return parse
 
 
-def _add_sweep_arguments(
-    parser: argparse.ArgumentParser,
-    seeds: Optional[int] = None,
-    seeds_help: Optional[str] = None,
-) -> None:
-    """The options every sweep command shares, validated in one place."""
-    if seeds is not None:
-        parser.add_argument(
-            "--seeds", type=_at_least(1), default=seeds, help=seeds_help
-        )
-    parser.add_argument(
-        "--workers",
-        type=_at_least(0),
-        default=None,
+def arg(*flags, **kwargs):
+    """One ``(flags, kwargs)`` pair, handed as is to ``add_argument``."""
+    return flags, kwargs
+
+
+# Pairs several commands share; every sweep command ends with SWEEP.
+SEED = arg("--seed", type=int, default=0)
+SWEEP = [
+    arg("--workers", type=_at_least(0), default=None,
         help="fan sweep trials out to N worker processes and cache results "
-        "on disk (0 = in-process, cached; results are identical)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="with --workers: skip the on-disk result cache",
-    )
+        "on disk (0 = in-process, cached; results are identical)"),
+    arg("--no-cache", action="store_true",
+        help="with --workers: skip the on-disk result cache"),
+]
+TESTBED = [
+    arg("--stripes", type=_at_least(1), default=96),
+    arg("--seeds", type=_at_least(1), default=3),
+]
+FIG13 = [
+    arg("--stripes-per-process", type=_at_least(1), default=10),
+    arg("--seeds", type=_at_least(1), default=2),
+] + SWEEP
+JOURNAL_DIR = arg("directory", help="journal directory")
+
+# (name, handler, help, arguments), in ``repro list`` order.
+EXPERIMENTS = (
+    ("fig3", cmd_fig3, cmd_fig3.__doc__, [
+        arg("--min-racks", type=int, default=14),
+        arg("--max-racks", type=int, default=40),
+    ]),
+    ("theorem1", cmd_theorem1, cmd_theorem1.__doc__, [
+        arg("--racks", type=int, default=20),
+        arg("--k", type=_at_least(1), default=10),
+        arg("--stripes", type=_at_least(1), default=300),
+        SEED,
+    ]),
+    ("fig8a", cmd_fig8a, cmd_fig8a.__doc__, TESTBED),
+    ("fig8b", cmd_fig8b, cmd_fig8b.__doc__, TESTBED),
+    ("fig9", cmd_fig9, cmd_fig9.__doc__, TESTBED),
+    ("fig10", cmd_fig10, cmd_fig10.__doc__, [
+        arg("--jobs", type=_at_least(1), default=30),
+        SEED,
+    ]),
+    ("fig12", cmd_fig12, cmd_fig12.__doc__, [
+        arg("--stripes", type=_at_least(1), default=96),
+        SEED,
+    ]),
+    ("fig13a", functools.partial(cmd_fig13, sweep_k, "k", int),
+     "Figure 13(a): gains vs k.", FIG13),
+    ("fig13b", functools.partial(cmd_fig13, sweep_m, "n-k", int),
+     "Figure 13(b): gains vs n - k.", FIG13),
+    ("fig13c", functools.partial(cmd_fig13, sweep_bandwidth, "Gb/s", str),
+     "Figure 13(c): gains vs link bandwidth.", FIG13),
+    ("fig13d", functools.partial(cmd_fig13, sweep_write_rate, "req/s", str),
+     "Figure 13(d): gains vs write request rate.", FIG13),
+    ("fig13e", functools.partial(cmd_fig13, sweep_rack_tolerance, "t", int),
+     "Figure 13(e): gains vs EAR's tolerable rack failures.", FIG13),
+    ("fig13f", functools.partial(cmd_fig13, sweep_replicas, "replicas", int),
+     "Figure 13(f): gains vs replication factor.", FIG13),
+    ("fig14", cmd_fig14, cmd_fig14.__doc__, [
+        arg("--blocks", type=_at_least(1), default=10_000),
+        arg("--runs", type=_at_least(1), default=10),
+    ] + SWEEP),
+    ("fig15", cmd_fig15, cmd_fig15.__doc__, [
+        arg("--runs", type=_at_least(1), default=10),
+    ] + SWEEP),
+    ("chaos", cmd_chaos, cmd_chaos.__doc__, [
+        SEED,
+        arg("--stripes", type=_at_least(1), default=12),
+        arg("--flaps", type=int, default=4),
+        arg("--rack-outages", type=int, default=1),
+        arg("--corruptions", type=int, default=3),
+        arg("--horizon", type=float, default=40.0),
+    ]),
+    ("recovery", cmd_recovery, cmd_recovery.__doc__, [
+        arg("scenario", nargs="?", default="single_node_loss",
+            choices=["single_node_loss", "rack_loss", "scrub_storm",
+                     "rolling_failures", "chaos"],
+            help="which storm to run (default: single_node_loss)"),
+        SEED,
+        arg("--policy", default="ear", choices=["rr", "ear", "recovery"],
+            help="placement policy for a single-scenario run"),
+        arg("--stripes", type=_at_least(1), default=6),
+        arg("--head-to-head", action="store_true",
+            help="run the rr/ear/recovery x code comparison grid instead of "
+            "one policy"),
+        arg("--seeds", type=_at_least(1), default=1,
+            help="with --head-to-head: seeds per grid cell"),
+    ] + SWEEP),
+    ("pipeline", cmd_pipeline, cmd_pipeline.__doc__, [
+        arg("--strategy", default="pipeline",
+            choices=["rr", "ear", "pipeline"],
+            help="contender for a single run: rr/ear download-and-encode or "
+            "the pipelined strategy (default: pipeline)"),
+        SEED,
+        arg("--stripes", type=_at_least(1), default=6),
+        arg("--chunks", type=_at_least(1), default=4,
+            help="chunks each block is streamed in along the pipeline"),
+        arg("--no-disturb", action="store_true",
+            help="skip the mid-encode node failure (measure the clean wave)"),
+        arg("--head-to-head", action="store_true",
+            help="run the rr/ear/pipeline comparison grid instead of one "
+            "strategy"),
+        arg("--json", action="store_true",
+            help="emit raw trial results as JSON instead of a table"),
+        arg("--seeds", type=_at_least(1), default=1,
+            help="with --head-to-head: seeds per contender"),
+    ] + SWEEP),
+)
+
+# The tools follow the experiments.  A row with a fifth item (and no
+# handler of its own) nests those rows as its subcommands.
+COMMANDS = EXPERIMENTS + (
+    ("list", cmd_list, "list available experiments", []),
+    ("lint", cmd_lint, cmd_lint.__doc__, [
+        arg("paths", nargs="*", default=["src/repro"],
+            help="files or directories to lint (default: src/repro)"),
+        arg("--format", choices=("text", "json"), default="text",
+            help="report format"),
+        arg("--fail-on", choices=tuple(s.label for s in Severity),
+            default=None,
+            help="minimum severity that fails the run (default: error)"),
+        arg("--config", default=None, metavar="PYPROJECT",
+            help="explicit pyproject.toml (default: nearest to the first "
+            "path)"),
+    ]),
+    ("journal", None, "Inspect and verify write-ahead metadata journals.",
+     [], (
+        ("dump", cmd_journal_dump, "print every record in log order", [
+            JOURNAL_DIR,
+            arg("--json", action="store_true", dest="as_json",
+                help="one JSON object per line instead of aligned text"),
+            arg("--type", dest="type_filter", default=None,
+                help="only records of this type tag (e.g. parity_add)"),
+        ]),
+        ("verify", cmd_journal_verify,
+         "structural checks; non-zero exit on errors", [JOURNAL_DIR]),
+        ("stats", cmd_journal_stats, "counts, sizes, type histogram", [
+            JOURNAL_DIR,
+            arg("--json", action="store_true", dest="as_json",
+                help="machine-readable JSON output"),
+        ]),
+    )),
+    ("cache", cmd_cache, cmd_cache.__doc__, [
+        arg("action", choices=("stats", "clear"),
+            help="stats: show entry counts and hit rates; clear: delete all "
+            "entries"),
+        arg("--dir", dest="cache_dir", default=DEFAULT_CACHE_DIR,
+            help=f"cache directory (default: {DEFAULT_CACHE_DIR})"),
+    ]),
+)
+
+
+def _add_commands(parser, dest: str, rows, required: bool = False) -> None:
+    """One subparser per row; nested rows land under ``<name>_command``."""
+    sub = parser.add_subparsers(dest=dest, required=required)
+    for name, handler, help_text, arguments, *nested in rows:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        if nested:
+            _add_commands(p, f"{name}_command", nested[0], required=True)
+        else:
+            p.set_defaults(func=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
+    """Construct the CLI argument parser from ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate experiments from Li, Hu & Lee (DSN 2015).",
     )
-    sub = parser.add_subparsers(dest="command")
-
-    sub.add_parser("list", help="list available experiments")
-
-    p = sub.add_parser("fig3", help=cmd_fig3.__doc__)
-    p.add_argument("--min-racks", type=int, default=14)
-    p.add_argument("--max-racks", type=int, default=40)
-    p.set_defaults(func=cmd_fig3)
-
-    p = sub.add_parser("theorem1", help=cmd_theorem1.__doc__)
-    p.add_argument("--racks", type=int, default=20)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--stripes", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_theorem1)
-
-    for name, func in (("fig8a", cmd_fig8a), ("fig8b", cmd_fig8b),
-                       ("fig9", cmd_fig9)):
-        p = sub.add_parser(name, help=func.__doc__)
-        p.add_argument("--stripes", type=int, default=96)
-        p.add_argument("--seeds", type=_at_least(1), default=3)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("fig10", help=cmd_fig10.__doc__)
-    p.add_argument("--jobs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fig10)
-
-    p = sub.add_parser("fig12", help=cmd_fig12.__doc__)
-    p.add_argument("--stripes", type=int, default=96)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fig12)
-
-    for name, func in (
-        ("fig13a", cmd_fig13a), ("fig13b", cmd_fig13b),
-        ("fig13c", cmd_fig13c), ("fig13d", cmd_fig13d),
-        ("fig13e", cmd_fig13e), ("fig13f", cmd_fig13f),
-    ):
-        p = sub.add_parser(name, help=func.__doc__)
-        p.add_argument("--stripes-per-process", type=int, default=10)
-        _add_sweep_arguments(p, seeds=2)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("chaos", help=cmd_chaos.__doc__)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stripes", type=int, default=12)
-    p.add_argument("--flaps", type=int, default=4)
-    p.add_argument("--rack-outages", type=int, default=1)
-    p.add_argument("--corruptions", type=int, default=3)
-    p.add_argument("--horizon", type=float, default=40.0)
-    p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser("recovery", help=cmd_recovery.__doc__)
-    p.add_argument(
-        "scenario",
-        nargs="?",
-        default="single_node_loss",
-        choices=[
-            "single_node_loss", "rack_loss", "scrub_storm",
-            "rolling_failures", "chaos",
-        ],
-        help="which storm to run (default: single_node_loss)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--policy", default="ear", choices=["rr", "ear", "recovery"],
-        help="placement policy for a single-scenario run",
-    )
-    p.add_argument("--stripes", type=int, default=6)
-    p.add_argument(
-        "--head-to-head", action="store_true",
-        help="run the rr/ear/recovery x code comparison grid instead of "
-        "one policy",
-    )
-    _add_sweep_arguments(
-        p, seeds=1, seeds_help="with --head-to-head: seeds per grid cell"
-    )
-    p.set_defaults(func=cmd_recovery)
-
-    p = sub.add_parser("pipeline", help=cmd_pipeline.__doc__)
-    p.add_argument(
-        "--strategy", default="pipeline",
-        choices=["rr", "ear", "pipeline"],
-        help="contender for a single run: rr/ear download-and-encode or "
-        "the pipelined strategy (default: pipeline)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stripes", type=int, default=6)
-    p.add_argument(
-        "--chunks", type=int, default=4,
-        help="chunks each block is streamed in along the pipeline",
-    )
-    p.add_argument(
-        "--no-disturb", action="store_true",
-        help="skip the mid-encode node failure (measure the clean wave)",
-    )
-    p.add_argument(
-        "--head-to-head", action="store_true",
-        help="run the rr/ear/pipeline comparison grid instead of one "
-        "strategy",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit raw trial results as JSON instead of a table",
-    )
-    _add_sweep_arguments(
-        p, seeds=1, seeds_help="with --head-to-head: seeds per contender"
-    )
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("lint", help=cmd_lint.__doc__)
-    from repro.lint.cli import add_lint_arguments
-
-    add_lint_arguments(p)
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser("journal", help=cmd_journal.__doc__)
-    from repro.journal.cli import add_journal_arguments
-
-    add_journal_arguments(p)
-    p.set_defaults(func=cmd_journal)
-
-    p = sub.add_parser("fig14", help=cmd_fig14.__doc__)
-    p.add_argument("--blocks", type=int, default=10_000)
-    p.add_argument("--runs", type=int, default=10)
-    _add_sweep_arguments(p)
-    p.set_defaults(func=cmd_fig14)
-
-    p = sub.add_parser("fig15", help=cmd_fig15.__doc__)
-    p.add_argument("--runs", type=int, default=10)
-    _add_sweep_arguments(p)
-    p.set_defaults(func=cmd_fig15)
-
-    p = sub.add_parser("cache", help=cmd_cache.__doc__)
-    from repro.parallel.cli import add_cache_arguments
-
-    add_cache_arguments(p)
-    p.set_defaults(func=cmd_cache)
-
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 
 def list_experiments() -> List[str]:
     """Experiment ids the CLI can run."""
-    return [
-        "fig3", "theorem1", "fig8a", "fig8b", "fig9", "fig10", "fig12",
-        "fig13a", "fig13b", "fig13c", "fig13d", "fig13e", "fig13f",
-        "fig14", "fig15", "chaos", "recovery", "pipeline",
-    ]
+    return [name for name, *_ in EXPERIMENTS]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -589,10 +673,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "list":
-        for name in list_experiments():
-            print(name)
-        return 0
     result = args.func(args)
     return 0 if result is None else int(result)
 

@@ -26,11 +26,6 @@ class DuplicateFileError(KeyError):
     """Raised when creating a file whose name is taken."""
 
 
-#: Deprecated alias — the old name shadowed the ``FileExistsError``
-#: builtin (reprolint HYG002); use :class:`DuplicateFileError` instead.
-FileExistsError_ = DuplicateFileError
-
-
 @dataclass
 class FileMetadata:
     """NameNode-side record of one file.

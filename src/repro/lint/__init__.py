@@ -37,7 +37,12 @@ plus the ``workers=N ≡ workers=0`` identity checks.
 
 Findings are suppressible per line (``# reprolint: disable=RID``) or per
 file (``# reprolint: disable-file=RID``); configuration lives in
-``[tool.reprolint]`` of ``pyproject.toml``.  Run via ``repro lint``.
+``[tool.reprolint]`` of ``pyproject.toml``.  Run it as
+``python -m repro lint [--fail-on warning] [--format json] src/repro``
+(the handler is ``repro.cli.cmd_lint``).  Exit status is 1 when any
+finding meets the fail threshold (``error`` by default, overridden by
+``--fail-on`` or ``fail-on`` in pyproject), else 0 — that is the whole CI
+contract.
 """
 
 from repro.lint.config import LintConfig, load_config

@@ -10,7 +10,6 @@ from repro.erasure.codec import CodeParams
 from repro.hdfs.client import CFSClient
 from repro.hdfs.files import (
     DuplicateFileError,
-    FileExistsError_,
     FileNamespace,
     read_file,
     write_file,
@@ -48,13 +47,6 @@ class TestNamespace:
         ns.create("/x")
         with pytest.raises(DuplicateFileError):
             ns.create("/x")
-
-    def test_deprecated_alias_still_catches(self):
-        ns = FileNamespace()
-        ns.create("/x")
-        with pytest.raises(FileExistsError_):
-            ns.create("/x")
-        assert FileExistsError_ is DuplicateFileError
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ class TestSelfCheck:
     def test_cli_gate_exits_zero(self):
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", "--fail-on",
+            [sys.executable, "-m", "repro", "lint", "--fail-on",
              "warning", "src/repro", "--format", "json"],
             cwd=REPO,
             env=env,

@@ -1,5 +1,10 @@
 """CLI smoke tests: every command parses and the cheap ones run."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, list_experiments, main
@@ -22,6 +27,18 @@ class TestParser:
         for name in ("fig3", "fig13a", "fig15"):
             assert name in out
         assert "bench" not in out
+
+    def test_python_dash_m_repro_matches_main(self, capsys):
+        # ``python -m repro`` (the documented entry point) runs __main__.py.
+        repo = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "list"],
+            cwd=repo, env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["list"]) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_bench_is_not_a_subcommand(self, capsys):
         # Wall time is benchmarks/e2e, the figure suites run under pytest.
@@ -102,6 +119,25 @@ class TestSweepArguments:
         assert excinfo.value.code == 2
         assert "--seeds: must be at least 1" in capsys.readouterr().err
 
+    # Every count option rejects 0 at parse time instead of crashing in
+    # the run (or, for pipeline/chaos, passing vacuously over no stripes).
+    ZERO_COUNTS = (
+        ["theorem1", "--k"], ["theorem1", "--stripes"],
+        ["fig8a", "--stripes"], ["fig9", "--stripes"],
+        ["fig12", "--stripes"],
+        ["fig10", "--jobs"], ["fig13a", "--stripes-per-process"],
+        ["fig14", "--blocks"], ["fig15", "--runs"],
+        ["chaos", "--stripes"], ["recovery", "--stripes"],
+        ["pipeline", "--stripes"], ["pipeline", "--chunks"],
+    )
+
+    @pytest.mark.parametrize("command", ZERO_COUNTS, ids=" ".join)
+    def test_zero_count_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["0"])
+        assert excinfo.value.code == 2
+        assert f"{command[-1]}: must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command", SWEEPS + (["fig14"], ["fig15"]), ids=" ".join
     )
@@ -151,3 +187,19 @@ class TestGridExitStatus:
         out = capsys.readouterr().out
         assert "scenario" in out and "chaos" in out
         assert "drill clean" in out
+
+
+class TestJournalCommands:
+    @pytest.fixture(params=["missing", "regular-file"])
+    def not_a_journal(self, request, tmp_path):
+        path = tmp_path / request.param
+        if request.param == "regular-file":
+            path.write_text("not a journal\n")
+        return str(path)
+
+    @pytest.mark.parametrize("action", ["dump", "verify", "stats"])
+    def test_not_a_directory_fails(self, action, not_a_journal, capsys):
+        assert main(["journal", action, not_a_journal]) == 1
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert f"not a directory: {not_a_journal}" in output
