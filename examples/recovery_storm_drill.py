@@ -41,7 +41,7 @@ def rack_loss_head_to_head(seed):
     means = {}
     for policy in ("ear", "recovery"):
         report = run_storm("rack_loss", seed=seed, policy=policy, num_stripes=4)
-        mean = report.recovery_summary.get("repair_time_mean", 0.0)
+        mean = report.metrics.get("repair_time_mean", 0.0)
         means[policy] = mean
         print(
             f"  {policy.ljust(8)}  repair_time_mean={mean:.4f}"

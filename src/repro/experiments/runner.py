@@ -26,7 +26,7 @@ from repro.hdfs.namenode import NameNode
 from repro.hdfs.raidnode import RaidNode
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
-    ResilienceMetrics,
+    FaultMetrics,
     ResponseTimeStats,
     ThroughputMeter,
     TimeSeries,
@@ -52,7 +52,8 @@ class ClusterSetup:
     write_stats: ResponseTimeStats
     encode_meter: ThroughputMeter
     encode_timeline: TimeSeries
-    resilience: Optional[ResilienceMetrics] = None
+    #: The fault collector the encoder and RaidNode retry loops feed.
+    metrics: FaultMetrics
 
 
 def make_policy(
@@ -105,7 +106,6 @@ def build_cluster(
     ear_c: int = 1,
     ear_target_racks: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
-    resilience: Optional[ResilienceMetrics] = None,
     max_task_attempts: Optional[int] = None,
     journal=None,
     strategy: str = StrategyName.DOWNLOAD,
@@ -150,11 +150,12 @@ def build_cluster(
     encode_meter = ThroughputMeter()
     encode_timeline = TimeSeries()
     planner = namenode.make_planner(code, rng=rng)
+    metrics = FaultMetrics()
     engine = dict(
         throughput=encode_meter,
         timeline=encode_timeline,
         retry=retry,
-        resilience=resilience,
+        fault_metrics=metrics,
         rng=rng,
     )
     if strategy == StrategyName.DOWNLOAD:
@@ -188,7 +189,7 @@ def build_cluster(
         )
     raidnode = RaidNode(
         sim, network, namenode, encoder, rng=rng,
-        retry=retry, resilience=resilience,
+        retry=retry, fault_metrics=metrics,
     )
     return ClusterSetup(
         sim=sim,
@@ -205,7 +206,7 @@ def build_cluster(
         write_stats=write_stats,
         encode_meter=encode_meter,
         encode_timeline=encode_timeline,
-        resilience=resilience,
+        metrics=metrics,
     )
 
 

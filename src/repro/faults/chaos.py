@@ -23,7 +23,7 @@ from typing import Generator, List, Optional, Sequence, Tuple
 from repro.cluster.block import BlockId
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.sim.engine import Simulator
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import OUTAGE, FaultMetrics
 from repro.sim.netsim import Network
 
 #: Chaos event kinds.
@@ -159,18 +159,16 @@ class ChaosInjector:
             optional when the schedule contains no corruption events.
         schedule: The fault script.
         rng: Random source for corruption replica choice.
-        resilience: Optional fault metrics (outage windows, injected
-            corruption counts).
-        recovery: Optional
-            :class:`~repro.recovery.metrics.RecoveryMetrics`; applied
-            chaos events are tallied per kind for storm reports.
+        metrics: Fault collector (a fresh one when omitted): outage
+            windows, injected corruption, and applied events per kind.
 
     Faults overlap freely: a rack outage may cover an already-flapping
     node.  Liveness restoration is reference-counted per node, so a node
     downed by both a flap and a rack outage only returns once *both*
-    lift.  Overlapping degradations of one node multiply: its bandwidth
-    is the nominal value times every active factor, and returns to
-    nominal when the last window lifts.
+    lift; likewise one target's overlapping outages share one window,
+    closed when the last of them lifts.  Overlapping degradations of one
+    node multiply: its bandwidth is the nominal value times every active
+    factor, and returns to nominal when the last window lifts.
     """
 
     def __init__(
@@ -180,19 +178,20 @@ class ChaosInjector:
         schedule: ChaosSchedule,
         namenode=None,
         rng: Optional[random.Random] = None,
-        resilience: Optional[ResilienceMetrics] = None,
-        recovery=None,
+        metrics: Optional[FaultMetrics] = None,
     ) -> None:
         self.sim = sim
         self.network = network
         self.schedule = schedule
         self.namenode = namenode
         self.rng = rng if rng is not None else random.Random(0)
-        self.resilience = resilience
-        self.recovery = recovery
+        self.metrics = metrics if metrics is not None else FaultMetrics()
         self.applied: List[ChaosEvent] = []
         self.skipped: List[ChaosEvent] = []
+        #: node -> outages currently holding it down
         self._down_refs: dict = {}
+        #: outage label -> outages of that target not yet lifted
+        self._outage_refs: dict = {}
         #: node -> (nominal up, nominal down, factors of the open windows)
         self._degraded: dict = {}
 
@@ -211,8 +210,7 @@ class ChaosInjector:
 
     # ------------------------------------------------------------------
     def _apply(self, event: ChaosEvent) -> None:
-        if self.recovery is not None:
-            self.recovery.record_storm_event(event.kind)
+        self.metrics.record_storm_event(event.kind)
         if event.kind == NODE_FLAP:
             self._take_down([event.target], event, label=f"node {event.target}")
         elif event.kind == RACK_OUTAGE:
@@ -227,8 +225,8 @@ class ChaosInjector:
         for node in nodes:
             self._down_refs[node] = self._down_refs.get(node, 0) + 1
             self.network.fail_endpoint(node)
-        if self.resilience is not None:
-            self.resilience.begin_outage(label, self.sim.now)
+        self._outage_refs[label] = self._outage_refs.get(label, 0) + 1
+        self.metrics.open_window(OUTAGE, label, self.sim.now)
         self.applied.append(event)
         self.sim.process(self._restore_later(nodes, event.duration, label))
 
@@ -237,12 +235,10 @@ class ChaosInjector:
     ) -> Generator:
         yield self.sim.timeout(duration)
         for node in nodes:
-            self._down_refs[node] -= 1
-            if self._down_refs[node] <= 0:
-                del self._down_refs[node]
+            if _release(self._down_refs, node):
                 self.network.restore_endpoint(node)
-        if self.resilience is not None:
-            self.resilience.end_outage(label, self.sim.now)
+        if _release(self._outage_refs, label):
+            self.metrics.close_window(OUTAGE, label, self.sim.now)
 
     def _degrade(self, event: ChaosEvent) -> None:
         node = event.target
@@ -293,6 +289,14 @@ class ChaosInjector:
             return
         node = self.rng.choice(replicas)
         store.mark_corrupted(block_id, node)
-        if self.resilience is not None:
-            self.resilience.record_corruption_injected()
+        self.metrics.count("corruption_injected")
         self.applied.append(event)
+
+
+def _release(refs: dict, key) -> bool:
+    """Drop one outage's hold on ``key``; True when it was the last."""
+    refs[key] -= 1
+    if refs[key] > 0:
+        return False
+    del refs[key]
+    return True

@@ -25,7 +25,7 @@ from repro.core.policy import PlacementError
 from repro.core.stripe import Stripe, StripeState
 from repro.faults.retry import RetryExhausted, RetryPolicy, with_retries
 from repro.sim.engine import Event, Simulator
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import MARGIN_ZERO, UNAVAILABLE, FaultMetrics
 from repro.sim.netsim import Network, SourceUnavailable, TransferAborted
 
 #: Repair outcomes delivered through each enqueue's completion event.
@@ -47,16 +47,13 @@ class RepairQueue:
         retry: When given, each repair survives transient faults: aborted
             transfers trigger a backoff and a fresh attempt with a newly
             chosen target against current liveness.
-        resilience: Optional fault metrics (repair durations feed MTTR,
-            unavailability windows open at enqueue and close at repair).
+        metrics: Fault collector (a fresh one when omitted): each repair
+            feeds the repair-time distribution and reconstruction
+            traffic; a block's unavailability window opens at enqueue
+            and closes at repair, as does its stripe's margin-0 window.
         mover: Optional :class:`~repro.core.relocation.BlockMover`; when
             present, relocation requests (recorded constraint violations)
             are served once the damage queue drains.
-        recovery: Optional
-            :class:`~repro.recovery.metrics.RecoveryMetrics`; when
-            present, each repair feeds the repair-time distribution,
-            per-rack reconstruction traffic, and margin-0 vulnerability
-            windows.
         concurrency: Simultaneous repairs the queue may run (default 1:
             strictly one at a time).  Higher values model a production
             repair fleet — and are where placement matters: concurrent
@@ -78,9 +75,8 @@ class RepairQueue:
         raidnode,
         rng: Optional[random.Random] = None,
         retry: Optional[RetryPolicy] = None,
-        resilience: Optional[ResilienceMetrics] = None,
+        metrics: Optional[FaultMetrics] = None,
         mover=None,
-        recovery=None,
         concurrency: int = 1,
     ) -> None:
         if concurrency < 1:
@@ -91,9 +87,8 @@ class RepairQueue:
         self.raidnode = raidnode
         self.rng = rng if rng is not None else random.Random(0)
         self.retry = retry
-        self.resilience = resilience
+        self.metrics = metrics if metrics is not None else FaultMetrics()
         self.mover = mover
-        self.recovery = recovery
         self.concurrency = concurrency
         self._pending: Dict[BlockId, Event] = {}
         self._active: set = set()
@@ -105,7 +100,6 @@ class RepairQueue:
         self.relocation_requests: List[Stripe] = []
         self._reloc_pending: List[Stripe] = []
         self.relocations_done = 0
-        self.relocation_failures: List[Tuple[int, str]] = []
         self._worker = sim.process(self._run())
 
     # ------------------------------------------------------------------
@@ -123,11 +117,10 @@ class RepairQueue:
             return self._pending[block_id]
         done = self.sim.event()
         self._pending[block_id] = done
-        if self.resilience is not None:
-            self.resilience.block_unavailable(block_id, self.sim.now)
-        if self.recovery is not None and self._margin(block_id) <= 0:
-            self.recovery.begin_vulnerability(
-                self._vulnerability_key(block_id), self.sim.now
+        self.metrics.open_window(UNAVAILABLE, block_id, self.sim.now)
+        if self._margin(block_id) <= 0:
+            self.metrics.open_window(
+                MARGIN_ZERO, self._vulnerability_key(block_id), self.sim.now
             )
         self._notify()
         return done
@@ -221,21 +214,16 @@ class RepairQueue:
         self, block_id: BlockId, start: float, outcome: str
     ) -> None:
         self.outcomes[outcome] += 1
+        metrics = self.metrics
         if outcome == UNRECOVERABLE:
             self.unrecoverable.append(block_id)
-            if self.resilience is not None:
-                self.resilience.record_data_loss(
-                    block_id, self.sim.now, "repair failed"
-                )
-        if self.resilience is not None:
-            self.resilience.record_repair(self.sim.now - start)
-            self.resilience.block_available(block_id, self.sim.now)
-        if self.recovery is not None:
-            self.recovery.record_repair(start, self.sim.now - start)
-            if outcome != UNRECOVERABLE and self._margin(block_id) > 0:
-                self.recovery.end_vulnerability(
-                    self._vulnerability_key(block_id), self.sim.now
-                )
+            metrics.record_data_loss(block_id, self.sim.now, "repair failed")
+        metrics.record_repair(self.sim.now - start)
+        metrics.close_window(UNAVAILABLE, block_id, self.sim.now)
+        if outcome != UNRECOVERABLE and self._margin(block_id) > 0:
+            metrics.close_window(
+                MARGIN_ZERO, self._vulnerability_key(block_id), self.sim.now
+            )
         done = self._pending.pop(block_id)
         done.succeed(outcome)
 
@@ -313,7 +301,7 @@ class RepairQueue:
             self.retry,
             self.rng,
             retry_on=(TransferAborted, RetryExhausted),
-            metrics=self.resilience,
+            metrics=self.metrics,
             label="repair",
         )
         return result
@@ -335,13 +323,12 @@ class RepairQueue:
             raise RuntimeError(f"no replacement node for block {block_id}")
         size = store.block(block_id).size
         yield from self.network.transfer(sources[0], target, size)
-        if self.recovery is not None:
-            cross = self.network.is_cross_rack(sources[0], target)
-            self.recovery.record_repair_traffic(
-                self.namenode.topology.rack_of(target),
-                size,
-                size if cross else 0.0,
-            )
+        cross = self.network.is_cross_rack(sources[0], target)
+        self.metrics.record_repair_traffic(
+            self.namenode.topology.rack_of(target),
+            size,
+            size if cross else 0.0,
+        )
         # A concurrent encode may have trimmed the block to its retained
         # copy while ours was in flight; committing a second replica would
         # over-replicate an encoded stripe.  Drop the copy instead.
@@ -361,13 +348,12 @@ class RepairQueue:
         record = yield from self.raidnode.recover_block(
             stripe, block_id, target
         )
-        if self.recovery is not None:
-            size = self.namenode.block_store.block(block_id).size
-            self.recovery.record_repair_traffic(
-                self.namenode.topology.rack_of(target),
-                stripe.k * size,
-                record.cross_rack_reads * size,
-            )
+        size = self.namenode.block_store.block(block_id).size
+        self.metrics.record_repair_traffic(
+            self.namenode.topology.rack_of(target),
+            stripe.k * size,
+            record.cross_rack_reads * size,
+        )
 
     # ------------------------------------------------------------------
     # Placement
@@ -429,7 +415,7 @@ class RepairQueue:
         request (``PlacementError``, ``KeyError``/``ValueError`` from a
         replica that moved mid-plan) or an endpoint died under the move
         (``TransferAborted``, ``RetryExhausted``) — are recorded in the
-        resilience metrics and deferred to the next violation scan.
+        fault metrics and deferred to the next violation scan.
         Anything else is a genuine bug and propagates: a relocation
         worker that swallows unknown exceptions is how placement
         invariants rot silently.
@@ -444,9 +430,7 @@ class RepairQueue:
             KeyError,
             ValueError,
         ) as exc:
-            self.relocation_failures.append((stripe.stripe_id, repr(exc)))
-            if self.resilience is not None:
-                self.resilience.record_relocation_failure(repr(exc))
+            self.metrics.record_relocation_failure(repr(exc))
         finally:
             # Served or deferred, the request left the in-memory backlog;
             # the journal's pending set must agree either way.

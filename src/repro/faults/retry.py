@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Tuple, Type
 
 from repro.sim.engine import Simulator
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import FaultMetrics
 from repro.sim.netsim import TransferAborted
 
 
@@ -117,7 +117,7 @@ def with_retries(
     policy: Optional[RetryPolicy],
     rng: random.Random,
     retry_on: Tuple[Type[BaseException], ...] = (TransferAborted,),
-    metrics: Optional[ResilienceMetrics] = None,
+    metrics: Optional[FaultMetrics] = None,
     label: str = "operation",
 ) -> Generator:
     """Run attempts until one succeeds (generator; run inside a process).
@@ -156,16 +156,16 @@ def with_retries(
             # Straggler: kill the attempt and fall through to the backoff.
             proc.interrupt(f"{label}: attempt {attempt} timed out")
             if metrics is not None:
-                metrics.record_straggler()
+                metrics.count("stragglers")
             last_error = AttemptTimeout(
                 f"{label}: attempt {attempt} overran {policy.timeout}s"
             )
         except retry_on as exc:
             last_error = exc
             if metrics is not None and isinstance(exc, TransferAborted):
-                metrics.record_abort()
+                metrics.count("aborts")
         if attempt + 1 < policy.max_attempts:
             if metrics is not None:
-                metrics.record_retry()
+                metrics.count("retries")
             yield sim.timeout(policy.backoff(attempt + 1, rng))
     raise RetryExhausted(policy.max_attempts, last_error)

@@ -19,7 +19,7 @@ from typing import Generator, List, Optional, Tuple
 from repro.cluster.block import BlockId
 from repro.cluster.topology import NodeId
 from repro.sim.engine import Simulator
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import FaultMetrics
 from repro.sim.netsim import Network
 
 
@@ -34,10 +34,8 @@ class Scrubber:
         namenode: Metadata server whose block store carries the markers.
         repair_queue: Destination for detected damage.
         interval: Seconds between scan passes.
-        resilience: Optional fault metrics (detections are counted).
-        recovery: Optional
-            :class:`~repro.recovery.metrics.RecoveryMetrics`; detections
-            also feed the recovery storm accounting when present.
+        metrics: Fault collector counting detections (a fresh one when
+            omitted).
     """
 
     def __init__(
@@ -47,8 +45,7 @@ class Scrubber:
         namenode,
         repair_queue,
         interval: float = 60.0,
-        resilience: Optional[ResilienceMetrics] = None,
-        recovery=None,
+        metrics: Optional[FaultMetrics] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError("scrub interval must be positive")
@@ -57,8 +54,7 @@ class Scrubber:
         self.namenode = namenode
         self.repair_queue = repair_queue
         self.interval = interval
-        self.resilience = resilience
-        self.recovery = recovery
+        self.metrics = metrics if metrics is not None else FaultMetrics()
         self.detected: List[Tuple[float, BlockId, NodeId]] = []
         self.scans = 0
 
@@ -87,10 +83,7 @@ class Scrubber:
             if not self.network.is_up(node_id):
                 continue  # cannot verify a dead disk; next pass gets it
             self.detected.append((self.sim.now, block_id, node_id))
-            if self.resilience is not None:
-                self.resilience.record_corruption_detected()
-            if self.recovery is not None:
-                self.recovery.record_scrub_detection()
+            self.metrics.count("scrub_detections")
             store.remove_replica(block_id, node_id)
             self.repair_queue.enqueue(block_id)
             caught += 1

@@ -34,7 +34,7 @@ from repro.erasure.stream import StreamingDataPlane
 from repro.faults.retry import AttemptFactory, RetryPolicy, with_retries
 from repro.hdfs.namenode import NameNode
 from repro.sim.engine import Simulator
-from repro.sim.metrics import ResilienceMetrics, ThroughputMeter, TimeSeries
+from repro.sim.metrics import FaultMetrics, ThroughputMeter, TimeSeries
 from repro.sim.netsim import Network, SourceUnavailable
 
 
@@ -103,7 +103,7 @@ class StripeEncoder:
             each time.  ``None`` is fail-fast: exactly one attempt, whose
             mid-flight abort propagates the bare ``TransferAborted`` — no
             backoff, no rng draw, nothing committed.
-        resilience: Optional fault metrics fed by the retry loop.
+        fault_metrics: Optional fault collector fed by the retry loop.
         rng: Random source for retry jitter (deterministic default).
         data_plane: Optional :class:`~repro.erasure.stream.StreamingDataPlane`.
             When given, each encode streams the stripe's real block bytes
@@ -122,7 +122,7 @@ class StripeEncoder:
         throughput: Optional[ThroughputMeter] = None,
         timeline: Optional[TimeSeries] = None,
         retry: Optional[RetryPolicy] = None,
-        resilience: Optional[ResilienceMetrics] = None,
+        fault_metrics: Optional[FaultMetrics] = None,
         rng: Optional[random.Random] = None,
         data_plane: Optional[StreamingDataPlane] = None,
     ) -> None:
@@ -136,7 +136,7 @@ class StripeEncoder:
         self.throughput = throughput
         self.timeline = timeline
         self.retry = retry
-        self.resilience = resilience
+        self.fault_metrics = fault_metrics
         self.rng = rng if rng is not None else random.Random(0)
         self.data_plane = data_plane
         self.records: List[EncodedStripe] = []
@@ -185,7 +185,7 @@ class StripeEncoder:
             attempt,
             self.retry,
             self.rng,
-            metrics=self.resilience,
+            metrics=self.fault_metrics,
             label=label,
         )
         return record

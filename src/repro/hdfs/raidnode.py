@@ -25,7 +25,7 @@ from repro.hdfs.encoder import StripeEncoder, download_star
 from repro.hdfs.mapreduce import JobTracker, MapReduceJob, MapTask
 from repro.hdfs.namenode import NameNode
 from repro.sim.engine import Simulator
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import FaultMetrics
 from repro.sim.netsim import Network, SourceUnavailable
 
 
@@ -71,7 +71,7 @@ class RaidNode:
         retry: When given, block recovery and degraded reads survive
             transient faults: an aborted survivor download backs off and
             re-plans from an alternate replica source.
-        resilience: Optional fault metrics fed by the retry loop.
+        fault_metrics: Optional fault collector fed by the retry loop.
     """
 
     def __init__(
@@ -82,7 +82,7 @@ class RaidNode:
         encoder: StripeEncoder,
         rng: Optional[random.Random] = None,
         retry: Optional[RetryPolicy] = None,
-        resilience: Optional[ResilienceMetrics] = None,
+        fault_metrics: Optional[FaultMetrics] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -90,7 +90,7 @@ class RaidNode:
         self.encoder = encoder
         self.rng = rng if rng is not None else random.Random(0)
         self.retry = retry
-        self.resilience = resilience
+        self.fault_metrics = fault_metrics
         self.job_specs: List[EncodingJobSpec] = []
         self.recoveries: List[RecoveryRecord] = []
         self.degraded_reads: List[DegradedReadRecord] = []
@@ -354,7 +354,7 @@ class RaidNode:
             ),
             retry if retry is not None else self.retry,
             self.rng,
-            metrics=self.resilience,
+            metrics=self.fault_metrics,
             label=f"reconstruct block {lost_block_id}",
         )
         return cross

@@ -98,7 +98,7 @@ def pipeline_trial(
     if disturb:
         victim = busiest_node(sc)
         sc.sim.process(sc.injector.fail_node_at(t0 + 1.0, victim))
-        sc.recovery.record_storm_event("pipeline_disturb")
+        sc.metrics.record_storm_event("pipeline_disturb")
 
     encode_all(sc)
     stripe_ids = {s.stripe_id for s in sc.stripes}
@@ -151,7 +151,7 @@ def pipeline_trial(
             pipeline_metrics.replans if pipeline_metrics else 0
         ),
         "time_at_margin_zero": repr(float(
-            report.recovery_summary.get("time_at_margin_zero", 0.0)
+            report.metrics.get("time_at_margin_zero", 0.0)
         )),
         "unrecoverable": sorted(report.unrecoverable),
         "clean": report.clean,

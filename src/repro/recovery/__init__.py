@@ -1,11 +1,9 @@
 """The recovery storm engine: degraded reads, recovery-aware placement,
-correlated-failure drills, and the metrics that compare them.
+and correlated-failure drills (measured by
+:class:`~repro.sim.metrics.FaultMetrics`).
 
 Layers (each importable on its own):
 
-* :mod:`repro.recovery.metrics` — :class:`RecoveryMetrics`, the shared
-  collector for repair bandwidth, repair-time distribution, degraded
-  reads and windows of vulnerability.
 * :mod:`repro.recovery.placement` — :class:`RecoveryAwareReplication`,
   the spread-for-repair EAR variant (policy name ``"recovery"``).
 * :mod:`repro.recovery.degraded` — :class:`DegradedReadPath`, the client
@@ -32,7 +30,6 @@ from repro.recovery.headtohead import (
     head_to_head_rows,
     storm_trial,
 )
-from repro.recovery.metrics import RecoveryMetrics
 from repro.recovery.placement import RecoveryAwareReplication
 from repro.recovery.storm import (
     SCENARIO_RUNNERS,
@@ -56,7 +53,6 @@ __all__ = [
     "DegradedReadPath",
     "DegradedReadResult",
     "RecoveryAwareReplication",
-    "RecoveryMetrics",
     "SCENARIO_RUNNERS",
     "StormCluster",
     "StormReport",

@@ -15,7 +15,7 @@ real one climbs:
    encoded stripe: fetch ``k`` survivors under the bounded
    :data:`~repro.faults.retry.DEGRADED_READ_RETRY` policy, pay a
    deterministic decode-time penalty, and account the read's latency and
-   cross-rack bytes against :class:`~repro.recovery.metrics.RecoveryMetrics`.
+   cross-rack bytes against :class:`~repro.sim.metrics.FaultMetrics`.
 3. **escalated** — fewer than ``k`` survivors are reachable (or the
    bounded retries exhaust): hand the block to the repair queue and fail
    the read; the caller sees an :data:`ESCALATED` result instead of an
@@ -36,6 +36,7 @@ from repro.cluster.topology import NodeId
 from repro.core.stripe import StripeState
 from repro.faults.retry import DEGRADED_READ_RETRY, RetryPolicy
 from repro.sim.engine import Simulator
+from repro.sim.metrics import FaultMetrics
 from repro.sim.netsim import Network, TransferAborted
 
 #: How the read was ultimately served.
@@ -93,7 +94,8 @@ class DegradedReadPath:
         retry: Bounded inline retry policy for the survivor fetch.
             Defaults to :data:`~repro.faults.retry.DEGRADED_READ_RETRY`.
         rng: Seeded random source (jitter draws).
-        metrics: Optional :class:`~repro.recovery.metrics.RecoveryMetrics`.
+        metrics: Fault collector counting read modes, latency and bytes
+            (a fresh one when omitted).
         decode_bandwidth: Deterministic in-memory decode throughput used
             for the decode-time penalty, bytes/second.
     """
@@ -107,7 +109,7 @@ class DegradedReadPath:
         repair_queue=None,
         retry: RetryPolicy = DEGRADED_READ_RETRY,
         rng: Optional[random.Random] = None,
-        metrics=None,
+        metrics: Optional[FaultMetrics] = None,
         decode_bandwidth: float = DEFAULT_DECODE_BANDWIDTH,
     ) -> None:
         if decode_bandwidth <= 0:
@@ -119,7 +121,7 @@ class DegradedReadPath:
         self.repair_queue = repair_queue
         self.retry = retry
         self.rng = rng if rng is not None else random.Random(0)
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else FaultMetrics()
         self.decode_bandwidth = decode_bandwidth
         self.results: List[DegradedReadResult] = []
 
@@ -162,8 +164,7 @@ class DegradedReadPath:
             cross = size if self.network.is_cross_rack(
                 source, reader_node
             ) else 0.0
-            if self.metrics is not None:
-                self.metrics.counters.add("normal_reads")
+            self.metrics.count("normal_reads")
             return DegradedReadResult(
                 block_id=block_id,
                 reader_node=reader_node,
@@ -225,10 +226,7 @@ class DegradedReadPath:
         latency = self.sim.now - start
         bytes_read = float(stripe.k * size)
         cross_bytes = float(record.cross_rack_reads * size)
-        if self.metrics is not None:
-            self.metrics.record_degraded_read(
-                start, latency, bytes_read, cross_bytes
-            )
+        self.metrics.record_degraded_read(latency, bytes_read, cross_bytes)
         return DegradedReadResult(
             block_id=block_id,
             reader_node=reader_node,
@@ -244,8 +242,7 @@ class DegradedReadPath:
     ) -> DegradedReadResult:
         if self.repair_queue is not None:
             self.repair_queue.enqueue(block_id)
-        if self.metrics is not None:
-            self.metrics.record_escalation()
+        self.metrics.count("escalations")
         return DegradedReadResult(
             block_id=block_id,
             reader_node=reader_node,

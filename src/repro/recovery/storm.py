@@ -26,7 +26,7 @@ compared head-to-head:
 
 All randomness in a scenario derives from its single ``seed``; the
 returned :class:`StormReport` carries a sha256 fingerprint over final
-placements, repair outcomes, read results and both metrics families, so two
+placements, repair outcomes, read results and the fault metrics, so two
 runs with the same arguments must match bit-for-bit — including across
 a mid-storm crash/recovery cycle when a journal is attached.
 """
@@ -57,8 +57,7 @@ from repro.faults.scrubber import Scrubber
 from repro.hdfs.failures import FailureInjector
 from repro.hdfs.mapreduce import MapReduceJob, MapTask
 from repro.recovery.degraded import DegradedReadPath
-from repro.recovery.metrics import RecoveryMetrics
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import FaultMetrics
 
 #: Pipeline-grade retry policy used by every storm's repair machinery.
 STORM_RETRY = RetryPolicy(
@@ -79,8 +78,6 @@ class StormCluster:
     scrubber: Scrubber
     injector: FailureInjector
     read_path: DegradedReadPath
-    recovery: RecoveryMetrics
-    resilience: ResilienceMetrics
     stripes: list
     blocks_total: int
     reader_rng: random.Random
@@ -93,6 +90,11 @@ class StormCluster:
     @property
     def store(self):
         return self.setup.namenode.block_store
+
+    @property
+    def metrics(self) -> FaultMetrics:
+        """The one fault collector every component of the storm feeds."""
+        return self.setup.metrics
 
 
 def build_storm_cluster(
@@ -143,14 +145,13 @@ def build_storm_cluster(
         intra_rack_bandwidth=bandwidth,
         cross_rack_bandwidth=bandwidth / oversubscription,
     )
-    resilience = ResilienceMetrics()
-    recovery = RecoveryMetrics()
     setup = build_cluster(
         policy, topology, code, ReplicationScheme(3, 2), seed,
         block_size=block_size, ear_c=ear_c,
-        retry=STORM_RETRY, resilience=resilience, journal=journal,
+        retry=STORM_RETRY, journal=journal,
         strategy=strategy, pipeline_chunks=pipeline_chunks,
     )
+    metrics = setup.metrics
     populate_until_sealed(setup, num_stripes)
     stripes = setup.namenode.sealed_stripes()[:num_stripes]
     blocks_total = sum(1 for __ in setup.namenode.block_store.blocks())
@@ -159,12 +160,11 @@ def build_storm_cluster(
     repair_queue = RepairQueue(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
         rng=random.Random(repair_seed), retry=STORM_RETRY,
-        resilience=resilience, mover=mover, recovery=recovery,
-        concurrency=repair_concurrency,
+        metrics=metrics, mover=mover, concurrency=repair_concurrency,
     )
     scrubber = Scrubber(
         setup.sim, setup.network, setup.namenode, repair_queue,
-        interval=scrub_interval, resilience=resilience, recovery=recovery,
+        interval=scrub_interval, metrics=metrics,
     )
     injector = FailureInjector(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
@@ -173,7 +173,7 @@ def build_storm_cluster(
     read_path = DegradedReadPath(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
         repair_queue=repair_queue, retry=DEGRADED_READ_RETRY,
-        rng=random.Random(reader_seed), metrics=recovery,
+        rng=random.Random(reader_seed), metrics=metrics,
     )
     return StormCluster(
         setup=setup,
@@ -181,8 +181,6 @@ def build_storm_cluster(
         scrubber=scrubber,
         injector=injector,
         read_path=read_path,
-        recovery=recovery,
-        resilience=resilience,
         stripes=stripes,
         blocks_total=blocks_total,
         reader_rng=random.Random(reader_seed + 1),
@@ -320,8 +318,7 @@ class StormReport:
     read_modes: Dict[str, int]
     relocation_requests: int
     encode_errors: Tuple[str, ...]
-    recovery_summary: Dict[str, float] = field(default_factory=dict)
-    resilience_summary: Dict[str, float] = field(default_factory=dict)
+    metrics: Dict[str, float] = field(default_factory=dict)
     fingerprint: str = ""
 
     @property
@@ -351,8 +348,7 @@ class StormReport:
             out[f"reads_{mode}"] = count
         for key, value in sorted(self.repair_outcomes.items()):
             out[f"repairs_{key}"] = value
-        metrics = {**self.recovery_summary, **self.resilience_summary}
-        for key, value in sorted(metrics.items()):
+        for key, value in sorted(self.metrics.items()):
             out[key] = round(value, 4) if isinstance(value, float) else value
         return out
 
@@ -368,16 +364,36 @@ class StormReport:
             "unrecoverable": list(self.unrecoverable),
             "read_modes": dict(sorted(self.read_modes.items())),
             "repair_outcomes": dict(sorted(self.repair_outcomes.items())),
-            "recovery": {
-                key: repr(value)
-                for key, value in sorted(self.recovery_summary.items())
-            },
+            "recovery": _payload_sections(self.metrics)["recovery"],
             "fingerprint": self.fingerprint,
         }
 
 
+#: Summary keys the fingerprint hashes in its "resilience" section; its
+#: "recovery" section holds every other key, and "repairs" too.  The
+#: split predates the one collector and keeps every fingerprint stable.
+_RESILIENCE_KEYS = frozenset({
+    "aborts", "corruption_detected", "corruption_injected", "data_loss",
+    "mttr", "outages", "relocation_failures", "repairs", "retries",
+    "stragglers", "unavailability_total", "unavailability_windows",
+})
+
+
+def _payload_sections(
+    metrics: Dict[str, float],
+) -> Dict[str, Dict[str, str]]:
+    """The "resilience" and "recovery" payload sections, values as reprs."""
+    sections: Dict[str, Dict[str, str]] = {"resilience": {}, "recovery": {}}
+    for key, value in sorted(metrics.items()):
+        if key in _RESILIENCE_KEYS:
+            sections["resilience"][key] = repr(value)
+        if key not in _RESILIENCE_KEYS or key == "repairs":
+            sections["recovery"][key] = repr(value)
+    return sections
+
+
 def storm_fingerprint(sc: StormCluster) -> str:
-    """sha256 over final placements, repairs, reads, and recovery metrics."""
+    """sha256 over final placements, repairs, reads, and fault metrics."""
     store = sc.store
     payload = {
         "now": repr(sc.sim.now),
@@ -388,13 +404,7 @@ def storm_fingerprint(sc: StormCluster) -> str:
         "corrupted": [list(pair) for pair in store.corrupted_replicas()],
         "outcomes": dict(sorted(sc.repair_queue.outcomes.items())),
         "encoded": sorted(r.stripe_id for r in sc.setup.encoder.records),
-        "resilience": {
-            k: repr(v) for k, v in sorted(sc.resilience.summary().items())
-        },
-        "recovery": {
-            k: repr(v)
-            for k, v in sorted(sc.recovery.summary(now=sc.sim.now).items())
-        },
+        **_payload_sections(sc.metrics.summary(now=sc.sim.now)),
         "reads": [
             [r.block_id, r.reader_node, r.mode, repr(r.latency)]
             for r in sc.read_path.results
@@ -426,8 +436,7 @@ def finish_report(sc: StormCluster, scenario: str, policy: str,
         read_modes=read_modes,
         relocation_requests=len(sc.repair_queue.relocation_requests),
         encode_errors=tuple(sc.encode_errors),
-        recovery_summary=sc.recovery.summary(now=sc.sim.now),
-        resilience_summary=sc.resilience.summary(),
+        metrics=sc.metrics.summary(now=sc.sim.now),
     )
     report.fingerprint = storm_fingerprint(sc)
     return report
@@ -461,7 +470,7 @@ def single_node_loss(
     sc.setup.job_tracker.submit(job)
     sc.sim.process(sc.injector.fail_node_at(t0, victim))
     _schedule_reads(sc, t0 + 1.0, lost[:num_reads], avoid_nodes=[victim])
-    sc.recovery.record_storm_event("node_loss")
+    sc.metrics.record_storm_event("node_loss")
 
     drain(sc, horizon=600.0)
     return finish_report(sc, "single_node_loss", policy, seed)
@@ -489,7 +498,7 @@ def rack_loss(
 
     sc.sim.process(sc.injector.fail_rack_at(t0, victim_rack))
     _schedule_reads(sc, t0 + 1.0, lost[:num_reads], avoid_nodes=doomed)
-    sc.recovery.record_storm_event("rack_loss")
+    sc.metrics.record_storm_event("rack_loss")
 
     drain(sc, horizon=1200.0)
     return finish_report(sc, "rack_loss", policy, seed)
@@ -523,9 +532,9 @@ def scrub_storm(
             if not replicas:
                 continue
             sc.store.mark_corrupted(block_id, sorted(replicas)[0])
-            sc.resilience.record_corruption_injected()
+            sc.metrics.count("corruption_injected")
             corrupted.append(block_id)
-    sc.recovery.record_storm_event("scrub_storm")
+    sc.metrics.record_storm_event("scrub_storm")
 
     # A few reads race the scrubber to the rotten blocks.
     _schedule_reads(sc, sc.sim.now + 1.0, sorted(corrupted)[:num_reads])
@@ -562,7 +571,7 @@ def rolling_failures(
     for index, victim in enumerate(victims):
         when = 5.0 + index * failure_spacing
         sc.sim.process(sc.injector.fail_node_at(when, victim))
-        sc.recovery.record_storm_event("rolling_failure")
+        sc.metrics.record_storm_event("rolling_failure")
 
     sc.sim.run(until=5.0 + num_failures * failure_spacing + 100.0)
     lost = _encoded_blocks_on(sc, victims)
@@ -631,7 +640,7 @@ def chaos(
         ))
     ChaosInjector(
         sc.sim, sc.setup.network, schedule, namenode=sc.setup.namenode,
-        rng=chaos_rng, resilience=sc.resilience, recovery=sc.recovery,
+        rng=chaos_rng, metrics=sc.metrics,
     ).start()
 
     sc.sim.process(_drive_encoding(sc, num_map_tasks=6))

@@ -12,13 +12,13 @@ needs:
   links, optional per-node disks; transfers hold every involved link for
   ``size / bottleneck_bandwidth`` seconds, exactly as the paper describes.
 * :mod:`repro.sim.sources` — seeded Poisson/exponential arrival processes.
-* :mod:`repro.sim.metrics` — response-time and throughput collectors.
+* :mod:`repro.sim.metrics` — response-time and throughput collectors, and
+  :class:`~repro.sim.metrics.FaultMetrics`, the fault path's one collector.
 """
 
 from repro.sim.engine import Interrupt, Process, SimulationError, Simulator
 from repro.sim.metrics import (
-    Counter,
-    Histogram,
+    FaultMetrics,
     ResponseTimeStats,
     ThroughputMeter,
     TimeSeries,
@@ -29,9 +29,8 @@ from repro.sim.sources import exponential_sizes, poisson_arrivals
 from repro.sim.trace import Tracer, TransferTrace
 
 __all__ = [
-    "Counter",
     "DiskModel",
-    "Histogram",
+    "FaultMetrics",
     "Interrupt",
     "MultiResource",
     "Network",

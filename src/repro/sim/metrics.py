@@ -2,7 +2,8 @@
 
 Small, dependency-free statistics helpers used by every experiment driver:
 response-time distributions, throughput meters, time series (for the
-"encoded stripes vs time" plots), and plain counters.
+"encoded stripes vs time" plots), and :class:`FaultMetrics`, the one
+collector of the fault and recovery path.
 
 Also hosts the process-wide :class:`PerfCounters` registry that the hot
 paths (Dinic's max-flow, the GF(2^8) kernels, the simulation kernel, EAR's
@@ -18,26 +19,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
-
-
-class Counter:
-    """A set of named additive counters."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1) -> None:
-        """Increment ``name`` by ``amount``."""
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> float:
-        """Current value of ``name`` (0 when never incremented)."""
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """A snapshot of all counters."""
-        return dict(self._counts)
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 
 class PerfCounters:
@@ -228,54 +210,6 @@ class ResponseTimeStats:
         return list(zip(self._starts, self._latencies))
 
 
-class Histogram:
-    """A lazily-folded sample distribution.
-
-    ``record`` is a chunked array append; nothing is bucketed, sorted or
-    averaged until :meth:`snapshot` (or one of the accessors) is called,
-    so a simulation can feed it from the hot path and pay the fold cost
-    once at reporting time.
-    """
-
-    __slots__ = ("_samples",)
-
-    def __init__(self) -> None:
-        self._samples = _SampleBuffer()
-
-    def record(self, value: float) -> None:
-        """Record one observation (O(1), no aggregation)."""
-        self._samples.append(value)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def mean(self) -> float:
-        """Mean of all observations (raises with no samples)."""
-        count = len(self._samples)
-        if not count:
-            raise ValueError("no samples recorded")
-        return sum(self._samples) / count
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile observation (nearest-rank)."""
-        return _nearest_rank(sorted(self._samples), p)
-
-    def snapshot(self) -> Dict[str, float]:
-        """Fold count/mean/percentiles/extremes in one sorting pass."""
-        ordered = sorted(self._samples)
-        if not ordered:
-            return {"count": 0.0}
-        return {
-            "count": float(len(ordered)),
-            "mean": sum(ordered) / len(ordered),
-            "p50": _nearest_rank(ordered, 50),
-            "p95": _nearest_rank(ordered, 95),
-            "p99": _nearest_rank(ordered, 99),
-            "min": ordered[0],
-            "max": ordered[-1],
-        }
-
-
 class ThroughputMeter:
     """Tracks completed work volume over a measured interval."""
 
@@ -324,15 +258,15 @@ class ThroughputMeter:
 
 @dataclass
 class OutageWindow:
-    """One endpoint's down interval (``end`` is ``None`` while still down)."""
+    """One down interval of a window's key (``end`` is ``None`` while open)."""
 
-    target: str
+    target: Hashable
     start: float
     end: Optional[float] = None
 
     @property
     def duration(self) -> Optional[float]:
-        """Length of the window, or ``None`` while the outage is open."""
+        """Length of the window, or ``None`` while it is open."""
         return None if self.end is None else self.end - self.start
 
 
@@ -345,119 +279,162 @@ class DataLossEvent:
     reason: str
 
 
-class ResilienceMetrics:
-    """Fault-pipeline accounting: MTTR, outages, retries, data loss.
+#: Window kinds of :class:`FaultMetrics`, keyed by node/rack label,
+#: block id and stripe label respectively.
+OUTAGE = "outage"  # a chaos fault holds the target down
+UNAVAILABLE = "unavailable"  # a block waits in the repair queue
+MARGIN_ZERO = "margin_zero"  # one more failure loses the stripe's data
 
-    One instance is shared by the chaos injector (outage windows), the
-    retry helper (retry/abort/straggler counts), the repair queue (repair
-    durations, per-block unavailability windows, data-loss events) and the
-    scrubber (corruption detections).  Everything is plain counters and
-    lists so experiment drivers can assert on them deterministically.
+#: Counts mirrored into :data:`PERF` so ``benchmarks/e2e`` can report them.
+_PERF_NAMES = {
+    name: f"recovery.{name}"
+    for name in ("repairs", "degraded_reads", "escalations",
+                 "vulnerability_windows")
+}
+
+
+class FaultMetrics:
+    """The fault and recovery path's one collector.
+
+    A cluster shares one instance among every fault component: the retry
+    loops (retries, aborts, stragglers), the repair queue (repair times
+    and traffic, block-unavailability and margin-0 windows, data loss),
+    the scrubber (detections), the chaos injector (outage windows,
+    injected corruption, events per kind) and the degraded-read path
+    (read modes, latency, bytes).  Each event is recorded once; the
+    repair-direction traffic is what the Rashmi et al. study found to
+    dominate cross-rack load in erasure-coded clusters.
     """
 
     def __init__(self) -> None:
-        self.counters = Counter()
-        self.repair_durations: List[float] = []
-        self.relocation_failures: List[str] = []
-        self.outages: List[OutageWindow] = []
-        self.unavailability: List[OutageWindow] = []
+        #: Event tallies by name; a name appears once first counted.
+        self.counts: Dict[str, int] = {}
+        self.repair_times = _SampleBuffer()
+        self.degraded_read_latencies = _SampleBuffer()
+        self.repair_bytes = 0.0
+        self.cross_rack_repair_bytes = 0.0
+        self.degraded_read_bytes = 0.0
+        self.cross_rack_degraded_bytes = 0.0
+        #: Racks that received reconstruction bytes.
+        self.repair_racks: Set[int] = set()
+        #: Every window of each kind, in open order.
+        self.windows: Dict[str, List[OutageWindow]] = {
+            OUTAGE: [], UNAVAILABLE: [], MARGIN_ZERO: [],
+        }
+        self._open: Dict[Tuple[str, Hashable], OutageWindow] = {}
         self.data_loss: List[DataLossEvent] = []
-        self._open_outages: Dict[str, OutageWindow] = {}
-        self._open_unavailability: Dict[int, OutageWindow] = {}
+        #: The repr of each relocation's transient failure.
+        self.relocation_failures: List[str] = []
 
-    # ------------------------------------------------------------------
-    # Counters fed by the retry helper and the scrubber
-    # ------------------------------------------------------------------
-    def record_retry(self) -> None:
-        """One retried attempt (after a retryable failure)."""
-        self.counters.add("retries")
+    def count(self, name: str) -> None:
+        """Tally one ``name`` event (``"retries"``, ``"normal_reads"``, ...)."""
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + 1
+        perf_name = _PERF_NAMES.get(name)
+        if perf_name is not None:
+            PERF.bump(perf_name)
 
-    def record_abort(self) -> None:
-        """One attempt that ended in a transfer abort."""
-        self.counters.add("aborts")
+    def record_storm_event(self, kind: str) -> None:
+        """One fault event of ``kind`` fired during a drill."""
+        self.count(f"storm_{kind}")
 
-    def record_straggler(self) -> None:
-        """One attempt killed by the retry policy's timeout."""
-        self.counters.add("stragglers")
-
-    def record_corruption_detected(self) -> None:
-        """One corrupted replica found by the scrubber."""
-        self.counters.add("corruption_detected")
-
-    def record_corruption_injected(self) -> None:
-        """One replica bit-rotted by the chaos injector."""
-        self.counters.add("corruption_injected")
-
-    def record_relocation_failure(self, reason: str) -> None:
-        """One relocation attempt that failed transiently.
-
-        The repair queue records the reason (the repr of the exception)
-        so drills can assert the failure was seen rather than swallowed;
-        the stripe itself is re-enqueued by the next violation scan.
-        """
-        self.counters.add("relocation_failures")
-        self.relocation_failures.append(reason)
-
-    # ------------------------------------------------------------------
-    # Outage windows (chaos injector)
-    # ------------------------------------------------------------------
-    def begin_outage(self, target: str, now: float) -> None:
-        """Open a down window for a node/rack label."""
-        if target in self._open_outages:
-            return
-        window = OutageWindow(target, now)
-        self._open_outages[target] = window
-        self.outages.append(window)
-
-    def end_outage(self, target: str, now: float) -> None:
-        """Close a previously opened down window."""
-        window = self._open_outages.pop(target, None)
-        if window is not None:
-            window.end = now
-
-    # ------------------------------------------------------------------
-    # Repairs and per-block unavailability (repair queue)
-    # ------------------------------------------------------------------
     def record_repair(self, duration: float) -> None:
-        """One completed repair's wall-clock duration."""
+        """One finished repair, its duration spanning every retry."""
         if duration < 0:
             raise ValueError("repair duration cannot be negative")
-        self.repair_durations.append(duration)
-        self.counters.add("repairs")
+        self.repair_times.append(duration)
+        self.count("repairs")
 
-    def mttr(self) -> Optional[float]:
-        """Mean time to repair over all completed repairs (None when none)."""
-        if not self.repair_durations:
-            return None
-        return sum(self.repair_durations) / len(self.repair_durations)
+    def record_repair_traffic(
+        self, dest_rack: Optional[int], bytes_read: float,
+        cross_rack_bytes: float,
+    ) -> None:
+        """The reconstruction traffic of one successful repair attempt."""
+        self.repair_bytes += bytes_read
+        self.cross_rack_repair_bytes += cross_rack_bytes
+        if dest_rack is not None and bytes_read:
+            self.repair_racks.add(dest_rack)
 
-    def block_unavailable(self, block_id: int, now: float) -> None:
-        """Open a window: the block currently has no readable copy."""
-        if block_id in self._open_unavailability:
-            return
-        window = OutageWindow(f"block:{block_id}", now)
-        self._open_unavailability[block_id] = window
-        self.unavailability.append(window)
-
-    def block_available(self, block_id: int, now: float) -> None:
-        """Close a block's unavailability window (repair finished)."""
-        window = self._open_unavailability.pop(block_id, None)
-        if window is not None:
-            window.end = now
+    def record_degraded_read(
+        self, latency: float, bytes_read: float, cross_rack_bytes: float
+    ) -> None:
+        """One read served by fetching k survivors and decoding inline."""
+        self.count("degraded_reads")
+        self.degraded_read_latencies.append(latency)
+        self.degraded_read_bytes += bytes_read
+        self.cross_rack_degraded_bytes += cross_rack_bytes
 
     def record_data_loss(self, block_id: int, now: float, reason: str) -> None:
         """An unrecoverable block: fewer than k sources survive anywhere."""
         self.data_loss.append(DataLossEvent(block_id, now, reason))
-        self.counters.add("data_loss")
+        self.count("data_loss")
 
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, float]:
-        """A flat snapshot for tables and determinism fingerprints."""
-        out = dict(sorted(self.counters.as_dict().items()))
-        out["mttr"] = self.mttr() or 0.0
-        out["outages"] = float(len(self.outages))
-        out["unavailability_windows"] = float(len(self.unavailability))
-        closed = [w.duration for w in self.unavailability if w.end is not None]
+    def record_relocation_failure(self, reason: str) -> None:
+        """One relocation that failed transiently (re-found by a later scan)."""
+        self.relocation_failures.append(reason)
+        self.count("relocation_failures")
+
+    def open_window(self, kind: str, key: Hashable, now: float) -> None:
+        """Open a ``kind`` window for ``key``; ignored while one is open."""
+        if (kind, key) in self._open:
+            return
+        window = OutageWindow(key, now)
+        self._open[kind, key] = window
+        self.windows[kind].append(window)
+        if kind == MARGIN_ZERO:
+            self.count("vulnerability_windows")
+
+    def close_window(self, kind: str, key: Hashable, now: float) -> None:
+        """Close ``key``'s open ``kind`` window, if any."""
+        window = self._open.pop((kind, key), None)
+        if window is not None:
+            window.end = now
+
+    def summary(self, now: Optional[float] = None) -> Dict[str, float]:
+        """A flat, deterministic snapshot for tables and fingerprints.
+
+        Margin-0 windows still open count up to ``now`` when given.
+        ``mttr`` repeats ``repair_time_mean`` and ``corruption_detected``
+        repeats ``scrub_detections``: fingerprints hash both names.
+        """
+        out: Dict[str, float] = dict(sorted(self.counts.items()))
+        if "scrub_detections" in out:
+            out["corruption_detected"] = out["scrub_detections"]
+        ordered = sorted(self.repair_times)
+        if ordered:
+            # Summed in recording order, as every golden was.
+            mean = sum(self.repair_times) / len(ordered)
+            p50 = _nearest_rank(ordered, 50)
+            p95 = _nearest_rank(ordered, 95)
+            top = ordered[-1]
+        else:
+            mean = p50 = p95 = top = 0.0
+        out["repair_time_count"] = float(len(ordered))
+        out["repair_time_mean"] = mean
+        out["repair_time_p50"] = p50
+        out["repair_time_p95"] = p95
+        out["repair_time_max"] = top
+        out["repair_bytes"] = self.repair_bytes
+        out["cross_rack_repair_bytes"] = self.cross_rack_repair_bytes
+        out["degraded_read_bytes"] = self.degraded_read_bytes
+        out["cross_rack_degraded_bytes"] = self.cross_rack_degraded_bytes
+        latencies = self.degraded_read_latencies
+        out["degraded_read_mean_latency"] = (
+            sum(latencies) / len(latencies) if len(latencies) else 0.0
+        )
+        out["racks_receiving_repairs"] = float(len(self.repair_racks))
+        at_margin_zero = 0.0
+        for window in self.windows[MARGIN_ZERO]:
+            if window.end is not None:
+                at_margin_zero += window.end - window.start
+            elif now is not None:
+                at_margin_zero += max(0.0, now - window.start)
+        out["time_at_margin_zero"] = at_margin_zero
+        out["mttr"] = mean
+        out["outages"] = float(len(self.windows[OUTAGE]))
+        unavailable = self.windows[UNAVAILABLE]
+        out["unavailability_windows"] = float(len(unavailable))
+        closed = [w.duration for w in unavailable if w.end is not None]
         out["unavailability_total"] = float(sum(closed)) if closed else 0.0
         return out
 
@@ -484,20 +461,6 @@ class TimeSeries:
         """Append one (time, value) observation."""
         self._times.append(time)
         self._values.append(value)
-
-    def cumulative_count(self) -> List[Tuple[float, int]]:
-        """(time, running count) pairs, one per recorded observation."""
-        return [(t, i + 1) for i, (t, __) in enumerate(sorted(self.points))]
-
-    def value_at(self, time: float) -> float:
-        """Last recorded value at or before ``time`` (0 when none)."""
-        best = 0.0
-        for t, v in sorted(self.points):
-            if t <= time:
-                best = v
-            else:
-                break
-        return best
 
     def __len__(self) -> int:
         return len(self._times)

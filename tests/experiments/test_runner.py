@@ -53,6 +53,14 @@ class TestBuildCluster:
         assert setup.network.topology is TOPO
         assert setup.client.stats is setup.write_stats
 
+    @pytest.mark.parametrize("strategy", ["download", "pipeline"])
+    def test_retry_loops_share_the_cluster_metrics(self, strategy):
+        setup = build_cluster("ear", TOPO, CODE, SCHEME, seed=1,
+                              strategy=strategy)
+        assert setup.encoder.fault_metrics is setup.metrics
+        assert setup.raidnode.fault_metrics is setup.metrics
+        assert setup.metrics.counts == {}
+
     def test_seed_determinism(self):
         a = build_cluster("rr", TOPO, CODE, SCHEME, seed=5)
         b = build_cluster("rr", TOPO, CODE, SCHEME, seed=5)

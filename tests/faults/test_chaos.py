@@ -18,7 +18,7 @@ from repro.faults.chaos import (
     ChaosSchedule,
 )
 from repro.sim.engine import Simulator
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import OUTAGE
 from repro.sim.netsim import Network, TransferAborted
 
 TOPO = ClusterTopology(
@@ -86,11 +86,10 @@ class TestChaosInjector:
     def test_node_flap_downs_then_restores(self):
         sim = Simulator()
         network = Network(sim, TOPO)
-        metrics = ResilienceMetrics()
         schedule = ChaosSchedule(events=[
             ChaosEvent(time=2.0, kind=NODE_FLAP, target=5, duration=3.0),
         ])
-        injector = ChaosInjector(sim, network, schedule, resilience=metrics)
+        injector = ChaosInjector(sim, network, schedule)
         states = []
 
         def probe():
@@ -105,8 +104,43 @@ class TestChaosInjector:
         sim.process(probe())
         sim.run()
         assert states == [("before", True), ("during", False), ("after", True)]
-        assert len(metrics.outages) == 1
-        assert metrics.outages[0].duration == pytest.approx(3.0)
+        outages = injector.metrics.windows[OUTAGE]
+        assert len(outages) == 1
+        assert outages[0].duration == pytest.approx(3.0)
+
+    @staticmethod
+    def outage_windows(flaps):
+        """Run node-5 flaps given as (start, duration); return windows."""
+        sim = Simulator()
+        network = Network(sim, TOPO)
+        schedule = ChaosSchedule(events=[
+            ChaosEvent(time=start, kind=NODE_FLAP, target=5,
+                       duration=duration)
+            for start, duration in flaps
+        ])
+        injector = ChaosInjector(sim, network, schedule)
+        injector.start()
+        sim.run()
+        assert network.is_up(5)
+        return [(w.start, w.end) for w in injector.metrics.windows[OUTAGE]]
+
+    def test_overlapping_outages_of_one_target_share_one_window(self):
+        # The window lasts until the *last* overlapping flap lifts.
+        assert self.outage_windows([(0.0, 10.0), (5.0, 15.0)]) == [
+            (0.0, 20.0),
+        ]
+
+    def test_chained_outages_of_one_target_stay_one_window(self):
+        # A third flap opening before the second lifts joins the window
+        # rather than starting one the second flap's lift would close.
+        assert self.outage_windows(
+            [(0.0, 10.0), (5.0, 15.0), (15.0, 10.0)]
+        ) == [(0.0, 25.0)]
+
+    def test_disjoint_outages_of_one_target_get_a_window_each(self):
+        assert self.outage_windows([(0.0, 2.0), (5.0, 2.0)]) == [
+            (0.0, 2.0), (5.0, 7.0),
+        ]
 
     def test_rack_outage_downs_every_node_in_rack(self):
         sim = Simulator()
@@ -232,20 +266,19 @@ class TestChaosInjector:
         populate_until_sealed(setup, 1)
         store = setup.namenode.block_store
         block_id = setup.namenode.sealed_stripes()[0].block_ids[0]
-        metrics = ResilienceMetrics()
         schedule = ChaosSchedule(events=[
             ChaosEvent(time=1.0, kind=CORRUPT_BLOCK, target=block_id),
         ])
         injector = ChaosInjector(
             setup.sim, setup.network, schedule,
-            namenode=setup.namenode, rng=random.Random(0), resilience=metrics,
+            namenode=setup.namenode, rng=random.Random(0),
         )
         injector.start()
         setup.sim.run()
         corrupted = store.corrupted_replicas()
         assert len(corrupted) == 1
         assert corrupted[0][0] == block_id
-        assert metrics.counters.as_dict()["corruption_injected"] == 1
+        assert injector.metrics.counts["corruption_injected"] == 1
         healthy = store.healthy_replica_nodes(block_id)
         assert corrupted[0][1] not in healthy
         assert len(healthy) == len(store.replica_nodes(block_id)) - 1

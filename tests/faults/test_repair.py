@@ -5,13 +5,13 @@ import random
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.core.policy import ReplicationScheme
+from repro.core.policy import PlacementError, ReplicationScheme
 from repro.core.relocation import BlockMover, PlacementMonitor
 from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
 from repro.faults.repair import RepairQueue
 from repro.faults.retry import RetryPolicy
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import UNAVAILABLE
 from repro.sim.trace import Tracer
 
 CODE = CodeParams(6, 4)
@@ -33,7 +33,7 @@ TOPO_SLOW = ClusterTopology(
 
 
 def build(topology=TOPO, seed=1, stripes=2, encode=True, retry=None,
-          resilience=None, mover=None):
+          mover=None):
     setup = build_cluster("ear", topology, CODE, SCHEME, seed,
                           block_size=1000)
     populate_until_sealed(setup, stripes)
@@ -47,8 +47,7 @@ def build(topology=TOPO, seed=1, stripes=2, encode=True, retry=None,
         setup.sim.run()
     queue = RepairQueue(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
-        rng=random.Random(seed + 90), retry=retry, resilience=resilience,
-        mover=mover,
+        rng=random.Random(seed + 90), retry=retry, mover=mover,
     )
     return setup, sealed, queue
 
@@ -252,8 +251,8 @@ class TestOutcomes:
         assert len(store.replica_nodes(block)) == 3
 
     def test_block_with_no_copy_and_no_stripe_is_unrecoverable(self):
-        metrics = ResilienceMetrics()
-        setup, sealed, queue = build(encode=False, resilience=metrics)
+        setup, sealed, queue = build(encode=False)
+        metrics = queue.metrics
         store = setup.namenode.block_store
         block = sealed[0].block_ids[0]
         for node in list(store.replica_nodes(block)):
@@ -265,18 +264,18 @@ class TestOutcomes:
         assert [e.block_id for e in metrics.data_loss] == [block]
 
     def test_repairs_feed_resilience_metrics(self):
-        metrics = ResilienceMetrics()
-        setup, sealed, queue = build(encode=False, resilience=metrics)
+        setup, sealed, queue = build(encode=False)
+        metrics = queue.metrics
         store = setup.namenode.block_store
         block = sealed[0].block_ids[0]
         store.remove_replica(block, store.replica_nodes(block)[0])
         queue.enqueue(block)
         setup.sim.run()
-        assert metrics.counters.get("repairs") == 1
-        assert metrics.mttr() is not None
+        assert metrics.counts["repairs"] == 1
+        assert metrics.summary()["mttr"] > 0
         # The unavailability window opened at enqueue and closed at repair.
-        assert len(metrics.unavailability) == 1
-        assert metrics.unavailability[0].end is not None
+        assert len(metrics.windows[UNAVAILABLE]) == 1
+        assert metrics.windows[UNAVAILABLE][0].end is not None
 
 
 class TestEncodeRepairRace:
@@ -351,6 +350,22 @@ class TestPlacementUnderPressure:
         setup.sim.run()
         assert queue.relocations_done == 1
         assert monitor.scan(store, [stripe]) == []
+
+    def test_transient_relocation_failure_is_recorded(self):
+        mover = BlockMover(TOPO, CODE, rng=random.Random(9))
+        setup, sealed, queue = build(stripes=1, mover=mover)
+        error = PlacementError("stripe went back into repair")
+
+        def failing_relocation(stripe, mover):
+            raise error
+            yield  # a generator, like the real relocation
+
+        setup.raidnode.relocate_if_violating = failing_relocation
+        queue.request_relocation(sealed[0])
+        setup.sim.run()
+        assert queue.relocations_done == 0
+        assert queue.metrics.relocation_failures == [repr(error)]
+        assert queue.metrics.counts == {"relocation_failures": 1}
 
 
 class TestRelocationJournaling:
@@ -486,15 +501,13 @@ class TestRetryingRepair:
                          jitter=0.0)
 
     def damaged_build(self):
-        metrics = ResilienceMetrics()
         setup, sealed, queue = build(
-            topology=TOPO_SLOW, encode=False,
-            retry=self.POLICY, resilience=metrics,
+            topology=TOPO_SLOW, encode=False, retry=self.POLICY,
         )
         store = setup.namenode.block_store
         block = sealed[0].block_ids[0]
         store.remove_replica(block, store.replica_nodes(block)[0])
-        return setup, store, queue, metrics, block
+        return setup, store, queue, queue.metrics, block
 
     def kill_inflight(self, setup, pick):
         """Kill one endpoint of the (single) in-flight repair transfer."""
@@ -521,8 +534,8 @@ class TestRetryingRepair:
         # The in-flight transfer was aborted (TransferAborted surfaced to
         # the retry loop), then a fresh attempt chose a live target.
         assert setup.network.stats.aborted == 1
-        assert metrics.counters.get("aborts") == 1
-        assert metrics.counters.get("retries") == 1
+        assert metrics.counts["aborts"] == 1
+        assert metrics.counts["retries"] == 1
         assert killed[0] not in store.replica_nodes(block)
         assert len(store.replica_nodes(block)) == 3
 
@@ -533,8 +546,8 @@ class TestRetryingRepair:
         done = queue.enqueue(block)
         setup.sim.run()
         assert done.value == "rereplicated"
-        assert metrics.counters.get("aborts") == 1
-        assert metrics.counters.get("retries") == 1
+        assert metrics.counts["aborts"] == 1
+        assert metrics.counts["retries"] == 1
         # Only the successful attempt completes; it reads from a replica
         # other than the dead one.
         assert len(tracer.records) == 1
@@ -546,10 +559,8 @@ class TestRetryingRepair:
         """When every source stays dead past the retry budget the block is
         reported unrecoverable — but nothing crashes and the queue drains."""
         policy = RetryPolicy(max_attempts=2, base_delay=1.0, jitter=0.0)
-        metrics = ResilienceMetrics()
         setup, sealed, queue = build(
             topology=TOPO_SLOW, encode=False, retry=policy,
-            resilience=metrics,
         )
         store = setup.namenode.block_store
         block = sealed[0].block_ids[0]
@@ -559,4 +570,4 @@ class TestRetryingRepair:
         setup.sim.run()
         assert done.value == "unrecoverable"
         assert queue.pending_count == 0
-        assert metrics.counters.get("data_loss") == 1
+        assert queue.metrics.counts["data_loss"] == 1

@@ -12,7 +12,7 @@ from repro.faults.retry import (
     with_retries,
 )
 from repro.sim.engine import Simulator
-from repro.sim.metrics import ResilienceMetrics
+from repro.sim.metrics import FaultMetrics
 from repro.sim.netsim import TransferAborted
 
 
@@ -152,13 +152,13 @@ class TestWithRetries:
             yield
 
         policy = RetryPolicy(base_delay=1.0, multiplier=2.0, jitter=0.0)
-        metrics = ResilienceMetrics()
+        metrics = FaultMetrics()
         sim, result, error = self.run(flaky, policy, metrics=metrics)
         assert result == ["recovered"]
         assert calls == [0, 1, 2]
         assert sim.now == pytest.approx(3.0)  # backoffs 1 + 2
-        assert metrics.counters.as_dict()["retries"] == 2
-        assert metrics.counters.as_dict()["aborts"] == 2
+        assert metrics.counts["retries"] == 2
+        assert metrics.counts["aborts"] == 2
 
     def test_exhaustion_raises_with_last_error(self):
         def hopeless(__):
@@ -201,7 +201,7 @@ class TestWithRetries:
         sims.append(sim)
         result, error = [], []
         policy = RetryPolicy(timeout=5.0, base_delay=1.0, jitter=0.0)
-        metrics = ResilienceMetrics()
+        metrics = FaultMetrics()
 
         def driver():
             try:
@@ -218,7 +218,7 @@ class TestWithRetries:
         assert result == ["fast"]
         assert calls == [0, 1]
         # 5 s straggler kill + 1 s backoff + 1 s fast attempt.
-        assert metrics.counters.as_dict()["stragglers"] == 1
+        assert metrics.counts["stragglers"] == 1
 
     def test_all_attempts_straggle_raises_attempt_timeout(self):
         sim = Simulator()

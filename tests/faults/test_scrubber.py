@@ -66,6 +66,18 @@ class TestScanning:
         assert queue.outcomes["decoded"] == 1
         assert len(store.replica_nodes(block)) == 1
 
+    def test_detection_counted_once_under_both_names(self):
+        setup, sealed, __q, scrubber = build()
+        store = setup.namenode.block_store
+        block = sealed[0].block_ids[0]
+        store.mark_corrupted(block, store.replica_nodes(block)[0])
+        scrubber.scan_once()
+        assert scrubber.metrics.counts == {"scrub_detections": 1}
+        summary = scrubber.metrics.summary()
+        assert summary["scrub_detections"] == summary[
+            "corruption_detected"
+        ] == 1
+
     def test_down_node_defers_detection_until_restore(self):
         setup, sealed, __q, scrubber = build()
         store = setup.namenode.block_store

@@ -78,7 +78,9 @@ class TestMidFlightFailure:
         for stripe in stripes:
             assert stripe.state == StripeState.ENCODED
             assert setup.encoder.data_plane.verify_stripe(stripe)
-        assert setup.resilience is None or True  # resilience optional
+        # The cluster's fault collector saw the aborted attempt.
+        assert setup.metrics.counts["aborts"] >= 1
+        assert setup.metrics.counts["retries"] >= 1
 
     def test_permanent_hop_failure_replans_around_the_node(self):
         setup = make_setup(seed=0)

@@ -50,7 +50,7 @@ class TestNormal:
         assert result.served
         assert result.bytes_read == sc.store.block(block).size
         assert result.latency > 0.0
-        assert sc.recovery.counters.get("normal_reads") == 1
+        assert sc.metrics.counts["normal_reads"] == 1
 
     def test_local_replica_costs_no_transfer(self):
         sc = build()
@@ -74,7 +74,7 @@ class TestDegraded:
         assert result.served
         assert result.survivors_fetched == stripe.k
         assert result.bytes_read == stripe.k * sc.store.block(block).size
-        summary = sc.recovery.summary(sc.sim.now)
+        summary = sc.metrics.summary(sc.sim.now)
         assert summary["degraded_reads"] == 1
         assert summary["degraded_read_mean_latency"] > 0.0
 
@@ -113,7 +113,7 @@ class TestEscalation:
         # The hand-off reached the queue; by the time the simulation
         # drains, the block has been through a repair attempt.
         assert sum(sc.repair_queue.outcomes.values()) >= 1
-        assert sc.recovery.counters.get("escalations") == 1
+        assert sc.metrics.counts["escalations"] == 1
 
     def test_unencoded_block_with_no_copies_escalates(self):
         sc = build(encode=False)
@@ -130,7 +130,7 @@ class TestEscalation:
         sc = build(encode=False)
         path = DegradedReadPath(
             sc.sim, sc.setup.network, sc.setup.namenode, sc.setup.raidnode,
-            repair_queue=None, metrics=sc.recovery,
+            repair_queue=None, metrics=sc.metrics,
         )
         block = sc.stripes[0].block_ids[0]
         for node in list(sc.store.replica_nodes(block)):

@@ -7,6 +7,8 @@ import pytest
 
 from repro.recovery import SCENARIO_RUNNERS, run_storm
 from repro.recovery.storm import (
+    _RESILIENCE_KEYS,
+    _payload_sections,
     build_storm_cluster,
     drain,
     encode_all,
@@ -36,6 +38,15 @@ class TestScenarios:
         with pytest.raises(ValueError):
             run_storm("meteor_strike", seed=0)
 
+    @pytest.mark.parametrize("scenario", SCENARIO_RUNNERS)
+    def test_alias_pairs_agree(self, scenario):
+        metrics = run_storm(scenario, seed=0, policy="ear", **KW).metrics
+        assert metrics["mttr"] == metrics["repair_time_mean"]
+        assert metrics.get("corruption_detected") == metrics.get(
+            "scrub_detections"
+        )
+        assert metrics.get("repairs", 0) == metrics["repair_time_count"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 7])
@@ -46,8 +57,7 @@ class TestDeterminism:
         assert first.clean, first.summary()
         assert first.fingerprint == second.fingerprint
         assert first.sim_time == second.sim_time
-        assert first.recovery_summary == second.recovery_summary
-        assert first.resilience_summary == second.resilience_summary
+        assert first.metrics == second.metrics
 
     def test_different_seeds_diverge(self):
         a = run_storm("single_node_loss", seed=7, policy="ear", **KW)
@@ -67,6 +77,26 @@ class TestReport:
         assert json.loads(json.dumps(result, sort_keys=True)) == result
         assert result["fingerprint"] == report.fingerprint
 
+    def test_one_collector_feeds_every_component(self):
+        sc = build_storm_cluster("ear", seed=0, **KW)
+        metrics = sc.setup.metrics
+        assert sc.metrics is metrics
+        assert sc.setup.encoder.fault_metrics is metrics
+        assert sc.setup.raidnode.fault_metrics is metrics
+        assert sc.repair_queue.metrics is metrics
+        assert sc.scrubber.metrics is metrics
+        assert sc.read_path.metrics is metrics
+
+    def test_fingerprint_sections_split_the_one_summary(self):
+        metrics = run_storm("chaos", seed=0, policy="ear", **KW).metrics
+        sections = _payload_sections(metrics)
+        assert set(sections["resilience"]) <= _RESILIENCE_KEYS
+        assert set(sections["resilience"]) | set(sections["recovery"]) == set(
+            metrics
+        )
+        both = set(sections["resilience"]) & set(sections["recovery"])
+        assert both == {"repairs"}
+
     def test_summary_carries_the_recovery_metrics(self):
         report = run_storm("rack_loss", seed=3, policy="ear", **KW)
         summary = report.summary()
@@ -76,7 +106,7 @@ class TestReport:
 
     def test_scrub_storm_detects_the_planted_corruption(self):
         report = run_storm("scrub_storm", seed=3, policy="ear", **KW)
-        assert report.recovery_summary["scrub_detections"] >= 1
+        assert report.metrics["scrub_detections"] >= 1
         assert report.repair_outcomes.get("decoded", 0) >= 1
 
     def test_degraded_reads_happen_under_node_loss(self):
@@ -135,7 +165,7 @@ class TestChaosScenario:
     def test_chaos_actually_bit(self, report):
         """The faults were real: transfers aborted, retries fired, rot was
         injected and caught, and repairs ran."""
-        metrics = report.resilience_summary
+        metrics = report.metrics
         assert metrics["aborts"] >= 1
         assert metrics["retries"] >= 1
         assert metrics["corruption_injected"] == 3
@@ -148,7 +178,7 @@ class TestChaosScenario:
     def test_retries_are_bounded(self, report):
         """Retries converge instead of thrashing: well under the budget of
         max_attempts per repaired/re-encoded block."""
-        assert report.resilience_summary["retries"] <= 8 * report.blocks_total
+        assert report.metrics["retries"] <= 8 * report.blocks_total
 
     def test_same_seed_is_bit_identical(self, report):
         replay = run_storm("chaos", seed=0)
@@ -173,5 +203,5 @@ class TestHeadToHeadPremise:
                 "rack_loss", seed=0, policy=policy, num_stripes=4
             )
             assert report.clean, report.summary()
-            means[policy] = report.recovery_summary["repair_time_mean"]
+            means[policy] = report.metrics["repair_time_mean"]
         assert means["recovery"] < means["ear"]

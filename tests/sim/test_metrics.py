@@ -1,31 +1,18 @@
-"""Metrics collectors: response times, throughput, series, counters."""
+"""Metrics collectors: response times, throughput, series, fault metrics."""
 
 import pytest
 
 from repro.sim.metrics import (
-    Counter,
-    Histogram,
+    MARGIN_ZERO,
+    OUTAGE,
+    PERF,
+    UNAVAILABLE,
+    FaultMetrics,
     ResponseTimeStats,
     ThroughputMeter,
     TimeSeries,
     _SampleBuffer,
 )
-
-
-class TestCounter:
-    def test_add_and_get(self):
-        c = Counter()
-        c.add("x")
-        c.add("x", 2)
-        assert c.get("x") == 3
-        assert c.get("missing") == 0
-
-    def test_as_dict_snapshot(self):
-        c = Counter()
-        c.add("a", 5)
-        snap = c.as_dict()
-        c.add("a")
-        assert snap == {"a": 5}
 
 
 class TestResponseTimeStats:
@@ -106,21 +93,6 @@ class TestThroughputMeter:
 
 
 class TestTimeSeries:
-    def test_cumulative_count(self):
-        series = TimeSeries()
-        series.record(3.0, 1)
-        series.record(1.0, 2)
-        series.record(2.0, 3)
-        assert series.cumulative_count() == [(1.0, 1), (2.0, 2), (3.0, 3)]
-
-    def test_value_at(self):
-        series = TimeSeries()
-        series.record(1.0, 10)
-        series.record(5.0, 50)
-        assert series.value_at(0.5) == 0.0
-        assert series.value_at(1.0) == 10
-        assert series.value_at(9.0) == 50
-
     def test_len(self):
         series = TimeSeries()
         assert len(series) == 0
@@ -150,44 +122,153 @@ class TestSampleBuffer:
         assert list(buffer) == []
 
 
-class TestHistogram:
-    def test_mean_and_percentiles(self):
-        hist = Histogram()
+#: FaultMetrics().summary() keys with nothing recorded.  Storm
+#: fingerprints hash these names, so the list must not drift.
+EMPTY_SUMMARY_KEYS = [
+    "cross_rack_degraded_bytes", "cross_rack_repair_bytes",
+    "degraded_read_bytes", "degraded_read_mean_latency", "mttr", "outages",
+    "racks_receiving_repairs", "repair_bytes", "repair_time_count",
+    "repair_time_max", "repair_time_mean", "repair_time_p50",
+    "repair_time_p95", "time_at_margin_zero", "unavailability_total",
+    "unavailability_windows",
+]
+
+#: summary(now=5.0) after one call of every record method.  Values are
+#: reprs because fingerprints hash reprs: an int count must stay an int.
+FULL_SUMMARY = {
+    "aborts": "1", "corruption_detected": "1", "corruption_injected": "1",
+    "cross_rack_degraded_bytes": "5.0", "cross_rack_repair_bytes": "5.0",
+    "data_loss": "1", "degraded_read_bytes": "10.0",
+    "degraded_read_mean_latency": "1.0", "degraded_reads": "1",
+    "escalations": "1", "mttr": "2.0", "normal_reads": "1",
+    "outages": "1.0", "racks_receiving_repairs": "1.0",
+    "relocation_failures": "1", "repair_bytes": "10.0",
+    "repair_time_count": "1.0", "repair_time_max": "2.0",
+    "repair_time_mean": "2.0", "repair_time_p50": "2.0",
+    "repair_time_p95": "2.0", "repairs": "1", "retries": "1",
+    "scrub_detections": "1", "storm_node_flap": "1", "stragglers": "1",
+    "time_at_margin_zero": "1.0", "unavailability_total": "2.0",
+    "unavailability_windows": "1.0", "vulnerability_windows": "1",
+}
+
+#: Every name the fault components tally through FaultMetrics.count.
+COUNTED = (
+    "retries", "aborts", "stragglers", "scrub_detections",
+    "corruption_injected", "normal_reads", "escalations",
+)
+
+
+def record_everything(metrics: FaultMetrics) -> None:
+    for name in COUNTED:
+        metrics.count(name)
+    metrics.record_storm_event("node_flap")
+    metrics.record_repair(2.0)
+    metrics.record_repair_traffic(1, 10.0, 5.0)
+    metrics.record_degraded_read(1.0, 10.0, 5.0)
+    metrics.record_data_loss(4, 1.0, "r")
+    metrics.record_relocation_failure("x")
+    for kind, key, end in (
+        (OUTAGE, "node 1", 1.0), (UNAVAILABLE, 3, 2.0),
+        (MARGIN_ZERO, "stripe:1", 1.0),
+    ):
+        metrics.open_window(kind, key, 0.0)
+        metrics.close_window(kind, key, end)
+
+
+class TestFaultMetrics:
+    def test_empty_summary_keys(self):
+        summary = FaultMetrics().summary(now=5.0)
+        assert sorted(summary) == EMPTY_SUMMARY_KEYS
+        assert set(summary.values()) == {0.0}
+
+    def test_summary_after_every_record_method(self):
+        metrics = FaultMetrics()
+        record_everything(metrics)
+        summary = metrics.summary(now=5.0)
+        assert {k: repr(v) for k, v in summary.items()} == FULL_SUMMARY
+
+    def test_alias_pairs_stay_equal(self):
+        metrics = FaultMetrics()
+        record_everything(metrics)
+        metrics.record_repair(4.0)
+        metrics.count("scrub_detections")
+        summary = metrics.summary()
+        assert summary["mttr"] == summary["repair_time_mean"] == 3.0
+        assert summary["corruption_detected"] == summary[
+            "scrub_detections"
+        ] == 2
+        assert summary["repairs"] == summary["repair_time_count"] == 2
+
+    def test_count_tallies_by_name(self):
+        metrics = FaultMetrics()
+        metrics.count("retries")
+        metrics.count("retries")
+        assert metrics.counts == {"retries": 2}
+
+    def test_summary_is_a_snapshot(self):
+        metrics = FaultMetrics()
+        metrics.count("aborts")
+        snap = metrics.summary()
+        metrics.count("aborts")
+        assert snap["aborts"] == 1
+        assert metrics.summary()["aborts"] == 2
+
+    def test_repair_counts_feed_perf(self):
+        before = PERF.get("recovery.repairs")
+        FaultMetrics().record_repair(1.0)
+        assert PERF.get("recovery.repairs") == before + 1
+
+    def test_repair_time_mean_and_percentiles(self):
+        metrics = FaultMetrics()
         for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-            hist.record(value)
-        assert len(hist) == 5
-        assert hist.mean() == 3.0
-        assert hist.percentile(50) == 3.0
-        assert hist.percentile(100) == 5.0
+            metrics.record_repair(value)
+        summary = metrics.summary()
+        assert summary["repair_time_count"] == 5.0
+        assert summary["repair_time_mean"] == 3.0
+        assert summary["repair_time_p50"] == 3.0
+        assert summary["repair_time_max"] == 5.0
 
-    def test_snapshot(self):
-        hist = Histogram()
-        for value in range(1, 101):
-            hist.record(float(value))
-        snap = hist.snapshot()
-        assert snap["count"] == 100.0
-        assert snap["mean"] == 50.5
-        assert snap["p50"] == 50.0
-        assert snap["p95"] == 95.0
-        assert snap["p99"] == 99.0
-        assert snap["min"] == 1.0
-        assert snap["max"] == 100.0
+    def test_repair_time_distribution(self):
+        metrics = FaultMetrics()
+        for value in range(100, 0, -1):
+            metrics.record_repair(float(value))
+        summary = metrics.summary()
+        assert summary["repair_time_count"] == 100.0
+        assert summary["repair_time_mean"] == 50.5
+        assert summary["repair_time_p50"] == 50.0
+        assert summary["repair_time_p95"] == 95.0
+        assert summary["repair_time_max"] == 100.0
 
-    def test_empty_snapshot(self):
-        assert Histogram().snapshot() == {"count": 0.0}
-
-    def test_empty_mean_raises(self):
+    def test_negative_repair_duration_rejected(self):
         with pytest.raises(ValueError):
-            Histogram().mean()
+            FaultMetrics().record_repair(-1.0)
 
-    def test_large_population_stays_exact(self):
-        # Enough samples to seal several chunks: fold-at-snapshot must
-        # agree with the eager-list arithmetic it replaced.
-        hist = Histogram()
+    def test_large_repair_population_stays_exact(self):
+        # Enough samples to seal several chunks: the mean sums in
+        # recording order, exactly as a plain list would.
+        metrics = FaultMetrics()
         values = [((index * 2654435761) % 1000) / 7.0 for index in range(20_000)]
         for value in values:
-            hist.record(value)
-        assert hist.mean() == sum(values) / len(values)
-        assert hist.percentile(99) == sorted(values)[
-            max(0, -(-99 * len(values) // 100) - 1)
+            metrics.record_repair(value)
+        summary = metrics.summary()
+        assert summary["repair_time_mean"] == sum(values) / len(values)
+        assert summary["repair_time_p95"] == sorted(values)[
+            max(0, -(-95 * len(values) // 100) - 1)
         ]
+
+    def test_window_reopens_only_after_close(self):
+        metrics = FaultMetrics()
+        metrics.open_window(UNAVAILABLE, 7, 0.0)
+        metrics.open_window(UNAVAILABLE, 7, 1.0)  # already open: ignored
+        metrics.close_window(UNAVAILABLE, 7, 2.0)
+        metrics.close_window(UNAVAILABLE, 7, 3.0)  # nothing open: ignored
+        metrics.open_window(UNAVAILABLE, 7, 4.0)
+        spans = [(w.start, w.end) for w in metrics.windows[UNAVAILABLE]]
+        assert spans == [(0.0, 2.0), (4.0, None)]
+
+    def test_open_margin_zero_counts_up_to_now(self):
+        metrics = FaultMetrics()
+        metrics.open_window(MARGIN_ZERO, "stripe:1", 2.0)
+        assert metrics.summary()["time_at_margin_zero"] == 0.0
+        assert metrics.summary(now=5.0)["time_at_margin_zero"] == 3.0
+        assert metrics.counts["vulnerability_windows"] == 1

@@ -13,7 +13,6 @@ import repro.core.maxflow
 import repro.erasure.codec
 import repro.erasure.lrc
 import repro.experiments.charts
-import repro.experiments.results_io
 import repro.sim.engine
 
 MODULES = [
@@ -21,7 +20,6 @@ MODULES = [
     repro.erasure.codec,
     repro.erasure.lrc,
     repro.experiments.charts,
-    repro.experiments.results_io,
     repro.sim.engine,
 ]
 
