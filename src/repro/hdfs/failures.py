@@ -113,7 +113,7 @@ class FailureInjector:
 
         report = FailureReport(
             failed_nodes=tuple(failed),
-            blocks_lost=len(lost),
+            blocks_lost=len(ordered),
             blocks_recovered=outcomes.count(DECODED),
             blocks_rereplicated=outcomes.count(REREPLICATED),
             unrecoverable=tuple(

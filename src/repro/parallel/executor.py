@@ -10,9 +10,7 @@ cannot change the numbers.  Three guard rails keep that contract honest:
 * setting ``REPRO_PARALLEL_CHECK=1`` (or ``check=True``) makes every
   parallel map re-run the whole sweep through the oracle and assert the
   results are equal, raising :class:`ParallelMismatch` otherwise;
-* a per-trial timeout degrades a wedged worker into an in-process
-  fallback execution instead of hanging the sweep, and failed trials are
-  retried before the sweep gives up.
+* a trial whose worker failed is retried once before the sweep gives up.
 
 With a :class:`~repro.parallel.cache.ResultCache` attached, fingerprints
 are consulted before any execution and only dirty trials run; cache hits
@@ -37,6 +35,12 @@ from repro.sim.metrics import PERF, measure_ops
 #: Environment variable enabling the inline differential mode.
 CHECK_ENV = "REPRO_PARALLEL_CHECK"
 
+#: Extra attempts for a trial whose worker *failed* (raised or died).
+#: Deterministic failures fail again and surface as :class:`TrialError`;
+#: the retry exists for environmental casualties (OOM-killed worker,
+#: broken pipe).
+RETRIES = 1
+
 
 class TrialError(RuntimeError):
     """A trial failed (after exhausting the executor's retries)."""
@@ -57,9 +61,7 @@ class SweepReport:
     total: int = 0
     cache_hits: int = 0
     executed: int = 0
-    timeouts: int = 0
     retries: int = 0
-    fallbacks: int = 0
     uncached: int = 0
     check_passed: Optional[bool] = None
 
@@ -70,8 +72,6 @@ class SweepReport:
             f"{self.cache_hits} cached",
             f"{self.executed} executed",
         ]
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timed out (ran in-process)")
         if self.retries:
             parts.append(f"{self.retries} retried")
         if self.check_passed is not None:
@@ -93,13 +93,13 @@ def _values_equal(got: Any, want: Any) -> bool:
         return False  # unpicklable and not == — genuinely unequal
 
 
-def _pool_context(preferred: Optional[str]) -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    if preferred is not None:
-        return multiprocessing.get_context(preferred)
+def _pool_context() -> multiprocessing.context.BaseContext:
     # fork reuses the parent's imported modules — far cheaper per worker
     # and the parent has already imported every experiment module.
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # a platform without fork
+        return multiprocessing.get_context("spawn")
 
 
 class SweepExecutor:
@@ -108,39 +108,21 @@ class SweepExecutor:
     Args:
         workers: Pool size; ``0`` runs everything in-process (the oracle).
         cache: Optional :class:`ResultCache`; hits skip execution.
-        timeout_s: Per-trial cap on waiting for a worker's result.  On
-            expiry the trial reruns in-process and the worker's eventual
-            result is discarded — the sweep degrades, it never hangs.
-        retries: Extra attempts for a trial whose worker *failed* (raised
-            or died).  Deterministic failures fail again and surface as
-            :class:`TrialError`; the budget exists for environmental
-            casualties (OOM-killed worker, broken pipe).
         check: Force the differential mode on/off; ``None`` defers to the
             ``REPRO_PARALLEL_CHECK`` environment variable.
-        start_method: multiprocessing start method override (tests).
     """
 
     def __init__(
         self,
         workers: int = 0,
         cache: Optional[ResultCache] = None,
-        timeout_s: Optional[float] = None,
-        retries: int = 1,
         check: Optional[bool] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers cannot be negative")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if retries < 0:
-            raise ValueError("retries cannot be negative")
         self.workers = workers
         self.cache = cache
-        self.timeout_s = timeout_s
-        self.retries = retries
         self._check = check
-        self._start_method = start_method
         #: Accounting of the most recent :meth:`map_trials` call.
         self.last_report: Optional[SweepReport] = None
 
@@ -156,7 +138,7 @@ class SweepExecutor:
         """Run every trial; return results in spec order.
 
         Raises:
-            TrialError: When a trial fails after retries/fallback.
+            TrialError: When a trial fails after its retry.
             ParallelMismatch: In differential mode, when the parallel
                 results (cache hits included) differ from a fresh
                 sequential run.
@@ -219,7 +201,7 @@ class SweepExecutor:
     def _map_parallel(
         self, specs: Sequence[TrialSpec], report: SweepReport
     ) -> List[Any]:
-        context = _pool_context(self._start_method)
+        context = _pool_context()
         processes = min(self.workers, len(specs))
         pool = context.Pool(processes=processes)
         try:
@@ -244,17 +226,13 @@ class SweepExecutor:
         handle: Any,
         report: SweepReport,
     ) -> Any:
-        attempts = 1 + self.retries
         last_error = "unknown error"
-        for attempt in range(attempts):
+        for attempt in range(1 + RETRIES):
             if attempt > 0:
                 report.retries += 1
                 handle = pool.apply_async(execute_trial, (spec,))
             try:
-                outcome: TrialOutcome = handle.get(timeout=self.timeout_s)
-            except multiprocessing.TimeoutError:
-                report.timeouts += 1
-                return self._fallback(spec, report)
+                outcome: TrialOutcome = handle.get()
             except Exception as exc:  # worker died / result unpicklable
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
@@ -264,11 +242,6 @@ class SweepExecutor:
                 return outcome.value
             last_error = outcome.error or last_error
         raise TrialError(spec, last_error)
-
-    def _fallback(self, spec: TrialSpec, report: SweepReport) -> Any:
-        """A worker exceeded the timeout: degrade to in-process execution."""
-        report.fallbacks += 1
-        return self._map_sequential([spec], report)[0]
 
     # ------------------------------------------------------------------
     # Differential mode

@@ -5,9 +5,11 @@ The paper evaluates EAR at scale with a C++ CSIM-based simulator
 discrete-event kernel plus the network/disk resource models that simulator
 needs:
 
-* :mod:`repro.sim.engine` — event queue, processes, timeouts, conditions.
-* :mod:`repro.sim.resources` — FCFS resources and the multi-resource
-  arbiter used to hold several links for the duration of a transfer.
+* :mod:`repro.sim.engine` — event queue, processes, timeouts, conditions;
+  every event is a plain, never-reused object and ``Simulator.run`` is the
+  one place events are processed, in ``(time, seq)`` order.
+* :mod:`repro.sim.resources` — the multi-resource arbiter used to hold
+  several links for the duration of a transfer.
 * :mod:`repro.sim.netsim` — the Topology module: node NICs, rack up/down
   links, optional per-node disks; transfers hold every involved link for
   ``size / bottleneck_bandwidth`` seconds, exactly as the paper describes.
@@ -24,7 +26,7 @@ from repro.sim.metrics import (
     TimeSeries,
 )
 from repro.sim.netsim import DiskModel, Network, TransferStats
-from repro.sim.resources import MultiResource, Resource
+from repro.sim.resources import MultiResource
 from repro.sim.sources import exponential_sizes, poisson_arrivals
 from repro.sim.trace import Tracer, TransferTrace
 
@@ -35,7 +37,6 @@ __all__ = [
     "MultiResource",
     "Network",
     "Process",
-    "Resource",
     "ResponseTimeStats",
     "SimulationError",
     "Simulator",

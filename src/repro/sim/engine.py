@@ -20,7 +20,6 @@ Example:
 from __future__ import annotations
 
 import itertools
-import os
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -43,12 +42,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-#: Sentinel stored in a pooled event's ``value`` while it sits on the
-#: free list under ``REPRO_SIM_POOL_DEBUG``; reading it from user code
-#: means the code held a recycled event past its processing turn.
-POOL_POISON = object()
-
-
 class Event:
     """A one-shot occurrence processes can wait on.
 
@@ -69,7 +62,6 @@ class Event:
         "_exception",
         "_triggered",
         "_processed",
-        "_recycle",
         "defused",
     )
 
@@ -80,10 +72,6 @@ class Event:
         self._exception: Optional[BaseException] = None
         self._triggered = False
         self._processed = False
-        # True only on kernel-pooled events (sim.timeout() products and
-        # internal bootstrap/poke/late events): the run loop returns them
-        # to the free list right after their callbacks run.
-        self._recycle = False
         # Set True to acknowledge a failure nobody waits on (suppresses the
         # kernel's unhandled-failure propagation for this event).
         self.defused = False
@@ -131,25 +119,10 @@ class Event:
         """Run ``callback(event)`` when the event is processed."""
         if self._processed:
             # Late subscription: run on the next queue drain at current
-            # time, through a recycled kernel event (subscribing after the
-            # fact is common enough — every yield of an already-processed
-            # event lands here — that a fresh allocation per callback was
-            # one of the kernel's dominant allocation sites).
+            # time, after every event already queued for it.
             self.sim.call_soon(lambda __: callback(self))
         else:
             self.callbacks.append(callback)
-
-    def _process(self) -> None:
-        # Simulator.run carries its own copy of this body in its loop;
-        # keep the two in step (step() is the caller here).
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        if self._exception is not None and not callbacks and not self.defused:
-            # Nobody is waiting on this failure: surface it instead of
-            # silently dropping a crashed process on the floor.
-            raise self._exception
-        for callback in callbacks:
-            callback(self)
 
     def _abandon(self) -> None:
         """The process waiting on this event was interrupted; an event that
@@ -179,8 +152,7 @@ class Condition(Event):
     Child values are captured *as each child is processed* and the child
     reference dropped immediately: holding every completed child Event
     alive until the condition itself is collected pinned memory on
-    10^5-child workloads, and a child may be a pooled Timeout whose
-    fields are recycled the moment its callbacks have run.
+    10^5-child workloads.
     """
 
     __slots__ = ("_values", "_remaining")
@@ -350,25 +322,10 @@ class Simulator:
         [1.0, 2.0, 3.0]
     """
 
-    #: Free-list cap per pool: enough for any realistic in-flight set,
-    #: small enough that a burst can never pin memory afterwards.
-    POOL_CAP = 4096
-
     def __init__(self) -> None:
         self._now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
-        # Free lists for the kernel's dominant allocation sites.  Events
-        # flagged _recycle return here right after their callbacks run;
-        # holding one past that point is a contract violation, which the
-        # poison debug mode (REPRO_SIM_POOL_DEBUG=1) turns into loud
-        # failures instead of silent value reuse.
-        self._event_pool: List[Event] = []
-        self._timeout_pool: List[Timeout] = []
-        self._pool_debug = os.environ.get(
-            "REPRO_SIM_POOL_DEBUG", ""
-        ).strip() not in ("", "0")
-        self._recycled = 0
 
     @property
     def now(self) -> float:
@@ -379,38 +336,12 @@ class Simulator:
     # Factories
     # ------------------------------------------------------------------
     def event(self) -> Event:
-        """A fresh untriggered event.
-
-        User events are never pooled: the kernel cannot know when the
-        program is done looking at them.
-        """
+        """A fresh untriggered event."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event triggering ``delay`` seconds from now.
-
-        Timeouts are drawn from a free list: the one returned here is
-        recycled as soon as its callbacks have run, so do not read its
-        fields (or re-yield it) after it fired.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            timeout = Timeout(self, delay, value)
-            timeout._recycle = True
-            return timeout
-        if not delay >= 0:
-            raise SimulationError(f"negative or NaN timeout delay {delay}")
-        timeout = pool.pop()
-        self._recycled += 1
-        if self._pool_debug:
-            self._unpoison(timeout)
-        timeout.value = value
-        timeout._exception = None
-        timeout._triggered = True
-        timeout._processed = False
-        timeout.defused = False
-        self._schedule(delay, timeout)
-        return timeout
+        """An event triggering ``delay`` seconds from now."""
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator) -> Process:
         """Start a process; returns its completion event."""
@@ -418,21 +349,8 @@ class Simulator:
 
     def call_soon(self, callback: Callable[[Event], None]) -> None:
         """Run ``callback(event)`` at the current time, after every event
-        already queued for it: one hop through a pooled event (recycled
-        once its callbacks ran — do not keep it)."""
-        pool = self._event_pool
-        if pool:
-            hop = pool.pop()
-            self._recycled += 1
-            if self._pool_debug:
-                self._unpoison(hop)
-            hop.value = None
-            hop._exception = None
-            hop._processed = False
-            hop.defused = False
-        else:
-            hop = Event(self)
-            hop._recycle = True
+        already queued for it (one hop through a fresh kernel event)."""
+        hop = Event(self)
         hop._triggered = True
         hop.callbacks.append(callback)
         _heappush(self._queue, (self._now + 0.0, next(self._seq), hop))
@@ -454,12 +372,12 @@ class Simulator:
         Events scheduled exactly at ``until`` still run; the clock never
         exceeds ``until`` when it is given.
         """
-        # Hot loop, once per simulated event across every experiment:
-        # Event._process is written out here (no call per event) and the
-        # processed-event counter is settled once, on the way out.
+        # Hot loop, once per simulated event across every experiment, and
+        # the only place an event is processed: the body is written out
+        # (no call per event) and the processed-event counter is settled
+        # once, on the way out.
         queue = self._queue
         pop = _heappop
-        release = self._release_event
         processed = 0
         try:
             while queue and (until is None or queue[0][0] <= until):
@@ -475,69 +393,15 @@ class Simulator:
                     # Nobody is waiting on this failure: surface it
                     # instead of silently dropping a crashed process.
                     raise event._exception
-                if event._recycle:
-                    release(event)
         finally:
             if processed:
                 PERF.bump("sim.events", processed)
         if until is not None:
             self._now = max(self._now, until)
 
-    def step(self) -> bool:
-        """Process a single event; returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        self._now, __, event = _heappop(self._queue)
-        PERF.bump("sim.events")
-        event._process()  # noqa: SLF001 - kernel internal
-        if event._recycle:
-            self._release_event(event)
-        return True
-
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or ``None`` when idle."""
         return self._queue[0][0] if self._queue else None
-
-    # ------------------------------------------------------------------
-    # Event pools
-    # ------------------------------------------------------------------
-    def pool_stats(self) -> dict:
-        """Free-list sizes and the number of recycled acquisitions."""
-        return {
-            "event_pool": len(self._event_pool),
-            "timeout_pool": len(self._timeout_pool),
-            "recycled": self._recycled,
-        }
-
-    def _release_event(self, event: Event) -> None:
-        cls = type(event)
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        else:
-            return  # subclasses are never pooled
-        if len(pool) >= self.POOL_CAP:
-            return
-        if self._pool_debug:
-            # Poison: reads return the sentinel, add_callback and
-            # succeed/fail raise, so a holder that outlived the event's
-            # processing fails fast instead of aliasing its successor.
-            event.value = POOL_POISON
-            event.callbacks = None  # type: ignore[assignment]
-            event._exception = None
-            event._triggered = True
-            event._processed = True
-        pool.append(event)
-
-    def _unpoison(self, event: Event) -> None:
-        if event.value is not POOL_POISON or event.callbacks is not None:
-            raise SimulationError(
-                "pooled event was mutated while on the free list; some "
-                "code held it past its processing turn (see "
-                "REPRO_SIM_POOL_DEBUG)"
-            )
-        event.callbacks = []
 
     # ------------------------------------------------------------------
     def _schedule(self, delay: float, event: Event) -> None:

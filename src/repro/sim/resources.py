@@ -1,7 +1,4 @@
-"""FCFS resources and a multi-resource arbiter for link holding.
-
-``Resource`` is the classic counted resource (CSIM *facility*): requests
-queue FIFO and are granted as capacity frees up.
+"""A multi-resource arbiter for link holding.
 
 ``MultiResource`` grants *sets* of unit-capacity resources atomically: a
 request proceeds only when every key it names is free, and requests are
@@ -13,76 +10,10 @@ time would either deadlock or block links while merely queueing.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.sim.engine import Event, SimulationError, Simulator
-
-
-class Request(Event):
-    """A pending resource claim; triggers when granted."""
-
-    def __init__(self, sim: Simulator, amount: int = 1) -> None:
-        super().__init__(sim)
-        self.amount = amount
-
-
-class Resource:
-    """A counted FCFS resource.
-
-    Example (inside a process):
-        >>> # req = resource.request()
-        >>> # yield req
-        >>> # ... use the resource ...
-        >>> # resource.release(req)
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._queue: Deque[Request] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Units currently granted."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Requests waiting for a grant."""
-        return len(self._queue)
-
-    def request(self, amount: int = 1) -> Request:
-        """Claim ``amount`` units; yield the returned event to wait."""
-        if not 1 <= amount <= self.capacity:
-            raise ValueError(f"amount must lie in [1, {self.capacity}]")
-        req = Request(self.sim, amount)
-        self._queue.append(req)
-        self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return a granted claim's units.
-
-        Raises:
-            SimulationError: If the request was never granted.
-        """
-        if not request.triggered:
-            raise SimulationError("releasing a request that was never granted")
-        self._in_use -= request.amount
-        if self._in_use < 0:
-            raise SimulationError("resource released more than was acquired")
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._queue and self._in_use + self._queue[0].amount <= self.capacity:
-            req = self._queue.popleft()
-            self._in_use += req.amount
-            req.succeed()
 
 
 class MultiRequest(Event):

@@ -115,6 +115,28 @@ class TestRackFailure:
             for block_id in stripe.all_block_ids():
                 assert len(store.replica_nodes(block_id)) == 1
 
+    def test_blocks_lost_counts_each_block_once(self):
+        # Under ReplicationScheme(3, 2) a rack holds two copies of some
+        # blocks; losing both is still one lost block, and the report's
+        # outcomes partition exactly the blocks it says were lost.
+        setup, stripes, injector = build(encode=False, seed=3)
+        store = setup.namenode.block_store
+        rack = next(r for r in TOPO.rack_ids() if store.blocks_in_rack(r))
+        lost = {
+            block_id
+            for node_id in TOPO.nodes_in_rack(rack)
+            for block_id in store.blocks_on_node(node_id)
+        }
+        setup.sim.process(injector.fail_rack_at(1.0, rack))
+        setup.sim.run()
+        report = injector.reports[-1]
+        assert report.blocks_lost == len(lost)
+        assert report.blocks_lost == (
+            report.blocks_recovered
+            + report.blocks_rereplicated
+            + len(report.unrecoverable)
+        )
+
     def test_repair_preserves_rack_diversity(self):
         from repro.core.relocation import PlacementMonitor
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 from typing import Tuple
 
 from repro.sim.metrics import PERF
@@ -39,11 +38,6 @@ def fail_once_trial(seed: int, flag_path: str = "") -> int:
         with open(flag_path, "w", encoding="utf-8") as handle:
             handle.write("attempted")
         raise RuntimeError("transient failure")
-    return seed
-
-
-def slow_trial(seed: int, delay_s: float = 0.5) -> int:
-    time.sleep(delay_s)
     return seed
 
 

@@ -1,4 +1,4 @@
-"""SweepExecutor: ordering, retries, timeouts, caching, differential mode."""
+"""SweepExecutor: ordering, retries, caching, differential mode."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import (
     CHECK_ENV,
+    RETRIES,
     ParallelMismatch,
     SweepExecutor,
     TrialError,
@@ -22,7 +23,6 @@ from tests.parallel._trials import (
     failing_trial,
     pid_trial,
     rng_trial,
-    slow_trial,
 )
 
 
@@ -82,7 +82,7 @@ class TestFailureHandling:
         specs = [TrialSpec(fn=failing_trial, seed=1)]
         for workers in (0, 2):
             with pytest.raises(TrialError, match="doomed"):
-                SweepExecutor(workers=workers, retries=1).map_trials(specs)
+                SweepExecutor(workers=workers).map_trials(specs)
 
     def test_transient_failure_is_retried(self, tmp_path):
         flag = tmp_path / "attempted.flag"
@@ -94,40 +94,22 @@ class TestFailureHandling:
                 cacheable=False,
             )
         ]
-        executor = SweepExecutor(workers=2, retries=1)
+        executor = SweepExecutor(workers=2)
         assert executor.map_trials(specs) == [9]
         assert executor.last_report.retries == 1
         assert executor.last_report.executed == 1
 
     def test_exhausted_retries_surface_the_spec(self):
         specs = [TrialSpec(fn=failing_trial, seed=3)]
+        executor = SweepExecutor(workers=2)
         with pytest.raises(TrialError) as excinfo:
-            SweepExecutor(workers=2, retries=0).map_trials(specs)
+            executor.map_trials(specs)
         assert excinfo.value.spec is specs[0]
-
-    def test_timeout_degrades_to_in_process_fallback(self):
-        # Short delay: the in-process fallback re-runs the same trial, so
-        # the sleep is paid twice (worker + fallback).
-        specs = [
-            TrialSpec(
-                fn=slow_trial,
-                config={"delay_s": 0.4},
-                seed=4,
-                cacheable=False,
-            )
-        ]
-        executor = SweepExecutor(workers=1, timeout_s=0.05)
-        assert executor.map_trials(specs) == [4]
-        assert executor.last_report.timeouts == 1
-        assert executor.last_report.fallbacks == 1
+        assert executor.last_report.retries == RETRIES
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             SweepExecutor(workers=-1)
-        with pytest.raises(ValueError):
-            SweepExecutor(timeout_s=0)
-        with pytest.raises(ValueError):
-            SweepExecutor(retries=-1)
 
 
 class TestCacheIntegration:

@@ -1,100 +1,12 @@
-"""Resource and MultiResource: FCFS grants, capacity, atomic link sets."""
+"""MultiResource: atomic link sets, first-fit grants, release and cancel."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.resources import MultiResource, Resource
+from repro.sim.resources import MultiResource
 from tests.sim.reference_resources import ListScanMultiResource
-
-
-class TestResource:
-    def test_grant_within_capacity_is_immediate(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        log = []
-
-        def user(name):
-            req = res.request()
-            yield req
-            log.append((name, sim.now))
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        sim.process(user("a"))
-        sim.process(user("b"))
-        sim.run()
-        assert log == [("a", 0.0), ("b", 0.0)]
-
-    def test_fcfs_queueing(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def user(name, hold):
-            req = res.request()
-            yield req
-            log.append((name, sim.now))
-            yield sim.timeout(hold)
-            res.release(req)
-
-        sim.process(user("first", 2.0))
-        sim.process(user("second", 1.0))
-        sim.process(user("third", 1.0))
-        sim.run()
-        assert log == [("first", 0.0), ("second", 2.0), ("third", 3.0)]
-
-    def test_multi_unit_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=3)
-        log = []
-
-        def big():
-            req = res.request(3)
-            yield req
-            log.append(("big", sim.now))
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        def small():
-            req = res.request(1)
-            yield req
-            log.append(("small", sim.now))
-            res.release(req)
-
-        sim.process(big())
-        sim.process(small())
-        sim.run()
-        assert log == [("big", 0.0), ("small", 1.0)]
-
-    def test_request_validation(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        with pytest.raises(ValueError):
-            res.request(0)
-        with pytest.raises(ValueError):
-            res.request(3)
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
-
-    def test_release_ungranted_raises(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        second = res.request()  # queued
-        with pytest.raises(SimulationError):
-            res.release(second)
-
-    def test_counters(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()
-        res.request()
-        assert res.in_use == 1
-        assert res.queue_length == 1
 
 
 class TestMultiResource:
