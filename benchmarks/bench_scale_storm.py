@@ -3,7 +3,7 @@
 Not a paper figure — the simulator-kernel scale demonstration: the full
 1000-node rack-loss drill must stay clean, re-protect every stripe and
 reproduce its fingerprint on a second run.  Its pending-event set peaks
-at 248 entries, which is why one binary heap is all the kernel needs.
+at 91 entries, which is why one binary heap is all the kernel needs.
 """
 
 import time

@@ -222,10 +222,10 @@ class Process(Event):
             raise SimulationError("process() requires a generator")
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        # One bound method for the process's lifetime: _expect subscribes
-        # it on every yield, and building a fresh bound method per yield
-        # was the kernel's busiest allocation site after events themselves.
-        self._resume_callback = self._resume
+        # One bound method for the process's lifetime (a fresh one per
+        # yield was the kernel's busiest allocation after events); it is
+        # dropped at exit, so a finished process is freed by refcount.
+        self._resume_callback: Optional[Callable] = self._resume
         # Kick off on the next queue drain at the current time.
         sim.call_soon(self._resume_callback)
 
@@ -257,6 +257,7 @@ class Process(Event):
             else:
                 target = self._generator.send(event.value)
         except StopIteration as stop:
+            self._resume_callback = None
             self.succeed(stop.value)
             return
         except Interrupt:
@@ -264,6 +265,7 @@ class Process(Event):
                 "process let an Interrupt escape; catch it or terminate"
             )
         except Exception as exc:  # the process crashed
+            self._resume_callback = None
             self.fail(exc)
             return
         self._expect(target)
@@ -277,12 +279,11 @@ class Process(Event):
         try:
             target = self._generator.throw(exc)
         except StopIteration as stop:
+            self._resume_callback = None
             self.succeed(stop.value)
             return
-        except Interrupt as escaped:
-            self.fail(escaped)
-            return
-        except Exception as crashed:
+        except Exception as crashed:  # an escaped Interrupt included
+            self._resume_callback = None
             self.fail(crashed)
             return
         self._expect(target)

@@ -35,7 +35,14 @@ from typing import (
 
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import MultiResource
+from repro.sim.resources import MultiRequest, MultiResource
+
+
+def _positive(bandwidth: float) -> float:
+    """``bandwidth``, unless it is not positive (NaN is not): ValueError."""
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    return bandwidth
 
 
 class TransferAborted(RuntimeError):
@@ -84,8 +91,8 @@ class DiskModel:
     write_bandwidth: float = 150e6
 
     def __post_init__(self) -> None:
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ValueError("disk bandwidths must be positive")
+        _positive(self.read_bandwidth)
+        _positive(self.write_bandwidth)
 
 
 @dataclass(slots=True)
@@ -161,7 +168,7 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.disk = disk
-        self.links = MultiResource(sim)
+        self.links = MultiResource()
         self.stats = TransferStats()
         self._node_up_bw: Dict[NodeId, float] = {}
         self._node_down_bw: Dict[NodeId, float] = {}
@@ -192,11 +199,13 @@ class Network:
         Returns:
             A negative pseudo node id usable as a transfer endpoint.
         """
+        bw = self.topology.intra_rack_bandwidth
+        if bandwidth is not None:
+            bw = _positive(bandwidth)
         node_id = self._next_external
         self._next_external -= 1
         self._externals[node_id] = name
         self._endpoints[node_id] = _Endpoint(node_id, None)
-        bw = self.topology.intra_rack_bandwidth if bandwidth is None else bandwidth
         self._node_up_bw[node_id] = bw
         self._node_down_bw[node_id] = bw
         return node_id
@@ -211,16 +220,15 @@ class Network:
 
         Used to model persistent cross-traffic: Experiment A.1's UDP streams
         reduce the effective bandwidth of the sender's egress and the
-        receiver's ingress.
+        receiver's ingress.  An id that is neither a node nor an external
+        raises ``KeyError``.
         """
+        if node_id not in self._endpoints:
+            raise KeyError(f"no node {node_id}")
         if up is not None:
-            if up <= 0:
-                raise ValueError("bandwidth must be positive")
-            self._node_up_bw[node_id] = up
+            self._node_up_bw[node_id] = _positive(up)
         if down is not None:
-            if down <= 0:
-                raise ValueError("bandwidth must be positive")
-            self._node_down_bw[node_id] = down
+            self._node_down_bw[node_id] = _positive(down)
 
     def set_rack_bandwidth(
         self,
@@ -228,15 +236,14 @@ class Network:
         up: Optional[float] = None,
         down: Optional[float] = None,
     ) -> None:
-        """Override one rack's core link bandwidths (bytes/second)."""
+        """Override one rack's core link bandwidths (bytes/second); an
+        unknown ``rack_id`` raises ``KeyError``."""
+        if rack_id not in range(self.topology.num_racks):
+            raise KeyError(f"no rack {rack_id}")
         if up is not None:
-            if up <= 0:
-                raise ValueError("bandwidth must be positive")
-            self._rack_up_bw[rack_id] = up
+            self._rack_up_bw[rack_id] = _positive(up)
         if down is not None:
-            if down <= 0:
-                raise ValueError("bandwidth must be positive")
-            self._rack_down_bw[rack_id] = down
+            self._rack_down_bw[rack_id] = _positive(down)
 
     # ------------------------------------------------------------------
     # Endpoint liveness (the chaos layer's hook)
@@ -276,9 +283,10 @@ class Network:
         aborted = 0
         for flow in list(self._inflight):
             if flow._abort is None and node_id in (flow.src, flow.dst):
-                # The abort wakes the flow through one hop, like a grant.
+                # One hop per abort: ending the flow here would resume its
+                # waiters inside this call, which they may re-enter.
                 flow._abort = node_id
-                self.sim.call_soon(flow._wake)
+                self.sim.call_soon(flow._aborted)
                 aborted += 1
         for listener in list(self._state_listeners):
             listener(node_id, False)
@@ -351,7 +359,12 @@ class Network:
         flow = Flow(self, src, dst, size)
         self._open(flow, read_disk, write_disk)
         if not flow._over:  # else nothing to hold: an in-memory no-op
-            yield flow
+            try:
+                yield flow
+            finally:
+                # An abort's traceback keeps this frame: naming the flow
+                # here would close a cycle through the flow's exception.
+                del flow
 
     def start_transfer(
         self,
@@ -370,19 +383,19 @@ class Network:
 
     def disk_read(self, node_id: NodeId, size: float) -> Generator:
         """Read ``size`` bytes from a node's local disk."""
-        flow = _DiskHold(self, node_id, node_id, size)
+        flow = Flow(self, node_id, node_id, size)
         self._open_disk(flow, write=False)
         yield flow
 
     def disk_write(self, node_id: NodeId, size: float) -> Generator:
         """Write ``size`` bytes to a node's local disk."""
-        flow = _DiskHold(self, node_id, node_id, size)
+        flow = Flow(self, node_id, node_id, size)
         self._open_disk(flow, write=True)
         yield flow
 
     def start_disk_write(self, node_id: NodeId, size: float) -> "Flow":
         """:meth:`disk_write` with no process waiting on it inline."""
-        flow = _DiskHold(self, node_id, node_id, size)
+        flow = Flow(self, node_id, node_id, size)
         self._start(flow, self._open_disk, True)
         return flow
 
@@ -393,16 +406,13 @@ class Network:
     def _start(
         self, flow: "Flow", open_flow: Callable, *args: Optional[bool]
     ) -> None:
-        """``open_flow(flow, *args)`` one hop from now; errors fail it."""
+        """``open_flow(flow, *args)`` now; an error fails the flow instead
+        of raising, so it surfaces from ``Simulator.run`` if unwaited."""
         flow._inline = False
-
-        def boot(__: Event) -> None:
-            try:
-                open_flow(flow, *args)
-            except Exception as exc:
-                flow.fail(exc)
-
-        self.sim.call_soon(boot)
+        try:
+            open_flow(flow, *args)
+        except Exception as exc:
+            flow.fail(exc)
 
     def _open(
         self,
@@ -483,20 +493,18 @@ class Network:
 
 
 class Flow(Event):
-    """One transfer as a chain of kernel callbacks: grant -> relay ->
-    timeout -> relay -> release, then the completion fires (in place for
-    an inline waiter).  Each relay stands where an ``AnyOf`` over ``grant
-    | abort`` or ``timeout | abort`` did, so the ``(time, seq)`` of every
-    event is the generator engine's (``docs/architecture.md``, Network).
+    """One link hold as kernel callbacks: the grant arms the hold's
+    timeout, and the timeout frees the links and completes the flow in
+    place, so a hold costs one kernel event (``docs/architecture.md``,
+    Network).  An abort is one more: ``fail_endpoint``'s hop ends it.
+    A disk read or write is a flow that is never in ``_inflight``: it is
+    not a transfer, so it is neither aborted nor counted.
     """
 
     __slots__ = (
-        "network", "src", "dst", "size", "cross_rack", "_grant",
-        "_duration", "_inline", "_holding", "_relayed", "_over", "_abort",
+        "network", "src", "dst", "size", "cross_rack", "_claim",
+        "_duration", "_inline", "_over", "_abort",
     )
-
-    #: Transfers relay each wake-up through one hop; disk holds do not.
-    _relays = True
 
     def __init__(
         self, network: Network, src: NodeId, dst: NodeId, size: float
@@ -506,74 +514,53 @@ class Flow(Event):
         self.src, self.dst, self.size = src, dst, size
         self.cross_rack = False
         self._inline = True
-        self._holding = False  # past the first relay: granted, timing out
-        self._relayed = False  # this stage's relay is pushed, unprocessed
         self._over = False  # completed, aborted or abandoned by its waiter
         self._abort: Optional[NodeId] = None  # the endpoint that died
 
     def _hold(self, keys: List[Tuple], duration: float) -> None:
         self._duration = duration
-        self._grant = self.network.links.acquire(keys)
-        self._grant.callbacks.append(self._wake)
+        self._claim = self.network.links.acquire(keys, self._granted)
 
-    def _wake(self, __: Event) -> None:
-        """The grant, the timeout or an abort relay was processed."""
-        if not self._relays:
-            self._advance(None)
-        elif not self._relayed:
-            self._relayed = True
-            self.sim.call_soon(self._advance)
+    def _granted(self, __: MultiRequest) -> None:
+        self.sim.timeout(self._duration).callbacks.append(self._held)
 
-    def _advance(self, __: Optional[Event]) -> None:
-        """A relay was processed (on a disk hold: the grant or timeout)."""
-        if self._over:
-            return  # abandoned: a relay it already scheduled is a no-op
-        if self._abort is not None:
+    def _held(self, __: Event) -> None:
+        """The hold's timeout fired: free the links and complete."""
+        if self._over or self._abort is not None:
+            return  # abandoned, or the pending abort hop ends it
+        network = self.network
+        if self in network._inflight:  # a transfer, not a disk hold
+            network.stats.record(self.size, self.cross_rack)
+        self._end()
+        self._finish(None)
+
+    def _aborted(self, __: Event) -> None:
+        """``fail_endpoint``'s hop: end the flow with the abort."""
+        if not self._over:  # else its waiter abandoned it first
             self._end()
             self.network.stats.record_abort()
             self._finish(TransferAborted(self.src, self.dst, self._abort))
-        elif not self._holding:
-            self._holding = True
-            self._relayed = False
-            self.sim.timeout(self._duration).callbacks.append(self._wake)
-        else:
-            self._end()
-            if self._relays:
-                self.network.stats.record(self.size, self.cross_rack)
-            self._finish(None)
 
     def _abandon(self) -> None:
         """The waiting process was interrupted: an inline flow frees its
-        links (or withdraws its claim); relays already pushed no-op."""
+        links (or withdraws its claim); a later timeout or hop no-ops."""
         if self._inline and not self._over:
             self._end()
 
     def _end(self) -> None:
-        """Free the links (or withdraw the claim) and stop the chain."""
+        """Free the links (or withdraw the claim); the flow is over."""
         self._over = True
         network = self.network
-        if self._relays:
-            del network._inflight[self]
-        if self._holding:
-            network.links.release(self._grant)
-        else:
-            network.links.cancel(self._grant)
+        network._inflight.pop(self, None)  # disk holds were never in it
+        network.links.cancel(self._claim)
 
     def _finish(self, exc: Optional[BaseException]) -> None:
-        if self._inline:  # fired in place: the waiter resumes here, no hop
-            self._triggered = self._processed = True
-            self._exception = exc
-            callbacks, self.callbacks = self.callbacks, []
-            for callback in callbacks:
-                callback(self)
-        elif exc is None:
-            self.succeed()
-        else:
-            self.fail(exc)
-
-
-class _DiskHold(Flow):
-    """A disk read or write: grant -> timeout, no abort, no relays."""
-
-    __slots__ = ()
-    _relays = False
+        if exc is not None and not self._inline:
+            self.fail(exc)  # a failure nobody waits on surfaces from run
+            return
+        # Fired in place: every waiter resumes here, no hop.
+        self._triggered = self._processed = True
+        self._exception = exc
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)

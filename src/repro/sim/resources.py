@@ -11,21 +11,24 @@ from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import Any, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import SimulationError
 
 
-class MultiRequest(Event):
-    """A pending claim on a set of unit resources; triggers when granted."""
+class MultiRequest:
+    """A claim on a set of unit resources, granted by calling back its
+    owner (not an event: no claim ever enters the kernel's queue)."""
 
-    __slots__ = ("keys", "_arrival", "_parked_on", "_holding")
+    __slots__ = ("keys", "_arrival", "_on_grant", "_parked_on", "_holding")
 
-    def __init__(self, sim: Simulator, keys: Tuple, arrival: int) -> None:
-        super().__init__(sim)
+    def __init__(self, keys: Tuple, arrival: int, on_grant: Callable) -> None:
         #: The claimed keys, in the order the caller named them.
         self.keys = keys
         self._arrival = arrival
+        #: Set while the claim waits; ``None`` once called or withdrawn, so
+        #: a granted claim keeps no reference to its owner.
+        self._on_grant = on_grant
         #: While queued: the held key whose bucket the claim waits in.
         self._parked_on: Any = None
         #: True from the grant until the release — the claim's own record,
@@ -53,15 +56,16 @@ class MultiResource:
     (``tests/sim/reference_resources.py`` keeps that scan as the oracle),
     at a cost independent of how many claims wait on other keys.
 
-    Example (inside a process):
-        >>> # grant = links.acquire({"uplink:3", "nic:17"})
-        >>> # yield grant
-        >>> # yield sim.timeout(duration)
-        >>> # links.release(grant)
+    Example:
+        >>> links, granted = MultiResource(), []
+        >>> first = links.acquire(("nic:17", "uplink:3"), granted.append)
+        >>> second = links.acquire(("uplink:3",), granted.append)
+        >>> links.release(first)  # grants ``second`` inside the call
+        >>> granted == [first, second]
+        True
     """
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+    def __init__(self) -> None:
         self._held: Set = set()
         #: held key -> heap of (arrival number, claim parked under it); no
         #: empty bucket is kept, so memory is O(queued claims).
@@ -78,39 +82,45 @@ class MultiResource:
         """Claims waiting for a grant."""
         return sum(map(len, self._parked.values()))
 
-    def acquire(self, keys: Iterable) -> MultiRequest:
-        """Claim every key in ``keys``; yield the returned event to wait."""
+    def acquire(
+        self, keys: Iterable, on_grant: Callable[[MultiRequest], None]
+    ) -> MultiRequest:
+        """Claim every key in ``keys``; ``on_grant(claim)`` is called the
+        moment they are all free — before this returns if they are now,
+        else inside the ``release`` that frees the last of them.  It runs
+        inside the arbiter, so it must not acquire or release."""
         keys = tuple(keys)
         if not keys:
             raise ValueError("acquire requires at least one key")
-        req = MultiRequest(self.sim, keys, next(self._arrivals))
+        claim = MultiRequest(keys, next(self._arrivals), on_grant)
         if self._held.isdisjoint(keys):
-            self._grant(req)
+            self._grant(claim)
         else:
-            self._park(req)
-        return req
+            self._park(claim)
+        return claim
 
-    def release(self, request: MultiRequest) -> None:
-        """Return a granted claim's keys.
+    def release(self, claim: MultiRequest) -> None:
+        """Return a granted claim's keys, granting what they unblock.
 
         Raises:
             SimulationError: If the claim was never granted or already
                 released.
         """
-        if not request._holding:
+        if not claim._holding:
             raise SimulationError(
-                "claim already released" if request.triggered
-                else "releasing a claim that was never granted"
+                "releasing a claim that was never granted"
+                if claim._on_grant is not None
+                else "claim already released or withdrawn"
             )
-        request._holding = False
+        claim._holding = False
         held = self._held
-        held.difference_update(request.keys)
+        held.difference_update(claim.keys)
         parked = self._parked
         if not parked:
             return
         # Each freed bucket's oldest claim, merged by (unique) arrival.
         heads = [
-            (parked[key][0][0], key) for key in request.keys if key in parked
+            (parked[key][0][0], key) for key in claim.keys if key in parked
         ]
         heapify(heads)
         while heads:
@@ -119,40 +129,40 @@ class MultiResource:
                 continue  # re-granted: the rest of its bucket stays parked
             bucket = parked.get(key)
             if bucket is None or bucket[0][0] != arrival:
-                continue  # a stale head: ``request`` named ``key`` twice
-            claim = heappop(bucket)[1]
-            if held.isdisjoint(claim.keys):
-                self._grant(claim)  # holds ``key`` again
-            else:
-                self._park(claim)
-                if bucket:
-                    heappush(heads, (bucket[0][0], key))
+                continue  # a stale head: ``claim`` named ``key`` twice
+            waiter = heappop(bucket)[1]
             if not bucket:
                 del parked[key]
+            if held.isdisjoint(waiter.keys):
+                self._grant(waiter)  # holds ``key`` again
+            else:
+                self._park(waiter)
+                if bucket:
+                    heappush(heads, (bucket[0][0], key))
 
-    def cancel(self, request: MultiRequest) -> None:
+    def cancel(self, claim: MultiRequest) -> None:
         """Withdraw a claim whether or not it was granted yet.
 
         An aborted transfer may still be queued for its links (never
-        granted) or may have been granted between the abort and the
-        cleanup; both must end with the keys free for other claims.  A
-        claim already released or withdrawn is left alone.
+        granted) or may hold them; both must end with the keys free for
+        other claims.  A claim already released or withdrawn is left alone.
         """
-        if request._holding:
-            self.release(request)
-        elif not request.triggered:
-            bucket = self._parked.get(request._parked_on, ())
-            entry = (request._arrival, request)
-            if entry in bucket:
-                bucket.remove(entry)
+        if claim._holding:
+            self.release(claim)
+        elif claim._on_grant is not None:
+            claim._on_grant = None
+            bucket = self._parked[claim._parked_on]
+            bucket.remove((claim._arrival, claim))
+            if bucket:
                 heapify(bucket)
-                if not bucket:
-                    del self._parked[request._parked_on]
+            else:
+                del self._parked[claim._parked_on]
 
     def _grant(self, claim: MultiRequest) -> None:
         self._held.update(claim.keys)
         claim._holding = True
-        claim.succeed()
+        on_grant, claim._on_grant = claim._on_grant, None
+        on_grant(claim)
 
     def _park(self, claim: MultiRequest) -> None:
         """File a blocked claim under the first of its keys that is held."""

@@ -51,19 +51,19 @@ class TestStartedTransfers:
         assert seen == [(2, 3.0)]
         assert network.links.held_keys == frozenset()
 
-    def test_errors_fail_the_flow_at_its_start_hop_not_at_the_call(self):
+    def test_errors_fail_the_flow_at_the_call_instead_of_raising(self):
         sim, network = make_network()
         flow = network.start_transfer(0, 1, 0.0)  # nothing raised here
-        assert not flow.triggered
+        assert flow.triggered and flow.failed
         # Nobody waits on it: the failure surfaces from the run loop, as
         # a crashed process's did.
         with pytest.raises(ValueError, match="size must be positive"):
             sim.run()
 
-    def test_an_endpoint_dying_before_the_start_hop_aborts_it(self):
+    def test_an_endpoint_dying_at_the_start_instant_aborts_it(self):
         sim, network = make_network()
         flow = network.start_transfer(0, 2, 100.0)
-        network.fail_endpoint(2)  # same instant, before the flow opened
+        assert network.fail_endpoint(2) == 1  # open at the call: aborted
         seen = []
 
         def waiter():
@@ -98,7 +98,7 @@ class TestInflight:
         sim, network = make_network()
         network.start_transfer(0, 1, 100.0)
         network.start_transfer(0, 2, 100.0)  # queued on node 0's egress
-        assert list(network.inflight()) == []  # not started yet
+        assert list(network.inflight()) == [(0, 1), (0, 2)]  # open at once
         sim.run(until=0.5)
         assert list(network.inflight()) == [(0, 1), (0, 2)]
         sim.run(until=1.5)

@@ -145,6 +145,31 @@ class TestBandwidthOverrides:
         with pytest.raises(ValueError):
             net.set_rack_bandwidth(0, down=-5)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -5.0, float("nan")])
+    @pytest.mark.parametrize("where", ["external", "node", "rack", "disk"])
+    def test_bandwidths_it_cannot_run_are_rejected(self, topo, where, bandwidth):
+        net = Network(Simulator(), topo)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            if where == "external":
+                net.add_external("master", bandwidth=bandwidth)
+            elif where == "node":
+                net.set_node_bandwidth(0, down=bandwidth)
+            elif where == "rack":
+                net.set_rack_bandwidth(1, up=bandwidth)
+            else:
+                DiskModel(write_bandwidth=bandwidth)
+        assert net.node_down_bandwidth(0) == net.rack_up_bandwidth(1) == 100.0
+
+    def test_unknown_node_or_rack_is_a_key_error(self, topo):
+        net = Network(Simulator(), topo)
+        with pytest.raises(KeyError):
+            net.set_node_bandwidth(999, up=5.0)
+        with pytest.raises(KeyError):
+            net.set_rack_bandwidth(999, up=5.0)
+        master = net.add_external("master")  # externals' negative ids
+        net.set_node_bandwidth(master, up=5.0)
+        assert net.node_up_bandwidth(master) == 5.0
+
     def test_lookups(self, topo):
         net = Network(Simulator(), topo)
         net.set_node_bandwidth(1, up=10.0, down=20.0)

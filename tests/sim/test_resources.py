@@ -1,4 +1,5 @@
-"""MultiResource: atomic link sets, first-fit grants, release and cancel."""
+"""MultiResource: atomic link sets, first-fit grants by callback, release
+and cancel."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,22 @@ from repro.sim.resources import MultiResource
 from tests.sim.reference_resources import ListScanMultiResource
 
 
+def claim(sim, links, keys):
+    """Claim ``keys`` from a process: the claim, and an event that
+    triggers when the grant callback runs."""
+    granted = sim.event()
+    return links.acquire(keys, lambda __: granted.succeed()), granted
+
+
 class TestMultiResource:
     def test_atomic_grant(self):
         sim = Simulator()
-        links = MultiResource(sim)
+        links = MultiResource()
         log = []
 
         def flow(name, keys, hold):
-            grant = links.acquire(keys)
-            yield grant
+            grant, granted = claim(sim, links, keys)
+            yield granted
             log.append((name, sim.now))
             yield sim.timeout(hold)
             links.release(grant)
@@ -30,12 +38,12 @@ class TestMultiResource:
 
     def test_first_fit_skips_blocked_head(self):
         sim = Simulator()
-        links = MultiResource(sim)
+        links = MultiResource()
         log = []
 
         def flow(name, keys, hold):
-            grant = links.acquire(keys)
-            yield grant
+            grant, granted = claim(sim, links, keys)
+            yield granted
             log.append((name, sim.now))
             yield sim.timeout(hold)
             links.release(grant)
@@ -49,12 +57,12 @@ class TestMultiResource:
 
     def test_release_then_regrant(self):
         sim = Simulator()
-        links = MultiResource(sim)
+        links = MultiResource()
         done = []
 
         def flow(name, keys, hold):
-            grant = links.acquire(keys)
-            yield grant
+            grant, granted = claim(sim, links, keys)
+            yield granted
             yield sim.timeout(hold)
             links.release(grant)
             done.append((name, sim.now))
@@ -65,26 +73,35 @@ class TestMultiResource:
         assert done == [("f0", 1.0), ("f1", 2.0), ("f2", 3.0), ("f3", 4.0)]
 
     def test_empty_keys_rejected(self):
-        sim = Simulator()
         with pytest.raises(ValueError):
-            MultiResource(sim).acquire([])
+            MultiResource().acquire([], [].append)
 
     def test_release_ungranted_raises(self):
-        sim = Simulator()
-        links = MultiResource(sim)
-        a = links.acquire({"k"})
-        b = links.acquire({"k"})
-        with pytest.raises(SimulationError):
+        links = MultiResource()
+        granted = []
+        links.acquire({"k"}, granted.append)
+        b = links.acquire({"k"}, granted.append)
+        with pytest.raises(SimulationError, match="never granted"):
             links.release(b)
 
     def test_double_release_raises(self):
-        sim = Simulator()
-        links = MultiResource(sim)
-        grant = links.acquire({"k"})
-        sim.run()
+        links = MultiResource()
+        grant = links.acquire({"k"}, [].append)
         links.release(grant)
         with pytest.raises(SimulationError):
             links.release(grant)
+
+    def test_grant_runs_the_callback_in_place_and_drops_it(self):
+        links = MultiResource()
+        granted = []
+        first = links.acquire({"k"}, granted.append)
+        assert granted == [first]  # free: granted before acquire returned
+        second = links.acquire({"k"}, granted.append)
+        assert granted == [first] and second._on_grant is not None
+        links.release(first)
+        assert granted == [first, second]  # inside the freeing release
+        # A granted claim keeps no reference to its owner's callback.
+        assert first._on_grant is None and second._on_grant is None
 
     def test_double_release_raises_even_when_another_claim_holds_the_keys(
         self,
@@ -92,82 +109,83 @@ class TestMultiResource:
         # "Its keys are held" used to stand in for "not yet released": with
         # a second holder of the same key the stale release went through,
         # freed the key under the live holder and let a third claim in.
-        sim = Simulator()
-        links = MultiResource(sim)
-        stale = links.acquire({"x"})
+        links = MultiResource()
+        granted = []
+        stale = links.acquire({"x"}, granted.append)
         links.release(stale)
-        live = links.acquire({"x"})
+        live = links.acquire({"x"}, granted.append)
         with pytest.raises(SimulationError, match="already released"):
             links.release(stale)
         assert links.held_keys == frozenset({"x"})
-        third = links.acquire({"x"})
-        assert live.triggered and not third.triggered
+        links.acquire({"x"}, granted.append)
+        assert granted == [stale, live]
         assert links.queue_length == 1
 
     def test_cancel_after_release_leaves_the_next_holder_alone(self):
-        sim = Simulator()
-        links = MultiResource(sim)
-        stale = links.acquire({"x", "y"})
+        links = MultiResource()
+        granted = []
+        stale = links.acquire({"x", "y"}, granted.append)
         links.release(stale)
-        live = links.acquire({"y", "x"})
+        live = links.acquire({"y", "x"}, granted.append)
         links.cancel(stale)  # granted-and-released: nothing left to undo
         assert links.held_keys == frozenset({"x", "y"})
-        waiter = links.acquire({"x"})
-        assert not waiter.triggered
+        waiter = links.acquire({"x"}, granted.append)
+        assert granted == [stale, live]
         links.release(live)
-        assert waiter.triggered
+        assert granted == [stale, live, waiter]
 
     def test_cancel_of_a_queued_claim_is_idempotent(self):
-        sim = Simulator()
-        links = MultiResource(sim)
-        holder = links.acquire({"x"})
-        first, second = links.acquire({"x"}), links.acquire({"x"})
+        links = MultiResource()
+        granted = []
+        holder = links.acquire({"x"}, granted.append)
+        first = links.acquire({"x"}, granted.append)
+        second = links.acquire({"x"}, granted.append)
         links.cancel(first)
         links.cancel(first)
-        assert links.queue_length == 1
+        assert links.queue_length == 1 and first._on_grant is None
         links.release(holder)
-        assert second.triggered and not first.triggered
+        assert granted == [holder, second]
         assert links.held_keys == frozenset({"x"})
 
     def test_waiter_blocked_on_two_keys_survives_either_release(self):
         # Parked under one held key, re-parked under the other when the
         # first frees: granted only when both are free.
-        sim = Simulator()
-        links = MultiResource(sim)
-        a, b = links.acquire(("a",)), links.acquire(("b",))
-        wide = links.acquire(("a", "b"))
+        links = MultiResource()
+        granted = []
+        a = links.acquire(("a",), granted.append)
+        b = links.acquire(("b",), granted.append)
+        wide = links.acquire(("a", "b"), granted.append)
         links.release(a)
-        assert not wide.triggered and links.queue_length == 1
+        assert granted == [a, b] and links.queue_length == 1
         links.release(b)
-        assert wide.triggered and links.queue_length == 0
+        assert granted == [a, b, wide] and links.queue_length == 0
         assert links.held_keys == frozenset({"a", "b"})
 
     def test_held_keys_and_queue_length(self):
-        sim = Simulator()
-        links = MultiResource(sim)
-        links.acquire({"a", "b"})
-        links.acquire({"a"})
+        links = MultiResource()
+        links.acquire({"a", "b"}, [].append)
+        links.acquire({"a"}, [].append)
         assert links.held_keys == frozenset({"a", "b"})
         assert links.queue_length == 1
 
     def test_no_starvation_after_release(self):
         """A wide claim eventually runs once its keys free up."""
         sim = Simulator()
-        links = MultiResource(sim)
+        links = MultiResource()
         log = []
 
         def narrow(name, key, start, hold):
             yield sim.timeout(start)
-            grant = links.acquire({key})
-            yield grant
+            grant, granted = claim(sim, links, {key})
+            yield granted
             yield sim.timeout(hold)
             links.release(grant)
             log.append((name, sim.now))
 
         def wide():
             yield sim.timeout(0.5)  # arrive after the narrow flows hold keys
-            grant = links.acquire({"a", "b"})
-            yield grant
+            grant, granted = claim(sim, links, {"a", "b"})
+            yield granted
             log.append(("wide", sim.now))
             links.release(grant)
 
@@ -212,38 +230,33 @@ class _Pair:
 @given(steps=steps)
 @settings(max_examples=300, deadline=None)
 def test_indexed_arbiter_grants_exactly_what_the_list_scan_grants(steps):
-    sim_new, sim_old = Simulator(), Simulator()
-    indexed, reference = MultiResource(sim_new), ListScanMultiResource(sim_old)
+    indexed, reference = MultiResource(), ListScanMultiResource()
+    # Grant order is the order the callbacks ran in, which fixes the order
+    # the granted flows arm their timeouts in.
     granted_new, granted_old = [], []
     pairs = []
     for action, argument in steps:
         if action == "acquire":
             name = len(pairs)
-            pair = _Pair(
-                name, indexed.acquire(argument), reference.acquire(argument)
-            )
-            # Grant order is the order succeed() was called in, which is
-            # the order the kernel then processes the grants in.
-            pair.indexed.add_callback(lambda __, n=name: granted_new.append(n))
-            pair.reference.add_callback(
-                lambda __, n=name: granted_old.append(n)
-            )
-            pairs.append(pair)
+            pairs.append(_Pair(
+                name,
+                indexed.acquire(
+                    argument, lambda __, n=name: granted_new.append(n)
+                ),
+                reference.acquire(
+                    argument, lambda __, n=name: granted_old.append(n)
+                ),
+            ))
         else:
             live = [p for p in pairs if not p.closed]
             if action == "release":
-                live = [p for p in live if p.reference.triggered]
+                live = [p for p in live if p.reference.granted]
             if not live:
                 continue
             pair = live[argument % len(live)]
             getattr(indexed, action)(pair.indexed)
             getattr(reference, action)(pair.reference)
             pair.closed = True
-        sim_new.run()
-        sim_old.run()
         assert granted_new == granted_old
         assert indexed.held_keys == reference.held_keys
         assert indexed.queue_length == reference.queue_length
-        assert [p.indexed.triggered for p in pairs] == [
-            p.reference.triggered for p in pairs
-        ]

@@ -51,10 +51,20 @@ class TestSlotsLayout:
 class TestProcessResumeCallback:
     def test_callback_is_cached_not_rebuilt_per_yield(self):
         sim = Simulator()
-        process = make_process(sim)
+
+        def proc():
+            for __ in range(3):
+                yield sim.timeout(1.0)
+                seen.append(process._resume_callback)
+
+        seen = []
+        process = sim.process(proc())
         first = process._resume_callback
+        sim.run(until=2.5)
+        assert seen == [first, first]  # one bound method while alive
         sim.run()
-        assert process._resume_callback is first
+        # Dropped at exit: the finished process holds no cycle to itself.
+        assert seen == [first] * 3 and process._resume_callback is None
 
     def test_slotted_kernel_still_runs_programs(self):
         sim = Simulator()
