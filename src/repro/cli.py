@@ -7,7 +7,6 @@ Usage::
     python -m repro fig8a --stripes 96 --seeds 3
     python -m repro fig13a --stripes-per-process 10 --seeds 2
     python -m repro fig14 --runs 10
-    python -m repro lint --fail-on warning src/repro
     python -m repro journal verify DIR
 
 Every command prints the same table the corresponding benchmark emits; the
@@ -21,10 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro import pipeline, recovery
@@ -57,13 +56,6 @@ from repro.experiments.validation import (
 from repro.journal.checkpoint import list_checkpoints
 from repro.journal.verify import verify_journal
 from repro.journal.wal import list_segments, scan_journal
-from repro.lint import (
-    Severity,
-    json_report,
-    lint_paths,
-    load_config,
-    text_report,
-)
 from repro.parallel import DEFAULT_CACHE_DIR, ResultCache, make_executor
 
 
@@ -334,27 +326,12 @@ def cmd_fig15(args) -> None:
 
 
 # ----------------------------------------------------------------------
-# Tool handlers: list, lint, journal, cache
+# Tool handlers: list, journal, cache
 # ----------------------------------------------------------------------
 def cmd_list(args) -> None:
     """Print the experiment ids, one per line."""
     for name in list_experiments():
         print(name)
-
-
-def cmd_lint(args) -> int:
-    """reprolint: AST-based determinism & resource-safety checks."""
-    start_dir = None
-    if args.paths:
-        first = args.paths[0]
-        start_dir = first if os.path.isdir(first) else os.path.dirname(first) or "."
-    config = load_config(pyproject_path=args.config, start_dir=start_dir)
-    if args.fail_on is not None:
-        config = replace(config, fail_on=Severity.parse(args.fail_on))
-    result = lint_paths(args.paths, config)
-    report = json_report(result) if args.format == "json" else text_report(result)
-    print(report)
-    return result.exit_code(config)
 
 
 def _pager_safe(handler):
@@ -485,6 +462,17 @@ def _at_least(minimum: int):
     return parse
 
 
+def _positive_finite(text: str) -> float:
+    """argparse ``type``: a float that is finite and greater than zero."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
+_positive_finite.__name__ = "float"
+
+
 def arg(*flags, **kwargs):
     """One ``(flags, kwargs)`` pair, handed as is to ``add_argument``."""
     return flags, kwargs
@@ -554,10 +542,10 @@ EXPERIMENTS = (
     ("chaos", cmd_chaos, cmd_chaos.__doc__, [
         SEED,
         arg("--stripes", type=_at_least(1), default=12),
-        arg("--flaps", type=int, default=4),
-        arg("--rack-outages", type=int, default=1),
-        arg("--corruptions", type=int, default=3),
-        arg("--horizon", type=float, default=40.0),
+        arg("--flaps", type=_at_least(0), default=4),
+        arg("--rack-outages", type=_at_least(0), default=1),
+        arg("--corruptions", type=_at_least(0), default=3),
+        arg("--horizon", type=_positive_finite, default=40.0),
     ]),
     ("recovery", cmd_recovery, cmd_recovery.__doc__, [
         arg("scenario", nargs="?", default="single_node_loss",
@@ -599,18 +587,6 @@ EXPERIMENTS = (
 # handler of its own) nests those rows as its subcommands.
 COMMANDS = EXPERIMENTS + (
     ("list", cmd_list, "list available experiments", []),
-    ("lint", cmd_lint, cmd_lint.__doc__, [
-        arg("paths", nargs="*", default=["src/repro"],
-            help="files or directories to lint (default: src/repro)"),
-        arg("--format", choices=("text", "json"), default="text",
-            help="report format"),
-        arg("--fail-on", choices=tuple(s.label for s in Severity),
-            default=None,
-            help="minimum severity that fails the run (default: error)"),
-        arg("--config", default=None, metavar="PYPROJECT",
-            help="explicit pyproject.toml (default: nearest to the first "
-            "path)"),
-    ]),
     ("journal", None, "Inspect and verify write-ahead metadata journals.",
      [], (
         ("dump", cmd_journal_dump, "print every record in log order", [

@@ -18,7 +18,7 @@ byte-level implementations built from scratch:
   one LRU of inverted, compiled decode matrices for RS, Cauchy and LRC.
 * :mod:`repro.erasure.stream` — the chunked streaming data plane: fixed-size
   chunk iterators, chunk-at-a-time folds through that kernel (pinned against
-  :func:`repro.erasure.matrix.apply_to_shards_scalar`), one block-view
+  a per-coefficient test oracle), one block-view
   encoder taking a fold order, and the cluster :class:`StreamingDataPlane`.
 """
 

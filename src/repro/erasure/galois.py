@@ -9,11 +9,7 @@ precomputed log/antilog tables.
 The full 256x256 multiplication table (:meth:`GF256.mul_table`) trades
 64 KiB of memory for a single gather per operation — the same trade
 Jerasure's "big table" variant makes.  The production kernel in
-:mod:`repro.erasure.matrix` packs rows of it into word-wide lookup tables;
-:meth:`GF256.mul_array`/:meth:`GF256.addmul_array` are the per-coefficient
-path the reference ``apply_to_shards_scalar`` is built from.  Bulk calls
-report counted work ("gf.kernel_calls", "gf.symbol_mults") into
-:data:`repro.sim.metrics.PERF` for the benchmark harness.
+:mod:`repro.erasure.matrix` packs rows of it into word-wide lookup tables.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 import numpy as np
-
-from repro.sim.metrics import PERF
 
 #: Primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (decimal 285).
 PRIMITIVE_POLY = 0x11D
@@ -141,33 +135,6 @@ class GF256:
         the packed-word kernel's lookup tables are built from its rows.
         """
         return _MUL_TABLE
-
-    @staticmethod
-    def mul_array(scalar: int, data: np.ndarray) -> np.ndarray:
-        """Multiply every byte of ``data`` by ``scalar`` (vectorised).
-
-        One ``np.take`` gather through the scalar's row of the 256x256
-        table (row 0 is all zeros, row 1 the identity).
-
-        Args:
-            scalar: Field element in [0, 255].
-            data: ``uint8`` array of any shape.
-
-        Returns:
-            A new ``uint8`` array of the same shape.
-        """
-        if not 0 <= scalar < 256:
-            raise ValueError(f"scalar {scalar} outside GF(2^8)")
-        data = np.asarray(data, dtype=np.uint8)
-        PERF.bump("gf.kernel_calls")
-        PERF.bump("gf.symbol_mults", data.size)
-        return np.take(_MUL_TABLE[scalar], data)
-
-    @staticmethod
-    def addmul_array(acc: np.ndarray, scalar: int, data: np.ndarray) -> None:
-        """In-place ``acc ^= scalar * data`` — the scalar-path inner loop."""
-        if scalar != 0:
-            np.bitwise_xor(acc, GF256.mul_array(scalar, data), out=acc)
 
     @staticmethod
     def elements() -> Iterable[int]:

@@ -11,8 +11,8 @@ for several output rows side by side in one machine word, so folding input
 bytes is one ``np.take`` plus one in-place XOR into word-typed accumulators,
 de-interleaved into byte rows only when the result is read.  Streaming
 encode/decode/repair, the block fold, :func:`apply_to_shards` and
-:func:`matmul` all run it; :func:`apply_to_shards_scalar` is the
-per-coefficient oracle it must match byte for byte.
+:func:`matmul` all run it; the tests pin it byte for byte against a
+per-coefficient oracle (``tests/erasure/reference_gf.py``).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Accumulator:
     ``fold(column, chunk, offset)`` is the kernel:
     ``out[i, offset:offset+len] ^= coeffs[i, column] * chunk`` for every row
     ``i``, as one table gather and one XOR per lane group — byte-identical
-    to :func:`apply_to_shards_scalar` over the whole zero-padded stripe.
+    to the per-coefficient product over the whole zero-padded stripe.
     The word accumulators and the gather temporaries are allocated once;
     :meth:`reset` zeroes the rows for the next stripe.
     """
@@ -259,27 +259,6 @@ def matvec(a: np.ndarray, x: Sequence[int]) -> np.ndarray:
     """Matrix-vector product over GF(2^8)."""
     column = np.asarray(x, dtype=np.uint8).reshape(-1, 1)
     return matmul(a, column).reshape(-1)
-
-
-def apply_to_shards_scalar(coeffs: np.ndarray, shards: np.ndarray) -> np.ndarray:
-    """Reference implementation of :func:`apply_to_shards`.
-
-    One Python-level ``addmul`` per (row, coefficient) pair.  The
-    property-based differential tests assert the packed-word kernel matches
-    this byte for byte; it is not used on any production path.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.uint8)
-    shards = np.asarray(shards, dtype=np.uint8)
-    if shards.ndim != 2 or coeffs.ndim != 2 or coeffs.shape[1] != shards.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: coeffs {coeffs.shape}, shards {shards.shape}"
-        )
-    out = np.zeros((coeffs.shape[0], shards.shape[1]), dtype=np.uint8)
-    for i in range(coeffs.shape[0]):
-        acc = out[i]
-        for j in range(coeffs.shape[1]):
-            GF256.addmul_array(acc, int(coeffs[i, j]), shards[j])
-    return out
 
 
 def _row_reduce(work: np.ndarray, pivot_columns: int) -> int:

@@ -11,8 +11,8 @@ and no ``(k, L)`` stripe matrix.
 The inner loop is the packed-word kernel of
 :class:`repro.erasure.matrix.Accumulator` — one gather through a
 precompiled word table plus one in-place XOR per chunk; the differential
-tests pin it byte-for-byte against the per-coefficient reference
-:func:`repro.erasure.matrix.apply_to_shards_scalar` over the whole stripe.
+tests pin it byte-for-byte against the per-coefficient reference in
+``tests/erasure/reference_gf.py`` over the whole stripe.
 
 The streaming chunk contract (see :class:`~repro.erasure.codec.StreamTrailer`):
 every stored chunk is exactly ``chunk_size`` bytes, the short final source

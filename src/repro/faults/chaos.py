@@ -58,10 +58,10 @@ class ChaosEvent:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown chaos kind {self.kind!r}")
-        if self.time < 0:
+        if not self.time >= 0:
             raise ValueError("event time cannot be negative")
         if self.kind in (NODE_FLAP, RACK_OUTAGE, DEGRADE_NODE):
-            if self.duration <= 0:
+            if not self.duration > 0:
                 raise ValueError(f"{self.kind} needs a positive duration")
         if self.kind == DEGRADE_NODE and not 0 < self.factor <= 1:
             raise ValueError("degrade factor must lie in (0, 1]")
@@ -113,8 +113,8 @@ class ChaosSchedule:
         to corrupt are supplied by the caller (the schedule cannot know
         which blocks will exist) and spread over the horizon.
         """
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         nodes = sorted(topology.node_ids())
         racks = sorted(topology.rack_ids())
         events: List[ChaosEvent] = []

@@ -66,13 +66,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
+        if not (self.base_delay >= 0 and self.max_delay >= 0):
             raise ValueError("delays cannot be negative")
-        if self.multiplier < 1:
+        if not self.multiplier >= 1:
             raise ValueError("multiplier must be >= 1")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError("jitter cannot be negative")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ValueError("timeout must be positive when given")
 
     def backoff(self, retry_number: int, rng: random.Random) -> float:

@@ -47,7 +47,7 @@ class Scrubber:
         interval: float = 60.0,
         metrics: Optional[FaultMetrics] = None,
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError("scrub interval must be positive")
         self.sim = sim
         self.network = network

@@ -3,7 +3,8 @@
 Every metadata mutation the NameNode-side stores can perform has exactly
 one record type here.  Records are immutable dataclasses whose fields are
 restricted to JSON-serializable types (ints, strings, bools, optionals
-and tuples thereof — enforced statically by reprolint rule ``JRN001``),
+and tuples thereof — asserted for every ``RECORD_TYPES`` class by
+``tests/journal/test_records.py``),
 so a record round-trips losslessly through the on-disk envelope and two
 encodes of the same record are byte-identical.
 
@@ -29,7 +30,7 @@ class JournalRecord:
     """Base class for all journal records.
 
     Subclasses set ``record_type`` (the stable on-disk type tag) and are
-    frozen dataclasses with JSON-serializable fields only (rule JRN001).
+    frozen dataclasses with JSON-serializable fields only.
     """
 
     record_type: ClassVar[str] = ""

@@ -112,7 +112,7 @@ class DegradedReadPath:
         metrics: Optional[FaultMetrics] = None,
         decode_bandwidth: float = DEFAULT_DECODE_BANDWIDTH,
     ) -> None:
-        if decode_bandwidth <= 0:
+        if not decode_bandwidth > 0:
             raise ValueError("decode bandwidth must be positive")
         self.sim = sim
         self.network = network

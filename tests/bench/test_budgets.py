@@ -26,6 +26,7 @@ from repro.sim.metrics import measure_ops
 from repro.sim.netsim import Network
 from repro.sim.resources import MultiResource
 from tests.core.reference_flow import ear_redraws_vs_fresh
+from tests.erasure.reference_gf import apply_to_shards_scalar
 
 
 class TestGaloisBudgets:
@@ -52,7 +53,7 @@ class TestGaloisBudgets:
         with measure_ops() as batched:
             parity = codec.encode(data)
         with measure_ops() as scalar:
-            reference = gfm.apply_to_shards_scalar(codec._generator[k:, :], shards)
+            reference = apply_to_shards_scalar(codec._generator[k:, :], shards)
         assert [row.tobytes() for row in reference] == parity
         assert (
             scalar.get("gf.kernel_calls")

@@ -27,6 +27,7 @@ from repro.erasure.stream import (
     stream_encode,
 )
 from repro.sim.metrics import measure_ops
+from tests.erasure.reference_gf import apply_to_shards_scalar
 
 #: Lengths around the word sizes: empty, one byte, odd, not a multiple of 8.
 LENGTHS = (0, 1, 7, 13, 64, 100, 257)
@@ -126,7 +127,7 @@ class TestKernelMatchesScalarOracle:
         length = int(rng.choice(LENGTHS))
         coeffs = random_coeffs(rng, rows, cols)
         shards = rng.integers(0, 256, size=(cols, length), dtype=np.uint8)
-        expected = gfm.apply_to_shards_scalar(coeffs, shards)
+        expected = apply_to_shards_scalar(coeffs, shards)
         assert gfm.apply_to_shards(coeffs, shards).tobytes() == expected.tobytes()
         packed = gfm.PackedMatrix(coeffs)
         assert gfm.apply_to_shards(packed, shards).tobytes() == expected.tobytes()
@@ -150,7 +151,7 @@ class TestKernelMatchesScalarOracle:
                     accumulator.fold(
                         int(column), as_source(rng, piece), offset
                     )
-            expected = gfm.apply_to_shards_scalar(coeffs, shards)
+            expected = apply_to_shards_scalar(coeffs, shards)
             got = accumulator.rows()
             assert len(got) == rows
             assert [row.tobytes() for row in got] == [
@@ -169,7 +170,7 @@ class TestKernelMatchesScalarOracle:
         accumulator = gfm.Accumulator(gfm.PackedMatrix(coeffs), length)
         accumulator.fold(split, shards[split:])
         accumulator.fold(0, shards[:split])
-        expected = gfm.apply_to_shards_scalar(coeffs, shards)
+        expected = apply_to_shards_scalar(coeffs, shards)
         assert [row.tobytes() for row in accumulator.rows()] == [
             row.tobytes() for row in expected
         ]
@@ -180,7 +181,7 @@ class TestKernelMatchesScalarOracle:
         length = gfm.PIECE_BYTES + 4099  # streaming: two pieces per fold
         coeffs = random_coeffs(rng, 5, cols)
         shards = rng.integers(0, 256, size=(cols, length), dtype=np.uint8)
-        expected = gfm.apply_to_shards_scalar(coeffs, shards)
+        expected = apply_to_shards_scalar(coeffs, shards)
         assert np.array_equal(gfm.apply_to_shards(coeffs, shards), expected)
         accumulator = gfm.Accumulator(gfm.PackedMatrix(coeffs), length)
         for column in range(cols):
@@ -198,7 +199,7 @@ class TestKernelMatchesScalarOracle:
         rng = np.random.default_rng(5)
         a = random_coeffs(rng, 6, 5)
         b = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
-        assert np.array_equal(gfm.matmul(a, b), gfm.apply_to_shards_scalar(a, b))
+        assert np.array_equal(gfm.matmul(a, b), apply_to_shards_scalar(a, b))
         with measure_ops() as measured:
             gfm.matvec(a, [1, 2, 3, 4, 5])
         assert measured.get("gf.kernel_calls") > 0

@@ -17,6 +17,7 @@ from repro.erasure import matrix as gfm
 from repro.erasure.codec import make_codec
 from repro.erasure.galois import GF256
 from repro.erasure.lrc import LocalReconstructionCodec, LRCParams
+from tests.erasure.reference_gf import apply_to_shards_scalar, mul_array
 
 
 def _random_blocks(r, count, size):
@@ -114,14 +115,14 @@ class TestBatchedVsScalarKernels:
         coeffs = r.integers(0, 256, size=(rows, cols), dtype=np.uint8)
         shards = r.integers(0, 256, size=(cols, length), dtype=np.uint8)
         fused = gfm.apply_to_shards(coeffs, shards)
-        scalar = gfm.apply_to_shards_scalar(coeffs, shards)
+        scalar = apply_to_shards_scalar(coeffs, shards)
         assert fused.tobytes() == scalar.tobytes()
 
     def test_mul_array_matches_table_row(self):
         table = GF256.mul_table()
         data = np.arange(256, dtype=np.uint8)
         for scalar in (0, 1, 2, 29, 255):
-            out = GF256.mul_array(scalar, data)
+            out = mul_array(scalar, data)
             assert np.array_equal(out, table[scalar, data])
 
     @given(seed=st.integers(0, 2**16))

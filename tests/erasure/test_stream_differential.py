@@ -24,7 +24,7 @@ from repro.erasure.stream import (
     stream_encode,
     stream_repair,
 )
-from repro.erasure import matrix as gfm
+from tests.erasure.reference_gf import apply_to_shards_scalar
 
 
 def oracle_shards(payload, meta, codec):
@@ -39,7 +39,7 @@ def oracle_shards(payload, meta, codec):
     for s in range(len(chunks) // k):
         stripe = chunks[s * k : (s + 1) * k]
         stacked = np.stack([np.frombuffer(c, np.uint8) for c in stripe])
-        parity = gfm.apply_to_shards_scalar(codec.parity_rows, stacked)
+        parity = apply_to_shards_scalar(codec.parity_rows, stacked)
         for i in range(k):
             shards[i].append(stripe[i])
         for j in range(meta.n - k):

@@ -1,5 +1,6 @@
 """Chaos schedule validation and injector behaviour."""
 
+import math
 import random
 
 import pytest
@@ -44,6 +45,20 @@ class TestChaosEvent:
         with pytest.raises(ValueError):
             ChaosEvent(time=0.0, kind=DEGRADE_NODE, target=1,
                        duration=1.0, factor=1.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ChaosEvent(time=math.nan, kind=CORRUPT_BLOCK, target=1),
+        lambda: ChaosEvent(time=-1.0, kind=CORRUPT_BLOCK, target=1),
+        lambda: ChaosEvent(time=0.0, kind=NODE_FLAP, target=1,
+                           duration=math.nan),
+        lambda: ChaosSchedule.random_schedule(TOPO, random.Random(0), math.nan),
+        lambda: ChaosSchedule.random_schedule(TOPO, random.Random(0), math.inf),
+        lambda: ChaosSchedule.random_schedule(TOPO, random.Random(0), 0.0),
+    ], ids=["nan-time", "negative-time", "nan-duration", "nan-horizon",
+            "inf-horizon", "zero-horizon"])
+    def test_nan_and_unbounded_times_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_corruption_needs_no_duration(self):
         event = ChaosEvent(time=1.0, kind=CORRUPT_BLOCK, target=9)

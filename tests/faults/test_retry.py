@@ -1,5 +1,6 @@
 """RetryPolicy math and the with_retries driver."""
 
+import math
 import random
 
 import pytest
@@ -31,6 +32,13 @@ class TestRetryPolicy:
         {"multiplier": 0.5},
         {"jitter": -0.1},
         {"timeout": 0.0},
+        # NaN passes every ``<`` test: a NaN ceiling used to remove the
+        # cap (``min(x, nan)`` is ``x``) and a NaN jitter to turn it off.
+        {"base_delay": math.nan},
+        {"max_delay": math.nan},
+        {"multiplier": math.nan},
+        {"jitter": math.nan},
+        {"timeout": math.nan},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Checksum scrubbing: detection, down-node deferral, repair handoff."""
 
+import math
 import random
 
 import pytest
@@ -44,6 +45,11 @@ class TestScanning:
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             build(interval=0.0)
+
+    @pytest.mark.parametrize("interval", [-1.0, math.nan])
+    def test_negative_or_nan_interval_rejected(self, interval):
+        with pytest.raises(ValueError):
+            build(encode=False, interval=interval)
 
     def test_clean_store_yields_nothing(self):
         __, __s, queue, scrubber = build()

@@ -1,12 +1,12 @@
-"""Determinism regression: the chaos-drill example replays byte-identical.
+"""Determinism regression: seeded commands print byte-identical output
+under different string-hash seeds.
 
-Runs ``examples/chaos_drill.py`` twice with the same seed in separate
-interpreter processes — deliberately under *different* ``PYTHONHASHSEED``
-values, so any decision fed by set/dict iteration order (what DET003
-polices) changes the output between runs and fails the comparison.  The
-script itself also replays the drill in-process and asserts matching
-sha256 fingerprints, so a pass here certifies both within-process and
-across-process reproducibility.
+Each command runs twice in separate interpreter processes, under
+``PYTHONHASHSEED=1`` and ``=2``.  Any decision or printed order fed by
+set iteration over strings changes between the two runs and fails the
+comparison.  The three commands cover the chaos drill (which also
+replays itself in-process and asserts matching sha256 fingerprints), a
+recovery storm and a pipelined-encoding trial.
 """
 
 import os
@@ -14,18 +14,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
-SCRIPT = REPO / "examples" / "chaos_drill.py"
+
+COMMANDS = {
+    "chaos_drill": [str(REPO / "examples" / "chaos_drill.py"), "0"],
+    "recovery_rack_loss": ["-m", "repro", "recovery", "rack_loss"],
+    "pipeline": ["-m", "repro", "pipeline"],
+}
 
 
-def run_drill(seed, hash_seed):
+def run(command, hash_seed):
     env = dict(
         os.environ,
         PYTHONPATH=str(REPO / "src"),
         PYTHONHASHSEED=str(hash_seed),
     )
     return subprocess.run(
-        [sys.executable, str(SCRIPT), str(seed)],
+        [sys.executable] + command,
         cwd=REPO,
         env=env,
         capture_output=True,
@@ -35,9 +42,12 @@ def run_drill(seed, hash_seed):
 
 
 class TestChaosDrillExampleDeterminism:
-    def test_same_seed_same_output_across_hash_seeds(self):
-        first = run_drill(seed=0, hash_seed=1)
-        second = run_drill(seed=0, hash_seed=2)
+    """The chaos drill, plus one storm and one pipeline trial beside it."""
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_same_seed_same_output_across_hash_seeds(self, name):
+        first = run(COMMANDS[name], hash_seed=1)
+        second = run(COMMANDS[name], hash_seed=2)
         assert first.returncode == 0, first.stdout + first.stderr
         assert second.returncode == 0, second.stdout + second.stderr
         assert "fingerprint" in first.stdout

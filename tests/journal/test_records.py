@@ -1,6 +1,8 @@
 """Typed journal records: registry coverage, JSON round-trips, immutability."""
 
 import dataclasses
+import types
+import typing
 
 import pytest
 
@@ -93,6 +95,30 @@ def test_records_are_frozen(record):
     field = dataclasses.fields(record)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, field, None)
+
+
+JSON_SCALARS = (int, str, bool, float, type(None))
+
+
+def json_shaped(hint) -> bool:
+    """Built only from JSON scalars, ``Optional[...]`` and ``Tuple[...]``:
+    the shapes the canonical-JSON envelope gives back unchanged."""
+    if hint in JSON_SCALARS:
+        return True
+    origin = typing.get_origin(hint)
+    return origin in (typing.Union, types.UnionType, tuple) and all(
+        json_shaped(arg) for arg in typing.get_args(hint) if arg is not Ellipsis
+    )
+
+
+@pytest.mark.parametrize("cls", rec.RECORD_TYPES.values(), ids=rec.RECORD_TYPES)
+def test_record_types_are_frozen_json_shaped_dataclasses(cls):
+    """An appended record must not change afterwards, and replay must see
+    the types that were applied (a dict or list field would not survive)."""
+    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        assert json_shaped(hints[field.name]), (field.name, hints[field.name])
 
 
 def test_payload_survives_json(tmp_path):

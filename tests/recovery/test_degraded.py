@@ -1,5 +1,7 @@
 """Degraded read path: the normal → degraded → escalated ladder."""
 
+import math
+
 import pytest
 
 from repro.recovery import (
@@ -153,4 +155,13 @@ class TestValidation:
             DegradedReadPath(
                 sc.sim, sc.setup.network, sc.setup.namenode,
                 sc.setup.raidnode, decode_bandwidth=0.0,
+            )
+
+    @pytest.mark.parametrize("bandwidth", [-1.0, math.nan])
+    def test_negative_or_nan_decode_bandwidth_rejected(self, bandwidth):
+        sc = build(encode=False)
+        with pytest.raises(ValueError):
+            DegradedReadPath(
+                sc.sim, sc.setup.network, sc.setup.namenode,
+                sc.setup.raidnode, decode_bandwidth=bandwidth,
             )

@@ -138,6 +138,28 @@ class TestSweepArguments:
         assert excinfo.value.code == 2
         assert f"{command[-1]}: must be at least 1" in capsys.readouterr().err
 
+    # Chaos counts may be zero but not negative; the horizon must be a
+    # positive, finite number of seconds (nan ran nothing, -5 crashed,
+    # inf never returned).
+    BAD_CHAOS = (
+        (["--flaps", "-3"], "--flaps: must be at least 0"),
+        (["--rack-outages", "-1"], "--rack-outages: must be at least 0"),
+        (["--corruptions", "-2"], "--corruptions: must be at least 0"),
+        (["--horizon", "nan"], "--horizon: must be positive and finite"),
+        (["--horizon", "-5"], "--horizon: must be positive and finite"),
+        (["--horizon", "0"], "--horizon: must be positive and finite"),
+        (["--horizon", "inf"], "--horizon: must be positive and finite"),
+    )
+
+    @pytest.mark.parametrize(
+        "options, message", BAD_CHAOS, ids=[" ".join(o) for o, _ in BAD_CHAOS]
+    )
+    def test_bad_chaos_value_is_a_usage_error(self, options, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos"] + options)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command", SWEEPS + (["fig14"], ["fig15"]), ids=" ".join
     )

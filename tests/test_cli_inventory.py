@@ -44,7 +44,7 @@ INVENTORY = {
     "": [(PARSERS, (), "command", None, (
         "cache", "chaos", "fig10", "fig12", "fig13a", "fig13b", "fig13c",
         "fig13d", "fig13e", "fig13f", "fig14", "fig15", "fig3", "fig8a",
-        "fig8b", "fig9", "journal", "lint", "list", "pipeline", "recovery",
+        "fig8b", "fig9", "journal", "list", "pipeline", "recovery",
         "theorem1",
     ), "A...", False)],
     "list": [],
@@ -92,14 +92,6 @@ INVENTORY = {
         flag("--head-to-head"),
         flag("--json"),
     ] + sweep(1),
-    "lint": [
-        (STORE, (), "paths", ["src/repro"], None, "*", False),
-        (STORE, ("--format",), "format", "text", ("text", "json"), None,
-         False),
-        (STORE, ("--fail-on",), "fail_on", None,
-         ("info", "warning", "error"), None, False),
-        opt("--config", None),
-    ],
     "journal": [(PARSERS, (), "journal_command", None,
                  ("dump", "stats", "verify"), "A...", True)],
     "journal dump": [
@@ -166,12 +158,12 @@ class TestOptionInventory:
     def test_option_count(self):
         records = walk(build_parser())
         commands = [path for path in records if path and " " not in path]
-        assert len(commands) == 22
+        assert len(commands) == 21
         options = sum(
             1 for path, rows in records.items() if path
             for row in rows if row[0] != PARSERS
         )
-        assert options == 83
+        assert options == 79
 
     def test_list_output(self, capsys):
         assert main(["list"]) == 0

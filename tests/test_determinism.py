@@ -1,0 +1,175 @@
+"""Source hazards that would break a seeded run's byte-for-byte output.
+
+Every figure, golden and fingerprint in this repository is a pure function
+of its seed.  This test parses every module under ``src/repro`` with the
+standard-library ``ast`` and fails on the three patterns that have broken
+that contract before:
+
+* DET001: a draw from a process-global RNG (``random.choice``, legacy
+  ``numpy.random.*``) or an RNG built without a seed (``random.Random()``,
+  ``numpy.random.default_rng()``).  Randomness flows through an injected,
+  seeded ``random.Random``.
+* DET002: a wall-clock read or sleep (any ``time.*`` call,
+  ``datetime.now`` / ``utcnow`` / ``today``).  Simulated time is
+  ``sim.now``.
+* EXC001: a bare ``except`` or an ``except Exception`` /
+  ``BaseException`` handler that neither re-raises nor uses what it
+  caught.  It swallows ``TransferAborted`` together with real bugs, so a
+  repair can "succeed" by ignoring its own failure.
+
+Import aliases are resolved (``import numpy as np``, ``from time import
+sleep as nap``).  Order-sensitive set iteration is checked at run time
+instead: ``tests/integration/test_example_determinism.py`` runs commands
+under two ``PYTHONHASHSEED`` values and compares their output.
+"""
+
+import ast
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SOURCES = sorted((REPO / "src" / "repro").rglob("*.py"))
+RULES = ("DET001", "DET002", "EXC001")
+
+#: numpy constructors that are deterministic exactly when given a seed.
+NUMPY_SEEDABLE = frozenset({
+    "default_rng", "Generator", "SeedSequence", "PCG64", "PCG64DXSM",
+    "MT19937", "Philox", "SFC64",
+})
+CLOCK_CLASSES = frozenset({"datetime.datetime", "datetime.date"})
+CLOCK_METHODS = frozenset({"now", "utcnow", "today"})
+BROAD = frozenset({"Exception", "BaseException"})
+
+
+def dotted(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a chain of attributes on a name, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> the absolute dotted name it was imported as."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:  # ``import numpy.random`` binds ``numpy``
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def call_hazard(qualified: str, call: ast.Call) -> Optional[str]:
+    """The rule a call to the module-level name ``qualified`` breaks."""
+    unseeded = not call.args and not call.keywords
+    module, _, name = qualified.rpartition(".")
+    if qualified == "random.Random":
+        return "DET001" if unseeded else None
+    if module == "random":
+        return "DET001"  # the process-global RNG, or SystemRandom
+    if module == "numpy.random":
+        return "DET001" if unseeded or name not in NUMPY_SEEDABLE else None
+    if module == "time" or (module in CLOCK_CLASSES and name in CLOCK_METHODS):
+        return "DET002"
+    return None
+
+
+def swallows(handler: ast.ExceptHandler) -> bool:
+    """A broad handler that neither re-raises nor uses its binding."""
+    if handler.type is not None:
+        types = (
+            handler.type.elts if isinstance(handler.type, ast.Tuple)
+            else [handler.type]
+        )
+        names = [(dotted(t) or "").rpartition(".")[2] for t in types]
+        if not BROAD.intersection(names):
+            return False
+    if any(isinstance(node, ast.Raise) for node in ast.walk(handler)):
+        return False
+    return not handler.name or not any(
+        isinstance(node, ast.Name) and node.id == handler.name
+        for statement in handler.body for node in ast.walk(statement)
+    )
+
+
+def hazards(tree: ast.Module) -> List[Tuple[str, int]]:
+    """``(rule, line)`` for every hazard in one parsed module."""
+    aliases = import_aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = dotted(node.func)
+            head, dot, rest = (name or "").partition(".")
+            if head in aliases:
+                rule = call_hazard(aliases[head] + dot + rest, node)
+                if rule:
+                    found.append((rule, node.lineno))
+        elif isinstance(node, ast.ExceptHandler) and swallows(node):
+            found.append(("EXC001", node.lineno))
+    return sorted(found)
+
+
+@pytest.fixture(scope="module")
+def package_hazards() -> Dict[str, List[str]]:
+    by_rule: Dict[str, List[str]] = {rule: [] for rule in RULES}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for rule, line in hazards(tree):
+            by_rule[rule].append(f"{path.relative_to(REPO)}:{line}")
+    return by_rule
+
+
+def test_the_whole_package_is_walked():
+    names = {path.relative_to(REPO).as_posix() for path in SOURCES}
+    assert len(names) > 80
+    assert {"src/repro/core/ear.py", "src/repro/sim/engine.py"} <= names
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_package_is_free_of(rule, package_hazards):
+    assert package_hazards[rule] == []
+
+
+CASES = [
+    ("import random\nrandom.shuffle(x)", "DET001"),
+    ("from random import choice as pick\npick(x)", "DET001"),
+    ("import random as r\nr.Random()", "DET001"),
+    ("import random\nrandom.Random(seed)", None),
+    ("import random\nrng = random.Random(1)\nrng.random()", None),
+    ("import numpy as np\nnp.random.default_rng()", "DET001"),
+    ("import numpy as np\nnp.random.default_rng(seed)", None),
+    ("import numpy.random\nnumpy.random.shuffle(x)", "DET001"),
+    ("from numpy import random as npr\nnpr.rand(3)", "DET001"),
+    ("from numpy.random import default_rng\ndefault_rng(seed=1)", None),
+    ("import time\ntime.perf_counter()", "DET002"),
+    ("from time import sleep as nap\nnap(1)", "DET002"),
+    ("import datetime as dt\ndt.datetime.now()", "DET002"),
+    ("from datetime import date\ndate.today()", "DET002"),
+    ("from datetime import datetime\ndatetime.fromtimestamp(0)", None),
+    ("try:\n    f()\nexcept Exception:\n    pass", "EXC001"),
+    ("try:\n    f()\nexcept:\n    log()", "EXC001"),
+    ("try:\n    f()\nexcept (OSError, BaseException):\n    pass", "EXC001"),
+    ("try:\n    f()\nexcept Exception as exc:\n    log()", "EXC001"),
+    ("try:\n    f()\nexcept BaseException:\n    undo()\n    raise", None),
+    ("try:\n    f()\nexcept Exception as exc:\n    record(exc)", None),
+    ("try:\n    f()\nexcept ValueError:\n    pass", None),
+]
+
+
+@pytest.mark.parametrize("source, rule", CASES, ids=[c[0] for c in CASES])
+def test_checker_flags_exactly_the_hazard(source, rule):
+    expected = [] if rule is None else [rule]
+    assert [found for found, _line in hazards(ast.parse(source))] == expected
