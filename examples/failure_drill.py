@@ -2,12 +2,13 @@
 """Failure drill: lose a rack mid-workload and watch the system heal.
 
 A 20x20 cluster encodes EAR-placed stripes to (14, 10) while serving
-writes.  At t=120 s a whole rack fails: the failure injector takes its
-nodes down and hands every block they held to the repair queue, which
-re-replicates the replicated blocks, rebuilds every encoded block from
-its stripe and relocates whatever it had to place against the rack cap —
-all of it traffic through the simulated network.  A tracer shows what
-the repair cost the core.
+writes.  At t=120 s a whole rack fails: a ``RACK_LOSS`` event on the
+chaos schedule takes its nodes down and hands every block they held to
+the repair queue, which re-replicates the replicated blocks, rebuilds
+every encoded block from its stripe and relocates whatever it had to
+place against the rack cap — all of it traffic through the simulated
+network.  The report comes from the queue's own state, and a tracer
+shows what the repair cost the core.
 
 Run:  python examples/failure_drill.py [seed]
 
@@ -24,9 +25,12 @@ from repro.core.relocation import BlockMover, PlacementMonitor
 from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
-from repro.faults.repair import RepairQueue
+from repro.faults.chaos import (
+    RACK_LOSS, ChaosEvent, ChaosInjector, ChaosSchedule,
+)
+from repro.faults.repair import DECODED, REREPLICATED, RepairQueue
 from repro.faults.retry import RetryExhausted, RetryPolicy
-from repro.hdfs.failures import FailureInjector
+from repro.sim.metrics import UNAVAILABLE
 from repro.sim.trace import Tracer
 from repro.workloads.writes import WriteStream
 
@@ -63,10 +67,6 @@ def main(seed: int = 7):
         rng=random.Random(repair_seed), retry=RETRY, concurrency=4,
         mover=BlockMover(topology, code, rng=random.Random(mover_seed)),
     )
-    injector = FailureInjector(
-        setup.sim, setup.network, setup.namenode, setup.raidnode,
-        repair_queue,
-    )
     writes = WriteStream(
         setup.sim, setup.client, rate=0.5, rng=random.Random(writes_seed)
     )
@@ -88,18 +88,25 @@ def main(seed: int = 7):
     # The client write path does not steer around dead DataNodes: a write
     # pipelined into the dead rack would abort.
     setup.sim.process(writes.run(duration=FAIL_AT - QUIESCE))
-    setup.sim.process(injector.fail_rack_at(FAIL_AT, victim_rack))
+    ChaosInjector(
+        setup.sim, setup.network,
+        ChaosSchedule([ChaosEvent(FAIL_AT, RACK_LOSS, victim_rack)]),
+        repair_queue=repair_queue,
+    ).start()
     setup.sim.run()
 
-    report = injector.reports[-1]
+    # Only the rack loss fed the queue so far: one unavailability window
+    # per lost block, closed when its repair finished.
+    windows = repair_queue.metrics.windows[UNAVAILABLE]
+    repair_time = max((w.end for w in windows), default=FAIL_AT) - FAIL_AT
     print(f"rack {victim_rack} failed at t={FAIL_AT:.0f} s:")
-    print(f"  blocks lost:           {report.blocks_lost}")
-    print(f"  re-replicated copies:  {report.blocks_rereplicated}")
-    print(f"  erasure-decoded:       {report.blocks_recovered}")
-    print(f"  unrecoverable:         {len(report.unrecoverable)}")
-    print(f"  repair took:           {report.repair_time:.1f} s\n")
+    print(f"  blocks lost:           {len(windows)}")
+    print(f"  re-replicated copies:  {repair_queue.outcomes[REREPLICATED]}")
+    print(f"  erasure-decoded:       {repair_queue.outcomes[DECODED]}")
+    print(f"  unrecoverable:         {len(repair_queue.unrecoverable)}")
+    print(f"  repair took:           {repair_time:.1f} s\n")
 
-    repair_window = tracer.between(FAIL_AT, FAIL_AT + report.repair_time)
+    repair_window = tracer.between(FAIL_AT, FAIL_AT + repair_time)
     repair_bytes = sum(r.size for r in repair_window if r.cross_rack)
     print(f"cross-rack traffic during the repair window: "
           f"{repair_bytes / 2**30:.2f} GiB over {len(repair_window)} transfers")
@@ -128,7 +135,7 @@ def main(seed: int = 7):
     print(f"stripes violating rack fault tolerance after the drill: "
           f"{len(remaining)} (must be 0)")
     assert not remaining
-    assert not report.unrecoverable
+    assert not repair_queue.unrecoverable
     assert repair_queue.pending_count == 0
     assert len(encoded) + len(stranded) == len(stripes)
     for stripe in stranded:

@@ -47,7 +47,7 @@ def theorem1_bound(index: int, num_racks: int, c: int = 1) -> float:
         raise ValueError("c must be positive")
     full_racks = (index - 1) // c
     denom = 1.0 - full_racks / (num_racks - 1)
-    if denom <= 0:
+    if not denom > 0:
         raise ValueError(
             f"block {index} cannot be placed: up to {full_racks} full racks "
             f"but only {num_racks - 1} non-core racks exist"

@@ -120,7 +120,7 @@ class BlockStore:
         stripe_id: Optional[int] = None,
     ) -> Block:
         """Allocate a fresh block id and register the block."""
-        if size <= 0:
+        if not size > 0:
             raise ValueError("block size must be positive")
         block = Block(self._next_id, size, kind, stripe_id)
         if self.journal is not None:
@@ -142,7 +142,7 @@ class BlockStore:
         (the commit bracket's interior record) instead of separate
         add-block/place-replica records, then applies both steps.
         """
-        if size <= 0:
+        if not size > 0:
             raise ValueError("block size must be positive")
         self.topology.node(node_id)
         if self.journal is not None:

@@ -102,7 +102,7 @@ class ClusterTopology:
                 raise ValueError("every rack must contain at least one node")
             if num_racks is not None and num_racks != len(sizes):
                 raise ValueError("num_racks disagrees with the explicit rack sizes")
-        if intra_rack_bandwidth <= 0 or cross_rack_bandwidth <= 0:
+        if not intra_rack_bandwidth > 0 or not cross_rack_bandwidth > 0:
             raise ValueError("bandwidths must be positive")
 
         self.intra_rack_bandwidth = float(intra_rack_bandwidth)

@@ -152,7 +152,7 @@ class LargeScaleConfig:
     @property
     def cross_rack_bandwidth(self) -> float:
         """Effective rack uplink speed after over-subscription."""
-        if self.oversubscription <= 0:
+        if not self.oversubscription > 0:
             raise ValueError("oversubscription must be positive")
         return self.bandwidth / self.oversubscription
 

@@ -5,8 +5,9 @@ that degrades gracefully:
 
 * :mod:`repro.faults.retry` — bounded retries with exponential backoff,
   seeded jitter, and straggler kill, for any simulation process;
-* :mod:`repro.faults.chaos` — scripted transient faults (node flaps,
-  rack outages, NIC degradation, bit-rot) as simulation processes;
+* :mod:`repro.faults.chaos` — scripted faults (node flaps, rack
+  outages, NIC degradation, bit-rot, permanent node and rack loss) as
+  simulation processes;
 * :mod:`repro.faults.repair` — the prioritized repair queue draining
   damage most-at-risk-stripe first;
 * :mod:`repro.faults.scrubber` — periodic checksum verification feeding
@@ -20,6 +21,8 @@ from repro.faults.chaos import (
     CORRUPT_BLOCK,
     DEGRADE_NODE,
     NODE_FLAP,
+    NODE_LOSS,
+    RACK_LOSS,
     RACK_OUTAGE,
     ChaosEvent,
     ChaosInjector,
@@ -42,6 +45,8 @@ __all__ = [
     "CORRUPT_BLOCK",
     "DEGRADE_NODE",
     "NODE_FLAP",
+    "NODE_LOSS",
+    "RACK_LOSS",
     "RACK_OUTAGE",
     "RepairQueue",
     "RetryExhausted",

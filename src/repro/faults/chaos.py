@@ -1,11 +1,14 @@
-"""Chaos schedule and injector: scripted transient faults as processes.
+"""Chaos schedule and injector: scripted faults as processes.
 
 The chaos layer stresses the encoding/repair pipelines the way a real
 cluster would: endpoints flap and come back with their data intact,
 whole racks drop off the core for a while, individual NICs degrade into
-stragglers, and blocks silently rot on disk.  Faults are *transient*
-(state is restored) — permanent failures with metadata loss stay the
-:class:`~repro.hdfs.failures.FailureInjector`'s job.
+stragglers, and blocks silently rot on disk.  Those faults are
+*transient* (state is restored).  The two loss kinds are permanent: a
+node or a whole rack fails for good, its replicas vanish from the
+metadata, and every block it held goes to the
+:class:`~repro.faults.repair.RepairQueue`, the one engine that rebuilds
+a lost block.
 
 Schedules are plain data (sorted :class:`ChaosEvent` lists), so a drill
 can be replayed bit-identically: every random choice is drawn from an
@@ -31,8 +34,11 @@ NODE_FLAP = "node_flap"
 RACK_OUTAGE = "rack_outage"
 DEGRADE_NODE = "degrade_node"
 CORRUPT_BLOCK = "corrupt_block"
+NODE_LOSS = "node_loss"
+RACK_LOSS = "rack_loss"
 
-KINDS = (NODE_FLAP, RACK_OUTAGE, DEGRADE_NODE, CORRUPT_BLOCK)
+KINDS = (NODE_FLAP, RACK_OUTAGE, DEGRADE_NODE, CORRUPT_BLOCK,
+         NODE_LOSS, RACK_LOSS)
 
 
 @dataclass(frozen=True)
@@ -42,10 +48,11 @@ class ChaosEvent:
     Attributes:
         time: Simulation time the fault strikes.
         kind: One of :data:`KINDS`.
-        target: Node id (flap/degrade), rack id (outage), or block id
-            (corruption).
+        target: Node id (flap/degrade/node loss), rack id (outage/rack
+            loss), or block id (corruption).
         duration: How long a transient fault lasts before restoration
-            (ignored for corruption, which persists until scrubbed).
+            (ignored for corruption, which persists until scrubbed, and
+            for the permanent losses).
         factor: Bandwidth multiplier in ``(0, 1]`` for degradations.
     """
 
@@ -160,7 +167,10 @@ class ChaosInjector:
         schedule: The fault script.
         rng: Random source for corruption replica choice.
         metrics: Fault collector (a fresh one when omitted): outage
-            windows, injected corruption, and applied events per kind.
+            windows, injected corruption, and applied transient events
+            per kind.
+        repair_queue: Where a loss enqueues each block it destroyed;
+            needed only when the schedule holds a loss.
 
     Faults overlap freely: a rack outage may cover an already-flapping
     node.  Liveness restoration is reference-counted per node, so a node
@@ -168,7 +178,9 @@ class ChaosInjector:
     lift; likewise one target's overlapping outages share one window,
     closed when the last of them lifts.  Overlapping degradations of one
     node multiply: its bandwidth is the nominal value times every active
-    factor, and returns to nominal when the last window lifts.
+    factor, and returns to nominal when the last window lifts.  A lost
+    node never comes back: restorations of flaps and outages that cover
+    it skip it (their outage windows still close).
     """
 
     def __init__(
@@ -179,6 +191,7 @@ class ChaosInjector:
         namenode=None,
         rng: Optional[random.Random] = None,
         metrics: Optional[FaultMetrics] = None,
+        repair_queue=None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -186,6 +199,7 @@ class ChaosInjector:
         self.namenode = namenode
         self.rng = rng if rng is not None else random.Random(0)
         self.metrics = metrics if metrics is not None else FaultMetrics()
+        self.repair_queue = repair_queue
         self.applied: List[ChaosEvent] = []
         self.skipped: List[ChaosEvent] = []
         #: node -> outages currently holding it down
@@ -194,22 +208,28 @@ class ChaosInjector:
         self._outage_refs: dict = {}
         #: node -> (nominal up, nominal down, factors of the open windows)
         self._degraded: dict = {}
+        #: nodes lost for good; no restoration brings them back
+        self._lost: set = set()
 
-    def start(self):
-        """Launch the script runner; returns its process."""
-        return self.sim.process(self.run())
-
-    def run(self) -> Generator:
-        """Fire every scheduled event at its time (generator)."""
+    def start(self) -> None:
+        """Arm every event's timer now, one process per event in order."""
         for event in self.schedule:
-            delay = event.time - self.sim.now
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            self._apply(event)
-        return len(self.applied)
+            self.sim.process(self._fire(event))
+
+    def _fire(self, event: ChaosEvent) -> Generator:
+        delay = event.time - self.sim.now
+        if delay > 0:
+            yield self.sim.timeout(delay)
+        self._apply(event)
 
     # ------------------------------------------------------------------
     def _apply(self, event: ChaosEvent) -> None:
+        if event.kind in (NODE_LOSS, RACK_LOSS):
+            # No storm_<kind> tally: each scenario records its own label
+            # for a loss, and tests/integration/test_encode_golden.py
+            # hashes every FaultMetrics count without re-recording.
+            self._lose(event)
+            return
         self.metrics.record_storm_event(event.kind)
         if event.kind == NODE_FLAP:
             self._take_down([event.target], event, label=f"node {event.target}")
@@ -235,7 +255,7 @@ class ChaosInjector:
     ) -> Generator:
         yield self.sim.timeout(duration)
         for node in nodes:
-            if _release(self._down_refs, node):
+            if _release(self._down_refs, node) and node not in self._lost:
                 self.network.restore_endpoint(node)
         if _release(self._outage_refs, label):
             self.metrics.close_window(OUTAGE, label, self.sim.now)
@@ -290,6 +310,28 @@ class ChaosInjector:
         node = self.rng.choice(replicas)
         store.mark_corrupted(block_id, node)
         self.metrics.count("corruption_injected")
+        self.applied.append(event)
+
+    def _lose(self, event: ChaosEvent) -> None:
+        """Fail the target's endpoints for good and enqueue what they held."""
+        if self.repair_queue is None:
+            raise ValueError(f"{event.kind} events need a repair queue")
+        store = self.repair_queue.namenode.block_store
+        if event.kind == NODE_LOSS:
+            failed = [event.target]
+        else:
+            failed = list(self.network.topology.nodes_in_rack(event.target))
+        for node in failed:
+            self._lost.add(node)
+            self.network.fail_endpoint(node)
+        lost: List[BlockId] = []
+        for node in failed:
+            for block_id in list(store.blocks_on_node(node)):
+                store.remove_replica(block_id, node)
+                lost.append(block_id)
+        # A rack loss can take several replicas of one block.
+        for block_id in dict.fromkeys(lost):
+            self.repair_queue.enqueue(block_id)
         self.applied.append(event)
 
 

@@ -369,8 +369,8 @@ class RepairQueue:
         the violation is committed *and* recorded as a relocation request,
         so the placement monitor's invariant is eventually restored.
         Replicated blocks keep the softer rack-diversity preference.
-        "Live" is the network's view: a failed node is down there by
-        construction (:class:`~repro.hdfs.failures.FailureInjector`).
+        "Live" is the network's view: a lost node is down there for good
+        (:class:`~repro.faults.chaos.ChaosInjector` never restores it).
         """
         store = self.namenode.block_store
         topology = self.namenode.topology

@@ -17,7 +17,6 @@ paper's experiments need:
 
 from repro.hdfs.client import CFSClient, WriteResult
 from repro.hdfs.encoder import StripeEncoder
-from repro.hdfs.failures import FailureInjector, FailureReport
 from repro.hdfs.files import FileMetadata, FileNamespace, read_file, write_file
 from repro.hdfs.mapreduce import JobTracker, MapReduceJob, MapTask, TaskTracker
 from repro.hdfs.namenode import NameNode
@@ -26,8 +25,6 @@ from repro.hdfs.raidnode import EncodingJobSpec, RaidNode
 __all__ = [
     "CFSClient",
     "EncodingJobSpec",
-    "FailureInjector",
-    "FailureReport",
     "FileMetadata",
     "FileNamespace",
     "JobTracker",

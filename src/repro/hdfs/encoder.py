@@ -126,7 +126,7 @@ class StripeEncoder:
         rng: Optional[random.Random] = None,
         data_plane: Optional[StreamingDataPlane] = None,
     ) -> None:
-        if compute_bandwidth is not None and compute_bandwidth <= 0:
+        if compute_bandwidth is not None and not compute_bandwidth > 0:
             raise ValueError("compute bandwidth must be positive")
         self.sim = sim
         self.network = network

@@ -154,7 +154,7 @@ def write_file(
     Returns:
         The file's :class:`FileMetadata` (generator return value).
     """
-    if size <= 0:
+    if not size > 0:
         raise ValueError("file size must be positive")
     namespace.create(name)
     block_size = client.namenode.block_size

@@ -13,7 +13,6 @@ from repro.journal.records import (
     JournalRecord,
     UnknownRecordError,
     decode_record,
-    encode_record,
 )
 from repro.journal.wal import (
     DEFAULT_SEGMENT_RECORDS,
@@ -55,7 +54,6 @@ __all__ = [
     "SimulatedCrash",
     "UnknownRecordError",
     "decode_record",
-    "encode_record",
     "list_segments",
     "scan_journal",
 ] + sorted(_LAZY)

@@ -194,9 +194,9 @@ class MetadataJournal:
     def relocation_requested(self, stripe_id: int) -> None:
         """Record a placement-violation relocation request (repair queue).
 
-        Duplicates are allowed — both the failure injector and the repair
-        queue's own replacement path may flag the same stripe — and each
-        request is matched by one :meth:`relocation_served`.
+        Duplicates are allowed — the repair queue's replacement path may
+        flag the same stripe once per block it places — and each request
+        is matched by one :meth:`relocation_served`.
         """
         self.append(rec.RelocationRequested(stripe_id=stripe_id))
         self.pending_relocations.append(stripe_id)

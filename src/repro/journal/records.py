@@ -36,12 +36,6 @@ class JournalRecord:
     record_type: ClassVar[str] = ""
 
 
-def _jsonify(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_jsonify(item) for item in value]
-    return value
-
-
 def _tupleize(value: object) -> object:
     if isinstance(value, list):
         return tuple(_tupleize(item) for item in value)
@@ -325,16 +319,6 @@ RECORD_FIELDS: Dict[str, frozenset] = {
 
 class UnknownRecordError(ValueError):
     """Raised when decoding a record whose type tag is not registered."""
-
-
-def encode_record(record: JournalRecord) -> Dict[str, object]:
-    """``record`` as its on-disk envelope payload (type tag + fields); the
-    reference :func:`record_text` must match byte for byte."""
-    data = {
-        spec.name: _jsonify(getattr(record, spec.name))
-        for spec in fields(record)
-    }
-    return {"type": type(record).record_type, "data": data}
 
 
 def _text_template(tag: str) -> Tuple[str, Tuple[str, ...]]:

@@ -44,16 +44,6 @@ def frame_line(text: str) -> str:
     return f"{text}\t{zlib.crc32(text.encode('utf-8')):08x}"
 
 
-def encode_line(seq: int, envelope: Dict[str, object]) -> str:
-    """One record as its on-disk line (canonical JSON + CRC, no newline);
-    the reference for the append path's ``frame_line(record_text(...))``."""
-    payload = dict(envelope)
-    payload["seq"] = seq
-    return frame_line(
-        json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    )
-
-
 def _checked_text(line: bytes) -> bytes:
     """The JSON text of one line, once its CRC field checks out."""
     text, sep, crc_hex = line.rpartition(b"\t")

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
+from repro.faults.chaos import NODE_LOSS, ChaosEvent
 from repro.parallel.executor import make_executor, run_grid
 from repro.recovery.storm import (
     build_storm_cluster,
@@ -37,6 +38,7 @@ from repro.recovery.storm import (
     drain,
     encode_all,
     finish_report,
+    inject_faults,
 )
 
 #: Contender name -> (placement policy, transition strategy).
@@ -97,7 +99,7 @@ def pipeline_trial(
 
     if disturb:
         victim = busiest_node(sc)
-        sc.sim.process(sc.injector.fail_node_at(t0 + 1.0, victim))
+        inject_faults(sc, [ChaosEvent(t0 + 1.0, NODE_LOSS, victim)])
         sc.metrics.record_storm_event("pipeline_disturb")
 
     encode_all(sc)

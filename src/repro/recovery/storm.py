@@ -24,6 +24,10 @@ compared head-to-head:
   NIC degradations, bit-rot) plus one permanent node failure, all
   against a live encoding wave (also ``repro chaos`` on the CLI).
 
+Node and rack faults, transient or permanent, enter through one
+:class:`~repro.faults.chaos.ChaosInjector` schedule
+(:func:`inject_faults`).
+
 All randomness in a scenario derives from its single ``seed``; the
 returned :class:`StormReport` carries a sha256 fingerprint over final
 placements, repair outcomes, read results and the fault metrics, so two
@@ -37,7 +41,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.core.policy import ReplicationScheme
@@ -47,14 +51,16 @@ from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
 from repro.faults.chaos import (
     NODE_FLAP,
+    NODE_LOSS,
+    RACK_LOSS,
     RACK_OUTAGE,
+    ChaosEvent,
     ChaosInjector,
     ChaosSchedule,
 )
 from repro.faults.repair import RepairQueue
 from repro.faults.retry import DEGRADED_READ_RETRY, RetryPolicy
 from repro.faults.scrubber import Scrubber
-from repro.hdfs.failures import FailureInjector
 from repro.hdfs.mapreduce import MapReduceJob, MapTask
 from repro.recovery.degraded import DegradedReadPath
 from repro.sim.metrics import FaultMetrics
@@ -76,7 +82,6 @@ class StormCluster:
     setup: object
     repair_queue: RepairQueue
     scrubber: Scrubber
-    injector: FailureInjector
     read_path: DegradedReadPath
     stripes: list
     blocks_total: int
@@ -166,10 +171,6 @@ def build_storm_cluster(
         setup.sim, setup.network, setup.namenode, repair_queue,
         interval=scrub_interval, metrics=metrics,
     )
-    injector = FailureInjector(
-        setup.sim, setup.network, setup.namenode, setup.raidnode,
-        repair_queue,
-    )
     read_path = DegradedReadPath(
         setup.sim, setup.network, setup.namenode, setup.raidnode,
         repair_queue=repair_queue, retry=DEGRADED_READ_RETRY,
@@ -179,7 +180,6 @@ def build_storm_cluster(
         setup=setup,
         repair_queue=repair_queue,
         scrubber=scrubber,
-        injector=injector,
         read_path=read_path,
         stripes=stripes,
         blocks_total=blocks_total,
@@ -206,6 +206,16 @@ def _drive_encoding(sc: StormCluster, num_map_tasks: int):
 # ----------------------------------------------------------------------
 # Storm building blocks
 # ----------------------------------------------------------------------
+def inject_faults(sc: StormCluster, events: Iterable[ChaosEvent],
+                  rng: Optional[random.Random] = None) -> None:
+    """Play ``events`` against the storm cluster, every timer armed now."""
+    ChaosInjector(
+        sc.sim, sc.setup.network, ChaosSchedule(list(events)),
+        namenode=sc.setup.namenode, rng=rng, metrics=sc.metrics,
+        repair_queue=sc.repair_queue,
+    ).start()
+
+
 def busiest_node(sc: StormCluster) -> NodeId:
     """The node holding the most replicas (deterministic tie-break)."""
     counts = sc.store.replica_count_per_node()
@@ -468,7 +478,7 @@ def single_node_loss(
     load_rng = random.Random(seed + 7)
     job = _build_read_load(sc, num_load_tasks, load_rng)
     sc.setup.job_tracker.submit(job)
-    sc.sim.process(sc.injector.fail_node_at(t0, victim))
+    inject_faults(sc, [ChaosEvent(t0, NODE_LOSS, victim)])
     _schedule_reads(sc, t0 + 1.0, lost[:num_reads], avoid_nodes=[victim])
     sc.metrics.record_storm_event("node_loss")
 
@@ -496,7 +506,7 @@ def rack_loss(
     lost = _encoded_blocks_on(sc, doomed)
     t0 = sc.sim.now + 5.0
 
-    sc.sim.process(sc.injector.fail_rack_at(t0, victim_rack))
+    inject_faults(sc, [ChaosEvent(t0, RACK_LOSS, victim_rack)])
     _schedule_reads(sc, t0 + 1.0, lost[:num_reads], avoid_nodes=doomed)
     sc.metrics.record_storm_event("rack_loss")
 
@@ -568,9 +578,11 @@ def rolling_failures(
     ]
 
     sc.sim.process(_drive_encoding(sc, num_map_tasks=6))
-    for index, victim in enumerate(victims):
-        when = 5.0 + index * failure_spacing
-        sc.sim.process(sc.injector.fail_node_at(when, victim))
+    inject_faults(sc, [
+        ChaosEvent(5.0 + index * failure_spacing, NODE_LOSS, victim)
+        for index, victim in enumerate(victims)
+    ])
+    for __ in victims:
         sc.metrics.record_storm_event("rolling_failure")
 
     sc.sim.run(until=5.0 + num_failures * failure_spacing + 100.0)
@@ -627,21 +639,18 @@ def chaos(
         num_degradations=num_degradations,
         corrupt_blocks=corrupt_blocks,
     )
-    # The permanent victim is a node no transient fault touches, so the
-    # chaos layer's restorations can never resurrect a dead endpoint.
+    # The permanent victim is drawn from the nodes no transient fault
+    # touches, as it always was, so every seed keeps its fingerprint.
     touched = {e.target for e in schedule if e.kind == NODE_FLAP}
     for event in schedule:
         if event.kind == RACK_OUTAGE:
             touched.update(topology.nodes_in_rack(event.target))
     untouched = [n for n in sorted(topology.node_ids()) if n not in touched]
     if untouched:
-        sc.sim.process(sc.injector.fail_node_at(
-            horizon * 0.5, chaos_rng.choice(untouched)
+        schedule.add(ChaosEvent(
+            horizon * 0.5, NODE_LOSS, chaos_rng.choice(untouched)
         ))
-    ChaosInjector(
-        sc.sim, sc.setup.network, schedule, namenode=sc.setup.namenode,
-        rng=chaos_rng, metrics=sc.metrics,
-    ).start()
+    inject_faults(sc, schedule, rng=chaos_rng)
 
     sc.sim.process(_drive_encoding(sc, num_map_tasks=6))
     drain(sc, horizon=horizon + 300.0)

@@ -165,7 +165,7 @@ class ResponseTimeStats:
 
     def record(self, start_time: float, latency: float) -> None:
         """Record one request's start time and latency."""
-        if latency < 0:
+        if not latency >= 0:
             raise ValueError("latency cannot be negative")
         self._starts.append(start_time)
         self._latencies.append(latency)
@@ -224,7 +224,7 @@ class ThroughputMeter:
 
     def record(self, now: float, size: float) -> None:
         """Account ``size`` bytes completed at time ``now``."""
-        if size < 0:
+        if not size >= 0:
             raise ValueError("size cannot be negative")
         self._bytes += size
         self._end = now
@@ -340,7 +340,7 @@ class FaultMetrics:
 
     def record_repair(self, duration: float) -> None:
         """One finished repair, its duration spanning every retry."""
-        if duration < 0:
+        if not duration >= 0:
             raise ValueError("repair duration cannot be negative")
         self.repair_times.append(duration)
         self.count("repairs")

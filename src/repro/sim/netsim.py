@@ -423,7 +423,7 @@ class Network:
         """Check, route and claim one transfer: every transfer starts
         here, which is where :class:`~repro.sim.trace.Tracer` watches."""
         src, dst, size = flow.src, flow.dst, flow.size
-        if size <= 0:
+        if not size > 0:
             raise ValueError("transfer size must be positive")
         for endpoint in (src, dst):
             if endpoint in self._down_nodes:
@@ -484,7 +484,7 @@ class Network:
     def _open_disk(self, flow: "Flow", write: bool) -> None:
         if self.disk is None:
             raise ValueError("disks are not modelled on this network")
-        if flow.size <= 0:
+        if not flow.size > 0:
             raise ValueError("size must be positive")
         bandwidth = (
             self.disk.write_bandwidth if write else self.disk.read_bandwidth

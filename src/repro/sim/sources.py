@@ -24,7 +24,7 @@ def poisson_arrivals(
     Yields:
         Exponentially distributed gaps with mean ``1 / rate`` seconds.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError("rate must be positive")
     count = 0
     while limit is None or count < limit:
@@ -42,9 +42,9 @@ def exponential_sizes(
         mean: Mean size in bytes.
         minimum: Smallest size ever produced (transfers need positive size).
     """
-    if mean <= 0:
+    if not mean > 0:
         raise ValueError("mean must be positive")
-    if minimum <= 0:
+    if not minimum > 0:
         raise ValueError("minimum must be positive")
     while True:
         yield max(minimum, rng.expovariate(1.0 / mean))
@@ -52,7 +52,7 @@ def exponential_sizes(
 
 def fixed_sizes(size: float) -> Iterator[float]:
     """A constant size stream (64 MB write requests)."""
-    if size <= 0:
+    if not size > 0:
         raise ValueError("size must be positive")
     while True:
         yield size

@@ -45,7 +45,7 @@ class BackgroundTraffic:
         mean_size: float = 64 * 1024 * 1024,
         cross_rack_fraction: float = 0.5,
     ) -> None:
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError("rate must be positive")
         if not 0 <= cross_rack_fraction <= 1:
             raise ValueError("cross_rack_fraction must lie in [0, 1]")
@@ -131,14 +131,14 @@ class UdpCrossTraffic:
             ValueError: If the rate meets or exceeds a NIC's bandwidth
                 (the link would have no capacity left).
         """
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ValueError("rate cannot be negative")
         if self.rate == 0:
             return
         for sender, receiver in self.pairs:
             up = network.node_up_bandwidth(sender) - self.rate
             down = network.node_down_bandwidth(receiver) - self.rate
-            if up <= 0 or down <= 0:
+            if not up > 0 or not down > 0:
                 raise ValueError(
                     "UDP rate saturates a NIC; no bandwidth would remain"
                 )

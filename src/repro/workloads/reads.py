@@ -61,7 +61,7 @@ class ReadStream:
         block_pool: Optional[List[BlockId]] = None,
         reader_nodes: Optional[List[NodeId]] = None,
     ) -> None:
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError("rate must be positive")
         self.sim = sim
         self.client = client

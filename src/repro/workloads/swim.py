@@ -105,7 +105,7 @@ class SwimWorkload:
         mean_interarrival: float = 20.0,
         map_only_fraction: float = 0.35,
     ) -> None:
-        if mean_interarrival <= 0:
+        if not mean_interarrival > 0:
             raise ValueError("mean_interarrival must be positive")
         if not 0 <= map_only_fraction <= 1:
             raise ValueError("map_only_fraction must lie in [0, 1]")
@@ -215,7 +215,7 @@ def run_swim_job(
     Returns:
         A :class:`JobRecord` (generator return value).
     """
-    if compute_rate <= 0:
+    if not compute_rate > 0:
         raise ValueError("compute_rate must be positive")
     submit = sim.now
     namenode = client.namenode

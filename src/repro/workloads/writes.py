@@ -45,7 +45,7 @@ class WriteStream:
         block_size: Optional[int] = None,
         writer_nodes: Optional[List[NodeId]] = None,
     ) -> None:
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError("rate must be positive")
         self.sim = sim
         self.client = client

@@ -13,13 +13,16 @@ from repro.faults.chaos import (
     CORRUPT_BLOCK,
     DEGRADE_NODE,
     NODE_FLAP,
+    NODE_LOSS,
+    RACK_LOSS,
     RACK_OUTAGE,
     ChaosEvent,
     ChaosInjector,
     ChaosSchedule,
 )
+from repro.faults.repair import RepairQueue
 from repro.sim.engine import Simulator
-from repro.sim.metrics import OUTAGE
+from repro.sim.metrics import OUTAGE, UNAVAILABLE
 from repro.sim.netsim import Network, TransferAborted
 
 TOPO = ClusterTopology(
@@ -59,6 +62,23 @@ class TestChaosEvent:
     def test_nan_and_unbounded_times_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("kind", [NODE_LOSS, RACK_LOSS])
+    @pytest.mark.parametrize("time", [math.nan, -1.0],
+                             ids=["nan-time", "negative-time"])
+    def test_loss_time_must_be_non_negative(self, kind, time):
+        with pytest.raises(ValueError):
+            ChaosEvent(time=time, kind=kind, target=1)
+
+    @pytest.mark.parametrize("kind", [NODE_LOSS, RACK_LOSS])
+    def test_loss_without_repair_queue_rejected(self, kind):
+        sim = Simulator()
+        network = Network(sim, TOPO)
+        ChaosInjector(sim, network, ChaosSchedule(events=[
+            ChaosEvent(time=1.0, kind=kind, target=1),
+        ])).start()
+        with pytest.raises(ValueError, match="repair queue"):
+            sim.run()
 
     def test_corruption_needs_no_duration(self):
         event = ChaosEvent(time=1.0, kind=CORRUPT_BLOCK, target=9)
@@ -317,3 +337,83 @@ class TestChaosInjector:
         sim.run()
         assert injector.skipped == list(schedule)
         assert injector.applied == []
+
+
+def small_cluster(seed=1):
+    """A populated 8x4 cluster and a repair queue for its losses."""
+    setup = build_cluster(
+        "ear",
+        ClusterTopology(nodes_per_rack=4, num_racks=8,
+                        intra_rack_bandwidth=1e6, cross_rack_bandwidth=1e6),
+        CodeParams(6, 4), ReplicationScheme(3, 2), seed=seed,
+        block_size=1000,
+    )
+    populate_until_sealed(setup, 2)
+    queue = RepairQueue(
+        setup.sim, setup.network, setup.namenode, setup.raidnode,
+        rng=random.Random(seed),
+    )
+    return setup, queue
+
+
+class TestLossEvents:
+    def test_lost_node_stays_down_after_its_flap_lifts(self):
+        setup, queue = small_cluster()
+        node = 5
+        injector = ChaosInjector(
+            setup.sim, setup.network, ChaosSchedule(events=[
+                ChaosEvent(time=1.0, kind=NODE_FLAP, target=node,
+                           duration=10.0),
+                ChaosEvent(time=2.0, kind=NODE_LOSS, target=node),
+            ]),
+            repair_queue=queue,
+        )
+        injector.start()
+        setup.sim.run(until=50.0)
+        assert not setup.network.is_up(node)
+        assert not setup.namenode.block_store.blocks_on_node(node)
+        # The flap's outage window still closes when the flap lifts.
+        (window,) = injector.metrics.windows[OUTAGE]
+        assert (window.start, window.end) == (1.0, 11.0)
+
+    def test_lost_node_stays_down_after_its_rack_outage_lifts(self):
+        setup, queue = small_cluster()
+        rack_nodes = sorted(setup.topology.nodes_in_rack(2))
+        node = rack_nodes[0]
+        injector = ChaosInjector(
+            setup.sim, setup.network, ChaosSchedule(events=[
+                ChaosEvent(time=1.0, kind=RACK_OUTAGE, target=2,
+                           duration=10.0),
+                ChaosEvent(time=2.0, kind=NODE_LOSS, target=node),
+            ]),
+            repair_queue=queue,
+        )
+        injector.start()
+        setup.sim.run(until=50.0)
+        assert setup.network.down_nodes == {node}
+        (window,) = injector.metrics.windows[OUTAGE]
+        assert (window.start, window.end) == (1.0, 11.0)
+
+    def test_rack_loss_enqueues_each_block_once_without_a_storm_tally(self):
+        setup, queue = small_cluster()
+        store = setup.namenode.block_store
+        held = [
+            block_id
+            for node in setup.topology.nodes_in_rack(3)
+            for block_id in store.blocks_on_node(node)
+        ]
+        assert len(held) > len(set(held)), "no block with two copies here"
+        injector = ChaosInjector(
+            setup.sim, setup.network, ChaosSchedule(events=[
+                ChaosEvent(time=1.0, kind=RACK_LOSS, target=3),
+            ]),
+            metrics=queue.metrics, repair_queue=queue,
+        )
+        injector.start()
+        setup.sim.run()
+        assert len(queue.metrics.windows[UNAVAILABLE]) == len(set(held))
+        assert injector.applied == list(injector.schedule)
+        # Each scenario tallies its own label for a loss.
+        assert not any(
+            name.startswith("storm_") for name in queue.metrics.counts
+        )

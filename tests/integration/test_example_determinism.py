@@ -4,9 +4,10 @@ under different string-hash seeds.
 Each command runs twice in separate interpreter processes, under
 ``PYTHONHASHSEED=1`` and ``=2``.  Any decision or printed order fed by
 set iteration over strings changes between the two runs and fails the
-comparison.  The three commands cover the chaos drill (which also
-replays itself in-process and asserts matching sha256 fingerprints), a
-recovery storm and a pipelined-encoding trial.
+comparison.  The commands cover the chaos drill (which also replays
+itself in-process and asserts matching sha256 fingerprints), two
+recovery storms (``rolling_failures`` arms several loss events in one
+injector) and a pipelined-encoding trial.
 """
 
 import os
@@ -21,6 +22,9 @@ REPO = Path(__file__).resolve().parents[2]
 COMMANDS = {
     "chaos_drill": [str(REPO / "examples" / "chaos_drill.py"), "0"],
     "recovery_rack_loss": ["-m", "repro", "recovery", "rack_loss"],
+    "recovery_rolling_failures": [
+        "-m", "repro", "recovery", "rolling_failures",
+    ],
     "pipeline": ["-m", "repro", "pipeline"],
 }
 
@@ -42,7 +46,7 @@ def run(command, hash_seed):
 
 
 class TestChaosDrillExampleDeterminism:
-    """The chaos drill, plus one storm and one pipeline trial beside it."""
+    """The chaos drill, plus two storms and one pipeline trial beside it."""
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_same_seed_same_output_across_hash_seeds(self, name):

@@ -16,9 +16,10 @@ from repro.core.relocation import BlockMover, PlacementMonitor
 from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
+from repro.faults.chaos import RACK_LOSS
 from repro.faults.repair import RepairQueue
 from repro.faults.retry import RetryPolicy
-from repro.hdfs.failures import FailureInjector
+from tests.faults.losses import lose, loss_report
 
 CODE = CodeParams(6, 4)
 SCHEME = ReplicationScheme(3, 2)
@@ -41,18 +42,15 @@ def run_chaos(seed, fail_at, fail_rack):
         setup.sim, setup.network, setup.namenode, setup.raidnode,
         rng=random.Random(seed + 1), retry=RETRY,
     )
-    injector = FailureInjector(
-        setup.sim, setup.network, setup.namenode, setup.raidnode, queue
-    )
 
     def encode_all():
         for stripe in stripes:
             yield from setup.encoder.encode_stripe(stripe)
 
     setup.sim.process(encode_all())
-    setup.sim.process(injector.fail_rack_at(fail_at, fail_rack))
+    lose(setup, queue, fail_at, RACK_LOSS, fail_rack)
     setup.sim.run()
-    return setup, stripes, injector
+    return setup, stripes, queue
 
 
 # The wave ends near t=4.4 s: only the (1, 1.0) failure lands inside it
@@ -61,9 +59,10 @@ def run_chaos(seed, fail_at, fail_rack):
     "seed,fail_at", [(1, 1.0), (1, 5.0), (2, 30.0), (3, 80.0)]
 )
 def test_rack_failure_mid_encode_never_loses_data(seed, fail_at):
-    setup, stripes, injector = run_chaos(seed, fail_at, fail_rack=2)
+    setup, stripes, queue = run_chaos(seed, fail_at, fail_rack=2)
     store = setup.namenode.block_store
-    report = injector.reports[-1]
+    report = loss_report(queue)
+    assert report.blocks_lost > 0
     assert report.unrecoverable == ()
     if fail_at < 4.0:
         assert setup.network.stats.aborted > 0, "the failure missed the wave"
@@ -88,7 +87,7 @@ def test_rack_failure_mid_encode_never_loses_data(seed, fail_at):
 
 
 def test_metadata_consistent_after_chaos():
-    setup, stripes, injector = run_chaos(7, 20.0, fail_rack=4)
+    setup, stripes, __ = run_chaos(7, 20.0, fail_rack=4)
     store = setup.namenode.block_store
     per_node = store.replica_count_per_node()
     assert sum(per_node.values()) == sum(

@@ -13,11 +13,8 @@ from repro.journal.checkpoint import (
     prune_segments,
     write_checkpoint,
 )
-from repro.journal.wal import (
-    JournalWriter,
-    encode_line,
-    list_segments,
-)
+from repro.journal.wal import JournalWriter, list_segments
+from tests.journal.reference_codec import encode_line
 
 STATE = {"blocks": [[0, 1024, "data", None]], "next_block_id": 1}
 

@@ -7,7 +7,8 @@ import typing
 import pytest
 
 from repro.journal import records as rec
-from repro.journal.wal import encode_line, frame_line
+from repro.journal.wal import frame_line
+from tests.journal.reference_codec import encode_line, encode_record
 
 #: One exemplar instance per record type; the registry-coverage test
 #: guarantees this table cannot silently fall behind new record types.
@@ -59,7 +60,7 @@ def test_samples_cover_the_whole_registry():
     "record", SAMPLES, ids=[s.record_type for s in SAMPLES]
 )
 def test_encode_decode_identity(record):
-    envelope = rec.encode_record(record)
+    envelope = encode_record(record)
     assert envelope["type"] == record.record_type
     decoded = rec.decode_record(envelope)
     assert decoded == record
@@ -74,7 +75,7 @@ def test_templated_line_equals_the_reference_encoding(record):
     dict + sorted-keys ``json.dumps`` reference does."""
     for seq in (1, 81194):
         assert frame_line(rec.record_text(seq, record)) == encode_line(
-            seq, rec.encode_record(record)
+            seq, encode_record(record)
         )
 
 
@@ -125,12 +126,12 @@ def test_payload_survives_json(tmp_path):
     import json
 
     for record in SAMPLES:
-        blob = json.dumps(rec.encode_record(record), sort_keys=True)
+        blob = json.dumps(encode_record(record), sort_keys=True)
         assert rec.decode_record(json.loads(blob)) == record
 
 
 def test_tuple_fields_come_back_as_tuples():
-    envelope = rec.encode_record(
+    envelope = encode_record(
         rec.BeginStripeCommit(
             stripe_id=1, parity_nodes=(7, 8), parity_size=10,
             retained=((3, 5),),

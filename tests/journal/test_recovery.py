@@ -15,8 +15,9 @@ from repro.journal import (
     verify_journal,
     verify_stripe_consistency,
 )
-from repro.journal.records import PlaceReplica, encode_record
-from repro.journal.wal import JournalWriter, encode_line, list_segments
+from repro.journal.records import PlaceReplica
+from repro.journal.wal import JournalWriter, list_segments
+from tests.journal.reference_codec import encode_line, encode_record
 
 
 def _topology():

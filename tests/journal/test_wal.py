@@ -8,11 +8,11 @@ from repro.journal.wal import (
     JournalFormatError,
     JournalWriter,
     decode_line,
-    encode_line,
     list_segments,
     scan_journal,
     segment_path,
 )
+from tests.journal.reference_codec import encode_line
 
 
 def _envelope(seq, tag="add_block", **data):

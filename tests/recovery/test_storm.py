@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.faults.chaos import RACK_LOSS, ChaosEvent
 from repro.recovery import SCENARIO_RUNNERS, run_storm
 from repro.recovery.storm import (
     _RESILIENCE_KEYS,
@@ -13,6 +14,7 @@ from repro.recovery.storm import (
     drain,
     encode_all,
     finish_report,
+    inject_faults,
 )
 
 #: Small-but-real sizing shared by every test in this module.
@@ -128,8 +130,13 @@ class TestLostBlocksCountedOnce:
         )
         encode_all(sc)
         t0 = sc.sim.now + 5.0
-        for rack in (0, 1, 2):
-            sc.sim.process(sc.injector.fail_rack_at(t0, rack))
+        held = {
+            block_id
+            for rack in (0, 1, 2)
+            for node in sc.setup.topology.nodes_in_rack(rack)
+            for block_id in sc.store.blocks_on_node(node)
+        }
+        inject_faults(sc, [ChaosEvent(t0, RACK_LOSS, r) for r in (0, 1, 2)])
         drain(sc, horizon=600.0)
         report = finish_report(sc, "three_rack_loss", "ear", 3)
 
@@ -138,12 +145,13 @@ class TestLostBlocksCountedOnce:
             "unrecoverable"
         ] > 0
         assert max(Counter(report.unrecoverable).values()) == 1
-        # Two racks failing at once can each report a block they shared;
-        # the queue repaired (and lost) it once.
-        from_injector = {
-            block for rep in sc.injector.reports for block in rep.unrecoverable
-        }
-        assert set(report.unrecoverable) == from_injector
+        # Two racks failing at once can each hold a block they shared;
+        # the queue repaired (and lost) it once, and only blocks the
+        # racks held were lost.
+        assert set(report.unrecoverable) <= held
+        assert [loss.block_id for loss in sc.metrics.data_loss] == list(
+            report.unrecoverable
+        )
         assert "placement_violations" not in report.summary()
 
 

@@ -2,8 +2,8 @@
 
 Every figure, golden and fingerprint in this repository is a pure function
 of its seed.  This test parses every module under ``src/repro`` with the
-standard-library ``ast`` and fails on the three patterns that have broken
-that contract before:
+standard-library ``ast`` and fails on the four patterns that have broken
+that contract, or a range check, before:
 
 * DET001: a draw from a process-global RNG (``random.choice``, legacy
   ``numpy.random.*``) or an RNG built without a seed (``random.Random()``,
@@ -16,6 +16,10 @@ that contract before:
   ``BaseException`` handler that neither re-raises nor uses what it
   caught.  It swallows ``TransferAborted`` together with real bugs, so a
   repair can "succeed" by ignoring its own failure.
+* NAN001: an ``if`` that compares a name with ``< 0`` or ``<= 0`` and
+  raises.  NaN fails every comparison, so such a guard lets it through;
+  ``not x >= 0`` / ``not x > 0`` rejects it.  Names that only ever hold
+  ints are allow-listed in :data:`INT_GUARDS`.
 
 Import aliases are resolved (``import numpy as np``, ``from time import
 sleep as nap``).  Order-sensitive set iteration is checked at run time
@@ -31,7 +35,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SOURCES = sorted((REPO / "src" / "repro").rglob("*.py"))
-RULES = ("DET001", "DET002", "EXC001")
+RULES = ("DET001", "DET002", "EXC001", "NAN001")
 
 #: numpy constructors that are deterministic exactly when given a seed.
 NUMPY_SEEDABLE = frozenset({
@@ -41,6 +45,13 @@ NUMPY_SEEDABLE = frozenset({
 CLOCK_CLASSES = frozenset({"datetime.datetime", "datetime.date"})
 CLOCK_METHODS = frozenset({"now", "utcnow", "today"})
 BROAD = frozenset({"Exception", "BaseException"})
+#: Guarded names that only ever hold ints (counts, indices, byte lengths),
+#: where ``x < 0`` cannot let a NaN through.
+INT_GUARDS = frozenset({
+    "bytes_per_block", "c", "capacity", "chunk_size", "column", "edge",
+    "exponent", "k", "length", "nodes_per_rack", "num_racks", "offset",
+    "self.chunk_size", "self.length", "workers",
+})
 
 
 def dotted(node: ast.AST) -> Optional[str]:
@@ -105,6 +116,24 @@ def swallows(handler: ast.ExceptHandler) -> bool:
     )
 
 
+def nan_blind(guard: ast.If) -> bool:
+    """A raising ``if`` whose test has a ``name < 0`` / ``name <= 0``."""
+    if not any(isinstance(statement, ast.Raise) for statement in guard.body):
+        return False
+    test = guard.test
+    for compare in test.values if isinstance(test, ast.BoolOp) else [test]:
+        if (
+            isinstance(compare, ast.Compare)
+            and len(compare.ops) == 1
+            and isinstance(compare.ops[0], (ast.Lt, ast.LtE))
+            and isinstance(compare.comparators[0], ast.Constant)
+            and compare.comparators[0].value == 0
+            and dotted(compare.left) not in (None, *INT_GUARDS)
+        ):
+            return True
+    return False
+
+
 def hazards(tree: ast.Module) -> List[Tuple[str, int]]:
     """``(rule, line)`` for every hazard in one parsed module."""
     aliases = import_aliases(tree)
@@ -119,6 +148,8 @@ def hazards(tree: ast.Module) -> List[Tuple[str, int]]:
                     found.append((rule, node.lineno))
         elif isinstance(node, ast.ExceptHandler) and swallows(node):
             found.append(("EXC001", node.lineno))
+        elif isinstance(node, ast.If) and nan_blind(node):
+            found.append(("NAN001", node.lineno))
     return sorted(found)
 
 
@@ -166,6 +197,13 @@ CASES = [
     ("try:\n    f()\nexcept BaseException:\n    undo()\n    raise", None),
     ("try:\n    f()\nexcept Exception as exc:\n    record(exc)", None),
     ("try:\n    f()\nexcept ValueError:\n    pass", None),
+    ("if rate <= 0:\n    raise ValueError(rate)", "NAN001"),
+    ("if self.rate < 0:\n    raise ValueError(rate)", "NAN001"),
+    ("if a > 0 or b <= 0.0:\n    raise ValueError(b)", "NAN001"),
+    ("if not rate > 0:\n    raise ValueError(rate)", None),
+    ("if not self.rate >= 0:\n    raise ValueError(rate)", None),
+    ("if rate <= 0:\n    return", None),
+    ("if num_racks <= 0:\n    raise ValueError(num_racks)", None),
 ]
 
 
