@@ -11,7 +11,9 @@ accounting, etc.).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.journal.records import (
@@ -92,6 +94,13 @@ class BlockStore:
     touching in-memory state — the write-ahead invariant the recovery
     path relies on.  The ``restore_*`` / ``resume_ids`` entry points are
     for recovery and checkpoint loading only and never journal.
+
+    The store also keeps, per stripe id, how many blocks stamped with it
+    hold at least one copy (:meth:`live_members`), updated by the three
+    methods that can change that number — :meth:`add_replica`,
+    :meth:`remove_replica` and :meth:`assign_stripe` — so journal replay,
+    which goes through the same methods, rebuilds it with no extra code.
+    Callables registered with :meth:`watch` hear about every such change.
     """
 
     def __init__(self, topology: ClusterTopology) -> None:
@@ -104,6 +113,8 @@ class BlockStore:
         }
         self._next_id = 0
         self._corrupted: Set[Tuple[BlockId, NodeId]] = set()
+        self._live_members: Dict[int, int] = {}
+        self._watchers: List[Callable[[Block], None]] = []
 
     # ------------------------------------------------------------------
     # Block lifecycle
@@ -182,6 +193,14 @@ class BlockStore:
             ))
         updated = Block(old.block_id, old.size, old.kind, stripe_id)
         self._blocks[block_id] = updated
+        if self._replicas[block_id] and old.stripe_id != stripe_id:
+            live = self._live_members
+            if old.stripe_id is not None:
+                live[old.stripe_id] -= 1
+            if stripe_id is not None:
+                live[stripe_id] = live.get(stripe_id, 0) + 1
+        for callback in self._watchers:
+            callback(updated)
         return updated
 
     def block(self, block_id: BlockId) -> Block:
@@ -209,7 +228,7 @@ class BlockStore:
         Raises:
             ValueError: If the node already stores a copy of this block.
         """
-        self._get_block(block_id)
+        block = self._get_block(block_id)
         self.topology.node(node_id)
         if block_id in self._node_blocks[node_id]:
             raise ValueError(
@@ -220,8 +239,15 @@ class BlockStore:
                 block_id=block_id, node_id=node_id, is_primary=is_primary
             ))
         replica = Replica(block_id, node_id, is_primary)
-        self._replicas[block_id].append(replica)
+        replicas = self._replicas[block_id]
+        stripe_id = block.stripe_id
+        if not replicas and stripe_id is not None:
+            live = self._live_members
+            live[stripe_id] = live.get(stripe_id, 0) + 1
+        replicas.append(replica)
         self._node_blocks[node_id].add(block_id)
+        for callback in self._watchers:
+            callback(block)
         return replica
 
     def add_replicas(self, block_id: BlockId, node_ids: Sequence[NodeId]) -> List[Replica]:
@@ -237,7 +263,8 @@ class BlockStore:
         Raises:
             KeyError: If the node holds no copy of the block.
         """
-        replicas = self._replicas[self._get_block(block_id).block_id]
+        block = self._get_block(block_id)
+        replicas = self._replicas[block_id]
         for index, replica in enumerate(replicas):
             if replica.node_id == node_id:
                 if self.journal is not None:
@@ -245,8 +272,12 @@ class BlockStore:
                         block_id=block_id, node_id=node_id
                     ))
                 del replicas[index]
+                if not replicas and block.stripe_id is not None:
+                    self._live_members[block.stripe_id] -= 1
                 self._node_blocks[node_id].discard(block_id)
                 self._corrupted.discard((block_id, node_id))
+                for callback in self._watchers:
+                    callback(block)
                 return
         raise KeyError(f"node {node_id} stores no replica of block {block_id}")
 
@@ -376,6 +407,25 @@ class BlockStore:
             if replica.is_primary:
                 return replica.node_id
         return None
+
+    def live_members(self, stripe_id: int) -> int:
+        """Blocks stamped with ``stripe_id`` that still hold a copy (O(1)).
+
+        Every path that makes a block a stripe member stamps it —
+        ``NameNode.allocate_block`` via :meth:`assign_stripe`, parity via
+        :meth:`add_parity_block`, journal replay via :meth:`restore_block`
+        — so for an encoded stripe this is its surviving member count.
+        """
+        return self._live_members.get(stripe_id, 0)
+
+    def watch(self, callback: Callable[[Block], None]) -> None:
+        """Call ``callback(block)`` after each change to a block's copies.
+
+        Fires on every :meth:`add_replica` and :meth:`remove_replica`
+        (hence also on retention, moves and parity placement) and on
+        :meth:`assign_stripe`, with the block's current descriptor.
+        """
+        self._watchers.append(callback)
 
     def blocks_on_node(self, node_id: NodeId) -> Set[BlockId]:
         """Ids of blocks with a copy on ``node_id``."""

@@ -12,21 +12,30 @@ nodes run exactly such a queue.
 Each repair re-reads cluster state at execution time and, with a retry
 policy attached, survives transient endpoint deaths by backing off and
 re-planning both its source set and its target node.
+
+Dispatch costs O(log P) in the number of waiting blocks: a margin is an
+O(1) read of the block store's per-stripe live-member count, waiting
+blocks sit in a heap, and the store tells the queue when a block's
+copies change so that a key that fell is pushed again before the next
+dispatch (see :meth:`RepairQueue._next_block`).
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
 
-from repro.cluster.block import BlockId, BlockStore
+from repro.cluster.block import Block, BlockId
 from repro.cluster.topology import NodeId, RackId
 from repro.core.policy import PlacementError
 from repro.core.stripe import Stripe, StripeState
 from repro.faults.retry import RetryExhausted, RetryPolicy, with_retries
 from repro.sim.engine import Event, Simulator
-from repro.sim.metrics import MARGIN_ZERO, UNAVAILABLE, FaultMetrics
+from repro.sim.metrics import MARGIN_ZERO, PERF, UNAVAILABLE, FaultMetrics
 from repro.sim.netsim import Network, SourceUnavailable, TransferAborted
+
+RiskKey = Tuple[int, int, BlockId]
 
 #: Repair outcomes delivered through each enqueue's completion event.
 DECODED = "decoded"
@@ -92,6 +101,17 @@ class RepairQueue:
         self.concurrency = concurrency
         self._pending: Dict[BlockId, Event] = {}
         self._active: set = set()
+        # Waiting blocks (pending, not active).  ``_heap`` holds risk keys;
+        # ``_queued`` maps each waiting block to its newest heap entry,
+        # which is never above the block's current key;
+        # ``_waiting_by_stripe`` groups the waiting blocks by stripe rank;
+        # ``_stale`` holds those whose key may have fallen since the last
+        # dispatch.
+        self._heap: List[RiskKey] = []
+        self._queued: Dict[BlockId, RiskKey] = {}
+        self._waiting_by_stripe: Dict[int, Set[BlockId]] = {}
+        self._stale: Set[BlockId] = set()
+        namenode.block_store.watch(self._replicas_changed)
         self._wakeup: Optional[Event] = None
         self.outcomes: Dict[str, int] = {
             DECODED: 0, REREPLICATED: 0, NOOP: 0, UNRECOVERABLE: 0,
@@ -112,13 +132,19 @@ class RepairQueue:
         ``"rereplicated"``, ``"noop"``, ``"unrecoverable"``) — it never
         fails, so callers can wait on many repairs with ``all_of``.
         Re-enqueueing a block already pending returns the existing event.
+
+        Raises:
+            KeyError: For an unknown block id, before the queue or the
+                metrics are touched.
         """
         if block_id in self._pending:
             return self._pending[block_id]
+        key = self._risk_key(block_id)
         done = self.sim.event()
         self._pending[block_id] = done
+        self._push(key)
         self.metrics.open_window(UNAVAILABLE, block_id, self.sim.now)
-        if self._margin(block_id) <= 0:
+        if key[0] <= 0:
             self.metrics.open_window(
                 MARGIN_ZERO, self._vulnerability_key(block_id), self.sim.now
             )
@@ -182,12 +208,11 @@ class RepairQueue:
         drained.
         """
         while True:
-            waiting = sorted(
-                (b for b in self._pending if b not in self._active),
-                key=self._risk_key,
-            )
-            while waiting and len(self._active) < self.concurrency:
-                block_id = waiting.pop(0)
+            self._rekey_stale()
+            while len(self._active) < self.concurrency:
+                block_id = self._next_block()
+                if block_id is None:
+                    break
                 self._active.add(block_id)
                 self.sim.process(self._repair_and_finish(block_id))
             if (
@@ -202,6 +227,75 @@ class RepairQueue:
             self._wakeup = self.sim.event()
             yield self._wakeup
             self._wakeup = None
+
+    def _next_block(self) -> Optional[BlockId]:
+        """Pop the waiting block with the smallest current risk key.
+
+        Every waiting block's newest heap entry is at most its current
+        key (:meth:`_rekey_stale` restores that after a fall), so when the
+        top entry still equals its block's key, no waiting block ranks
+        lower.  An entry superseded by a newer push, or left behind by a
+        dispatched block, is skipped; one whose key has risen since it was
+        pushed goes back in under the new key.
+        """
+        heap = self._heap
+        while heap:
+            key = heapq.heappop(heap)
+            block_id = key[2]
+            if self._queued.get(block_id) != key:
+                continue
+            current = self._risk_key(block_id)
+            if current != key:
+                self._push(current)
+                continue
+            del self._queued[block_id]
+            self._unindex(key)
+            return block_id
+        return None
+
+    def _push(self, key: RiskKey) -> None:
+        """File ``key`` as its block's newest heap entry."""
+        block_id = key[2]
+        self._queued[block_id] = key
+        self._waiting_by_stripe.setdefault(key[1], set()).add(block_id)
+        heapq.heappush(self._heap, key)
+
+    def _unindex(self, key: RiskKey) -> None:
+        rank = key[1]
+        group = self._waiting_by_stripe[rank]
+        group.discard(key[2])
+        if not group:
+            del self._waiting_by_stripe[rank]
+
+    def _replicas_changed(self, block: Block) -> None:
+        """Block-store watcher: note waiting blocks whose key may fall.
+
+        A key falls when its block loses a copy, when a member of its
+        encoded stripe loses its last copy, or when its stripe turns
+        ENCODED.  The first two are replica removals; the third happens
+        only in the commit that places the stripe's parity, whose adds
+        arrive here before the dispatcher next runs.  So marking the
+        changed block and the waiting members of its stripe covers all
+        three.
+        """
+        members = self._waiting_by_stripe.get(block.stripe_id)
+        if members:
+            self._stale.update(members)
+        if block.block_id in self._queued:
+            self._stale.add(block.block_id)
+
+    def _rekey_stale(self) -> None:
+        """Push the new key of every marked block whose key fell."""
+        if not self._stale:
+            return
+        stale, self._stale = self._stale, set()
+        for block_id in stale:
+            queued = self._queued.get(block_id)
+            if queued is None:
+                continue
+            key = self._risk_key(block_id)
+            if key < queued:
+                self._push(key)
 
     def _repair_and_finish(self, block_id: BlockId) -> Generator:
         start = self.sim.now
@@ -220,27 +314,33 @@ class RepairQueue:
             metrics.record_data_loss(block_id, self.sim.now, "repair failed")
         metrics.record_repair(self.sim.now - start)
         metrics.close_window(UNAVAILABLE, block_id, self.sim.now)
-        if outcome != UNRECOVERABLE and self._margin(block_id) > 0:
+        if (
+            outcome != UNRECOVERABLE
+            and self._margin(block_id, self.namenode.stripe_of(block_id)) > 0
+        ):
             metrics.close_window(
                 MARGIN_ZERO, self._vulnerability_key(block_id), self.sim.now
             )
         done = self._pending.pop(block_id)
         done.succeed(outcome)
 
-    def _risk_key(self, block_id: BlockId) -> Tuple[int, int, BlockId]:
+    def _risk_key(self, block_id: BlockId) -> RiskKey:
         """Dispatch order: smallest failure margin first.
 
         Margin = surviving copies above the decode threshold (``k``
         members for an encoded stripe, one replica otherwise); ties break
         in deterministic ``(stripe_id, block_id)`` order — *not* arrival
         order, so the repair sequence is a pure function of cluster state
-        regardless of how the damage was discovered.  Recomputed at each
-        dispatch so repairs and further failures re-rank the queue
-        continuously.
+        regardless of how the damage was discovered.  Every dispatch
+        starts the waiting block whose key, read from the cluster state
+        at that moment, is smallest, so repairs and further failures
+        re-rank the queue continuously; the heap in :meth:`_next_block`
+        gives exactly the order a full sort at each dispatch would.
         """
+        PERF.bump("repair.dispatch_keys")
         stripe = self.namenode.stripe_of(block_id)
         stripe_rank = -1 if stripe is None else stripe.stripe_id
-        return (self._margin(block_id), stripe_rank, block_id)
+        return (self._margin(block_id, stripe), stripe_rank, block_id)
 
     def _vulnerability_key(self, block_id: BlockId) -> str:
         stripe = self.namenode.stripe_of(block_id)
@@ -248,15 +348,16 @@ class RepairQueue:
             return f"stripe:{stripe.stripe_id}"
         return f"block:{block_id}"
 
-    def _margin(self, block_id: BlockId) -> int:
+    def _margin(self, block_id: BlockId, stripe: Optional[Stripe]) -> int:
+        """Copies above the decode threshold, as an O(1) read.
+
+        For an encoded ``stripe`` (the block's own) it is the stripe's
+        :meth:`~repro.cluster.block.BlockStore.live_members` minus ``k``,
+        otherwise the block's replica count minus one.
+        """
         store = self.namenode.block_store
-        stripe = self.namenode.stripe_of(block_id)
         if stripe is not None and stripe.state == StripeState.ENCODED:
-            survivors = sum(
-                1 for member in stripe.all_block_ids()
-                if store.replica_count(member)
-            )
-            return survivors - stripe.k
+            return store.live_members(stripe.stripe_id) - stripe.k
         return store.replica_count(block_id) - 1
 
     # ------------------------------------------------------------------
@@ -371,6 +472,12 @@ class RepairQueue:
         Replicated blocks keep the softer rack-diversity preference.
         "Live" is the network's view: a lost node is down there for good
         (:class:`~repro.faults.chaos.ChaosInjector` never restores it).
+
+        Only the racks the rule prefers are walked, in rack order, so the
+        candidates arrive in node-id order — the list a filter over every
+        node would build — and ``self.rng`` draws from the same list.  The
+        whole cluster is walked only when no preferred rack has a live
+        node without a copy of the block.
         """
         store = self.namenode.block_store
         topology = self.namenode.topology
@@ -381,29 +488,42 @@ class RepairQueue:
                 for node in store.replica_nodes(member):
                     rack = topology.rack_of(node)
                     rack_usage[rack] = rack_usage.get(rack, 0) + 1
-        candidates = [
-            n
-            for n in topology.node_ids()
-            if self.network.is_up(n)
-            and block_id not in store.blocks_on_node(n)
-        ]
+        holders = store.replica_nodes(block_id)
+        encoded = stripe is not None and stripe.state == StripeState.ENCODED
+        if encoded:
+            cap = self._rack_cap()
+            preferred = [
+                r for r in topology.rack_ids() if rack_usage.get(r, 0) < cap
+            ]
+        else:
+            preferred = [r for r in topology.rack_ids() if r not in rack_usage]
+        choices = self._live_nodes(preferred, holders)
+        if choices:
+            return self.rng.choice(choices)
+        candidates = self._live_nodes(topology.rack_ids(), holders)
         if not candidates:
             return None
-        if stripe is not None and stripe.state == StripeState.ENCODED:
-            cap = self._rack_cap()
-            compliant = [
-                n for n in candidates
-                if rack_usage.get(topology.rack_of(n), 0) < cap
-            ]
-            if compliant:
-                return self.rng.choice(compliant)
-            choice = self.rng.choice(candidates)
+        choice = self.rng.choice(candidates)
+        if encoded:
             self.request_relocation(stripe)
-            return choice
-        diverse = [
-            n for n in candidates if topology.rack_of(n) not in rack_usage
-        ]
-        return self.rng.choice(diverse or candidates)
+        return choice
+
+    def _live_nodes(
+        self, racks: Iterable[RackId], holders: Tuple[NodeId, ...]
+    ) -> List[NodeId]:
+        """Up nodes of ``racks`` holding no copy in ``holders``, in order."""
+        topology = self.namenode.topology
+        is_up = self.network.is_up
+        nodes: List[NodeId] = []
+        examined = 0
+        for rack in racks:
+            rack_nodes = topology.nodes_in_rack(rack)
+            examined += len(rack_nodes)
+            nodes.extend(
+                n for n in rack_nodes if n not in holders and is_up(n)
+            )
+        PERF.bump("repair.candidates_examined", examined)
+        return nodes
 
     # ------------------------------------------------------------------
     # Relocation service

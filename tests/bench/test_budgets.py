@@ -21,6 +21,7 @@ from repro.erasure.codec import CodeParams, make_codec
 from repro.erasure.stream import stream_decode, stream_encode, stream_repair
 from repro.hdfs.encoder import download_star
 from repro.pipeline.gfstream import pipelined_parity
+from repro.recovery.storm import run_storm
 from repro.sim.engine import AnyOf, Process, Simulator
 from repro.sim.metrics import measure_ops
 from repro.sim.netsim import Network
@@ -319,3 +320,44 @@ class TestTransferBudgets:
         # One timeout per transfer, inline or started, plus two waiting
         # processes (start + done hop each) and one all_of hop.
         assert measured.get("sim.events") == 2 * self.FLOWS + 2 * 2 + 1
+
+
+class TestRepairDispatchBudget:
+    """Dispatch work per repair stays flat as a rack-loss storm deepens.
+
+    The seed-0 rack loss on 20x10 nodes, RS(14,10), c = 1.  Sorting every
+    waiting block at each wakeup computed 40.8 risk keys per started
+    repair at 150 stripes and 113.4 at 600; the heap computes about two
+    (one at enqueue, one when popped) plus re-keys after a fall.
+    """
+
+    #: stripes -> (started repairs, ``repair.dispatch_keys``,
+    #: ``repair.candidates_examined``), pinned from the seeded runs.
+    PINNED = {150: (125, 260, 9290), 600: (446, 895, 31930)}
+
+    @pytest.fixture(scope="class")
+    def storms(self):
+        measured = {}
+        for stripes in self.PINNED:
+            with measure_ops() as ops:
+                report = run_storm(
+                    "rack_loss", seed=0, num_racks=20, nodes_per_rack=10,
+                    num_stripes=stripes, code=CodeParams(14, 10), ear_c=1,
+                )
+            assert report.clean
+            measured[stripes] = (
+                sum(report.repair_outcomes.values()),
+                ops.get("repair.dispatch_keys"),
+                ops.get("repair.candidates_examined"),
+            )
+        return measured
+
+    def test_counts_match_the_pinned_runs(self, storms):
+        assert storms == self.PINNED
+
+    def test_keys_per_repair_do_not_grow_with_the_queue(self, storms):
+        per_repair = {
+            stripes: keys / repairs
+            for stripes, (repairs, keys, __) in storms.items()
+        }
+        assert per_repair[600] <= 1.5 * per_repair[150]

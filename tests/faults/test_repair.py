@@ -118,6 +118,27 @@ class TestPrioritization:
         setup.sim.run()
         assert first.value == "rereplicated"
 
+    def test_unknown_block_leaves_queue_and_metrics_untouched(self):
+        from repro.recovery.storm import build_storm_cluster
+
+        sc = build_storm_cluster(num_stripes=2)
+        queue = sc.repair_queue
+        with pytest.raises(KeyError, match="unknown block id"):
+            queue.enqueue(10**9)
+        assert queue.pending_count == 0
+        assert all(
+            window.target != 10**9
+            for windows in queue.metrics.windows.values()
+            for window in windows
+        )
+        # The dispatcher never sees the id, so a later run completes.
+        block = sc.stripes[0].block_ids[0]
+        sc.store.remove_replica(block, sc.store.replica_nodes(block)[0])
+        done = queue.enqueue(block)
+        sc.sim.run(until=sc.sim.now + 100.0)
+        assert done.value == "rereplicated"
+        assert queue.pending_count == 0
+
 
 class TestConcurrency:
     def test_concurrency_must_be_positive(self):

@@ -5,9 +5,11 @@ Each command runs twice in separate interpreter processes, under
 ``PYTHONHASHSEED=1`` and ``=2``.  Any decision or printed order fed by
 set iteration over strings changes between the two runs and fails the
 comparison.  The commands cover the chaos drill (which also replays
-itself in-process and asserts matching sha256 fingerprints), two
+itself in-process and asserts matching sha256 fingerprints), three
 recovery storms (``rolling_failures`` arms several loss events in one
-injector) and a pipelined-encoding trial.
+injector; the 600-stripe rack loss keeps hundreds of blocks waiting at
+once, so the repair queue's tie-breaks decide its order) and a
+pipelined-encoding trial.
 """
 
 import os
@@ -22,6 +24,10 @@ REPO = Path(__file__).resolve().parents[2]
 COMMANDS = {
     "chaos_drill": [str(REPO / "examples" / "chaos_drill.py"), "0"],
     "recovery_rack_loss": ["-m", "repro", "recovery", "rack_loss"],
+    "recovery_rack_loss_deep_queue": [
+        "-m", "repro", "recovery", "rack_loss", "--stripes", "600",
+        "--seed", "7",
+    ],
     "recovery_rolling_failures": [
         "-m", "repro", "recovery", "rolling_failures",
     ],
@@ -46,7 +52,7 @@ def run(command, hash_seed):
 
 
 class TestChaosDrillExampleDeterminism:
-    """The chaos drill, plus two storms and one pipeline trial beside it."""
+    """The chaos drill, plus three storms and one pipeline trial beside it."""
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_same_seed_same_output_across_hash_seeds(self, name):
