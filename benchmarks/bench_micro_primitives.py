@@ -7,7 +7,7 @@ rounds — so performance regressions in the core primitives show up:
 * Reed-Solomon encoding throughput (bytes through the GF(2^8) kernels);
 * EAR placement rate (flow-graph validation per block);
 * DES engine event throughput;
-* Dinic max-flow on a stripe-sized graph.
+* the retention matching of a stripe-sized layout.
 """
 
 import random

@@ -1,10 +1,11 @@
 """Placement core: the paper's primary contribution.
 
-* :mod:`repro.core.maxflow` — Dinic's max-flow algorithm (from scratch).
 * :mod:`repro.core.flowgraph` — the block/node/rack flow graph of Figure 4,
   used to test whether a replica layout admits a post-encoding placement
   that satisfies rack-level fault tolerance (max matching with at most ``c``
   stripe blocks per rack).
+* :mod:`repro.core.matching` — that matching, computed by Dinic's phases on
+  the graph's implicit residual network (no graph is built).
 * :mod:`repro.core.policy` — the ``PlacementPolicy`` interface and the
   replication scheme descriptions (HDFS default two-rack layout, one rack
   per replica, ...).
@@ -22,7 +23,6 @@
 
 from repro.core.ear import EncodingAwareReplication
 from repro.core.flowgraph import StripeFlowGraph
-from repro.core.maxflow import Dinic
 from repro.core.policy import (
     PlacementPolicy,
     ReplicationScheme,
@@ -36,7 +36,6 @@ from repro.core.stripe import PreEncodingStore, Stripe, StripeState
 
 __all__ = [
     "BlockMover",
-    "Dinic",
     "DISTINCT_RACKS",
     "EncodingAwareReplication",
     "PlacementMonitor",

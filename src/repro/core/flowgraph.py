@@ -15,47 +15,23 @@ Construction, following Section III-B exactly:
 
 The layout is *feasible* iff the max flow equals the number of blocks; the
 retained replica of each block is the block->node edge carrying flow.
+:class:`~repro.core.matching.RackMatching` computes that flow on the
+network's residual graph without building the network.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
-from repro.core.maxflow import Dinic
-from repro.sim.metrics import PERF
-
-#: One admissible replica of a block as solver edge ids: the S->B, B->N,
-#: N->R and R->T edges of its length-4 path to the sink.
-_Path = Tuple[int, int, int, int]
+from repro.core.matching import RackMatching
 
 
 class StripeFlowSession:
-    """One stripe's Figure 4 network on solver ids, grown block by block.
-
-    EAR redraws the layout of the newest block until the flow graph's max
-    flow equals the block count (Section III-B); between attempts only that
-    block's edges change.  A session therefore keeps **one** :class:`Dinic`
-    solver alive across every attempt of the stripe: accepted blocks' edges
-    and their routed flow stay in place, a candidate's edges are added under
-    a checkpoint, the solver augments from the previous residual state (at
-    most one extra unit can exist, since each block contributes one unit of
-    source capacity), and a rejected candidate is rolled back.
-
-    The accept/reject decision is provably identical to the from-scratch
-    :meth:`StripeFlowGraph.max_matching_size` test: the pre-attempt flow is
-    feasible for the candidate graph, Dinic run to completion from any
-    feasible flow reaches the (unique) max-flow value, and reaching
-    ``accepted_blocks + 1`` is maximal by the source-side cut.  What changes
-    is the counted work — at most one BFS level-graph build per attempt
-    instead of a full re-solve, and none when the block has a replica on an
-    unused node of a rack below its cap (see :meth:`_push_direct`).
-
-    **Insertion-order invariant.**  Edges enter the solver in one fixed
-    order — S->B, then per replica B->N, N->R if the node is new, R->T if
-    the rack is new.  The solver visits a vertex's edges in insertion
-    order, so this order alone decides *which* maximum matching comes out;
-    every retention plan of the repository depends on it.
+    """One stripe's layout, grown block by block through EAR's redraws
+    (Section III-B).  The accepted blocks' matching stays alive across
+    attempts, so an attempt costs at most one level BFS, and the decisions
+    are those of the from-scratch :meth:`StripeFlowGraph.max_matching_size`.
 
     Example:
         >>> topo = ClusterTopology(nodes_per_rack=2, num_racks=4)
@@ -68,21 +44,13 @@ class StripeFlowSession:
         1
     """
 
-    def __init__(self, graph: "StripeFlowGraph") -> None:
-        self.graph = graph
-        self._solver = Dinic()
-        self._source = self._solver.new_vertex()
-        self._sink = self._solver.new_vertex()
+    def __init__(self, matching: RackMatching) -> None:
+        self._matching = matching
         self._layout: Dict[object, List[NodeId]] = {}
-        # node -> (N vertex, N->R edge, R->T edge); rack -> (R vertex, R->T
-        # edge).  Both grow in insertion order, so undoing an attempt is
-        # popping the newest entries.
-        self._nodes: Dict[NodeId, Tuple[int, int, int]] = {}
-        self._racks: Dict[RackId, Tuple[int, int]] = {}
 
     @property
     def num_placed(self) -> int:
-        """Blocks accepted so far (equals the routed flow)."""
+        """Blocks accepted so far."""
         return len(self._layout)
 
     def layout(self) -> Dict[object, List[NodeId]]:
@@ -90,100 +58,15 @@ class StripeFlowSession:
         return {block: list(nodes) for block, nodes in self._layout.items()}
 
     def try_place(self, block: object, node_ids: Sequence[NodeId]) -> bool:
-        """Tentatively add one block's replica layout.
-
-        Adds the candidate's edges, augments the retained flow by at most
-        one unit, and keeps the edges iff the flow then covers every block
-        (the Section III-B acceptance test).  On rejection the graph is
-        rolled back to its pre-attempt state, so the caller can redraw.
-
-        Args:
-            block: Block label; must not have been accepted already.
-            node_ids: The candidate replica nodes for the block.
-
-        Returns:
-            True when the block was accepted (edges and flow retained).
-        """
+        """Keep ``block`` iff it and every accepted block can each still
+        retain a replica; a rejected candidate leaves no trace.  Raises
+        ``ValueError`` if ``block`` was already accepted."""
         if block in self._layout:
             raise ValueError(f"block {block!r} was already placed")
-        solver, nodes, racks = self._solver, self._nodes, self._racks
-        token = solver.checkpoint()
-        nodes_before, racks_before = len(nodes), len(racks)
-        __, paths = self._add_block(node_ids)
-        if (
-            self._push_direct(paths)
-            or solver.solve(self._source, self._sink, limit=1) == 1
-        ):
-            self._layout[block] = list(node_ids)
-            return True
-        # A failed augmentation changed no capacity, so the candidate's
-        # edges carry no flow and rollback restores the pre-attempt graph.
-        solver.rollback(token)
-        while len(nodes) > nodes_before:
-            nodes.popitem()
-        while len(racks) > racks_before:
-            racks.popitem()
-        return False
-
-    # ------------------------------------------------------------------
-    # Network construction (shared with StripeFlowGraph._solve)
-    # ------------------------------------------------------------------
-    def _add_block(
-        self, node_ids: Sequence[NodeId]
-    ) -> Tuple[List[NodeId], List[_Path]]:
-        """Link one block's vertex and edges, in the invariant order.
-
-        Returns:
-            The admissible replica nodes in order (replicas outside the
-            target racks cannot be retained: Section III-D removes their
-            rack->sink edges; the whole path is simply omitted), and the
-            edge ids of each one's path to the sink.
-        """
-        graph, solver, sink = self.graph, self._solver, self._sink
-        nodes, racks = self._nodes, self._racks
-        link = solver.link
-        block_vertex = solver.new_vertex()
-        source_edge = link(self._source, block_vertex, 1)
-        admissible: List[NodeId] = []
-        paths: List[_Path] = []
-        for node_id in node_ids:
-            known = nodes.get(node_id)
-            if known is not None:
-                node_vertex, node_edge, rack_edge = known
-                block_edge = link(block_vertex, node_vertex, 1)
-            else:
-                rack_id = graph.topology.rack_of(node_id)
-                if not graph._rack_admissible(rack_id):
-                    continue
-                rack = racks.get(rack_id)
-                rack_vertex = solver.new_vertex() if rack is None else rack[0]
-                node_vertex = solver.new_vertex()
-                block_edge = link(block_vertex, node_vertex, 1)
-                node_edge = link(node_vertex, rack_vertex, 1)
-                if rack is None:
-                    rack = racks[rack_id] = (
-                        rack_vertex,
-                        link(rack_vertex, sink, graph.rack_capacity(rack_id)),
-                    )
-                rack_edge = rack[1]
-                nodes[node_id] = (node_vertex, node_edge, rack_edge)
-            admissible.append(node_id)
-            paths.append((source_edge, block_edge, node_edge, rack_edge))
-        return admissible, paths
-
-    def _push_direct(self, paths: Sequence[_Path]) -> bool:
-        """Route the newest block's unit over a length-4 path, if one is free.
-
-        When a replica's node is unused and its rack is below its cap, the
-        path S->B->N->R->T is what the level-graph DFS would find: every
-        S-T path has at least four edges, so the sink sits at level 4,
-        anything the DFS enters through an earlier replica (a used node's
-        reverse edge, a full rack's reverse edges) lies on a longer path
-        and dead-ends without touching a capacity, and the first replica
-        in order with a free path is the one it pushes along.  Pushing it
-        here gives the same flow state without building the level graph.
-        """
-        return any(map(self._solver.try_push, paths))
+        if not self._matching.add(block, node_ids):
+            return False
+        self._layout[block] = list(node_ids)
+        return True
 
 
 class StripeFlowGraph:
@@ -240,120 +123,46 @@ class StripeFlowGraph:
         """Blocks of this stripe the rack may retain (``c`` unless overridden)."""
         return self.capacity_overrides.get(rack_id, self.c)
 
-    def _greedy_matching(
-        self, layout: Dict[object, Sequence[NodeId]]
-    ) -> Dict[object, NodeId]:
-        """Dinic's first blocking flow from zero, computed without a graph.
+    def _retainable(self, rack_id: RackId) -> int:
+        """Blocks of this stripe the rack may retain; 0 outside the targets."""
+        return self.rack_capacity(rack_id) if self._rack_admissible(rack_id) else 0
 
-        From zero flow every level is forward (S, B, N, R, T), so the first
-        phase serves the blocks in order and gives each its first replica
-        whose node is unused and whose rack has room; nothing it does is
-        ever undone inside the phase.
-        """
-        rack_of = self.topology.rack_of
-        used: Set[NodeId] = set()
-        room: Dict[RackId, int] = {}
-        matching: Dict[object, NodeId] = {}
-        for block, node_ids in layout.items():
-            for node_id in node_ids:
-                rack_id = rack_of(node_id)  # every replica is validated
-                if (
-                    block in matching
-                    or node_id in used
-                    or not self._rack_admissible(rack_id)
-                ):
-                    continue
-                left = room.get(rack_id)
-                if left is None:
-                    left = self.rack_capacity(rack_id)
-                if left > 0:
-                    room[rack_id] = left - 1
-                    used.add(node_id)
-                    matching[block] = node_id
-        return matching
-
-    def _solve(
-        self, layout: Dict[object, Sequence[NodeId]]
-    ) -> Dict[object, NodeId]:
-        """The matching a max flow of the layout's network routes (its size
-        is the max flow: each served block keeps exactly one replica).
-
-        When the greedy first phase already serves every block, its matching
-        is the one Dinic returns (the source cut is saturated, so the solver
-        would stop there) and no graph is built.  Otherwise the network is
-        built in the invariant order, each block's unit of the first phase
-        is pushed as the block is linked (:meth:`StripeFlowSession.
-        _push_direct` is the same greedy rule on the residual graph), and
-        the solver continues from that flow as Dinic's second phase would.
-        """
-        matching = self._greedy_matching(layout)
-        if len(matching) == len(layout):
-            PERF.bump("maxflow.augmentations", len(matching))
-            return matching
-        network = StripeFlowSession(self)
-        solver = network._solver
-        replicas = []
-        flow = 0
-        for node_ids in layout.values():
-            replica = network._add_block(node_ids)
-            flow += network._push_direct(replica[1])
-            replicas.append(replica)
-        flow += solver.solve(network._source, network._sink)
-        matching = {}
-        for block, (node_ids, paths) in zip(layout, replicas):
-            for node_id, path in zip(node_ids, paths):
-                if solver.edge_flow(path[1]) > 0:
-                    matching[block] = node_id
-                    break
-        if len(matching) != flow:
-            raise AssertionError("routed flow and extracted matching disagree")
-        return matching
+    def _matcher(self) -> RackMatching:
+        return RackMatching(self.topology.rack_of, self._retainable)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def session(self) -> StripeFlowSession:
-        """A fresh incremental session reusing one solver across redraws."""
-        return StripeFlowSession(self)
-
-    def max_matching_size(self, layout: Dict[object, Sequence[NodeId]]) -> int:
-        """Size of the maximum matching for the given replica layout.
-
-        Args:
-            layout: Mapping block -> node ids of its replicas.
-
-        Returns:
-            The max flow of the Figure 4(b) graph; the layout is feasible iff
-            this equals ``len(layout)``.
-        """
-        return len(self._solve(layout))
-
-    def is_feasible(self, layout: Dict[object, Sequence[NodeId]]) -> bool:
-        """True when every block can retain a replica within the constraints."""
-        return self.max_matching_size(layout) == len(layout)
-
-    def find_matching(
-        self, layout: Dict[object, Sequence[NodeId]]
-    ) -> Optional[Dict[object, NodeId]]:
-        """Extract a retention plan: which replica each block keeps.
-
-        Returns:
-            Mapping block -> retained node, or ``None`` when the layout is
-            infeasible (max flow below the block count).
-        """
-        matching = self._solve(layout)
-        return matching if len(matching) == len(layout) else None
+        """A fresh incremental session for EAR's redraw loop."""
+        return StripeFlowSession(self._matcher())
 
     def find_partial_matching(
         self, layout: Dict[object, Sequence[NodeId]]
     ) -> Dict[object, NodeId]:
-        """Best-effort retention: match as many blocks as the flow allows.
+        """Best-effort retention: the block -> node matching a max flow of
+        the layout's Figure 4(b) graph routes, in layout order.
 
-        Unlike :meth:`find_matching` this never returns ``None``; blocks the
-        max flow could not serve are simply absent from the result.  Used
-        for RR stripes, whose layouts carry no feasibility guarantee.
+        Blocks the flow could not serve are absent.  Used directly for RR
+        stripes, whose layouts carry no feasibility guarantee.
         """
-        return self._solve(layout)
+        return self._matcher().solve(layout)
+
+    def find_matching(
+        self, layout: Dict[object, Sequence[NodeId]]
+    ) -> Optional[Dict[object, NodeId]]:
+        """A retention plan (which replica each block keeps), or ``None``
+        when the layout is infeasible."""
+        matching = self.find_partial_matching(layout)
+        return matching if len(matching) == len(layout) else None
+
+    def max_matching_size(self, layout: Dict[object, Sequence[NodeId]]) -> int:
+        """The max flow; the layout is feasible iff it equals ``len(layout)``."""
+        return len(self.find_partial_matching(layout))
+
+    def is_feasible(self, layout: Dict[object, Sequence[NodeId]]) -> bool:
+        """True when every block can retain a replica within the constraints."""
+        return self.max_matching_size(layout) == len(layout)
 
     def rack_usage(self, matching: Dict[object, NodeId]) -> Dict[RackId, int]:
         """Blocks retained per rack under a retention plan."""

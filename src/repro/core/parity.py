@@ -25,6 +25,7 @@ cross-rack traffic, which is what the simulator charges to the network.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -374,6 +375,11 @@ def _place_parity(
         rack = topology.rack_of(node)
         usage[rack] = usage.get(rack, 0) + 1
     used_nodes: Set[NodeId] = set(retained.values())
+    # Distinct stripe nodes per rack (a fallback retention may keep two
+    # blocks on one node), and the racks they fill.
+    sizes = topology.rack_sizes
+    taken = Counter(topology.rack_of(node) for node in used_nodes)
+    full = {rack for rack, count in taken.items() if count == sizes[rack]}
 
     if admissible_racks is None:
         admissible = list(topology.rack_ids())
@@ -383,8 +389,7 @@ def _place_parity(
     chosen: List[NodeId] = []
     for __ in range(code.num_parity):
         rack = _pick_parity_rack(
-            topology, admissible, usage, c, prefer_racks, used_nodes, rng,
-            allow_overflow,
+            admissible, usage, c, prefer_racks, full, rng, allow_overflow,
         )
         candidates = [
             n for n in topology.nodes_in_rack(rack) if n not in used_nodes
@@ -392,6 +397,9 @@ def _place_parity(
         node = rng.choice(candidates)
         used_nodes.add(node)
         usage[rack] = usage.get(rack, 0) + 1
+        taken[rack] += 1
+        if taken[rack] == sizes[rack]:
+            full.add(rack)
         chosen.append(node)
     return chosen
 
@@ -513,23 +521,21 @@ class RRPlanner(EncodingPlanner):
 
 
 def _pick_parity_rack(
-    topology: ClusterTopology,
     admissible: Sequence[RackId],
     usage: Dict[RackId, int],
     c: int,
     prefer_racks: Sequence[RackId],
-    used_nodes: Set[NodeId],
+    full: Set[RackId],
     rng: random.Random,
     allow_overflow: bool,
 ) -> RackId:
-    def has_free_node(rack: RackId) -> bool:
-        return any(n not in used_nodes for n in topology.nodes_in_rack(rack))
-
+    """The rack of the next parity block; ``full`` holds the racks with no
+    node left that is free of the stripe."""
     for rack in prefer_racks:
-        if rack in admissible and usage.get(rack, 0) < c and has_free_node(rack):
+        if rack in admissible and usage.get(rack, 0) < c and rack not in full:
             return rack
     compliant = [
-        r for r in admissible if usage.get(r, 0) < c and has_free_node(r)
+        r for r in admissible if usage.get(r, 0) < c and r not in full
     ]
     if compliant:
         # Among compliant racks prefer entirely empty ones: this is the
@@ -538,7 +544,7 @@ def _pick_parity_rack(
         empty = [r for r in compliant if usage.get(r, 0) == 0]
         return rng.choice(empty or compliant)
     if allow_overflow:
-        overflow = [r for r in admissible if has_free_node(r)]
+        overflow = [r for r in admissible if r not in full]
         if overflow:
             least = min(usage.get(r, 0) for r in overflow)
             return rng.choice([r for r in overflow if usage.get(r, 0) == least])

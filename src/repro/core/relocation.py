@@ -180,17 +180,14 @@ class BlockMover:
                 break
             rack, members = max(over.items(), key=lambda item: len(item[1]))
             index = members[-1]
-            dst_rack = self._destination_rack(rack_members, cap, exclude=rack)
-            candidates = [
+            dst_rack = self._destination_rack(
+                rack_members, cap, exclude=rack, occupied=occupied
+            )
+            dst_node = self.rng.choice([
                 n
                 for n in self.topology.nodes_in_rack(dst_rack)
                 if n not in occupied
-            ]
-            if not candidates:
-                raise PlacementError(
-                    f"rack {dst_rack} has no free node for relocation"
-                )
-            dst_node = self.rng.choice(candidates)
+            ])
             moves.append(BlockMove(block_ids[index], nodes[index], dst_node))
             occupied.discard(nodes[index])
             occupied.add(dst_node)
@@ -217,15 +214,22 @@ class BlockMover:
         rack_members: Dict[RackId, List[int]],
         cap: int,
         exclude: RackId,
+        occupied: Set[NodeId],
     ) -> RackId:
+        """A random rack below the cap with a node the stripe does not
+        occupy, preferring racks that hold none of its blocks."""
+        topology = self.topology
         below = [
             rack
-            for rack in self.topology.rack_ids()
-            if rack != exclude and len(rack_members.get(rack, [])) < cap
+            for rack in topology.rack_ids()
+            if rack != exclude
+            and len(rack_members.get(rack, [])) < cap
+            and any(n not in occupied for n in topology.nodes_in_rack(rack))
         ]
         if not below:
             raise PlacementError(
-                "no rack below the cap remains; requirement is unsatisfiable"
+                "no rack below the cap has a free node; requirement is "
+                "unsatisfiable"
             )
         empty = [r for r in below if not rack_members.get(r)]
         return self.rng.choice(empty or below)

@@ -6,8 +6,8 @@ response-time distributions, throughput meters, time series (for the
 collector of the fault and recovery path.
 
 Also hosts the process-wide :class:`PerfCounters` registry that the hot
-paths (Dinic's max-flow, the GF(2^8) kernels, the simulation kernel, EAR's
-redraw loop) report *counted work* into.  Counted work — level-graph
+paths (the retention matcher, the GF(2^8) kernels, the simulation kernel,
+EAR's redraw loop) report *counted work* into.  Counted work — level-graph
 builds, augmentations, GF multiplies, processed events — is deterministic
 for a given seed, so ``tests/bench/test_budgets.py`` asserts on it without
 wall-clock flakiness and ``benchmarks/e2e`` reports it per layer.

@@ -1,12 +1,12 @@
 """Label-keyed reference for the Figure 4 flow graph (test oracle only).
 
-This is the solver the placement core ran before it became id-addressed:
-Dinic over hashable vertex labels, rebuilt from scratch for every query,
-with no checkpoint, no direct path and no greedy phase.  The production
-solver must return the *same matching* (not merely one of the same size),
-so the reference keeps the production edge-insertion order — S->B, then
-per replica B->N, N->R if the node is new, R->T if the rack is new — and
-visits edges in that order.
+The explicit network: Dinic over hashable vertex labels, rebuilt from
+scratch for every query, with no greedy phase.  The production matcher
+(:mod:`repro.core.matching`) walks this network's residual graph without
+building it and must return the *same matching* (not merely one of the
+same size), so the reference inserts edges in the order the matcher
+visits them — S->B, then per replica B->N, N->R if the node is new, R->T
+if the rack is new — and Dinic visits each vertex's edges in that order.
 
 :func:`ear_redraws_vs_fresh` is the end-to-end counterpart: it replays
 every candidate the EAR redraw loop drew against the public from-scratch
@@ -43,6 +43,8 @@ class LabelDinic:
         return self.index[label]
 
     def add_edge(self, u, v, capacity):
+        if capacity < 0:
+            raise ValueError("capacity must be non-negative")
         ui, vi = self.vertex(u), self.vertex(v)
         self.edge_ids.setdefault((u, v), []).append(len(self.to))
         for src, dst, cap in ((ui, vi, capacity), (vi, ui, 0)):
@@ -51,10 +53,19 @@ class LabelDinic:
             self.cap.append(cap)
             self.orig.append(cap)
 
+    def push(self, path):
+        """Route one unit along a path of vertex labels."""
+        for u, v in zip(path, path[1:]):
+            edge = next(e for e in self.edge_ids[(u, v)] if self.cap[e] > 0)
+            self.cap[edge] -= 1
+            self.cap[edge ^ 1] += 1
+
     def flow_on(self, u, v):
         return sum(self.orig[e] - self.cap[e] for e in self.edge_ids[(u, v)])
 
     def max_flow(self, source, sink):
+        if source == sink:
+            raise ValueError("source and sink must differ")
         if source not in self.index or sink not in self.index:
             return 0
         s, t = self.index[source], self.index[sink]
@@ -109,7 +120,8 @@ class ReferenceFlowGraph:
     def _admissible(self, rack_id):
         return self.target_racks is None or rack_id in self.target_racks
 
-    def _solved(self, layout):
+    def network(self, layout):
+        """The layout's network, built in order, carrying no flow."""
         graph = LabelDinic()
         nodes_added, racks_added = set(), set()
         for block, node_ids in layout.items():
@@ -128,15 +140,10 @@ class ReferenceFlowGraph:
                         ("R", rack_id), _SINK,
                         self.capacity_overrides.get(rack_id, self.c),
                     )
-        return graph, graph.max_flow(_SOURCE, _SINK)
+        return graph
 
-    def max_matching_size(self, layout):
-        return self._solved(layout)[1] if layout else 0
-
-    def find_partial_matching(self, layout):
-        if not layout:
-            return {}
-        graph, __ = self._solved(layout)
+    def routed(self, graph, layout):
+        """The matching the flow in ``graph`` routes, in layout order."""
         matching = {}
         for block, node_ids in layout.items():
             for node_id in node_ids:
@@ -147,9 +154,48 @@ class ReferenceFlowGraph:
                     break
         return matching
 
+    def max_matching_size(self, layout):
+        return len(self.find_partial_matching(layout))
+
+    def find_partial_matching(self, layout):
+        if not layout:
+            return {}
+        graph = self.network(layout)
+        graph.max_flow(_SOURCE, _SINK)
+        return self.routed(graph, layout)
+
     def find_matching(self, layout):
         matching = self.find_partial_matching(layout)
         return matching if len(matching) == len(layout) else None
+
+
+class ReferenceSession:
+    """EAR's redraw loop on the explicit network.
+
+    Each attempt rebuilds the network of the accepted blocks plus the
+    candidate, puts back the flow the last accepted attempt left, and lets
+    Dinic route at most one more unit from there.  :attr:`matching` is
+    therefore the state an incremental session must be in, not merely a
+    matching of the same size.
+    """
+
+    def __init__(self, reference):
+        self.reference = reference
+        self.layout = {}
+        self.matching = {}
+
+    def try_place(self, block, node_ids):
+        candidate = {**self.layout, block: node_ids}
+        graph = self.reference.network(candidate)
+        for kept, node_id in self.matching.items():
+            rack_id = self.reference.topology.rack_of(node_id)
+            graph.push([_SOURCE, ("B", kept), ("N", node_id), ("R", rack_id),
+                        _SINK])
+        if graph.max_flow(_SOURCE, _SINK) == 0:
+            return False
+        self.layout = candidate
+        self.matching = self.reference.routed(graph, candidate)
+        return True
 
 
 def ear_redraws_vs_fresh(seed, num_blocks, writers=1):

@@ -1,10 +1,13 @@
-"""The id-addressed flow graph versus the label-keyed reference.
+"""The implicit-graph matcher versus the explicit reference network.
 
-Accept/reject decisions of the incremental session and the exact
-matchings of ``find_matching`` / ``find_partial_matching`` are compared
-with :mod:`tests.core.reference_flow` over random small clusters: every
+The incremental session's accept/reject decisions and the matching it
+carries after each one, and the exact matchings of ``find_matching`` /
+``find_partial_matching``, are compared with
+:mod:`tests.core.reference_flow` over random small clusters: every
 ``c``, target racks, per-rack capacity overrides (zero included), replicas
-sharing a rack and duplicate node ids inside one block's layout.
+sharing a rack and duplicate node ids inside one block's layout.  Equal
+matchings mean the matcher visits the residual graph in Dinic's order on
+the network built block by block.
 """
 
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from repro.cluster.topology import ClusterTopology
 from repro.core.flowgraph import StripeFlowGraph
 
-from tests.core.reference_flow import ReferenceFlowGraph
+from tests.core.reference_flow import ReferenceFlowGraph, ReferenceSession
 
 
 @st.composite
@@ -38,24 +41,22 @@ def flow_cases(draw):
 
 
 @given(case=flow_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_session_accepts_exactly_what_the_reference_accepts(case):
     topology, args, blocks = case
     session = StripeFlowGraph(topology, *args).session()
-    reference = ReferenceFlowGraph(topology, *args)
-    kept = {}
+    reference = ReferenceSession(ReferenceFlowGraph(topology, *args))
     for block, nodes in enumerate(blocks):
-        candidate = {**kept, block: nodes}
-        oracle = reference.max_matching_size(candidate) == len(candidate)
-        assert session.try_place(block, nodes) == oracle
-        if oracle:
-            kept = candidate
-        assert session.num_placed == len(kept)
-    assert session.layout() == kept
+        assert session.try_place(block, nodes) == reference.try_place(
+            block, nodes
+        )
+        assert session._matching._place == reference.matching
+        assert session.num_placed == len(reference.layout)
+    assert session.layout() == reference.layout
 
 
 @given(case=flow_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_matchings_equal_the_reference_matchings(case):
     topology, args, blocks = case
     graph = StripeFlowGraph(topology, *args)
@@ -66,3 +67,26 @@ def test_matchings_equal_the_reference_matchings(case):
     assert graph.find_partial_matching(layout) == (
         reference.find_partial_matching(layout)
     )
+
+
+@given(case=flow_cases(), data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_rejections_interleave_with_acceptances(case, data):
+    """EAR's redraw loop: each block is offered candidates until one is
+    kept, so rejected candidates sit between accepted ones and the session
+    must carry on from exactly the accepted state each time."""
+    topology, args, blocks = case
+    session = StripeFlowGraph(topology, *args).session()
+    reference = ReferenceSession(ReferenceFlowGraph(topology, *args))
+    node = st.integers(0, topology.num_nodes - 1)
+    for block, first in enumerate(blocks):
+        redraws = data.draw(
+            st.lists(st.lists(node, min_size=1, max_size=3), max_size=3)
+        )
+        for nodes in [first, *redraws]:
+            kept = reference.try_place(block, nodes)
+            assert session.try_place(block, nodes) == kept
+            assert session._matching._place == reference.matching
+            if kept:
+                break
+    assert session.layout() == reference.layout

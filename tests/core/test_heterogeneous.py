@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.block import BlockStore
+from repro.cluster.failure import stripe_rack_fault_tolerance
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.policy import PlacementError, ReplicationScheme
 from repro.core.random_replication import RandomReplication
+from repro.core.relocation import BlockMover
+from repro.core.stripe import PreEncodingStore
 from repro.erasure.codec import CodeParams
 
 LOPSIDED = ClusterTopology(nodes_per_rack=[2, 8, 3, 6, 2, 9, 4, 5])
@@ -67,6 +71,34 @@ class TestEARHeterogeneous:
         for block_id in range(12 * CODE.k):
             policy.place_block(block_id)
         assert policy.store.sealed_stripes()
+
+
+class TestBlockMoverHeterogeneous:
+    def test_destination_rack_has_a_free_node(self):
+        # Rack 1 is a single node that already holds a block: it sits below
+        # the cap of 2 but cannot take another, so only racks 2 and 3 may
+        # receive the block moved off rack 0.
+        topo = ClusterTopology(nodes_per_rack=[4, 1, 4, 4])
+        code = CodeParams(6, 2)
+        for seed in range(20):
+            store = BlockStore(topo)
+            stripes = PreEncodingStore(code.k)
+            stripe = stripes.new_stripe()
+            blocks = []
+            for node in [0, 1, 2, 4, 5, 9]:
+                block = store.create_block(64)
+                store.add_replica(block.block_id, node)
+                blocks.append(block.block_id)
+            for block_id in blocks[: code.k]:
+                stripes.add_block(stripe.stripe_id, block_id)
+            stripe.mark_encoded(blocks[code.k:])
+            mover = BlockMover(
+                topo, code, required_rack_failures=2, rng=random.Random(seed)
+            )
+            (move,) = mover.repair(store, stripe).moves
+            assert topo.rack_of(move.dst_node) in (2, 3)
+            nodes = [store.replica_nodes(b)[0] for b in stripe.all_block_ids()]
+            assert stripe_rack_fault_tolerance(topo, nodes, code.k) >= 2
 
 
 @given(seed=st.integers(0, 2**12))

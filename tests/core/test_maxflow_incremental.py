@@ -1,12 +1,14 @@
-"""Incremental Dinic (checkpoint / rollback / limited augmentation) versus
-the from-scratch solver, and end-to-end EAR placement identity.
+"""The incremental matcher versus from-scratch max flow, and end-to-end
+EAR placement identity.
 
-The differential oracle in every test is the from-scratch path: ``Dinic``
-rebuilt per attempt and the public ``StripeFlowGraph.max_matching_size``
-re-solved per candidate — for EAR itself by replaying every candidate the
-redraw loop drew (``tests.core.reference_flow.ear_redraws_vs_fresh``).
+The differential oracle in every test is the from-scratch path: the
+reference Dinic rebuilt per attempt and the public
+``StripeFlowGraph.max_matching_size`` re-solved per candidate — for EAR
+itself by replaying every candidate the redraw loop drew
+(``tests.core.reference_flow.ear_redraws_vs_fresh``).
 """
 
+import copy
 import random
 
 import pytest
@@ -16,85 +18,26 @@ from hypothesis import strategies as st
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.flowgraph import StripeFlowGraph
-from repro.core.maxflow import Dinic
+from repro.core.matching import RackMatching
 from repro.erasure.codec import CodeParams
-from tests.core.reference_flow import ear_redraws_vs_fresh
+from tests.core.reference_flow import LabelDinic, ear_redraws_vs_fresh
 
 
-def _graph_fingerprint(g: Dinic):
-    return (
-        g.num_vertices,
-        dict(g._index),
-        [list(a) for a in g._adj],
-        list(g._to),
-        list(g._cap),
-    )
-
-
-class TestCheckpointRollback:
-    def test_rollback_restores_structure(self):
-        g = Dinic()
-        g.add_edge("s", "a", 1)
-        g.add_edge("a", "t", 1)
-        before = _graph_fingerprint(g)
-        token = g.checkpoint()
-        g.add_edge("s", "b", 2)
-        g.add_edge("b", "t", 2)
-        g.add_edge("b", "c", 1)  # introduces a brand-new vertex too
-        g.rollback(token)
-        assert _graph_fingerprint(g) == before
-
-    def test_rollback_preserves_existing_flow(self):
-        g = Dinic()
-        g.add_edge("s", "a", 1)
-        g.add_edge("a", "t", 1)
-        assert g.max_flow("s", "t") == 1
-        token = g.checkpoint()
-        g.add_edge("s", "b", 1)  # dead end: augmentation will fail
-        assert g.max_flow("s", "t", limit=1) == 0
-        g.rollback(token)
-        assert g.flow_on("s", "a") == 1
-        assert g.flow_on("a", "t") == 1
-
-    def test_rollback_refuses_edges_carrying_flow(self):
-        g = Dinic()
-        g.add_edge("s", "a", 1)
-        token = g.checkpoint()
-        g.add_edge("a", "t", 1)
-        assert g.max_flow("s", "t") == 1
-        with pytest.raises(ValueError):
-            g.rollback(token)
-
-    def test_rollback_rejects_stale_token(self):
-        g = Dinic()
-        g.add_edge("s", "t", 1)
-        token = g.checkpoint()
-        g2 = Dinic()
-        with pytest.raises(ValueError):
-            g2.rollback(token)
-
-    def test_parallel_edges_roll_back_independently(self):
-        g = Dinic()
-        g.add_edge("s", "a", 1)
-        token = g.checkpoint()
-        g.add_edge("s", "a", 5)  # parallel to an existing edge
-        g.rollback(token)
-        assert g.flow_on("s", "a") == 0  # original edge still queryable
-        g.add_edge("a", "t", 1)
-        assert g.max_flow("s", "t") == 1
-
-    def test_limit_caps_additional_flow(self):
-        g = Dinic()
-        g.add_edge("s", "a", 5)
-        g.add_edge("a", "t", 5)
-        assert g.max_flow("s", "t", limit=2) == 2
-        assert g.max_flow("s", "t") == 3  # the rest on a later call
+def _matcher_state(session):
+    """Every dict and list the session's matcher keeps, deep-copied."""
+    return copy.deepcopy({
+        name: value
+        for name, value in vars(session._matching).items()
+        if isinstance(value, dict)
+    })
 
 
 class TestIncrementalVsFreshDinic:
-    """Blocks arrive one at a time with random unit edges to right-side
-    slots; incremental accept iff one more unit routes, fresh oracle
-    rebuilds and re-solves the whole graph per step."""
+    """Blocks arrive one at a time with random unit edges to slots of
+    capacity ``slot_cap``; the matcher keeps a block iff one more unit
+    routes, the fresh oracle rebuilds and re-solves the whole graph per
+    step.  A slot is a rack, and every (block, slot) edge its own node,
+    so only the slot capacities bind."""
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
@@ -102,26 +45,16 @@ class TestIncrementalVsFreshDinic:
         r = random.Random(seed)
         num_slots = r.randrange(2, 7)
         slot_cap = r.randrange(1, 3)
+        incremental = RackMatching(
+            rack_of=lambda node: node[1], capacity=lambda slot: slot_cap
+        )
 
-        incremental = Dinic()
-        incremental.vertex("s")
-        incremental.vertex("t")
-        for slot in range(num_slots):
-            incremental.add_edge(("slot", slot), "t", slot_cap)
-
-        accepted = []  # (block, slots) pairs the incremental solver kept
+        accepted = []  # (block, slots) pairs the matcher kept
         for block in range(r.randrange(3, 12)):
             slots = r.sample(range(num_slots), r.randrange(1, num_slots + 1))
+            take = incremental.add(block, [(block, slot) for slot in slots])
 
-            token = incremental.checkpoint()
-            incremental.add_edge("s", ("b", block), 1)
-            for slot in slots:
-                incremental.add_edge(("b", block), ("slot", slot), 1)
-            take = incremental.max_flow("s", "t", limit=1) == 1
-            if not take:
-                incremental.rollback(token)
-
-            fresh = Dinic()
+            fresh = LabelDinic()
             for kept_block, kept_slots in accepted + [(block, slots)]:
                 fresh.add_edge("s", ("b", kept_block), 1)
                 for slot in kept_slots:
@@ -164,13 +97,7 @@ class TestSessionRollback:
         assert session.try_place(1, (1, 4))
 
         def state():
-            return (
-                _graph_fingerprint(session._solver),
-                list(session._nodes.items()),
-                list(session._racks.items()),
-                session.layout(),
-                session.num_placed,
-            )
+            return _matcher_state(session), session.layout(), session.num_placed
 
         before = state()
         # Racks 0 and 1 are full at c=1; the candidate adds a new node in
@@ -186,10 +113,11 @@ class TestSessionRollback:
         graph = StripeFlowGraph(topology, c=1, capacity_overrides={2: 0})
         session = graph.session()
         assert session.try_place(0, (0,))
-        racks_before = dict(session._racks)
+        before = _matcher_state(session)
         assert not session.try_place(1, (6,))  # rack 2 holds nothing
-        assert session._racks == racks_before
-        assert 6 not in session._nodes
+        assert _matcher_state(session) == before
+        assert not session.try_place(1, (1, 6))  # node 1: new, then undone
+        assert _matcher_state(session) == before
 
 
 class TestEndToEndEarIdentity:

@@ -1,35 +1,44 @@
 """Run the library's docstring examples as tests.
 
 Every ``>>>`` example in a public docstring is executable documentation;
-this module keeps them honest.
+this module keeps them honest.  Every module under ``src/repro`` is
+walked (as ``tests/test_determinism.py`` walks them), so a new module's
+examples run without being listed here.
 """
 
 import doctest
+import importlib
+from pathlib import Path
 
 import pytest
 
-import repro
-import repro.core.maxflow
-import repro.erasure.codec
-import repro.erasure.lrc
-import repro.experiments.charts
-import repro.sim.engine
-
-MODULES = [
-    repro.core.maxflow,
-    repro.erasure.codec,
-    repro.erasure.lrc,
-    repro.experiments.charts,
-    repro.sim.engine,
-]
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "repro"
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
-def test_module_doctests(module):
-    failures, tried = doctest.testmod(
-        module, verbose=False, raise_on_error=False
-    ).failed, doctest.testmod(module, verbose=False).attempted
-    assert failures == 0, f"{failures} doctest failure(s) in {module.__name__}"
+def _module_name(path):
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+#: Every importable module of the package; ``__main__`` runs the CLI on
+#: import and holds no examples.
+MODULES = sorted(
+    _module_name(path)
+    for path in PACKAGE.rglob("*.py")
+    if path.name != "__main__.py"
+)
+
+
+def test_the_whole_package_is_walked():
+    assert len(MODULES) > 80
+    assert {"repro.core.matching", "repro.sim.engine"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    results = doctest.testmod(importlib.import_module(name), verbose=False)
+    assert results.failed == 0, f"{results.failed} doctest failure(s) in {name}"
 
 
 def test_package_docstring_example():
