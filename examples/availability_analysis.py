@@ -98,7 +98,7 @@ def complete_ear_guarantee():
             parity = store.create_block(64 * 2**20)
             store.add_replica(parity.block_id, node)
             parity_ids.append(parity.block_id)
-        stripe.mark_encoded(parity_ids)
+        policy.store.mark_encoded(stripe.stripe_id, parity_ids)
         assert not monitor.is_violating(store, stripe)
         nodes = [store.replica_nodes(b)[0] for b in stripe.all_block_ids()]
         assert model.stripe_tolerates_rack_failures(

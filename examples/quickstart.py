@@ -77,7 +77,7 @@ def main():
     # -- 4. trim replicas ----------------------------------------------------
     for block_id, keeper in plan.retained.items():
         store.retain_only(block_id, keeper)
-    stripe.mark_encoded(parity_ids)
+    ear.store.mark_encoded(stripe.stripe_id, parity_ids)
     copies = sum(
         len(store.replica_nodes(b)) for b in stripe.all_block_ids()
     )

@@ -17,6 +17,7 @@ from typing import (
 
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.journal.records import (
+    PRESENT,
     AddBlock,
     AssignStripe,
     ClearCorrupted,
@@ -24,7 +25,10 @@ from repro.journal.records import (
     MarkCorrupted,
     ParityAdd,
     PlaceReplica,
+    Present,
     Relocate,
+    commit,
+    owns,
 )
 
 BlockId = int
@@ -75,6 +79,7 @@ class Replica:
     is_primary: bool = False
 
 
+@owns("blocks")
 class BlockStore:
     """Tracks the replica locations of every block in the cluster.
 
@@ -89,23 +94,25 @@ class BlockStore:
         ValueError: On attempts to violate structural invariants, e.g.
             placing two replicas of one block on the same node.
 
-    When a :class:`~repro.journal.journal.MetadataJournal` is attached
-    (``self.journal``), every mutator appends its typed record *before*
-    touching in-memory state — the write-ahead invariant the recovery
-    path relies on.  The ``restore_*`` / ``resume_ids`` entry points are
-    for recovery and checkpoint loading only and never journal.
+    Every mutator is one journal record's live path
+    (:func:`~repro.journal.records.commit`): the record's validity test
+    ``check_<type>``, then the append to ``self.journal`` when a
+    :class:`~repro.journal.journal.MetadataJournal` is attached, then its
+    transition ``apply_<type>``.  Replay runs the same test and
+    transition over the logged fields.  :meth:`resume_ids` is for
+    checkpoint loading only and never journals.
 
     The store also keeps, per stripe id, how many blocks stamped with it
     hold at least one copy (:meth:`live_members`), updated by the three
-    methods that can change that number — :meth:`add_replica`,
-    :meth:`remove_replica` and :meth:`assign_stripe` — so journal replay,
-    which goes through the same methods, rebuilds it with no extra code.
-    Callables registered with :meth:`watch` hear about every such change.
+    transitions that can change that number (place, delete, assign), so
+    replay rebuilds it with no extra code.  Callables registered with
+    :meth:`watch` hear about every such change.
     """
+
+    journal = None
 
     def __init__(self, topology: ClusterTopology) -> None:
         self.topology = topology
-        self.journal = None
         self._blocks: Dict[BlockId, Block] = {}
         self._replicas: Dict[BlockId, List[Replica]] = {}
         self._node_blocks: Dict[NodeId, Set[BlockId]] = {
@@ -117,7 +124,7 @@ class BlockStore:
         self._watchers: List[Callable[[Block], None]] = []
 
     # ------------------------------------------------------------------
-    # Block lifecycle
+    # Mutators: one record each
     # ------------------------------------------------------------------
     @property
     def next_block_id(self) -> BlockId:
@@ -131,54 +138,15 @@ class BlockStore:
         stripe_id: Optional[int] = None,
     ) -> Block:
         """Allocate a fresh block id and register the block."""
-        if not size > 0:
-            raise ValueError("block size must be positive")
-        block = Block(self._next_id, size, kind, stripe_id)
-        if self.journal is not None:
-            self.journal.append(AddBlock(
-                block_id=block.block_id, size=size, kind=kind,
-                stripe_id=stripe_id,
-            ))
-        self._next_id = block.block_id + 1
-        self._blocks[block.block_id] = block
-        self._replicas[block.block_id] = []
-        return block
+        return commit(self, AddBlock, (self._next_id, size, kind, stripe_id))
 
     def add_parity_block(
         self, size: int, stripe_id: int, node_id: NodeId
     ) -> Block:
-        """Create a parity block already placed on ``node_id``.
-
-        Journals a single :class:`~repro.journal.records.ParityAdd`
-        (the commit bracket's interior record) instead of separate
-        add-block/place-replica records, then applies both steps.
-        """
-        if not size > 0:
-            raise ValueError("block size must be positive")
-        self.topology.node(node_id)
-        if self.journal is not None:
-            self.journal.append(ParityAdd(
-                stripe_id=stripe_id, block_id=self._next_id,
-                node_id=node_id, size=size,
-            ))
-        saved, self.journal = self.journal, None
-        try:
-            block = self.create_block(
-                size, kind=BlockKind.PARITY, stripe_id=stripe_id
-            )
-            self.add_replica(block.block_id, node_id, is_primary=True)
-        finally:
-            self.journal = saved
-        return block
-
-    def restore_block(self, block: Block) -> Block:
-        """Re-register a block with its original id (recovery only)."""
-        if block.block_id in self._blocks:
-            raise ValueError(f"block {block.block_id} already registered")
-        self._blocks[block.block_id] = block
-        self._replicas[block.block_id] = []
-        self._next_id = max(self._next_id, block.block_id + 1)
-        return block
+        """Create a parity block already placed on ``node_id``: one
+        :class:`~repro.journal.records.ParityAdd` (the commit bracket's
+        interior record)."""
+        return commit(self, ParityAdd, (stripe_id, self._next_id, node_id, size))
 
     def resume_ids(self, next_id: BlockId) -> None:
         """Fast-forward the id counter (recovery/checkpoint load only)."""
@@ -186,14 +154,127 @@ class BlockStore:
 
     def assign_stripe(self, block_id: BlockId, stripe_id: int) -> Block:
         """Bind a block to a stripe (done when the core rack seals k blocks)."""
-        old = self._get_block(block_id)
-        if self.journal is not None and old.stripe_id != stripe_id:
-            self.journal.append(AssignStripe(
-                block_id=block_id, stripe_id=stripe_id
-            ))
+        commit(self, AssignStripe, (block_id, stripe_id))
+        return self._blocks[block_id]
+
+    def add_replica(
+        self, block_id: BlockId, node_id: NodeId, is_primary: bool = False
+    ) -> Replica:
+        """Record a new replica of ``block_id`` on ``node_id``.
+
+        Raises:
+            ValueError: If the node already stores a copy of this block.
+        """
+        return commit(self, PlaceReplica, (block_id, node_id, is_primary))
+
+    def add_replicas(self, block_id: BlockId, node_ids: Sequence[NodeId]) -> List[Replica]:
+        """Record all replicas for a block; the first one is primary."""
+        return [
+            commit(self, PlaceReplica, (block_id, node_id, index == 0))
+            for index, node_id in enumerate(node_ids)
+        ]
+
+    def remove_replica(self, block_id: BlockId, node_id: NodeId) -> None:
+        """Delete the copy of ``block_id`` held by ``node_id``.
+
+        Raises:
+            KeyError: If the node holds no copy of the block.
+        """
+        commit(self, DeleteReplica, (block_id, node_id))
+
+    def retain_only(self, block_id: BlockId, node_id: NodeId) -> None:
+        """Keep exactly the copy on ``node_id``; delete every other replica.
+
+        This is step (iii) of the encoding operation: after parity blocks are
+        written, the redundant replicas of each data block are removed.
+        """
+        nodes = self.replica_nodes(block_id)
+        if node_id not in nodes:
+            raise self._no_copy(block_id, node_id)
+        for other in nodes:
+            if other != node_id:
+                commit(self, DeleteReplica, (block_id, other))
+
+    def retain_planned(self, block_id: BlockId, node_id: NodeId) -> None:
+        """:meth:`retain_only` the planned copy on ``node_id``, or the first
+        surviving copy when a failure took it; nothing when no copy is
+        left (rebuilding it from parity is the repair queue's job)."""
+        survivors = self.replica_nodes(block_id)
+        if survivors:
+            keeper = node_id if node_id in survivors else survivors[0]
+            for other in survivors:
+                if other != keeper:
+                    commit(self, DeleteReplica, (block_id, other))
+
+    def move_replica(self, block_id: BlockId, src: NodeId, dst: NodeId) -> None:
+        """Relocate one copy from ``src`` to ``dst`` (BlockMover behaviour):
+        one :class:`~repro.journal.records.Relocate` record."""
+        commit(self, Relocate, (block_id, src, dst))
+
+    def mark_corrupted(self, block_id: BlockId, node_id: NodeId) -> None:
+        """Flag one replica as bit-rotted (its checksum no longer matches).
+
+        The replica still occupies space and shows up in
+        :meth:`replica_nodes`, but readers and repair pipelines must treat
+        it as unusable — :meth:`healthy_replica_nodes` excludes it.
+
+        Raises:
+            KeyError: If the node holds no copy of the block.
+        """
+        commit(self, MarkCorrupted, (block_id, node_id))
+
+    def clear_corrupted(self, block_id: BlockId, node_id: NodeId) -> None:
+        """Unflag a replica (e.g. after it was rewritten from a good copy)."""
+        commit(self, ClearCorrupted, (block_id, node_id))
+
+    # ------------------------------------------------------------------
+    # Record transitions: per record type, the validity test (None:
+    # applies, Present: already applied, an exception: impossible) and
+    # the state change, shared by the mutators above and by replay.
+    # ``fields`` is the record's field values in declaration order.
+    # ------------------------------------------------------------------
+    def check_add_block(self, fields):
+        block_id, size, kind, stripe_id = fields
+        if block_id in self._blocks:
+            return Present(ValueError(f"block {block_id} already registered"))
+        if not size > 0:
+            return ValueError("block size must be positive")
+        return None
+
+    def apply_add_block(self, fields) -> Block:
+        block_id, size, kind, stripe_id = fields
+        block = Block(block_id, size, kind, stripe_id)
+        self._blocks[block_id] = block
+        self._replicas[block_id] = []
+        if block_id >= self._next_id:
+            self._next_id = block_id + 1
+        return block
+
+    def check_parity_add(self, fields):
+        stripe_id, block_id, node_id, size = fields
+        if node_id not in self._node_blocks:
+            return KeyError(f"unknown node id {node_id}")
+        return self.check_add_block((block_id, size, BlockKind.PARITY, stripe_id))
+
+    def apply_parity_add(self, fields) -> Block:
+        stripe_id, block_id, node_id, size = fields
+        block = self.apply_add_block((block_id, size, BlockKind.PARITY, stripe_id))
+        self.apply_place_replica((block_id, node_id, True))
+        return block
+
+    def check_assign_stripe(self, fields):
+        block_id, stripe_id = fields
+        block = self._blocks.get(block_id)
+        if block is None:
+            return KeyError(f"unknown block id {block_id}")
+        return PRESENT if block.stripe_id == stripe_id else None
+
+    def apply_assign_stripe(self, fields) -> Block:
+        block_id, stripe_id = fields
+        old = self._blocks[block_id]
         updated = Block(old.block_id, old.size, old.kind, stripe_id)
         self._blocks[block_id] = updated
-        if self._replicas[block_id] and old.stripe_id != stripe_id:
+        if self._replicas[block_id]:
             live = self._live_members
             if old.stripe_id is not None:
                 live[old.stripe_id] -= 1
@@ -203,6 +284,89 @@ class BlockStore:
             callback(updated)
         return updated
 
+    def check_place_replica(self, fields):
+        block_id, node_id, is_primary = fields
+        if block_id not in self._blocks:
+            return KeyError(f"unknown block id {block_id}")
+        held = self._node_blocks.get(node_id)
+        if held is None:
+            return KeyError(f"unknown node id {node_id}")
+        if block_id in held:
+            return Present(ValueError(
+                f"node {node_id} already stores a replica of block {block_id}"
+            ))
+        return None
+
+    def apply_place_replica(self, fields) -> Replica:
+        block_id, node_id, is_primary = fields
+        block = self._blocks[block_id]
+        replica = Replica(block_id, node_id, is_primary)
+        replicas = self._replicas[block_id]
+        stripe_id = block.stripe_id
+        if not replicas and stripe_id is not None:
+            live = self._live_members
+            live[stripe_id] = live.get(stripe_id, 0) + 1
+        replicas.append(replica)
+        self._node_blocks[node_id].add(block_id)
+        for callback in self._watchers:
+            callback(block)
+        return replica
+
+    def check_delete_replica(self, fields):
+        block_id, node_id = fields
+        if block_id not in self._blocks:
+            return Present(KeyError(f"unknown block id {block_id}"))
+        if block_id not in self._node_blocks.get(node_id, ()):
+            return Present(self._no_copy(block_id, node_id))
+        return None
+
+    def apply_delete_replica(self, fields) -> None:
+        block_id, node_id = fields
+        block = self._blocks[block_id]
+        replicas = self._replicas[block_id]
+        for index, replica in enumerate(replicas):
+            if replica.node_id == node_id:
+                del replicas[index]
+                break
+        if not replicas and block.stripe_id is not None:
+            self._live_members[block.stripe_id] -= 1
+        self._node_blocks[node_id].discard(block_id)
+        self._corrupted.discard((block_id, node_id))
+        for callback in self._watchers:
+            callback(block)
+
+    def check_relocate(self, fields):
+        block_id, src_node, dst_node = fields
+        verdict = self.check_place_replica((block_id, dst_node, False))
+        held = self._node_blocks.get(src_node, ())
+        if verdict is None and block_id not in held:
+            return self._no_copy(block_id, src_node)
+        return verdict
+
+    def apply_relocate(self, fields) -> None:
+        block_id, src_node, dst_node = fields
+        self.apply_delete_replica((block_id, src_node))
+        self.apply_place_replica((block_id, dst_node, False))
+
+    # The corruption records' fields are the (block_id, node_id) flag.
+    def check_mark_corrupted(self, fields):
+        block_id, node_id = fields
+        if block_id not in self._node_blocks.get(node_id, ()):
+            return self._no_copy(block_id, node_id)
+        return PRESENT if fields in self._corrupted else None
+
+    def apply_mark_corrupted(self, fields) -> None:
+        self._corrupted.add(fields)
+
+    def check_clear_corrupted(self, fields):
+        return None if fields in self._corrupted else PRESENT
+
+    def apply_clear_corrupted(self, fields) -> None:
+        self._corrupted.discard(fields)
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
     def block(self, block_id: BlockId) -> Block:
         """Return the descriptor for ``block_id``."""
         return self._get_block(block_id)
@@ -216,145 +380,6 @@ class BlockStore:
 
     def __len__(self) -> int:
         return len(self._blocks)
-
-    # ------------------------------------------------------------------
-    # Replica management
-    # ------------------------------------------------------------------
-    def add_replica(
-        self, block_id: BlockId, node_id: NodeId, is_primary: bool = False
-    ) -> Replica:
-        """Record a new replica of ``block_id`` on ``node_id``.
-
-        Raises:
-            ValueError: If the node already stores a copy of this block.
-        """
-        block = self._get_block(block_id)
-        self.topology.node(node_id)
-        if block_id in self._node_blocks[node_id]:
-            raise ValueError(
-                f"node {node_id} already stores a replica of block {block_id}"
-            )
-        if self.journal is not None:
-            self.journal.append(PlaceReplica(
-                block_id=block_id, node_id=node_id, is_primary=is_primary
-            ))
-        replica = Replica(block_id, node_id, is_primary)
-        replicas = self._replicas[block_id]
-        stripe_id = block.stripe_id
-        if not replicas and stripe_id is not None:
-            live = self._live_members
-            live[stripe_id] = live.get(stripe_id, 0) + 1
-        replicas.append(replica)
-        self._node_blocks[node_id].add(block_id)
-        for callback in self._watchers:
-            callback(block)
-        return replica
-
-    def add_replicas(self, block_id: BlockId, node_ids: Sequence[NodeId]) -> List[Replica]:
-        """Record all replicas for a block; the first one is primary."""
-        return [
-            self.add_replica(block_id, node_id, is_primary=(index == 0))
-            for index, node_id in enumerate(node_ids)
-        ]
-
-    def remove_replica(self, block_id: BlockId, node_id: NodeId) -> None:
-        """Delete the copy of ``block_id`` held by ``node_id``.
-
-        Raises:
-            KeyError: If the node holds no copy of the block.
-        """
-        block = self._get_block(block_id)
-        replicas = self._replicas[block_id]
-        for index, replica in enumerate(replicas):
-            if replica.node_id == node_id:
-                if self.journal is not None:
-                    self.journal.append(DeleteReplica(
-                        block_id=block_id, node_id=node_id
-                    ))
-                del replicas[index]
-                if not replicas and block.stripe_id is not None:
-                    self._live_members[block.stripe_id] -= 1
-                self._node_blocks[node_id].discard(block_id)
-                self._corrupted.discard((block_id, node_id))
-                for callback in self._watchers:
-                    callback(block)
-                return
-        raise KeyError(f"node {node_id} stores no replica of block {block_id}")
-
-    def retain_only(self, block_id: BlockId, node_id: NodeId) -> None:
-        """Keep exactly the copy on ``node_id``; delete every other replica.
-
-        This is step (iii) of the encoding operation: after parity blocks are
-        written, the redundant replicas of each data block are removed.
-        """
-        nodes = self.replica_nodes(block_id)
-        if node_id not in nodes:
-            raise KeyError(f"node {node_id} stores no replica of block {block_id}")
-        for other in nodes:
-            if other != node_id:
-                self.remove_replica(block_id, other)
-
-    def move_replica(self, block_id: BlockId, src: NodeId, dst: NodeId) -> None:
-        """Relocate one copy from ``src`` to ``dst`` (BlockMover behaviour).
-
-        Journaled as one semantic :class:`~repro.journal.records.Relocate`
-        record; the remove/add sub-steps run with the journal detached.
-        """
-        nodes = self.replica_nodes(block_id)
-        if src not in nodes:
-            raise KeyError(
-                f"node {src} stores no replica of block {block_id}"
-            )
-        self.topology.node(dst)
-        if dst in nodes:
-            raise ValueError(
-                f"node {dst} already stores a replica of block {block_id}"
-            )
-        if self.journal is not None:
-            self.journal.append(Relocate(
-                block_id=block_id, src_node=src, dst_node=dst
-            ))
-        saved, self.journal = self.journal, None
-        try:
-            self.remove_replica(block_id, src)
-            self.add_replica(block_id, dst)
-        finally:
-            self.journal = saved
-
-    # ------------------------------------------------------------------
-    # Corruption (bit-rot) markers
-    # ------------------------------------------------------------------
-    def mark_corrupted(self, block_id: BlockId, node_id: NodeId) -> None:
-        """Flag one replica as bit-rotted (its checksum no longer matches).
-
-        The replica still occupies space and shows up in
-        :meth:`replica_nodes`, but readers and repair pipelines must treat
-        it as unusable — :meth:`healthy_replica_nodes` excludes it.
-
-        Raises:
-            KeyError: If the node holds no copy of the block.
-        """
-        if node_id not in self.replica_nodes(block_id):
-            raise KeyError(
-                f"node {node_id} stores no replica of block {block_id}"
-            )
-        if (block_id, node_id) in self._corrupted:
-            return
-        if self.journal is not None:
-            self.journal.append(MarkCorrupted(
-                block_id=block_id, node_id=node_id
-            ))
-        self._corrupted.add((block_id, node_id))
-
-    def clear_corrupted(self, block_id: BlockId, node_id: NodeId) -> None:
-        """Unflag a replica (e.g. after it was rewritten from a good copy)."""
-        if (block_id, node_id) not in self._corrupted:
-            return
-        if self.journal is not None:
-            self.journal.append(ClearCorrupted(
-                block_id=block_id, node_id=node_id
-            ))
-        self._corrupted.discard((block_id, node_id))
 
     def is_corrupted(self, block_id: BlockId, node_id: NodeId) -> bool:
         """True when the replica's stored bytes are known-bad."""
@@ -376,9 +401,6 @@ class BlockStore:
             if (block_id, n) not in self._corrupted
         )
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def replicas(self, block_id: BlockId) -> Sequence[Replica]:
         """All current replicas of a block."""
         return tuple(self._replicas[self._get_block(block_id).block_id])
@@ -413,8 +435,8 @@ class BlockStore:
 
         Every path that makes a block a stripe member stamps it —
         ``NameNode.allocate_block`` via :meth:`assign_stripe`, parity via
-        :meth:`add_parity_block`, journal replay via :meth:`restore_block`
-        — so for an encoded stripe this is its surviving member count.
+        :meth:`add_parity_block` — so for an encoded stripe this is its
+        surviving member count.
         """
         return self._live_members.get(stripe_id, 0)
 
@@ -464,3 +486,7 @@ class BlockStore:
             return self._blocks[block_id]
         except KeyError:
             raise KeyError(f"unknown block id {block_id}") from None
+
+    @staticmethod
+    def _no_copy(block_id: BlockId, node_id: NodeId) -> KeyError:
+        return KeyError(f"node {node_id} stores no replica of block {block_id}")

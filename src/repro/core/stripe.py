@@ -14,7 +14,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.block import BlockId
 from repro.cluster.topology import RackId
-from repro.journal.records import NewStripe, SealStripe, StripeAddBlock
+from repro.journal.records import (
+    EndStripeCommit,
+    NewStripe,
+    Present,
+    SealStripe,
+    StripeAddBlock,
+    commit,
+    owns,
+)
 
 
 class StripeState:
@@ -53,63 +61,35 @@ class Stripe:
         """True when the stripe holds ``k`` data blocks."""
         return len(self.block_ids) >= self.k
 
-    def add_block(self, block_id: BlockId) -> None:
-        """Append a data block to an open stripe.
-
-        Raises:
-            ValueError: If the stripe is not open or already full.
-        """
-        if self.state != StripeState.OPEN:
-            raise ValueError(f"stripe {self.stripe_id} is {self.state}, not open")
-        if self.is_full():
-            raise ValueError(f"stripe {self.stripe_id} already holds k={self.k} blocks")
-        if block_id in self.block_ids:
-            raise ValueError(f"block {block_id} already in stripe {self.stripe_id}")
-        self.block_ids.append(block_id)
-
-    def seal(self) -> None:
-        """Mark the stripe eligible for encoding.
-
-        Raises:
-            ValueError: Unless the stripe is open and holds exactly k blocks.
-        """
-        if self.state != StripeState.OPEN:
-            raise ValueError(f"stripe {self.stripe_id} is {self.state}, not open")
-        if len(self.block_ids) != self.k:
-            raise ValueError(
-                f"stripe {self.stripe_id} holds {len(self.block_ids)} blocks, "
-                f"needs exactly k={self.k} to seal"
-            )
-        self.state = StripeState.SEALED
-
-    def mark_encoded(self, parity_block_ids: Sequence[BlockId]) -> None:
-        """Record the parity blocks and flip the stripe to encoded."""
-        if self.state != StripeState.SEALED:
-            raise ValueError(f"stripe {self.stripe_id} is {self.state}, not sealed")
-        self.parity_block_ids = list(parity_block_ids)
-        self.state = StripeState.ENCODED
-
     def all_block_ids(self) -> List[BlockId]:
         """Data blocks followed by parity blocks (stripe order)."""
         return list(self.block_ids) + list(self.parity_block_ids)
 
 
+@owns("stripes")
 class PreEncodingStore:
     """NameNode-side registry of stripes awaiting (or past) encoding.
+
+    The only code that changes a :class:`Stripe`: each mutator is one
+    journal record's live path, and replay runs the same transitions.
 
     Args:
         k: Data blocks per stripe.
     """
 
+    journal = None
+
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        self.journal = None
         self._stripes: Dict[int, Stripe] = {}
         self._next_id = 0
         self._block_to_stripe: Dict[BlockId, int] = {}
 
+    # ------------------------------------------------------------------
+    # Mutators: one record each (test, journal, apply; see
+    # :func:`repro.journal.records.commit`)
     # ------------------------------------------------------------------
     @property
     def next_stripe_id(self) -> int:
@@ -122,25 +102,13 @@ class PreEncodingStore:
         target_racks: Optional[Sequence[RackId]] = None,
     ) -> Stripe:
         """Open a fresh stripe."""
-        stripe = Stripe(
-            stripe_id=self._next_id,
-            k=self.k,
-            core_rack=core_rack,
-            target_racks=None if target_racks is None else tuple(target_racks),
-        )
-        if self.journal is not None:
-            self.journal.append(NewStripe(
-                stripe_id=stripe.stripe_id,
-                k=self.k,
-                core_rack=core_rack,
-                target_racks=stripe.target_racks,
-            ))
-        self._next_id = stripe.stripe_id + 1
-        self._stripes[stripe.stripe_id] = stripe
-        return stripe
+        return commit(self, NewStripe, (
+            self._next_id, self.k, core_rack,
+            None if target_racks is None else tuple(target_racks),
+        ))
 
     def restore_stripe(self, stripe: Stripe) -> Stripe:
-        """Re-register a stripe with its original id (recovery only)."""
+        """Re-register a stripe with its original id (checkpoint load only)."""
         if stripe.stripe_id in self._stripes:
             raise ValueError(f"stripe {stripe.stripe_id} already registered")
         self._stripes[stripe.stripe_id] = stripe
@@ -155,70 +123,133 @@ class PreEncodingStore:
 
     def add_block(self, stripe_id: int, block_id: BlockId, seal_when_full: bool = True) -> Stripe:
         """Add a block to a stripe; seal automatically when it reaches k."""
-        stripe = self.stripe(stripe_id)
-        if self.journal is not None:
-            # Pre-validate so the record is journaled only for a
-            # mutation that will actually apply (write-ahead invariant).
-            if stripe.state != StripeState.OPEN:
-                raise ValueError(
-                    f"stripe {stripe_id} is {stripe.state}, not open"
-                )
-            if stripe.is_full():
-                raise ValueError(
-                    f"stripe {stripe_id} already holds k={stripe.k} blocks"
-                )
-            if block_id in stripe.block_ids:
-                raise ValueError(
-                    f"block {block_id} already in stripe {stripe_id}"
-                )
-            self.journal.append(StripeAddBlock(
-                stripe_id=stripe_id, block_id=block_id,
-                seal_when_full=seal_when_full,
-            ))
-        stripe.add_block(block_id)
-        self._block_to_stripe[block_id] = stripe_id
-        if seal_when_full and stripe.is_full():
-            stripe.seal()
-        return stripe
+        return commit(
+            self, StripeAddBlock, (stripe_id, block_id, seal_when_full)
+        )
 
     def seal(self, stripe_id: int) -> Stripe:
-        """Explicitly seal a full stripe (the journaled sealing path).
-
-        :meth:`add_block` auto-seals through its ``seal_when_full``
-        flag, which replay reproduces from the ``StripeAddBlock``
-        record; callers that defer sealing (``seal_when_full=False``)
-        must seal through this method so a ``SealStripe`` record lands
-        in the journal before the state flips — ``stripe.seal()``
-        called directly on the dataclass bypasses the write-ahead
-        invariant and is invisible to recovery.
+        """Explicitly seal a full stripe: the ``SealStripe`` path of
+        callers that add blocks with ``seal_when_full=False``.
 
         Raises:
             ValueError: Unless the stripe is open and holds exactly k
-                blocks (mirrors :meth:`Stripe.seal`).
+                blocks.
         """
-        stripe = self.stripe(stripe_id)
-        if self.journal is not None:
-            # Pre-validate so the record is journaled only for a
-            # mutation that will actually apply (write-ahead invariant).
-            if stripe.state != StripeState.OPEN:
-                raise ValueError(
-                    f"stripe {stripe_id} is {stripe.state}, not open"
-                )
-            if len(stripe.block_ids) != stripe.k:
-                raise ValueError(
-                    f"stripe {stripe_id} holds {len(stripe.block_ids)} "
-                    f"blocks, needs exactly k={stripe.k} to seal"
-                )
-            self.journal.append(SealStripe(stripe_id=stripe_id))
-        stripe.seal()
+        return commit(self, SealStripe, (stripe_id,))
+
+    def mark_encoded(
+        self, stripe_id: int, parity_block_ids: Sequence[BlockId]
+    ) -> Stripe:
+        """Close a stripe's commit: record its parity blocks and flip it to
+        encoded (the bracket's :class:`~repro.journal.records.EndStripeCommit`).
+
+        Raises:
+            ValueError: Unless the stripe is sealed.
+        """
+        return commit(
+            self, EndStripeCommit, (stripe_id, tuple(parity_block_ids))
+        )
+
+    # ------------------------------------------------------------------
+    # Record transitions (validity test, state change), shared by the
+    # mutators above and by replay
+    # ------------------------------------------------------------------
+    def check_new_stripe(self, fields):
+        stripe_id = fields[0]
+        if stripe_id in self._stripes:
+            return Present(ValueError(f"stripe {stripe_id} already registered"))
+        return None
+
+    def apply_new_stripe(self, fields) -> Stripe:
+        stripe_id, k, core_rack, target_racks = fields
+        stripe = Stripe(
+            stripe_id=stripe_id,
+            k=k,
+            core_rack=core_rack,
+            target_racks=None if target_racks is None else tuple(target_racks),
+        )
+        self._stripes[stripe_id] = stripe
+        self._next_id = max(self._next_id, stripe_id + 1)
         return stripe
 
+    def check_stripe_add_block(self, fields):
+        stripe_id, block_id, seal_when_full = fields
+        stripe = self._stripes.get(stripe_id)
+        if stripe is None:
+            return self._unknown(stripe_id)
+        if block_id in stripe.block_ids:
+            return Present(ValueError(
+                f"block {block_id} already in stripe {stripe_id}"
+            ))
+        if stripe.state != StripeState.OPEN:
+            return ValueError(f"stripe {stripe_id} is {stripe.state}, not open")
+        if len(stripe.block_ids) >= stripe.k:
+            return ValueError(
+                f"stripe {stripe_id} already holds k={stripe.k} blocks"
+            )
+        return None
+
+    def apply_stripe_add_block(self, fields) -> Stripe:
+        stripe_id, block_id, seal_when_full = fields
+        stripe = self._stripes[stripe_id]
+        stripe.block_ids.append(block_id)
+        self._block_to_stripe[block_id] = stripe_id
+        if seal_when_full and len(stripe.block_ids) >= stripe.k:
+            stripe.state = StripeState.SEALED
+        return stripe
+
+    def check_seal_stripe(self, fields):
+        stripe_id, = fields
+        stripe = self._stripes.get(stripe_id)
+        if stripe is None:
+            return self._unknown(stripe_id)
+        if stripe.state != StripeState.OPEN:
+            return Present(ValueError(
+                f"stripe {stripe_id} is {stripe.state}, not open"
+            ))
+        if len(stripe.block_ids) != stripe.k:
+            return ValueError(
+                f"stripe {stripe_id} holds {len(stripe.block_ids)} blocks, "
+                f"needs exactly k={stripe.k} to seal"
+            )
+        return None
+
+    def apply_seal_stripe(self, fields) -> Stripe:
+        stripe_id, = fields
+        stripe = self._stripes[stripe_id]
+        stripe.state = StripeState.SEALED
+        return stripe
+
+    def check_end_stripe_commit(self, fields):
+        stripe_id = fields[0]
+        stripe = self._stripes.get(stripe_id)
+        if stripe is None:
+            return self._unknown(stripe_id)
+        if stripe.state == StripeState.SEALED:
+            return None
+        error = ValueError(f"stripe {stripe_id} is {stripe.state}, not sealed")
+        return Present(error) if stripe.state == StripeState.ENCODED else error
+
+    def apply_end_stripe_commit(self, fields) -> Stripe:
+        stripe_id, parity_block_ids = fields
+        stripe = self._stripes[stripe_id]
+        stripe.parity_block_ids = list(parity_block_ids)
+        stripe.state = StripeState.ENCODED
+        return stripe
+
+    @staticmethod
+    def _unknown(stripe_id: int) -> KeyError:
+        return KeyError(f"unknown stripe id {stripe_id}")
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
     def stripe(self, stripe_id: int) -> Stripe:
         """Look up a stripe by id."""
         try:
             return self._stripes[stripe_id]
         except KeyError:
-            raise KeyError(f"unknown stripe id {stripe_id}") from None
+            raise self._unknown(stripe_id) from None
 
     def stripe_of_block(self, block_id: BlockId) -> Optional[Stripe]:
         """The stripe a block belongs to, if any."""
@@ -236,7 +267,6 @@ class PreEncodingStore:
         stripe = self.stripe_of_block(block_id)
         return stripe is not None and stripe.state == StripeState.SEALED
 
-    # ------------------------------------------------------------------
     def stripes(self, state: Optional[str] = None) -> List[Stripe]:
         """All stripes, optionally filtered by state."""
         found = list(self._stripes.values())

@@ -162,7 +162,7 @@ def run_crash_workload(
             n for n in writers if n not in store.replica_nodes(mover)
         ]
         store.move_replica(mover, src, rng.choice(free_nodes))
-    dead = sorted(journal.dead_nodes)
+    dead = sorted(journal.stores.dead_nodes)
     for node_id in dead:
         journal.node_alive(node_id)
     namespace.delete("/drill/b")
@@ -381,9 +381,9 @@ def run_crash_matrix(
             expected=expected,
             recovered=actual,
             fingerprint_match=(expected == actual),
-            half_commit_problems=tuple(verify_stripe_consistency(
-                recovered.block_store, recovered.stripe_store
-            )),
+            half_commit_problems=tuple(
+                verify_stripe_consistency(recovered.stores)
+            ),
             verify_errors=tuple(verify_report.errors),
             recovery_errors=tuple(recovery_errors),
             rolled_forward=tuple(recovered.stats.rolled_forward),

@@ -173,7 +173,7 @@ class RepairQueue:
     ) -> None:
         """Rebuild the relocation backlog after a journal recovery.
 
-        Takes the ``pending_relocations`` list of a
+        Takes the ``stores.pending_relocations`` list of a
         :class:`~repro.journal.recovery.RecoveredState` and re-enters the
         corresponding stripes into the in-memory backlog *without*
         re-journaling them (they are already durable).

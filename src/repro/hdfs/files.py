@@ -19,7 +19,14 @@ from typing import Dict, Generator, List, Optional
 from repro.cluster.block import BlockId
 from repro.cluster.topology import NodeId
 from repro.hdfs.client import CFSClient
-from repro.journal.records import FileAppendBlock, FileCreate, FileDelete
+from repro.journal.records import (
+    FileAppendBlock,
+    FileCreate,
+    FileDelete,
+    Present,
+    commit,
+    owns,
+)
 
 
 class DuplicateFileError(KeyError):
@@ -46,16 +53,19 @@ class FileMetadata:
         return len(self.block_ids)
 
 
+@owns("namespace")
 class FileNamespace:
     """The file table: name -> metadata, block -> owning file.
 
-    With a :class:`~repro.journal.journal.MetadataJournal` attached
-    (``self.journal``), every namespace mutation is journaled before it
-    is applied; ``restore_file`` is the recovery-only entry point.
+    Each mutator is one journal record's live path (test, journal when
+    a :class:`~repro.journal.journal.MetadataJournal` is attached, apply;
+    see :func:`~repro.journal.records.commit`); ``restore_file`` is the
+    checkpoint-load entry point.
     """
 
+    journal = None
+
     def __init__(self) -> None:
-        self.journal = None
         self._files: Dict[str, FileMetadata] = {}
         self._owner: Dict[BlockId, str] = {}
 
@@ -65,28 +75,64 @@ class FileNamespace:
         Raises:
             DuplicateFileError: If the name is already taken.
         """
+        return commit(self, FileCreate, (name,))
+
+    def append_block(self, name: str, block_id: BlockId, size: int) -> None:
+        """Record a block appended to a file."""
+        commit(self, FileAppendBlock, (name, block_id, size))
+
+    def delete(self, name: str) -> FileMetadata:
+        """Remove a file from the namespace (blocks are the caller's to
+        clean up, mirroring HDFS's asynchronous block deletion)."""
+        return commit(self, FileDelete, (name,))
+
+    # -- record transitions (validity test, state change), shared by the
+    # -- mutators above and by replay
+    def check_file_create(self, fields):
+        name, = fields
         if not name:
-            raise ValueError("file name cannot be empty")
+            return ValueError("file name cannot be empty")
         if name in self._files:
-            raise DuplicateFileError(f"file {name!r} already exists")
-        if self.journal is not None:
-            self.journal.append(FileCreate(name=name))
+            return Present(DuplicateFileError(f"file {name!r} already exists"))
+        return None
+
+    def apply_file_create(self, fields) -> FileMetadata:
+        name, = fields
         meta = FileMetadata(name)
         self._files[name] = meta
         return meta
 
-    def append_block(self, name: str, block_id: BlockId, size: int) -> None:
-        """Record a block appended to a file."""
-        meta = self.lookup(name)
-        if block_id in self._owner:
-            raise ValueError(f"block {block_id} already belongs to a file")
-        if self.journal is not None:
-            self.journal.append(FileAppendBlock(
-                name=name, block_id=block_id, size=size
-            ))
+    def check_file_append_block(self, fields):
+        name, block_id, size = fields
+        if name not in self._files:
+            return self._no_such_file(name)
+        owner = self._owner.get(block_id)
+        if owner is None:
+            return None
+        error = ValueError(f"block {block_id} already belongs to a file")
+        return Present(error) if owner == name else error
+
+    def apply_file_append_block(self, fields) -> None:
+        name, block_id, size = fields
+        meta = self._files[name]
         meta.block_ids.append(block_id)
         meta.size += size
         self._owner[block_id] = name
+
+    def check_file_delete(self, fields):
+        name, = fields
+        return None if name in self._files else Present(self._no_such_file(name))
+
+    def apply_file_delete(self, fields) -> FileMetadata:
+        name, = fields
+        meta = self._files.pop(name)
+        for block_id in meta.block_ids:
+            self._owner.pop(block_id, None)
+        return meta
+
+    @staticmethod
+    def _no_such_file(name: str) -> KeyError:
+        return KeyError(f"no such file: {name!r}")
 
     def restore_file(
         self, name: str, block_ids: List[BlockId], size: int
@@ -109,7 +155,7 @@ class FileNamespace:
         try:
             return self._files[name]
         except KeyError:
-            raise KeyError(f"no such file: {name!r}") from None
+            raise self._no_such_file(name) from None
 
     def owner_of(self, block_id: BlockId) -> Optional[str]:
         """The file a block belongs to, if any."""
@@ -122,17 +168,6 @@ class FileNamespace:
     def files(self) -> List[FileMetadata]:
         """All files, in creation order."""
         return list(self._files.values())
-
-    def delete(self, name: str) -> FileMetadata:
-        """Remove a file from the namespace (blocks are the caller's to
-        clean up, mirroring HDFS's asynchronous block deletion)."""
-        meta = self.lookup(name)
-        if self.journal is not None:
-            self.journal.append(FileDelete(name=name))
-        del self._files[name]
-        for block_id in meta.block_ids:
-            self._owner.pop(block_id, None)
-        return meta
 
     def __len__(self) -> int:
         return len(self._files)

@@ -163,9 +163,10 @@ class NameNode:
         When a journal is attached the whole commit is bracketed as an
         atomic intent/commit pair: ``begin_stripe_commit`` (carrying the
         full plan) is durable before any mutation, the per-step effects
-        journal as ``parity_add`` / ``delete_replica`` records, and
-        ``end_stripe_commit`` seals the bracket.  A crash anywhere
-        inside is rolled forward by recovery from the intent record.
+        journal as ``parity_add`` / ``delete_replica`` records, and the
+        stripe store's ``end_stripe_commit`` seals the bracket.  A crash
+        anywhere inside is rolled forward by recovery from the intent
+        record.
 
         Returns:
             The created parity blocks, in stripe order.
@@ -184,16 +185,8 @@ class NameNode:
                 self.block_size, stripe.stripe_id, node_id
             ))
         for block_id, node_id in plan.retained.items():
-            survivors = self.block_store.replica_nodes(block_id)
-            if not survivors:
-                # Every copy vanished mid-encode; recovery (from the parity
-                # just written) is the RaidNode's job, not retention's.
-                continue
-            keeper = node_id if node_id in survivors else survivors[0]
-            self.block_store.retain_only(block_id, keeper)
-        if journal is not None:
-            journal.end_stripe_commit(
-                stripe.stripe_id, tuple(b.block_id for b in parity_blocks)
-            )
-        stripe.mark_encoded([b.block_id for b in parity_blocks])
+            self.block_store.retain_planned(block_id, node_id)
+        self.pre_encoding_store.mark_encoded(
+            stripe.stripe_id, [b.block_id for b in parity_blocks]
+        )
         return parity_blocks

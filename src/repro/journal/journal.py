@@ -1,20 +1,21 @@
 """The ``MetadataJournal`` façade: journal-before-apply for the stores.
 
-This is the one object the NameNode-side stores talk to.  Each mutator
-in :class:`~repro.cluster.block.BlockStore`,
-:class:`~repro.core.stripe.PreEncodingStore` and
-:class:`~repro.hdfs.files.FileNamespace` calls
-:meth:`MetadataJournal.append` with its typed record *before* touching
-in-memory state, which gives the classic write-ahead invariant: any
-state the process could have observed is reconstructible from the
-durable log prefix.
+Every metadata change is one typed record, and
+:func:`~repro.journal.records.commit` is its one live path: the
+record's validity test, then :meth:`MetadataJournal.append` (when the
+owning store has this journal attached), then the record's transition.
+That order is the classic write-ahead invariant: any state the process
+could have observed is reconstructible from the durable log prefix, and
+replay runs the same test and transition over the log.
 
 The journal also owns the pieces of durable state that do not live in a
-store: the permanent dead-node set, checkpoint writing, and the armed
-:class:`~repro.journal.crashpoints.CrashPoint` used by the crash drills.
-When ``track_fingerprints`` is on, the journal snapshots
-``state_fingerprint()`` at the *entry* of every append — the golden
-per-prefix fingerprints the differential crash checks compare against.
+store — the permanent dead-node set and the pending relocation requests,
+both in its :class:`~repro.journal.state.Stores` bundle — plus checkpoint
+writing and the armed :class:`~repro.journal.crashpoints.CrashPoint`
+used by the crash drills.  When ``track_fingerprints`` is on, the journal
+snapshots ``state_fingerprint()`` at the *entry* of every append (before
+the record applies) — the golden per-prefix fingerprints the
+differential crash checks compare against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.journal.checkpoint import (
     write_checkpoint,
 )
 from repro.journal.crashpoints import CrashPoint, SimulatedCrash
-from repro.journal.state import capture_state, fingerprint_of
+from repro.journal.state import Stores, capture_state, fingerprint_of
 from repro.journal.wal import (
     DEFAULT_SEGMENT_RECORDS,
     JournalWriter,
@@ -86,11 +87,8 @@ class MetadataJournal:
         self.crash_at = crash_at
         self.track_fingerprints = track_fingerprints
         self.fingerprints: Dict[int, str] = {}
-        self.dead_nodes: set = set()
-        self.pending_relocations: list = []
-        self._block_store = None
-        self._stripe_store = None
-        self._namespace = None
+        self.stores = Stores()
+        self.stores.journal = self
 
     # ------------------------------------------------------------------
     # Wiring
@@ -101,21 +99,20 @@ class MetadataJournal:
         stripe_store=None,
         namespace=None,
     ) -> None:
-        """Point the stores at this journal (and remember them).
+        """Point the stores at this journal and add them to :attr:`stores`.
 
         Each attached store journals its own mutations from then on; the
-        journal remembers them so :meth:`checkpoint` and
-        :meth:`current_fingerprint` can see the whole state.
+        bundle lets :meth:`checkpoint` and :meth:`current_fingerprint`
+        see the whole state.
         """
-        if block_store is not None:
-            self._block_store = block_store
-            block_store.journal = self
-        if stripe_store is not None:
-            self._stripe_store = stripe_store
-            stripe_store.journal = self
-        if namespace is not None:
-            self._namespace = namespace
-            namespace.journal = self
+        for name, store in (
+            ("blocks", block_store),
+            ("stripes", stripe_store),
+            ("namespace", namespace),
+        ):
+            if store is not None:
+                setattr(self.stores, name, store)
+                store.journal = self
 
     @property
     def last_seq(self) -> int:
@@ -144,7 +141,7 @@ class MetadataJournal:
         if (
             self._seq - self._checkpointed_seq >= self._cadence
             and not self._open_brackets
-            and self._block_store is not None
+            and self.stores.blocks is not None
         ):
             self.checkpoint()
         seq = self._seq + 1
@@ -162,6 +159,11 @@ class MetadataJournal:
             raise SimulatedCrash(point)
         self.writer.append(line)
         self._seq = seq
+        kind = record.__class__
+        if kind is rec.BeginStripeCommit:
+            self._open_brackets.add(record.stripe_id)
+        elif kind is rec.EndStripeCommit:
+            self._open_brackets.discard(record.stripe_id)
         PERF.bump("journal.records_appended")
         PERF.bump("journal.bytes_appended", len(line) + 1)  # ASCII + "\n"
         self.flush()
@@ -172,25 +174,16 @@ class MetadataJournal:
         self.writer.flush()
 
     # ------------------------------------------------------------------
-    # Journal-owned state: node liveness
+    # Changes to the state no store owns (see :class:`Stores`)
     # ------------------------------------------------------------------
     def node_dead(self, node_id: int) -> None:
         """Record a permanent (metadata-visible) node death."""
-        if node_id in self.dead_nodes:
-            return
-        self.append(rec.NodeDead(node_id=node_id))
-        self.dead_nodes.add(node_id)
+        rec.commit(self.stores, rec.NodeDead, (node_id,))
 
     def node_alive(self, node_id: int) -> None:
         """Record a dead node rejoining the cluster."""
-        if node_id not in self.dead_nodes:
-            return
-        self.append(rec.NodeAlive(node_id=node_id))
-        self.dead_nodes.discard(node_id)
+        rec.commit(self.stores, rec.NodeAlive, (node_id,))
 
-    # ------------------------------------------------------------------
-    # Journal-owned state: pending relocation requests
-    # ------------------------------------------------------------------
     def relocation_requested(self, stripe_id: int) -> None:
         """Record a placement-violation relocation request (repair queue).
 
@@ -198,19 +191,12 @@ class MetadataJournal:
         flag the same stripe once per block it places — and each request
         is matched by one :meth:`relocation_served`.
         """
-        self.append(rec.RelocationRequested(stripe_id=stripe_id))
-        self.pending_relocations.append(stripe_id)
+        rec.commit(self.stores, rec.RelocationRequested, (stripe_id,))
 
     def relocation_served(self, stripe_id: int) -> None:
         """Record a pending relocation leaving the backlog."""
-        if stripe_id not in self.pending_relocations:
-            return
-        self.append(rec.RelocationServed(stripe_id=stripe_id))
-        self.pending_relocations.remove(stripe_id)
+        rec.commit(self.stores, rec.RelocationServed, (stripe_id,))
 
-    # ------------------------------------------------------------------
-    # Stripe-commit bracket helpers
-    # ------------------------------------------------------------------
     def begin_stripe_commit(
         self,
         stripe_id: int,
@@ -218,43 +204,25 @@ class MetadataJournal:
         parity_size: int,
         retained: Iterable[Tuple[int, int]],
     ) -> int:
-        """Open the atomic intent/commit bracket for a stripe commit."""
-        seq = self.append(rec.BeginStripeCommit(
-            stripe_id=stripe_id,
-            parity_nodes=tuple(parity_nodes),
-            parity_size=parity_size,
-            retained=tuple(tuple(pair) for pair in retained),
+        """Open the atomic intent/commit bracket for a stripe commit and
+        return the intent's sequence number.  The stripe store's
+        :meth:`~repro.core.stripe.PreEncodingStore.mark_encoded` closes it."""
+        rec.commit(self.stores, rec.BeginStripeCommit, (
+            stripe_id, tuple(parity_nodes), parity_size,
+            tuple(tuple(pair) for pair in retained),
         ))
-        self._open_brackets.add(stripe_id)
-        return seq
-
-    def end_stripe_commit(
-        self, stripe_id: int, parity_block_ids: Iterable[int]
-    ) -> int:
-        """Close the bracket: the stripe commit is now atomic-visible."""
-        seq = self.append(rec.EndStripeCommit(
-            stripe_id=stripe_id,
-            parity_block_ids=tuple(parity_block_ids),
-        ))
-        self._open_brackets.discard(stripe_id)
-        return seq
+        return self._seq
 
     # ------------------------------------------------------------------
     # Checkpoints and fingerprints
     # ------------------------------------------------------------------
     def current_state(self) -> Dict[str, object]:
         """The canonical state dict of every attached store."""
-        if self._block_store is None:
+        if self.stores.blocks is None:
             raise ValueError(
                 "no block store attached; call journal.attach(...) first"
             )
-        return capture_state(
-            self._block_store,
-            self._stripe_store,
-            self._namespace,
-            self.dead_nodes,
-            pending_relocations=self.pending_relocations,
-        )
+        return capture_state(self.stores)
 
     def current_fingerprint(self) -> str:
         """``state_fingerprint()`` over every attached store."""

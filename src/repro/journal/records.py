@@ -15,6 +15,13 @@ retained-replica map), the per-step effects are journaled as
 :class:`EndStripeCommit` seals the bracket.  Recovery rolls an open
 bracket forward from the intent, so no crash point can leave a stripe
 observably half-committed.
+
+Each record type is also one metadata change: a validity test
+``Record.check(owner, fields)`` and a transition ``Record.apply(owner,
+fields)``, defined by the class that owns the state (:func:`owns`).
+:func:`commit` is the live path and
+:class:`~repro.journal.recovery.Replayer` the replay path over that one
+pair, so replay cannot drift from the live change.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import ClassVar, Dict, Optional, Tuple, Type
 
 
@@ -29,11 +37,57 @@ from typing import ClassVar, Dict, Optional, Tuple, Type
 class JournalRecord:
     """Base class for all journal records.
 
-    Subclasses set ``record_type`` (the stable on-disk type tag) and are
-    frozen dataclasses with JSON-serializable fields only.
+    Subclasses set ``record_type`` (the stable on-disk type tag) and
+    ``owner`` (the :class:`~repro.journal.state.Stores` field whose class
+    defines the type's transition; empty for the bundle itself), and are
+    frozen dataclasses with JSON-serializable fields only.  :func:`owns`
+    gives each its ``check`` and ``apply``.
     """
 
     record_type: ClassVar[str] = ""
+    owner: ClassVar[str] = ""
+
+
+class Present:
+    """Validity verdict: the record's effect is already in the stores.
+
+    Replay counts such a record as skipped.  A live caller asking for the
+    change again gets ``error`` raised, or a no-op when it is ``None``.
+    """
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Optional[Exception] = None) -> None:
+        self.error = error
+
+
+#: The verdict of a change a live caller may repeat as a no-op.
+PRESENT = Present()
+
+
+def commit(owner, record_class: Type["JournalRecord"], fields: tuple):
+    """The live path of one metadata change; returns what it applied.
+
+    ``fields`` is the record's field values in declaration order (one
+    tuple: unpacking ``*fields`` into the calls would cost CPython 3.11
+    about 0.3 µs per change).  The check answers ``None`` (applies), a
+    :class:`Present` (a no-op, or its ``error`` raised) or an exception
+    (impossible: raised).  A record that applies is appended to
+    ``owner.journal``, when one is attached, and only then applied: a
+    crash inside the append leaves the change unapplied, and the entry
+    fingerprint sees the state before it.
+    """
+    verdict = record_class.check(owner, fields)
+    if verdict is not None:
+        if verdict.__class__ is not Present:
+            raise verdict
+        if verdict.error is not None:
+            raise verdict.error
+        return None
+    journal = owner.journal
+    if journal is not None:
+        journal.append(record_class(*fields))
+    return record_class.apply(owner, fields)
 
 
 def _tupleize(value: object) -> object:
@@ -50,6 +104,7 @@ class AddBlock(JournalRecord):
     """A data block was allocated (id, size, kind, optional stripe)."""
 
     record_type: ClassVar[str] = "add_block"
+    owner: ClassVar[str] = "blocks"
 
     block_id: int
     size: int
@@ -62,6 +117,7 @@ class PlaceReplica(JournalRecord):
     """One replica of a block was recorded on a node."""
 
     record_type: ClassVar[str] = "place_replica"
+    owner: ClassVar[str] = "blocks"
 
     block_id: int
     node_id: int
@@ -73,6 +129,7 @@ class DeleteReplica(JournalRecord):
     """One replica of a block was deleted from a node."""
 
     record_type: ClassVar[str] = "delete_replica"
+    owner: ClassVar[str] = "blocks"
 
     block_id: int
     node_id: int
@@ -83,6 +140,7 @@ class AssignStripe(JournalRecord):
     """A block was bound to a stripe in the block store."""
 
     record_type: ClassVar[str] = "assign_stripe"
+    owner: ClassVar[str] = "blocks"
 
     block_id: int
     stripe_id: int
@@ -93,6 +151,7 @@ class Relocate(JournalRecord):
     """A replica moved between nodes (BlockMover / repair relocation)."""
 
     record_type: ClassVar[str] = "relocate"
+    owner: ClassVar[str] = "blocks"
 
     block_id: int
     src_node: int
@@ -104,6 +163,7 @@ class MarkCorrupted(JournalRecord):
     """A replica's checksum no longer matches (bit-rot detected)."""
 
     record_type: ClassVar[str] = "mark_corrupted"
+    owner: ClassVar[str] = "blocks"
 
     block_id: int
     node_id: int
@@ -114,6 +174,7 @@ class ClearCorrupted(JournalRecord):
     """A previously corrupted replica was rewritten from a good copy."""
 
     record_type: ClassVar[str] = "clear_corrupted"
+    owner: ClassVar[str] = "blocks"
 
     block_id: int
     node_id: int
@@ -127,6 +188,7 @@ class NewStripe(JournalRecord):
     """A fresh stripe was opened in the pre-encoding store."""
 
     record_type: ClassVar[str] = "new_stripe"
+    owner: ClassVar[str] = "stripes"
 
     stripe_id: int
     k: int
@@ -145,6 +207,7 @@ class StripeAddBlock(JournalRecord):
     """A data block joined an open stripe (sealing when it reaches k)."""
 
     record_type: ClassVar[str] = "stripe_add_block"
+    owner: ClassVar[str] = "stripes"
 
     stripe_id: int
     block_id: int
@@ -156,6 +219,7 @@ class SealStripe(JournalRecord):
     """A stripe was explicitly sealed (eligible for encoding)."""
 
     record_type: ClassVar[str] = "seal_stripe"
+    owner: ClassVar[str] = "stripes"
 
     stripe_id: int
 
@@ -188,6 +252,7 @@ class ParityAdd(JournalRecord):
     """One parity block was created and placed on its node."""
 
     record_type: ClassVar[str] = "parity_add"
+    owner: ClassVar[str] = "blocks"
 
     stripe_id: int
     block_id: int
@@ -200,6 +265,7 @@ class EndStripeCommit(JournalRecord):
     """Commit record closing a stripe-commit bracket."""
 
     record_type: ClassVar[str] = "end_stripe_commit"
+    owner: ClassVar[str] = "stripes"
 
     stripe_id: int
     parity_block_ids: Tuple[int, ...]
@@ -270,6 +336,7 @@ class FileCreate(JournalRecord):
     """A file name was created in the namespace."""
 
     record_type: ClassVar[str] = "file_create"
+    owner: ClassVar[str] = "namespace"
 
     name: str
 
@@ -279,6 +346,7 @@ class FileAppendBlock(JournalRecord):
     """A block was appended to a file."""
 
     record_type: ClassVar[str] = "file_append_block"
+    owner: ClassVar[str] = "namespace"
 
     name: str
     block_id: int
@@ -290,6 +358,7 @@ class FileDelete(JournalRecord):
     """A file was removed from the namespace."""
 
     record_type: ClassVar[str] = "file_delete"
+    owner: ClassVar[str] = "namespace"
 
     name: str
 
@@ -310,9 +379,36 @@ RECORD_TYPES: Dict[str, Type[JournalRecord]] = {
     )
 }
 
+def owns(owner: str):
+    """Class decorator for the class that owns the state of the record
+    types whose ``owner`` is ``owner``: binds each such type's ``check``
+    and ``apply`` to the class's ``check_<type>`` and ``apply_<type>``."""
+    def bind(owner_class):
+        for record_class in RECORD_TYPES.values():
+            if record_class.owner == owner:
+                tag = record_class.record_type
+                record_class.check = getattr(owner_class, "check_" + tag)
+                record_class.apply = getattr(owner_class, "apply_" + tag)
+        return owner_class
+    return bind
+
+
 #: type tag -> the field names every on-disk ``data`` object of it carries.
 RECORD_FIELDS: Dict[str, frozenset] = {
     tag: frozenset(spec.name for spec in fields(cls))
+    for tag, cls in RECORD_TYPES.items()
+}
+
+
+def _values_of(names: Tuple[str, ...]):
+    get = itemgetter(*names)
+    return get if len(names) > 1 else (lambda data: (get(data),))
+
+
+#: type tag -> the record's ``fields`` tuple (its field values in
+#: declaration order) read from an on-disk ``data`` object.
+FIELD_VALUES = {
+    tag: _values_of(tuple(spec.name for spec in fields(cls)))
     for tag, cls in RECORD_TYPES.items()
 }
 

@@ -1,7 +1,8 @@
 """Canonical metadata state: capture, fingerprint, restore.
 
-``capture_state`` flattens the NameNode-side metadata — block store,
-pre-encoding store, file namespace, dead-node set — into one canonical,
+``capture_state`` flattens the NameNode-side metadata — the
+:class:`Stores` bundle of block store, pre-encoding store, file
+namespace, dead-node set and pending relocations — into one canonical,
 JSON-serializable dict; ``state_fingerprint`` hashes that dict.  The
 fingerprint is the durability layer's correctness oracle: for any crash
 point, the fingerprint of the recovered metadata must equal the
@@ -18,18 +19,70 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set
+
+from repro.journal.records import PRESENT, AddBlock, commit, owns
 
 
-def capture_state(
-    block_store,
-    stripe_store=None,
-    namespace=None,
-    dead_nodes: Iterable[int] = (),
-    pending_relocations: Iterable[int] = (),
-) -> Dict[str, object]:
+@owns("")
+@dataclass
+class Stores:
+    """The NameNode-side metadata: every store a journal record changes.
+
+    The block store, the pre-encoding store (``None`` when no policy
+    keeps one) and the namespace define their own record transitions;
+    the bundle defines those of the dead-node set, the pending
+    relocations (in request order) and the commit intent.
+    """
+
+    blocks: Any = None
+    stripes: Any = None
+    namespace: Any = None
+    dead_nodes: Set[int] = field(default_factory=set)
+    pending_relocations: List[int] = field(default_factory=list)
+
+    journal = None
+
+    # -- record transitions (see repro.journal.records): validity test
+    # -- (None: applies, PRESENT: already applied), state change
+    def check_node_dead(self, fields):
+        return PRESENT if fields[0] in self.dead_nodes else None
+
+    def apply_node_dead(self, fields) -> None:
+        self.dead_nodes.add(fields[0])
+
+    def check_node_alive(self, fields):
+        return None if fields[0] in self.dead_nodes else PRESENT
+
+    def apply_node_alive(self, fields) -> None:
+        self.dead_nodes.discard(fields[0])
+
+    def check_relocation_requested(self, fields):
+        # Duplicates are legal (the same stripe can be flagged twice):
+        # every request is one backlog entry, matched by one service.
+        return None
+
+    def apply_relocation_requested(self, fields) -> None:
+        self.pending_relocations.append(fields[0])
+
+    def check_relocation_served(self, fields):
+        return None if fields[0] in self.pending_relocations else PRESENT
+
+    def apply_relocation_served(self, fields) -> None:
+        self.pending_relocations.remove(fields[0])
+
+    def check_begin_stripe_commit(self, fields):
+        return None
+
+    def apply_begin_stripe_commit(self, fields) -> None:
+        """The intent changes no store: its bracket is the journal's and
+        the replayer's bookkeeping."""
+
+
+def capture_state(stores: Stores) -> Dict[str, object]:
     """The full metadata state as one canonical JSON-serializable dict."""
+    block_store, stripe_store = stores.blocks, stores.stripes
     blocks: List[List[object]] = []
     replicas: Dict[str, List[List[object]]] = {}
     for block in sorted(block_store.blocks(), key=lambda b: b.block_id):
@@ -45,10 +98,10 @@ def capture_state(
         "replicas": replicas,
         "corrupted": [list(pair) for pair in block_store.corrupted_replicas()],
         "next_block_id": block_store.next_block_id,
-        "dead_nodes": sorted(dead_nodes),
+        "dead_nodes": sorted(stores.dead_nodes),
         # Request order, not sorted: replay reproduces the exact backlog
         # sequence, so the stricter ordered comparison is achievable.
-        "pending_relocations": list(pending_relocations),
+        "pending_relocations": list(stores.pending_relocations),
         "stripes": None,
         "files": [],
     }
@@ -70,29 +123,21 @@ def capture_state(
             "next_stripe_id": stripe_store.next_stripe_id,
             "items": items,
         }
-    if namespace is not None:
+    if stores.namespace is not None:
         state["files"] = [
             [meta.name, list(meta.block_ids), meta.size]
-            for meta in namespace.files()
+            for meta in stores.namespace.files()
         ]
     return state
 
 
-def state_fingerprint(
-    block_store,
-    stripe_store=None,
-    namespace=None,
-    dead_nodes: Iterable[int] = (),
-    pending_relocations: Iterable[int] = (),
-) -> str:
+def state_fingerprint(stores: Stores) -> str:
     """sha256 over the canonical metadata state.
 
     Deterministic for identical metadata regardless of host, hash seed,
     or the path (live mutation vs journal replay) that produced it.
     """
-    return fingerprint_of(capture_state(
-        block_store, stripe_store, namespace, dead_nodes, pending_relocations,
-    ))
+    return fingerprint_of(capture_state(stores))
 
 
 def fingerprint_of(state: Dict[str, object]) -> str:
@@ -101,31 +146,20 @@ def fingerprint_of(state: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class RestoredStores:
-    """Fresh store objects rebuilt from a captured state."""
-
-    block_store: object
-    stripe_store: Optional[object]
-    namespace: object
-    dead_nodes: set
-    pending_relocations: List[int]
-
-
-def restore_state(state: Dict[str, object], topology) -> RestoredStores:
+def restore_state(state: Dict[str, object], topology) -> Stores:
     """Rebuild live stores from a captured (or checkpointed) state dict.
 
     The restored stores are detached (``journal is None``); recovery
     attaches a journal only after replay completes, so rebuilding never
     re-journals history.
     """
-    from repro.cluster.block import Block, BlockStore
+    from repro.cluster.block import BlockStore
     from repro.core.stripe import PreEncodingStore, Stripe
     from repro.hdfs.files import FileNamespace
 
     block_store = BlockStore(topology)
     for block_id, size, kind, stripe_id in state.get("blocks", []):
-        block_store.restore_block(Block(block_id, size, kind, stripe_id))
+        commit(block_store, AddBlock, (block_id, size, kind, stripe_id))
     for key, entries in state.get("replicas", {}).items():
         for node_id, is_primary in entries:
             block_store.add_replica(int(key), node_id, is_primary=is_primary)
@@ -161,9 +195,9 @@ def restore_state(state: Dict[str, object], topology) -> RestoredStores:
     for name, block_ids, size in state.get("files", []):
         namespace.restore_file(name, block_ids, size)
 
-    return RestoredStores(
-        block_store=block_store,
-        stripe_store=stripe_store,
+    return Stores(
+        blocks=block_store,
+        stripes=stripe_store,
         namespace=namespace,
         dead_nodes=set(state.get("dead_nodes", [])),
         pending_relocations=[

@@ -13,10 +13,11 @@ Checks every layer an operator cares about before trusting a log:
 * checkpoints — every checkpoint file must pass its CRC, and its
   ``last_seq`` must not exceed the log's durable tail… unless the log
   was pruned beneath it, which the scan reveals;
-* checkpoint vs prefix — every checkpoint whose whole prefix (records
-  ``1..last_seq``) is still on disk must fingerprint-equal a replay of
-  exactly that prefix: one written after record *S* was journaled but
-  before its caller applied it claims *S* without *S*'s effect.
+* replay — a log still on disk from record 1 must replay with no record
+  its validity test calls impossible, and each checkpoint must
+  fingerprint-equal a replay of exactly records ``1..last_seq``: one
+  written after record *S* was journaled but before its caller applied
+  it claims *S* without *S*'s effect.
 """
 
 from __future__ import annotations
@@ -133,23 +134,22 @@ def verify_journal(directory: str) -> VerifyReport:
             )
         else:
             loaded.append(data)
-    if (loaded and not report.errors and scan.envelopes
+    if (not report.errors and scan.envelopes
             and scan.envelopes[0]["seq"] == 1):
         try:
-            _check_checkpoints_against_prefix(report, scan.envelopes, loaded)
+            _check_replay(report, scan.envelopes, loaded)
         except (KeyError, TypeError, ValueError) as exc:
-            report.errors.append(
-                f"checkpoint check: the log does not replay: {exc!r}"
-            )
+            report.errors.append(f"replay: the log does not replay: {exc!r}")
     return report
 
 
-def _check_checkpoints_against_prefix(
+def _check_replay(
     report: VerifyReport,
     envelopes: List[Dict[str, Any]],
     checkpoints: List[CheckpointData],
 ) -> None:
-    """Replay the log from record 1, comparing at each checkpoint's seq."""
+    """Replay the log from record 1, comparing at each checkpoint's seq,
+    up to the first checkpoint taken with a bracket open."""
     # The block store only asks its topology which node ids exist and the
     # fingerprint holds no topology, so one rack wide enough for every
     # node a replica was ever put on stands in.
@@ -161,6 +161,7 @@ def _check_checkpoints_against_prefix(
     topology = ClusterTopology(nodes_per_rack=widest + 1, num_racks=1)
     due = {data.last_seq: data for data in checkpoints}
     replayer = Replayer(None, topology)
+    errors = replayer.stats.errors
     for envelope in envelopes:
         replayer.apply(envelope)
         data = due.pop(envelope["seq"], None)
@@ -170,14 +171,10 @@ def _check_checkpoints_against_prefix(
             # checkpoint() refuses inside a bracket, so a recovery rolled
             # this one forward without journaling it: from here on the
             # log alone no longer replays the state.
-            return
-        if fingerprint_of(data.state) != state_fingerprint(
-            replayer.blocks, replayer.stripes, replayer.namespace,
-            replayer.dead_nodes, replayer.pending_relocations,
-        ):
+            break
+        if fingerprint_of(data.state) != state_fingerprint(replayer.stores):
             report.errors.append(
                 f"{os.path.basename(data.path)}: state differs from a "
                 f"replay of records 1..{data.last_seq}"
             )
-        if not due:
-            return
+    report.errors.extend(f"replay: {error}" for error in errors)

@@ -494,10 +494,9 @@ def rack_loss(
 ) -> StormReport:
     """Correlated whole-rack loss: every stripe decodes at once.
 
-    The busiest rack goes dark permanently at t+5.  How fast the cluster
-    re-protects itself is decided by the placement: EAR's concentration
-    (c=2) makes survivor fetches contend for shared rack uplinks, the
-    recovery-aware spread decodes with one fetch per uplink.
+    The busiest rack goes dark permanently at t+5.  The placement decides
+    how many blocks each stripe loses: up to c under EAR's concentration
+    (c=2), exactly one under the recovery-aware spread.
     """
     sc = build_storm_cluster(policy=policy, seed=seed, **build_kwargs)
     encode_all(sc)

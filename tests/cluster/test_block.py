@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.block import BlockKind, BlockStore
+from repro.journal.journal import MetadataJournal
 
 
 @pytest.fixture
@@ -18,6 +19,17 @@ class TestBlockLifecycle:
     def test_create_rejects_bad_size(self, store):
         with pytest.raises(ValueError):
             store.create_block(0)
+
+    def test_parity_block_rejects_zero_size_before_journaling(
+        self, store, tmp_path
+    ):
+        journal = MetadataJournal(str(tmp_path))
+        journal.attach(block_store=store)
+        with pytest.raises(ValueError, match="positive"):
+            store.add_parity_block(0, stripe_id=3, node_id=1)
+        assert journal.last_seq == 0
+        assert len(store) == 0
+        journal.close()
 
     def test_parity_kind(self, store):
         parity = store.create_block(64, kind=BlockKind.PARITY, stripe_id=3)
@@ -114,6 +126,19 @@ class TestReplicaManagement:
         store.add_replicas(block.block_id, [1, 2])
         store.retain_only(block.block_id, 2)
         assert store.primary_node(block.block_id) is None
+
+
+class TestCorruption:
+    def test_corrupted_on_node_lists_only_that_node(self, store):
+        a, b = store.create_block(64), store.create_block(64)
+        store.add_replicas(a.block_id, [1, 2])
+        store.add_replicas(b.block_id, [2, 3])
+        store.mark_corrupted(a.block_id, 1)
+        store.mark_corrupted(b.block_id, 2)
+        store.mark_corrupted(a.block_id, 2)
+        assert store.corrupted_on_node(2) == [a.block_id, b.block_id]
+        assert store.corrupted_on_node(1) == [a.block_id]
+        assert store.corrupted_on_node(3) == []
 
 
 class TestAggregates:

@@ -91,7 +91,7 @@ class TestBlockMoverHeterogeneous:
                 blocks.append(block.block_id)
             for block_id in blocks[: code.k]:
                 stripes.add_block(stripe.stripe_id, block_id)
-            stripe.mark_encoded(blocks[code.k:])
+            stripes.mark_encoded(stripe.stripe_id, blocks[code.k:])
             mover = BlockMover(
                 topo, code, required_rack_failures=2, rng=random.Random(seed)
             )

@@ -33,7 +33,7 @@ def encoded_stripe(topology, store, node_ids, code):
         block = store.create_block(64)
         store.add_replica(block.block_id, node_ids[index])
         parity_ids.append(block.block_id)
-    stripe.mark_encoded(parity_ids)
+    stripe_store.mark_encoded(stripe.stripe_id, parity_ids)
     return stripe
 
 
@@ -198,7 +198,7 @@ class TestRRStripesNeedRelocationSometimes:
                 parity = store.create_block(64)
                 store.add_replica(parity.block_id, node)
                 parity_ids.append(parity.block_id)
-            stripe.mark_encoded(parity_ids)
+            policy.store.mark_encoded(stripe.stripe_id, parity_ids)
             if monitor.is_violating(store, stripe):
                 violations += 1
         # Rare but present at R=20 (and repairing them costs cross-rack

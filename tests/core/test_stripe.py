@@ -2,64 +2,63 @@
 
 import pytest
 
-from repro.core.stripe import PreEncodingStore, Stripe, StripeState
+from repro.core.stripe import PreEncodingStore, StripeState
+
+
+def open_stripe(k, *block_ids):
+    """A store holding one open stripe of width ``k`` with ``block_ids``."""
+    store = PreEncodingStore(k)
+    stripe = store.new_stripe()
+    for block_id in block_ids:
+        store.add_block(stripe.stripe_id, block_id, seal_when_full=False)
+    return store, stripe
 
 
 class TestStripeLifecycle:
     def test_open_then_seal(self):
-        stripe = Stripe(stripe_id=0, k=3)
-        for b in range(3):
-            stripe.add_block(b)
+        store, stripe = open_stripe(3, 0, 1, 2)
         assert stripe.is_full()
-        stripe.seal()
+        store.seal(stripe.stripe_id)
         assert stripe.state == StripeState.SEALED
 
     def test_seal_requires_exactly_k(self):
-        stripe = Stripe(stripe_id=0, k=3)
-        stripe.add_block(0)
+        store, stripe = open_stripe(3, 0)
         with pytest.raises(ValueError):
-            stripe.seal()
+            store.seal(stripe.stripe_id)
 
     def test_add_beyond_k_rejected(self):
-        stripe = Stripe(stripe_id=0, k=2)
-        stripe.add_block(0)
-        stripe.add_block(1)
+        store, stripe = open_stripe(2, 0, 1)
         with pytest.raises(ValueError):
-            stripe.add_block(2)
+            store.add_block(stripe.stripe_id, 2, seal_when_full=False)
 
     def test_duplicate_block_rejected(self):
-        stripe = Stripe(stripe_id=0, k=3)
-        stripe.add_block(7)
+        store, stripe = open_stripe(3, 7)
         with pytest.raises(ValueError):
-            stripe.add_block(7)
+            store.add_block(stripe.stripe_id, 7)
 
     def test_add_to_sealed_rejected(self):
-        stripe = Stripe(stripe_id=0, k=1)
-        stripe.add_block(0)
-        stripe.seal()
+        store, stripe = open_stripe(1, 0)
+        store.seal(stripe.stripe_id)
         with pytest.raises(ValueError):
-            stripe.add_block(1)
+            store.add_block(stripe.stripe_id, 1)
 
     def test_double_seal_rejected(self):
-        stripe = Stripe(stripe_id=0, k=1)
-        stripe.add_block(0)
-        stripe.seal()
+        store, stripe = open_stripe(1, 0)
+        store.seal(stripe.stripe_id)
         with pytest.raises(ValueError):
-            stripe.seal()
+            store.seal(stripe.stripe_id)
 
     def test_mark_encoded(self):
-        stripe = Stripe(stripe_id=0, k=2)
-        stripe.add_block(0)
-        stripe.add_block(1)
-        stripe.seal()
-        stripe.mark_encoded([100, 101])
+        store, stripe = open_stripe(2, 0, 1)
+        store.seal(stripe.stripe_id)
+        store.mark_encoded(stripe.stripe_id, [100, 101])
         assert stripe.state == StripeState.ENCODED
         assert stripe.all_block_ids() == [0, 1, 100, 101]
 
     def test_mark_encoded_requires_sealed(self):
-        stripe = Stripe(stripe_id=0, k=2)
+        store, stripe = open_stripe(2)
         with pytest.raises(ValueError):
-            stripe.mark_encoded([100])
+            store.mark_encoded(stripe.stripe_id, [100])
 
 
 class TestPreEncodingStore:

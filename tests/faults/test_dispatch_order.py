@@ -158,13 +158,13 @@ def test_counts_rebuilt_by_recovering_a_storm_journal(tmp_path):
     journal.flush()
     journal.close()
     recovered = recover(str(tmp_path), sc.setup.topology)
-    assert recovered.stripe_store is not None
+    assert recovered.stores.stripes is not None
     assert live_member_mismatches(
-        recovered.block_store, recovered.stripe_store
+        recovered.stores.blocks, recovered.stores.stripes
     ) == {}
     live = sc.setup.namenode
     assert [
-        recovered.block_store.live_members(s.stripe_id) for s in sc.stripes
+        recovered.stores.blocks.live_members(s.stripe_id) for s in sc.stripes
     ] == [live.block_store.live_members(s.stripe_id) for s in sc.stripes]
 
 
@@ -181,5 +181,5 @@ def test_counts_rebuilt_by_recovery_at_every_commit_stage(tmp_path, seed):
             pass
         recovered = recover(directory, golden.topology, k=golden.code.k)
         assert live_member_mismatches(
-            recovered.block_store, recovered.stripe_store
+            recovered.stores.blocks, recovered.stores.stripes
         ) == {}, point

@@ -11,7 +11,7 @@ from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
 from repro.faults.repair import RepairQueue
 from repro.faults.retry import RetryPolicy
-from repro.sim.metrics import UNAVAILABLE
+from repro.sim.metrics import MARGIN_ZERO, UNAVAILABLE
 from repro.sim.trace import Tracer
 
 CODE = CodeParams(6, 4)
@@ -251,6 +251,24 @@ class TestOutcomes:
         assert done.value == "noop"
         assert queue.outcomes["noop"] == 1
 
+    def test_margin_zero_window_outlives_a_repair_that_keeps_margin_zero(
+        self,
+    ):
+        """Two members of an RS(6, 4) stripe are gone: the stripe sits at
+        margin zero, and a no-op repair of a surviving member leaves it
+        there, so its MARGIN_ZERO window must stay open."""
+        setup, sealed, queue = build()
+        store = setup.namenode.block_store
+        stripe = sealed[0]
+        for block in stripe.block_ids[1:3]:
+            store.remove_replica(block, store.replica_nodes(block)[0])
+        done = queue.enqueue(stripe.block_ids[0])
+        setup.sim.run()
+        assert done.value == "noop"
+        [window] = queue.metrics.windows[MARGIN_ZERO]
+        assert window.target == f"stripe:{stripe.stripe_id}"
+        assert window.end is None
+
     def test_lost_encoded_block_is_decoded(self):
         setup, sealed, queue = build()
         store = setup.namenode.block_store
@@ -435,7 +453,7 @@ class TestRelocationJournaling:
 
         journal, setup, sealed, queue = self.journaled_build(tmp_path)
         stripe = self.force_violation(setup, sealed, queue)
-        assert journal.pending_relocations == [stripe.stripe_id]
+        assert journal.stores.pending_relocations == [stripe.stripe_id]
         journal.flush()
         journal.close()
 
@@ -445,7 +463,7 @@ class TestRelocationJournaling:
                             intra_rack_bandwidth=1e6,
                             cross_rack_bandwidth=1e6),
         )
-        assert recovered.pending_relocations == [stripe.stripe_id]
+        assert recovered.stores.pending_relocations == [stripe.stripe_id]
 
     def test_restore_reenters_backlog_without_rejournaling(self, tmp_path):
         journal, setup, sealed, queue = self.journaled_build(tmp_path)
@@ -455,13 +473,13 @@ class TestRelocationJournaling:
             setup.sim, setup.network, setup.namenode, setup.raidnode,
             rng=random.Random(92),
         )
-        before = journal.pending_relocations[:]
+        before = journal.stores.pending_relocations[:]
         fresh.restore_relocation_requests([stripe.stripe_id])
         assert [s.stripe_id for s in fresh.relocation_requests] == [
             stripe.stripe_id
         ]
         # Restoring replays durable state; it must not journal again.
-        assert journal.pending_relocations == before
+        assert journal.stores.pending_relocations == before
 
     def test_served_relocation_clears_the_journal_backlog(self, tmp_path):
         from repro.journal import MetadataJournal
@@ -496,10 +514,10 @@ class TestRelocationJournaling:
         store.add_replica(b2, target)
         store.remove_replica(b2, n2)
         queue.request_relocation(stripe)
-        assert journal.pending_relocations == [stripe.stripe_id]
+        assert journal.stores.pending_relocations == [stripe.stripe_id]
         setup.sim.run()
         assert queue.relocations_done == 1
-        assert journal.pending_relocations == []
+        assert journal.stores.pending_relocations == []
         journal.flush()
         journal.close()
 

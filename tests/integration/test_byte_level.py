@@ -63,7 +63,7 @@ class ByteCluster:
                 if node != keeper:
                     self.store.remove_replica(block_id, node)
                     del self.data[(node, block_id)]
-        stripe.mark_encoded(parity_ids)
+        self.policy.store.mark_encoded(stripe.stripe_id, parity_ids)
         return plan
 
     def fail_rack(self, rack_id):

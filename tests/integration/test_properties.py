@@ -121,7 +121,7 @@ def test_property_metadata_invariants_under_mixed_operations(seed, num_blocks):
                 parity = store.create_block(100)
                 store.add_replica(parity.block_id, node)
                 parity_ids.append(parity.block_id)
-            stripe.mark_encoded(parity_ids)
+            stripe_store.mark_encoded(stripe.stripe_id, parity_ids)
             encoded.append(stripe)
 
     # Invariants: replica counts are consistent from both directions.

@@ -186,9 +186,7 @@ class TestCommitBrackets:
         recovered = recover(directory, topology, k=DRILL_CODE.k)
         assert recovered.stats.errors == []
         assert recovered.stats.rolled_forward == [stripe.stripe_id]
-        assert verify_stripe_consistency(
-            recovered.block_store, recovered.stripe_store
-        ) == []
+        assert verify_stripe_consistency(recovered.stores) == []
         assert recovered.stats.last_seq == begin + 1
 
     def test_due_checkpoint_waits_for_the_bracket_to_close(self, tmp_path):
@@ -225,8 +223,8 @@ class TestCommitBrackets:
         assert first.stats.rolled_forward
         journal = first.reopen_journal()
         assert list_checkpoints(directory)[-1][0] == journal.last_seq
-        block = first.block_store.create_block(4096)
-        first.block_store.add_replica(block.block_id, 0, is_primary=True)
+        block = first.stores.blocks.create_block(4096)
+        first.stores.blocks.add_replica(block.block_id, 0, is_primary=True)
         live = journal.current_fingerprint()
         journal.close()
         second = recover(directory, golden.topology, k=DRILL_CODE.k)

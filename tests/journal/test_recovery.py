@@ -15,7 +15,13 @@ from repro.journal import (
     verify_journal,
     verify_stripe_consistency,
 )
-from repro.journal.records import PlaceReplica
+from repro.journal.records import (
+    EndStripeCommit,
+    NewStripe,
+    PlaceReplica,
+    SealStripe,
+    StripeAddBlock,
+)
 from repro.journal.wal import JournalWriter, list_segments
 from tests.journal.reference_codec import encode_line, encode_record
 
@@ -122,6 +128,57 @@ class TestReplay:
         assert recovered.stats.errors == []
 
 
+def _write_log(directory, records):
+    """A CRC-valid log holding exactly ``records``, in order."""
+    writer = JournalWriter(directory)
+    for seq, record in enumerate(records, start=1):
+        writer.append(encode_line(seq, encode_record(record)))
+    writer.flush()
+    writer.close()
+
+
+class TestImpossibleRecords:
+    """A CRC-valid record the validity test calls impossible is reported
+    in ``stats.errors`` (and by ``verify_journal``), never raised."""
+
+    def _recover(self, directory, records, k=2):
+        _write_log(directory, [NewStripe(stripe_id=0, k=k)] + records)
+        recovered = recover(directory, _topology(), k=k)
+        assert len(recovered.stats.errors) == 1, recovered.stats.errors
+        assert not verify_journal(directory).ok
+        return recovered
+
+    def test_seal_of_a_short_stripe(self, tmp_path):
+        recovered = self._recover(str(tmp_path), [
+            StripeAddBlock(stripe_id=0, block_id=7, seal_when_full=False),
+            SealStripe(stripe_id=0),
+        ])
+        assert "needs exactly k=2" in recovered.stats.errors[0]
+        assert recovered.stores.stripes.stripe(0).state == "open"
+
+    def test_block_added_to_a_sealed_stripe(self, tmp_path):
+        recovered = self._recover(str(tmp_path), [
+            StripeAddBlock(stripe_id=0, block_id=7),
+            StripeAddBlock(stripe_id=0, block_id=8),
+            StripeAddBlock(stripe_id=0, block_id=9),
+        ])
+        assert "not open" in recovered.stats.errors[0]
+        assert recovered.stores.stripes.stripe(0).block_ids == [7, 8]
+
+    def test_commit_of_an_unknown_stripe(self, tmp_path):
+        recovered = self._recover(str(tmp_path), [
+            EndStripeCommit(stripe_id=5, parity_block_ids=(1,)),
+        ])
+        assert "unknown stripe id 5" in recovered.stats.errors[0]
+
+    def test_commit_of_an_open_stripe(self, tmp_path):
+        recovered = self._recover(str(tmp_path), [
+            EndStripeCommit(stripe_id=0, parity_block_ids=(1,)),
+        ])
+        assert "not sealed" in recovered.stats.errors[0]
+        assert recovered.stores.stripes.stripe(0).parity_block_ids == []
+
+
 class TestCrashes:
     def test_torn_tail_recovers_previous_record(self, tmp_path):
         base = str(tmp_path)
@@ -183,9 +240,7 @@ class TestCrashes:
         assert recovered.fingerprint() == expected_fingerprint(
             fps, golden.brackets, point.durable_seq
         )
-        problems = verify_stripe_consistency(
-            recovered.block_store, recovered.stripe_store
-        )
+        problems = verify_stripe_consistency(recovered.stores)
         assert problems == []
 
 
@@ -197,8 +252,8 @@ class TestReopen:
         journal.close()
         recovered = recover(directory, _topology())
         reopened = recovered.reopen_journal()
-        block = recovered.block_store.create_block(500)
-        recovered.block_store.add_replica(block.block_id, 0, is_primary=True)
+        block = recovered.stores.blocks.create_block(500)
+        recovered.stores.blocks.add_replica(block.block_id, 0, is_primary=True)
         reopened.flush()
         assert reopened.last_seq == last + 2
         reopened.close()

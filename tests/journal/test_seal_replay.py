@@ -51,7 +51,7 @@ class TestSealJournaling:
         journal.flush()
         recovered = recover(str(tmp_path), _topology())
         assert recovered.stats.errors == []
-        replayed = recovered.stripe_store.stripe(stripe.stripe_id)
+        replayed = recovered.stores.stripes.stripe(stripe.stripe_id)
         assert replayed.state == StripeState.SEALED
 
     def test_unsealed_stripe_stays_open_after_recovery(self, tmp_path):
@@ -61,7 +61,7 @@ class TestSealJournaling:
         store.add_block(stripe.stripe_id, 11, seal_when_full=False)
         journal.flush()
         recovered = recover(str(tmp_path), _topology())
-        replayed = recovered.stripe_store.stripe(stripe.stripe_id)
+        replayed = recovered.stores.stripes.stripe(stripe.stripe_id)
         assert replayed.state == StripeState.OPEN
 
     def test_seal_validates_before_journaling(self, tmp_path):

@@ -1,11 +1,11 @@
 """The write-ahead property, checked record by record at run time.
 
-Every journaled store must append a mutation's record *before* it
-touches memory, every record type needs a producer that a store method
-reaches, and every record type needs a replay handler.  This module
-checks all three over one real journal that holds every record type: the
-crash drill's workload (:func:`~repro.faults.crash.run_crash_workload`)
-followed by a short tail for the three types the drill never writes.
+Every metadata change is one record's validity test, append and
+transition (:func:`~repro.journal.records.commit`), and replay runs the
+same test and transition over the log.  This module checks that over
+one real journal that holds every record type: the crash drill's
+workload (:func:`~repro.faults.crash.run_crash_workload`) followed by a
+short tail for the three types the drill never writes.
 
 The log is replayed from empty stores.  Before record ``s`` is applied,
 the replayed state must equal ``journal.fingerprints[s]``, the live state
@@ -13,6 +13,9 @@ at the entry of that append; after the last record it must equal the
 live final state.  A mutation applied before its record, or never
 journaled at all, breaks the equality at the next record.  The seeded
 mutations at the bottom show that each kind of bug is caught, and where.
+:class:`TestEveryRecordType` drives each record type once through its
+live mutator and compares the whole captured state with replay after
+every record.
 """
 
 from dataclasses import dataclass
@@ -20,12 +23,18 @@ from typing import ClassVar
 
 import pytest
 
+import repro.cluster.block as block_module
 from repro.cluster.block import BlockStore
+from repro.cluster.topology import ClusterTopology
+from repro.core.stripe import PreEncodingStore
 from repro.faults.crash import run_crash_workload
+from repro.hdfs.files import FileNamespace
+from repro.journal.journal import MetadataJournal
 from repro.journal.recovery import Replayer
-from repro.journal.records import RECORD_TYPES, JournalRecord, MarkCorrupted
-from repro.journal.state import state_fingerprint
+from repro.journal.records import RECORD_TYPES, JournalRecord, commit
+from repro.journal.state import capture_state, state_fingerprint
 from repro.journal.wal import scan_journal
+
 
 SEEDS = (0, 101, 202)
 
@@ -56,10 +65,7 @@ def first_divergence(run):
     replayer = Replayer(None, run.topology, run.code.k)
 
     def replayed():
-        return state_fingerprint(
-            replayer.blocks, replayer.stripes, replayer.namespace,
-            replayer.dead_nodes, replayer.pending_relocations,
-        )
+        return state_fingerprint(replayer.stores)
 
     for envelope in scan_journal(run.directory).envelopes:
         seq = envelope["seq"]
@@ -77,8 +83,11 @@ def logged_types(run):
 
 
 def unhandled_types():
-    """Registered type tags :class:`Replayer` has no ``_on_<tag>`` for."""
-    return {tag for tag in RECORD_TYPES if not hasattr(Replayer, f"_on_{tag}")}
+    """Registered type tags with no validity test or transition bound."""
+    return {
+        tag for tag, cls in RECORD_TYPES.items()
+        if not (hasattr(cls, "check") and hasattr(cls, "apply"))
+    }
 
 
 def first_seq_of(run, type_tag):
@@ -111,7 +120,7 @@ class TestWriteAhead:
 
 @dataclass(frozen=True)
 class Orphan(JournalRecord):
-    """A record type with neither a producer nor a replay handler."""
+    """A record type with neither a producer nor a transition."""
 
     record_type: ClassVar[str] = "orphan"
 
@@ -124,17 +133,19 @@ class TestSeededMutations:
     def test_mutation_before_its_append_fails_at_that_record(
         self, tmp_path, monkeypatch
     ):
-        def mark_corrupted(self, block_id, node_id):
-            self._corrupted.add((block_id, node_id))
-            if self.journal is not None:
-                self.journal.append(
-                    MarkCorrupted(block_id=block_id, node_id=node_id)
-                )
+        def apply_first(owner, record_class, fields):
+            if record_class.check(owner, fields) is not None:
+                return commit(owner, record_class, fields)
+            result = record_class.apply(owner, fields)
+            if owner.journal is not None:
+                owner.journal.append(record_class(*fields))
+            return result
 
-        monkeypatch.setattr(BlockStore, "mark_corrupted", mark_corrupted)
+        monkeypatch.setattr(block_module, "commit", apply_first)
         run = drive_every_record_type(str(tmp_path), seed=0)
         run.journal.close()
-        assert first_divergence(run) == first_seq_of(run, "mark_corrupted")
+        # The block store's first record is the first to see its change.
+        assert first_divergence(run) == first_seq_of(run, "add_block")
 
     def test_journal_bypass_fails_at_the_next_record(
         self, tmp_path, monkeypatch
@@ -143,12 +154,7 @@ class TestSeededMutations:
 
         def move_replica(self, block_id, src, dst):
             next_seqs.append(self.journal.last_seq + 1)
-            saved, self.journal = self.journal, None
-            try:
-                self.remove_replica(block_id, src)
-                self.add_replica(block_id, dst)
-            finally:
-                self.journal = saved
+            self.apply_relocate((block_id, src, dst))
 
         monkeypatch.setattr(BlockStore, "move_replica", move_replica)
         run = drive_every_record_type(str(tmp_path), seed=0)
@@ -165,3 +171,63 @@ class TestSeededMutations:
         run.journal.close()
         assert set(RECORD_TYPES) - logged_types(run) == {"orphan"}
         assert unhandled_types() == {"orphan"}
+
+
+def every_record_type_once(journal):
+    """Call one live mutator per record type on journaled empty stores;
+    yield after each call (each appends exactly one record)."""
+    blocks = BlockStore(ClusterTopology(nodes_per_rack=2, num_racks=3))
+    stripes, namespace = PreEncodingStore(2), FileNamespace()
+    journal.attach(blocks, stripes, namespace)
+    steps = [
+        lambda: blocks.create_block(100),
+        lambda: blocks.add_replica(0, 0, is_primary=True),
+        lambda: blocks.add_replica(0, 2),
+        lambda: blocks.create_block(100),
+        lambda: blocks.add_replica(1, 3, is_primary=True),
+        lambda: blocks.add_replica(1, 4),
+        lambda: stripes.new_stripe(core_rack=0, target_racks=[0, 1, 2]),
+        lambda: stripes.add_block(0, 0, seal_when_full=False),
+        lambda: blocks.assign_stripe(0, 0),
+        lambda: stripes.add_block(0, 1, seal_when_full=False),
+        lambda: blocks.assign_stripe(1, 0),
+        lambda: stripes.seal(0),
+        lambda: blocks.mark_corrupted(1, 4),
+        lambda: blocks.clear_corrupted(1, 4),
+        lambda: blocks.move_replica(0, 2, 5),
+        lambda: journal.begin_stripe_commit(0, [1], 100, [(0, 0), (1, 3)]),
+        lambda: blocks.add_parity_block(100, 0, 1),
+        lambda: blocks.remove_replica(0, 5),
+        lambda: blocks.remove_replica(1, 4),
+        lambda: stripes.mark_encoded(0, [2]),
+        lambda: journal.relocation_requested(0),
+        lambda: journal.relocation_served(0),
+        lambda: journal.node_dead(4),
+        lambda: journal.node_alive(4),
+        lambda: namespace.create("/a"),
+        lambda: namespace.append_block("/a", 0, 100),
+        lambda: namespace.append_block("/a", 1, 100),
+        lambda: namespace.delete("/a"),
+    ]
+    for step in steps:
+        before = journal.last_seq
+        step()
+        assert journal.last_seq == before + 1, step
+        yield
+
+
+class TestEveryRecordType:
+    def test_live_and_replayed_states_agree_after_every_record(self, tmp_path):
+        journal = MetadataJournal(str(tmp_path), checkpoint_records=None)
+        live = [capture_state(journal.stores)
+                for __ in every_record_type_once(journal)]
+        journal.close()
+        envelopes = scan_journal(str(tmp_path)).envelopes
+        assert {envelope["type"] for envelope in envelopes} == set(RECORD_TYPES)
+        topology = journal.stores.blocks.topology
+        replayer = Replayer(None, topology, k=2)
+        for envelope, expected in zip(envelopes, live):
+            replayer.apply(envelope)
+            assert capture_state(replayer.stores) == expected, envelope
+        assert replayer.stats.errors == []
+        assert replayer.stats.replayed_ops == len(live)

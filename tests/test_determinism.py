@@ -2,8 +2,8 @@
 
 Every figure, golden and fingerprint in this repository is a pure function
 of its seed.  This test parses every module under ``src/repro`` with the
-standard-library ``ast`` and fails on the four patterns that have broken
-that contract, or a range check, before:
+standard-library ``ast`` and fails on the patterns that have broken that
+contract, a range check, or the journal's one mutation path before:
 
 * DET001: a draw from a process-global RNG (``random.choice``, legacy
   ``numpy.random.*``) or an RNG built without a seed (``random.Random()``,
@@ -20,6 +20,12 @@ that contract, or a range check, before:
   raises.  NaN fails every comparison, so such a guard lets it through;
   ``not x >= 0`` / ``not x > 0`` rejects it.  Names that only ever hold
   ints are allow-listed in :data:`INT_GUARDS`.
+* WAL001: outside :mod:`repro.journal`, a ``journal.append(...)`` call,
+  or an assignment to a ``.journal`` attribute anywhere but an
+  ``__init__``.  A metadata change has one path —
+  :func:`repro.journal.records.commit` tests, journals, then applies —
+  so a store that appends its own record, or detaches its journal to
+  mutate unlogged, is a second path that replay cannot follow.
 
 Import aliases are resolved (``import numpy as np``, ``from time import
 sleep as nap``).  Order-sensitive set iteration is checked at run time
@@ -35,7 +41,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SOURCES = sorted((REPO / "src" / "repro").rglob("*.py"))
-RULES = ("DET001", "DET002", "EXC001", "NAN001")
+JOURNAL_PACKAGE = REPO / "src" / "repro" / "journal"
+RULES = ("DET001", "DET002", "EXC001", "NAN001", "WAL001")
 
 #: numpy constructors that are deterministic exactly when given a seed.
 NUMPY_SEEDABLE = frozenset({
@@ -134,10 +141,40 @@ def nan_blind(guard: ast.If) -> bool:
     return False
 
 
-def hazards(tree: ast.Module) -> List[Tuple[str, int]]:
-    """``(rule, line)`` for every hazard in one parsed module."""
+def journal_bypasses(tree: ast.Module) -> List[int]:
+    """Lines of ``journal.append(...)`` calls and of ``.journal``
+    assignments outside an ``__init__``."""
+    in_init = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == "__init__"
+        for node in ast.walk(function)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if (dotted(node.func) or "").split(".")[-2:] == ["journal", "append"]:
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if id(node) not in in_init and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "journal"
+                and isinstance(sub.ctx, ast.Store)
+                for target in targets for sub in ast.walk(target)
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def hazards(
+    tree: ast.Module, in_journal: bool = False
+) -> List[Tuple[str, int]]:
+    """``(rule, line)`` for every hazard in one parsed module (one of
+    :mod:`repro.journal` when ``in_journal``)."""
     aliases = import_aliases(tree)
-    found = []
+    found = [] if in_journal else [
+        ("WAL001", line) for line in journal_bypasses(tree)
+    ]
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = dotted(node.func)
@@ -158,7 +195,8 @@ def package_hazards() -> Dict[str, List[str]]:
     by_rule: Dict[str, List[str]] = {rule: [] for rule in RULES}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for rule, line in hazards(tree):
+        in_journal = JOURNAL_PACKAGE in path.parents
+        for rule, line in hazards(tree, in_journal):
             by_rule[rule].append(f"{path.relative_to(REPO)}:{line}")
     return by_rule
 
@@ -204,6 +242,16 @@ CASES = [
     ("if not self.rate >= 0:\n    raise ValueError(rate)", None),
     ("if rate <= 0:\n    return", None),
     ("if num_racks <= 0:\n    raise ValueError(num_racks)", None),
+    ("self.journal.append(AddBlock(1, 2, 'data', None))", "WAL001"),
+    ("journal.append(record)", "WAL001"),
+    ("self.entries.append(record)", None),
+    ("class S:\n    def f(self):\n"
+     "        saved, self.journal = self.journal, None", "WAL001"),
+    ("def attach(store, journal):\n    store.journal = journal", "WAL001"),
+    ("class S:\n    def __init__(self, journal):\n"
+     "        self.journal = journal", None),
+    ("class S:\n    journal = None", None),
+    ("record = self.journal.last_seq", None),
 ]
 
 
@@ -211,3 +259,8 @@ CASES = [
 def test_checker_flags_exactly_the_hazard(source, rule):
     expected = [] if rule is None else [rule]
     assert [found for found, _line in hazards(ast.parse(source))] == expected
+
+
+def test_the_journal_package_may_append_and_attach():
+    source = "journal.append(record)\nstore.journal = journal"
+    assert hazards(ast.parse(source), in_journal=True) == []
