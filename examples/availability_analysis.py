@@ -23,7 +23,7 @@ from repro.cluster.block import BlockStore
 from repro.cluster.failure import FailureModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
-from repro.core.flowgraph import StripeFlowGraph
+from repro.core.matching import RackMatching, retention_capacity
 from repro.core.parity import plan_ear_encoding
 from repro.core.preliminary import PreliminaryEAR
 from repro.core.relocation import BlockMover, PlacementMonitor
@@ -54,7 +54,6 @@ def relocation_burden():
     rng = random.Random(7)
     policy = PreliminaryEAR(topology, k=code.k, rng=rng)
     store = BlockStore(topology)
-    graph = StripeFlowGraph(topology, c=1)
 
     num_stripes = 200
     block_id = 0
@@ -67,7 +66,9 @@ def relocation_burden():
 
     violating = 0
     for stripe in policy.store.sealed_stripes()[:num_stripes]:
-        if not graph.is_feasible(policy.stripe_layout(stripe)):
+        layout = policy.stripe_layout(stripe)
+        matching = RackMatching(topology.rack_of, retention_capacity(1))
+        if len(matching.solve(layout)) < len(layout):
             violating += 1
     print(f"Preliminary EAR on R=16, (8,6): {violating}/{num_stripes} stripes "
           f"({100 * violating / num_stripes:.0f}%) need block relocation "

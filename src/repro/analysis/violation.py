@@ -19,7 +19,14 @@ import random
 from typing import Dict, List, Sequence
 
 from repro.cluster.topology import ClusterTopology
-from repro.core.flowgraph import StripeFlowGraph
+from repro.core.matching import RackMatching, retention_capacity
+
+
+def _check_args(num_racks: int, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if num_racks < 2:
+        raise ValueError("need at least two racks")
 
 
 def violation_probability(num_racks: int, k: int) -> float:
@@ -33,11 +40,8 @@ def violation_probability(num_racks: int, k: int) -> float:
         Probability that a preliminary-EAR stripe cannot satisfy single
         block per rack fault tolerance without relocation.
     """
+    _check_args(num_racks, k)
     r_minus_1 = num_racks - 1
-    if k < 1:
-        raise ValueError("k must be positive")
-    if r_minus_1 < 1:
-        raise ValueError("need at least two racks")
     if r_minus_1 < k - 1:
         # Fewer than k - 1 non-core racks: the draws cannot span k - 1
         # distinct racks, so violation is certain.
@@ -62,6 +66,7 @@ def violation_probability_mc(
     Draws each block's non-core rack uniformly from the ``R - 1`` non-core
     racks and applies the span criterion (at least ``k - 1`` distinct).
     """
+    _check_args(num_racks, k)
     if trials < 1:
         raise ValueError("trials must be positive")
     r_minus_1 = num_racks - 1
@@ -83,15 +88,16 @@ def violation_probability_flowgraph_mc(
     """Monte-Carlo estimate via the *actual* flow-graph feasibility test.
 
     Builds full replica layouts (core rack + two copies in one random other
-    rack, 3-way replication) and asks :class:`StripeFlowGraph` with
-    ``c = 1`` whether a retention matching exists.  With many nodes per
+    rack, 3-way replication) and asks :class:`RackMatching` with ``c = 1``
+    whether a retention matching covers every block.  With many nodes per
     rack this converges to Equation (1); it exists to cross-validate the
     closed form against the machinery EAR really uses.
     """
+    _check_args(num_racks, k)
     if trials < 1:
         raise ValueError("trials must be positive")
     topology = ClusterTopology(nodes_per_rack=nodes_per_rack, num_racks=num_racks)
-    graph = StripeFlowGraph(topology, c=1)
+    capacity = retention_capacity(1)
     core_rack = 0
     violations = 0
     for __ in range(trials):
@@ -101,7 +107,7 @@ def violation_probability_flowgraph_mc(
             other_rack = rng.randrange(1, num_racks)
             seconds = rng.sample(list(topology.nodes_in_rack(other_rack)), 2)
             layout[block] = (primary, *seconds)
-        if not graph.is_feasible(layout):
+        if len(RackMatching(topology.rack_of, capacity).solve(layout)) < k:
             violations += 1
     return violations / trials
 

@@ -114,7 +114,10 @@ class BlockStore:
     def __init__(self, topology: ClusterTopology) -> None:
         self.topology = topology
         self._blocks: Dict[BlockId, Block] = {}
-        self._replicas: Dict[BlockId, List[Replica]] = {}
+        # Holder nodes per block in placement order, replaced (never
+        # mutated) on each place or delete, so queries hand it out as is.
+        self._holders: Dict[BlockId, Tuple[NodeId, ...]] = {}
+        self._primary: Set[Tuple[BlockId, NodeId]] = set()
         self._node_blocks: Dict[NodeId, Set[BlockId]] = {
             node_id: set() for node_id in topology.node_ids()
         }
@@ -159,20 +162,18 @@ class BlockStore:
 
     def add_replica(
         self, block_id: BlockId, node_id: NodeId, is_primary: bool = False
-    ) -> Replica:
+    ) -> None:
         """Record a new replica of ``block_id`` on ``node_id``.
 
         Raises:
             ValueError: If the node already stores a copy of this block.
         """
-        return commit(self, PlaceReplica, (block_id, node_id, is_primary))
+        commit(self, PlaceReplica, (block_id, node_id, is_primary))
 
-    def add_replicas(self, block_id: BlockId, node_ids: Sequence[NodeId]) -> List[Replica]:
+    def add_replicas(self, block_id: BlockId, node_ids: Sequence[NodeId]) -> None:
         """Record all replicas for a block; the first one is primary."""
-        return [
+        for index, node_id in enumerate(node_ids):
             commit(self, PlaceReplica, (block_id, node_id, index == 0))
-            for index, node_id in enumerate(node_ids)
-        ]
 
     def remove_replica(self, block_id: BlockId, node_id: NodeId) -> None:
         """Delete the copy of ``block_id`` held by ``node_id``.
@@ -245,7 +246,7 @@ class BlockStore:
         block_id, size, kind, stripe_id = fields
         block = Block(block_id, size, kind, stripe_id)
         self._blocks[block_id] = block
-        self._replicas[block_id] = []
+        self._holders[block_id] = ()
         if block_id >= self._next_id:
             self._next_id = block_id + 1
         return block
@@ -274,7 +275,7 @@ class BlockStore:
         old = self._blocks[block_id]
         updated = Block(old.block_id, old.size, old.kind, stripe_id)
         self._blocks[block_id] = updated
-        if self._replicas[block_id]:
+        if self._holders[block_id]:
             live = self._live_members
             if old.stripe_id is not None:
                 live[old.stripe_id] -= 1
@@ -297,20 +298,20 @@ class BlockStore:
             ))
         return None
 
-    def apply_place_replica(self, fields) -> Replica:
+    def apply_place_replica(self, fields) -> None:
         block_id, node_id, is_primary = fields
         block = self._blocks[block_id]
-        replica = Replica(block_id, node_id, is_primary)
-        replicas = self._replicas[block_id]
+        holders = self._holders[block_id]
         stripe_id = block.stripe_id
-        if not replicas and stripe_id is not None:
+        if not holders and stripe_id is not None:
             live = self._live_members
             live[stripe_id] = live.get(stripe_id, 0) + 1
-        replicas.append(replica)
+        self._holders[block_id] = holders + (node_id,)
+        if is_primary:
+            self._primary.add((block_id, node_id))
         self._node_blocks[node_id].add(block_id)
         for callback in self._watchers:
             callback(block)
-        return replica
 
     def check_delete_replica(self, fields):
         block_id, node_id = fields
@@ -323,15 +324,14 @@ class BlockStore:
     def apply_delete_replica(self, fields) -> None:
         block_id, node_id = fields
         block = self._blocks[block_id]
-        replicas = self._replicas[block_id]
-        for index, replica in enumerate(replicas):
-            if replica.node_id == node_id:
-                del replicas[index]
-                break
-        if not replicas and block.stripe_id is not None:
+        holders = self._holders[block_id]
+        index = holders.index(node_id)
+        holders = self._holders[block_id] = holders[:index] + holders[index + 1:]
+        if not holders and block.stripe_id is not None:
             self._live_members[block.stripe_id] -= 1
         self._node_blocks[node_id].discard(block_id)
-        self._corrupted.discard((block_id, node_id))
+        self._primary.discard(fields)
+        self._corrupted.discard(fields)
         for callback in self._watchers:
             callback(block)
 
@@ -389,10 +389,6 @@ class BlockStore:
         """All flagged (block, node) pairs, deterministically ordered."""
         return sorted(self._corrupted)
 
-    def corrupted_on_node(self, node_id: NodeId) -> List[BlockId]:
-        """Flagged blocks on one node, sorted (the scrubber's scan unit)."""
-        return sorted(b for b, n in self._corrupted if n == node_id)
-
     def healthy_replica_nodes(self, block_id: BlockId) -> Tuple[NodeId, ...]:
         """Nodes holding an uncorrupted copy of ``block_id``."""
         return tuple(
@@ -402,22 +398,23 @@ class BlockStore:
         )
 
     def replicas(self, block_id: BlockId) -> Sequence[Replica]:
-        """All current replicas of a block."""
-        return tuple(self._replicas[self._get_block(block_id).block_id])
+        """All current replicas of a block, in placement order."""
+        primary = self._primary
+        return tuple(
+            Replica(block_id, node_id, (block_id, node_id) in primary)
+            for node_id in self.replica_nodes(block_id)
+        )
 
     def replica_nodes(self, block_id: BlockId) -> Tuple[NodeId, ...]:
         """Node ids currently holding a copy of ``block_id``."""
         try:
-            return tuple([r.node_id for r in self._replicas[block_id]])
+            return self._holders[block_id]
         except KeyError:
             raise KeyError(f"unknown block id {block_id}") from None
 
     def replica_count(self, block_id: BlockId) -> int:
         """How many nodes currently hold a copy of ``block_id``."""
-        try:
-            return len(self._replicas[block_id])
-        except KeyError:
-            raise KeyError(f"unknown block id {block_id}") from None
+        return len(self.replica_nodes(block_id))
 
     def replica_racks(self, block_id: BlockId) -> Tuple[RackId, ...]:
         """Rack ids currently holding a copy (duplicates preserved)."""
@@ -425,9 +422,9 @@ class BlockStore:
 
     def primary_node(self, block_id: BlockId) -> Optional[NodeId]:
         """The node holding the first-written replica, if it still exists."""
-        for replica in self._replicas[self._get_block(block_id).block_id]:
-            if replica.is_primary:
-                return replica.node_id
+        for node_id in self.replica_nodes(block_id):
+            if (block_id, node_id) in self._primary:
+                return node_id
         return None
 
     def live_members(self, stripe_id: int) -> int:

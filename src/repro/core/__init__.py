@@ -1,11 +1,10 @@
 """Placement core: the paper's primary contribution.
 
-* :mod:`repro.core.flowgraph` — the block/node/rack flow graph of Figure 4,
-  used to test whether a replica layout admits a post-encoding placement
-  that satisfies rack-level fault tolerance (max matching with at most ``c``
-  stripe blocks per rack).
-* :mod:`repro.core.matching` — that matching, computed by Dinic's phases on
-  the graph's implicit residual network (no graph is built).
+* :mod:`repro.core.matching` — the block/node/rack flow graph of Figure 4:
+  whether a replica layout admits a post-encoding placement that satisfies
+  rack-level fault tolerance (a matching with at most ``c`` stripe blocks
+  per rack), computed by Dinic's phases on the graph's implicit residual
+  network (no graph is built), and the per-rack capacity it runs under.
 * :mod:`repro.core.policy` — the ``PlacementPolicy`` interface and the
   replication scheme descriptions (HDFS default two-rack layout, one rack
   per replica, ...).
@@ -22,7 +21,6 @@
 """
 
 from repro.core.ear import EncodingAwareReplication
-from repro.core.flowgraph import StripeFlowGraph
 from repro.core.policy import (
     PlacementPolicy,
     ReplicationScheme,
@@ -46,7 +44,6 @@ __all__ = [
     "RelocationPlan",
     "ReplicationScheme",
     "Stripe",
-    "StripeFlowGraph",
     "StripeState",
     "TWO_RACKS",
 ]

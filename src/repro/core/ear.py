@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.block import BlockId
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
-from repro.core.flowgraph import StripeFlowGraph, StripeFlowSession
+from repro.core.matching import RackMatching, retention_capacity
 from repro.sim.metrics import PERF
 from repro.core.policy import (
     PlacementDecision,
@@ -68,12 +68,15 @@ class EncodingAwareReplication(PlacementPolicy):
             intra-rack — the "keep more data/parity blocks in one rack"
             behaviour behind Figure 13(e).  No effect at ``c = 1``.
 
-    Each open stripe keeps one incremental :class:`StripeFlowSession` alive
-    across every redraw, augmenting the previous max-flow solution instead
-    of rebuilding and re-solving the whole graph per attempt.  The
-    accept/reject decisions are those of the from-scratch test
-    ``StripeFlowGraph.max_matching_size(layout) == len(layout)``, which
-    stays public as the reference.
+    Each open stripe keeps one :class:`~repro.core.matching.RackMatching`
+    alive across every redraw, with the capacity of
+    :func:`~repro.core.matching.retention_capacity`; a candidate is kept
+    iff :meth:`~repro.core.matching.RackMatching.add` can route one more
+    unit from the accepted blocks' flow, which is the from-scratch test
+    "max flow of the layout equals its block count" without rebuilding
+    the graph.  The policy keeps no layout: a placed block's replicas are
+    its :class:`PlacementDecision`'s ``node_ids``, and the NameNode's block
+    store holds them from then on.
 
     Example:
         >>> topo = ClusterTopology.large_scale()
@@ -144,8 +147,7 @@ class EncodingAwareReplication(PlacementPolicy):
             raise ValueError("store's k disagrees with the code's k")
 
         self._open_by_rack: Dict[RackId, int] = {}
-        self._sessions: Dict[int, StripeFlowSession] = {}
-        self._layouts: Dict[int, Dict[BlockId, List[NodeId]]] = {}
+        self._matchings: Dict[int, RackMatching] = {}
         # attempts[i] collects the redraw counts observed for the i-th block
         # of a stripe (1-indexed), for validating Theorem 1.
         self._attempts_by_index: Dict[int, List[int]] = defaultdict(list)
@@ -169,15 +171,20 @@ class EncodingAwareReplication(PlacementPolicy):
             core_rack = self._random_rack()
         stripe = self._open_stripe_for(core_rack)
         index = len(stripe.block_ids) + 1  # this block is the i-th of its stripe
-        session = self._sessions.get(stripe.stripe_id)
-        if session is None:
-            session = self.flow_graph_for(stripe).session()
-            self._sessions[stripe.stripe_id] = session
+        matching = self._matchings.get(stripe.stripe_id)
+        if matching is None:
+            matching = RackMatching(
+                self.topology.rack_of,
+                retention_capacity(
+                    self.c, stripe.target_racks, core_rack, self.core_reserve
+                ),
+            )
+            self._matchings[stripe.stripe_id] = matching
 
         for attempt in range(1, self.max_attempts + 1):
             node_ids = self._draw_candidate(core_rack, stripe)
             PERF.bump("ear.redraw_attempts")
-            if session.try_place(block_id, node_ids):
+            if matching.add(block_id, node_ids):
                 break
         else:
             raise PlacementError(
@@ -186,12 +193,11 @@ class EncodingAwareReplication(PlacementPolicy):
                 f"{self.max_attempts} attempts"
             )
 
-        self._layouts.setdefault(stripe.stripe_id, {})[block_id] = node_ids
         self._attempts_by_index[index].append(attempt)
         self.store.add_block(stripe.stripe_id, block_id)
         if stripe.is_full():
             del self._open_by_rack[core_rack]
-            self._sessions.pop(stripe.stripe_id, None)
+            del self._matchings[stripe.stripe_id]
         return PlacementDecision(
             block_id=block_id,
             node_ids=tuple(node_ids),
@@ -201,54 +207,8 @@ class EncodingAwareReplication(PlacementPolicy):
         )
 
     # ------------------------------------------------------------------
-    # Introspection used by the encoding pipeline and analyses
+    # Theorem 1 validation
     # ------------------------------------------------------------------
-    def stripe_layout(self, stripe: Stripe) -> Dict[BlockId, List[NodeId]]:
-        """Replica layout (block -> nodes) recorded for a stripe.
-
-        Raises:
-            PlacementError: If this policy placed no block of the stripe.
-        """
-        layout = self._layouts.get(stripe.stripe_id)
-        if layout is None:
-            raise PlacementError(
-                f"this policy placed no block of stripe {stripe.stripe_id}"
-            )
-        return {bid: list(nodes) for bid, nodes in layout.items()}
-
-    def flow_graph_for(self, stripe: Stripe) -> StripeFlowGraph:
-        """The flow graph (with this policy's ``c``, the stripe's targets,
-        and the core rack's parity reservation)."""
-        overrides = (
-            {stripe.core_rack: self.c - self.core_reserve}
-            if self.core_reserve and stripe.core_rack is not None
-            else None
-        )
-        return StripeFlowGraph(
-            self.topology, self.c, stripe.target_racks,
-            capacity_overrides=overrides,
-        )
-
-    def retention_plan(self, stripe: Stripe) -> Dict[BlockId, NodeId]:
-        """Which replica of each data block survives encoding.
-
-        The plan always exists for EAR-placed stripes because every accepted
-        layout kept the max flow equal to the block count.
-
-        Raises:
-            PlacementError: If this policy placed no block of the stripe,
-                or its recorded layout admits no plan.
-        """
-        matching = self.flow_graph_for(stripe).find_matching(
-            self.stripe_layout(stripe)
-        )
-        if matching is None:
-            raise PlacementError(
-                f"stripe {stripe.stripe_id} has no retention plan; "
-                "its layout was not produced by this policy"
-            )
-        return matching
-
     def attempts_by_index(self) -> Dict[int, List[int]]:
         """Observed redraw counts per block index (Theorem 1 validation)."""
         return {i: list(v) for i, v in self._attempts_by_index.items()}

@@ -1,8 +1,13 @@
 """Retention matching on the Figure 4(b) network, without building it.
 
 A stripe's layout admits a retention plan (Section III-B) iff the network
-S -> block -> node -> rack -> T has a flow covering every block.  Its
-residual graph fits in plain dicts: a block's out-edges are its replicas; a
+S -> block -> node -> rack -> T has a flow covering every block: one
+replica kept per block, at most one block per node, at most a rack's
+capacity per rack (:func:`retention_capacity`: ``c``, less the core rack's
+parity reservation, and 0 outside the target racks of Section III-D).
+EAR's redraw loop grows one :class:`RackMatching` per open stripe with
+:meth:`RackMatching.add`; the encoding planners :meth:`RackMatching.solve`
+a sealed stripe's current layout.  Its residual graph fits in plain dicts: a block's out-edges are its replicas; a
 node has exactly one residual out-edge, to the block it holds or, while it
 holds none, to its rack; a rack's are T while it has room, plus its nodes
 that hold a block.  :class:`RackMatching` runs Dinic's phases on it.
@@ -22,12 +27,46 @@ once per level BFS, ``maxflow.augmentations`` once per unit routed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import (
+    Callable, Collection, Dict, Hashable, Iterable, List, Mapping, Optional,
+)
 
 from repro.cluster.topology import NodeId, RackId
 from repro.sim.metrics import PERF
 
 Block = Hashable
+
+
+def retention_capacity(
+    c: int,
+    target_racks: Optional[Collection[RackId]] = None,
+    core_rack: Optional[RackId] = None,
+    core_reserve: int = 0,
+) -> Callable[[RackId], int]:
+    """Rack id -> blocks of one stripe the rack may retain after encoding.
+
+    ``c`` per rack, except ``c - core_reserve`` in ``core_rack`` (the
+    slots kept for parity, Figure 13(e)) and 0 outside ``target_racks``
+    when those are given.  EAR's placement and ``plan_ear_encoding`` both
+    build their capacity here, so they agree on what a stripe may retain.
+
+    Example:
+        >>> capacity = retention_capacity(2, target_racks=(0, 1),
+        ...                               core_rack=0, core_reserve=1)
+        >>> capacity(0), capacity(1), capacity(2)
+        (1, 2, 0)
+    """
+    if c <= 0:
+        raise ValueError("c must be positive")
+    if not 0 <= core_reserve < c:
+        raise ValueError(f"core_reserve must be in [0, c={c})")
+    core = c - core_reserve
+    if target_racks is None:
+        return lambda rack: core if rack == core_rack else c
+    targets = frozenset(target_racks)
+    return lambda rack: (
+        (core if rack == core_rack else c) if rack in targets else 0
+    )
 
 
 class RackMatching:
@@ -71,8 +110,11 @@ class RackMatching:
         Takes a free replica in a rack with room when there is one;
         otherwise one level BFS and one search from ``block``.  A failed
         search changes no flow, so a rejection only forgets the nodes the
-        block introduced.
+        block introduced.  Raises ``ValueError`` if ``block`` was already
+        kept: registering it again would corrupt the matching.
         """
+        if block in self._replicas:
+            raise ValueError(f"block {block!r} was already placed")
         introduced = self._register(block, replicas)
         if block in self._place or self._phase([block]):
             return True

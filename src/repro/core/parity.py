@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.block import BlockId, BlockStore
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
-from repro.core.flowgraph import StripeFlowGraph
+from repro.core.matching import RackMatching, retention_capacity
 from repro.core.policy import PlacementError
 from repro.core.stripe import Stripe
 from repro.erasure.codec import CodeParams
@@ -205,35 +205,35 @@ def plan_ear_encoding(
         ``cross_rack_downloads`` is 0 by construction (the EAR guarantee).
 
     Raises:
-        PlacementError: If no retention plan exists even with no
-            reservation — i.e. the stripe was not EAR-placed.
+        ValueError: If ``c`` is not positive.
+        PlacementError: If the stripe has no core rack, a degraded block
+            has no replica left, or the encoder is outside the core rack.
     """
+    if c <= 0:
+        raise ValueError("c must be positive")
     rng = rng if rng is not None else random.Random(0)
     if stripe.core_rack is None:
         raise PlacementError("EAR encoding requires a stripe with a core rack")
     layout = {bid: block_store.replica_nodes(bid) for bid in stripe.block_ids}
 
     max_reserve = min(c - 1, code.num_parity) if reserve_core_for_parity else 0
-    matching: Optional[Dict[BlockId, NodeId]] = None
-    degraded = False
-    reserve = 0
+    matching: Dict[BlockId, NodeId] = {}
     for reserve in range(max_reserve, -1, -1):
-        graph = StripeFlowGraph(
-            topology,
-            c,
-            stripe.target_racks,
-            capacity_overrides={stripe.core_rack: c - reserve},
-        )
-        matching = graph.find_matching(layout)
-        if matching is not None:
+        matching = RackMatching(
+            topology.rack_of,
+            retention_capacity(c, stripe.target_racks, stripe.core_rack, reserve),
+        ).solve(layout)
+        if len(matching) == len(layout):
             break
-    if matching is None:
+    degraded = len(matching) < len(layout)
+    if degraded:
         # EAR placement guarantees a matching exists — unless failures have
         # since removed replicas.  Degrade to best-effort retention (like
         # RR): match what the flow allows, keep arbitrary survivors for the
         # rest, and let the PlacementMonitor flag any violation.
-        degraded = True
-        matching = StripeFlowGraph(topology, c).find_partial_matching(layout)
+        matching = RackMatching(topology.rack_of, retention_capacity(c)).solve(
+            layout
+        )
         for block_id, nodes in layout.items():
             if block_id in matching:
                 continue
@@ -299,20 +299,19 @@ def plan_rr_encoding(
     if encoder_node is None:
         encoder_node = rng.randrange(topology.num_nodes)
 
-    matching: Optional[Dict[BlockId, NodeId]] = None
+    matching: Dict[BlockId, NodeId] = {}
     for cap in range(1, len(layout) + 1):
-        graph = StripeFlowGraph(topology, cap)
-        matching = graph.find_matching(layout)
-        if matching is not None:
-            break
-    if matching is None:
-        # Even ignoring racks, the blocks cannot occupy distinct nodes (RR
-        # gives no such guarantee).  Retain what a maximum matching can and
-        # fall back to arbitrary replicas for the rest — real HDFS keeps the
-        # data regardless and lets the PlacementMonitor flag the stripe.
-        matching = StripeFlowGraph(topology, len(layout)).find_partial_matching(
+        matching = RackMatching(topology.rack_of, retention_capacity(cap)).solve(
             layout
         )
+        if len(matching) == len(layout):
+            break
+    else:
+        # Even ignoring racks (cap = every block), the blocks cannot occupy
+        # distinct nodes (RR gives no such guarantee).  Retain what that
+        # maximum matching does and fall back to arbitrary replicas for the
+        # rest — real HDFS keeps the data regardless and lets the
+        # PlacementMonitor flag the stripe.
         for block_id, nodes in layout.items():
             if block_id in matching:
                 continue

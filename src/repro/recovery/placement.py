@@ -11,7 +11,7 @@ time by integer factors for the same reason.
 
 :class:`RecoveryAwareReplication` keeps EAR's machinery — core-rack
 primaries (so encoding map tasks still read locally), flow-graph
-validated layouts, incremental placement sessions — but pins the
+validated layouts, one retention matching per open stripe — but pins the
 post-encoding layout to **one block per rack** regardless of the
 deployment's nominal cap, and disables the core-rack parity reservation
 so parity spreads with the data.  The trade: stripes span more racks

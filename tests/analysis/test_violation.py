@@ -79,6 +79,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             violation_probability_flowgraph_mc(10, 5, 0, rng)
 
+    @pytest.mark.parametrize(
+        "estimator", [violation_probability_mc, violation_probability_flowgraph_mc]
+    )
+    def test_estimators_reject_zero_k(self, estimator):
+        with pytest.raises(ValueError, match="k must be positive"):
+            estimator(10, 0, 100, random.Random(1))
+
+    @pytest.mark.parametrize(
+        "estimator", [violation_probability_mc, violation_probability_flowgraph_mc]
+    )
+    def test_estimators_reject_a_single_rack(self, estimator):
+        with pytest.raises(ValueError, match="need at least two racks"):
+            estimator(1, 3, 100, random.Random(1))
+
     @given(
         num_racks=st.integers(8, 30),
         k=st.integers(3, 12),

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
-from repro.core.flowgraph import StripeFlowGraph
+from repro.core.matching import RackMatching, retention_capacity
 from repro.erasure import matrix as gfm
 from repro.erasure.codec import CodeParams, make_codec
 from repro.erasure.stream import stream_decode, stream_encode, stream_repair
@@ -177,9 +177,10 @@ class TestMaxflowBudgets:
         assert measured.get("maxflow.augmentations") == len(decisions)
 
     def test_directly_pushed_path_counts_as_an_augmentation(self):
-        session = StripeFlowGraph(ClusterTopology(2, 4), c=1).session()
+        topology = ClusterTopology(2, 4)
+        matching = RackMatching(topology.rack_of, retention_capacity(1))
         with measure_ops() as measured:
-            assert session.try_place(0, (0, 2))  # empty graph: direct path
+            assert matching.add(0, (0, 2))  # empty graph: direct path
         assert measured.get("maxflow.bfs_builds") == 0
         assert measured.get("maxflow.augmentations") == 1
 

@@ -121,24 +121,32 @@ class TestReplicaManagement:
         assert block.block_id in store.blocks_on_node(7)
         assert block.block_id not in store.blocks_on_node(2)
 
+    def test_replicas_keep_placement_order_and_primary_flags(self, store):
+        block = store.create_block(64)
+        store.add_replicas(block.block_id, [4, 1, 2])
+        store.add_replica(block.block_id, 6, is_primary=True)
+        store.remove_replica(block.block_id, 1)
+        store.move_replica(block.block_id, 4, 7)
+        assert [
+            (replica.node_id, replica.is_primary)
+            for replica in store.replicas(block.block_id)
+        ] == [(2, False), (6, True), (7, False)]
+        assert store.primary_node(block.block_id) == 6
+
+    def test_replica_nodes_is_the_stored_tuple_until_a_change(self, store):
+        block = store.create_block(64)
+        store.add_replicas(block.block_id, [1, 2])
+        nodes = store.replica_nodes(block.block_id)
+        assert store.replica_nodes(block.block_id) is nodes
+        store.retain_only(block.block_id, 2)
+        assert nodes == (1, 2)  # a handed-out tuple never changes
+        assert store.replica_nodes(block.block_id) == (2,)
+
     def test_primary_gone_after_retention_elsewhere(self, store):
         block = store.create_block(64)
         store.add_replicas(block.block_id, [1, 2])
         store.retain_only(block.block_id, 2)
         assert store.primary_node(block.block_id) is None
-
-
-class TestCorruption:
-    def test_corrupted_on_node_lists_only_that_node(self, store):
-        a, b = store.create_block(64), store.create_block(64)
-        store.add_replicas(a.block_id, [1, 2])
-        store.add_replicas(b.block_id, [2, 3])
-        store.mark_corrupted(a.block_id, 1)
-        store.mark_corrupted(b.block_id, 2)
-        store.mark_corrupted(a.block_id, 2)
-        assert store.corrupted_on_node(2) == [a.block_id, b.block_id]
-        assert store.corrupted_on_node(1) == [a.block_id]
-        assert store.corrupted_on_node(3) == []
 
 
 class TestAggregates:

@@ -9,15 +9,19 @@ visits them — S->B, then per replica B->N, N->R if the node is new, R->T
 if the rack is new — and Dinic visits each vertex's edges in that order.
 
 :func:`ear_redraws_vs_fresh` is the end-to-end counterpart: it replays
-every candidate the EAR redraw loop drew against the public from-scratch
-``StripeFlowGraph.max_matching_size``.
+every candidate the EAR redraw loop drew against a from-scratch
+``RackMatching.solve`` of the accepted layout plus the candidate.
+
+:func:`validate_matching` checks a retention plan against the constraints
+themselves, with no flow at all.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
+from repro.core.matching import RackMatching, retention_capacity
 from repro.erasure.codec import CodeParams
 from repro.sim.metrics import measure_ops
 
@@ -109,7 +113,7 @@ class LabelDinic:
 
 
 class ReferenceFlowGraph:
-    """From-scratch feasibility, matching and partial matching."""
+    """From-scratch maximum matching and per-rack capacity."""
 
     def __init__(self, topology, c=1, target_racks=None, capacity_overrides=None):
         self.topology = topology
@@ -119,6 +123,12 @@ class ReferenceFlowGraph:
 
     def _admissible(self, rack_id):
         return self.target_racks is None or rack_id in self.target_racks
+
+    def capacity(self, rack_id):
+        """The rack's R->T capacity; 0 when the network omits the rack."""
+        if not self._admissible(rack_id):
+            return 0
+        return self.capacity_overrides.get(rack_id, self.c)
 
     def network(self, layout):
         """The layout's network, built in order, carrying no flow."""
@@ -136,10 +146,7 @@ class ReferenceFlowGraph:
                     graph.add_edge(("N", node_id), ("R", rack_id), 1)
                 if rack_id not in racks_added:
                     racks_added.add(rack_id)
-                    graph.add_edge(
-                        ("R", rack_id), _SINK,
-                        self.capacity_overrides.get(rack_id, self.c),
-                    )
+                    graph.add_edge(("R", rack_id), _SINK, self.capacity(rack_id))
         return graph
 
     def routed(self, graph, layout):
@@ -154,19 +161,12 @@ class ReferenceFlowGraph:
                     break
         return matching
 
-    def max_matching_size(self, layout):
-        return len(self.find_partial_matching(layout))
-
     def find_partial_matching(self, layout):
         if not layout:
             return {}
         graph = self.network(layout)
         graph.max_flow(_SOURCE, _SINK)
         return self.routed(graph, layout)
-
-    def find_matching(self, layout):
-        matching = self.find_partial_matching(layout)
-        return matching if len(matching) == len(layout) else None
 
 
 class ReferenceSession:
@@ -198,14 +198,70 @@ class ReferenceSession:
         return True
 
 
+def validate_matching(topology, capacity, layout, matching):
+    """Assert that a retention plan satisfies every constraint: it covers
+    exactly the layout's blocks, each on a node holding one of its
+    replicas, one block per node, and at most ``capacity(rack)`` blocks
+    per rack (0 outside the target racks).
+
+    Raises:
+        ValueError: Describing the first violated constraint.
+    """
+    if set(matching) != set(layout):
+        raise ValueError("matching must cover exactly the layout's blocks")
+    used_nodes = set()
+    for block, node_id in matching.items():
+        if node_id not in layout[block]:
+            raise ValueError(
+                f"block {block} retained on node {node_id} without a replica"
+            )
+        if node_id in used_nodes:
+            raise ValueError(f"node {node_id} retains more than one block")
+        used_nodes.add(node_id)
+    usage = Counter(topology.rack_of(node_id) for node_id in matching.values())
+    for rack_id, used in usage.items():
+        if used > capacity(rack_id):
+            raise ValueError(
+                f"rack {rack_id} retains {used} blocks, exceeding its "
+                f"capacity {capacity(rack_id)}"
+            )
+
+
+def ear_capacity(policy, stripe):
+    """The retention capacity EAR placed ``stripe`` under."""
+    return retention_capacity(
+        policy.c, stripe.target_racks, stripe.core_rack, policy.core_reserve
+    )
+
+
+def stripe_layouts(decisions):
+    """Stripe id -> {block id: replica nodes} of EAR placement decisions."""
+    layouts = {}
+    for decision in decisions:
+        layouts.setdefault(decision.stripe_id, {})[decision.block_id] = (
+            decision.node_ids
+        )
+    return layouts
+
+
+def ear_retention_plan(policy, stripe, layout):
+    """Solve ``stripe``'s layout under the capacity EAR placed it with,
+    assert the plan keeps every block and passes :func:`validate_matching`,
+    and return it."""
+    capacity = ear_capacity(policy, stripe)
+    plan = RackMatching(policy.topology.rack_of, capacity).solve(layout)
+    validate_matching(policy.topology, capacity, layout, plan)
+    return plan
+
+
 def ear_redraws_vs_fresh(seed, num_blocks, writers=1):
     """Place (14,10) blocks with EAR on the 20x20 cluster, then replay every
     candidate layout it drew against the from-scratch reference.
 
-    The reference is the public ``StripeFlowGraph.max_matching_size``: a
-    candidate for the i-th block of a stripe must be accepted iff the
-    accepted layout plus the candidate has max flow i.  Block ``b`` is
-    written from node ``b % writers``.
+    The reference is a fresh ``RackMatching.solve``: a candidate for the
+    i-th block of a stripe must be accepted iff the accepted layout plus
+    the candidate has max flow i.  Block ``b`` is written from node
+    ``b % writers``.
 
     Returns:
         ``(decisions, ops_incremental, ops_fresh)`` — the placement
@@ -237,11 +293,12 @@ def ear_redraws_vs_fresh(seed, num_blocks, writers=1):
     kept = {}
     with measure_ops() as fresh:
         for decision in decisions:
-            graph = ear.flow_graph_for(ear.store.stripe(decision.stripe_id))
+            capacity = ear_capacity(ear, ear.store.stripe(decision.stripe_id))
             layout = kept.setdefault(decision.stripe_id, {})
             for attempt in range(1, decision.attempts + 1):
                 candidate = {**layout, decision.block_id: next(draws)}
-                feasible = graph.max_matching_size(candidate) == len(candidate)
+                fresh_matching = RackMatching(ear.topology.rack_of, capacity)
+                feasible = len(fresh_matching.solve(candidate)) == len(candidate)
                 if feasible != (attempt == decision.attempts):
                     raise AssertionError(
                         "incremental EAR redraw loop diverged from the "

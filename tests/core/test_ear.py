@@ -1,6 +1,7 @@
 """EAR: flow-graph-validated placement, target racks, Theorem 1."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
-from repro.core.policy import PlacementError, ReplicationScheme
-from repro.core.stripe import PreEncodingStore, Stripe
+from repro.core.policy import ReplicationScheme
+from repro.core.stripe import PreEncodingStore
 from repro.erasure.codec import CodeParams
+from repro.hdfs.namenode import NameNode
+from tests.core.reference_flow import ear_retention_plan, stripe_layouts
 
 
 def place_stripes(policy, num_blocks, writer=None):
@@ -33,20 +36,17 @@ class TestPlacementInvariants:
         self, large_topology, facebook_code, rng
     ):
         policy = EncodingAwareReplication(large_topology, facebook_code, rng=rng)
-        place_stripes(policy, 300)
+        layouts = stripe_layouts(place_stripes(policy, 300))
         for stripe in policy.store.sealed_stripes():
-            plan = policy.retention_plan(stripe)
-            policy.flow_graph_for(stripe).validate_matching(
-                policy.stripe_layout(stripe), plan
-            )
+            ear_retention_plan(policy, stripe, layouts[stripe.stripe_id])
 
     def test_core_rack_holds_every_block(self, large_topology, facebook_code, rng):
         """The EAR guarantee: one replica of each stripe block in the core
         rack, so encoding needs no cross-rack downloads."""
         policy = EncodingAwareReplication(large_topology, facebook_code, rng=rng)
-        place_stripes(policy, 300)
+        layouts = stripe_layouts(place_stripes(policy, 300))
         for stripe in policy.store.sealed_stripes():
-            layout = policy.stripe_layout(stripe)
+            layout = layouts[stripe.stripe_id]
             for block_id, nodes in layout.items():
                 racks = {large_topology.rack_of(n) for n in nodes}
                 assert stripe.core_rack in racks
@@ -102,21 +102,6 @@ class TestValidationBehaviour:
         with pytest.raises(KeyError):
             policy.mean_attempts(1)
 
-    def test_stripe_this_policy_never_placed_has_no_layout_or_plan(
-        self, large_topology, facebook_code, rng
-    ):
-        # Regression: the layouts used to live in a defaultdict, so asking
-        # about a foreign stripe inserted an empty layout and returned {}.
-        policy = EncodingAwareReplication(large_topology, facebook_code, rng=rng)
-        place_stripes(policy, facebook_code.k, writer=0)
-        foreign = Stripe(stripe_id=999, k=facebook_code.k, core_rack=0)
-        for query in (policy.stripe_layout, policy.retention_plan):
-            with pytest.raises(PlacementError):
-                query(foreign)
-        assert 999 not in policy._layouts
-        mine = policy.store.sealed_stripes()[0]
-        assert sorted(policy.retention_plan(mine)) == sorted(mine.block_ids)
-
     def test_max_attempts_cap(self, facebook_code):
         # One rack cannot host a (14,10) stripe at c=1 -> constructor error.
         tiny = ClusterTopology(nodes_per_rack=50, num_racks=4)
@@ -143,10 +128,10 @@ class TestParameterC:
         policy = EncodingAwareReplication(
             topo, facebook_code, rng=random.Random(4), c=2
         )
-        place_stripes(policy, 200, writer=0)
+        layouts = stripe_layouts(place_stripes(policy, 200, writer=0))
         for stripe in policy.store.sealed_stripes():
-            plan = policy.retention_plan(stripe)
-            usage = policy.flow_graph_for(stripe).rack_usage(plan)
+            plan = ear_retention_plan(policy, stripe, layouts[stripe.stripe_id])
+            usage = Counter(topo.rack_of(node) for node in plan.values())
             assert max(usage.values()) <= 2
 
     def test_c_bound_on_racks(self, facebook_code):
@@ -183,9 +168,9 @@ class TestTargetRacks:
             c=4,
             num_target_racks=4,
         )
-        place_stripes(policy, 40, writer=0)
+        layouts = stripe_layouts(place_stripes(policy, 40, writer=0))
         for stripe in policy.store.sealed_stripes():
-            plan = policy.retention_plan(stripe)
+            plan = ear_retention_plan(policy, stripe, layouts[stripe.stripe_id])
             for node in plan.values():
                 assert large_topology.rack_of(node) in stripe.target_racks
 
@@ -235,12 +220,44 @@ def test_property_ear_invariants(seed, k, parity, c):
     policy = EncodingAwareReplication(
         topo, code, rng=random.Random(seed), c=c
     )
-    for block_id in range(6 * k):
-        policy.place_block(block_id)
+    layouts = stripe_layouts(
+        [policy.place_block(block_id) for block_id in range(6 * k)]
+    )
     for stripe in policy.store.sealed_stripes():
-        layout = policy.stripe_layout(stripe)
-        plan = policy.retention_plan(stripe)
-        graph = policy.flow_graph_for(stripe)
-        graph.validate_matching(layout, plan)
+        layout = layouts[stripe.stripe_id]
+        ear_retention_plan(policy, stripe, layout)
         for nodes in layout.values():
             assert stripe.core_rack in {topo.rack_of(x) for x in nodes}
+
+
+@pytest.mark.parametrize(
+    "c,num_target_racks",
+    [(1, None), (2, None), (4, 4)],
+    ids=["c1", "c2-reserved", "targets"],
+)
+def test_namenode_layouts_keep_a_full_retention_matching(c, num_target_racks):
+    """EAR's guarantee read back from the NameNode's block store: every
+    sealed stripe's replica layout solves, under the capacity EAR placed
+    it with, to a matching that keeps every block and passes the checker."""
+    topo = ClusterTopology.large_scale()
+    code = CodeParams(14, 10)
+    policy = EncodingAwareReplication(
+        topo, code, rng=random.Random(c), c=c,
+        num_target_racks=num_target_racks,
+    )
+    assert policy.core_reserve == min(c - 1, code.num_parity)
+    namenode = NameNode(topo, policy)
+    for block_id in range(20 * code.k):
+        namenode.allocate_block(writer_node=topo.nodes_in_rack(block_id % 5)[0])
+    sealed = namenode.sealed_stripes()
+    assert len(sealed) == 20
+    for stripe in sealed:
+        layout = {
+            block_id: namenode.block_locations(block_id)
+            for block_id in stripe.block_ids
+        }
+        plan = ear_retention_plan(policy, stripe, layout)
+        if num_target_racks is not None:
+            assert {topo.rack_of(node) for node in plan.values()} <= set(
+                stripe.target_racks
+            )

@@ -1,22 +1,26 @@
 """The implicit-graph matcher versus the explicit reference network.
 
-The incremental session's accept/reject decisions and the matching it
-carries after each one, and the exact matchings of ``find_matching`` /
-``find_partial_matching``, are compared with
-:mod:`tests.core.reference_flow` over random small clusters: every
-``c``, target racks, per-rack capacity overrides (zero included), replicas
-sharing a rack and duplicate node ids inside one block's layout.  Equal
-matchings mean the matcher visits the residual graph in Dinic's order on
-the network built block by block.
+``RackMatching.add``'s accept/reject decisions and the matching it
+carries after each one, and the exact matchings of ``RackMatching.solve``
+(full or partial), are compared with :mod:`tests.core.reference_flow`
+over random small clusters: every ``c``, target racks, per-rack capacity
+overrides (zero included), replicas sharing a rack and duplicate node ids
+inside one block's layout.  The matcher runs under the reference's own
+per-rack capacity.  Equal matchings mean the matcher visits the residual
+graph in Dinic's order on the network built block by block.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
-from repro.core.flowgraph import StripeFlowGraph
+from repro.core.matching import RackMatching
 
 from tests.core.reference_flow import ReferenceFlowGraph, ReferenceSession
+
+
+def matcher(topology, reference):
+    return RackMatching(topology.rack_of, reference.capacity)
 
 
 @st.composite
@@ -44,27 +48,21 @@ def flow_cases(draw):
 @settings(max_examples=500, deadline=None)
 def test_session_accepts_exactly_what_the_reference_accepts(case):
     topology, args, blocks = case
-    session = StripeFlowGraph(topology, *args).session()
     reference = ReferenceSession(ReferenceFlowGraph(topology, *args))
+    matching = matcher(topology, reference.reference)
     for block, nodes in enumerate(blocks):
-        assert session.try_place(block, nodes) == reference.try_place(
-            block, nodes
-        )
-        assert session._matching._place == reference.matching
-        assert session.num_placed == len(reference.layout)
-    assert session.layout() == reference.layout
+        assert matching.add(block, nodes) == reference.try_place(block, nodes)
+        assert matching._place == reference.matching
+        assert list(matching._replicas) == list(reference.layout)
 
 
 @given(case=flow_cases())
 @settings(max_examples=500, deadline=None)
 def test_matchings_equal_the_reference_matchings(case):
     topology, args, blocks = case
-    graph = StripeFlowGraph(topology, *args)
     reference = ReferenceFlowGraph(topology, *args)
     layout = dict(enumerate(blocks))
-    assert graph.max_matching_size(layout) == reference.max_matching_size(layout)
-    assert graph.find_matching(layout) == reference.find_matching(layout)
-    assert graph.find_partial_matching(layout) == (
+    assert matcher(topology, reference).solve(layout) == (
         reference.find_partial_matching(layout)
     )
 
@@ -76,8 +74,8 @@ def test_rejections_interleave_with_acceptances(case, data):
     kept, so rejected candidates sit between accepted ones and the session
     must carry on from exactly the accepted state each time."""
     topology, args, blocks = case
-    session = StripeFlowGraph(topology, *args).session()
     reference = ReferenceSession(ReferenceFlowGraph(topology, *args))
+    matching = matcher(topology, reference.reference)
     node = st.integers(0, topology.num_nodes - 1)
     for block, first in enumerate(blocks):
         redraws = data.draw(
@@ -85,8 +83,8 @@ def test_rejections_interleave_with_acceptances(case, data):
         )
         for nodes in [first, *redraws]:
             kept = reference.try_place(block, nodes)
-            assert session.try_place(block, nodes) == kept
-            assert session._matching._place == reference.matching
+            assert matching.add(block, nodes) == kept
+            assert matching._place == reference.matching
             if kept:
                 break
-    assert session.layout() == reference.layout
+    assert list(matching._replicas) == list(reference.layout)

@@ -20,6 +20,7 @@ from repro.core.random_replication import RandomReplication
 from repro.core.relocation import BlockMover
 from repro.core.stripe import PreEncodingStore
 from repro.erasure.codec import CodeParams
+from tests.core.reference_flow import ear_retention_plan, stripe_layouts
 
 LOPSIDED = ClusterTopology(nodes_per_rack=[2, 8, 3, 6, 2, 9, 4, 5])
 CODE = CodeParams(6, 4)
@@ -51,14 +52,14 @@ class TestEARHeterogeneous:
         policy = EncodingAwareReplication(
             LOPSIDED, CODE, rng=random.Random(3)
         )
-        for block_id in range(24 * CODE.k):
-            policy.place_block(block_id)
+        layouts = stripe_layouts(
+            [policy.place_block(block_id) for block_id in range(24 * CODE.k)]
+        )
         sealed = policy.store.sealed_stripes()
         assert sealed
         for stripe in sealed:
-            layout = policy.stripe_layout(stripe)
-            plan = policy.retention_plan(stripe)
-            policy.flow_graph_for(stripe).validate_matching(layout, plan)
+            layout = layouts[stripe.stripe_id]
+            ear_retention_plan(policy, stripe, layout)
             for nodes in layout.values():
                 racks = {LOPSIDED.rack_of(n) for n in nodes}
                 assert stripe.core_rack in racks
@@ -109,16 +110,13 @@ def test_property_heterogeneous_ear_invariants(seed):
     topo = ClusterTopology(nodes_per_rack=sizes)
     code = CodeParams(6, 4)
     policy = EncodingAwareReplication(topo, code, rng=rng)
-    placed = 0
+    decisions = []
     try:
         for block_id in range(10 * code.k):
-            policy.place_block(block_id)
-            placed += 1
+            decisions.append(policy.place_block(block_id))
     except PlacementError:
         # Acceptable only when some rack genuinely cannot host a group.
         pytest.skip("degenerate random topology")
+    layouts = stripe_layouts(decisions)
     for stripe in policy.store.sealed_stripes():
-        plan = policy.retention_plan(stripe)
-        policy.flow_graph_for(stripe).validate_matching(
-            policy.stripe_layout(stripe), plan
-        )
+        ear_retention_plan(policy, stripe, layouts[stripe.stripe_id])

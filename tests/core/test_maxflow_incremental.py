@@ -2,10 +2,9 @@
 EAR placement identity.
 
 The differential oracle in every test is the from-scratch path: the
-reference Dinic rebuilt per attempt and the public
-``StripeFlowGraph.max_matching_size`` re-solved per candidate — for EAR
-itself by replaying every candidate the redraw loop drew
-(``tests.core.reference_flow.ear_redraws_vs_fresh``).
+reference Dinic rebuilt per attempt and a fresh ``RackMatching.solve``
+per candidate — for EAR itself by replaying every candidate the redraw
+loop drew (``tests.core.reference_flow.ear_redraws_vs_fresh``).
 """
 
 import copy
@@ -17,17 +16,21 @@ from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
-from repro.core.flowgraph import StripeFlowGraph
-from repro.core.matching import RackMatching
+from repro.core.matching import RackMatching, retention_capacity
 from repro.erasure.codec import CodeParams
-from tests.core.reference_flow import LabelDinic, ear_redraws_vs_fresh
+from tests.core.reference_flow import (
+    LabelDinic,
+    ear_redraws_vs_fresh,
+    ear_retention_plan,
+    stripe_layouts,
+)
 
 
-def _matcher_state(session):
-    """Every dict and list the session's matcher keeps, deep-copied."""
+def _matcher_state(matching):
+    """Every dict and list the matcher keeps, deep-copied."""
     return copy.deepcopy({
         name: value
-        for name, value in vars(session._matching).items()
+        for name, value in vars(matching).items()
         if isinstance(value, dict)
     })
 
@@ -74,50 +77,47 @@ class TestSessionVsFreshFlowGraph:
     def test_property_stripe_sessions_match(self, seed):
         r = random.Random(seed)
         topology = ClusterTopology(nodes_per_rack=4, num_racks=5)
-        graph = StripeFlowGraph(topology, c=r.randrange(1, 3))
-        session = graph.session()
+        capacity = retention_capacity(r.randrange(1, 3))
+        matching = RackMatching(topology.rack_of, capacity)
         kept = {}
         for block in range(8):
             nodes = r.sample(range(topology.num_nodes), 3)
             candidate = dict(kept)
             candidate[block] = nodes
-            oracle = graph.max_matching_size(candidate) == len(candidate)
-            assert session.try_place(block, nodes) == oracle
+            fresh = RackMatching(topology.rack_of, capacity).solve(candidate)
+            oracle = len(fresh) == len(candidate)
+            assert matching.add(block, nodes) == oracle
             if oracle:
                 kept[block] = nodes
-        assert session.num_placed == len(kept)
-        assert session.layout() == kept
+        assert list(matching._replicas) == list(kept)
 
 
 class TestSessionRollback:
     def test_rejected_candidate_leaves_no_trace(self):
         topology = ClusterTopology(nodes_per_rack=3, num_racks=4)
-        session = StripeFlowGraph(topology, c=1).session()
-        assert session.try_place(0, (0, 3))
-        assert session.try_place(1, (1, 4))
-
-        def state():
-            return _matcher_state(session), session.layout(), session.num_placed
-
-        before = state()
+        matching = RackMatching(topology.rack_of, retention_capacity(1))
+        assert matching.add(0, (0, 3))
+        assert matching.add(1, (1, 4))
+        before = _matcher_state(matching)
         # Racks 0 and 1 are full at c=1; the candidate adds a new node in
         # each (2, 5), reuses a known one (0) and repeats itself (5).
-        assert not session.try_place(2, (2, 5, 0, 5))
-        assert state() == before
-        # ...and the session still works: rack 2 is free.
-        assert session.try_place(2, (2, 6))
-        assert session.num_placed == 3
+        assert not matching.add(2, (2, 5, 0, 5))
+        assert _matcher_state(matching) == before
+        # ...and the matching still works: rack 2 is free.
+        assert matching.add(2, (2, 6))
+        assert len(matching._place) == 3
 
     def test_rejected_candidate_with_a_new_rack_forgets_the_rack(self):
         topology = ClusterTopology(nodes_per_rack=3, num_racks=4)
-        graph = StripeFlowGraph(topology, c=1, capacity_overrides={2: 0})
-        session = graph.session()
-        assert session.try_place(0, (0,))
-        before = _matcher_state(session)
-        assert not session.try_place(1, (6,))  # rack 2 holds nothing
-        assert _matcher_state(session) == before
-        assert not session.try_place(1, (1, 6))  # node 1: new, then undone
-        assert _matcher_state(session) == before
+        # Rack 2 is outside the target racks: capacity 0.
+        capacity = retention_capacity(1, target_racks=(0, 1, 3))
+        matching = RackMatching(topology.rack_of, capacity)
+        assert matching.add(0, (0,))
+        before = _matcher_state(matching)
+        assert not matching.add(1, (6,))  # rack 2 holds nothing
+        assert _matcher_state(matching) == before
+        assert not matching.add(1, (1, 6))  # node 1: new, then undone
+        assert _matcher_state(matching) == before
 
 
 class TestEndToEndEarIdentity:
@@ -139,8 +139,11 @@ class TestEndToEndEarIdentity:
         topology = ClusterTopology.large_scale()
         code = CodeParams(14, 10)
         ear = EncodingAwareReplication(topology, code, rng=random.Random(3))
-        for block_id in range(code.k):
+        decisions = [
             ear.place_block(block_id, writer_node=0)
+            for block_id in range(code.k)
+        ]
         stripe = ear.store.sealed_stripes()[0]
-        plan = ear.retention_plan(stripe)
+        layout = stripe_layouts(decisions)[stripe.stripe_id]
+        plan = ear_retention_plan(ear, stripe, layout)
         assert sorted(plan) == sorted(stripe.block_ids)

@@ -116,6 +116,16 @@ class TestEARPlans:
         with pytest.raises(PlacementError):
             plan_ear_encoding(large_topology, store, stripe, facebook_code)
 
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_c_must_be_positive(self, large_topology, facebook_code, c):
+        policy, store, rng = build_ear_state(large_topology, facebook_code, 6)
+        stripe = policy.store.sealed_stripes()[0]
+        with pytest.raises(ValueError, match="c must be positive"):
+            plan_ear_encoding(large_topology, store, stripe, facebook_code, c=c)
+        planner = EARPlanner(large_topology, store, facebook_code, c=c)
+        with pytest.raises(ValueError, match="c must be positive"):
+            planner.plan(stripe)
+
     def test_parity_reservation_cuts_uploads(self, facebook_code):
         """With c=4, up to min(c-1, n-k)=3 parity blocks stay in the core
         rack, so at most one upload crosses racks (Figure 13(e)'s effect)."""

@@ -83,13 +83,12 @@ class TestViolationRate:
         """Monte-Carlo over the real policy approaches Equation (1)."""
         from repro.analysis.violation import violation_probability
         from repro.cluster.topology import ClusterTopology
-        from repro.core.flowgraph import StripeFlowGraph
+        from repro.core.matching import RackMatching, retention_capacity
 
         num_racks, k, trials = 10, 6, 400
         topo = ClusterTopology(nodes_per_rack=30, num_racks=num_racks)
         rng = random.Random(5)
         policy = PreliminaryEAR(topo, k=k, rng=rng)
-        graph = StripeFlowGraph(topo, c=1)
         writer = 0
         violations = 0
         block_id = 0
@@ -98,7 +97,9 @@ class TestViolationRate:
                 policy.place_block(block_id, writer_node=writer)
                 block_id += 1
             stripe = policy.store.sealed_stripes()[-1]
-            if not graph.is_feasible(policy.stripe_layout(stripe)):
+            layout = policy.stripe_layout(stripe)
+            matching = RackMatching(topo.rack_of, retention_capacity(1))
+            if len(matching.solve(layout)) < len(layout):
                 violations += 1
         observed = violations / trials
         expected = violation_probability(num_racks, k)
