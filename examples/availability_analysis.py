@@ -66,7 +66,7 @@ def relocation_burden():
 
     violating = 0
     for stripe in policy.store.sealed_stripes()[:num_stripes]:
-        layout = policy.stripe_layout(stripe)
+        layout = {bid: store.replica_nodes(bid) for bid in stripe.block_ids}
         matching = RackMatching(topology.rack_of, retention_capacity(1))
         if len(matching.solve(layout)) < len(layout):
             violating += 1

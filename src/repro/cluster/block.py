@@ -41,7 +41,7 @@ class BlockKind:
     PARITY = "parity"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """An immutable descriptor of a logical block.
 
@@ -404,6 +404,18 @@ class BlockStore:
             Replica(block_id, node_id, (block_id, node_id) in primary)
             for node_id in self.replica_nodes(block_id)
         )
+
+    def placements(self) -> Iterator[Tuple[Block, List[List[object]]]]:
+        """Every block in id order with ``[node_id, is_primary]`` per
+        holder in placement order: :meth:`replicas` of the whole store as
+        fresh JSON-shaped lists, read off the stored holder tuples without
+        building ``Replica`` objects."""
+        blocks, holders, primary = self._blocks, self._holders, self._primary
+        for block_id in sorted(blocks):
+            yield blocks[block_id], [
+                [node_id, (block_id, node_id) in primary]
+                for node_id in holders[block_id]
+            ]
 
     def replica_nodes(self, block_id: BlockId) -> Tuple[NodeId, ...]:
         """Node ids currently holding a copy of ``block_id``."""

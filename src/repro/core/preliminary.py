@@ -14,7 +14,7 @@ This policy exists to reproduce that analysis; production use should prefer
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cluster.block import BlockId
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
@@ -56,8 +56,6 @@ class PreliminaryEAR(PlacementPolicy):
         # One open stripe per core rack at a time (Section III-A: "each rack
         # in the CFS can be viewed as a core rack for a stripe").
         self._open_by_rack: Dict[RackId, int] = {}
-        # block -> replica nodes, kept so analyses can inspect layouts.
-        self._layouts: Dict[BlockId, List[NodeId]] = {}
 
     def place_block(
         self, block_id: BlockId, writer_node: Optional[NodeId] = None
@@ -69,7 +67,6 @@ class PreliminaryEAR(PlacementPolicy):
             core_rack = self._random_rack()
         stripe = self._open_stripe_for(core_rack)
         node_ids = self._draw_layout(core_rack)
-        self._layouts[block_id] = list(node_ids)
         self.store.add_block(stripe.stripe_id, block_id)
         if stripe.is_full():
             del self._open_by_rack[core_rack]
@@ -80,14 +77,6 @@ class PreliminaryEAR(PlacementPolicy):
             stripe_id=stripe.stripe_id,
             attempts=1,
         )
-
-    def layout_of(self, block_id: BlockId) -> List[NodeId]:
-        """Replica nodes chosen for a block (as placed; ignores later moves)."""
-        return list(self._layouts[block_id])
-
-    def stripe_layout(self, stripe: Stripe) -> Dict[BlockId, List[NodeId]]:
-        """Replica layout of every data block in a stripe."""
-        return {bid: self.layout_of(bid) for bid in stripe.block_ids}
 
     def _open_stripe_for(self, core_rack: RackId) -> Stripe:
         stripe_id = self._open_by_rack.get(core_rack)

@@ -11,7 +11,7 @@ record type except ``relocation_requested``, ``relocation_served`` and
 three in its own tail.  The crash matrix
 (:func:`run_crash_matrix`) then re-runs that workload once per injected
 :class:`~repro.journal.crashpoints.CrashPoint` (each commit stage ×
-before/torn/after flush), recovers each crashed journal, and checks the
+before/torn/after its write), recovers each crashed journal, and checks the
 differential contract:
 
 * the recovered ``state_fingerprint()`` equals the fingerprint the
@@ -246,7 +246,7 @@ def commit_stage_points(
     first interior record (a ``parity_add``), a mid-bracket record (a
     retention ``delete_replica``), and the commit record — plus three
     non-bracket controls (an early record, a pre-encode record, and the
-    final record), each at every requested flush phase.
+    final record), each at every requested crash phase.
     """
     seqs: List[int] = [2]
     if golden.brackets:

@@ -24,6 +24,8 @@ from repro.journal.wal import list_segments, uncovered_segments
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".json"
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
+#: A checkpoint file as :func:`write_checkpoint` lays it out.
+_FILE_RE = re.compile(rb'\{"payload": (.*), "crc": "([0-9a-f]{8})"\}\n', re.S)
 
 
 class CheckpointError(ValueError):
@@ -67,8 +69,10 @@ def write_checkpoint(
         "state": state,
         "meta": dict(meta) if meta else {},
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
+    text = json.dumps(  # a captured state holds no cycles to check for
+        payload, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
+    crc = zlib.crc32(text.encode("utf-8"))
     os.makedirs(directory, exist_ok=True)
     path = checkpoint_path(directory, last_seq)
     tmp_path = path + ".tmp"
@@ -94,31 +98,35 @@ class CheckpointData:
 
 
 def load_checkpoint(path: str) -> CheckpointData:
-    """Load and CRC-verify one checkpoint file.
+    """Load and CRC-verify one checkpoint file: the CRC over the payload
+    bytes exactly as written, then one parse (so a payload re-serialised
+    even into equal JSON is rejected).
 
     Raises:
-        CheckpointError: On unreadable JSON, a missing payload/crc pair,
-            or a CRC mismatch.
+        CheckpointError: On a file not in :func:`write_checkpoint`'s
+            layout, a CRC mismatch, or an unparseable payload.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            blob = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from None
-    if not isinstance(blob, dict) or "payload" not in blob or "crc" not in blob:
-        raise CheckpointError(f"{path}: checkpoint lacks payload/crc fields")
-    payload = blob["payload"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    actual = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
-    try:
-        expected = int(str(blob["crc"]), 16)
-    except ValueError:
-        raise CheckpointError(f"{path}: checkpoint CRC is not hexadecimal") from None
-    if actual != expected:
+    match = _FILE_RE.fullmatch(blob)
+    if match is None:
+        raise CheckpointError(
+            f"{path}: not a whole checkpoint file (payload, then its crc)"
+        )
+    text, crc_hex = match.groups()
+    actual = zlib.crc32(text)
+    if actual != int(crc_hex, 16):
         raise CheckpointError(
             f"{path}: checkpoint CRC mismatch "
-            f"(stored {blob['crc']}, computed {actual:08x})"
+            f"(stored {crc_hex.decode()}, computed {actual:08x})"
         )
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from None
     if not isinstance(payload, dict) or "last_seq" not in payload:
         raise CheckpointError(f"{path}: checkpoint payload lacks last_seq")
     return CheckpointData(

@@ -2,13 +2,13 @@
 
 A :class:`CrashPoint` arms the journal to simulate a process crash at a
 specific record sequence number, at one of three phases relative to the
-write-ahead flush:
+record's write:
 
 * ``"before"`` — the process dies before the record reaches the log:
   nothing about it is durable.
 * ``"torn"`` — the process dies mid-write: a truncated half-record is
   left at the log tail (recovery must tolerate and discard it).
-* ``"after"`` — the record is fully flushed, then the process dies
+* ``"after"`` — the record is fully written, then the process dies
   before applying (or acknowledging) the in-memory mutation.
 
 The chaos drill in :mod:`repro.faults.crash` derives seeded crash points
@@ -33,7 +33,7 @@ class SimulatedCrash(RuntimeError):
 
     def __init__(self, point: "CrashPoint") -> None:
         super().__init__(
-            f"simulated crash at seq {point.seq} ({point.phase} flush)"
+            f"simulated crash at seq {point.seq} (phase {point.phase!r})"
         )
         self.point = point
 
@@ -44,7 +44,7 @@ class CrashPoint:
 
     Attributes:
         seq: The 1-based journal sequence number the crash targets.
-        phase: One of :data:`CRASH_PHASES` — where relative to the flush
+        phase: One of :data:`CRASH_PHASES` — where relative to the write
             the process dies.
     """
 

@@ -21,7 +21,7 @@ differential crash checks compare against.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple, Type
 
 from repro.journal import records as rec
 from repro.journal.checkpoint import (
@@ -54,8 +54,9 @@ class MetadataJournal:
         checkpoint_records: Write a checkpoint every this many appended
             records, bounding what :func:`~repro.journal.recovery.recover`
             replays (``None``: only on :meth:`checkpoint` calls).
-        fsync: Also fsync on flush (off by default — tests model
-            durability at the flush boundary).
+        fsync: Also fsync every record as it is appended (off by
+            default — tests model durability as the line reaching the
+            kernel).
         crash_at: Optional armed crash point; the journal raises
             :class:`SimulatedCrash` when its sequence number comes up.
         track_fingerprints: Record ``state_fingerprint()`` at the entry
@@ -122,8 +123,11 @@ class MetadataJournal:
     # ------------------------------------------------------------------
     # The write-ahead append
     # ------------------------------------------------------------------
-    def append(self, record: rec.JournalRecord) -> int:
-        """Journal one record; returns its sequence number.
+    def append(self, record_class: Type[rec.JournalRecord],
+               fields: tuple) -> int:
+        """Journal one ``record_class`` record with field values ``fields``
+        (declaration order); returns its sequence number.  The record is
+        on disk when this returns.
 
         This is the crash-injection point: an armed :class:`CrashPoint`
         whose sequence number comes up raises :class:`SimulatedCrash`
@@ -138,40 +142,38 @@ class MetadataJournal:
         written would claim its sequence number without its effect).  It
         waits while a commit bracket is open.
         """
+        seq = self._seq + 1
         if (
-            self._seq - self._checkpointed_seq >= self._cadence
+            seq - self._checkpointed_seq > self._cadence
             and not self._open_brackets
             and self.stores.blocks is not None
         ):
             self.checkpoint()
-        seq = self._seq + 1
         if self.track_fingerprints:
             self.fingerprints[seq] = self.current_fingerprint()
-        line = frame_line(rec.record_text(seq, record))
+        line = frame_line(rec.record_text(seq, record_class, fields))
         point = self.crash_at
         if point is not None and seq == point.seq:
             self.crash_at = None
             if point.phase == "torn":
                 self.writer.write_torn(line)
             elif point.phase == "after":
-                self.writer.append(line)
-                self.writer.flush()
+                self.writer.write(line)
             raise SimulatedCrash(point)
-        self.writer.append(line)
+        self.writer.write(line)
         self._seq = seq
-        kind = record.__class__
-        if kind is rec.BeginStripeCommit:
-            self._open_brackets.add(record.stripe_id)
-        elif kind is rec.EndStripeCommit:
-            self._open_brackets.discard(record.stripe_id)
+        if record_class is rec.BeginStripeCommit:
+            self._open_brackets.add(fields[0])
+        elif record_class is rec.EndStripeCommit:
+            self._open_brackets.discard(fields[0])
         PERF.bump("journal.records_appended")
-        PERF.bump("journal.bytes_appended", len(line) + 1)  # ASCII + "\n"
-        self.flush()
+        PERF.bump("journal.bytes_appended", len(line))
         return seq
 
     def flush(self) -> None:
-        """Make every appended record durable."""
-        self.writer.flush()
+        """The durability point: appended records are already on disk, so
+        this only fsyncs the open segment under ``fsync=True``."""
+        self.writer.sync()
 
     # ------------------------------------------------------------------
     # Changes to the state no store owns (see :class:`Stores`)

@@ -6,7 +6,9 @@ restricted to JSON-serializable types (ints, strings, bools, optionals
 and tuples thereof — asserted for every ``RECORD_TYPES`` class by
 ``tests/journal/test_records.py``),
 so a record round-trips losslessly through the on-disk envelope and two
-encodes of the same record are byte-identical.
+encodes of the same record are byte-identical.  No live change builds
+one (:func:`record_text` formats a line from the class and its field
+tuple); decoding, ``repro journal verify`` and the tests do.
 
 The stripe *commit* is bracketed by an intent/commit pair:
 :class:`BeginStripeCommit` carries the full plan (parity nodes and the
@@ -75,7 +77,8 @@ def commit(owner, record_class: Type["JournalRecord"], fields: tuple):
     (impossible: raised).  A record that applies is appended to
     ``owner.journal``, when one is attached, and only then applied: a
     crash inside the append leaves the change unapplied, and the entry
-    fingerprint sees the state before it.
+    fingerprint sees the state before it.  No record instance is built:
+    the journal formats its line straight from ``fields``.
     """
     verdict = record_class.check(owner, fields)
     if verdict is not None:
@@ -86,7 +89,7 @@ def commit(owner, record_class: Type["JournalRecord"], fields: tuple):
         return None
     journal = owner.journal
     if journal is not None:
-        journal.append(record_class(*fields))
+        journal.append(record_class, fields)
     return record_class.apply(owner, fields)
 
 
@@ -417,46 +420,59 @@ class UnknownRecordError(ValueError):
     """Raised when decoding a record whose type tag is not registered."""
 
 
-def _text_template(tag: str) -> Tuple[str, Tuple[str, ...]]:
-    names = tuple(sorted(RECORD_FIELDS[tag]))
-    body = ",".join(f'"{name}":%s' for name in names)
-    return f'{{"data":{{{body}}},"seq":%d,"type":"{tag}"}}', names
-
-
-#: record class -> (``%``-template of its canonical sorted-keys envelope,
-#: its field names in template order).
-_TEXT_TEMPLATES: Dict[type, Tuple[str, Tuple[str, ...]]] = {
-    cls: _text_template(tag) for tag, cls in RECORD_TYPES.items()
-}
-
-
-def _json_value(value: object) -> str:
+def _json_value(value: object) -> bytes:
     """One field value as canonical (tight-separator, ASCII-only) JSON."""
     kind = value.__class__
     if kind is int:
-        return repr(value)
+        return b"%d" % value
     if kind is str:
-        return encode_basestring_ascii(value)
+        return encode_basestring_ascii(value).encode()
     if kind is tuple:
-        return "[" + ",".join(map(_json_value, value)) + "]"
+        return b"[" + b",".join(map(_json_value, value)) + b"]"
     if value is None:
-        return "null"
+        return b"null"
     if kind is bool:
-        return "true" if value else "false"
-    return json.dumps(value, separators=(",", ":"))
+        return b"true" if value else b"false"
+    return json.dumps(value, separators=(",", ":")).encode()
 
 
-def record_text(seq: int, record: JournalRecord) -> str:
-    """The canonical sorted-keys JSON of ``record``'s envelope at ``seq``:
-    the append path's encoder, one ``%`` substitution per record."""
-    try:
-        template, names = _TEXT_TEMPLATES[record.__class__]
-    except KeyError:
+def _text_encoder(cls: Type[JournalRecord]):
+    """``encode(seq, fields)`` for ``cls``, compiled once (like a
+    dataclass's ``__init__``): one ``%``-template of the sorted-keys
+    envelope whose slots read ``fields`` by declaration index, ``int``
+    fields as ``%d`` and the rest through :func:`_json_value`."""
+    declared = [spec.name for spec in fields(cls)]
+    plain = {spec.name: spec.type in ("int", int) for spec in fields(cls)}
+    slots, values = [], []
+    for name in sorted(declared):
+        value = f"fields[{declared.index(name)}]"
+        slots.append(f'"{name}":%{"d" if plain[name] else "s"}')
+        values.append(value if plain[name] else f"json_value({value})")
+    template = (
+        f'{{"data":{{{",".join(slots)}}},"seq":%d,'
+        f'"type":"{cls.record_type}"}}'
+    ).encode()
+    return eval(
+        f"lambda seq, fields: template % ({', '.join(values)}, seq)",
+        {"template": template, "json_value": _json_value},
+    )
+
+
+#: record class -> its ``encode(seq, fields)`` (:func:`_text_encoder`).
+_TEXT_ENCODERS = {cls: _text_encoder(cls) for cls in RECORD_TYPES.values()}
+
+
+def record_text(seq: int, record_class: Type[JournalRecord],
+                fields: tuple) -> bytes:
+    """The canonical sorted-keys JSON (ASCII bytes) of the envelope at
+    ``seq`` of the ``record_class`` record whose field values (declaration
+    order) are ``fields``: the append path's one encoder."""
+    encode = _TEXT_ENCODERS.get(record_class)
+    if encode is None:
         raise UnknownRecordError(
-            f"record class {type(record).__name__} is not registered"
-        ) from None
-    values = record.__dict__
-    return template % (*[_json_value(values[name]) for name in names], seq)
+            f"record class {record_class.__name__} is not registered"
+        )
+    return encode(seq, fields)
 
 
 def decode_record(payload: Dict[str, object]) -> JournalRecord:

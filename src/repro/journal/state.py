@@ -85,14 +85,11 @@ def capture_state(stores: Stores) -> Dict[str, object]:
     block_store, stripe_store = stores.blocks, stores.stripes
     blocks: List[List[object]] = []
     replicas: Dict[str, List[List[object]]] = {}
-    for block in sorted(block_store.blocks(), key=lambda b: b.block_id):
+    for block, placed in block_store.placements():
         blocks.append(
             [block.block_id, block.size, block.kind, block.stripe_id]
         )
-        replicas[str(block.block_id)] = [
-            [replica.node_id, bool(replica.is_primary)]
-            for replica in block_store.replicas(block.block_id)
-        ]
+        replicas[str(block.block_id)] = placed
     state: Dict[str, object] = {
         "blocks": blocks,
         "replicas": replicas,
@@ -142,7 +139,9 @@ def state_fingerprint(stores: Stores) -> str:
 
 def fingerprint_of(state: Dict[str, object]) -> str:
     """sha256 over the canonical encoding of a captured state dict."""
-    blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(  # a captured state holds no cycles to check for
+        state, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -8,12 +8,13 @@ One journal directory holds::
 
 Each envelope line is ``<json>\\t<crc32 hex>`` where the CRC covers the
 JSON bytes and the JSON is the canonical (sorted-keys, tight-separator)
-encoding of ``{"seq": n, "type": tag, "data": {...}}``.  Appends go
-through an explicit in-memory buffer: a record is *durable* only after
-:meth:`JournalWriter.flush`, which is exactly the boundary the crash
-drills exercise.  The scanner tolerates a torn or truncated final
-record — the signature a crash between write and flush leaves behind —
-but reports any mid-log corruption as an error.
+encoding of ``{"seq": n, "type": tag, "data": {...}}``.  The writer keeps
+no buffer: :meth:`JournalWriter.write` hands each framed line to the
+kernel in one ``write`` on an unbuffered file, so a record is on disk
+when the call returns (and fsynced too when the writer was asked to).
+The scanner tolerates a torn or truncated final record — the signature
+a crash mid-write leaves behind — but reports any mid-log corruption as
+an error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import re
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.metrics import PERF
 
@@ -39,9 +40,10 @@ class JournalFormatError(ValueError):
     """A structurally invalid line somewhere other than the log's tail."""
 
 
-def frame_line(text: str) -> str:
-    """``text`` (one canonical envelope) plus its CRC field, no newline."""
-    return f"{text}\t{zlib.crc32(text.encode('utf-8')):08x}"
+def frame_line(text: bytes) -> bytes:
+    """The on-disk line of ``text`` (one canonical envelope): the text, a
+    tab, its CRC in hex and the newline."""
+    return b"%s\t%08x\n" % (text, zlib.crc32(text))
 
 
 def _checked_text(line: bytes) -> bytes:
@@ -78,7 +80,7 @@ def _envelopes(texts: List[bytes]) -> List[Dict[str, object]]:
     return payloads
 
 
-def decode_line(line: Union[str, bytes]) -> Dict[str, object]:
+def decode_line(line: bytes) -> Dict[str, object]:
     """Parse and CRC-check one line.
 
     Raises:
@@ -86,8 +88,6 @@ def decode_line(line: Union[str, bytes]) -> Dict[str, object]:
             undecodable JSON — the caller decides whether the position
             (tail or mid-log) makes that torn or corrupt.
     """
-    if isinstance(line, str):
-        line = line.encode("utf-8")
     return _envelopes([_checked_text(line.rstrip(b"\n"))])[0]
 
 
@@ -109,17 +109,19 @@ def list_segments(directory: str) -> List[Tuple[int, str]]:
 
 
 class JournalWriter:
-    """Appends envelope lines to rotating segment files.
+    """Writes framed lines to rotating segment files, one ``write`` each.
 
     Args:
         directory: Journal directory (created if missing).
         segment_records: Records per segment before rotation.
-        fsync: Whether :meth:`flush` also fsyncs the file descriptor
-            (off by default; the tests model durability at flush level).
+        fsync: Whether every record is also fsynced before :meth:`write`
+            returns (off by default; the tests model durability as the
+            line reaching the kernel).
 
     A resumed writer (an existing journal directory) always starts a
     *new* segment, so a previous process's possibly-torn tail is never
-    appended to.
+    appended to.  A writer that is never closed releases its segment's
+    descriptor when it is collected.
     """
 
     def __init__(
@@ -137,76 +139,50 @@ class JournalWriter:
         existing = list_segments(directory)
         self._segment_index = (existing[-1][0] + 1) if existing else 1
         self._records_in_segment = 0
-        self._buffer: List[str] = []
-        self._handle = None
+        self._file = None
 
     @property
     def current_segment_path(self) -> str:
-        """The path the next flushed record will land in."""
+        """The path the next record will land in."""
         return segment_path(self.directory, self._segment_index)
 
     # ------------------------------------------------------------------
-    def append(self, line: str) -> None:
-        """Buffer one encoded line (durable only after :meth:`flush`)."""
-        self._buffer.append(line + "\n")
+    def write(self, line: bytes) -> None:
+        """Write one framed line (:func:`frame_line`); it is on disk when
+        this returns.  The segment rotates once it holds
+        ``segment_records`` records."""
+        file = self._file or self._open()
+        file.write(line)
+        if self.fsync:
+            os.fsync(file.fileno())
+        self._records_in_segment += 1
+        if self._records_in_segment >= self.segment_records:
+            self._rotate()
 
-    def flush(self) -> None:
-        """Write every buffered line to disk and make it durable.
+    def sync(self) -> None:
+        """fsync the open segment when the writer was asked to."""
+        if self.fsync and self._file is not None:
+            os.fsync(self._file.fileno())
 
-        Rotation happens mid-flush the moment a segment fills, so
-        ``segment_records`` bounds segment size even when many records
-        are flushed in one batch.
-        """
-        if not self._buffer:
-            return
-        pending, self._buffer = self._buffer, []
-        for text in pending:
-            handle = self._ensure_handle()
-            handle.write(text)
-            self._records_in_segment += 1
-            if self._records_in_segment >= self.segment_records:
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-                self._rotate()
-        if self._handle is not None:
-            self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
-
-    def write_torn(self, line: str) -> None:
-        """Write a deliberately truncated record (crash-drill helper).
-
-        Flushes any buffered records first, then writes only the first
-        half of ``line`` with no trailing newline — the exact artifact a
-        crash mid-write leaves.
-        """
-        self.flush()
-        handle = self._ensure_handle()
-        handle.write(line[:len(line) // 2])
-        handle.flush()
+    def write_torn(self, line: bytes) -> None:
+        """Write a deliberately truncated record (crash-drill helper):
+        the first half of ``line`` without its newline, the exact
+        artifact a crash mid-write leaves."""
+        (self._file or self._open()).write(line[:(len(line) - 1) // 2])
 
     def close(self) -> None:
-        """Flush and release the current segment handle."""
-        self.flush()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Release the current segment's descriptor."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     # ------------------------------------------------------------------
-    def _ensure_handle(self):
-        if self._handle is None:
-            self._handle = open(
-                segment_path(self.directory, self._segment_index),
-                "a",
-                encoding="utf-8",
-            )
-        return self._handle
+    def _open(self):
+        self._file = open(self.current_segment_path, "ab", buffering=0)
+        return self._file
 
     def _rotate(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.close()
         self._segment_index += 1
         self._records_in_segment = 0
         PERF.bump("journal.segments_rotated")
@@ -275,7 +251,7 @@ def iter_journal(
 
     Tolerates only a torn final record: a line that fails CRC or JSON
     checks is a *torn tail* when it is the last line of the last segment
-    (a crash between write and flush); anywhere else it is an error.
+    (a crash mid-write); anywhere else it is an error.
     Sequence numbers must strictly increase across the scanned segments.
     """
     segments = uncovered_segments(directory, after_seq)
@@ -283,18 +259,15 @@ def iter_journal(
         name = os.path.basename(path)
         with open(path, "rb") as handle:
             lines = handle.read().splitlines()
-        numbered = [
-            (line_no, line)
-            for line_no, line in enumerate(lines, start=1) if line.strip()
-        ]
         try:  # every CRC, then one parse for the whole segment
-            decoded = list(zip(
-                (line_no for line_no, _line in numbered),
-                _envelopes([_checked_text(line) for _no, line in numbered]),
-            ))
+            decoded = enumerate(
+                _envelopes([_checked_text(line) for line in lines]), start=1
+            )
         except JournalFormatError:  # line by line, to name the bad one
-            decoded = []
-            for line_no, line in numbered:
+            decoded = []  # (a blank line, which has no CRC, lands here too)
+            for line_no, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
                 try:
                     decoded.append((line_no, decode_line(line)))
                 except JournalFormatError as exc:

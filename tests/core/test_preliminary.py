@@ -5,8 +5,23 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster.block import BlockStore
 from repro.core.preliminary import PreliminaryEAR
 from repro.core.stripe import PreEncodingStore, StripeState
+
+
+def place(policy, store, writer_node=None):
+    """Create a block in ``store`` and record the policy's layout there,
+    as the NameNode does."""
+    block = store.create_block(64)
+    decision = policy.place_block(block.block_id, writer_node=writer_node)
+    store.add_replicas(block.block_id, decision.node_ids)
+    return decision
+
+
+def stripe_layout(store, stripe):
+    """Each data block of ``stripe`` -> its replica nodes in ``store``."""
+    return {bid: store.replica_nodes(bid) for bid in stripe.block_ids}
 
 
 class TestCoreRackPinning:
@@ -60,16 +75,18 @@ class TestLayouts:
 
     def test_layout_recorded(self, large_topology, rng):
         policy = PreliminaryEAR(large_topology, k=4, rng=rng)
-        decision = policy.place_block(0)
-        assert policy.layout_of(0) == list(decision.node_ids)
+        store = BlockStore(large_topology)
+        decision = place(policy, store)
+        assert store.replica_nodes(0) == decision.node_ids
 
     def test_stripe_layout(self, large_topology, rng):
         policy = PreliminaryEAR(large_topology, k=2, rng=rng)
-        policy.place_block(0, writer_node=0)
-        policy.place_block(1, writer_node=0)
+        store = BlockStore(large_topology)
+        decisions = [place(policy, store, writer_node=0) for __ in range(2)]
         stripe = policy.store.sealed_stripes()[0]
-        layout = policy.stripe_layout(stripe)
-        assert set(layout) == {0, 1}
+        assert stripe_layout(store, stripe) == {
+            decision.block_id: decision.node_ids for decision in decisions
+        }
 
     def test_store_k_mismatch_rejected(self, large_topology, rng):
         with pytest.raises(ValueError):
@@ -89,15 +106,14 @@ class TestViolationRate:
         topo = ClusterTopology(nodes_per_rack=30, num_racks=num_racks)
         rng = random.Random(5)
         policy = PreliminaryEAR(topo, k=k, rng=rng)
+        store = BlockStore(topo)
         writer = 0
         violations = 0
-        block_id = 0
         for __ in range(trials):
             for __ in range(k):
-                policy.place_block(block_id, writer_node=writer)
-                block_id += 1
+                place(policy, store, writer_node=writer)
             stripe = policy.store.sealed_stripes()[-1]
-            layout = policy.stripe_layout(stripe)
+            layout = stripe_layout(store, stripe)
             matching = RackMatching(topo.rack_of, retention_capacity(1))
             if len(matching.solve(layout)) < len(layout):
                 violations += 1

@@ -2,7 +2,8 @@
 
 ``encode_line(seq, encode_record(r))`` builds a record's on-disk line
 with ``json.dumps``; the append path's one-pass
-``frame_line(record_text(seq, r))`` must match it byte for byte.
+``frame_line(record_text(seq, type(r), field_values(r)))`` must match it
+byte for byte.
 """
 
 import json
@@ -28,10 +29,16 @@ def encode_record(record: JournalRecord) -> Dict[str, object]:
     return {"type": type(record).record_type, "data": data}
 
 
-def encode_line(seq: int, envelope: Dict[str, object]) -> str:
-    """One record as its on-disk line (canonical JSON + CRC, no newline)."""
+def field_values(record: JournalRecord) -> tuple:
+    """``record``'s field values in declaration order: the ``fields``
+    tuple :func:`~repro.journal.records.commit` hands the journal."""
+    return tuple(getattr(record, spec.name) for spec in fields(record))
+
+
+def encode_line(seq: int, envelope: Dict[str, object]) -> bytes:
+    """One record as its on-disk line (canonical JSON, CRC, newline)."""
     payload = dict(envelope)
     payload["seq"] = seq
     return frame_line(
-        json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     )

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from repro.cluster.block import BlockStore
+from repro.cluster.topology import ClusterTopology
 from repro.journal.checkpoint import (
     CheckpointError,
     list_checkpoints,
@@ -13,6 +15,8 @@ from repro.journal.checkpoint import (
     prune_segments,
     write_checkpoint,
 )
+from repro.journal.journal import MetadataJournal
+from repro.journal.recovery import recover
 from repro.journal.wal import JournalWriter, list_segments
 from tests.journal.reference_codec import encode_line
 
@@ -76,10 +80,9 @@ class TestPrune:
     def _fill(self, directory, count, segment_records):
         writer = JournalWriter(directory, segment_records=segment_records)
         for seq in range(1, count + 1):
-            writer.append(
+            writer.write(
                 encode_line(seq, {"type": "t", "data": {}, "seq": seq})
             )
-        writer.flush()
         writer.close()
 
     def test_only_fully_covered_segments_deleted(self, tmp_path):
@@ -110,3 +113,69 @@ class TestPrune:
         write_checkpoint(directory, 3, STATE)
         prune_segments(directory, upto_seq=3)
         assert len(list_checkpoints(directory)) == 1
+
+
+class TestCorruption:
+    """The CRC covers the payload bytes as written; a damaged newest
+    checkpoint is refused and recovery falls back to the older one."""
+
+    def _journal_with_two_checkpoints(self, directory):
+        journal = MetadataJournal(directory, checkpoint_records=None)
+        store = BlockStore(ClusterTopology(nodes_per_rack=2, num_racks=2))
+        journal.attach(block_store=store)
+        for round_ in range(2):
+            for index in range(3):
+                block = store.create_block(100 + index)
+                store.add_replica(block.block_id, (round_ + index) % 4)
+            journal.checkpoint()
+        store.create_block(999)
+        live = journal.current_fingerprint()
+        journal.close()
+        older, newest = list_checkpoints(directory)
+        return live, older, newest
+
+    @staticmethod
+    def _rewrite(path, change):
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(change(blob))
+
+    @staticmethod
+    def _one_payload_byte_changed(blob):
+        at = blob.index(b'"next_block_id":') + len(b'"next_block_id":')
+        digit = b"7" if blob[at:at + 1] != b"7" else b"8"
+        return blob[:at] + digit + blob[at + 1:]
+
+    @staticmethod
+    def _cut_mid_payload(blob):
+        return blob[:len(blob) // 2]
+
+    @pytest.mark.parametrize(
+        "damage", ["_one_payload_byte_changed", "_cut_mid_payload"]
+    )
+    def test_damage_is_refused_and_recovery_falls_back(
+        self, tmp_path, damage
+    ):
+        directory = str(tmp_path)
+        live, (older_seq, _), (newest_seq, newest) = (
+            self._journal_with_two_checkpoints(directory)
+        )
+        self._rewrite(newest, getattr(self, damage))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(newest)
+        recovered = recover(directory, ClusterTopology(nodes_per_rack=2,
+                                                       num_racks=2))
+        assert older_seq < newest_seq
+        assert recovered.stats.checkpoint_seq == older_seq
+        assert recovered.fingerprint() == live
+        assert any("checkpoint" in error for error in recovered.stats.errors)
+
+    def test_equal_json_in_another_layout_is_refused(self, tmp_path):
+        path = write_checkpoint(str(tmp_path), 3, STATE)
+        with open(path, encoding="utf-8") as handle:
+            blob = json.load(handle)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(blob, handle, indent=1)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

@@ -3,7 +3,7 @@
 Hypothesis drives a seeded random metadata op sequence against a
 journaling :class:`BlockStore`/:class:`FileNamespace`, crashes it at an
 arbitrary sequence number in an arbitrary phase (before the append, a
-torn half-record, or after the flush), and asserts recovery rebuilds
+torn half-record, or after the write), and asserts recovery rebuilds
 exactly the durable prefix's fingerprint.
 """
 

@@ -8,7 +8,11 @@ import pytest
 
 from repro.journal import records as rec
 from repro.journal.wal import frame_line
-from tests.journal.reference_codec import encode_line, encode_record
+from tests.journal.reference_codec import (
+    encode_line,
+    encode_record,
+    field_values,
+)
 
 #: One exemplar instance per record type; the registry-coverage test
 #: guarantees this table cannot silently fall behind new record types.
@@ -74,9 +78,8 @@ def test_templated_line_equals_the_reference_encoding(record):
     """The append path's one-pass encoder writes the very bytes the
     dict + sorted-keys ``json.dumps`` reference does."""
     for seq in (1, 81194):
-        assert frame_line(rec.record_text(seq, record)) == encode_line(
-            seq, encode_record(record)
-        )
+        text = rec.record_text(seq, type(record), field_values(record))
+        assert frame_line(text) == encode_line(seq, encode_record(record))
 
 
 def test_unregistered_record_class_cannot_be_journaled():
@@ -86,7 +89,7 @@ def test_unregistered_record_class_cannot_be_journaled():
         node_id: int = 0
 
     with pytest.raises(rec.UnknownRecordError):
-        rec.record_text(1, Rogue())
+        rec.record_text(1, Rogue, (0,))
 
 
 @pytest.mark.parametrize(

@@ -119,8 +119,7 @@ class TestReplay:
             PlaceReplica(block_id=0, node_id=0, is_primary=True)
         )
         writer = JournalWriter(directory)
-        writer.append(encode_line(last + 1, duplicate))
-        writer.flush()
+        writer.write(encode_line(last + 1, duplicate))
         writer.close()
         recovered = recover(directory, _topology())
         assert recovered.fingerprint() == golden
@@ -132,8 +131,7 @@ def _write_log(directory, records):
     """A CRC-valid log holding exactly ``records``, in order."""
     writer = JournalWriter(directory)
     for seq, record in enumerate(records, start=1):
-        writer.append(encode_line(seq, encode_record(record)))
-    writer.flush()
+        writer.write(encode_line(seq, encode_record(record)))
     writer.close()
 
 

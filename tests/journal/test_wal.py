@@ -22,8 +22,7 @@ def _envelope(seq, tag="add_block", **data):
 def _append_records(directory, count, segment_records=1024):
     writer = JournalWriter(directory, segment_records=segment_records)
     for seq in range(1, count + 1):
-        writer.append(encode_line(seq, _envelope(seq, block_id=seq)))
-    writer.flush()
+        writer.write(encode_line(seq, _envelope(seq, block_id=seq)))
     writer.close()
     return writer
 
@@ -38,14 +37,14 @@ class TestLineFormat:
 
     def test_crc_mismatch_rejected(self):
         line = encode_line(1, {"type": "add_block", "data": {}})
-        body, _tab, crc = line.rpartition("\t")
-        bad = body.replace("add_block", "sub_block") + "\t" + crc
+        body, _tab, crc = line.rpartition(b"\t")
+        bad = body.replace(b"add_block", b"sub_block") + b"\t" + crc
         with pytest.raises(JournalFormatError, match="CRC mismatch"):
             decode_line(bad)
 
     def test_missing_crc_field_rejected(self):
         with pytest.raises(JournalFormatError, match="no CRC field"):
-            decode_line('{"seq": 1}')
+            decode_line(b'{"seq": 1}')
 
     def test_undecodable_json_rejected(self):
         import zlib
@@ -53,7 +52,7 @@ class TestLineFormat:
         text = "{not json"
         crc = zlib.crc32(text.encode()) & 0xFFFFFFFF
         with pytest.raises(JournalFormatError, match="undecodable"):
-            decode_line(f"{text}\t{crc:08x}")
+            decode_line(b"%s\t%08x" % (text.encode(), crc))
 
     def test_canonical_encoding_is_key_order_independent(self):
         a = encode_line(1, {"type": "t", "data": {"a": 1, "b": 2}})
@@ -84,8 +83,7 @@ class TestWriterAndScan:
         directory = str(tmp_path)
         _append_records(directory, 2)
         writer = JournalWriter(directory)
-        writer.append(encode_line(3, _envelope(3)))
-        writer.flush()
+        writer.write(encode_line(3, _envelope(3)))
         writer.close()
         assert len(list_segments(directory)) == 2
         assert scan_journal(directory).last_seq == 3
@@ -101,8 +99,7 @@ class TestTornAndCorrupt:
     def test_torn_tail_is_tolerated(self, tmp_path):
         directory = str(tmp_path)
         writer = JournalWriter(directory)
-        writer.append(encode_line(1, _envelope(1)))
-        writer.flush()
+        writer.write(encode_line(1, _envelope(1)))
         writer.write_torn(encode_line(2, _envelope(2)))
         writer.close()
         scan = scan_journal(directory)
@@ -137,9 +134,8 @@ class TestTornAndCorrupt:
     def test_non_monotonic_seq_is_an_error(self, tmp_path):
         directory = str(tmp_path)
         writer = JournalWriter(directory)
-        writer.append(encode_line(1, _envelope(1)))
-        writer.append(encode_line(1, _envelope(1)))
-        writer.flush()
+        writer.write(encode_line(1, _envelope(1)))
+        writer.write(encode_line(1, _envelope(1)))
         writer.close()
         scan = scan_journal(directory)
         assert scan.errors

@@ -138,7 +138,7 @@ class TestSeededMutations:
                 return commit(owner, record_class, fields)
             result = record_class.apply(owner, fields)
             if owner.journal is not None:
-                owner.journal.append(record_class(*fields))
+                owner.journal.append(record_class, fields)
             return result
 
         monkeypatch.setattr(block_module, "commit", apply_first)
