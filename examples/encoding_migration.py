@@ -8,15 +8,33 @@ while a Poisson write stream keeps arriving.  Prints encoding throughput,
 write response times before/during encoding, and the cross-rack traffic
 both policies generated.
 
-Run:  python examples/encoding_migration.py [--stripes N]
+The closing verdict pairs RR and EAR on ``PAIRED_SEEDS`` consecutive seeds
+and takes the 95% confidence interval of each paired difference (RR
+minus EAR) of encoding time and of write RT during encoding.  It claims
+that EAR encodes faster and disturbs writes less only when both intervals
+lie above zero; an interval that spans zero gives no verdict.
+
+Run:  python examples/encoding_migration.py [--stripes N] [--seed S]
 """
 
 import argparse
+import math
 
 from repro.erasure.codec import CodeParams
 from repro.experiments.config import TestbedConfig
 from repro.experiments.runner import format_table
+from repro.experiments.stats import confidence_interval_95
 from repro.experiments.testbed import run_raw_encoding, run_write_during_encoding
+
+#: Seeds paired per verdict, starting at ``--seed``.
+PAIRED_SEEDS = 8
+#: The paired metrics, in seconds; lower is better.
+VERDICT_METRICS = ("encoding_time", "write_rt_during")
+
+
+def _rt(seconds):
+    """A mean write RT; ``None`` when no write landed in the window."""
+    return "-" if seconds is None else f"{seconds:.2f}"
 
 
 def main():
@@ -57,16 +75,23 @@ def main():
           "(paper: +20% to +120% depending on congestion)\n")
 
     # --- encoding under live writes (Experiment A.2) ----------------------
+    seeds = range(args.seed, args.seed + PAIRED_SEEDS)
+    runs = {
+        seed: {
+            policy: run_write_during_encoding(
+                policy, code, config, seed=seed, write_rate=0.5,
+                warmup_duration=120.0,
+            )
+            for policy in ("rr", "ear")
+        }
+        for seed in seeds
+    }
     rows = []
-    for policy in ("rr", "ear"):
-        result = run_write_during_encoding(
-            policy, code, config, seed=args.seed, write_rate=0.5,
-            warmup_duration=120.0,
-        )
+    for policy, result in runs[args.seed].items():
         rows.append([
             policy.upper(),
-            f"{result.write_rt_before:.2f}",
-            f"{result.write_rt_during:.2f}",
+            _rt(result.write_rt_before),
+            _rt(result.write_rt_during),
             f"{result.encoding_time:.0f}",
         ])
     print("Encoding while serving writes (0.5 writes/s):")
@@ -75,7 +100,31 @@ def main():
          "encoding time (s)"],
         rows,
     ))
-    print("-> EAR encodes faster *and* disturbs foreground writes less.")
+    print(f"\nRR - EAR, paired over seeds {seeds.start}..{seeds.stop - 1}:")
+    intervals = []
+    for name in VERDICT_METRICS:
+        pairs = [
+            (getattr(runs[s]["rr"], name), getattr(runs[s]["ear"], name))
+            for s in seeds
+        ]
+        # A seed whose encoding window saw no write has no write RT.
+        differences = [
+            rr - ear for rr, ear in pairs if rr is not None and ear is not None
+        ]
+        if len(differences) < 2:
+            print(f"  {name:<16} fewer than two paired seeds")
+            intervals.append((-math.inf, math.inf))
+            continue
+        low, high = confidence_interval_95(differences)
+        print(f"  {name:<16} 95% CI [{low:.2f}, {high:.2f}] s"
+              f" over {len(differences)} seeds")
+        intervals.append((low, high))
+    if all(low > 0 for low, __ in intervals):
+        print("-> EAR encodes faster *and* disturbs foreground writes less.")
+    elif any(low <= 0 <= high for low, high in intervals):
+        print("-> no verdict: an interval spans 0.")
+    else:
+        print("-> RR wins on a metric: an interval lies below 0.")
 
 
 if __name__ == "__main__":

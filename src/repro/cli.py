@@ -56,7 +56,7 @@ from repro.experiments.validation import (
 from repro.journal.checkpoint import list_checkpoints
 from repro.journal.verify import verify_journal
 from repro.journal.wal import list_segments, scan_journal
-from repro.parallel import DEFAULT_CACHE_DIR, ResultCache, make_executor
+from repro.parallel import SweepExecutor
 
 
 def _pct(x: float) -> str:
@@ -68,6 +68,8 @@ def _pct(x: float) -> str:
 # ----------------------------------------------------------------------
 def cmd_fig3(args) -> None:
     """Figure 3: Equation (1) violation probability."""
+    if args.min_racks > args.max_racks:
+        args.error("--min-racks must not exceed --max-racks")
     racks = list(range(args.min_racks, args.max_racks + 1, 2))
     ks = (6, 8, 10, 12)
     table = figure3_table(racks, ks)
@@ -179,14 +181,9 @@ def cmd_fig12(args) -> None:
     ))
 
 
-def _cache_dir_from_args(args) -> Optional[str]:
-    """Where ``--workers`` runs cache results (flagless runs never do)."""
-    return None if args.no_cache else DEFAULT_CACHE_DIR
-
-
-def _executor_from_args(args):
-    """Build the SweepExecutor that ``--workers``/``--no-cache`` ask for."""
-    return make_executor(args.workers, _cache_dir_from_args(args))
+def _executor_from_args(args) -> SweepExecutor:
+    """The SweepExecutor ``--workers`` asks for (in-process when absent)."""
+    return SweepExecutor(workers=args.workers or 0)
 
 
 def _report_sweep(args, executor) -> None:
@@ -258,7 +255,6 @@ def cmd_recovery(args) -> int:
             seeds=tuple(range(args.seeds)),
             num_stripes=args.stripes,
             workers=args.workers,
-            cache_dir=_cache_dir_from_args(args),
         )
         return _print_grid(results, recovery.head_to_head_rows)
 
@@ -278,7 +274,6 @@ def cmd_pipeline(args) -> int:
             chunk_count=args.chunks,
             disturb=not args.no_disturb,
             workers=args.workers,
-            cache_dir=_cache_dir_from_args(args),
         )
         return _print_grid(
             results, pipeline.head_to_head_rows, as_json=args.json
@@ -326,7 +321,7 @@ def cmd_fig15(args) -> None:
 
 
 # ----------------------------------------------------------------------
-# Tool handlers: list, journal, cache
+# Tool handlers: list, journal
 # ----------------------------------------------------------------------
 def cmd_list(args) -> None:
     """Print the experiment ids, one per line."""
@@ -434,18 +429,6 @@ def cmd_journal_stats(args) -> int:
     return 1 if scan.errors else 0
 
 
-def cmd_cache(args) -> int:
-    """Inspect or clear the parallel sweep result cache."""
-    cache = ResultCache(args.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cache entries from {cache.directory}")
-        return 0
-    for line in cache.stats().lines():
-        print(line)
-    return 0
-
-
 # ----------------------------------------------------------------------
 # The command table
 # ----------------------------------------------------------------------
@@ -482,10 +465,8 @@ def arg(*flags, **kwargs):
 SEED = arg("--seed", type=int, default=0)
 SWEEP = [
     arg("--workers", type=_at_least(0), default=None,
-        help="fan sweep trials out to N worker processes and cache results "
-        "on disk (0 = in-process, cached; results are identical)"),
-    arg("--no-cache", action="store_true",
-        help="with --workers: skip the on-disk result cache"),
+        help="fan sweep trials out to N worker processes (0 = in-process; "
+        "results are identical)"),
 ]
 TESTBED = [
     arg("--stripes", type=_at_least(1), default=96),
@@ -500,8 +481,8 @@ JOURNAL_DIR = arg("directory", help="journal directory")
 # (name, handler, help, arguments), in ``repro list`` order.
 EXPERIMENTS = (
     ("fig3", cmd_fig3, cmd_fig3.__doc__, [
-        arg("--min-racks", type=int, default=14),
-        arg("--max-racks", type=int, default=40),
+        arg("--min-racks", type=_at_least(2), default=14),
+        arg("--max-racks", type=_at_least(2), default=40),
     ]),
     ("theorem1", cmd_theorem1, cmd_theorem1.__doc__, [
         arg("--racks", type=int, default=20),
@@ -604,13 +585,6 @@ COMMANDS = EXPERIMENTS + (
                 help="machine-readable JSON output"),
         ]),
     )),
-    ("cache", cmd_cache, cmd_cache.__doc__, [
-        arg("action", choices=("stats", "clear"),
-            help="stats: show entry counts and hit rates; clear: delete all "
-            "entries"),
-        arg("--dir", dest="cache_dir", default=DEFAULT_CACHE_DIR,
-            help=f"cache directory (default: {DEFAULT_CACHE_DIR})"),
-    ]),
 )
 
 
@@ -624,7 +598,9 @@ def _add_commands(parser, dest: str, rows, required: bool = False) -> None:
         if nested:
             _add_commands(p, f"{name}_command", nested[0], required=True)
         else:
-            p.set_defaults(func=handler)
+            # ``error`` lets a handler reject a combination of arguments
+            # with this subcommand's usage line and exit status 2.
+            p.set_defaults(func=handler, error=p.error)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,12 +10,8 @@ cannot change the numbers.  Three guard rails keep that contract honest:
 * setting ``REPRO_PARALLEL_CHECK=1`` (or ``check=True``) makes every
   parallel map re-run the whole sweep through the oracle and assert the
   results are equal, raising :class:`ParallelMismatch` otherwise;
-* a trial whose worker failed is retried once before the sweep gives up.
-
-With a :class:`~repro.parallel.cache.ResultCache` attached, fingerprints
-are consulted before any execution and only dirty trials run; cache hits
-and fresh results are indistinguishable by construction (the differential
-check covers the cached path too).
+* a trial whose worker failed (raised, or the process died) is retried
+  once, in a fresh pool of its own, before the sweep gives up.
 """
 
 from __future__ import annotations
@@ -25,9 +21,8 @@ import multiprocessing
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
-from repro.parallel.cache import ResultCache
 from repro.parallel.spec import TrialSpec
 from repro.parallel.worker import TrialOutcome, execute_trial, merge_ops
 from repro.sim.metrics import PERF, measure_ops
@@ -59,19 +54,13 @@ class SweepReport:
     """Accounting for one :meth:`SweepExecutor.map_trials` call."""
 
     total: int = 0
-    cache_hits: int = 0
     executed: int = 0
     retries: int = 0
-    uncached: int = 0
     check_passed: Optional[bool] = None
 
     def summary(self) -> str:
         """One-line progress summary for CLI echo."""
-        parts = [
-            f"{self.total} trials",
-            f"{self.cache_hits} cached",
-            f"{self.executed} executed",
-        ]
+        parts = [f"{self.total} trials", f"{self.executed} executed"]
         if self.retries:
             parts.append(f"{self.retries} retried")
         if self.check_passed is not None:
@@ -102,12 +91,38 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
+def _run_pool(
+    specs: Sequence[TrialSpec], processes: int
+) -> List[TrialOutcome]:
+    """Run ``specs`` in a fresh pool; one outcome per spec, in spec order."""
+    # Imported on first use, so an in-process sweep never loads the pool
+    # machinery (about 0.7 MiB of resident memory).
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(processes, mp_context=_pool_context())
+    try:
+        futures = [pool.submit(execute_trial, spec) for spec in specs]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # BrokenProcessPool / pickling error
+                # A worker that died or sent back an unpicklable result
+                # is a failed outcome, for the executor's retry to handle.
+                outcomes.append(
+                    TrialOutcome(error=f"{type(exc).__name__}: {exc}")
+                )
+        return outcomes
+    finally:
+        # Interrupted mid-sweep, trials not yet started must not run.
+        pool.shutdown(cancel_futures=True)
+
+
 class SweepExecutor:
     """Maps independent trials, optionally across a process pool.
 
     Args:
         workers: Pool size; ``0`` runs everything in-process (the oracle).
-        cache: Optional :class:`ResultCache`; hits skip execution.
         check: Force the differential mode on/off; ``None`` defers to the
             ``REPRO_PARALLEL_CHECK`` environment variable.
     """
@@ -115,13 +130,11 @@ class SweepExecutor:
     def __init__(
         self,
         workers: int = 0,
-        cache: Optional[ResultCache] = None,
         check: Optional[bool] = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers cannot be negative")
         self.workers = workers
-        self.cache = cache
         self._check = check
         #: Accounting of the most recent :meth:`map_trials` call.
         self.last_report: Optional[SweepReport] = None
@@ -140,45 +153,15 @@ class SweepExecutor:
         Raises:
             TrialError: When a trial fails after its retry.
             ParallelMismatch: In differential mode, when the parallel
-                results (cache hits included) differ from a fresh
-                sequential run.
+                results differ from a fresh sequential run.
         """
         specs = list(specs)
         report = SweepReport(total=len(specs))
         self.last_report = report
-        results: List[Any] = [None] * len(specs)
-        fingerprints: Dict[int, str] = {}
-        pending: List[int] = []
-        for index, spec in enumerate(specs):
-            if self.cache is not None and spec.cacheable:
-                fingerprint = spec.fingerprint()
-                fingerprints[index] = fingerprint
-                hit, value = self.cache.get(fingerprint)
-                if hit:
-                    results[index] = value
-                    report.cache_hits += 1
-                    continue
-            pending.append(index)
-
-        if pending:
-            pending_specs = [specs[i] for i in pending]
-            # Daemonic pool workers cannot spawn children; a nested sweep
-            # degrades to the in-process path (results are identical by
-            # contract, only the wall time changes).
-            nested = multiprocessing.current_process().daemon
-            if self.workers == 0 or nested:
-                values = self._map_sequential(pending_specs, report)
-            else:
-                values = self._map_parallel(pending_specs, report)
-            for index, value in zip(pending, values):
-                results[index] = value
-                if index in fingerprints:
-                    stored = self.cache.put(
-                        fingerprints[index], value, tag=specs[index].tag
-                    )
-                    if not stored:
-                        report.uncached += 1
-
+        if self.workers and specs:
+            results = self._map_parallel(specs, report)
+        else:
+            results = self._map_sequential(specs, report)
         if self.workers > 0 and self.check_enabled:
             self._differential_check(specs, results, report)
         return results
@@ -201,47 +184,24 @@ class SweepExecutor:
     def _map_parallel(
         self, specs: Sequence[TrialSpec], report: SweepReport
     ) -> List[Any]:
-        context = _pool_context()
-        processes = min(self.workers, len(specs))
-        pool = context.Pool(processes=processes)
-        try:
-            handles = [
-                pool.apply_async(execute_trial, (spec,)) for spec in specs
-            ]
-            values = []
-            # Collected in spec order: completions may land out of order,
-            # but reassembly (and PERF merging) is order-stable.
-            for spec, handle in zip(specs, handles):
-                values.append(self._collect(pool, spec, handle, report))
-            return values
-        finally:
-            # terminate (not close): a wedged worker must not block exit.
-            pool.terminate()
-            pool.join()
-
-    def _collect(
-        self,
-        pool: Any,
-        spec: TrialSpec,
-        handle: Any,
-        report: SweepReport,
-    ) -> Any:
-        last_error = "unknown error"
-        for attempt in range(1 + RETRIES):
-            if attempt > 0:
+        outcomes = _run_pool(specs, min(self.workers, len(specs)))
+        values = []
+        # Collected in spec order: completions may land out of order,
+        # but reassembly (and PERF merging) is order-stable.
+        for spec, outcome in zip(specs, outcomes):
+            for __ in range(RETRIES):
+                if outcome.ok:
+                    break
+                # A worker death fails every trial its pool still held; a
+                # pool of one charges a death to the trial that caused it.
                 report.retries += 1
-                handle = pool.apply_async(execute_trial, (spec,))
-            try:
-                outcome: TrialOutcome = handle.get()
-            except Exception as exc:  # worker died / result unpicklable
-                last_error = f"{type(exc).__name__}: {exc}"
-                continue
-            if outcome.ok:
-                merge_ops(outcome.ops)
-                report.executed += 1
-                return outcome.value
-            last_error = outcome.error or last_error
-        raise TrialError(spec, last_error)
+                outcome = _run_pool([spec], 1)[0]
+            if not outcome.ok:
+                raise TrialError(spec, outcome.error or "unknown error")
+            merge_ops(outcome.ops)
+            report.executed += 1
+            values.append(outcome.value)
+        return values
 
     # ------------------------------------------------------------------
     # Differential mode
@@ -269,21 +229,6 @@ class SweepExecutor:
         report.check_passed = True
 
 
-def make_executor(
-    workers: Optional[int], cache_dir: Optional[str] = None
-) -> SweepExecutor:
-    """CLI helper: build an executor from a ``--workers`` value.
-
-    ``None`` (flag absent) runs in-process and never touches the disk,
-    whatever ``cache_dir`` says; ``0`` runs in-process with the cache
-    active; larger values fan out to a pool.
-    """
-    cached = workers is not None and cache_dir is not None
-    return SweepExecutor(
-        workers=workers or 0, cache=ResultCache(cache_dir) if cached else None
-    )
-
-
 def run_grid(
     fn: Callable[..., Any],
     axes: Mapping[Any, Sequence[Any]],
@@ -300,7 +245,7 @@ def run_grid(
     config keys together — ``("code_n", "code_k"): [(6, 4), (14, 10)]``.
     ``fixed`` is config shared by every cell; ``tag`` is formatted with
     each cell's config (``"storm.{policy}"``).  Without an ``executor``
-    the grid runs in-process and uncached — the oracle path.
+    the grid runs in-process — the oracle path.
     """
     seeds = list(seeds)
     specs: List[TrialSpec] = []

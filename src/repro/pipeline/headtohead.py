@@ -19,8 +19,8 @@ pipeline contender every encoded stripe's parity payloads are re-checked
 against the whole-stripe codec (the byte-identity oracle).
 
 ``pipeline_trial`` is module-level and all-scalar so the grid rides
-:func:`~repro.parallel.executor.run_grid`: parallel across processes,
-fingerprint-cached, byte-identical to the in-process pass under
+:func:`~repro.parallel.executor.run_grid`: parallel across processes
+and byte-identical to the in-process pass under
 ``REPRO_PARALLEL_CHECK=1``.
 """
 
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
 from repro.faults.chaos import NODE_LOSS, ChaosEvent
-from repro.parallel.executor import make_executor, run_grid
+from repro.parallel.executor import SweepExecutor, run_grid
 from repro.recovery.storm import (
     build_storm_cluster,
     busiest_node,
@@ -165,7 +165,6 @@ def head_to_head(
     contenders: Sequence[str] = CONTENDERS,
     seeds: Sequence[int] = (0,),
     workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     **trial,
 ) -> List[Dict[str, object]]:
     """Run the contenders × seeds grid.
@@ -182,7 +181,7 @@ def head_to_head(
         seeds=seeds,
         fixed=trial,
         tag="pipeline.headtohead.{contender}",
-        executor=make_executor(workers, cache_dir),
+        executor=SweepExecutor(workers=workers or 0),
     )
 
 

@@ -5,9 +5,8 @@ speed does EAR's encoding-friendly concentration cost, and what does the
 recovery-aware spread buy back?*  This module runs one storm scenario
 across a code × policy × seed grid through
 :func:`~repro.parallel.executor.run_grid`, so the comparison rides the
-sweep executor — parallel across processes, fingerprint-cached, and
-differentially checked against the in-process oracle under
-``REPRO_PARALLEL_CHECK=1``.
+sweep executor — parallel across processes and differentially
+checked against the in-process oracle under ``REPRO_PARALLEL_CHECK=1``.
 
 ``storm_trial`` is the module-level trial callable (workers must be able
 to unpickle it); its result is the storm report's JSON-round-trippable
@@ -20,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.erasure.codec import CodeParams
-from repro.parallel.executor import make_executor, run_grid
+from repro.parallel.executor import SweepExecutor, run_grid
 from repro.recovery.storm import run_storm
 
 #: (label, n, k) rows of the default head-to-head code grid: the paper's
@@ -49,8 +48,8 @@ def storm_trial(
     """One storm run as a sweep trial (module-level, picklable).
 
     The code is passed as ``(code_n, code_k)`` integers so the trial
-    config stays canonically JSON-encodable; ``code_label`` carries the
-    human name into the result (and the trial's cache identity).
+    config stays plain data; ``code_label`` carries the human name into
+    the result.
     ``cluster`` goes on to the scenario and its cluster build.
     """
     report = run_storm(
@@ -73,7 +72,6 @@ def head_to_head(
     codes: Sequence[Tuple[str, int, int]] = DEFAULT_CODES,
     seeds: Sequence[int] = (0,),
     workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     **cluster,
 ) -> List[Dict[str, object]]:
     """Run one scenario over the codes × policies × seeds grid.
@@ -93,7 +91,7 @@ def head_to_head(
         seeds=seeds,
         fixed={"scenario": scenario, **cluster},
         tag="storm.{scenario}.{code_label}.{policy}",
-        executor=make_executor(workers, cache_dir),
+        executor=SweepExecutor(workers=workers or 0),
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 from typing import Tuple
 
 from repro.sim.metrics import PERF
@@ -38,6 +39,21 @@ def fail_once_trial(seed: int, flag_path: str = "") -> int:
         with open(flag_path, "w", encoding="utf-8") as handle:
             handle.write("attempted")
         raise RuntimeError("transient failure")
+    return seed
+
+
+def killed_once_trial(seed: int, flag_path: str = "") -> int:
+    """SIGKILLs its own process on the first execution (cross-process flag)."""
+    if not os.path.exists(flag_path):
+        with open(flag_path, "w", encoding="utf-8") as handle:
+            handle.write("attempted")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return seed
+
+
+def killed_trial(seed: int) -> int:
+    """SIGKILLs its own process every time: run it in pool workers only."""
+    os.kill(os.getpid(), signal.SIGKILL)
     return seed
 
 

@@ -1,17 +1,20 @@
-"""SweepExecutor: ordering, retries, caching, differential mode."""
+"""SweepExecutor: ordering, retries, killed workers, differential mode."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.parallel.cache import ResultCache
 from repro.parallel.executor import (
     CHECK_ENV,
     RETRIES,
     ParallelMismatch,
     SweepExecutor,
     TrialError,
-    make_executor,
 )
 from repro.parallel.spec import TrialSpec
 from repro.sim.metrics import measure_ops
@@ -21,9 +24,63 @@ from tests.parallel._trials import (
     counted_trial,
     fail_once_trial,
     failing_trial,
+    killed_once_trial,
     pid_trial,
     rng_trial,
 )
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: Seconds a child sweep may take before it counts as hung.
+CHILD_TIMEOUT = 60
+
+#: A three-trial ``workers=2`` sweep whose middle trial is ``argv[1]``
+#: from ``tests.parallel._trials`` (``argv[2]``, if given, its flag path).
+KILLED_SWEEP = """
+import json, sys
+from repro.parallel.executor import SweepExecutor, TrialError
+from repro.parallel.spec import TrialSpec
+from tests.parallel import _trials
+
+config = {"flag_path": sys.argv[2]} if len(sys.argv) > 2 else {}
+specs = [
+    TrialSpec(fn=_trials.add_trial, seed=0),
+    TrialSpec(fn=getattr(_trials, sys.argv[1]), config=config, seed=1),
+    TrialSpec(fn=_trials.add_trial, seed=2),
+]
+executor = SweepExecutor(workers=2, check=False)
+try:
+    values = executor.map_trials(specs)
+except TrialError as exc:
+    print(json.dumps({"failed": exc.spec.label, "error": str(exc)}))
+else:
+    print(json.dumps(
+        {"values": values, "retries": executor.last_report.retries}
+    ))
+"""
+
+
+def sweep_in_child(*argv):
+    """Run ``KILLED_SWEEP`` in a child interpreter and return its JSON.
+
+    A sweep that hangs fails the test after ``CHILD_TIMEOUT`` seconds; the
+    child runs in its own session so its pool workers die with it.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-c", KILLED_SWEEP, *argv],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=CHILD_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"sweep still blocked after {CHILD_TIMEOUT} s")
+    assert proc.returncode == 0, err
+    return json.loads(out)
 
 
 def rng_specs(count=6, n=5):
@@ -31,6 +88,17 @@ def rng_specs(count=6, n=5):
         TrialSpec(fn=rng_trial, config={"n": n}, seed=seed, tag="t.rng")
         for seed in range(count)
     ]
+
+
+class TestTrialSpec:
+    def test_lambdas_are_rejected(self):
+        with pytest.raises(ValueError, match="module-level"):
+            TrialSpec(fn=lambda seed: seed)
+
+    def test_cacheable_is_accepted_and_ignored(self):
+        # The end-to-end benchmark still passes it.
+        spec = TrialSpec(fn=add_trial, seed=4, cacheable=False)
+        assert SweepExecutor(workers=0).map_trials([spec]) == [4]
 
 
 class TestOrdering:
@@ -91,7 +159,6 @@ class TestFailureHandling:
                 fn=fail_once_trial,
                 config={"flag_path": str(flag)},
                 seed=9,
-                cacheable=False,
             )
         ]
         executor = SweepExecutor(workers=2)
@@ -107,46 +174,28 @@ class TestFailureHandling:
         assert excinfo.value.spec is specs[0]
         assert executor.last_report.retries == RETRIES
 
+    def test_killed_worker_is_retried_in_a_fresh_pool(self, tmp_path):
+        flag = str(tmp_path / "killed.flag")
+        result = sweep_in_child("killed_once_trial", flag)
+        specs = [
+            TrialSpec(fn=add_trial, seed=0),
+            TrialSpec(
+                fn=killed_once_trial, config={"flag_path": flag}, seed=1
+            ),
+            TrialSpec(fn=add_trial, seed=2),
+        ]
+        # The flag now exists, so the oracle runs the trial unharmed.
+        assert result["values"] == SweepExecutor(workers=0).map_trials(specs)
+        assert result["retries"] >= 1
+
+    def test_worker_killed_on_every_attempt_raises_trial_error(self):
+        result = sweep_in_child("killed_trial")
+        assert result["failed"] == "killed_trial[seed=1]"
+        assert "BrokenProcessPool" in result["error"]
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             SweepExecutor(workers=-1)
-
-
-class TestCacheIntegration:
-    def test_warm_run_skips_execution_and_matches_cold(self, tmp_path):
-        specs = rng_specs()
-        cold = SweepExecutor(workers=2, cache=ResultCache(tmp_path / "c"))
-        cold_values = cold.map_trials(specs)
-        assert cold.last_report.executed == len(specs)
-        warm = SweepExecutor(workers=2, cache=ResultCache(tmp_path / "c"))
-        warm_values = warm.map_trials(specs)
-        assert warm_values == cold_values
-        assert warm.last_report.cache_hits == len(specs)
-        assert warm.last_report.executed == 0
-
-    def test_poisoned_entry_is_recomputed(self, tmp_path):
-        cache_dir = tmp_path / "c"
-        specs = rng_specs(count=3)
-        cold = SweepExecutor(workers=0, cache=ResultCache(cache_dir))
-        cold_values = cold.map_trials(specs)
-        victim = cache_dir / (specs[1].fingerprint() + ".json")
-        document = json.loads(victim.read_text())
-        document["crc"] ^= 1  # flip one CRC bit
-        victim.write_text(json.dumps(document))
-        warm = SweepExecutor(workers=0, cache=ResultCache(cache_dir))
-        assert warm.map_trials(specs) == cold_values
-        assert warm.last_report.cache_hits == 2
-        assert warm.last_report.executed == 1
-        assert warm.cache.stats().corrupt == 1
-
-    def test_uncacheable_specs_bypass_the_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        spec = TrialSpec(fn=add_trial, seed=1, cacheable=False)
-        executor = SweepExecutor(workers=0, cache=cache)
-        executor.map_trials([spec])
-        executor.map_trials([spec])
-        assert executor.last_report.cache_hits == 0
-        assert cache.stats().entries == 0
 
 
 class TestDifferentialMode:
@@ -155,16 +204,8 @@ class TestDifferentialMode:
         executor.map_trials(rng_specs(count=4))
         assert executor.last_report.check_passed is True
 
-    def test_check_covers_the_cached_path(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        SweepExecutor(workers=2, cache=cache).map_trials(rng_specs())
-        warm = SweepExecutor(workers=2, cache=cache, check=True)
-        warm.map_trials(rng_specs())
-        assert warm.last_report.cache_hits == 6
-        assert warm.last_report.check_passed is True
-
     def test_divergence_raises_parallel_mismatch(self):
-        specs = [TrialSpec(fn=pid_trial, seed=0, cacheable=False)]
+        specs = [TrialSpec(fn=pid_trial, seed=0)]
         with pytest.raises(ParallelMismatch):
             SweepExecutor(workers=1, check=True).map_trials(specs)
 
@@ -179,20 +220,3 @@ class TestDifferentialMode:
         executor = SweepExecutor(workers=0, check=True)
         executor.map_trials(rng_specs(count=2))
         assert executor.last_report.check_passed is None
-
-
-class TestMakeExecutor:
-    def test_none_means_in_process_and_never_cached(self, tmp_path):
-        executor = make_executor(None, cache_dir=str(tmp_path / "c"))
-        assert executor.workers == 0
-        assert executor.cache is None
-
-    def test_zero_workers_in_process(self, tmp_path):
-        executor = make_executor(0, cache_dir=str(tmp_path / "c"))
-        assert executor.workers == 0
-        assert executor.cache is not None
-
-    def test_no_cache_dir_means_no_cache(self):
-        executor = make_executor(2)
-        assert executor.workers == 2
-        assert executor.cache is None

@@ -1,7 +1,7 @@
 """Acceptance: parallel sweeps are byte-identical to sequential runs.
 
 Covers two figure sweeps (Figure 13's ``sweep_k``, Figures 14/15's
-load-balance studies) and the warm-cache skip rate.
+load-balance studies).
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.experiments.loadbalance import (
     read_balance,
     storage_balance,
 )
-from repro.parallel.cache import ResultCache
 from repro.parallel.executor import SweepExecutor
 
 SMALL = LargeScaleConfig().scaled(4)  # 80 stripes
@@ -65,24 +64,3 @@ class TestFigureSweepIdentity:
         )
         assert parallel == sequential
 
-
-class TestWarmCacheSkipRate:
-    def test_figure_sweep_rerun_skips_at_least_90_percent(self, tmp_path):
-        def executor():
-            return SweepExecutor(
-                workers=0, cache=ResultCache(tmp_path / "cache")
-            )
-
-        cold = executor()
-        cold_points = sweep_k(
-            ks=(6, 10), base=SMALL, seeds=(0, 1), executor=cold
-        )
-        assert cold.last_report.executed == cold.last_report.total == 4
-        warm = executor()
-        warm_points = sweep_k(
-            ks=(6, 10), base=SMALL, seeds=(0, 1), executor=warm
-        )
-        assert warm_points == cold_points
-        report = warm.last_report
-        assert report.cache_hits / report.total >= 0.9
-        assert warm.cache.stats().hits >= 4

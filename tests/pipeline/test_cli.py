@@ -59,6 +59,6 @@ class TestRuns:
                 "--no-disturb", "--json"]
         assert main(argv) == 0
         in_process = capsys.readouterr().out
-        assert main(argv + ["--workers", "2", "--no-cache"]) == 0
+        assert main(argv + ["--workers", "2"]) == 0
         pooled = capsys.readouterr().out
         assert json.loads(in_process) == json.loads(pooled)

@@ -61,12 +61,9 @@ class TestGrid:
             (contender, seed) for contender in CONTENDERS for seed in (0, 1)
         ]
 
-    def test_workers_zero_and_two_byte_identical(self, tmp_path):
+    def test_workers_zero_and_two_byte_identical(self):
         in_process = head_to_head(seeds=(0,), workers=0, **SMALL)
-        pooled = head_to_head(
-            seeds=(0,), workers=2, cache_dir=str(tmp_path / "cache"),
-            **SMALL,
-        )
+        pooled = head_to_head(seeds=(0,), workers=2, **SMALL)
         assert json.dumps(in_process, sort_keys=True) == json.dumps(
             pooled, sort_keys=True
         )

@@ -34,13 +34,9 @@ class TestStormTrial:
 
 
 class TestExecutorIdentity:
-    def test_sequential_matches_parallel_byte_for_byte(self, tmp_path):
-        sequential = head_to_head(
-            **CELL, workers=0, cache_dir=str(tmp_path / "seq")
-        )
-        parallel = head_to_head(
-            **CELL, workers=2, cache_dir=str(tmp_path / "par")
-        )
+    def test_sequential_matches_parallel_byte_for_byte(self):
+        sequential = head_to_head(**CELL, workers=0)
+        parallel = head_to_head(**CELL, workers=2)
         assert sequential == parallel
 
     def test_rows_flatten_the_grid(self):

@@ -15,13 +15,12 @@ STORE, TRUE, PARSERS = "_StoreAction", "_StoreTrueAction", "_SubParsersAction"
 
 
 def sweep(seeds):
-    """``--seeds`` (if ``seeds`` is given), ``--workers``, ``--no-cache``."""
+    """``--seeds`` (if ``seeds`` is given), ``--workers``."""
     records = [] if seeds is None else [
         (STORE, ("--seeds",), "seeds", seeds, None, None, False)
     ]
     return records + [
         (STORE, ("--workers",), "workers", None, None, None, False),
-        (TRUE, ("--no-cache",), "no_cache", False, None, 0, False),
     ]
 
 
@@ -42,7 +41,7 @@ TESTBED = [opt("--stripes", 96), opt("--seeds", 3)]
 
 INVENTORY = {
     "": [(PARSERS, (), "command", None, (
-        "cache", "chaos", "fig10", "fig12", "fig13a", "fig13b", "fig13c",
+        "chaos", "fig10", "fig12", "fig13a", "fig13b", "fig13c",
         "fig13d", "fig13e", "fig13f", "fig14", "fig15", "fig3", "fig8a",
         "fig8b", "fig9", "journal", "list", "pipeline", "recovery",
         "theorem1",
@@ -104,10 +103,6 @@ INVENTORY = {
         (STORE, (), "directory", None, None, None, True),
         flag("--json", dest="as_json"),
     ],
-    "cache": [
-        (STORE, (), "action", None, ("stats", "clear"), None, True),
-        opt("--dir", ".repro-cache", dest="cache_dir"),
-    ],
 }
 
 LIST_OUTPUT = """\
@@ -158,12 +153,12 @@ class TestOptionInventory:
     def test_option_count(self):
         records = walk(build_parser())
         commands = [path for path in records if path and " " not in path]
-        assert len(commands) == 21
+        assert len(commands) == 20
         options = sum(
             1 for path, rows in records.items() if path
             for row in rows if row[0] != PARSERS
         )
-        assert options == 79
+        assert options == 67
 
     def test_list_output(self, capsys):
         assert main(["list"]) == 0
