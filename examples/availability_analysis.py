@@ -29,6 +29,7 @@ from repro.core.preliminary import PreliminaryEAR
 from repro.core.relocation import BlockMover, PlacementMonitor
 from repro.erasure.codec import CodeParams
 from repro.experiments.runner import format_table
+from repro.journal.state import Stores
 
 
 def figure3():
@@ -92,14 +93,10 @@ def complete_ear_guarantee():
     checked = 0
     for stripe in policy.store.sealed_stripes()[:25]:
         plan = plan_ear_encoding(topology, store, stripe, code, rng=rng)
-        for bid, node in plan.retained.items():
-            store.retain_only(bid, node)
-        parity_ids = []
-        for node in plan.parity_nodes:
-            parity = store.create_block(64 * 2**20)
-            store.add_replica(parity.block_id, node)
-            parity_ids.append(parity.block_id)
-        policy.store.mark_encoded(stripe.stripe_id, parity_ids)
+        Stores(blocks=store, stripes=policy.store).encode_stripe(
+            stripe.stripe_id, plan.parity_nodes, 64 * 2**20,
+            plan.retained.items(),
+        )
         assert not monitor.is_violating(store, stripe)
         nodes = [store.replica_nodes(b)[0] for b in stripe.all_block_ids()]
         assert model.stripe_tolerates_rack_failures(

@@ -2,10 +2,11 @@
 """Crash-recovery drill: kill the metadata plane at every commit stage.
 
 A (6,4) EAR cluster runs a deterministic metadata workload — file
-creates, block allocations, corruption churn, stripe encodes (intent/
-commit brackets), relocations, deletes — against the write-ahead
-journal.  A golden run records a state fingerprint before every journal
-record.  Then, for every commit-stage boundary x {before, torn, after},
+creates, block writes, corruption churn, stripe encodes, relocations,
+deletes — against the write-ahead journal, one record per event.  A
+golden run records a state fingerprint before every journal record.
+Then, for every block-write and stripe-encode record (plus three
+controls) x {before, torn, after},
 the same seeded workload is re-run, crashed at that exact point, and
 recovered from its journal directory; recovery must reproduce the
 fingerprint of exactly the durable prefix, with no stripe left

@@ -6,7 +6,8 @@ Walks the library's core loop on a 20-rack cluster:
 1. place 3-way-replicated blocks with encoding-aware replication (EAR);
 2. when a stripe seals, plan its encoding — zero cross-rack downloads;
 3. compute *real* Reed-Solomon parity over the blocks' bytes;
-4. delete the redundant replicas (3x -> 1.4x storage overhead);
+4. commit the encode: parity placed, redundant replicas deleted
+   (3x -> 1.4x storage overhead);
 5. fail a rack and reconstruct the lost block bit-exactly.
 
 Run:  python examples/quickstart.py
@@ -22,6 +23,7 @@ from repro import (
     make_codec,
     plan_ear_encoding,
 )
+from repro.journal.state import Stores
 
 BLOCK_SIZE = 4096  # small blocks so the demo encodes real bytes quickly
 
@@ -66,18 +68,14 @@ def main():
     codec = make_codec(code.n, code.k, "reed-solomon")
     data = [payloads[b] for b in stripe.block_ids]
     parity = codec.encode(data)
-    parity_payloads = {}
-    parity_ids = []
-    for node, payload in zip(plan.parity_nodes, parity):
-        block = store.create_block(BLOCK_SIZE, stripe_id=stripe.stripe_id)
-        store.add_replica(block.block_id, node)
-        parity_payloads[block.block_id] = payload
-        parity_ids.append(block.block_id)
 
-    # -- 4. trim replicas ----------------------------------------------------
-    for block_id, keeper in plan.retained.items():
-        store.retain_only(block_id, keeper)
-    ear.store.mark_encoded(stripe.stripe_id, parity_ids)
+    # -- 4. commit the encode: parity in, redundant replicas out --------------
+    parity_blocks = Stores(blocks=store, stripes=ear.store).encode_stripe(
+        stripe.stripe_id, plan.parity_nodes, BLOCK_SIZE, plan.retained.items()
+    )
+    parity_payloads = {
+        block.block_id: payload for block, payload in zip(parity_blocks, parity)
+    }
     copies = sum(
         len(store.replica_nodes(b)) for b in stripe.all_block_ids()
     )

@@ -80,6 +80,9 @@ def cmd_fig3(args) -> None:
 def cmd_theorem1(args) -> None:
     """Theorem 1: measured redraws vs the bound."""
     code = CodeParams(args.k + 4, args.k)
+    if args.racks < code.n:
+        args.error(f"--racks must be at least the stripe width n = k + 4 "
+                   f"= {code.n}")
     measured = empirical_attempts(
         num_racks=args.racks,
         nodes_per_rack=40,
@@ -575,7 +578,7 @@ COMMANDS = EXPERIMENTS + (
             arg("--json", action="store_true", dest="as_json",
                 help="one JSON object per line instead of aligned text"),
             arg("--type", dest="type_filter", default=None,
-                help="only records of this type tag (e.g. parity_add)"),
+                help="only records of this type tag (e.g. encode_stripe)"),
         ]),
         ("verify", cmd_journal_verify,
          "structural checks; non-zero exit on errors", [JOURNAL_DIR]),

@@ -19,11 +19,9 @@ from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.journal.records import (
     PRESENT,
     AddBlock,
-    AssignStripe,
     ClearCorrupted,
     DeleteReplica,
     MarkCorrupted,
-    ParityAdd,
     PlaceReplica,
     Present,
     Relocate,
@@ -103,9 +101,9 @@ class BlockStore:
     checkpoint loading only and never journals.
 
     The store also keeps, per stripe id, how many blocks stamped with it
-    hold at least one copy (:meth:`live_members`), updated by the three
-    transitions that can change that number (place, delete, assign), so
-    replay rebuilds it with no extra code.  Callables registered with
+    hold at least one copy (:meth:`live_members`), updated by the two
+    transitions that can change that number (place, delete), so replay
+    rebuilds it with no extra code.  Callables registered with
     :meth:`watch` hear about every such change.
     """
 
@@ -143,22 +141,9 @@ class BlockStore:
         """Allocate a fresh block id and register the block."""
         return commit(self, AddBlock, (self._next_id, size, kind, stripe_id))
 
-    def add_parity_block(
-        self, size: int, stripe_id: int, node_id: NodeId
-    ) -> Block:
-        """Create a parity block already placed on ``node_id``: one
-        :class:`~repro.journal.records.ParityAdd` (the commit bracket's
-        interior record)."""
-        return commit(self, ParityAdd, (stripe_id, self._next_id, node_id, size))
-
     def resume_ids(self, next_id: BlockId) -> None:
         """Fast-forward the id counter (recovery/checkpoint load only)."""
         self._next_id = max(self._next_id, next_id)
-
-    def assign_stripe(self, block_id: BlockId, stripe_id: int) -> Block:
-        """Bind a block to a stripe (done when the core rack seals k blocks)."""
-        commit(self, AssignStripe, (block_id, stripe_id))
-        return self._blocks[block_id]
 
     def add_replica(
         self, block_id: BlockId, node_id: NodeId, is_primary: bool = False
@@ -195,17 +180,6 @@ class BlockStore:
         for other in nodes:
             if other != node_id:
                 commit(self, DeleteReplica, (block_id, other))
-
-    def retain_planned(self, block_id: BlockId, node_id: NodeId) -> None:
-        """:meth:`retain_only` the planned copy on ``node_id``, or the first
-        surviving copy when a failure took it; nothing when no copy is
-        left (rebuilding it from parity is the repair queue's job)."""
-        survivors = self.replica_nodes(block_id)
-        if survivors:
-            keeper = node_id if node_id in survivors else survivors[0]
-            for other in survivors:
-                if other != keeper:
-                    commit(self, DeleteReplica, (block_id, other))
 
     def move_replica(self, block_id: BlockId, src: NodeId, dst: NodeId) -> None:
         """Relocate one copy from ``src`` to ``dst`` (BlockMover behaviour):
@@ -251,39 +225,14 @@ class BlockStore:
             self._next_id = block_id + 1
         return block
 
-    def check_parity_add(self, fields):
-        stripe_id, block_id, node_id, size = fields
-        if node_id not in self._node_blocks:
-            return KeyError(f"unknown node id {node_id}")
-        return self.check_add_block((block_id, size, BlockKind.PARITY, stripe_id))
-
-    def apply_parity_add(self, fields) -> Block:
-        stripe_id, block_id, node_id, size = fields
-        block = self.apply_add_block((block_id, size, BlockKind.PARITY, stripe_id))
-        self.apply_place_replica((block_id, node_id, True))
-        return block
-
-    def check_assign_stripe(self, fields):
-        block_id, stripe_id = fields
-        block = self._blocks.get(block_id)
-        if block is None:
-            return KeyError(f"unknown block id {block_id}")
-        return PRESENT if block.stripe_id == stripe_id else None
-
-    def apply_assign_stripe(self, fields) -> Block:
-        block_id, stripe_id = fields
-        old = self._blocks[block_id]
-        updated = Block(old.block_id, old.size, old.kind, stripe_id)
-        self._blocks[block_id] = updated
-        if self._holders[block_id]:
-            live = self._live_members
-            if old.stripe_id is not None:
-                live[old.stripe_id] -= 1
-            if stripe_id is not None:
-                live[stripe_id] = live.get(stripe_id, 0) + 1
-        for callback in self._watchers:
-            callback(updated)
-        return updated
+    def check_nodes(self, node_ids):
+        """The verdict on new copies going to ``node_ids``: a ``KeyError``
+        naming the first unknown node, else ``None`` (a part of the
+        bundle's ``allocate_block`` and ``encode_stripe`` tests)."""
+        for node_id in node_ids:
+            if node_id not in self._node_blocks:
+                return KeyError(f"unknown node id {node_id}")
+        return None
 
     def check_place_replica(self, fields):
         block_id, node_id, is_primary = fields
@@ -442,19 +391,19 @@ class BlockStore:
     def live_members(self, stripe_id: int) -> int:
         """Blocks stamped with ``stripe_id`` that still hold a copy (O(1)).
 
-        Every path that makes a block a stripe member stamps it —
-        ``NameNode.allocate_block`` via :meth:`assign_stripe`, parity via
-        :meth:`add_parity_block` — so for an encoded stripe this is its
-        surviving member count.
+        Every path that makes a block a stripe member stamps it at creation
+        — the ``allocate_block`` and ``encode_stripe`` records of
+        :class:`~repro.journal.state.Stores` — so for an encoded stripe
+        this is its surviving member count.
         """
         return self._live_members.get(stripe_id, 0)
 
     def watch(self, callback: Callable[[Block], None]) -> None:
         """Call ``callback(block)`` after each change to a block's copies.
 
-        Fires on every :meth:`add_replica` and :meth:`remove_replica`
-        (hence also on retention, moves and parity placement) and on
-        :meth:`assign_stripe`, with the block's current descriptor.
+        Fires on every placed and every deleted copy (hence also on
+        writes, retention, moves and parity placement), with the block's
+        descriptor.
         """
         self._watchers.append(callback)
 

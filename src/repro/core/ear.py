@@ -156,7 +156,8 @@ class EncodingAwareReplication(PlacementPolicy):
     # Placement
     # ------------------------------------------------------------------
     def place_block(
-        self, block_id: BlockId, writer_node: Optional[NodeId] = None
+        self, block_id: BlockId, writer_node: Optional[NodeId] = None,
+        join_stripe: bool = True,
     ) -> PlacementDecision:
         """Place one block, redrawing until the flow-graph constraint holds.
 
@@ -194,8 +195,9 @@ class EncodingAwareReplication(PlacementPolicy):
             )
 
         self._attempts_by_index[index].append(attempt)
-        self.store.add_block(stripe.stripe_id, block_id)
-        if stripe.is_full():
+        if join_stripe:
+            self.store.add_block(stripe.stripe_id, block_id)
+        if index == stripe.k:
             del self._open_by_rack[core_rack]
             del self._matchings[stripe.stripe_id]
         return PlacementDecision(

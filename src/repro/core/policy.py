@@ -128,7 +128,8 @@ class PlacementPolicy(ABC):
 
     @abstractmethod
     def place_block(
-        self, block_id: BlockId, writer_node: Optional[NodeId] = None
+        self, block_id: BlockId, writer_node: Optional[NodeId] = None,
+        join_stripe: bool = True,
     ) -> PlacementDecision:
         """Choose the replica nodes for a new block.
 
@@ -136,6 +137,10 @@ class PlacementPolicy(ABC):
             block_id: Identifier of the block being written.
             writer_node: Node issuing the write, when known.  HDFS places the
                 first replica on the writer; policies may use this hint.
+            join_stripe: Add the block to its stripe in the policy's
+                pre-encoding store, when it keeps one.  The NameNode
+                passes ``False``: its one ``allocate_block`` record adds
+                the block to the stripe along with the block itself.
 
         Returns:
             The placement decision; callers record it in the block store.

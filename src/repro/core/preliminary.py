@@ -58,7 +58,8 @@ class PreliminaryEAR(PlacementPolicy):
         self._open_by_rack: Dict[RackId, int] = {}
 
     def place_block(
-        self, block_id: BlockId, writer_node: Optional[NodeId] = None
+        self, block_id: BlockId, writer_node: Optional[NodeId] = None,
+        join_stripe: bool = True,
     ) -> PlacementDecision:
         """Place the primary replica in the core rack, the rest as RR."""
         if writer_node is not None:
@@ -67,8 +68,10 @@ class PreliminaryEAR(PlacementPolicy):
             core_rack = self._random_rack()
         stripe = self._open_stripe_for(core_rack)
         node_ids = self._draw_layout(core_rack)
-        self.store.add_block(stripe.stripe_id, block_id)
-        if stripe.is_full():
+        index = len(stripe.block_ids) + 1
+        if join_stripe:
+            self.store.add_block(stripe.stripe_id, block_id)
+        if index == stripe.k:
             del self._open_by_rack[core_rack]
         return PlacementDecision(
             block_id=block_id,

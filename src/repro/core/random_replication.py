@@ -52,7 +52,8 @@ class RandomReplication(PlacementPolicy):
         self._open_stripe_id: Optional[int] = None
 
     def place_block(
-        self, block_id: BlockId, writer_node: Optional[NodeId] = None
+        self, block_id: BlockId, writer_node: Optional[NodeId] = None,
+        join_stripe: bool = True,
     ) -> PlacementDecision:
         """Place one block on randomly chosen racks and nodes.
 
@@ -64,7 +65,9 @@ class RandomReplication(PlacementPolicy):
         else:
             first_rack = self._random_rack()
         node_ids = self._draw_layout(first_rack)
-        stripe_id = self._assign_stripe(block_id) if self.store is not None else None
+        stripe_id = None
+        if self.store is not None:
+            stripe_id = self._assign_stripe(block_id, join_stripe)
         return PlacementDecision(
             block_id=block_id,
             node_ids=tuple(node_ids),
@@ -73,12 +76,15 @@ class RandomReplication(PlacementPolicy):
             attempts=1,
         )
 
-    def _assign_stripe(self, block_id: BlockId) -> int:
+    def _assign_stripe(self, block_id: BlockId, join_stripe: bool) -> int:
         """Group every k consecutive data blocks into one stripe."""
         assert self.store is not None
         if self._open_stripe_id is None:
             self._open_stripe_id = self.store.new_stripe().stripe_id
-        stripe = self.store.add_block(self._open_stripe_id, block_id)
-        if stripe.is_full():
+        stripe = self.store.stripe(self._open_stripe_id)
+        index = len(stripe.block_ids) + 1
+        if join_stripe:
+            self.store.add_block(stripe.stripe_id, block_id)
+        if index == stripe.k:
             self._open_stripe_id = None
         return stripe.stripe_id

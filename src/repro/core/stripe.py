@@ -15,7 +15,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.cluster.block import BlockId
 from repro.cluster.topology import RackId
 from repro.journal.records import (
-    EndStripeCommit,
     NewStripe,
     Present,
     SealStripe,
@@ -137,19 +136,6 @@ class PreEncodingStore:
         """
         return commit(self, SealStripe, (stripe_id,))
 
-    def mark_encoded(
-        self, stripe_id: int, parity_block_ids: Sequence[BlockId]
-    ) -> Stripe:
-        """Close a stripe's commit: record its parity blocks and flip it to
-        encoded (the bracket's :class:`~repro.journal.records.EndStripeCommit`).
-
-        Raises:
-            ValueError: Unless the stripe is sealed.
-        """
-        return commit(
-            self, EndStripeCommit, (stripe_id, tuple(parity_block_ids))
-        )
-
     # ------------------------------------------------------------------
     # Record transitions (validity test, state change), shared by the
     # mutators above and by replay
@@ -220,8 +206,9 @@ class PreEncodingStore:
         stripe.state = StripeState.SEALED
         return stripe
 
-    def check_end_stripe_commit(self, fields):
-        stripe_id = fields[0]
+    # The stripe's part of the bundle's ``encode_stripe`` record (see
+    # repro.journal.state.Stores): the test and the flip to encoded.
+    def check_encode(self, stripe_id: int):
         stripe = self._stripes.get(stripe_id)
         if stripe is None:
             return self._unknown(stripe_id)
@@ -230,8 +217,9 @@ class PreEncodingStore:
         error = ValueError(f"stripe {stripe_id} is {stripe.state}, not sealed")
         return Present(error) if stripe.state == StripeState.ENCODED else error
 
-    def apply_end_stripe_commit(self, fields) -> Stripe:
-        stripe_id, parity_block_ids = fields
+    def apply_encode(
+        self, stripe_id: int, parity_block_ids: Sequence[BlockId]
+    ) -> Stripe:
         stripe = self._stripes[stripe_id]
         stripe.parity_block_ids = list(parity_block_ids)
         stripe.state = StripeState.ENCODED

@@ -214,11 +214,6 @@ class StreamMeta:
         """Stripes the payload spans (0 for an empty source)."""
         return self.trailer.num_stripes(self.k)
 
-    @property
-    def shard_bytes(self) -> int:
-        """Stored bytes per shard: ``num_stripes * chunk_size``."""
-        return self.num_stripes * self.chunk_size
-
     def codec(self) -> ErasureCodec:
         """A fresh codec instance matching this stream's parameters."""
         if self.scheme == "lrc":

@@ -78,12 +78,6 @@ class NormalisedPoint:
 
         return five_number_summary(self.encode_ratios)
 
-    def write_summary(self):
-        """Boxplot statistics of the write ratios."""
-        from repro.experiments.stats import five_number_summary
-
-        return five_number_summary(self.write_ratios)
-
 
 def run_largescale(
     policy_name: str,

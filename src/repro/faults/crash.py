@@ -3,21 +3,21 @@
 Extends the chaos layer to the one fault class PR 1 could not model: the
 NameNode process itself dying mid-commit.  A deterministic, synchronous
 metadata workload (:func:`run_crash_workload`) drives file creation,
-block allocation, corruption marks, node death, relocation, and full
-stripe-commit brackets against a real
+block writes, corruption marks, node death, stripe encodes, relocation
+and re-replication against a real
 :class:`~repro.journal.journal.MetadataJournal`.  It writes every journal
-record type except ``relocation_requested``, ``relocation_served`` and
-``seal_stripe``; ``tests/journal/test_write_ahead.py`` appends those
-three in its own tail.  The crash matrix
+record type except the five no NameNode path writes: ``add_block``,
+``stripe_add_block`` and ``seal_stripe`` (stores driven without a
+NameNode), ``relocation_requested`` and ``relocation_served`` (the
+repair queue); ``tests/journal/test_write_ahead.py`` appends those five
+in its own tail.  The crash matrix
 (:func:`run_crash_matrix`) then re-runs that workload once per injected
-:class:`~repro.journal.crashpoints.CrashPoint` (each commit stage ×
-before/torn/after its write), recovers each crashed journal, and checks the
-differential contract:
+:class:`~repro.journal.crashpoints.CrashPoint` (each block-write and
+stripe-encode record × before/torn/after its write), recovers each
+crashed journal, and checks the differential contract:
 
 * the recovered ``state_fingerprint()`` equals the fingerprint the
-  golden (crash-free) run had at the same durable prefix — with
-  crashes *inside* a commit bracket mapping to the post-bracket state,
-  because recovery rolls open brackets forward;
+  golden (crash-free) run had at the same durable prefix;
 * no stripe is observably half-committed
   (:func:`~repro.journal.recovery.verify_stripe_consistency`);
 * ``repro journal verify`` reports zero errors on the crashed log.
@@ -74,7 +74,6 @@ class CrashWorkloadResult:
     code: CodeParams
     final_fingerprint: str
     last_seq: int
-    brackets: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def run_crash_workload(
@@ -143,14 +142,15 @@ def run_crash_workload(
     if checkpoint_midway:
         journal.checkpoint()
 
-    # Phase 3: encode every sealed stripe — the commit brackets.
+    # Phase 3: encode every sealed stripe, one record each.
     for stripe in sorted(
         namenode.sealed_stripes(), key=lambda s: s.stripe_id
     ):
         plan = planner.plan(stripe)
         namenode.record_encoding(stripe, plan)
 
-    # Phase 4: post-encode churn — relocation, corruption, deletion.
+    # Phase 4: post-encode churn — relocation, re-replication, node
+    # rejoin, file deletion.
     encoded_blocks = sorted(
         b.block_id for b in store.blocks()
         if not b.is_parity() and len(store.replica_nodes(b.block_id)) == 1
@@ -162,6 +162,11 @@ def run_crash_workload(
             n for n in writers if n not in store.replica_nodes(mover)
         ]
         store.move_replica(mover, src, rng.choice(free_nodes))
+        # A surplus copy placed and trimmed again, as repair re-replicates:
+        # the place and delete records, with the state left as it was.
+        spare = next(n for n in writers if n not in store.replica_nodes(mover))
+        store.add_replica(mover, spare)
+        store.remove_replica(mover, spare)
     dead = sorted(journal.stores.dead_nodes)
     for node_id in dead:
         journal.node_alive(node_id)
@@ -183,25 +188,7 @@ def run_crash_workload(
         code=DRILL_CODE,
         final_fingerprint=journal.current_fingerprint(),
         last_seq=journal.last_seq,
-        brackets=find_brackets(directory),
     )
-
-
-def find_brackets(directory: str) -> List[Tuple[int, int]]:
-    """``(begin_seq, end_seq)`` of every commit bracket in a journal."""
-    opens: Dict[int, int] = {}
-    brackets: List[Tuple[int, int]] = []
-    for envelope in scan_journal(directory).envelopes:
-        seq = int(envelope["seq"])  # type: ignore[arg-type]
-        type_tag = envelope.get("type")
-        data = envelope.get("data") or {}
-        if type_tag == "begin_stripe_commit":
-            opens[int(data["stripe_id"])] = seq
-        elif type_tag == "end_stripe_commit":
-            begin = opens.pop(int(data["stripe_id"]), None)
-            if begin is not None:
-                brackets.append((begin, seq))
-    return sorted(brackets)
 
 
 def golden_fingerprints(golden: CrashWorkloadResult) -> Dict[int, str]:
@@ -216,44 +203,28 @@ def golden_fingerprints(golden: CrashWorkloadResult) -> Dict[int, str]:
     return fps
 
 
-def expected_fingerprint(
-    fps: Dict[int, str],
-    brackets: List[Tuple[int, int]],
-    durable_seq: int,
-) -> str:
-    """The fingerprint recovery must reproduce for a durable prefix.
-
-    Normally that is the golden state after applying records
-    ``1..durable_seq``.  When the prefix ends *inside* a commit bracket
-    ``[begin, end)``, recovery rolls the bracket forward, so the
-    expectation jumps to the golden post-bracket state.
-    """
-    target = durable_seq + 1
-    for begin, end in brackets:
-        if begin <= durable_seq < end:
-            target = end + 1
-            break
-    return fps[target]
-
-
 def commit_stage_points(
     golden: CrashWorkloadResult,
     phases: Tuple[str, ...] = CRASH_PHASES,
 ) -> List[CrashPoint]:
     """Every crash point the matrix injects for one golden run.
 
-    Covers each commit bracket at four stages — the intent record, the
-    first interior record (a ``parity_add``), a mid-bracket record (a
-    retention ``delete_replica``), and the commit record — plus three
-    non-bracket controls (an early record, a pre-encode record, and the
-    final record), each at every requested crash phase.
+    Covers every ``allocate_block`` and ``encode_stripe`` record — each
+    block write and each stripe encode, the events a crash must find
+    wholly done or not begun — plus three controls (an early record, the
+    record before the first encode, and the final record), each at every
+    requested crash phase.
     """
-    seqs: List[int] = [2]
-    if golden.brackets:
-        seqs.append(golden.brackets[0][0] - 1)
-    for begin, end in golden.brackets:
-        seqs.extend([begin, begin + 1, (begin + end) // 2, end])
-    seqs.append(golden.last_seq)
+    envelopes = scan_journal(golden.directory).envelopes
+    stages = [
+        envelope["seq"] for envelope in envelopes
+        if envelope["type"] in ("allocate_block", "encode_stripe")
+    ]
+    first_encode = next((
+        envelope["seq"] for envelope in envelopes
+        if envelope["type"] == "encode_stripe"
+    ), 2)
+    seqs = [2, first_encode - 1, golden.last_seq, *stages]
     unique = sorted({s for s in seqs if 1 <= s <= golden.last_seq})
     return [
         CrashPoint(seq=seq, phase=phase)
@@ -274,7 +245,6 @@ class CrashCaseResult:
     half_commit_problems: Tuple[str, ...]
     verify_errors: Tuple[str, ...]
     recovery_errors: Tuple[str, ...]
-    rolled_forward: Tuple[int, ...]
 
     @property
     def clean(self) -> bool:
@@ -294,7 +264,6 @@ class CrashMatrixReport:
     seed: int
     golden_fingerprint: str
     golden_records: int
-    brackets: List[Tuple[int, int]]
     cases: List[CrashCaseResult] = field(default_factory=list)
 
     @property
@@ -307,13 +276,9 @@ class CrashMatrixReport:
         return {
             "seed": self.seed,
             "golden_records": self.golden_records,
-            "commit_brackets": len(self.brackets),
             "crash_cases": len(self.cases),
             "fingerprint_matches": sum(
                 1 for case in self.cases if case.fingerprint_match
-            ),
-            "rolled_forward_cases": sum(
-                1 for case in self.cases if case.rolled_forward
             ),
             "clean": self.clean,
             "golden_fingerprint": self.golden_fingerprint[:16],
@@ -331,8 +296,8 @@ def run_crash_matrix(
     """Golden run + one crashed run per crash point.
 
     ``points`` defaults to the commit-stage points of the golden run;
-    a small ``checkpoint_records`` makes periodic checkpoints fall
-    between the drill's commit brackets (and be refused inside them).
+    a small ``checkpoint_records`` makes periodic checkpoints fall all
+    through the drill, so recoveries start from one.
     ``base_dir`` receives one journal directory per run (``golden`` plus
     ``case-NNN``), all of which ``repro journal verify`` must pass.
     """
@@ -349,7 +314,6 @@ def run_crash_matrix(
         seed=seed,
         golden_fingerprint=golden.final_fingerprint,
         golden_records=golden.last_seq,
-        brackets=list(golden.brackets),
     )
     if points is None:
         points = commit_stage_points(golden, phases)
@@ -367,7 +331,7 @@ def run_crash_matrix(
         except SimulatedCrash:
             crashed = True
         recovered = recover(case_dir, golden.topology, k=golden.code.k)
-        expected = expected_fingerprint(fps, golden.brackets, point.durable_seq)
+        expected = fps[point.durable_seq + 1]
         actual = recovered.fingerprint()
         verify_report = verify_journal(case_dir)
         recovery_errors = list(recovered.stats.errors)
@@ -386,6 +350,5 @@ def run_crash_matrix(
             ),
             verify_errors=tuple(verify_report.errors),
             recovery_errors=tuple(recovery_errors),
-            rolled_forward=tuple(recovered.stats.rolled_forward),
         ))
     return report

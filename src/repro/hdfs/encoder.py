@@ -16,8 +16,9 @@ retention).
 
 :class:`StripeEncoder` is the one encode engine: it owns the attempt
 ladder (fresh liveness-aware attempts under ``with_retries``), the source
-veto and the commit bracket.  :mod:`repro.pipeline.encoder` subclasses it
-and contributes only a different transfer schedule.
+veto and the commit step (one ``encode_stripe`` metadata record).
+:mod:`repro.pipeline.encoder` subclasses it and contributes only a
+different transfer schedule.
 """
 
 from __future__ import annotations
@@ -279,8 +280,8 @@ class StripeEncoder:
         """Step 3, once every transfer of an attempt has succeeded.
 
         The only place an encode becomes metadata: ``record_encoding``
-        (retention + parity, one journal bracket), the parity bytes, the
-        record, the meters.  ``cross_rack_downloads`` is what the
+        (parity + retention, one ``encode_stripe`` journal record), the
+        parity bytes, the record, the meters.  ``cross_rack_downloads`` is what the
         attempt's schedule pulled across racks.
         """
         parity_blocks = self.namenode.record_encoding(stripe, plan)

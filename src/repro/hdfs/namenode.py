@@ -22,6 +22,7 @@ from repro.core.policy import PlacementDecision, PlacementPolicy
 from repro.core.random_replication import RandomReplication
 from repro.core.stripe import PreEncodingStore, Stripe
 from repro.erasure.codec import CodeParams
+from repro.journal.state import Stores
 
 
 class NameNode:
@@ -57,11 +58,16 @@ class NameNode:
         self.block_size = block_size
         self.block_store = BlockStore(topology)
         self.journal = journal
-        if journal is not None:
+        if journal is None:
+            self.stores = Stores(
+                blocks=self.block_store, stripes=self.pre_encoding_store
+            )
+        else:
             journal.attach(
                 block_store=self.block_store,
                 stripe_store=self.pre_encoding_store,
             )
+            self.stores = journal.stores
 
     # ------------------------------------------------------------------
     # Write path
@@ -71,14 +77,17 @@ class NameNode:
         size: Optional[int] = None,
         writer_node: Optional[NodeId] = None,
     ) -> Tuple[Block, PlacementDecision]:
-        """Create a block, run the placement policy, record the replicas."""
-        block = self.block_store.create_block(
-            self.block_size if size is None else size
+        """Run the placement policy for the next block id, then commit the
+        write as one ``allocate_block`` record: the block (stamped with
+        its stripe), its stripe membership and its replicas."""
+        block_id = self.block_store.next_block_id
+        decision = self.policy.place_block(
+            block_id, writer_node=writer_node, join_stripe=False
         )
-        decision = self.policy.place_block(block.block_id, writer_node=writer_node)
-        self.block_store.add_replicas(block.block_id, decision.node_ids)
-        if decision.stripe_id is not None:
-            self.block_store.assign_stripe(block.block_id, decision.stripe_id)
+        block = self.stores.allocate_block(
+            block_id, self.block_size if size is None else size,
+            decision.stripe_id, decision.node_ids,
+        )
         return block, decision
 
     # ------------------------------------------------------------------
@@ -160,33 +169,14 @@ class NameNode:
         resulting layout may violate rack fault tolerance, which the
         PlacementMonitor then flags, exactly as in real HDFS.
 
-        When a journal is attached the whole commit is bracketed as an
-        atomic intent/commit pair: ``begin_stripe_commit`` (carrying the
-        full plan) is durable before any mutation, the per-step effects
-        journal as ``parity_add`` / ``delete_replica`` records, and the
-        stripe store's ``end_stripe_commit`` seals the bracket.  A crash
-        anywhere inside is rolled forward by recovery from the intent
-        record.
+        The whole commit is one ``encode_stripe`` record
+        (:meth:`~repro.journal.state.Stores.encode_stripe`), so a crash
+        leaves the stripe either sealed with every replica or encoded.
 
         Returns:
             The created parity blocks, in stripe order.
         """
-        journal = self.block_store.journal
-        if journal is not None:
-            journal.begin_stripe_commit(
-                stripe.stripe_id,
-                tuple(plan.parity_nodes),
-                self.block_size,
-                tuple(plan.retained.items()),
-            )
-        parity_blocks: List[Block] = []
-        for node_id in plan.parity_nodes:
-            parity_blocks.append(self.block_store.add_parity_block(
-                self.block_size, stripe.stripe_id, node_id
-            ))
-        for block_id, node_id in plan.retained.items():
-            self.block_store.retain_planned(block_id, node_id)
-        self.pre_encoding_store.mark_encoded(
-            stripe.stripe_id, [b.block_id for b in parity_blocks]
+        return self.stores.encode_stripe(
+            stripe.stripe_id, plan.parity_nodes, self.block_size,
+            plan.retained.items(),
         )
-        return parity_blocks

@@ -21,7 +21,7 @@ differential crash checks compare against.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Set, Tuple, Type
+from typing import Dict, Optional, Type
 
 from repro.journal import records as rec
 from repro.journal.checkpoint import (
@@ -78,10 +78,6 @@ class MetadataJournal:
         self._seq = scan_journal(directory).last_seq
         self._cadence = checkpoint_records or math.inf
         self._checkpointed_seq = self._seq
-        # Stripes inside their commit bracket: a checkpoint taken now
-        # would cover the intent record, so recovery could never roll
-        # the bracket forward.
-        self._open_brackets: Set[int] = set()
         self.writer = JournalWriter(
             directory, segment_records=segment_records, fsync=fsync
         )
@@ -139,13 +135,11 @@ class MetadataJournal:
         The periodic checkpoint is taken here, on entry and as of the
         previous record: the one point where every journaled record has
         been applied by its caller (a snapshot after this record is
-        written would claim its sequence number without its effect).  It
-        waits while a commit bracket is open.
+        written would claim its sequence number without its effect).
         """
         seq = self._seq + 1
         if (
             seq - self._checkpointed_seq > self._cadence
-            and not self._open_brackets
             and self.stores.blocks is not None
         ):
             self.checkpoint()
@@ -162,10 +156,6 @@ class MetadataJournal:
             raise SimulatedCrash(point)
         self.writer.write(line)
         self._seq = seq
-        if record_class is rec.BeginStripeCommit:
-            self._open_brackets.add(fields[0])
-        elif record_class is rec.EndStripeCommit:
-            self._open_brackets.discard(fields[0])
         PERF.bump("journal.records_appended")
         PERF.bump("journal.bytes_appended", len(line))
         return seq
@@ -199,22 +189,6 @@ class MetadataJournal:
         """Record a pending relocation leaving the backlog."""
         rec.commit(self.stores, rec.RelocationServed, (stripe_id,))
 
-    def begin_stripe_commit(
-        self,
-        stripe_id: int,
-        parity_nodes: Iterable[int],
-        parity_size: int,
-        retained: Iterable[Tuple[int, int]],
-    ) -> int:
-        """Open the atomic intent/commit bracket for a stripe commit and
-        return the intent's sequence number.  The stripe store's
-        :meth:`~repro.core.stripe.PreEncodingStore.mark_encoded` closes it."""
-        rec.commit(self.stores, rec.BeginStripeCommit, (
-            stripe_id, tuple(parity_nodes), parity_size,
-            tuple(tuple(pair) for pair in retained),
-        ))
-        return self._seq
-
     # ------------------------------------------------------------------
     # Checkpoints and fingerprints
     # ------------------------------------------------------------------
@@ -236,16 +210,7 @@ class MetadataJournal:
         Only the newest two checkpoints are kept.  With ``prune=True``,
         segments fully covered by the checkpoint are deleted (the
         writer's active segment is always kept).
-
-        Raises:
-            RuntimeError: Inside an open stripe-commit bracket, where the
-                snapshot would hide the intent record from recovery.
         """
-        if self._open_brackets:
-            raise RuntimeError(
-                f"checkpoint inside the open commit bracket of stripe(s) "
-                f"{sorted(self._open_brackets)} would lose the intent"
-            )
         self.flush()
         path = write_checkpoint(
             self.directory, self._seq, self.current_state()

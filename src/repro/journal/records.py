@@ -10,13 +10,12 @@ encodes of the same record are byte-identical.  No live change builds
 one (:func:`record_text` formats a line from the class and its field
 tuple); decoding, ``repro journal verify`` and the tests do.
 
-The stripe *commit* is bracketed by an intent/commit pair:
-:class:`BeginStripeCommit` carries the full plan (parity nodes and the
-retained-replica map), the per-step effects are journaled as
-:class:`ParityAdd` / :class:`DeleteReplica` records, and
-:class:`EndStripeCommit` seals the bracket.  Recovery rolls an open
-bracket forward from the intent, so no crash point can leave a stripe
-observably half-committed.
+A logical event is one record: a block write is one
+:class:`AllocateBlock` (the block, its stripe membership and its
+replicas) and a stripe encode one :class:`EncodeStripe` (parity minted,
+redundant replicas deleted, the stripe flipped to encoded).  A crash
+lands before or after such a record, never inside it, so no prefix of
+the log leaves a stripe observably half-committed.
 
 Each record type is also one metadata change: a validity test
 ``Record.check(owner, fields)`` and a transition ``Record.apply(owner,
@@ -103,6 +102,23 @@ def _tupleize(value: object) -> object:
 # Block lifecycle
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
+class AllocateBlock(JournalRecord):
+    """A data block was written: registered (stamped with its stripe),
+    added to that stripe, and placed on ``node_ids`` (the first copy
+    primary).  The NameNode's write path, one record per block."""
+
+    record_type: ClassVar[str] = "allocate_block"
+
+    block_id: int
+    size: int
+    stripe_id: Optional[int]
+    node_ids: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_ids", tuple(self.node_ids))
+
+
+@dataclass(frozen=True)
 class AddBlock(JournalRecord):
     """A data block was allocated (id, size, kind, optional stripe)."""
 
@@ -136,17 +152,6 @@ class DeleteReplica(JournalRecord):
 
     block_id: int
     node_id: int
-
-
-@dataclass(frozen=True)
-class AssignStripe(JournalRecord):
-    """A block was bound to a stripe in the block store."""
-
-    record_type: ClassVar[str] = "assign_stripe"
-    owner: ClassVar[str] = "blocks"
-
-    block_id: int
-    stripe_id: int
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,7 @@ class ClearCorrupted(JournalRecord):
 
 
 # ----------------------------------------------------------------------
-# Stripe lifecycle and the commit bracket
+# Stripe lifecycle
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class NewStripe(JournalRecord):
@@ -228,15 +233,13 @@ class SealStripe(JournalRecord):
 
 
 @dataclass(frozen=True)
-class BeginStripeCommit(JournalRecord):
-    """Intent record opening a stripe-commit bracket.
+class EncodeStripe(JournalRecord):
+    """A sealed stripe was encoded: one parity block minted per
+    ``parity_nodes`` entry (ids from the block counter, in order), each
+    data block trimmed to its planned ``retained`` copy, and the stripe
+    flipped to encoded."""
 
-    Carries everything recovery needs to roll the commit forward:
-    the parity nodes in creation order, the parity block size, and the
-    planned ``(block_id, node_id)`` retention pairs.
-    """
-
-    record_type: ClassVar[str] = "begin_stripe_commit"
+    record_type: ClassVar[str] = "encode_stripe"
 
     stripe_id: int
     parity_nodes: Tuple[int, ...]
@@ -247,35 +250,6 @@ class BeginStripeCommit(JournalRecord):
         object.__setattr__(self, "parity_nodes", tuple(self.parity_nodes))
         object.__setattr__(
             self, "retained", tuple(tuple(pair) for pair in self.retained)
-        )
-
-
-@dataclass(frozen=True)
-class ParityAdd(JournalRecord):
-    """One parity block was created and placed on its node."""
-
-    record_type: ClassVar[str] = "parity_add"
-    owner: ClassVar[str] = "blocks"
-
-    stripe_id: int
-    block_id: int
-    node_id: int
-    size: int
-
-
-@dataclass(frozen=True)
-class EndStripeCommit(JournalRecord):
-    """Commit record closing a stripe-commit bracket."""
-
-    record_type: ClassVar[str] = "end_stripe_commit"
-    owner: ClassVar[str] = "stripes"
-
-    stripe_id: int
-    parity_block_ids: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "parity_block_ids", tuple(self.parity_block_ids)
         )
 
 
@@ -372,10 +346,9 @@ class FileDelete(JournalRecord):
 RECORD_TYPES: Dict[str, Type[JournalRecord]] = {
     cls.record_type: cls
     for cls in (
-        AddBlock, PlaceReplica, DeleteReplica, AssignStripe, Relocate,
+        AllocateBlock, AddBlock, PlaceReplica, DeleteReplica, Relocate,
         MarkCorrupted, ClearCorrupted,
-        NewStripe, StripeAddBlock, SealStripe,
-        BeginStripeCommit, ParityAdd, EndStripeCommit,
+        NewStripe, StripeAddBlock, SealStripe, EncodeStripe,
         RelocationRequested, RelocationServed,
         NodeDead, NodeAlive,
         FileCreate, FileAppendBlock, FileDelete,

@@ -8,20 +8,18 @@ already present (because the checkpoint captured it, or because a
 previous recovery attempt half-ran) is skipped, not re-applied — and the
 torn tail a mid-write crash leaves behind is discarded by the scanner.
 
-Stripe commits are bracketed in the log as an intent/commit pair
-(:class:`~repro.journal.records.BeginStripeCommit` …
-:class:`~repro.journal.records.EndStripeCommit`).  A bracket still open
-at the end of the log is **rolled forward** from its intent record:
-parity bytes are uploaded *before* the metadata commit begins (see
-``StripeEncoder._star_attempt`` step ordering), so completing the commit
-is always safe, and it is the only resolution that leaves no stripe
-observably half-committed.
+A stripe commit is one record
+(:class:`~repro.journal.records.EncodeStripe`): parity bytes are
+uploaded *before* it is appended (see ``StripeEncoder._star_attempt``
+step ordering), and a crash falls before or after it, so every durable
+prefix replays to a state the live process was in and none leaves a
+stripe observably half-committed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.stripe import PreEncodingStore, StripeState
 from repro.journal import records as rec
@@ -30,10 +28,6 @@ from repro.journal.journal import MetadataJournal
 from repro.journal.state import Stores, restore_state, state_fingerprint
 from repro.journal.wal import ScanResult, iter_journal
 from repro.sim.metrics import PERF
-
-#: One envelope's ``data`` object: field name -> JSON value.
-Data = Dict[str, Any]
-
 
 @dataclass
 class RecoveryStats:
@@ -46,8 +40,6 @@ class RecoveryStats:
         replayed_ops: Records whose effects were applied.
         skipped_ops: Records skipped because their effect was already
             present (idempotent replay).
-        rolled_forward: Stripe ids whose commit bracket was completed
-            from its intent record.
         torn_tail: Scanner description of a tolerated torn final record.
         errors: Structural log errors plus replay impossibilities
             (a healthy journal produces none).
@@ -57,7 +49,6 @@ class RecoveryStats:
     last_seq: int = 0
     replayed_ops: int = 0
     skipped_ops: int = 0
-    rolled_forward: List[int] = field(default_factory=list)
     torn_tail: Optional[str] = None
     errors: List[str] = field(default_factory=list)
 
@@ -86,10 +77,6 @@ class RecoveredState:
         journal.attach(stores.blocks, stores.stripes, stores.namespace)
         journal.stores.dead_nodes = set(stores.dead_nodes)
         journal.stores.pending_relocations = list(stores.pending_relocations)
-        if self.stats.rolled_forward:
-            # The roll-forward is not in the log; replaying the log over
-            # later records would redo it in another order.
-            journal.checkpoint()
         return journal
 
 
@@ -99,7 +86,7 @@ class Replayer:
     Each envelope's ``data`` goes straight to its record type's validity
     test and transition on the owning store — the pair every live
     mutator runs too (:func:`~repro.journal.records.commit`); no record
-    instance is built.  Only the commit brackets are kept here.
+    instance is built.
     """
 
     def __init__(self, state: Optional[Dict[str, object]], topology,
@@ -110,8 +97,6 @@ class Replayer:
         if state is None and k is not None:
             self.stores.stripes = PreEncodingStore(k)
         self.stats = RecoveryStats()
-        # stripe_id -> (intent data, parity ids already replayed)
-        self.open_brackets: Dict[int, Tuple[Data, List[int]]] = {}
 
     def apply(self, envelope: Dict[str, object]) -> None:
         """Replay one envelope: applied, skipped as already present, or
@@ -126,71 +111,27 @@ class Replayer:
             return self._error(f"seq {seq}", f"undecodable record: {type_tag} "
                                              f"data must carry exactly "
                                              f"{sorted(names)}")
-        stripe_id = data.get("stripe_id")
-        if type_tag == "begin_stripe_commit":
-            self.open_brackets[stripe_id] = (data, [])
-        elif type_tag == "parity_add" and stripe_id in self.open_brackets:
-            self.open_brackets[stripe_id][1].append(data["block_id"])
-        elif type_tag == "end_stripe_commit":
-            self.open_brackets.pop(stripe_id, None)
-        elif type_tag == "new_stripe" and self.stores.stripes is None:
+        if type_tag == "new_stripe" and self.stores.stripes is None:
             self.stores.stripes = PreEncodingStore(data["k"])
-        applied = self._step(f"seq {seq}", rec.RECORD_TYPES[type_tag], data)
-        if applied:
-            self.stats.replayed_ops += 1
-        elif applied is False:
-            self.stats.skipped_ops += 1
-
-    def _step(self, where: str, record_class, data: Data) -> Optional[bool]:
-        """Test and apply one record: ``True`` when applied, ``False`` when
-        its effect was already present, ``None`` after reporting it as
-        impossible."""
+        record_class = rec.RECORD_TYPES[type_tag]
         owner = self.stores
         if record_class.owner:
             owner = getattr(owner, record_class.owner)
             if owner is None:
-                return self._error(where, f"{record_class.record_type} with "
-                                          f"no {record_class.owner} store")
-        values = rec.FIELD_VALUES[record_class.record_type](data)
+                return self._error(f"seq {seq}", f"{type_tag} with no "
+                                                 f"{record_class.owner} store")
+        values = rec.FIELD_VALUES[type_tag](data)
         verdict = record_class.check(owner, values)
         if verdict is None:
             record_class.apply(owner, values)
-            return True
-        if verdict.__class__ is rec.Present:
-            return False
-        return self._error(
-            where, f"{record_class.record_type}: {verdict.args[0]}"
-        )
+            self.stats.replayed_ops += 1
+        elif verdict.__class__ is rec.Present:
+            self.stats.skipped_ops += 1
+        else:
+            self._error(f"seq {seq}", f"{type_tag}: {verdict.args[0]}")
 
     def _error(self, where: str, message: str) -> None:
         self.stats.errors.append(f"{where}: {message}")
-
-    def roll_forward_open_brackets(self) -> None:
-        """Complete every still-open commit bracket from its intent.
-
-        Reproduces ``NameNode.record_encoding`` exactly: the remaining
-        parity blocks are created in plan order (the sequential id
-        counter regenerates the ids the crashed process would have
-        allocated), then the retention pairs are applied with the same
-        surviving-keeper fallback, then the stripe is marked encoded.
-        """
-        blocks = self.stores.blocks
-        for stripe_id in sorted(self.open_brackets):
-            intent, parity_ids = self.open_brackets[stripe_id]
-            parity_ids = list(parity_ids)
-            for node_id in intent["parity_nodes"][len(parity_ids):]:
-                parity = blocks.add_parity_block(
-                    intent["parity_size"], stripe_id, node_id
-                )
-                parity_ids.append(parity.block_id)
-            for block_id, node_id in intent["retained"]:
-                blocks.retain_planned(block_id, node_id)
-            self._step(
-                f"roll-forward of stripe {stripe_id}", rec.EndStripeCommit,
-                {"stripe_id": stripe_id, "parity_block_ids": parity_ids},
-            )
-            self.stats.rolled_forward.append(stripe_id)
-        self.open_brackets.clear()
 
 
 def recover(
@@ -227,7 +168,6 @@ def recover(
     for envelope in iter_journal(directory, scan, stats.checkpoint_seq):
         if envelope["seq"] > stats.checkpoint_seq:  # type: ignore[operator]
             replayer.apply(envelope)
-    replayer.roll_forward_open_brackets()
     stats.torn_tail = scan.torn_tail
     stats.errors.extend(scan.errors)
     stats.last_seq = scan.last_seq

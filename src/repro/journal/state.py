@@ -20,9 +20,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.journal.records import PRESENT, AddBlock, commit, owns
+from repro.cluster.block import BlockKind
+from repro.journal.records import (
+    PRESENT,
+    AddBlock,
+    AllocateBlock,
+    EncodeStripe,
+    commit,
+    owns,
+)
 
 
 @owns("")
@@ -33,7 +41,11 @@ class Stores:
     The block store, the pre-encoding store (``None`` when no policy
     keeps one) and the namespace define their own record transitions;
     the bundle defines those of the dead-node set, the pending
-    relocations (in request order) and the commit intent.
+    relocations (in request order), and the two records that change the
+    block and the stripe store at once: a block write
+    (:meth:`allocate_block`) and a stripe encode (:meth:`encode_stripe`).
+    Those two compose the stores' own tests and transitions, so each
+    event is one record however many replicas it places or deletes.
     """
 
     blocks: Any = None
@@ -72,12 +84,99 @@ class Stores:
     def apply_relocation_served(self, fields) -> None:
         self.pending_relocations.remove(fields[0])
 
-    def check_begin_stripe_commit(self, fields):
-        return None
+    # -- the live paths of the two records spanning both stores
+    def allocate_block(self, block_id: int, size: int,
+                       stripe_id: Optional[int], node_ids: Sequence[int]):
+        """Register data block ``block_id`` stamped with ``stripe_id``, add
+        it to that stripe (sealing it when full) and place its copies on
+        ``node_ids``, the first primary: one ``allocate_block`` record."""
+        return commit(self, AllocateBlock, (
+            block_id, size, stripe_id, tuple(node_ids),
+        ))
 
-    def apply_begin_stripe_commit(self, fields) -> None:
-        """The intent changes no store: its bracket is the journal's and
-        the replayer's bookkeeping."""
+    def encode_stripe(self, stripe_id: int, parity_nodes: Sequence[int],
+                      parity_size: int,
+                      retained: Iterable[Tuple[int, int]]):
+        """Commit a sealed stripe's encode as one ``encode_stripe`` record
+        and return the parity blocks, in ``parity_nodes`` order.
+
+        Mints one parity block per parity node, keeps each data block's
+        planned ``(block_id, node_id)`` copy (or its first surviving copy
+        when a failure took the planned one; none when none survives) and
+        deletes the others, then flips the stripe to encoded."""
+        return commit(self, EncodeStripe, (
+            stripe_id, tuple(parity_nodes), parity_size, tuple(retained),
+        ))
+
+    def check_allocate_block(self, fields):
+        block_id, size, stripe_id, node_ids = fields
+        blocks = self.blocks
+        verdict = blocks.check_add_block(
+            (block_id, size, BlockKind.DATA, stripe_id)
+        )
+        if verdict is None:
+            verdict = blocks.check_nodes(node_ids)
+        if verdict is None and len(set(node_ids)) < len(node_ids):
+            verdict = ValueError(f"block {block_id} placed twice on one node")
+        if verdict is None and stripe_id is not None:
+            if self.stripes is None:
+                return KeyError(f"unknown stripe id {stripe_id}")
+            verdict = self.stripes.check_stripe_add_block(
+                (stripe_id, block_id, True)
+            )
+        return verdict
+
+    def apply_allocate_block(self, fields):
+        block_id, size, stripe_id, node_ids = fields
+        blocks = self.blocks
+        block = blocks.apply_add_block(
+            (block_id, size, BlockKind.DATA, stripe_id)
+        )
+        if stripe_id is not None:
+            self.stripes.apply_stripe_add_block((stripe_id, block_id, True))
+        for index, node_id in enumerate(node_ids):
+            blocks.apply_place_replica((block_id, node_id, index == 0))
+        return block
+
+    def check_encode_stripe(self, fields):
+        stripe_id, parity_nodes, parity_size, retained = fields
+        if self.stripes is None:
+            return KeyError(f"unknown stripe id {stripe_id}")
+        blocks = self.blocks
+        verdict = self.stripes.check_encode(stripe_id)
+        if verdict is None:
+            verdict = blocks.check_add_block(
+                (blocks.next_block_id, parity_size, BlockKind.PARITY,
+                 stripe_id)
+            )
+        if verdict is None:
+            verdict = blocks.check_nodes(parity_nodes)
+        if verdict is None:
+            for block_id, _node_id in retained:
+                if block_id not in blocks:
+                    return KeyError(f"unknown block id {block_id}")
+        return verdict
+
+    def apply_encode_stripe(self, fields):
+        stripe_id, parity_nodes, parity_size, retained = fields
+        blocks = self.blocks
+        parity = []
+        for node_id in parity_nodes:
+            block = blocks.apply_add_block(
+                (blocks.next_block_id, parity_size, BlockKind.PARITY,
+                 stripe_id)
+            )
+            blocks.apply_place_replica((block.block_id, node_id, True))
+            parity.append(block)
+        for block_id, node_id in retained:
+            survivors = blocks.replica_nodes(block_id)
+            if survivors and node_id not in survivors:
+                node_id = survivors[0]
+            for other in survivors:
+                if other != node_id:
+                    blocks.apply_delete_replica((block_id, other))
+        self.stripes.apply_encode(stripe_id, [b.block_id for b in parity])
+        return parity
 
 
 def capture_state(stores: Stores) -> Dict[str, object]:

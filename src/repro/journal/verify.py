@@ -3,13 +3,9 @@
 Checks every layer an operator cares about before trusting a log:
 
 * segment scan — per-record CRCs, strictly increasing sequence numbers,
-  mid-log corruption (errors) vs a torn final record (warning);
+  mid-log corruption (errors) vs a torn final record (tolerated);
 * record decode — every envelope must decode to a registered record type
   with a well-formed field set;
-* commit brackets — every ``end_stripe_commit`` must close a matching
-  ``begin_stripe_commit``; a bracket still open at the end of the log is
-  a warning (recovery rolls it forward), but a re-opened bracket or an
-  unmatched end is an error;
 * checkpoints — every checkpoint file must pass its CRC, and its
   ``last_seq`` must not exceed the log's durable tail… unless the log
   was pruned beneath it, which the scan reveals;
@@ -49,11 +45,10 @@ class VerifyReport:
     checkpoints: int = 0
     torn_tail: str = ""
     errors: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when the journal has no errors (warnings allowed)."""
+        """True when the journal has no errors."""
         return not self.errors
 
     def summary(self) -> str:
@@ -66,8 +61,6 @@ class VerifyReport:
         ]
         if self.torn_tail:
             lines.append(f"torn tail (tolerated): {self.torn_tail}")
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
         for error in self.errors:
             lines.append(f"ERROR: {error}")
         lines.append("status: " + ("OK" if self.ok else "CORRUPT"))
@@ -88,35 +81,13 @@ def verify_journal(directory: str) -> VerifyReport:
     if scan.torn_tail:
         report.torn_tail = scan.torn_tail
 
-    open_brackets: Dict[int, int] = {}
     for envelope in scan.envelopes:
-        seq = int(envelope["seq"])  # type: ignore[arg-type]
         try:
-            record = rec.decode_record(envelope)
+            rec.decode_record(envelope)
         except (rec.UnknownRecordError, TypeError, ValueError) as exc:
-            report.errors.append(f"seq {seq}: undecodable record: {exc}")
-            continue
-        if isinstance(record, rec.BeginStripeCommit):
-            if record.stripe_id in open_brackets:
-                report.errors.append(
-                    f"seq {seq}: stripe {record.stripe_id} commit bracket "
-                    f"re-opened (previous begin at seq "
-                    f"{open_brackets[record.stripe_id]} never ended)"
-                )
-            open_brackets[record.stripe_id] = seq
-        elif isinstance(record, rec.EndStripeCommit):
-            if record.stripe_id not in open_brackets:
-                report.errors.append(
-                    f"seq {seq}: end_stripe_commit for stripe "
-                    f"{record.stripe_id} without a matching begin"
-                )
-            open_brackets.pop(record.stripe_id, None)
-    for stripe_id in sorted(open_brackets):
-        report.warnings.append(
-            f"stripe {stripe_id} commit bracket open at end of log "
-            f"(begin at seq {open_brackets[stripe_id]}; recovery will "
-            f"roll it forward)"
-        )
+            report.errors.append(
+                f"seq {envelope['seq']}: undecodable record: {exc}"
+            )
 
     last_seq = scan.last_seq
     loaded: List[CheckpointData] = []
@@ -148,15 +119,14 @@ def _check_replay(
     envelopes: List[Dict[str, Any]],
     checkpoints: List[CheckpointData],
 ) -> None:
-    """Replay the log from record 1, comparing at each checkpoint's seq,
-    up to the first checkpoint taken with a bracket open."""
+    """Replay the log from record 1, comparing at each checkpoint's seq."""
     # The block store only asks its topology which node ids exist and the
     # fingerprint holds no topology, so one rack wide enough for every
     # node a replica was ever put on stands in.
     widest = max(
-        max(envelope["data"].get("node_id", 0),
-            envelope["data"].get("dst_node", 0))
-        for envelope in envelopes
+        max(data.get("node_id", 0), data.get("dst_node", 0),
+            *data.get("node_ids", ()), *data.get("parity_nodes", ()))
+        for data in (envelope["data"] for envelope in envelopes)
     )
     topology = ClusterTopology(nodes_per_rack=widest + 1, num_racks=1)
     due = {data.last_seq: data for data in checkpoints}
@@ -167,11 +137,6 @@ def _check_replay(
         data = due.pop(envelope["seq"], None)
         if data is None:
             continue
-        if replayer.open_brackets:
-            # checkpoint() refuses inside a bracket, so a recovery rolled
-            # this one forward without journaling it: from here on the
-            # log alone no longer replays the state.
-            break
         if fingerprint_of(data.state) != state_fingerprint(replayer.stores):
             report.errors.append(
                 f"{os.path.basename(data.path)}: state differs from a "

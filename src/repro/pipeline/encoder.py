@@ -13,8 +13,8 @@ and contributes only what is genuinely the chain's: the route plan (and
 the signature that tells a re-plan changed course), the chunked
 hop/delivery schedule, parity payloads folded in hop order and billed per
 hop, and ``pipeline_records``.  The attempt ladder, the source veto and
-the commit bracket (replica retention, parity minting, journal bracket,
-``records``, meters) are the inherited ones.
+the commit step (parity minting and replica retention as one journal
+record, ``records``, meters) are the inherited ones.
 
 Failure ladder:
 
@@ -165,7 +165,7 @@ class PipelinedEncoder(StripeEncoder):
 
     def _chain_attempt(self, stripe: Stripe, state: dict) -> Generator:
         """One pipeline attempt: re-plan against current liveness, stream
-        the chain, then commit through the inherited bracket."""
+        the chain, then commit through the inherited commit step."""
         start = self.sim.now
         plan = self._plan(stripe)
         signature = plan.signature()

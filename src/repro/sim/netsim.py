@@ -315,10 +315,6 @@ class Network:
         """Effective uplink bandwidth of a rack."""
         return self._rack_up_bw.get(rack_id, self.topology.cross_rack_bandwidth)
 
-    def rack_down_bandwidth(self, rack_id: RackId) -> float:
-        """Effective downlink bandwidth of a rack."""
-        return self._rack_down_bw.get(rack_id, self.topology.cross_rack_bandwidth)
-
     def rack_of(self, node_id: NodeId) -> Optional[RackId]:
         """Rack of a node, or ``None`` for external endpoints."""
         return self._endpoints[node_id].rack

@@ -55,11 +55,6 @@ class SwimJob:
     num_reducers: int
     submit_time: float
 
-    @property
-    def input_block_count(self) -> int:
-        """Number of map tasks the job will run."""
-        return len(self.input_blocks)
-
 
 @dataclass(frozen=True)
 class SwimJobShape:

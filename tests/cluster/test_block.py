@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.block import BlockKind, BlockStore
+from repro.core.stripe import PreEncodingStore
 from repro.journal.journal import MetadataJournal
+from repro.journal.state import Stores
 
 
 @pytest.fixture
@@ -25,10 +27,15 @@ class TestBlockLifecycle:
     ):
         journal = MetadataJournal(str(tmp_path))
         journal.attach(block_store=store)
+        stripes = PreEncodingStore(1)
+        journal.attach(stripe_store=stripes)
+        stripe = stripes.new_stripe()
+        stripes.add_block(stripe.stripe_id, store.create_block(64).block_id)
+        before = journal.last_seq
         with pytest.raises(ValueError, match="positive"):
-            store.add_parity_block(0, stripe_id=3, node_id=1)
-        assert journal.last_seq == 0
-        assert len(store) == 0
+            journal.stores.encode_stripe(stripe.stripe_id, [1], 0, ())
+        assert journal.last_seq == before
+        assert len(store) == 1
         journal.close()
 
     def test_parity_kind(self, store):
@@ -36,11 +43,18 @@ class TestBlockLifecycle:
         assert parity.is_parity()
         assert parity.stripe_id == 3
 
-    def test_assign_stripe(self, store):
-        block = store.create_block(64)
-        updated = store.assign_stripe(block.block_id, 9)
-        assert updated.stripe_id == 9
-        assert store.block(block.block_id).stripe_id == 9
+    def test_allocated_block_is_stamped_with_its_stripe(self, store):
+        stripes = PreEncodingStore(2)
+        stripe = stripes.new_stripe()
+        block = Stores(blocks=store, stripes=stripes).allocate_block(
+            0, 64, stripe.stripe_id, [0, 5, 6]
+        )
+        assert block.stripe_id == stripe.stripe_id
+        assert store.block(0).stripe_id == stripe.stripe_id
+        assert stripe.block_ids == [0]
+        assert store.replica_nodes(0) == (0, 5, 6)
+        assert store.primary_node(0) == 0
+        assert store.live_members(stripe.stripe_id) == 1
 
     def test_unknown_block_raises(self, store):
         with pytest.raises(KeyError):

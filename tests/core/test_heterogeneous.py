@@ -20,6 +20,7 @@ from repro.core.random_replication import RandomReplication
 from repro.core.relocation import BlockMover
 from repro.core.stripe import PreEncodingStore
 from repro.erasure.codec import CodeParams
+from repro.journal.state import Stores
 from tests.core.reference_flow import ear_retention_plan, stripe_layouts
 
 LOPSIDED = ClusterTopology(nodes_per_rack=[2, 8, 3, 6, 2, 9, 4, 5])
@@ -85,14 +86,13 @@ class TestBlockMoverHeterogeneous:
             store = BlockStore(topo)
             stripes = PreEncodingStore(code.k)
             stripe = stripes.new_stripe()
-            blocks = []
-            for node in [0, 1, 2, 4, 5, 9]:
+            for node in [0, 1]:
                 block = store.create_block(64)
                 store.add_replica(block.block_id, node)
-                blocks.append(block.block_id)
-            for block_id in blocks[: code.k]:
-                stripes.add_block(stripe.stripe_id, block_id)
-            stripes.mark_encoded(stripe.stripe_id, blocks[code.k:])
+                stripes.add_block(stripe.stripe_id, block.block_id)
+            Stores(blocks=store, stripes=stripes).encode_stripe(
+                stripe.stripe_id, [2, 4, 5, 9], 64, ()
+            )
             mover = BlockMover(
                 topo, code, required_rack_failures=2, rng=random.Random(seed)
             )

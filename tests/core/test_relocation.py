@@ -13,6 +13,7 @@ from repro.core.random_replication import RandomReplication
 from repro.core.relocation import BlockMover, PlacementMonitor
 from repro.core.stripe import PreEncodingStore
 from repro.erasure.codec import CodeParams
+from repro.journal.state import Stores
 
 
 @pytest.fixture
@@ -28,12 +29,9 @@ def encoded_stripe(topology, store, node_ids, code):
         block = store.create_block(64)
         store.add_replica(block.block_id, node_ids[index])
         stripe_store.add_block(stripe.stripe_id, block.block_id)
-    parity_ids = []
-    for index in range(code.k, code.n):
-        block = store.create_block(64)
-        store.add_replica(block.block_id, node_ids[index])
-        parity_ids.append(block.block_id)
-    stripe_store.mark_encoded(stripe.stripe_id, parity_ids)
+    Stores(blocks=store, stripes=stripe_store).encode_stripe(
+        stripe.stripe_id, node_ids[code.k:code.n], 64, ()
+    )
     return stripe
 
 
@@ -191,14 +189,10 @@ class TestRRStripesNeedRelocationSometimes:
                 large_topology, store, stripe, facebook_code, rng=rng
             )
             # Apply the retention + parity so the monitor can inspect it.
-            for block_id, node in plan.retained.items():
-                store.retain_only(block_id, node)
-            parity_ids = []
-            for node in plan.parity_nodes:
-                parity = store.create_block(64)
-                store.add_replica(parity.block_id, node)
-                parity_ids.append(parity.block_id)
-            policy.store.mark_encoded(stripe.stripe_id, parity_ids)
+            Stores(blocks=store, stripes=policy.store).encode_stripe(
+                stripe.stripe_id, plan.parity_nodes, 64,
+                plan.retained.items(),
+            )
             if monitor.is_violating(store, stripe):
                 violations += 1
         # Rare but present at R=20 (and repairing them costs cross-rack

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.cluster.block import BlockStore
+from repro.cluster.topology import ClusterTopology
 from repro.core.stripe import PreEncodingStore, StripeState
+from repro.journal.state import Stores
 
 
 def open_stripe(k, *block_ids):
@@ -49,16 +52,25 @@ class TestStripeLifecycle:
             store.seal(stripe.stripe_id)
 
     def test_mark_encoded(self):
-        store, stripe = open_stripe(2, 0, 1)
+        blocks = BlockStore(ClusterTopology(nodes_per_rack=2, num_racks=2))
+        store, stripe = open_stripe(
+            2, blocks.create_block(64).block_id, blocks.create_block(64).block_id
+        )
         store.seal(stripe.stripe_id)
-        store.mark_encoded(stripe.stripe_id, [100, 101])
+        Stores(blocks=blocks, stripes=store).encode_stripe(
+            stripe.stripe_id, [2, 3], 64, ()
+        )
         assert stripe.state == StripeState.ENCODED
-        assert stripe.all_block_ids() == [0, 1, 100, 101]
+        assert stripe.all_block_ids() == [0, 1, 2, 3]
 
     def test_mark_encoded_requires_sealed(self):
+        blocks = BlockStore(ClusterTopology(nodes_per_rack=2, num_racks=2))
         store, stripe = open_stripe(2)
         with pytest.raises(ValueError):
-            store.mark_encoded(stripe.stripe_id, [100])
+            Stores(blocks=blocks, stripes=store).encode_stripe(
+                stripe.stripe_id, [2], 64, ()
+            )
+        assert len(blocks) == 0
 
 
 class TestPreEncodingStore:

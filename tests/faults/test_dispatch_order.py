@@ -170,7 +170,8 @@ def test_counts_rebuilt_by_recovering_a_storm_journal(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_counts_rebuilt_by_recovery_at_every_commit_stage(tmp_path, seed):
-    """Crashes inside commit brackets: roll-forward mints the parity."""
+    """Crashes at every block write and stripe encode: replay rebuilds
+    the counts from the durable prefix."""
     golden = run_crash_workload(str(tmp_path / "golden"), seed)
     golden.journal.close()
     for index, point in enumerate(commit_stage_points(golden)):

@@ -95,8 +95,8 @@ class TestStripeOf:
     def test_none_for_unstriped_and_unknown_stripe_ids(self, rr_namenode):
         loose = rr_namenode.block_store.create_block(1000)
         assert rr_namenode.stripe_of(loose.block_id) is None
-        rr_namenode.block_store.assign_stripe(loose.block_id, 10_000)
-        assert rr_namenode.stripe_of(loose.block_id) is None
+        stray = rr_namenode.block_store.create_block(1000, stripe_id=10_000)
+        assert rr_namenode.stripe_of(stray.block_id) is None
 
 
 class TestPlannerSelection:

@@ -15,6 +15,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.parity import plan_ear_encoding
 from repro.erasure.codec import CodeParams, make_codec
+from repro.journal.state import Stores
 
 CODE = CodeParams(6, 4)
 TOPO = ClusterTopology(nodes_per_rack=4, num_racks=8)
@@ -51,19 +52,22 @@ class ByteCluster:
             )
             payloads.append(self.data[(source, block_id)])
         parity_payloads = self.codec.encode(payloads)
-        parity_ids = []
-        for node, payload in zip(plan.parity_nodes, parity_payloads):
-            parity = self.store.create_block(len(payload), stripe_id=stripe.stripe_id)
-            self.store.add_replica(parity.block_id, node)
+        # Parity goes in, redundant replicas go, per the plan.
+        trimmed = [
+            (node, block_id) for block_id, keeper in plan.retained.items()
+            for node in self.store.replica_nodes(block_id) if node != keeper
+        ]
+        stores = Stores(blocks=self.store, stripes=self.policy.store)
+        parity_blocks = stores.encode_stripe(
+            stripe.stripe_id, plan.parity_nodes, BLOCK_SIZE,
+            plan.retained.items(),
+        )
+        for node, parity, payload in zip(
+            plan.parity_nodes, parity_blocks, parity_payloads
+        ):
             self.data[(node, parity.block_id)] = payload
-            parity_ids.append(parity.block_id)
-        # Trim replicas per the retention plan.
-        for block_id, keeper in plan.retained.items():
-            for node in list(self.store.replica_nodes(block_id)):
-                if node != keeper:
-                    self.store.remove_replica(block_id, node)
-                    del self.data[(node, block_id)]
-        self.policy.store.mark_encoded(stripe.stripe_id, parity_ids)
+        for key in trimmed:
+            del self.data[key]
         return plan
 
     def fail_rack(self, rack_id):

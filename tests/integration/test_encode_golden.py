@@ -1,6 +1,6 @@
 """Golden identity of the stripe-encode engines.
 
-Every change to the encode ladder, the source veto or the commit bracket
+Every change to the encode ladder, the source veto or the commit step
 must leave seeded runs where they were: the same encoder node and finish
 time per stripe, the same retained replicas and parity nodes, the same
 re-plan / fallback counts and the same storm fingerprints.  The values

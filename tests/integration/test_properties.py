@@ -19,6 +19,7 @@ from repro.core.parity import plan_ear_encoding, plan_rr_encoding
 from repro.core.random_replication import RandomReplication
 from repro.core.stripe import PreEncodingStore
 from repro.erasure.codec import CodeParams, make_codec
+from repro.journal.state import Stores
 from repro.sim.engine import Simulator
 from repro.sim.netsim import Network
 
@@ -114,14 +115,10 @@ def test_property_metadata_invariants_under_mixed_operations(seed, num_blocks):
         if pending and rng.random() < 0.4:
             stripe = pending[0]
             plan = plan_fn(stripe)
-            for bid, node in plan.retained.items():
-                store.retain_only(bid, node)
-            parity_ids = []
-            for node in plan.parity_nodes:
-                parity = store.create_block(100)
-                store.add_replica(parity.block_id, node)
-                parity_ids.append(parity.block_id)
-            stripe_store.mark_encoded(stripe.stripe_id, parity_ids)
+            Stores(blocks=store, stripes=stripe_store).encode_stripe(
+                stripe.stripe_id, plan.parity_nodes, 100,
+                plan.retained.items(),
+            )
             encoded.append(stripe)
 
     # Invariants: replica counts are consistent from both directions.

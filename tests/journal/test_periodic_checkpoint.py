@@ -1,14 +1,12 @@
-"""Periodic checkpoints: bracket-safe, covered-segment skip, O(tail) replay."""
+"""Periodic checkpoints: log-neutral, covered-segment skip, O(tail) replay."""
 
 import os
-import random
 import shutil
 
 import pytest
 
 from repro.cluster.block import BlockStore
 from repro.cluster.topology import ClusterTopology
-from repro.core.ear import EncodingAwareReplication
 from repro.faults.crash import (
     DRILL_CODE,
     drill_topology,
@@ -16,14 +14,7 @@ from repro.faults.crash import (
     run_crash_workload,
 )
 from repro.hdfs.files import FileNamespace
-from repro.hdfs.namenode import NameNode
-from repro.journal import (
-    MetadataJournal,
-    SimulatedCrash,
-    recover,
-    verify_journal,
-    verify_stripe_consistency,
-)
+from repro.journal import MetadataJournal, recover, verify_journal
 from repro.journal.checkpoint import list_checkpoints, write_checkpoint
 from repro.journal.crashpoints import CRASH_PHASES, CrashPoint
 from repro.journal.wal import list_segments, uncovered_segments
@@ -31,7 +22,7 @@ from repro.recovery.storm import run_storm
 
 #: ``build_storm_cluster``'s default shape (topology is configuration).
 STORM_SHAPE = {"nodes_per_rack": 4, "num_racks": 8}
-CADENCE = 100
+CADENCE = 25
 
 
 def _read(path):
@@ -97,8 +88,9 @@ def test_checkpointed_recovery_equals_full_replay_equals_live(
     assert tail.stats.errors == []
     assert tail.stats.checkpoint_seq > 0
     assert tail.stats.last_seq == last_seq
-    # Bounded by the cadence plus the bracket a due checkpoint waited for.
-    assert tail.stats.replayed_ops <= CADENCE + 32
+    # A due checkpoint is taken on the next append: the tail is bounded
+    # by the cadence.
+    assert tail.stats.replayed_ops <= CADENCE
     assert tail.fingerprint() == live
 
     full = recover(without_dir, topology, k=k)
@@ -150,89 +142,6 @@ def test_recovery_never_opens_a_covered_segment(tmp_path):
     assert fallback.fingerprint() == live
 
 
-class TestCommitBrackets:
-    def test_checkpoint_inside_a_bracket_is_refused(self, tmp_path):
-        """Regression: a snapshot between ``begin_stripe_commit`` and
-        ``end_stripe_commit`` covered the intent record; a crash before
-        the commit then recovered a half-committed stripe, silently."""
-        directory = str(tmp_path)
-        topology = drill_topology()
-        journal = MetadataJournal(directory, checkpoint_records=None)
-        namenode = NameNode(
-            topology,
-            EncodingAwareReplication(
-                topology, DRILL_CODE, rng=random.Random(1)
-            ),
-            block_size=1 << 20, journal=journal,
-        )
-        while not namenode.sealed_stripes():
-            namenode.allocate_block(writer_node=0)
-        stripe = namenode.sealed_stripes()[0]
-        plan = namenode.make_planner(
-            DRILL_CODE, rng=random.Random(2)
-        ).plan(stripe)
-        begin = journal.begin_stripe_commit(
-            stripe.stripe_id, tuple(plan.parity_nodes), 1 << 20,
-            tuple(plan.retained.items()),
-        )
-        namenode.block_store.add_parity_block(
-            1 << 20, stripe.stripe_id, plan.parity_nodes[0]
-        )
-        with pytest.raises(RuntimeError, match="commit bracket"):
-            journal.checkpoint()
-        journal.close()  # crash before end_stripe_commit
-
-        assert list_checkpoints(directory) == []
-        recovered = recover(directory, topology, k=DRILL_CODE.k)
-        assert recovered.stats.errors == []
-        assert recovered.stats.rolled_forward == [stripe.stripe_id]
-        assert verify_stripe_consistency(recovered.stores) == []
-        assert recovered.stats.last_seq == begin + 1
-
-    def test_due_checkpoint_waits_for_the_bracket_to_close(self, tmp_path):
-        """Cadence 1 asks for a checkpoint at every append; none may claim
-        a sequence number inside ``[begin, end)`` of any bracket."""
-        golden = run_crash_workload(
-            str(tmp_path / "golden"), seed=7, checkpoint_records=1
-        )
-        golden.journal.close()
-        assert golden.brackets
-        for index, (begin, end) in enumerate(golden.brackets[:2]):
-            crash_dir = str(tmp_path / f"crash-{index}")
-            with pytest.raises(SimulatedCrash):
-                run_crash_workload(
-                    crash_dir, seed=7, checkpoint_records=1,
-                    crash_at=CrashPoint(seq=end, phase="before"),
-                )
-            newest = list_checkpoints(crash_dir)[-1][0]
-            assert newest == begin - 1
-
-    def test_reopen_after_a_roll_forward_checkpoints_it(self, tmp_path):
-        """The roll-forward is not journaled: without a checkpoint a
-        second crash would redo it *after* the records appended since."""
-        golden = run_crash_workload(str(tmp_path / "golden"), seed=7)
-        golden.journal.close()
-        begin, end = golden.brackets[0]
-        directory = str(tmp_path / "crashed")
-        with pytest.raises(SimulatedCrash):
-            run_crash_workload(
-                directory, seed=7,
-                crash_at=CrashPoint(seq=begin + 1, phase="after"),
-            )
-        first = recover(directory, golden.topology, k=DRILL_CODE.k)
-        assert first.stats.rolled_forward
-        journal = first.reopen_journal()
-        assert list_checkpoints(directory)[-1][0] == journal.last_seq
-        block = first.stores.blocks.create_block(4096)
-        first.stores.blocks.add_replica(block.block_id, 0, is_primary=True)
-        live = journal.current_fingerprint()
-        journal.close()
-        second = recover(directory, golden.topology, k=DRILL_CODE.k)
-        assert second.stats.errors == []
-        assert second.fingerprint() == live
-        assert verify_journal(directory).ok
-
-
 class TestVerifyCheckpointAgainstPrefix:
     def _journal(self, directory):
         journal = MetadataJournal(directory, checkpoint_records=None)
@@ -281,10 +190,10 @@ class TestVerifyCheckpointAgainstPrefix:
         ), report.summary()
 
 
-def test_full_crash_matrix_with_checkpoints_between_brackets(tmp_path):
+def test_full_crash_matrix_with_periodic_checkpoints(tmp_path):
     """Every seq x before/torn/after with a checkpoint every 32 records:
     each crashed run recovers its durable prefix from checkpoint + tail,
-    and no checkpoint in any run claims a seq inside a bracket."""
+    and every checkpoint falls on the cadence, waiting for nothing."""
     seed = 101
     probe = run_crash_workload(str(tmp_path / "probe"), seed)
     probe.journal.close()
@@ -302,17 +211,10 @@ def test_full_crash_matrix_with_checkpoints_between_brackets(tmp_path):
         (case.point, case.recovery_errors, case.verify_errors)
         for case in report.cases if not case.clean
     ][:3]
-    assert any(case.rolled_forward for case in report.cases)
     claimed = {
         seq
         for entry in tmp_path.iterdir()
         for seq, _path in list_checkpoints(str(entry))
     }
     assert len(claimed) >= probe.last_seq // 32
-    inside = [
-        seq for seq in claimed
-        for begin, end in report.brackets if begin <= seq < end
-    ]
-    assert inside == []
-    # Some due checkpoint did have to wait for a bracket to close.
-    assert any(seq % 32 for seq in claimed)
+    assert all(seq % 32 == 0 for seq in claimed)

@@ -17,22 +17,20 @@ from tests.journal.reference_codec import (
 #: One exemplar instance per record type; the registry-coverage test
 #: guarantees this table cannot silently fall behind new record types.
 SAMPLES = [
+    rec.AllocateBlock(block_id=3, size=1024, stripe_id=1, node_ids=(5, 9, 10)),
     rec.AddBlock(block_id=3, size=1024, kind="data", stripe_id=None),
     rec.PlaceReplica(block_id=3, node_id=5, is_primary=True),
     rec.DeleteReplica(block_id=3, node_id=5),
-    rec.AssignStripe(block_id=3, stripe_id=1),
     rec.Relocate(block_id=3, src_node=5, dst_node=9),
     rec.MarkCorrupted(block_id=3, node_id=5),
     rec.ClearCorrupted(block_id=3, node_id=5),
     rec.NewStripe(stripe_id=1, k=4, core_rack=2, target_racks=(0, 1, 3)),
     rec.StripeAddBlock(stripe_id=1, block_id=3, seal_when_full=True),
     rec.SealStripe(stripe_id=1),
-    rec.BeginStripeCommit(
+    rec.EncodeStripe(
         stripe_id=1, parity_nodes=(7, 8), parity_size=1024,
         retained=((3, 5), (4, 9)),
     ),
-    rec.ParityAdd(stripe_id=1, block_id=40, node_id=7, size=1024),
-    rec.EndStripeCommit(stripe_id=1, parity_block_ids=(40, 41)),
     rec.RelocationRequested(stripe_id=1),
     rec.RelocationServed(stripe_id=1),
     rec.NodeDead(node_id=5),
@@ -48,7 +46,8 @@ EDGE_CASES = [
     rec.PlaceReplica(block_id=3, node_id=5, is_primary=False),
     rec.NewStripe(stripe_id=1, k=4, core_rack=None, target_racks=None),
     rec.NewStripe(stripe_id=1, k=4, core_rack=0, target_racks=()),
-    rec.BeginStripeCommit(
+    rec.AllocateBlock(block_id=0, size=1, stripe_id=None, node_ids=()),
+    rec.EncodeStripe(
         stripe_id=0, parity_nodes=(), parity_size=1, retained=(),
     ),
     rec.FileCreate(name='/a "q"\\ \n\t\x7f \u00e9 \u2603 \U0001f600 %s %d'),
@@ -135,7 +134,7 @@ def test_payload_survives_json(tmp_path):
 
 def test_tuple_fields_come_back_as_tuples():
     envelope = encode_record(
-        rec.BeginStripeCommit(
+        rec.EncodeStripe(
             stripe_id=1, parity_nodes=(7, 8), parity_size=10,
             retained=((3, 5),),
         )

@@ -1,11 +1,14 @@
-"""Recovery: checkpoint + log-tail replay, idempotence, roll-forward."""
+"""Recovery: checkpoint + log-tail replay, idempotence, reopen."""
 
 import os
+import random
 
 import pytest
 
 from repro.cluster.block import BlockStore
 from repro.cluster.topology import ClusterTopology
+from repro.core.parity import EARPlanner
+from repro.faults.crash import DRILL_CODE, run_crash_workload
 from repro.hdfs.files import FileNamespace
 from repro.journal import (
     CrashPoint,
@@ -16,13 +19,14 @@ from repro.journal import (
     verify_stripe_consistency,
 )
 from repro.journal.records import (
-    EndStripeCommit,
+    EncodeStripe,
     NewStripe,
     PlaceReplica,
     SealStripe,
     StripeAddBlock,
 )
-from repro.journal.wal import JournalWriter, list_segments
+from repro.journal.checkpoint import write_checkpoint
+from repro.journal.wal import JournalWriter, list_segments, scan_journal
 from tests.journal.reference_codec import encode_line, encode_record
 
 
@@ -165,13 +169,15 @@ class TestImpossibleRecords:
 
     def test_commit_of_an_unknown_stripe(self, tmp_path):
         recovered = self._recover(str(tmp_path), [
-            EndStripeCommit(stripe_id=5, parity_block_ids=(1,)),
+            EncodeStripe(stripe_id=5, parity_nodes=(1,), parity_size=100,
+                         retained=()),
         ])
         assert "unknown stripe id 5" in recovered.stats.errors[0]
 
     def test_commit_of_an_open_stripe(self, tmp_path):
         recovered = self._recover(str(tmp_path), [
-            EndStripeCommit(stripe_id=0, parity_block_ids=(1,)),
+            EncodeStripe(stripe_id=0, parity_nodes=(1,), parity_size=100,
+                         retained=()),
         ])
         assert "not sealed" in recovered.stats.errors[0]
         assert recovered.stores.stripes.stripe(0).parity_block_ids == []
@@ -213,34 +219,6 @@ class TestCrashes:
         assert recovered.stats.errors
         assert not verify_journal(directory).ok
 
-    def test_roll_forward_completes_an_open_bracket(self, tmp_path):
-        from repro.faults.crash import (
-            expected_fingerprint,
-            golden_fingerprints,
-            run_crash_workload,
-        )
-
-        base = str(tmp_path)
-        golden = run_crash_workload(
-            os.path.join(base, "golden"), seed=11, track_fingerprints=True
-        )
-        golden.journal.close()
-        assert golden.brackets, "drill must produce commit brackets"
-        fps = golden_fingerprints(golden)
-        begin, end = golden.brackets[0]
-        point = CrashPoint(seq=(begin + end) // 2, phase="after")
-
-        crash_dir = os.path.join(base, "crashed")
-        with pytest.raises(SimulatedCrash):
-            run_crash_workload(crash_dir, seed=11, crash_at=point)
-        recovered = recover(crash_dir, golden.topology, k=golden.code.k)
-        assert recovered.stats.rolled_forward
-        assert recovered.fingerprint() == expected_fingerprint(
-            fps, golden.brackets, point.durable_seq
-        )
-        problems = verify_stripe_consistency(recovered.stores)
-        assert problems == []
-
 
 class TestReopen:
     def test_reopened_journal_continues_the_sequence(self, tmp_path):
@@ -259,3 +237,65 @@ class TestReopen:
         assert report.ok, report.summary()
         again = recover(directory, _topology())
         assert again.fingerprint() == reopened.current_fingerprint()
+
+    def test_crash_at_an_encode_then_reopen_recovers_idempotently(
+        self, tmp_path
+    ):
+        """A crash just after an ``encode_stripe`` is durable; recovery,
+        reopen, more writes and encodes, close, then two recoveries: both
+        give the live state, and verify replays past every checkpoint."""
+        golden = run_crash_workload(str(tmp_path / "golden"), seed=11)
+        golden.journal.close()
+        encodes = [
+            envelope["seq"]
+            for envelope in scan_journal(golden.directory).envelopes
+            if envelope["type"] == "encode_stripe"
+        ]
+        directory = str(tmp_path / "crashed")
+        with pytest.raises(SimulatedCrash):
+            run_crash_workload(
+                directory, seed=11,
+                crash_at=CrashPoint(seq=encodes[0], phase="after"),
+            )
+        topology, k = golden.topology, DRILL_CODE.k
+        first = recover(directory, topology, k=k)
+        assert first.stats.errors == []
+        assert verify_stripe_consistency(first.stores) == []
+        journal = first.reopen_journal(checkpoint_records=2)
+        stores = journal.stores
+        for node_ids in ((0, 5, 6), (4, 9, 10), (8, 13, 14)):
+            stores.allocate_block(
+                stores.blocks.next_block_id, 4096, None, node_ids
+            )
+        planner = EARPlanner(
+            topology, stores.blocks, DRILL_CODE, rng=random.Random(3)
+        )
+        sealed = stores.stripes.sealed_stripes()
+        assert len(sealed) >= 2
+        for stripe in sealed:
+            before = journal.current_state()
+            plan = planner.plan(stripe)
+            stores.encode_stripe(
+                stripe.stripe_id, plan.parity_nodes, 4096,
+                plan.retained.items(),
+            )
+        live = journal.current_fingerprint()
+        journal.close()
+
+        for _attempt in range(2):
+            again = recover(directory, topology, k=k)
+            assert again.stats.errors == []
+            assert again.stats.checkpoint_seq > encodes[0]
+            assert again.fingerprint() == live
+            assert verify_stripe_consistency(again.stores) == []
+        report = verify_journal(directory)
+        assert report.ok, report.summary()
+        assert report.checkpoints == 2
+        # The replay check reaches the log's last record: a checkpoint
+        # claiming it without its effect is caught.
+        write_checkpoint(directory, journal.last_seq, before)
+        report = verify_journal(directory)
+        assert any(
+            f"replay of records 1..{journal.last_seq}" in error
+            for error in report.errors
+        ), report.summary()

@@ -5,7 +5,7 @@ transition (:func:`~repro.journal.records.commit`), and replay runs the
 same test and transition over the log.  This module checks that over
 one real journal that holds every record type: the crash drill's
 workload (:func:`~repro.faults.crash.run_crash_workload`) followed by a
-short tail for the three types the drill never writes.
+short tail for the five types the drill never writes.
 
 The log is replayed from empty stores.  Before record ``s`` is applied,
 the replayed state must equal ``journal.fingerprints[s]``, the live state
@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import pytest
 
-import repro.cluster.block as block_module
+import repro.journal.state as state_module
 from repro.cluster.block import BlockStore
 from repro.cluster.topology import ClusterTopology
 from repro.core.stripe import PreEncodingStore
@@ -41,7 +41,8 @@ SEEDS = (0, 101, 202)
 
 def drive_every_record_type(directory, seed):
     """The crash drill's workload, then the record types it never writes:
-    a relocation request and its service, and a deferred seal."""
+    a relocation request and its service, and blocks created and added to
+    a stripe without a NameNode, then sealed."""
     run = run_crash_workload(
         directory, seed, track_fingerprints=True, checkpoint_records=None
     )
@@ -141,11 +142,11 @@ class TestSeededMutations:
                 owner.journal.append(record_class, fields)
             return result
 
-        monkeypatch.setattr(block_module, "commit", apply_first)
+        monkeypatch.setattr(state_module, "commit", apply_first)
         run = drive_every_record_type(str(tmp_path), seed=0)
         run.journal.close()
-        # The block store's first record is the first to see its change.
-        assert first_divergence(run) == first_seq_of(run, "add_block")
+        # The first block write is the first record to see its change.
+        assert first_divergence(run) == first_seq_of(run, "allocate_block")
 
     def test_journal_bypass_fails_at_the_next_record(
         self, tmp_path, monkeypatch
@@ -179,6 +180,7 @@ def every_record_type_once(journal):
     blocks = BlockStore(ClusterTopology(nodes_per_rack=2, num_racks=3))
     stripes, namespace = PreEncodingStore(2), FileNamespace()
     journal.attach(blocks, stripes, namespace)
+    stores = journal.stores
     steps = [
         lambda: blocks.create_block(100),
         lambda: blocks.add_replica(0, 0, is_primary=True),
@@ -188,18 +190,16 @@ def every_record_type_once(journal):
         lambda: blocks.add_replica(1, 4),
         lambda: stripes.new_stripe(core_rack=0, target_racks=[0, 1, 2]),
         lambda: stripes.add_block(0, 0, seal_when_full=False),
-        lambda: blocks.assign_stripe(0, 0),
         lambda: stripes.add_block(0, 1, seal_when_full=False),
-        lambda: blocks.assign_stripe(1, 0),
         lambda: stripes.seal(0),
         lambda: blocks.mark_corrupted(1, 4),
         lambda: blocks.clear_corrupted(1, 4),
         lambda: blocks.move_replica(0, 2, 5),
-        lambda: journal.begin_stripe_commit(0, [1], 100, [(0, 0), (1, 3)]),
-        lambda: blocks.add_parity_block(100, 0, 1),
-        lambda: blocks.remove_replica(0, 5),
-        lambda: blocks.remove_replica(1, 4),
-        lambda: stripes.mark_encoded(0, [2]),
+        lambda: stores.encode_stripe(0, [1], 100, [(0, 0), (1, 3)]),
+        lambda: stripes.new_stripe(),
+        lambda: stores.allocate_block(3, 100, 1, [0, 2, 5]),
+        lambda: stores.allocate_block(4, 100, 1, [1, 3, 4]),
+        lambda: blocks.remove_replica(3, 5),
         lambda: journal.relocation_requested(0),
         lambda: journal.relocation_served(0),
         lambda: journal.node_dead(4),

@@ -78,6 +78,17 @@ class TestCheapCommands:
         assert "bound" in out
         assert "1.900" in out  # the paper's anchor at i=10, R=20
 
+    @pytest.mark.parametrize("racks", ["0", "3", "13"])
+    def test_theorem1_racks_below_the_stripe_width_is_a_usage_error(
+        self, racks, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["theorem1", "--racks", racks])
+        assert excinfo.value.code == 2
+        assert "--racks must be at least the stripe width n = k + 4 = 14" in (
+            capsys.readouterr().err
+        )
+
     def test_fig8a_tiny(self, capsys):
         assert main(["fig8a", "--stripes", "8", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
