@@ -18,7 +18,7 @@ from repro.experiments.config import TestbedConfig
 from repro.experiments.runner import build_cluster, format_table, mean
 from repro.experiments.testbed import run_raw_encoding
 
-from .conftest import emit, fmt_pct, run_once
+from .conftest import emit, run_once
 
 CONFIG = TestbedConfig()
 CODE = CodeParams(10, 8)

@@ -7,11 +7,12 @@ bandwidth — and EAR's advantage (it barely touches the core during
 encoding) widens accordingly.
 """
 
+from repro.experiments.artefacts import pct
 from repro.experiments.config import LargeScaleConfig
 from repro.experiments.largescale import sweep_oversubscription
 from repro.experiments.runner import format_table
 
-from .conftest import emit, fmt_pct, run_once
+from .conftest import emit, run_once
 
 BASE = LargeScaleConfig().scaled(10)
 RATIOS = (1.0, 2.0, 4.0)
@@ -26,8 +27,8 @@ def test_ext_oversubscription(benchmark):
     rows = [
         [
             f"{p.parameter:g}:1",
-            fmt_pct(p.encode_gain),
-            fmt_pct(p.write_gain),
+            pct(p.encode_gain),
+            pct(p.write_gain),
             str(p.encode_summary()),
         ]
         for p in points

@@ -74,11 +74,11 @@ def test_scale_storm(benchmark):
 
     assert repeat.fingerprint == runs[largest][0].fingerprint
     assert keys_per_repair[largest] <= 1.5 * keys_per_repair[smallest]
-    # Returned metrics land in the BENCH json ("wall_" = machine noise,
-    # stripped from differential comparisons).
-    return {
+    # extra_info lands in the --benchmark-json report.  The "wall_" values
+    # depend on the machine; keys_per_repair_1200 does not.
+    benchmark.extra_info.update({
         "keys_per_repair_1200": keys_per_repair[largest],
         "wall_storm_150_s": runs[smallest][2],
         "wall_storm_1200_s": runs[largest][2],
         "wall_ratio_1200_over_150": ratio,
-    }
+    })

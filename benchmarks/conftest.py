@@ -2,14 +2,14 @@
 
 Every benchmark regenerates one table or figure of the paper at a scale
 that keeps the whole ``pytest benchmarks/ --benchmark-only`` run in a few
-minutes; the scale factors are recorded in EXPERIMENTS.md.  Benchmarks run
-once (``pedantic`` with a single round) because each already averages over
-several seeds internally, exactly as the paper averages over runs.
+minutes; the paper figures' scales are the ``bench`` entries of
+``repro.experiments.artefacts`` and are recorded in EXPERIMENTS.md.
+Benchmarks run once (``pedantic`` with a single round) because each
+already averages over several seeds internally, exactly as the paper
+averages over runs.
 """
 
 from __future__ import annotations
-
-import pytest
 
 
 def run_once(benchmark, fn):
@@ -22,18 +22,3 @@ def emit(title, table):
     print()
     print(f"== {title} ==")
     print(table)
-
-
-def fmt_pct(x: float) -> str:
-    """Format a fraction as a percentage string."""
-    return f"{100 * x:+.1f}%"
-
-
-@pytest.fixture
-def once(benchmark):
-    """Fixture wrapping :func:`run_once`."""
-
-    def runner(fn):
-        return run_once(benchmark, fn)
-
-    return runner

@@ -9,7 +9,9 @@ Usage::
     python -m repro fig14 --runs 10
     python -m repro journal verify DIR
 
-Every command prints the same table the corresponding benchmark emits; the
+Each figure command is one row of ``repro.experiments.artefacts``: it runs
+the row's driver at the scale its options ask for and prints the row's
+table, the table ``benchmarks/bench_paper.py`` prints at bench scale; the
 ``--stripes`` / ``--seeds`` style options trade precision for speed.  Each
 subcommand is one row of ``COMMANDS`` (name, handler, help, arguments),
 which ``build_parser``, ``list_experiments`` and ``main`` all read.
@@ -22,176 +24,30 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro import pipeline, recovery
-from repro.analysis.iterations import empirical_attempts, theorem1_bound
-from repro.analysis.violation import figure3_table
-from repro.erasure.codec import CodeParams
-from repro.experiments.charts import bar_chart, line_chart
-from repro.experiments.config import LargeScaleConfig, TestbedConfig
-from repro.experiments.largescale import (
-    sweep_bandwidth,
-    sweep_k,
-    sweep_m,
-    sweep_rack_tolerance,
-    sweep_replicas,
-    sweep_write_rate,
-)
-from repro.experiments.loadbalance import read_balance, storage_balance
-from repro.experiments.runner import format_table, mean
-from repro.experiments.testbed import (
-    run_mapreduce_workload,
-    run_write_during_encoding,
-    sweep_nk,
-    sweep_udp,
-)
-from repro.experiments.validation import (
-    encoded_stripes_curves,
-    validate_single_stripe_encode,
-    validate_write_path,
-)
+from repro.experiments.artefacts import ARTEFACTS, SEED, SWEEP, arg, at_least
+from repro.experiments.runner import format_table
 from repro.journal.checkpoint import list_checkpoints
 from repro.journal.verify import verify_journal
 from repro.journal.wal import list_segments, scan_journal
 from repro.parallel import SweepExecutor
 
 
-def _pct(x: float) -> str:
-    return f"{100 * x:+.1f}%"
-
-
 # ----------------------------------------------------------------------
 # Experiment handlers
 # ----------------------------------------------------------------------
-def cmd_fig3(args) -> None:
-    """Figure 3: Equation (1) violation probability."""
-    if args.min_racks > args.max_racks:
-        args.error("--min-racks must not exceed --max-racks")
-    racks = list(range(args.min_racks, args.max_racks + 1, 2))
-    ks = (6, 8, 10, 12)
-    table = figure3_table(racks, ks)
-    rows = [[r] + [f"{table[k][i]:.3f}" for k in ks] for i, r in enumerate(racks)]
-    print(format_table(["R"] + [f"k={k}" for k in ks], rows))
-
-
-def cmd_theorem1(args) -> None:
-    """Theorem 1: measured redraws vs the bound."""
-    code = CodeParams(args.k + 4, args.k)
-    if args.racks < code.n:
-        args.error(f"--racks must be at least the stripe width n = k + 4 "
-                   f"= {code.n}")
-    measured = empirical_attempts(
-        num_racks=args.racks,
-        nodes_per_rack=40,
-        code=code,
-        num_stripes=args.stripes,
-        rng=random.Random(args.seed),
-    )
-    rows = [
-        [i, f"{measured[i]:.3f}", f"{theorem1_bound(i, args.racks):.3f}"]
-        for i in range(1, code.k + 1)
-    ]
-    print(format_table(["i", "measured E_i", "bound"], rows))
-
-
-def cmd_fig8a(args) -> None:
-    """Figure 8(a): encoding throughput vs (n, k)."""
-    config = TestbedConfig().scaled(args.stripes)
-    results = sweep_nk(ks=(4, 6, 8, 10), seeds=range(args.seeds), config=config)
-    rows = [
-        [f"({k + 2},{k})", f"{r['rr']:.0f}", f"{r['ear']:.0f}", _pct(r["gain"])]
-        for k, r in sorted(results.items())
-    ]
-    print(format_table(["(n,k)", "RR MB/s", "EAR MB/s", "gain"], rows))
-    print()
-    labels, values = [], []
-    for k, r in sorted(results.items()):
-        labels.extend([f"({k + 2},{k}) RR", f"({k + 2},{k}) EAR"])
-        values.extend([round(r["rr"]), round(r["ear"])])
-    print(bar_chart(labels, values, unit=" MB/s"))
-
-
-def cmd_fig8b(args) -> None:
-    """Figure 8(b): encoding throughput vs UDP cross-traffic."""
-    config = TestbedConfig().scaled(args.stripes)
-    results = sweep_udp(seeds=range(args.seeds), config=config)
-    rows = [
-        [f"{rate:.0f}", f"{r['rr']:.0f}", f"{r['ear']:.0f}", _pct(r["gain"])]
-        for rate, r in sorted(results.items())
-    ]
-    print(format_table(["UDP Mb/s", "RR MB/s", "EAR MB/s", "gain"], rows))
-
-
-def cmd_fig9(args) -> None:
-    """Figure 9: write response times while encoding."""
-    config = TestbedConfig().scaled(args.stripes)
-    rows = []
-    for policy in ("rr", "ear"):
-        results = [
-            run_write_during_encoding(policy, config=config, seed=s)
-            for s in range(args.seeds)
-        ]
-        rows.append([
-            policy.upper(),
-            f"{mean(r.write_rt_before for r in results):.2f}",
-            f"{mean(r.write_rt_during for r in results):.2f}",
-            f"{mean(r.encoding_time for r in results):.0f}",
-        ])
-    print(format_table(
-        ["policy", "RT before (s)", "RT during (s)", "encode time (s)"], rows
-    ))
-
-
-def cmd_fig10(args) -> None:
-    """Figure 10: SWIM MapReduce jobs before encoding."""
-    config = TestbedConfig()
-    rows = []
-    for policy in ("rr", "ear"):
-        records = run_mapreduce_workload(
-            policy, num_jobs=args.jobs, config=config, seed=args.seed
-        )
-        rows.append([
-            policy.upper(),
-            f"{max(r.finish_time for r in records):.0f}",
-            f"{mean(r.runtime for r in records):.1f}",
-        ])
-    print(format_table(["policy", "makespan (s)", "mean runtime (s)"], rows))
-
-
-def cmd_fig12(args) -> None:
-    """Figure 12 / Table I: validation curves and write RTs."""
-    config = TestbedConfig().scaled(args.stripes)
-    for check in (
-        validate_write_path(config),
-        validate_single_stripe_encode(config=config),
-    ):
-        print(f"{check.name}: measured {check.measured:.4f}s, "
-              f"expected {check.expected:.4f}s "
-              f"(error {check.relative_error:.2e})")
-    curves = encoded_stripes_curves(config=config, seed=args.seed)
-    rows = [
-        [policy.upper(), f"{curve[-1][0]:.0f}"]
-        for policy, curve in curves.items()
-    ]
-    print(format_table(["policy", f"time to encode {config.num_stripes} stripes (s)"], rows))
-    print()
-    print(line_chart(
-        {policy: curve for policy, curve in curves.items()},
-        width=60, height=12, x_label="seconds", y_label="stripes",
-    ))
-
-
-def _executor_from_args(args) -> SweepExecutor:
-    """The SweepExecutor ``--workers`` asks for (in-process when absent)."""
-    return SweepExecutor(workers=args.workers or 0)
-
-
-def _report_sweep(args, executor) -> None:
-    if args.workers is not None:
-        print(f"[sweep] {executor.last_report.summary()}")
+def cmd_artefact(artefact, args) -> None:
+    """Run one paper artefact at the scale ``args`` asks for; print it."""
+    kwargs = artefact.scale(args)
+    sweep = "workers" in args
+    if sweep:
+        kwargs["executor"] = SweepExecutor(workers=args.workers or 0)
+    print(artefact.format(artefact.run(**kwargs)))
+    if sweep and args.workers is not None:
+        print(f"[sweep] {kwargs['executor'].last_report.summary()}")
 
 
 def _print_grid(results, rows_of, as_json: bool = False) -> int:
@@ -221,19 +77,6 @@ def _print_run(summary, clean: bool, noun: str, as_json: bool = False) -> int:
             "finish"
         )
     return 0 if clean else 1
-
-
-def cmd_fig13(sweep, header: str, formatter, args) -> None:
-    """Figure 13: encode and write gains along one large-scale sweep."""
-    base = LargeScaleConfig().scaled(args.stripes_per_process)
-    executor = _executor_from_args(args)
-    points = sweep(base=base, seeds=range(args.seeds), executor=executor)
-    rows = [
-        [formatter(p.parameter), _pct(p.encode_gain), _pct(p.write_gain)]
-        for p in points
-    ]
-    print(format_table([header, "encode gain", "write gain"], rows))
-    _report_sweep(args, executor)
 
 
 def cmd_chaos(args) -> int:
@@ -293,34 +136,6 @@ def cmd_pipeline(args) -> int:
         dict(sorted(result.items())), result["clean"], "pipeline run",
         as_json=args.json,
     )
-
-
-def cmd_fig14(args) -> None:
-    """Figure 14: storage load balance."""
-    executor = _executor_from_args(args)
-    shares = storage_balance(
-        num_blocks=args.blocks, runs=args.runs, executor=executor
-    )
-    ranks = (0, 4, 9, 14, 19)
-    rows = [
-        [p.upper()] + [f"{100 * shares[p][r]:.3f}%" for r in ranks]
-        for p in ("rr", "ear")
-    ]
-    print(format_table(["policy"] + [f"rank {r + 1}" for r in ranks], rows))
-    _report_sweep(args, executor)
-
-
-def cmd_fig15(args) -> None:
-    """Figure 15: read load balance (hotness index)."""
-    executor = _executor_from_args(args)
-    sizes = (1, 10, 100, 1000, 10_000)
-    result = read_balance(file_sizes=sizes, runs=args.runs, executor=executor)
-    rows = [
-        [p.upper()] + [f"{100 * result[p][s]:.2f}%" for s in sizes]
-        for p in ("rr", "ear")
-    ]
-    print(format_table(["policy"] + [f"F={s}" for s in sizes], rows))
-    _report_sweep(args, executor)
 
 
 # ----------------------------------------------------------------------
@@ -435,19 +250,6 @@ def cmd_journal_stats(args) -> int:
 # ----------------------------------------------------------------------
 # The command table
 # ----------------------------------------------------------------------
-def _at_least(minimum: int):
-    """argparse ``type``: an integer no smaller than ``minimum``."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in its error message
-    return parse
-
-
 def _positive_finite(text: str) -> float:
     """argparse ``type``: a float that is finite and greater than zero."""
     value = float(text)
@@ -458,77 +260,20 @@ def _positive_finite(text: str) -> float:
 
 _positive_finite.__name__ = "float"
 
-
-def arg(*flags, **kwargs):
-    """One ``(flags, kwargs)`` pair, handed as is to ``add_argument``."""
-    return flags, kwargs
-
-
-# Pairs several commands share; every sweep command ends with SWEEP.
-SEED = arg("--seed", type=int, default=0)
-SWEEP = [
-    arg("--workers", type=_at_least(0), default=None,
-        help="fan sweep trials out to N worker processes (0 = in-process; "
-        "results are identical)"),
-]
-TESTBED = [
-    arg("--stripes", type=_at_least(1), default=96),
-    arg("--seeds", type=_at_least(1), default=3),
-]
-FIG13 = [
-    arg("--stripes-per-process", type=_at_least(1), default=10),
-    arg("--seeds", type=_at_least(1), default=2),
-] + SWEEP
 JOURNAL_DIR = arg("directory", help="journal directory")
 
-# (name, handler, help, arguments), in ``repro list`` order.
-EXPERIMENTS = (
-    ("fig3", cmd_fig3, cmd_fig3.__doc__, [
-        arg("--min-racks", type=_at_least(2), default=14),
-        arg("--max-racks", type=_at_least(2), default=40),
-    ]),
-    ("theorem1", cmd_theorem1, cmd_theorem1.__doc__, [
-        arg("--racks", type=int, default=20),
-        arg("--k", type=_at_least(1), default=10),
-        arg("--stripes", type=_at_least(1), default=300),
-        SEED,
-    ]),
-    ("fig8a", cmd_fig8a, cmd_fig8a.__doc__, TESTBED),
-    ("fig8b", cmd_fig8b, cmd_fig8b.__doc__, TESTBED),
-    ("fig9", cmd_fig9, cmd_fig9.__doc__, TESTBED),
-    ("fig10", cmd_fig10, cmd_fig10.__doc__, [
-        arg("--jobs", type=_at_least(1), default=30),
-        SEED,
-    ]),
-    ("fig12", cmd_fig12, cmd_fig12.__doc__, [
-        arg("--stripes", type=_at_least(1), default=96),
-        SEED,
-    ]),
-    ("fig13a", functools.partial(cmd_fig13, sweep_k, "k", int),
-     "Figure 13(a): gains vs k.", FIG13),
-    ("fig13b", functools.partial(cmd_fig13, sweep_m, "n-k", int),
-     "Figure 13(b): gains vs n - k.", FIG13),
-    ("fig13c", functools.partial(cmd_fig13, sweep_bandwidth, "Gb/s", str),
-     "Figure 13(c): gains vs link bandwidth.", FIG13),
-    ("fig13d", functools.partial(cmd_fig13, sweep_write_rate, "req/s", str),
-     "Figure 13(d): gains vs write request rate.", FIG13),
-    ("fig13e", functools.partial(cmd_fig13, sweep_rack_tolerance, "t", int),
-     "Figure 13(e): gains vs EAR's tolerable rack failures.", FIG13),
-    ("fig13f", functools.partial(cmd_fig13, sweep_replicas, "replicas", int),
-     "Figure 13(f): gains vs replication factor.", FIG13),
-    ("fig14", cmd_fig14, cmd_fig14.__doc__, [
-        arg("--blocks", type=_at_least(1), default=10_000),
-        arg("--runs", type=_at_least(1), default=10),
-    ] + SWEEP),
-    ("fig15", cmd_fig15, cmd_fig15.__doc__, [
-        arg("--runs", type=_at_least(1), default=10),
-    ] + SWEEP),
+# (name, handler, help, arguments), in ``repro list`` order: the paper
+# artefacts, then the fault and pipeline drills.
+EXPERIMENTS = tuple(
+    (a.command, functools.partial(cmd_artefact, a), a.title, a.options)
+    for a in ARTEFACTS
+) + (
     ("chaos", cmd_chaos, cmd_chaos.__doc__, [
         SEED,
-        arg("--stripes", type=_at_least(1), default=12),
-        arg("--flaps", type=_at_least(0), default=4),
-        arg("--rack-outages", type=_at_least(0), default=1),
-        arg("--corruptions", type=_at_least(0), default=3),
+        arg("--stripes", type=at_least(1), default=12),
+        arg("--flaps", type=at_least(0), default=4),
+        arg("--rack-outages", type=at_least(0), default=1),
+        arg("--corruptions", type=at_least(0), default=3),
         arg("--horizon", type=_positive_finite, default=40.0),
     ]),
     ("recovery", cmd_recovery, cmd_recovery.__doc__, [
@@ -539,11 +284,11 @@ EXPERIMENTS = (
         SEED,
         arg("--policy", default="ear", choices=["rr", "ear", "recovery"],
             help="placement policy for a single-scenario run"),
-        arg("--stripes", type=_at_least(1), default=6),
+        arg("--stripes", type=at_least(1), default=6),
         arg("--head-to-head", action="store_true",
             help="run the rr/ear/recovery x code comparison grid instead of "
             "one policy"),
-        arg("--seeds", type=_at_least(1), default=1,
+        arg("--seeds", type=at_least(1), default=1,
             help="with --head-to-head: seeds per grid cell"),
     ] + SWEEP),
     ("pipeline", cmd_pipeline, cmd_pipeline.__doc__, [
@@ -552,8 +297,8 @@ EXPERIMENTS = (
             help="contender for a single run: rr/ear download-and-encode or "
             "the pipelined strategy (default: pipeline)"),
         SEED,
-        arg("--stripes", type=_at_least(1), default=6),
-        arg("--chunks", type=_at_least(1), default=4,
+        arg("--stripes", type=at_least(1), default=6),
+        arg("--chunks", type=at_least(1), default=4,
             help="chunks each block is streamed in along the pipeline"),
         arg("--no-disturb", action="store_true",
             help="skip the mid-encode node failure (measure the clean wave)"),
@@ -562,7 +307,7 @@ EXPERIMENTS = (
             "strategy"),
         arg("--json", action="store_true",
             help="emit raw trial results as JSON instead of a table"),
-        arg("--seeds", type=_at_least(1), default=1,
+        arg("--seeds", type=at_least(1), default=1,
             help="with --head-to-head: seeds per contender"),
     ] + SWEEP),
 )

@@ -1,8 +1,12 @@
 """Experiment drivers: one entry point per table/figure in the paper.
 
 See DESIGN.md for the experiment index.  Every driver is deterministic
-given its seed(s) and returns plain result objects that the benchmark
-harness (``benchmarks/``) formats into the paper's rows/series.
+given its seed(s) and returns plain result objects.
+:mod:`repro.experiments.artefacts` holds one row per paper artefact (the
+``repro`` command, the driver call, the bench scale, the printed table
+and the shape checks), which ``repro.cli`` and
+``benchmarks/bench_paper.py`` both read; it is not imported here, so
+importing a driver does not load every other driver.
 
 * :mod:`repro.experiments.testbed` — Experiments A.1-A.3 (Figures 8-10) on
   the 12-rack testbed model (disks enabled).

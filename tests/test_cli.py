@@ -1,5 +1,8 @@
 """CLI smoke tests: every command parses and the cheap ones run."""
 
+import contextlib
+import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -14,7 +17,7 @@ class TestParser:
     def test_every_experiment_has_a_subcommand(self):
         parser = build_parser()
         for name in list_experiments():
-            args = parser.parse_args([name] if name not in () else [name])
+            args = parser.parse_args([name])
             assert args.command == name
 
     def test_no_command_prints_help(self, capsys):
@@ -121,6 +124,55 @@ class TestCheapCommands:
         assert main(["fig12", "--stripes", "6"]) == 0
         out = capsys.readouterr().out
         assert "write-response-idle" in out
+
+
+# SHA-256 of each figure command's stdout, recorded before the figure
+# commands became rows of ``repro.experiments.artefacts``.
+FIGURE_PINS = (
+    ("fig3",
+     "e9842ca6b037bc9449298c7e54f3582f4ee89b14f5a274cec66d3f46f4b6dd07"),
+    ("theorem1 --stripes 30",
+     "d19167b3c0f518ee96fae8faddab39a0bb9824d02c54d43048b33c1807242c98"),
+    ("fig8a --stripes 12 --seeds 1",
+     "ca01040dca98978ac32d5d8146c2d26b7477d6d6bae2d26cb83f3e3038733240"),
+    ("fig8b --stripes 12 --seeds 1",
+     "18aff7ef46153fab10eb2edf942cef748dfbc49ef3ededdcebf8474291bc9437"),
+    ("fig9 --stripes 12 --seeds 1",
+     "33a283dbcbbc323e7dcc4aa9bc14e7c6b3c808d7551a6db321199564f5b1d2a8"),
+    ("fig10 --jobs 2",
+     "73415434e1cdbde84fa948cd558307ef4d14b257ac75de050e008c0cfa02166e"),
+    ("fig12 --stripes 24",
+     "ce637228bfc487f26a40bc9ec420c513fc71d477784b8cc3d12c22e17a5b70b9"),
+    ("fig13a --stripes-per-process 1 --seeds 1",
+     "c8b1ecd2ddc87e65976dd733efecdf0d352c85001257847241803c3f662551ae"),
+    ("fig13b --stripes-per-process 1 --seeds 1",
+     "c421640a43ee482fb311178f13516a80c4ae00df3063b7d0f676fdc38b555a81"),
+    ("fig13c --stripes-per-process 1 --seeds 1",
+     "51f053d61b81d27352b945e63296f8d3bbf5aea9a818d18f12117bd33bf19d7b"),
+    ("fig13d --stripes-per-process 1 --seeds 1",
+     "ff848e0c748b93ee6d715510b21ece3587f91429a5cb807be3cacbed17d90be3"),
+    ("fig13e --stripes-per-process 1 --seeds 1",
+     "ac9f5a13449ce7a4082d1bccfd196e31782fe4ed4f0f5ff2c6b9355259a3e2a6"),
+    ("fig13f --stripes-per-process 1 --seeds 1",
+     "27a0cc38a34a9a41801652201a97708962b4b77aed8104ccc115828d7f63d0aa"),
+    ("fig14 --blocks 2000 --runs 4",
+     "96797be6526a149fc8bf77be8c7c5627e5a250f6aeae2cd60facae26efd921ba"),
+    ("fig15 --runs 1",
+     "c2804c5b7f3ff38b4d2454ec682757ee76a4f7ad12b2a100c66bdcf153594e53"),
+)
+
+
+@pytest.mark.parametrize(
+    "line, digest", FIGURE_PINS, ids=[line for line, _ in FIGURE_PINS]
+)
+def test_figure_command_output_is_pinned(line, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(line.split()) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, (
+        f"repro {line} printed:\n{text}"
+    )
 
 
 def unclean_storm_trial(seed, **config):
