@@ -262,6 +262,29 @@ class BlockStore:
         for callback in self._watchers:
             callback(block)
 
+    def apply_place_copies(self, block: Block, node_ids: Sequence[NodeId]) -> None:
+        """Place every copy of ``block``, which holds none yet, in one step:
+        the holders in ``node_ids`` order, the first primary.  Leaves the
+        store as one ``apply_place_replica`` per copy would, and calls each
+        watcher once per copy.  The transition part of the bundle's
+        ``allocate_block`` record, whose test vetted ``node_ids``."""
+        if not node_ids:
+            return
+        block_id = block.block_id
+        stripe_id = block.stripe_id
+        if stripe_id is not None:
+            live = self._live_members
+            live[stripe_id] = live.get(stripe_id, 0) + 1
+        self._holders[block_id] = tuple(node_ids)
+        self._primary.add((block_id, node_ids[0]))
+        node_blocks = self._node_blocks
+        for node_id in node_ids:
+            node_blocks[node_id].add(block_id)
+        watchers = self._watchers
+        for __ in node_ids:
+            for callback in watchers:
+                callback(block)
+
     def check_delete_replica(self, fields):
         block_id, node_id = fields
         if block_id not in self._blocks:

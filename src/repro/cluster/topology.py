@@ -11,7 +11,7 @@ policies (:mod:`repro.core`) and by the network simulator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 NodeId = int
 RackId = int
@@ -122,9 +122,13 @@ class ClusterTopology:
         # The cluster is immutable, so the two lookups the placement loop
         # makes per drawn replica are tables built once: node id -> rack id,
         # and rack id -> node count.
-        self._rack_of: Tuple[RackId, ...] = tuple(
-            node.rack_id for node in self._nodes
-        )
+        #: ``rack_of(node_id)``: the id of the rack that houses ``node_id``.
+        #: A bound ``dict.__getitem__``, so one C call that raises
+        #: ``KeyError`` for an unknown id; a negative id is unknown too,
+        #: where a bare tuple index would wrap -1 to the last node.
+        self.rack_of: Callable[[NodeId], RackId] = {
+            node.node_id: node.rack_id for node in self._nodes
+        }.__getitem__
         #: Number of nodes in each rack, indexed by rack id.
         self.rack_sizes: Tuple[int, ...] = tuple(sizes)
 
@@ -158,14 +162,6 @@ class ClusterTopology:
     def rack(self, rack_id: RackId) -> Rack:
         """Return the rack with the given id."""
         return self._racks[self._check_rack(rack_id)]
-
-    def rack_of(self, node_id: NodeId) -> RackId:
-        """Return the id of the rack that houses ``node_id``."""
-        # Bounds-checked on both sides: a bare index would wrap -1 to the
-        # last node.
-        if 0 <= node_id < len(self._rack_of):
-            return self._rack_of[node_id]
-        raise KeyError(f"unknown node id {node_id}")
 
     def nodes_in_rack(self, rack_id: RackId) -> Sequence[NodeId]:
         """Return the node ids living in ``rack_id``."""

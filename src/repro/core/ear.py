@@ -182,17 +182,19 @@ class EncodingAwareReplication(PlacementPolicy):
             )
             self._matchings[stripe.stripe_id] = matching
 
+        draw = self._draw_candidate
         for attempt in range(1, self.max_attempts + 1):
-            node_ids = self._draw_candidate(core_rack, stripe)
-            PERF.bump("ear.redraw_attempts")
+            node_ids = draw(core_rack, stripe)
             if matching.add(block_id, node_ids):
                 break
         else:
+            PERF.bump("ear.redraw_attempts", self.max_attempts)
             raise PlacementError(
                 f"no qualifying layout for block {block_id} (stripe "
                 f"{stripe.stripe_id}, index {index}) within "
                 f"{self.max_attempts} attempts"
             )
+        PERF.bump("ear.redraw_attempts", attempt)
 
         self._attempts_by_index[index].append(attempt)
         if join_stripe:
@@ -201,11 +203,7 @@ class EncodingAwareReplication(PlacementPolicy):
             del self._open_by_rack[core_rack]
             del self._matchings[stripe.stripe_id]
         return PlacementDecision(
-            block_id=block_id,
-            node_ids=tuple(node_ids),
-            core_rack=core_rack,
-            stripe_id=stripe.stripe_id,
-            attempts=attempt,
+            block_id, tuple(node_ids), core_rack, stripe.stripe_id, attempt
         )
 
     # ------------------------------------------------------------------
@@ -247,15 +245,15 @@ class EncodingAwareReplication(PlacementPolicy):
         if not self.bias_target_racks or stripe.target_racks is None:
             return self._draw_layout(core_rack)
         # Biased variant: pick the non-primary racks among the targets only.
-        sizes = self.scheme.rack_group_sizes()
         used: List[RackId] = [core_rack]
         nodes = self._random_nodes_in_rack(core_rack, 1)
         candidates = [r for r in stripe.target_racks if r != core_rack]
-        for group_size in sizes[1:]:
+        rack_sizes = self.topology.rack_sizes
+        for group_size in self._group_sizes[1:]:
             remaining = [
                 r
                 for r in candidates
-                if r not in used and len(self.topology.rack(r)) >= group_size
+                if r not in used and rack_sizes[r] >= group_size
             ]
             if not remaining:
                 raise PlacementError("too few target racks for the scheme")

@@ -25,7 +25,6 @@ cross-rack traffic, which is what the simulator charges to the network.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -108,13 +107,19 @@ def download_plan(
     replicas (down endpoints, corrupted copies); see
     :func:`usable_replicas` for what a fully vetoed block raises.
     """
-    encoder_rack = topology.rack_of(encoder_node)
+    rack_of = topology.rack_of
+    encoder_rack = rack_of(encoder_node)
     sources: Dict[BlockId, NodeId] = {}
     for block_id in stripe.block_ids:
         nodes = usable_replicas(block_store, block_id, source_ok)
-        local = [n for n in nodes if n == encoder_node]
-        same_rack = [n for n in nodes if topology.rack_of(n) == encoder_rack]
-        sources[block_id] = (local or same_rack or list(nodes))[0]
+        source = None
+        for node in nodes:
+            if node == encoder_node:
+                source = node
+                break
+            if source is None and rack_of(node) == encoder_rack:
+                source = node
+        sources[block_id] = nodes[0] if source is None else source
     return sources
 
 
@@ -122,10 +127,9 @@ def count_cross_rack_downloads(
     topology: ClusterTopology, sources: Dict[BlockId, NodeId], encoder_node: NodeId
 ) -> int:
     """Data blocks whose chosen source sits in another rack."""
-    encoder_rack = topology.rack_of(encoder_node)
-    return sum(
-        1 for node in sources.values() if topology.rack_of(node) != encoder_rack
-    )
+    rack_of = topology.rack_of
+    encoder_rack = rack_of(encoder_node)
+    return sum(1 for node in sources.values() if rack_of(node) != encoder_rack)
 
 
 def _finish_plan(
@@ -146,7 +150,8 @@ def _finish_plan(
     sources = download_plan(
         topology, block_store, stripe, encoder_node, source_ok
     )
-    encoder_rack = topology.rack_of(encoder_node)
+    rack_of = topology.rack_of
+    encoder_rack = rack_of(encoder_node)
     return EncodingPlan(
         stripe_id=stripe.stripe_id,
         encoder_node=encoder_node,
@@ -157,8 +162,7 @@ def _finish_plan(
             topology, sources, encoder_node
         ),
         cross_rack_uploads=sum(
-            1 for node in parity_nodes
-            if topology.rack_of(node) != encoder_rack
+            1 for node in parity_nodes if rack_of(node) != encoder_rack
         ),
     )
 
@@ -245,7 +249,7 @@ def plan_ear_encoding(
             matching[block_id] = rng.choice(list(nodes))
 
     if encoder_node is None:
-        encoder_node = rng.choice(list(topology.nodes_in_rack(stripe.core_rack)))
+        encoder_node = rng.choice(topology.nodes_in_rack(stripe.core_rack))
     elif (
         topology.rack_of(encoder_node) != stripe.core_rack
         and not allow_foreign_encoder
@@ -369,16 +373,19 @@ def _place_parity(
         PlacementError: When no compliant rack remains and overflow is not
             allowed.
     """
-    usage: Dict[RackId, int] = {}
+    rack_of = topology.rack_of
+    sizes = topology.rack_sizes
+    # Stripe blocks per rack, indexed by rack id.
+    usage = [0] * len(sizes)
     for node in retained.values():
-        rack = topology.rack_of(node)
-        usage[rack] = usage.get(rack, 0) + 1
+        usage[rack_of(node)] += 1
     used_nodes: Set[NodeId] = set(retained.values())
     # Distinct stripe nodes per rack (a fallback retention may keep two
     # blocks on one node), and the racks they fill.
-    sizes = topology.rack_sizes
-    taken = Counter(topology.rack_of(node) for node in used_nodes)
-    full = {rack for rack, count in taken.items() if count == sizes[rack]}
+    taken = [0] * len(sizes)
+    for node in used_nodes:
+        taken[rack_of(node)] += 1
+    full = {rack for rack, count in enumerate(taken) if count == sizes[rack]}
 
     if admissible_racks is None:
         admissible = list(topology.rack_ids())
@@ -395,7 +402,7 @@ def _place_parity(
         ]
         node = rng.choice(candidates)
         used_nodes.add(node)
-        usage[rack] = usage.get(rack, 0) + 1
+        usage[rack] += 1
         taken[rack] += 1
         if taken[rack] == sizes[rack]:
             full.add(rack)
@@ -521,30 +528,29 @@ class RRPlanner(EncodingPlanner):
 
 def _pick_parity_rack(
     admissible: Sequence[RackId],
-    usage: Dict[RackId, int],
+    usage: List[int],
     c: int,
     prefer_racks: Sequence[RackId],
     full: Set[RackId],
     rng: random.Random,
     allow_overflow: bool,
 ) -> RackId:
-    """The rack of the next parity block; ``full`` holds the racks with no
-    node left that is free of the stripe."""
+    """The rack of the next parity block; ``usage`` counts the stripe's
+    blocks per rack id and ``full`` holds the racks with no node left that
+    is free of the stripe."""
     for rack in prefer_racks:
-        if rack in admissible and usage.get(rack, 0) < c and rack not in full:
+        if rack in admissible and usage[rack] < c and rack not in full:
             return rack
-    compliant = [
-        r for r in admissible if usage.get(r, 0) < c and r not in full
-    ]
+    compliant = [r for r in admissible if usage[r] < c and r not in full]
     if compliant:
         # Among compliant racks prefer entirely empty ones: this is the
         # paper's "put n-k parity blocks in n-k other racks" behaviour at
         # c = 1 and keeps the stripe's rack count minimal otherwise.
-        empty = [r for r in compliant if usage.get(r, 0) == 0]
+        empty = [r for r in compliant if usage[r] == 0]
         return rng.choice(empty or compliant)
     if allow_overflow:
         overflow = [r for r in admissible if r not in full]
         if overflow:
-            least = min(usage.get(r, 0) for r in overflow)
-            return rng.choice([r for r in overflow if usage.get(r, 0) == least])
+            least = min(usage[r] for r in overflow)
+            return rng.choice([r for r in overflow if usage[r] == least])
     raise PlacementError("no rack can accept another parity block")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.block import BlockId, BlockStore
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
@@ -76,9 +76,8 @@ TWO_RACKS = ReplicationScheme(3, 2)
 DISTINCT_RACKS = ReplicationScheme(3, 3)
 
 
-@dataclass(frozen=True)
-class PlacementDecision:
-    """The outcome of placing one block.
+class PlacementDecision(NamedTuple):
+    """The outcome of placing one block: an immutable, slotted value.
 
     Attributes:
         block_id: The placed block.
@@ -106,6 +105,18 @@ class PlacementPolicy(ABC):
         scheme: Replica spread description (default: HDFS 3-way, two racks).
         rng: Random source; pass a seeded ``random.Random`` for
             reproducibility.
+
+    **Draw contract.**  The helpers below read three tables built once
+    per policy -- the scheme's rack group sizes, each rack's node tuple
+    and, per group size, the racks with at least that many nodes -- and
+    make exactly these rng calls, in this order: a rack draw is one
+    ``rng.choice`` over the eligible racks outside ``exclude`` (in rack
+    id order); a one-copy group is one ``rng.choice`` over its rack's
+    nodes, the same single ``_randbelow`` that ``rng.sample(nodes, 1)``
+    makes; a group of two or more is one ``rng.sample`` of the rack's
+    nodes.  ``tests/core/reference_draws.py`` keeps the helpers that
+    rebuilt these lists on every draw, and the tests check that both
+    return the same nodes and leave the same rng state.
     """
 
     #: Short machine-readable policy name ("rr", "ear", ...).
@@ -125,6 +136,16 @@ class PlacementPolicy(ABC):
         self.topology = topology
         self.scheme = scheme
         self.rng = rng if rng is not None else random.Random(0)
+        self._group_sizes = scheme.rack_group_sizes()
+        # Rack id -> its node tuple; a dict, so an unknown (or negative)
+        # rack id raises KeyError instead of wrapping around.
+        self._rack_nodes: Dict[RackId, Tuple[NodeId, ...]] = {
+            rack: topology.nodes_in_rack(rack) for rack in topology.rack_ids()
+        }
+        # Group size -> the racks able to host such a group, in id order.
+        self._eligible_racks: Dict[int, Tuple[RackId, ...]] = {
+            size: self._racks_with(size) for size in {1, *self._group_sizes}
+        }
 
     @abstractmethod
     def place_block(
@@ -149,6 +170,14 @@ class PlacementPolicy(ABC):
     # ------------------------------------------------------------------
     # Shared random-selection helpers
     # ------------------------------------------------------------------
+    def _racks_with(self, min_nodes: int) -> Tuple[RackId, ...]:
+        """The racks with at least ``min_nodes`` nodes, in id order."""
+        return tuple(
+            rack_id
+            for rack_id, size in enumerate(self.topology.rack_sizes)
+            if size >= min_nodes
+        )
+
     def _random_rack(
         self, exclude: Iterable[RackId] = (), min_nodes: int = 1
     ) -> RackId:
@@ -157,12 +186,12 @@ class PlacementPolicy(ABC):
         Heterogeneous clusters may contain racks too small to host a
         multi-copy replica group; those are never eligible for it.
         """
+        candidates = self._eligible_racks.get(min_nodes)
+        if candidates is None:
+            candidates = self._racks_with(min_nodes)
         excluded = set(exclude)
-        candidates = [
-            rack_id
-            for rack_id, size in enumerate(self.topology.rack_sizes)
-            if size >= min_nodes and rack_id not in excluded
-        ]
+        if excluded:
+            candidates = [r for r in candidates if r not in excluded]
         if not candidates:
             raise PlacementError(
                 f"no eligible rack with at least {min_nodes} node(s) remains"
@@ -171,12 +200,14 @@ class PlacementPolicy(ABC):
 
     def _random_nodes_in_rack(self, rack_id: RackId, count: int) -> List[NodeId]:
         """``count`` distinct random nodes of one rack."""
-        candidates = self.topology.nodes_in_rack(rack_id)
+        candidates = self._rack_nodes[rack_id]
         if len(candidates) < count:
             raise PlacementError(
                 f"rack {rack_id} has only {len(candidates)} eligible nodes, "
                 f"need {count}"
             )
+        if count == 1:
+            return [self.rng.choice(candidates)]
         return self.rng.sample(candidates, count)
 
     def _draw_layout(self, first_rack: RackId) -> List[NodeId]:
@@ -186,13 +217,12 @@ class PlacementPolicy(ABC):
         ``first_rack``; each further group lands on distinct random nodes of
         a distinct random rack.
         """
-        sizes = self.scheme.rack_group_sizes()
-        used_racks: List[RackId] = [first_rack]
-        nodes: List[NodeId] = self._random_nodes_in_rack(first_rack, 1)
-        for group_size in sizes[1:]:
-            rack = self._random_rack(exclude=used_racks, min_nodes=group_size)
+        nodes = [self.rng.choice(self._rack_nodes[first_rack])]
+        used_racks = [first_rack]
+        for group_size in self._group_sizes[1:]:
+            rack = self._random_rack(used_racks, group_size)
             used_racks.append(rack)
-            nodes.extend(self._random_nodes_in_rack(rack, group_size))
+            nodes += self._random_nodes_in_rack(rack, group_size)
         return nodes
 
     def __repr__(self) -> str:

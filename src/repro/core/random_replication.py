@@ -68,13 +68,7 @@ class RandomReplication(PlacementPolicy):
         stripe_id = None
         if self.store is not None:
             stripe_id = self._assign_stripe(block_id, join_stripe)
-        return PlacementDecision(
-            block_id=block_id,
-            node_ids=tuple(node_ids),
-            core_rack=None,
-            stripe_id=stripe_id,
-            attempts=1,
-        )
+        return PlacementDecision(block_id, tuple(node_ids), None, stripe_id)
 
     def _assign_stripe(self, block_id: BlockId, join_stripe: bool) -> int:
         """Group every k consecutive data blocks into one stripe."""

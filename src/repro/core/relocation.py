@@ -164,9 +164,10 @@ class BlockMover:
         block_ids = stripe.all_block_ids()
         cap = self.rack_cap()
 
+        rack_of = self.topology.rack_of
         rack_members: Dict[RackId, List[int]] = {}
         for index, node in enumerate(nodes):
-            rack_members.setdefault(self.topology.rack_of(node), []).append(index)
+            rack_members.setdefault(rack_of(node), []).append(index)
 
         occupied: Set[NodeId] = set(nodes)
         moves: List[BlockMove] = []

@@ -214,10 +214,9 @@ class StripeEncoder:
                 topology.nodes_in_rack(stripe.core_rack)
             )
             return pinned_node, degraded
-        eligible = [
-            n for n in self.planner.eligible_encoder_nodes(stripe)
-            if n not in down
-        ]
+        eligible = self.planner.eligible_encoder_nodes(stripe)
+        if down:
+            eligible = [n for n in eligible if n not in down]
         if eligible:
             return self.planner.rng.choice(eligible), False
         anywhere = [n for n in topology.node_ids() if n not in down]

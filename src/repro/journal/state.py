@@ -134,8 +134,7 @@ class Stores:
         )
         if stripe_id is not None:
             self.stripes.apply_stripe_add_block((stripe_id, block_id, True))
-        for index, node_id in enumerate(node_ids):
-            blocks.apply_place_replica((block_id, node_id, index == 0))
+        blocks.apply_place_copies(block, node_ids)
         return block
 
     def check_encode_stripe(self, fields):

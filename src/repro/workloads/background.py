@@ -34,6 +34,11 @@ class BackgroundTraffic:
         mean_size: Mean transfer size in bytes (exponentially distributed).
         cross_rack_fraction: Probability a request crosses racks (the paper
             uses a 1:1 mix, i.e. 0.5).
+
+    Raises:
+        ValueError: For a cluster the stream cannot draw a pair in: fewer
+            than two nodes, or one rack with a nonzero
+            ``cross_rack_fraction``.
     """
 
     def __init__(
@@ -49,9 +54,16 @@ class BackgroundTraffic:
             raise ValueError("rate must be positive")
         if not 0 <= cross_rack_fraction <= 1:
             raise ValueError("cross_rack_fraction must lie in [0, 1]")
+        topology = network.topology
+        if topology.num_nodes < 2:
+            raise ValueError("background traffic needs at least two nodes")
+        if cross_rack_fraction > 0 and topology.num_racks < 2:
+            raise ValueError(
+                "cross-rack background traffic needs at least two racks"
+            )
         self.sim = sim
         self.network = network
-        self.topology = network.topology
+        self.topology = topology
         self.rate = rate
         self.rng = rng if rng is not None else experiment_rng()
         self.mean_size = mean_size
@@ -59,6 +71,21 @@ class BackgroundTraffic:
         self.completed: List[Tuple[NodeId, NodeId, float]] = []
         self._sizes = exponential_sizes(self.rng, mean_size)
         self._stopped = False
+        # The destinations of each kind of request, built once in node-id
+        # order: per rack, the nodes outside it; per node, the other nodes
+        # of its rack, or every other node when it is alone in its rack.
+        rack_of = topology.rack_of
+        nodes = tuple(topology.node_ids())
+        self._cross_partners = {
+            rack: tuple(n for n in nodes if rack_of(n) != rack)
+            for rack in topology.rack_ids()
+        }
+        self._rack_partners = {
+            src: tuple(
+                n for n in topology.nodes_in_rack(rack_of(src)) if n != src
+            ) or tuple(n for n in nodes if n != src)
+            for src in nodes
+        }
 
     def stop(self) -> None:
         """Stop issuing new requests (in-flight transfers complete)."""
@@ -84,21 +111,10 @@ class BackgroundTraffic:
 
     def _pick_pair(self) -> Tuple[NodeId, NodeId]:
         src = self.rng.randrange(self.topology.num_nodes)
-        src_rack = self.topology.rack_of(src)
         if self.rng.random() < self.cross_rack_fraction:
-            candidates = [
-                n
-                for n in self.topology.node_ids()
-                if self.topology.rack_of(n) != src_rack
-            ]
+            candidates = self._cross_partners[self.topology.rack_of(src)]
         else:
-            candidates = [
-                n
-                for n in self.topology.nodes_in_rack(src_rack)
-                if n != src
-            ]
-            if not candidates:  # single-node rack: fall back to cross-rack
-                candidates = [n for n in self.topology.node_ids() if n != src]
+            candidates = self._rack_partners[src]
         return src, self.rng.choice(candidates)
 
     def _one_transfer(self, src: NodeId, dst: NodeId, size: float) -> Generator:

@@ -16,6 +16,7 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
 from repro.core.matching import RackMatching, retention_capacity
+from repro.core.policy import PlacementError
 from repro.erasure import matrix as gfm
 from repro.erasure.codec import CodeParams, make_codec
 from repro.erasure.stream import stream_decode, stream_encode, stream_repair
@@ -175,6 +176,33 @@ class TestMaxflowBudgets:
         assert 0 < measured.get("maxflow.bfs_builds") <= attempts
         # One unit of flow routed per accepted block, however it was found.
         assert measured.get("maxflow.augmentations") == len(decisions)
+
+    def test_redraw_counter_is_the_sum_of_decision_attempts(self):
+        # EAR bumps the counter once per placement, by its attempt count.
+        topology = ClusterTopology.large_scale()
+        code = CodeParams(14, 10)
+        ear = EncodingAwareReplication(topology, code, rng=random.Random(11))
+        with measure_ops() as measured:
+            decisions = [ear.place_block(block_id) for block_id in range(200)]
+        assert any(d.attempts > 1 for d in decisions)
+        assert measured.get("ear.redraw_attempts") == sum(
+            d.attempts for d in decisions
+        )
+
+    def test_redraw_counter_counts_max_attempts_on_a_placement_error(self):
+        topology = ClusterTopology.large_scale()
+        code = CodeParams(14, 10)
+        ear = EncodingAwareReplication(
+            topology, code, rng=random.Random(11), max_attempts=3
+        )
+        decisions = []
+        with measure_ops() as measured:
+            with pytest.raises(PlacementError):
+                for block_id in range(10_000):
+                    decisions.append(ear.place_block(block_id, writer_node=0))
+        assert measured.get("ear.redraw_attempts") == (
+            sum(d.attempts for d in decisions) + ear.max_attempts
+        )
 
     def test_directly_pushed_path_counts_as_an_augmentation(self):
         topology = ClusterTopology(2, 4)

@@ -75,7 +75,7 @@ class TestLookups:
 
     @pytest.mark.parametrize("sizes", [[5] * 8, [1, 4, 2]])
     def test_lookup_tables_never_wrap_around(self, sizes):
-        # rack_of reads a precomputed tuple; a bare index would answer -1
+        # rack_of reads a precomputed table; a bare index would answer -1
         # with the last node's rack (the wrap-around PR 13 found in decode).
         topology = ClusterTopology(nodes_per_rack=sizes)
         for node_id in (-1, -topology.num_nodes, topology.num_nodes):

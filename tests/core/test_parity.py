@@ -8,6 +8,7 @@ from repro.cluster.block import BlockStore
 from repro.cluster.failure import stripe_rack_fault_tolerance
 from repro.cluster.topology import ClusterTopology
 from repro.core.ear import EncodingAwareReplication
+from repro.core.matching import RackMatching, retention_capacity
 from repro.core.parity import (
     EARPlanner,
     RRPlanner,
@@ -280,3 +281,47 @@ class TestPlanners:
         stripe = policy.store.sealed_stripes()[0]
         with pytest.raises(PlacementError):
             planner.eligible_encoder_nodes(stripe)
+
+
+class TestUnknownNodeIds:
+    """Node ids outside ``[0, num_nodes)`` raise ``KeyError`` on every
+    lookup path: a bare tuple index would wrap -1 to the last node."""
+
+    @pytest.fixture(params=[-1, "num_nodes"])
+    def bad_node(self, request, large_topology):
+        if request.param == "num_nodes":
+            return large_topology.num_nodes
+        return request.param
+
+    def test_rack_matching(self, large_topology, bad_node):
+        matching = RackMatching(large_topology.rack_of, retention_capacity(1))
+        with pytest.raises(KeyError):
+            matching.add("a", [0, bad_node])
+        with pytest.raises(KeyError):
+            RackMatching(large_topology.rack_of, retention_capacity(1)).solve(
+                {"a": [bad_node]}
+            )
+
+    def test_ear_planner(self, large_topology, facebook_code, bad_node):
+        policy, store, rng = build_ear_state(large_topology, facebook_code, 21)
+        planner = EARPlanner(large_topology, store, facebook_code, rng=rng)
+        stripe = policy.store.sealed_stripes()[0]
+        with pytest.raises(KeyError):
+            planner.plan(stripe, encoder_node=bad_node)
+        with pytest.raises(KeyError):
+            planner.plan(
+                stripe, encoder_node=bad_node, allow_foreign_encoder=True
+            )
+
+    def test_rr_planner(self, large_topology, facebook_code, bad_node):
+        policy, store, rng = build_rr_state(large_topology, facebook_code, 22)
+        planner = RRPlanner(large_topology, store, facebook_code, rng=rng)
+        stripe = policy.store.sealed_stripes()[0]
+        with pytest.raises(KeyError):
+            planner.plan(stripe, encoder_node=bad_node)
+
+    def test_download_plan(self, large_topology, facebook_code, bad_node):
+        policy, store, __ = build_rr_state(large_topology, facebook_code, 23)
+        stripe = policy.store.sealed_stripes()[0]
+        with pytest.raises(KeyError):
+            download_plan(large_topology, store, stripe, bad_node)

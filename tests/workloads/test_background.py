@@ -93,6 +93,60 @@ class TestBackgroundTraffic:
                 cross_rack_fraction=1.5,
             )
 
+    @pytest.mark.parametrize("nodes_per_rack,num_racks,fraction", [
+        (4, 1, 1.0),   # cross-rack requests with no second rack
+        (4, 1, 0.5),
+        (1, 1, 0.0),   # one node: no partner at all
+        (1, 1, 1.0),
+    ])
+    def test_clusters_without_a_pair_are_rejected(
+        self, nodes_per_rack, num_racks, fraction
+    ):
+        topo = ClusterTopology(nodes_per_rack=nodes_per_rack, num_racks=num_racks)
+        net = Network(Simulator(), topo)
+        with pytest.raises(ValueError):
+            BackgroundTraffic(
+                net.sim, net, rate=1.0, rng=random.Random(1),
+                cross_rack_fraction=fraction,
+            )
+
+    def test_one_rack_intra_traffic_runs(self):
+        topo = ClusterTopology(nodes_per_rack=4, num_racks=1)
+        sim = Simulator()
+        net = Network(sim, topo)
+        traffic = BackgroundTraffic(
+            sim, net, rate=5.0, rng=random.Random(1), mean_size=100.0,
+            cross_rack_fraction=0.0,
+        )
+        sim.process(traffic.run(limit=10))
+        sim.run()
+        assert len(traffic.completed) == 10
+
+    @pytest.mark.parametrize("sizes", [[3, 3, 3, 3], [1, 4, 2, 1, 5]])
+    def test_pairs_match_a_per_request_rebuild(self, sizes):
+        # The partner tables must draw what filtering every node on each
+        # request drew: the same candidates in node-id order.
+        topo = ClusterTopology(nodes_per_rack=sizes)
+        net = Network(Simulator(), topo)
+        traffic = BackgroundTraffic(
+            net.sim, net, rate=1.0, rng=random.Random(5),
+            cross_rack_fraction=0.5,
+        )
+        rng = random.Random(5)
+        for __ in range(300):
+            src = rng.randrange(topo.num_nodes)
+            src_rack = topo.rack_of(src)
+            if rng.random() < 0.5:
+                candidates = [
+                    n for n in topo.node_ids() if topo.rack_of(n) != src_rack
+                ]
+            else:
+                candidates = [
+                    n for n in topo.nodes_in_rack(src_rack) if n != src
+                ] or [n for n in topo.node_ids() if n != src]
+            assert traffic._pick_pair() == (src, rng.choice(candidates))
+        assert traffic.rng.getstate() == rng.getstate()
+
 
 class TestUdpCrossTraffic:
     def test_testbed_pairs(self):
